@@ -1,0 +1,79 @@
+"""Golden-output contract: `tower` and `classify` reports byte for byte.
+
+Every bundled system's tower CSV and JSON report, and the classify report of
+a few systems that exercise each checker, are compared against fixtures in
+tests/golden/.  A refactor that is meant to keep the command-line output must
+leave every fixture untouched; an intended output change regenerates them
+with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from nervetower import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_TOWER_DEPTHS = {
+    "gasket": 4, "pentagasket": 4, "snowflake": 2, "gasket-sub7": 2,
+    "gasket-sub-mixed": 2, "banded-annuli": 2, "finite-cycle": 2, "finite-trivial": 2,
+}
+# banded-annuli stores table data to depth 2 only
+CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3}
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    cases = []
+    for name in cli.bundled_names():
+        depth = _TOWER_DEPTHS.get(name, 3)
+        cases.append((f"tower-{name}-k{depth}", ["tower", name, "--max-depth", str(depth)]))
+    cases.extend((f"classify-{name}", ["classify", name, "--max-depth", str(depth)])
+                 for name, depth in CLASSIFY_DEPTHS.items())
+    return cases
+
+
+def _run(argv: list[str], out_dir: Path, case: str) -> dict[str, str]:
+    """Run one command; return its outputs keyed by fixture file name."""
+    report = out_dir / f"{case}.json"
+    extra = ["--out-report", str(report)]
+    if argv[0] == "tower":
+        extra += ["--out-csv", str(out_dir / f"{case}.csv")]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv + extra)
+    outputs = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(out_dir.glob(f"{case}.*"))}
+    outputs[f"{case}.stdout"] = stdout.getvalue()
+    outputs[f"{case}.exit"] = f"{code}\n"
+    return outputs
+
+
+@pytest.mark.parametrize("case,argv", _cases(), ids=[c for c, _ in _cases()])
+def test_output_matches_golden(case, argv, tmp_path):
+    for fname, text in _run(argv, tmp_path, case).items():
+        expected = (GOLDEN / fname).read_text(encoding="utf-8")
+        assert text == expected, f"{fname} differs from its golden copy"
+
+
+def test_every_fixture_belongs_to_a_case():
+    cases = {c for c, _ in _cases()}
+    stray = [p.name for p in GOLDEN.iterdir() if p.name.rsplit(".", 1)[0] not in cases]
+    assert stray == []
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.iterdir():
+        old.unlink()
+    for case, argv in _cases():
+        for fname, text in _run(argv, GOLDEN, case).items():
+            (GOLDEN / fname).write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()
