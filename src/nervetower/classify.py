@@ -18,11 +18,10 @@ the report says so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Literal, Optional
 
 from . import oracles
-from .components import components as nerve_components
+from .components import components as nerve_components, stationary_bound
 from .exactgeom import Point2, common_point_exists, intersection_cycle
 from .homology import BettiTable
 from .nerve import build_nerve
@@ -204,7 +203,9 @@ def _singleton_status(spec: SystemSpec, i: int, j: int, budget: Budget) -> Singl
                     if common_point_exists(
                             [cell_envelope(spec, cu), cell_envelope(spec, cv)]):
                         frontier.append((cu, cv))
-        if not frontier or len(frontier) > 4096:
+                        if len(frontier) > oracles._ALIVE_CAP:
+                            return "unknown"
+        if not frontier:
             return "unknown"
         alive = frontier
     return "unknown"
@@ -361,7 +362,7 @@ def verify_puthm(table: BettiTable) -> TheoremCheck:
 
         s = m - a0[0] + a1[0]
         predictions.append(f"depth-1 defect m - a_0 + a_1 = {s}")
-        bound = Fraction(s, m - 1)
+        bound = stationary_bound(m, a0[0], a1[0])
         if depth >= 2 and lam.get(2) == 0:
             predictions.append("depth-2 image of first cohomology vanishes: "
                                "the limit's first cohomology is 0")

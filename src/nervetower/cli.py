@@ -15,8 +15,9 @@ integers.  An optional "flags" object carries hypotheses the file's author
 asserts rather than the tool proving them ("assert_lx_connected",
 "assert_injective") and a default "pivot" symbol for the rank-growth check.
 
-Exit codes: 0 ok, 2 bad input, 3 finished but some verdict stayed unknown,
-4 resource cap hit.  All outputs are byte-deterministic for fixed inputs.
+Exit codes: 0 ok, 2 bad input, 3 some intersection query stayed undecided
+(classify: or the postunbranched check is unknown), 4 resource cap hit.
+All outputs are byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -508,10 +509,9 @@ def cmd_tower(args: argparse.Namespace) -> int:
     table = tower_analysis(spec, args.max_depth, fieldkind, dim_cap=args.dim_cap,
                            budget=budget, tower=tower, postunbranched=certs["pu"],
                            singleton_overlaps=certs["singleton"],
+                           assert_injective=loaded.flags.injective,
                            pivot_conditions=certs["pivot"])
-    n1_betti = None
-    if 0 in table.exact_dims and 1 in table.exact_dims:
-        n1_betti = (table.a[(0, 1)], table.a[(1, 1)])
+    n1_betti = (table.a[(0, 1)], table.a[(1, 1)]) if 1 in table.exact_dims else None
     ctower = component_tower(tower,
                              assert_lx_connected=loaded.flags.lx_connected,
                              assert_injective=loaded.flags.injective,
@@ -543,6 +543,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     table = tower_analysis(spec, args.max_depth, fieldkind, dim_cap=args.dim_cap,
                            budget=budget, postunbranched=certs["pu"],
                            singleton_overlaps=certs["singleton"],
+                           assert_injective=loaded.flags.injective,
                            pivot_conditions=certs["pivot"])
     thm = classify_mod.verify_puthm(table)
 

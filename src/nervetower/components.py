@@ -6,16 +6,23 @@ set itself.  That translation is only licensed when every address's nested
 cell intersection is connected; for geometric systems whose cell maps contract
 this holds automatically (the intersections are single points), otherwise the
 caller must assert it and the tower refuses a verdict if nobody does.
+
+The r = 0 limit verdict of the Betti table reads the same inverse limit, so
+both come from one table, DIM0_MECHANISMS; the component verdict only adds
+the hypothesis gate above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import TYPE_CHECKING, Callable, Literal, Optional
 
-from .nerve import SimplicialComplex, TowerData
+from .oracles import ConsistencyError
 from .words import Word
+
+if TYPE_CHECKING:  # nerve builds on this module: TowerData holds each nerve's components
+    from .nerve import SimplicialComplex, TowerData
 
 
 class UnionFind:
@@ -81,6 +88,17 @@ VerdictKind = Literal[
 ]
 
 
+VerdictStatus = Literal["finite", "infinite", "unknown"]
+
+
+@dataclass
+class LimitVerdict:
+    status: VerdictStatus
+    value: Optional[int]  # the limit dimension, when finite
+    mechanism: str
+    detail: str = ""
+
+
 @dataclass
 class ComponentVerdict:
     kind: VerdictKind
@@ -95,26 +113,145 @@ class ComponentTower:
 
     name: str
     counts: list[int]
-    levels: list[ComponentsLevel]
-    parents: list[tuple[int, ...]]  # parents[i][c] = component at depth i+1 containing c's image
+    parents: list[tuple[int, ...]]  # as in Dim0Facts
     hypothesis: str  # 'verified-contraction' | 'user-asserted' | 'unverified'
     verdict: ComponentVerdict
 
 
-def _parent_links(tower: TowerData, levels: list[ComponentsLevel]) -> list[tuple[int, ...]]:
-    links: list[tuple[int, ...]] = []
-    for i, smap in enumerate(tower.maps):
-        deep, shallow = levels[i + 1], levels[i]
-        parent = [-1] * deep.count
+def stationary_bound(m: int, a01: int, a11: int) -> Fraction:
+    """A postunbranched count above (m - a_{0,1} + a_{1,1}) / (m - 1) keeps growing."""
+    return Fraction(m - a01 + a11, m - 1)
+
+
+@dataclass
+class Dim0Facts:
+    """What the dim-0 mechanisms read off depths 1..K of a tower."""
+
+    m: int
+    counts: list[int]
+    parents: list[tuple[int, ...]]  # parents[i][c] = component at depth i+1 containing c's image
+    isolated: tuple[int, ...]       # depth-1 cells (as symbols) that meet no other cell
+    injective: Optional[bool]       # asserted, or read off geometric maps; else None
+    split_ok: bool                  # injective cell maps, or backward (cells are preimages)
+    postunbranched: bool
+    n1_betti: Optional[tuple[int, int]]  # (a_{0,1}, a_{1,1}) over a field
+
+    @property
+    def bound(self) -> Fraction:
+        return stationary_bound(self.m, *self.n1_betti)
+
+
+def dim0_facts(tower: TowerData, depth: int, *, assert_injective: bool,
+               postunbranched: Optional[bool], n1_betti: Optional[tuple[int, int]]) -> Dim0Facts:
+    """The facts of depths 1..depth of the tower."""
+    spec = tower.spec
+    levels = tower.components[:depth]
+    counts = [lv.count for lv in levels]
+    if any(b < a for a, b in zip(counts, counts[1:])):
+        raise ConsistencyError("component counts decreased along the tower")
+    parents: list[tuple[int, ...]] = []
+    for smap, deep, shallow in zip(tower.maps, levels[1:], levels):
+        parent: dict[int, int] = {}
         for v, label in enumerate(deep.labels):
-            image_label = shallow.labels[smap.vertex_map[v]]
-            if parent[label] == -1:
-                parent[label] = image_label
-            elif parent[label] != image_label:
-                # The truncation map is simplicial, so this cannot happen.
-                raise RuntimeError("component parent map is not well defined")
-        links.append(tuple(parent))
-    return links
+            image = shallow.labels[smap.vertex_map[v]]
+            if parent.setdefault(label, image) != image:  # truncation is simplicial: never
+                raise ConsistencyError("component parent map is not well defined")
+        parents.append(tuple(parent[c] for c in range(deep.count)))
+    injective = assert_injective or None
+    if spec.is_geometric and not injective:
+        injective = all(f.determinant() != 0 for f in spec.backend.maps)
+    touched = {v for edge in tower.complexes[0].simplices.get(1, ()) for v in edge}
+    return Dim0Facts(spec.m, counts, parents,
+                     tuple(j + 1 for j in range(spec.m) if j not in touched), injective,
+                     spec.orientation == "backward" or bool(injective),
+                     postunbranched is True, n1_betti)
+
+
+@dataclass(frozen=True)
+class Dim0Mechanism:
+    """One way to settle the limit at r = 0, i.e. the invariant set's components.
+
+    Tried only when every Dim0Facts field in `needs` is truthy.  The details
+    format the facts `f`; the component detail defaults to the limit detail.
+    """
+
+    name: str
+    needs: tuple[str, ...]
+    status: VerdictStatus  # a finite limit is the deepest count
+    kind: VerdictKind
+    applies: Callable[[Dim0Facts], bool]
+    licence: str
+    detail: str
+    component_detail: str = ""
+
+
+# Tried in order; the first that applies settles both the r = 0 limit verdict
+# and the component verdict.
+DIM0_MECHANISMS: tuple[Dim0Mechanism, ...] = (
+    Dim0Mechanism(
+        "connected-base", (), "finite", "connected", lambda f: f.counts[0] == 1,
+        "each block of N_{k+1} holds a copy of N_k, joined wherever depth-1 cells meet",
+        "connected at depth 1, hence at every depth",
+        "depth-1 nerve connected, hence every depth is"),
+    Dim0Mechanism(
+        "two-block-split", ("split_ok",), "infinite", "uncountable",
+        lambda f: f.m == 2 and len(f.isolated) == 2,
+        "split maps keep the cells of distinct words disjoint: one component per sequence",
+        "two disjoint cells: components biject with the full shift",
+        "two generators with disjoint cells: components biject with the full shift"),
+    Dim0Mechanism(
+        "isolated-block", ("split_ok",), "infinite", "countably-infinite-plus",
+        lambda f: bool(f.isolated),
+        "an isolated cell j gives the constant-j address its own component at every depth",
+        "cell {f.isolated[0]} meets no other cell, forcing strictly growing counts",
+        "cell {f.isolated[0]} meets no other cell: the constant-{f.isolated[0]} address is "
+        "an isolated component and counts grow strictly"),
+    Dim0Mechanism(
+        "pu-count-lower-bound", ("postunbranched", "n1_betti"), "infinite",
+        "countably-infinite-plus", lambda f: f.n1_betti[0] > f.bound,
+        "postunbranched count bound of arXiv:0804.3822, applied at depth 1",
+        "depth-1 count {f.n1_betti[0]} exceeds the stationary bound {f.bound}",
+        "depth-1 count {f.n1_betti[0]} exceeds the stationary bound {f.bound}, "
+        "forcing strict growth"),
+    Dim0Mechanism(
+        "pu-escaped-bound", ("postunbranched", "n1_betti"), "infinite",
+        "countably-infinite-plus", lambda f: any(c > f.bound for c in f.counts),
+        "postunbranched count bound of arXiv:0804.3822, applied at a deeper computed depth",
+        "a computed count exceeds the stationary bound, forcing strict growth from there on"),
+    Dim0Mechanism(
+        "pu-small-m-disconnected", ("postunbranched", "n1_betti"), "infinite",
+        "countably-infinite-plus", lambda f: 2 <= f.m <= 6,
+        "postunbranched with m <= 6: a disconnected N_1 never stabilizes (arXiv:0804.3822)",
+        "disconnected depth-1 nerve with at most 6 generators cannot stabilize"),
+    Dim0Mechanism(
+        "stabilized-components", (), "finite", "finitely-many",
+        lambda f: len(f.counts) >= 2 and f.counts[-2] == f.counts[-1] == len(set(f.parents[-1])),
+        "observed on the deepest two computed depths only: a plateau can split again deeper",
+        "counts equal on the deepest two depths with a bijective parent map",
+        "counts equal at depths {prev} and {depth} with a bijective parent map"),
+    Dim0Mechanism(
+        "no-certificate", (), "unknown", "growing-unknown", lambda f: True,
+        "no mechanism applies; counts are reported only",
+        "", "counts still changing at the deepest computed level"),
+)
+
+
+def dim0_verdict(facts: Dim0Facts) -> tuple[LimitVerdict, ComponentVerdict]:
+    """Both verdicts from the first mechanism that applies, for a tower free of
+    undecided intersections (after checking the invariants such a tower has)."""
+    counts = facts.counts
+    if counts[0] == 1:
+        if any(c != 1 for c in counts):
+            raise ConsistencyError("connected base nerve but a deeper nerve is disconnected")
+    elif facts.split_ok and facts.isolated and any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ConsistencyError("isolated depth-1 cell forces strictly growing counts")
+    mech = next(m for m in DIM0_MECHANISMS
+                if all(getattr(facts, need) for need in m.needs) and m.applies(facts))
+    value = counts[-1] if mech.status == "finite" else None
+    limit, component = (text.format(f=facts, prev=len(counts) - 1, depth=len(counts))
+                        for text in (mech.detail, mech.component_detail or mech.detail))
+    return (LimitVerdict(mech.status, value, mech.name, limit),
+            ComponentVerdict(mech.kind, value, mech.name, component))
 
 
 def component_tower(tower: TowerData, *,
@@ -125,18 +262,12 @@ def component_tower(tower: TowerData, *,
     """Counts, parent links, and a verdict about the invariant set's components.
 
     n1_betti, when available, is (a_{0,1}, a_{1,1}) over a field and unlocks
-    the count lower-bound mechanism for certified systems.  postunbranched
-    likewise comes from the classifier; None means not certified.
+    the count-bound mechanisms for certified systems.  postunbranched likewise
+    comes from the classifier; None means not certified.
     """
     spec = tower.spec
-    levels = [components(c) for c in tower.complexes]
-    counts = [lv.count for lv in levels]
-    parents = _parent_links(tower, levels)
-
-    for a, b in zip(counts, counts[1:]):
-        if b < a:
-            raise RuntimeError("component counts decreased along the tower")
-
+    facts = dim0_facts(tower, tower.depth, assert_injective=assert_injective,
+                       postunbranched=postunbranched, n1_betti=n1_betti)
     if spec.is_geometric:
         hypothesis = "verified-contraction"  # cell maps contract, so nested cells shrink to points
     elif assert_lx_connected:
@@ -144,75 +275,14 @@ def component_tower(tower: TowerData, *,
     else:
         hypothesis = "unverified"
 
-    injective = assert_injective
-    if spec.is_geometric:
-        injective = injective or all(f.determinant() != 0 for f in spec.backend.maps)
-    # Backward systems need no injectivity side condition: cells are preimages.
-    split_ok = spec.orientation == "backward" or injective
-
-    uncertain = any(c.uncertain for c in tower.complexes)
-    verdict = _component_verdict(spec, tower, levels, counts, parents, hypothesis,
-                                 split_ok, postunbranched, n1_betti, uncertain)
-    return ComponentTower(spec.name, counts, levels, parents, hypothesis, verdict)
-
-
-def _component_verdict(spec, tower, levels, counts, parents, hypothesis, split_ok,
-                       postunbranched, n1_betti, uncertain) -> ComponentVerdict:
     if hypothesis == "unverified":
-        return ComponentVerdict(
+        verdict = ComponentVerdict(
             "growing-unknown", None, "hypothesis-unverified",
             "address cell connectedness neither verified nor asserted; counts reported only")
-    if uncertain:
-        return ComponentVerdict(
+    elif any(c.uncertain for c in tower.complexes):
+        verdict = ComponentVerdict(
             "growing-unknown", None, "uncertain-simplices",
             "some cell intersections undecided; counts are lower bounds")
-
-    n1 = tower.complex_at(1)
-    m = spec.m
-    if counts[0] == 1:
-        if any(c != 1 for c in counts):
-            raise RuntimeError("connected base nerve but a deeper nerve is disconnected")
-        return ComponentVerdict("connected", 1, "connected-base",
-                                "depth-1 nerve connected, hence every depth is")
-
-    edges = n1.edge_sets()
-    if m == 2 and not edges and split_ok:
-        return ComponentVerdict(
-            "uncountable", None, "two-block-split",
-            "two generators with disjoint cells: components biject with the full shift")
-
-    touched = {v for e in edges for v in e}
-    isolated = sorted(set(range(m)) - touched)
-    if isolated and split_ok:
-        j = isolated[0] + 1
-        for a, b in zip(counts, counts[1:]):
-            if b <= a:
-                raise RuntimeError("isolated depth-1 cell forces strictly growing counts")
-        return ComponentVerdict(
-            "countably-infinite-plus", None, "isolated-block",
-            f"cell {j} meets no other cell: the constant-{j} address is an isolated component "
-            "and counts grow strictly")
-
-    if postunbranched and n1_betti is not None:
-        a01, a11 = n1_betti
-        bound = Fraction(m - a01 + a11, m - 1)
-        if a01 > bound:
-            return ComponentVerdict(
-                "countably-infinite-plus", None, "pu-count-lower-bound",
-                f"depth-1 count {a01} exceeds the stationary bound {bound}, forcing strict growth")
-        if 2 <= m <= 6:
-            return ComponentVerdict(
-                "countably-infinite-plus", None, "pu-small-m-disconnected",
-                "disconnected depth-1 nerve with at most 6 generators cannot stabilize")
-
-    # Judge stabilization on the deepest computed pair only: an early plateau
-    # that later splits again is not evidence.
-    if len(counts) >= 2:
-        i = len(counts) - 2
-        if counts[i] == counts[i + 1] and len(set(parents[i])) == counts[i + 1]:
-            return ComponentVerdict(
-                "finitely-many", counts[i + 1], "stabilized-components",
-                f"counts equal at depths {i + 1} and {i + 2} with a bijective parent map")
-
-    return ComponentVerdict("growing-unknown", None, "no-certificate",
-                            "counts still changing at the deepest computed level")
+    else:
+        verdict = dim0_verdict(facts)[1]
+    return ComponentTower(spec.name, facts.counts, facts.parents, hypothesis, verdict)

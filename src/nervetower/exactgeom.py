@@ -270,11 +270,6 @@ def common_point_exists(polys: Sequence[ConvexPolygon]) -> bool:
     return bool(intersection_cycle(polys))
 
 
-def min_distance_positive(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    """True iff the polygons are certifiably disjoint (so their distance is > 0)."""
-    return not common_point_exists((a, b))
-
-
 def check_envelope(maps: Sequence[RationalAffineMap], envelope: ConvexPolygon) -> bool:
     """Every map contracts and sends the envelope into itself."""
     for f in maps:

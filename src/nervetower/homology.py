@@ -18,9 +18,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
-from .components import components as nerve_components
+from .components import LimitVerdict, dim0_facts, dim0_verdict
 from .nerve import SimplicialComplex, SimplicialMap, TowerData, tower_complexes
 from .oracles import Budget, ConsistencyError, SpecError, SystemSpec
 from .words import Word
@@ -233,17 +233,6 @@ def induced_rank(smap: SimplicialMap, r: int, fieldkind: FieldKind) -> int:
     return rank_all - rank_b
 
 
-VerdictStatus = Literal["finite", "infinite", "unknown"]
-
-
-@dataclass
-class LimitVerdict:
-    status: VerdictStatus
-    value: Optional[int]  # the limit dimension, when finite
-    mechanism: str
-    detail: str = ""
-
-
 @dataclass
 class BettiTable:
     """Interaction numbers a_{r,k} for one system over one field, plus verdicts."""
@@ -272,21 +261,19 @@ def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
                    tower: Optional[TowerData] = None,
                    postunbranched: Optional[bool] = None,
                    singleton_overlaps: Optional[bool] = None,
-                   injective: Optional[bool] = None,
+                   assert_injective: bool = False,
                    pivot_conditions: Optional[bool] = None) -> BettiTable:
     """Betti table and limit verdicts for depths 1..depth over one field.
 
     The optional certification flags come from the classify layer (None =
-    not certified) and gate which verdict mechanisms may fire.
+    not certified) and gate which verdict mechanisms may fire;
+    assert_injective carries the spec file's assertion of that name.
     """
     if depth < 1:
         raise SpecError("tower depth must be at least 1")
     if tower is None:
         tower = tower_complexes(spec, depth, dim_cap, budget)
     complexes = tower.complexes[:depth]
-
-    if injective is None and spec.is_geometric:
-        injective = all(f.determinant() != 0 for f in spec.backend.maps)
 
     exact_dims = tuple(r for r in range(dim_cap + 1)
                        if all(betti_exact(c, r) for c in complexes))
@@ -300,15 +287,14 @@ def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
         for k in range(2, depth + 1):
             lam[k] = induced_rank(tower.map_to_base(k), 1, fieldkind)
 
-    counts = [nerve_components(c).count for c in complexes]
+    n1_betti = (a[(0, 1)], a[(1, 1)]) if 1 in exact_dims else None
+    facts = dim0_facts(tower, depth, assert_injective=assert_injective,
+                       postunbranched=postunbranched, n1_betti=n1_betti)
     if 0 in exact_dims:
         for k in range(1, depth + 1):
-            if a[(0, k)] != counts[k - 1]:
+            if a[(0, k)] != facts.counts[k - 1]:
                 raise ConsistencyError(
                     f"a_0 at depth {k} disagrees with the component count")
-    for x, y in zip(counts, counts[1:]):
-        if y < x:
-            raise ConsistencyError("component counts decreased along the tower")
 
     growth = {
         r: [None if a[(r, k)] <= 0 else math.log(a[(r, k)]) / k
@@ -319,19 +305,18 @@ def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
     flags = {
         "postunbranched": postunbranched,
         "singleton_overlaps": singleton_overlaps,
-        "injective": injective,
+        "injective": facts.injective,
         "pivot_conditions": pivot_conditions,
         "forward": spec.orientation == "forward",
     }
     uncertain = [(c.level, entry[0], entry[1])
                  for c in complexes for entry in c.uncertain]
 
-    verdicts = _limit_verdicts(spec, complexes, tower, exact_dims, a, lam, counts,
-                               fieldkind, flags, bool(uncertain))
+    verdicts = _limit_verdicts(facts, exact_dims, a, lam, flags, bool(uncertain))
     b1_inf = _b1_infinity(lam, depth, postunbranched)
 
     return BettiTable(spec.name, spec.m, fieldkind, depth, dim_cap, exact_dims, a, lam,
-                      counts, growth, verdicts, b1_inf, flags, uncertain)
+                      facts.counts, growth, verdicts, b1_inf, flags, uncertain)
 
 
 def _b1_infinity(lam: dict[int, int], depth: int, pu: Optional[bool]) -> LimitVerdict:
@@ -345,16 +330,15 @@ def _b1_infinity(lam: dict[int, int], depth: int, pu: Optional[bool]) -> LimitVe
     return LimitVerdict("unknown", None, "no-certificate", "no lambda computed")
 
 
-def _limit_verdicts(spec, complexes, tower, exact_dims, a, lam, counts, fieldkind,
-                    flags, has_uncertain) -> dict[int, LimitVerdict]:
-    depth = len(complexes)
-    m = spec.m
+def _limit_verdicts(facts, exact_dims, a, lam, flags, has_uncertain) -> dict[int, LimitVerdict]:
+    depth = len(facts.counts)
+    m = facts.m
     pu = flags["postunbranched"] is True
     singleton = flags["singleton_overlaps"] is True
     injective = flags["injective"] is True
     forward = flags["forward"]
     pivot = flags["pivot_conditions"] is True
-    connected1 = counts[0] == 1
+    connected1 = facts.counts[0] == 1
 
     if has_uncertain:
         return {r: LimitVerdict("unknown", None, "uncertain-simplices",
@@ -367,8 +351,7 @@ def _limit_verdicts(spec, complexes, tower, exact_dims, a, lam, counts, fieldkin
     verdicts: dict[int, LimitVerdict] = {}
     for r in exact_dims:
         if r == 0:
-            verdicts[0] = _verdict_dim0(spec, tower, complexes, a, counts, m, pu,
-                                        injective, fieldkind, depth)
+            verdicts[0] = dim0_verdict(facts)[0]
         elif r == 1:
             verdicts[1] = _verdict_dim1(seq(1), lam, m, depth, connected1, pu,
                                         singleton, injective, forward, pivot)
@@ -452,55 +435,4 @@ def _verdict_dim1(seq, lam, m, depth, connected1, pu, singleton, injective,
                     "pivot conditions certify strictly growing a_1, computed table disagrees")
         return LimitVerdict("infinite", None, "pivot-cycle-growth",
                             "pivot block isolation plus a pivot cycle force strict growth")
-    return LimitVerdict("unknown", None, "no-certificate", "")
-
-
-def _verdict_dim0(spec, tower, complexes, a, counts, m, pu, injective,
-                  fieldkind, depth) -> LimitVerdict:
-    connected1 = counts[0] == 1
-    if connected1:
-        if any(c != 1 for c in counts):
-            raise ConsistencyError("connected base nerve but deeper counts differ from 1")
-        return LimitVerdict("finite", 1, "connected-base",
-                            "connected at depth 1, hence at every depth")
-
-    n1 = complexes[0]
-    edges = n1.edge_sets()
-    split_ok = spec.orientation == "backward" or injective
-    if m == 2 and not edges and split_ok:
-        return LimitVerdict("infinite", None, "two-block-split",
-                            "two disjoint cells: components biject with the full shift")
-    touched = {v for e in edges for v in e}
-    if len(touched) < m and split_ok:
-        j = min(set(range(m)) - touched) + 1
-        return LimitVerdict("infinite", None, "isolated-block",
-                            f"cell {j} meets no other cell, forcing strictly growing counts")
-    if pu and (0, 1) in a and (1, 1) in a:
-        a01, a11 = a[(0, 1)], a[(1, 1)]
-        bound = Fraction(m - a01 + a11, m - 1)
-        if Fraction(a01) > bound:
-            return LimitVerdict("infinite", None, "pu-count-lower-bound",
-                                f"depth-1 count {a01} exceeds the stationary bound {bound}")
-        if any(Fraction(a[(0, k)]) > bound for k in range(1, depth + 1)):
-            return LimitVerdict("infinite", None, "pu-escaped-bound",
-                                "a computed count exceeds the stationary bound, "
-                                "forcing strict growth from there on")
-        if 2 <= m <= 6:
-            return LimitVerdict("infinite", None, "pu-small-m-disconnected",
-                                "disconnected depth-1 nerve with at most 6 generators "
-                                "cannot stabilize")
-    if depth >= 2 and counts[-1] == counts[-2]:
-        levels = [nerve_components(c) for c in complexes[-2:]]
-        smap = tower.maps[depth - 2]
-        parent = {}
-        ok = True
-        for v, label in enumerate(levels[1].labels):
-            image = levels[0].labels[smap.vertex_map[v]]
-            if parent.setdefault(label, image) != image:
-                ok = False
-                break
-        if ok and len(set(parent.values())) == counts[-1]:
-            return LimitVerdict("finite", counts[-1], "stabilized-components",
-                                f"counts equal on the deepest two depths with a bijective "
-                                f"parent map")
     return LimitVerdict("unknown", None, "no-certificate", "")

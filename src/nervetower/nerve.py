@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import oracles
+from .components import ComponentsLevel, components
 from .exactgeom import compose
 from .oracles import (
     Budget,
@@ -59,13 +60,6 @@ class SimplicialComplex:
 
     def simplex_counts(self) -> dict[int, int]:
         return {dim: len(sims) for dim, sims in self.simplices.items() if sims}
-
-    def dimensions(self) -> list[int]:
-        return sorted(dim for dim, sims in self.simplices.items() if sims)
-
-    def has_simplex(self, indices: tuple[int, ...]) -> bool:
-        dim = len(indices) - 1
-        return tuple(sorted(indices)) in set(self.simplices.get(dim, ()))
 
     def edge_sets(self) -> set[frozenset[int]]:
         return {frozenset(e) for e in self.simplices.get(1, ())}
@@ -199,9 +193,6 @@ class SimplicialMap:
     vertex_map: tuple[int, ...]
     surjective: Optional[bool] = None
 
-    def image_indices(self, simplex: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted({self.vertex_map[v] for v in simplex}))
-
 
 def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
     """The drop-last-symbols map between nerve depths, with its contracts checked.
@@ -245,13 +236,14 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
 
 @dataclass
 class TowerData:
-    """Nerves at depths 1..K plus the truncation map between consecutive depths."""
+    """Nerves at depths 1..K, the truncation maps between them, and their components."""
 
     spec: SystemSpec
     dim_cap: int
     budget: Budget
     complexes: list[SimplicialComplex]
     maps: list[SimplicialMap]  # maps[i]: depth i+2 -> depth i+1
+    components: list[ComponentsLevel]
 
     @property
     def depth(self) -> int:
@@ -278,7 +270,8 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
     for k in range(len(complexes) - 1, 0, -1):
         _sweep_certificates(complexes[k], complexes[k - 1])
     maps = [truncation_map(complexes[i + 1], complexes[i]) for i in range(len(complexes) - 1)]
-    return TowerData(spec, dim_cap, budget, complexes, maps)
+    return TowerData(spec, dim_cap, budget, complexes, maps,
+                     [components(c) for c in complexes])
 
 
 def _sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> None:

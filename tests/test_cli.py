@@ -1,6 +1,11 @@
 """Command line: parsing, exit codes, deterministic exports, derive round-trips."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +98,13 @@ class TestParseSpec:
             loaded = load_bundled(name)
             assert loaded.spec.name == name
 
+    def test_readme_spec_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert blocks
+        for text in blocks:
+            load_spec_text(text)
+
     def test_geometric_round_trip(self):
         loaded = parse_spec(GASKET_DOC)
         doc = spec_to_doc(loaded.spec, loaded.flags)
@@ -136,6 +148,15 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "gasket: forward, m=3, geometric" in out
         assert "pentagasket: forward, m=5, symbolicpu" in out
+
+    def test_python_dash_m(self):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "nervetower", "list"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "gasket: forward, m=3, geometric" in done.stdout
 
 
 class TestNerveCommand:
@@ -207,6 +228,21 @@ class TestTowerCommand:
         assert doc["component_verdict"]["kind"] == "finitely-many"
         assert doc["component_verdict"]["count"] == 3
         assert doc["component_verdict"]["hypothesis"] == "user-asserted"
+
+    def test_asserted_injective_table_reaches_both_verdicts(self, tmp_path):
+        doc = {"name": "split-table", "orientation": "forward", "m": 2,
+               "backend": {"kind": "table", "levels": {"1": [], "2": []}},
+               "flags": {"assert_lx_connected": True, "assert_injective": True}}
+        rep = tmp_path / "split.json"
+        code = main(["tower", write_doc(tmp_path, doc), "--max-depth", "2",
+                     "--out-csv", str(tmp_path / "split.csv"), "--out-report", str(rep)])
+        assert code == EXIT_OK
+        report = json.loads(rep.read_text())
+        assert report["flags"]["injective"] is True
+        assert report["limit_verdicts"]["0"]["mechanism"] == "two-block-split"
+        assert report["limit_verdicts"]["0"]["status"] == "infinite"
+        assert report["component_verdict"]["mechanism"] == "two-block-split"
+        assert report["component_verdict"]["kind"] == "uncountable"
 
     def test_gf2_field_accepted(self, tmp_path):
         code = main(["tower", "gasket", "--max-depth", "2", "--field", "gf2",

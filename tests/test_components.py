@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from nervetower.components import (ComponentTower, component_tower, components)
+from nervetower.components import (DIM0_MECHANISMS, ComponentTower, Dim0Facts,
+                                   component_tower, components)
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
+from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import build_nerve, tower_complexes
 from nervetower.oracles import (Budget, GeometricBackend, SystemSpec,
                                 TableBackend)
@@ -58,6 +60,16 @@ class TestParentLinks:
 
 
 class TestVerdicts:
+    def test_mechanism_table_is_well_formed(self):
+        names = [mech.name for mech in DIM0_MECHANISMS]
+        assert len(set(names)) == len(names)
+        facts = Dim0Facts.__dataclass_fields__
+        for mech in DIM0_MECHANISMS:
+            assert mech.licence
+            assert all(need in facts for need in mech.needs)
+        assert DIM0_MECHANISMS[-1].name == "no-certificate"
+        assert DIM0_MECHANISMS[-1].needs == ()
+
     def test_connected_base(self, gasket):
         ct = component_tower(tower_complexes(gasket, 2))
         assert ct.hypothesis == "verified-contraction"
@@ -120,6 +132,24 @@ class TestVerdicts:
                              postunbranched=True, n1_betti=(2, 6))
         assert ct.verdict.kind == "countably-infinite-plus"
         assert ct.verdict.mechanism == "pu-small-m-disconnected"
+
+    def test_pu_escaped_bound_in_both_verdicts(self):
+        # K5 on cells 1..5 plus an isolated sixth: a_{0,1} = 2 meets the
+        # stationary bound (6 - 2 + 6)/5 = 2, but depth 2 has 32 components
+        k5 = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+        levels = {1: [[(a,), (b,)] for a, b in k5],
+                  2: [[(a, 1), (b, 1)] for a, b in k5]}
+        spec = SystemSpec("escaped", "forward", 6, TableBackend(6, levels))
+        tower = tower_complexes(spec, 2, dim_cap=2)
+        table = tower_analysis(spec, 2, FieldKind(0), dim_cap=2, tower=tower,
+                               postunbranched=True)
+        assert table.component_counts == [2, 32]
+        assert table.verdicts[0].mechanism == "pu-escaped-bound"
+        assert table.verdicts[0].status == "infinite"
+        ct = component_tower(tower, assert_lx_connected=True, postunbranched=True,
+                             n1_betti=(table.a[(0, 1)], table.a[(1, 1)]))
+        assert ct.verdict.mechanism == "pu-escaped-bound"
+        assert ct.verdict.kind == "countably-infinite-plus"
 
     def test_single_level_gives_no_certificate(self, bundled):
         tower = tower_complexes(bundled("finite-trivial").spec, 1, dim_cap=2)

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap,
                                   bboxes_overlap, check_envelope,
                                   common_point_exists, compose, cross,
-                                  intersection_cycle, map_polygon,
-                                  min_distance_positive, rational)
+                                  intersection_cycle, map_polygon, rational)
 
 
 def P(x, y):
@@ -141,7 +140,6 @@ class TestIntersection:
         far = ConvexPolygon.hull([p + P(3, 0) for p in UNIT_SQUARE.vertices])
         assert intersection_cycle([UNIT_SQUARE, far]) == ()
         assert not common_point_exists([UNIT_SQUARE, far])
-        assert min_distance_positive(UNIT_SQUARE, far)
 
     def test_open_gap_with_overlapping_bboxes(self):
         # bboxes meet but the polygons do not
