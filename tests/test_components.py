@@ -1,5 +1,6 @@
 """Component counting, parent links, and the component verdict mechanisms."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import build_nerve, tower_complexes
 from nervetower.oracles import (Budget, GeometricBackend, SystemSpec,
                                 TableBackend)
+
+components_module = importlib.import_module("nervetower.components")
 
 
 def P(x, y):
@@ -47,6 +50,20 @@ class TestComponents:
 
 
 class TestParentLinks:
+    def test_components_computed_once_per_nerve(self, gasket, monkeypatch):
+        made = []
+
+        class Counting(components_module.ComponentsLevel):
+            def __init__(self, *fields):
+                made.append(fields)
+                super().__init__(*fields)
+
+        monkeypatch.setattr(components_module, "ComponentsLevel", Counting)
+        tower = tower_complexes(gasket, 3)
+        tower_analysis(gasket, 3, FieldKind(0), dim_cap=2, tower=tower)
+        component_tower(tower)
+        assert len(made) == 3
+
     def test_connected_chain(self, gasket):
         ct = component_tower(tower_complexes(gasket, 3))
         assert ct.counts == [1, 1, 1]
