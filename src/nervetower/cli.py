@@ -476,8 +476,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
     for name in bundled_names():
         loaded = load_bundled(name)
         spec = loaded.spec
-        kind = type(spec.backend).__name__.replace("Backend", "").lower()
-        print(f"{name}: {spec.orientation}, m={spec.m}, {kind}")
+        print(f"{name}: {spec.orientation}, m={spec.m}, {spec.backend.kind}")
     return EXIT_OK
 
 
@@ -511,11 +510,8 @@ def cmd_tower(args: argparse.Namespace) -> int:
                            singleton_overlaps=certs["singleton"],
                            assert_injective=loaded.flags.injective,
                            pivot_conditions=certs["pivot"])
-    n1_betti = (table.a[(0, 1)], table.a[(1, 1)]) if 1 in table.exact_dims else None
-    ctower = component_tower(tower,
-                             assert_lx_connected=loaded.flags.lx_connected,
-                             assert_injective=loaded.flags.injective,
-                             postunbranched=certs["pu"], n1_betti=n1_betti)
+    ctower = component_tower(tower, assert_lx_connected=loaded.flags.lx_connected,
+                             facts=table.facts)
     _emit(tower_csv(table), args.out_csv)
     report = tower_report_doc(table, ctower)
     if args.out_report:
@@ -526,11 +522,24 @@ def cmd_tower(args: argparse.Namespace) -> int:
     return EXIT_UNCERTAIN if table.uncertain else EXIT_OK
 
 
+def _stored_depth(backend: TableBackend) -> int:
+    """The deepest k such that the table stores every depth 1..k."""
+    depth = 1
+    while depth + 1 in backend.levels:
+        depth += 1
+    return depth
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     loaded = resolve_spec(args.spec)
     spec = loaded.spec
-    if _cell_cap_hit(spec, args.max_depth, args.max_cells):
-        print(f"error: {spec.m}^{args.max_depth} cells exceed --max-cells"
+    max_depth = args.max_depth
+    if max_depth is None:
+        max_depth = 3
+        if isinstance(spec.backend, TableBackend):
+            max_depth = min(max_depth, _stored_depth(spec.backend))
+    if _cell_cap_hit(spec, max_depth, args.max_cells):
+        print(f"error: {spec.m}^{max_depth} cells exceed --max-cells"
               f" {args.max_cells}", file=sys.stderr)
         return EXIT_RESOURCE
     budget = _budget(args)
@@ -540,7 +549,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                             loaded.doc)
     certs = _certifications(loaded, args.depth, budget, run_pivot=True)
     fieldkind = FieldKind.parse(args.field)
-    table = tower_analysis(spec, args.max_depth, fieldkind, dim_cap=args.dim_cap,
+    table = tower_analysis(spec, max_depth, fieldkind, dim_cap=args.dim_cap,
                            budget=budget, postunbranched=certs["pu"],
                            singleton_overlaps=certs["singleton"],
                            assert_injective=loaded.flags.injective,
@@ -671,8 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--depth", type=int, default=4,
                    help="postunbranched check depth (default 4)")
-    p.add_argument("--max-depth", type=int, default=3,
-                   help="tower depth for the recurrence replay (default 3)")
+    p.add_argument("--max-depth", type=int,
+                   help="tower depth for the recurrence replay (default 3, or the"
+                        " deepest depth a table system stores, if less)")
     p.add_argument("--field", default="q", help="q, or gfP for a prime P (default q)")
     p.add_argument("--pivot", type=int, help="symbol for the rank-growth conditions")
     p.add_argument("--out-report", help="write the JSON bundle here")

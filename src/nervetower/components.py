@@ -256,18 +256,25 @@ def dim0_verdict(facts: Dim0Facts) -> tuple[LimitVerdict, ComponentVerdict]:
 
 def component_tower(tower: TowerData, *,
                     assert_lx_connected: bool = False,
+                    facts: Optional[Dim0Facts] = None,
                     assert_injective: bool = False,
                     postunbranched: Optional[bool] = None,
                     n1_betti: Optional[tuple[int, int]] = None) -> ComponentTower:
     """Counts, parent links, and a verdict about the invariant set's components.
 
-    n1_betti, when available, is (a_{0,1}, a_{1,1}) over a field and unlocks
-    the count-bound mechanisms for certified systems.  postunbranched likewise
-    comes from the classifier; None means not certified.
+    facts, when given, are the ones a Betti table already derived for every
+    depth of this tower (BettiTable.facts), and the inputs after it are not
+    read.  Otherwise they are derived here: n1_betti, when available, is
+    (a_{0,1}, a_{1,1}) over a field and unlocks the count-bound mechanisms for
+    certified systems; postunbranched likewise comes from the classifier, and
+    None means not certified.
     """
     spec = tower.spec
-    facts = dim0_facts(tower, tower.depth, assert_injective=assert_injective,
-                       postunbranched=postunbranched, n1_betti=n1_betti)
+    if facts is None:
+        facts = dim0_facts(tower, tower.depth, assert_injective=assert_injective,
+                           postunbranched=postunbranched, n1_betti=n1_betti)
+    elif len(facts.counts) != tower.depth:
+        raise ConsistencyError("dim-0 facts cover a different depth than the tower")
     if spec.is_geometric:
         hypothesis = "verified-contraction"  # cell maps contract, so nested cells shrink to points
     elif assert_lx_connected:

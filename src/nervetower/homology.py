@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .components import LimitVerdict, dim0_facts, dim0_verdict
+from .components import Dim0Facts, LimitVerdict, dim0_facts, dim0_verdict
 from .nerve import SimplicialComplex, SimplicialMap, TowerData, tower_complexes
 from .oracles import Budget, ConsistencyError, SpecError, SystemSpec
 from .words import Word
@@ -245,12 +245,16 @@ class BettiTable:
     exact_dims: tuple[int, ...]
     a: dict[tuple[int, int], int]              # (r, k) -> dimension
     lam: dict[int, int]                        # k >= 2 -> rank of the map to depth 1
-    component_counts: list[int]
+    facts: Dim0Facts                           # what the dim-0 mechanisms read
     growth: dict[int, list[Optional[float]]]   # r -> [(1/k) log a_{r,k}]
     verdicts: dict[int, LimitVerdict]
     b1_infinity: LimitVerdict
     flags: dict[str, Optional[bool]]
     uncertain: list[tuple[int, tuple[Word, ...], str]] = field(default_factory=list)
+
+    @property
+    def component_counts(self) -> list[int]:
+        return self.facts.counts
 
     def sequence(self, r: int) -> list[int]:
         return [self.a[(r, k)] for k in range(1, self.depth + 1)]
@@ -316,7 +320,7 @@ def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
     b1_inf = _b1_infinity(lam, depth, postunbranched)
 
     return BettiTable(spec.name, spec.m, fieldkind, depth, dim_cap, exact_dims, a, lam,
-                      facts.counts, growth, verdicts, b1_inf, flags, uncertain)
+                      facts, growth, verdicts, b1_inf, flags, uncertain)
 
 
 def _b1_infinity(lam: dict[int, int], depth: int, pu: Optional[bool]) -> LimitVerdict:

@@ -12,9 +12,9 @@ reports can say exactly which conclusions are conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import oracles
 from .components import ComponentsLevel, components
@@ -28,7 +28,7 @@ from .oracles import (
     SystemSpec,
     TableBackend,
 )
-from .words import Word, enumerate_words, truncate
+from .words import Word, enumerate_words, prefixed_copies, truncate
 
 
 @dataclass
@@ -121,39 +121,107 @@ def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
         if stored is None:
             raise SpecError(f"system {spec.name!r} stores no depth-{level} data")
         return _from_word_sets(spec, level, stored, dim_cap)
-    return _geometric_nerve(spec, level, dim_cap, budget)
+    cached = _geometric_levels(spec, level, dim_cap, budget)[level - 1]
+    # tower_complexes sweeps certificates into the complexes it builds; the
+    # cached level must stay as the oracle left it, since deeper levels copy it
+    return replace(cached, simplices=dict(cached.simplices))
 
 
-def _geometric_nerve(spec: SystemSpec, level: int, dim_cap: int,
-                     budget: Budget) -> SimplicialComplex:
-    words = tuple(enumerate_words(spec.m, level))
-    n = len(words)
+def _geometric_levels(spec: SystemSpec, depth: int, dim_cap: int,
+                      budget: Budget) -> list[SimplicialComplex]:
+    """Nerves at depths 1..depth as the oracle answers them, generated level to
+    level and cached on the spec.
+
+    Depth 1 queries every pair.  Depth k+1 is grown from depth k:
+
+    * Block copies.  When every cell map is injective, c_j maps the envelopes,
+      refinement frontiers and certificate points of a tuple w one-to-one onto
+      those of j.w, so the oracle answers j.w as it answered w, with the same
+      note.  The simplices and uncertain tuples inside block j are the copies
+      j.N_k, and no tuple inside one block is queried.
+    * Parent-guided edges.  Cells nest, so a pair can meet only if its
+      truncation does, and the child of a pair certified disjoint is certified
+      disjoint too: its envelopes and refinement frontiers lie inside the
+      parent's.  Only children of depth-k edges and uncertain pairs (and,
+      without block copies, of single vertices) are queried.
+    * Higher simplices grow as cliques over verified simplices, as at depth 1.
+
+    Singular cell maps skip the block copies; the parent guidance holds for
+    every map that sends the envelope into itself.
+    """
+    levels = spec._cache.setdefault(("nerve_levels", dim_cap, budget), [])
+    if not levels:
+        words = tuple(enumerate_words(spec.m, 1))
+        levels.append(_grow_level(spec, words, combinations(range(spec.m), 2),
+                                  {}, [], None, dim_cap, budget))
+    copies = all(f.determinant() != 0 for f in spec.cell_maps)
+    while len(levels) < depth:
+        levels.append(_next_level(spec, levels[-1], copies, dim_cap, budget))
+    return levels
+
+
+def _next_level(spec: SystemSpec, prev: SimplicialComplex, copies: bool,
+                dim_cap: int, budget: Budget) -> SimplicialComplex:
+    m = spec.m
+    block = len(prev.words)  # words per first symbol at the new depth
+    parent_block = block // m  # and at the parent depth
+    pairs = list(prev.simplices.get(1, ()))
+    pairs += [tuple(sorted(prev.index_of(w) for w in ws))
+              for ws, _note in prev.uncertain if len(ws) == 2]
+    known: dict[int, list[tuple[Word, ...]]] = {}
     uncertain: list[tuple[tuple[Word, ...], str]] = []
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(n)}}
+    if copies:
+        pairs = [(a, b) for a, b in pairs if a // parent_block != b // parent_block]
+        for dim, sims in prev.simplices.items():
+            if dim:
+                known[dim] = list(prefixed_copies(
+                    (tuple(prev.words[v] for v in s) for s in sims), m))
+        notes = [note for _ws, note in prev.uncertain] * m
+        uncertain = list(zip(prefixed_copies((ws for ws, _note in prev.uncertain), m), notes))
+    else:
+        pairs += [(v, v) for v in range(block)]  # siblings share a parent cell
+    # words are in lexicographic order, so w.x sits at index(w) * m + x - 1
+    children = sorted({(a * m + x, b * m + y) for a, b in pairs
+                       for x in range(m) for y in range(m) if a * m + x < b * m + y})
+    return _grow_level(spec, tuple(enumerate_words(m, prev.level + 1)), children, known,
+                       uncertain, block if copies else None, dim_cap, budget)
 
-    edges: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            verdict = oracles.cells_intersect(spec, (words[i], words[j]), budget)
-            if verdict.kind == "intersect":
-                edges.add((i, j))
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-            elif verdict.kind == "unknown":
-                uncertain.append(((words[i], words[j]), verdict.note))
-    buckets[1] = edges
+
+def _grow_level(spec: SystemSpec, words: tuple[Word, ...], pairs: Iterable[tuple[int, int]],
+                known: dict[int, list[tuple[Word, ...]]], uncertain: list,
+                block: Optional[int], dim_cap: int, budget: Budget) -> SimplicialComplex:
+    """Query `pairs`, then grow cliques.  Tuples inside one block of `block`
+    consecutive words are not queried: `known` simplices and the `uncertain`
+    entries passed in already hold their answers."""
+    n = len(words)
+    index = {w: i for i, w in enumerate(words)}
+
+    def indexed(dim: int) -> set[tuple[int, ...]]:
+        return {tuple(index[w] for w in ws) for ws in known.get(dim, ())}
+
+    edges = indexed(1)
+    for i, j in pairs:
+        verdict = oracles.cells_intersect(spec, (words[i], words[j]), budget)
+        if verdict.kind == "intersect":
+            edges.add((i, j))
+        elif verdict.kind == "unknown":
+            uncertain.append(((words[i], words[j]), verdict.note))
+    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
+    for i, j in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(n)}, 1: edges}
 
     # Higher simplices are cliques whose tuple of cells passes the oracle;
     # a clique with a missing or disjoint sub-tuple can never certify, so
     # candidates grow from verified simplices only.
     current = edges
     for dim in range(2, dim_cap + 1):
-        verified: set[tuple[int, ...]] = set()
+        verified = indexed(dim)
         for s in sorted(current):
             shared = set.intersection(*(adjacency[v] for v in s))
             for v in sorted(shared):
-                if v <= s[-1]:
+                if v <= s[-1] or (block and s[0] // block == v // block):
                     continue
                 candidate = s + (v,)
                 verdict = oracles.cells_intersect(
@@ -180,8 +248,9 @@ def _geometric_nerve(spec: SystemSpec, level: int, dim_cap: int,
     _close_downward(buckets)
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
     uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return SimplicialComplex(level, spec.m, words, simplices, dim_cap,
-                             complete=complete, uncertain=tuple(uncertain))
+    return SimplicialComplex(len(words[0]), spec.m, words, simplices, dim_cap,
+                             complete=complete, uncertain=tuple(uncertain),
+                             _index=index)
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .exactgeom import (
     compose,
     map_polygon,
 )
-from .words import Address, Word, concat, enumerate_words, truncate
+from .words import Address, Word, concat, enumerate_words, prefixed_copies, truncate
 
 
 class SpecError(ValueError):
@@ -125,6 +125,8 @@ class Verdict:
 class GeometricBackend:
     """Affine generator maps plus a convex envelope containing the invariant set."""
 
+    kind = "geometric"  # the backend's "kind" in spec files
+
     def __init__(self, maps: Sequence[RationalAffineMap], envelope: ConvexPolygon):
         self.maps = tuple(maps)
         self.envelope = envelope
@@ -139,6 +141,8 @@ class TableBackend:
     singletons of every word at a stored level are implied and added here:
     depth-k cells are never empty, so every word is a vertex.
     """
+
+    kind = "table"  # the backend's "kind" in spec files
 
     def __init__(self, m: int, levels: Mapping[int, Iterable[Iterable[Sequence[int]]]]):
         self.m = m
@@ -170,6 +174,8 @@ class SymbolicPUBackend:
     exactly one overlap address.  Systems that branch (several addresses for
     one pair) cannot be described by this backend; use geometric or table.
     """
+
+    kind = "symbolicPU"  # the backend's "kind" in spec files
 
     def __init__(self, m: int, n1: Iterable[Iterable[int]],
                  addresses: Mapping[tuple[int, int], Address]):
@@ -478,10 +484,7 @@ def generate_pu_nerve(spec: SystemSpec, k: int) -> frozenset[frozenset[Word]]:
         ))
     while len(levels) < k:
         depth = len(levels)  # building depth + 1
-        nxt: set[frozenset[Word]] = set()
-        for simplex in levels[-1]:
-            for j in range(1, spec.m + 1):
-                nxt.add(frozenset(Word((j,) + w.symbols, spec.m) for w in simplex))
+        nxt = set(map(frozenset, prefixed_copies(levels[-1], spec.m)))
         for s in backend.n1:
             if len(s) < 2:
                 continue

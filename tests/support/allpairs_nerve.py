@@ -1,0 +1,83 @@
+"""The all-pairs geometric nerve builder: the reference the block-copy generator
+in `nervetower.nerve` is checked against.
+
+It queries the oracle on every pair of depth-k cells, then grows cliques of
+verified simplices, without using the self-similar structure at all.  Its
+output is the nerve before `tower_complexes` sweeps certificates downward.
+"""
+
+from nervetower import oracles
+from nervetower.nerve import SimplicialComplex, _close_downward, _sweep_certificates
+from nervetower.oracles import Budget, SystemSpec
+from nervetower.words import Word, enumerate_words
+
+
+def allpairs_nerve(spec: SystemSpec, level: int, dim_cap: int,
+                   budget: Budget) -> SimplicialComplex:
+    """The depth-`level` nerve from one oracle query per pair and per clique."""
+    words = tuple(enumerate_words(spec.m, level))
+    n = len(words)
+    uncertain: list[tuple[tuple[Word, ...], str]] = []
+    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
+    buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(n)}}
+
+    edges: set[tuple[int, int]] = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            verdict = oracles.cells_intersect(spec, (words[i], words[j]), budget)
+            if verdict.kind == "intersect":
+                edges.add((i, j))
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+            elif verdict.kind == "unknown":
+                uncertain.append(((words[i], words[j]), verdict.note))
+    buckets[1] = edges
+
+    # Higher simplices are cliques whose tuple of cells passes the oracle;
+    # a clique with a missing or disjoint sub-tuple can never certify, so
+    # candidates grow from verified simplices only.
+    current = edges
+    for dim in range(2, dim_cap + 1):
+        verified: set[tuple[int, ...]] = set()
+        for s in sorted(current):
+            shared = set.intersection(*(adjacency[v] for v in s))
+            for v in sorted(shared):
+                if v <= s[-1]:
+                    continue
+                candidate = s + (v,)
+                verdict = oracles.cells_intersect(
+                    spec, tuple(words[i] for i in candidate), budget)
+                if verdict.kind == "intersect":
+                    verified.add(candidate)
+                elif verdict.kind == "unknown":
+                    uncertain.append((tuple(words[i] for i in candidate), verdict.note))
+        if not verified:
+            buckets[dim] = set()
+            break
+        buckets[dim] = verified
+        current = verified
+
+    # Completeness: does any clique one dimension past the cap exist at all?
+    complete = True
+    if current and max(buckets) == dim_cap and buckets[dim_cap]:
+        for s in buckets[dim_cap]:
+            shared = set.intersection(*(adjacency[v] for v in s))
+            if any(v > s[-1] for v in shared):
+                complete = False
+                break
+
+    _close_downward(buckets)
+    simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
+    uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
+    return SimplicialComplex(level, spec.m, words, simplices, dim_cap,
+                             complete=complete, uncertain=tuple(uncertain))
+
+
+
+def allpairs_tower(spec: SystemSpec, depth: int, dim_cap: int,
+                   budget: Budget) -> list[SimplicialComplex]:
+    """Nerves at depths 1..depth with certificates swept down, as in `tower_complexes`."""
+    complexes = [allpairs_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    for k in range(len(complexes) - 1, 0, -1):
+        _sweep_certificates(complexes[k], complexes[k - 1])
+    return complexes

@@ -147,7 +147,8 @@ class TestExitCodes:
         assert main(["list"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "gasket: forward, m=3, geometric" in out
-        assert "pentagasket: forward, m=5, symbolicpu" in out
+        assert "pentagasket: forward, m=5, symbolicPU" in out
+        assert "banded-annuli: backward, m=4, table" in out
 
     def test_python_dash_m(self):
         src = str(Path(cli.__file__).parents[1])
@@ -284,6 +285,18 @@ class TestClassifyCommand:
         code = main(["classify", path, "--refine-depth", "0",
                      "--cert-period", "1", "--cert-preperiod", "0"])
         assert code == EXIT_UNCERTAIN
+
+    def test_table_default_depth_is_capped_at_the_table(self, tmp_path, capsys):
+        # banded-annuli stores depths 1 and 2: the default replay stops at 2
+        reports = [tmp_path / "default.json", tmp_path / "k2.json"]
+        assert main(["classify", "banded-annuli", "--out-report", str(reports[0])]) == EXIT_OK
+        assert main(["classify", "banded-annuli", "--max-depth", "2",
+                     "--out-report", str(reports[1])]) == EXIT_OK
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_table_explicit_depth_beyond_the_table(self, capsys):
+        assert main(["classify", "banded-annuli", "--max-depth", "3"]) == EXIT_INPUT
+        assert "stores no depth-3 data" in capsys.readouterr().err
 
 
 class TestDeriveCommand:

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from nervetower import cli
 from nervetower.components import (DIM0_MECHANISMS, ComponentTower, Dim0Facts,
                                    component_tower, components)
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import build_nerve, tower_complexes
-from nervetower.oracles import (Budget, GeometricBackend, SystemSpec,
-                                TableBackend)
+from nervetower.oracles import (Budget, ConsistencyError, GeometricBackend,
+                                SystemSpec, TableBackend)
 
 components_module = importlib.import_module("nervetower.components")
 
@@ -63,6 +64,29 @@ class TestParentLinks:
         tower_analysis(gasket, 3, FieldKind(0), dim_cap=2, tower=tower)
         component_tower(tower)
         assert len(made) == 3
+
+    def test_facts_derived_once_per_tower_command(self, tmp_path, monkeypatch):
+        homology_module = importlib.import_module("nervetower.homology")
+        derived = []
+        original = components_module.dim0_facts
+
+        def counting(*args, **kwargs):
+            derived.append(args[1])
+            return original(*args, **kwargs)
+
+        for module in (components_module, homology_module):
+            monkeypatch.setattr(module, "dim0_facts", counting)
+        code = cli.main(["tower", "gasket", "--max-depth", "3",
+                         "--out-csv", str(tmp_path / "t.csv"),
+                         "--out-report", str(tmp_path / "t.json")])
+        assert code == cli.EXIT_OK
+        assert derived == [3]
+
+    def test_facts_must_cover_the_tower(self, gasket):
+        tower = tower_complexes(gasket, 3)
+        table = tower_analysis(gasket, 2, FieldKind(0), dim_cap=2, tower=tower)
+        with pytest.raises(ConsistencyError):
+            component_tower(tower, facts=table.facts)
 
     def test_connected_chain(self, gasket):
         ct = component_tower(tower_complexes(gasket, 3))

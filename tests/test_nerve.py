@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nervetower import cli, oracles
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.nerve import (TowerData, block_subcomplex, build_nerve,
                               build_iterate_or_subsystem, iterate_system,
@@ -11,6 +13,7 @@ from nervetower.nerve import (TowerData, block_subcomplex, build_nerve,
 from nervetower.oracles import (Budget, ConsistencyError, GeometricBackend,
                                 SpecError, SystemSpec)
 from nervetower.words import Word, enumerate_words, word_from_string
+from support.allpairs_nerve import allpairs_nerve, allpairs_tower
 
 
 def P(x, y):
@@ -47,6 +50,37 @@ def slow_to_separate_spec():
             RationalAffineMap(half, 0, 0, quarter, quarter, quarter))
     envelope = ConvexPolygon.hull([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
     return SystemSpec("slow", "forward", 2, GeometricBackend(maps, envelope))
+
+
+def singular_spec():
+    """Two disjoint cells and a third map that collapses the square to a point.
+
+    c_3 is constant, so the cells 31, 32 and 33 coincide although cells 1 and
+    2 are disjoint: block 3 of N_2 is no copy of N_1.
+    """
+    third = Fraction(1, 3)
+    maps = (RationalAffineMap(third, 0, 0, third, 0, 0),
+            RationalAffineMap(third, 0, 0, third, 2 * third, 0),
+            RationalAffineMap(0, 0, 0, 0, Fraction(1, 2), Fraction(1, 2)))
+    envelope = ConvexPolygon.hull([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+    return SystemSpec("singular", "forward", 3, GeometricBackend(maps, envelope))
+
+
+def flipped_halves_spec():
+    """The unit interval as two halves, the second flipped: c_2(x) = 1 - x/2.
+
+    The halves meet at 1/2, whose addresses 12(1)^inf and 22(1)^inf need a
+    preperiod: a budget without one certifies the contact only one level
+    down, where the words themselves supply it.
+    """
+    half = Fraction(1, 2)
+    maps = (RationalAffineMap(half, 0, 0, half, 0, 0),
+            RationalAffineMap(-half, 0, 0, half, 1, 0))
+    envelope = ConvexPolygon.hull([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+    return SystemSpec("flipped", "forward", 2, GeometricBackend(maps, envelope))
+
+
+STARVED = Budget(refine_depth=0, cert_period_max=1, cert_preperiod_max=0)
 
 
 class TestBuildNerve:
@@ -192,3 +226,86 @@ class TestDerivedSystems:
     def test_iterate_validation(self, gasket):
         with pytest.raises(SpecError):
             iterate_system(gasket, 0)
+
+
+def _nerve_data(complex_):
+    return (complex_.level, complex_.words, complex_.simplices, complex_.uncertain,
+            complex_.complete)
+
+
+def assert_matches_allpairs(spec, depth, dim_cap, budget):
+    """tower_complexes and each standalone build_nerve agree with the reference."""
+    tower = tower_complexes(spec, depth, dim_cap, budget)
+    reference = allpairs_tower(spec, depth, dim_cap, budget)
+    assert [_nerve_data(c) for c in tower.complexes] == [_nerve_data(c) for c in reference]
+    for k in range(1, depth + 1):
+        assert _nerve_data(build_nerve(spec, k, dim_cap, budget)) == \
+            _nerve_data(allpairs_nerve(spec, k, dim_cap, budget))
+
+
+GASKET_WORDS2 = enumerate_words(3, 2)
+
+
+class TestAgainstAllPairs:
+    """The block-copy generator against the all-pairs reference builder."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.sampled_from(GASKET_WORDS2), min_size=2, max_size=5, unique=True),
+           st.sampled_from([Budget(), STARVED, Budget(refine_depth=1)]),
+           st.integers(min_value=1, max_value=3))
+    def test_random_gasket_subsystems(self, words, budget, dim_cap):
+        sub = build_iterate_or_subsystem(cli.load_bundled("gasket").spec, words)
+        assert_matches_allpairs(sub, 3 if sub.m <= 4 else 2, dim_cap, budget)
+
+    @pytest.mark.parametrize("name,depth", [
+        ("snowflake", 2), ("interval-overlap", 3), ("five-map-funnel", 3),
+        ("gasket-sub-mixed", 2), ("two-map-split", 5)])
+    def test_bundled_systems(self, name, depth):
+        assert_matches_allpairs(cli.load_bundled(name).spec, depth, 3, Budget())
+
+    def test_gasket_iterate(self, gasket):
+        assert_matches_allpairs(iterate_system(gasket, 2), 2, 3, Budget())
+
+    def test_uncertain_parents(self):
+        spec = slow_to_separate_spec()
+        assert_matches_allpairs(spec, 6, 2, STARVED)
+        assert [len(build_nerve(spec, k, 2, STARVED).uncertain) for k in range(1, 7)] == \
+            [1, 2, 4, 8, 16, 32]
+
+    def test_sweep_leaves_the_cache_alone(self):
+        spec = flipped_halves_spec()
+        budget = Budget(refine_depth=2, cert_period_max=1, cert_preperiod_max=0)
+        assert_matches_allpairs(spec, 4, 2, budget)
+        swept = tower_complexes(spec, 2, 2, budget).complex_at(1)
+        assert swept.uncertain == () and edge_words(swept) == {frozenset(("1", "2"))}
+        alone = build_nerve(spec, 1, 2, budget)
+        assert [str(w) for w in alone.uncertain[0][0]] == ["1", "2"]
+        assert edge_words(alone) == set()
+
+    def test_singular_map_falls_back(self):
+        spec = singular_spec()
+        for budget in (Budget(), STARVED):
+            assert_matches_allpairs(spec, 3, 3, budget)
+        assert edge_words(build_nerve(spec, 1)) == set()
+        assert {frozenset(("31", "32")), frozenset(("31", "33"))} <= \
+            edge_words(build_nerve(spec, 2))
+
+
+def test_gasket_depth6_oracle_calls(monkeypatch):
+    """Block copies and parent-guided candidates, not all pairs: the depth-6
+    gasket tower asked 298,805 cell queries of the all-pairs builder."""
+    spec = cli.load_bundled("gasket").spec
+    calls = []
+    original = oracles.cells_intersect
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "cells_intersect", counting)
+    tower = tower_complexes(spec, 6)
+    assert tower.complex_at(6).simplex_counts() == {0: 729, 1: 1092}
+    assert len(calls) < 1000
+    built = len(calls)
+    build_nerve(spec, 6)  # the levels are cached on the spec
+    assert len(calls) == built
