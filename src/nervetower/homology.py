@@ -1,9 +1,11 @@
 """Simplicial (co)homology over fields, induced maps, and tower analysis.
 
-Everything is exact: rationals via Fraction, prime fields via modular
-arithmetic.  Matrices are kept as sparse columns and reduced by the standard
-lowest-one elimination, which besides ranks hands us kernel bases, and those
-are what the induced-map ranks (the lambda numbers of the tower) need.
+Everything is exact: the rationals by fraction-free elimination on Python
+ints, prime fields by modular arithmetic.  Matrices are kept as sparse columns
+and reduced by the standard lowest-one elimination, which besides ranks hands
+us kernel bases, and those are what the induced-map ranks (the lambda numbers
+of the tower) need.  Each complex keeps the rank of every boundary it has
+reduced, so a tower reduces each boundary once.
 
 The tower analysis fills a Betti table for depths 1..K and attaches limit
 verdicts.  A verdict is only ever Finite/Infinite when a mechanism licenses
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .components import Dim0Facts, LimitVerdict, dim0_facts, dim0_verdict
@@ -54,47 +55,59 @@ class FieldKind:
         return "Q" if self.char == 0 else f"GF({self.char})"
 
 
-def _reduce(columns: Sequence[dict[int, object]], char: int,
-            want_kernel: bool = False) -> tuple[int, list[dict[int, object]]]:
-    """Column reduction by lowest nonzero row; returns (rank, kernel basis).
+def _subtract(col: dict[int, int], factor: int, other: dict[int, int], char: int) -> None:
+    """col -= factor * other, in place, dropping entries that vanish."""
+    for row, val in other.items():
+        new = col.get(row, 0) - factor * val
+        if char:
+            new %= char
+        if new:
+            col[row] = new
+        else:
+            col.pop(row, None)
 
+
+def _reduce(columns: Sequence[dict[int, int]], char: int,
+            want_kernel: bool = False) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Column reduction by lowest nonzero row; returns (reduced columns, kernel basis).
+
+    The reduced columns are the nonzero ones; their lowest rows are distinct,
+    so they are a basis of the column space and their number is the rank.
     Kernel vectors are combinations over the original column indices.
+
+    Over Q the arithmetic stays on integers, fraction-free: to clear b = col[low]
+    with pivot a = other[low], a unit pivot subtracts (b a) other, and any
+    other pivot first scales col (and its combination) by a/g, g = gcd(a, b),
+    then subtracts (b/g) other.  Scaling by a nonzero integer changes neither
+    the span of the columns nor that of the kernel over Q.
     """
     pivots: dict[int, int] = {}
-    reduced: list[dict] = []
-    combos: list[dict] = []
-    kernel: list[dict] = []
-    one = Fraction(1) if char == 0 else 1
+    reduced: list[dict[int, int]] = []
+    combos: list[dict[int, int]] = []
+    kernel: list[dict[int, int]] = []
     for j, original in enumerate(columns):
         col = dict(original)
-        combo = {j: one} if want_kernel else None
+        combo = {j: 1} if want_kernel else None
         while col:
             low = max(col)
             at = pivots.get(low)
             if at is None:
                 break
             other = reduced[at]
-            if char == 0:
-                factor = col[low] / other[low]
+            a, b = other[low], col[low]
+            if char:
+                factor = b * pow(a, char - 2, char) % char
+            elif a == 1 or a == -1:
+                factor = b * a
             else:
-                factor = col[low] * pow(other[low], char - 2, char) % char
-            for row, val in other.items():
-                new = col.get(row, 0) - factor * val
-                if char:
-                    new %= char
-                if new:
-                    col[row] = new
-                else:
-                    col.pop(row, None)
+                g = math.gcd(a, b)
+                scale, factor = a // g, b // g
+                col = {row: scale * val for row, val in col.items()}
+                if want_kernel:
+                    combo = {idx: scale * val for idx, val in combo.items()}
+            _subtract(col, factor, other, char)
             if want_kernel:
-                for idx, val in combos[at].items():
-                    new = combo.get(idx, 0) - factor * val
-                    if char:
-                        new %= char
-                    if new:
-                        combo[idx] = new
-                    else:
-                        combo.pop(idx, None)
+                _subtract(combo, factor, combos[at], char)
         if col:
             pivots[max(col)] = len(reduced)
             reduced.append(col)
@@ -102,10 +115,10 @@ def _reduce(columns: Sequence[dict[int, object]], char: int,
                 combos.append(combo)
         elif want_kernel:
             kernel.append(combo)
-    return len(reduced), kernel
+    return reduced, kernel
 
 
-def _boundary_columns(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int, object]]:
+def _boundary_columns(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int, int]]:
     """Columns of the boundary operator C_r -> C_{r-1} in the sorted simplex bases."""
     if r < 0:
         return []
@@ -117,20 +130,52 @@ def _boundary_columns(complex_: SimplicialComplex, r: int, char: int) -> list[di
     if not top or not below:
         return []
     row_of = {s: i for i, s in enumerate(below)}
-    minus = Fraction(-1) if char == 0 else char - 1
-    plus = Fraction(1) if char == 0 else 1
+    minus = char - 1 if char else -1
     cols = []
     for s in top:
-        col: dict[int, object] = {}
+        col: dict[int, int] = {}
         for i in range(len(s)):
             face = s[:i] + s[i + 1:]
-            col[row_of[face]] = plus if i % 2 == 0 else minus
+            col[row_of[face]] = 1 if i % 2 == 0 else minus
         cols.append(col)
     return cols
 
 
-def _rank(columns: Sequence[dict[int, object]], char: int) -> int:
-    return _reduce(columns, char)[0]
+def _memo(complex_: SimplicialComplex, char: int) -> dict:
+    """The reductions of complex_ over one field, dropped once its simplices
+    are replaced (as the certificate sweep does)."""
+    simplices, memo = complex_._reductions.get(char, (None, None))
+    if simplices is not complex_.simplices:
+        memo = {}
+        complex_._reductions[char] = (complex_.simplices, memo)
+    return memo
+
+
+def _boundary_rank(complex_: SimplicialComplex, r: int, char: int) -> int:
+    """rank d_r, reduced at most once per complex and field."""
+    memo = _memo(complex_, char)
+    if r not in memo:
+        memo[r] = len(_reduce(_boundary_columns(complex_, r, char), char)[0])
+    return memo[r]
+
+
+def _cycles(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int, int]]:
+    """A basis of the r-cycles, the kernel of d_r; the rank of d_r is kept, the
+    basis is not."""
+    reduced, kernel = _reduce(_boundary_columns(complex_, r, char), char, want_kernel=True)
+    _memo(complex_, char)[r] = len(reduced)
+    return kernel
+
+
+def _boundaries(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int, int]]:
+    """The reduced columns of d_r, kept: a basis of the (r-1)-boundaries with
+    distinct lowest rows, which later reductions take as they are."""
+    memo = _memo(complex_, char)
+    if ("basis", r) not in memo:
+        reduced = _reduce(_boundary_columns(complex_, r, char), char)[0]
+        memo["basis", r] = reduced
+        memo[r] = len(reduced)
+    return memo["basis", r]
 
 
 def betti_exact(complex_: SimplicialComplex, r: int) -> bool:
@@ -153,9 +198,7 @@ def betti(complex_: SimplicialComplex, fieldkind: FieldKind, r: int) -> int:
     if n_r == 0:
         return 0
     char = fieldkind.char
-    rank_r = _rank(_boundary_columns(complex_, r, char), char)
-    rank_r1 = _rank(_boundary_columns(complex_, r + 1, char), char)
-    return n_r - rank_r - rank_r1
+    return n_r - _boundary_rank(complex_, r, char) - _boundary_rank(complex_, r + 1, char)
 
 
 def cobetti(complex_: SimplicialComplex, fieldkind: FieldKind, r: int) -> int:
@@ -168,46 +211,55 @@ def cobetti(complex_: SimplicialComplex, fieldkind: FieldKind, r: int) -> int:
         return 0
     char = fieldkind.char
 
-    def transpose(cols: list[dict[int, object]], nrows: int) -> list[dict[int, object]]:
-        rows: list[dict[int, object]] = [dict() for _ in range(nrows)]
+    def transpose(cols: list[dict[int, int]], nrows: int) -> list[dict[int, int]]:
+        rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
         for j, col in enumerate(cols):
             for i, v in col.items():
                 rows[i][j] = v
         return rows
 
+    def rank(cols: list[dict[int, int]]) -> int:
+        return len(_reduce(cols, char)[0])
+
     # d_r has one row per (r-1)-simplex, d_{r+1} one per r-simplex
     low = _boundary_columns(complex_, r, char)
     high = _boundary_columns(complex_, r + 1, char)
     n_below = len(complex_.simplices.get(r - 1, ()))
-    rank_low = _rank(transpose(low, n_below) if low else [], char)
+    rank_low = rank(transpose(low, n_below) if low else [])
     n_above = len(complex_.simplices.get(r + 1, ()))
-    rank_high = _rank(transpose(high, n_r) if high else [], char) if n_above else 0
+    rank_high = rank(transpose(high, n_r) if high else []) if n_above else 0
     return n_r - rank_low - rank_high
 
 
-def _chain_image(smap: SimplicialMap, r: int, char: int,
-                 vector: dict[int, object]) -> dict[int, object]:
-    """Push an r-chain through the simplicial map (degenerate images vanish)."""
-    src = smap.source.simplices.get(r, ())
-    tgt = smap.target.simplices.get(r, ())
-    col_of = {s: i for i, s in enumerate(tgt)}
-    out: dict[int, object] = {}
-    for idx, coeff in vector.items():
-        simplex = src[idx]
+def _chain_images(smap: SimplicialMap, r: int, char: int,
+                  vectors: Sequence[dict[int, int]]) -> list[dict[int, int]]:
+    """Push r-chains through the simplicial map (degenerate images vanish)."""
+    col_of = {s: i for i, s in enumerate(smap.target.simplices.get(r, ()))}
+    image_of: list[Optional[tuple[int, int]]] = []  # per source simplex: (column, sign)
+    for simplex in smap.source.simplices.get(r, ()):
         images = [smap.vertex_map[v] for v in simplex]
         if len(set(images)) != len(images):
+            image_of.append(None)
             continue
         inversions = sum(1 for a in range(len(images)) for b in range(a + 1, len(images))
                          if images[a] > images[b])
-        target = col_of[tuple(sorted(images))]
-        signed = coeff if inversions % 2 == 0 else -coeff
-        new = out.get(target, 0) + signed
-        if char:
-            new %= char
-        if new:
-            out[target] = new
-        else:
-            out.pop(target, None)
+        image_of.append((col_of[tuple(sorted(images))], -1 if inversions % 2 else 1))
+    out = []
+    for vector in vectors:
+        chain: dict[int, int] = {}
+        for idx, coeff in vector.items():
+            hit = image_of[idx]
+            if hit is None:
+                continue
+            column, sign = hit
+            new = chain.get(column, 0) + sign * coeff
+            if char:
+                new %= char
+            if new:
+                chain[column] = new
+            else:
+                chain.pop(column, None)
+        out.append(chain)
     return out
 
 
@@ -216,21 +268,20 @@ def induced_rank(smap: SimplicialMap, r: int, fieldkind: FieldKind) -> int:
 
     Over a field this equals the rank of the dual map on cohomology, so for a
     truncation from depth k to depth 1 at r = 1 it is exactly the tower's
-    lambda_k.
+    lambda_k.  The reduction behind the source's cycles also gives its rank of
+    d_r, and the target's reduced d_{r+1} is kept for the next map into it.
     """
     char = fieldkind.char
     if not betti_exact(smap.source, r) or not betti_exact(smap.target, r):
         raise ConsistencyError("induced rank needs exact homology on both ends")
     if not smap.source.simplices.get(r) or not smap.target.simplices.get(r):
         return 0
-    _, kernel = _reduce(_boundary_columns(smap.source, r, char), char, want_kernel=True)
-    if not kernel:
+    boundaries = _boundaries(smap.target, r + 1, char)
+    cycles = _cycles(smap.source, r, char)
+    if not cycles:
         return 0
-    boundaries = _boundary_columns(smap.target, r + 1, char)
-    images = [_chain_image(smap, r, char, z) for z in kernel]
-    rank_b = _rank(boundaries, char)
-    rank_all = _rank(list(boundaries) + images, char)
-    return rank_all - rank_b
+    images = _chain_images(smap, r, char, cycles)
+    return len(_reduce(boundaries + images, char)[0]) - len(boundaries)
 
 
 @dataclass
@@ -281,15 +332,16 @@ def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
 
     exact_dims = tuple(r for r in range(dim_cap + 1)
                        if all(betti_exact(c, r) for c in complexes))
-    a: dict[tuple[int, int], int] = {}
-    for k, c in enumerate(complexes, start=1):
-        for r in exact_dims:
-            a[(r, k)] = betti(c, fieldkind, r)
-
+    # lambda first: its cycle reductions leave the rank of each d_1 on the
+    # complex, where the Betti numbers below read it
     lam: dict[int, int] = {}
     if 1 in exact_dims:
         for k in range(2, depth + 1):
             lam[k] = induced_rank(tower.map_to_base(k), 1, fieldkind)
+    a: dict[tuple[int, int], int] = {}
+    for k, c in enumerate(complexes, start=1):
+        for r in exact_dims:
+            a[(r, k)] = betti(c, fieldkind, r)
 
     n1_betti = (a[(0, 1)], a[(1, 1)]) if 1 in exact_dims else None
     facts = dim0_facts(tower, depth, assert_injective=assert_injective,
@@ -324,7 +376,7 @@ def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
 
 
 def _b1_infinity(lam: dict[int, int], depth: int, pu: Optional[bool]) -> LimitVerdict:
-    if pu and depth >= 3 and lam.get(depth) == lam.get(depth - 1):
+    if pu and depth >= 3 and depth in lam and lam[depth] == lam[depth - 1]:
         return LimitVerdict("finite", lam[depth], "pu-lambda-stabilized",
                             f"lambda stabilized at {lam[depth]} on the last two depths")
     if lam:

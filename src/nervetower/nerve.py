@@ -50,6 +50,8 @@ class SimplicialComplex:
     complete: bool
     uncertain: tuple[tuple[tuple[Word, ...], str], ...] = ()
     _index: dict[Word, int] = field(default_factory=dict, repr=False)
+    # boundary reductions already made, kept by the homology layer
+    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self._index:
@@ -322,8 +324,21 @@ class TowerData:
         return self.complexes[level - 1]
 
     def map_to_base(self, level: int) -> SimplicialMap:
-        """Truncation from depth `level` all the way down to depth 1."""
-        return truncation_map(self.complex_at(level), self.complex_at(1))
+        """Truncation from depth `level` all the way down to depth 1.
+
+        It is the composite of the stored maps, each checked simplicial when it
+        was built, and a composite of simplicial surjections is one as well;
+        it is marked surjective only when every factor is.
+        """
+        if level < 2:
+            raise SpecError("truncation needs two depths of one system, deeper first")
+        source = self.complex_at(level)
+        factors = self.maps[:level - 1]
+        vertex_map = factors[-1].vertex_map
+        for smap in reversed(factors[:-1]):
+            vertex_map = tuple(smap.vertex_map[v] for v in vertex_map)
+        surjective = True if all(f.surjective is True for f in factors) else None
+        return SimplicialMap(source, self.complex_at(1), vertex_map, surjective)
 
 
 def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,

@@ -245,6 +245,18 @@ class TestTowerCommand:
         assert report["component_verdict"]["mechanism"] == "two-block-split"
         assert report["component_verdict"]["kind"] == "uncountable"
 
+    def test_dim_cap_1_reports_b1_infinity_unknown(self, tmp_path):
+        # a cap of 1 leaves r = 1 inexact, so no lambda is computed at all
+        rep = tmp_path / "cap1.json"
+        code = main(["tower", "gasket", "--max-depth", "4", "--dim-cap", "1",
+                     "--out-csv", str(tmp_path / "cap1.csv"), "--out-report", str(rep)])
+        assert code == EXIT_OK
+        doc = json.loads(rep.read_text())
+        assert doc["lambda"] == {}
+        assert doc["b1_infinity"] == {"status": "unknown", "value": None,
+                                      "mechanism": "no-certificate",
+                                      "detail": "no lambda computed"}
+
     def test_gf2_field_accepted(self, tmp_path):
         code = main(["tower", "gasket", "--max-depth", "2", "--field", "gf2",
                      "--out-csv", str(tmp_path / "f.csv")])

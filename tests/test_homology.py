@@ -4,17 +4,21 @@ Expected values are cross-checked against tests/support/linalg_oracle.py,
 a dense-elimination implementation that shares no code with the package.
 """
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nervetower.homology import (BettiTable, FieldKind, betti, betti_exact,
+from nervetower import homology
+from nervetower.homology import (BettiTable, FieldKind, _reduce, betti, betti_exact,
                                  cobetti, induced_rank, tower_analysis)
 from nervetower.nerve import (SimplicialComplex, SimplicialMap, build_nerve,
-                              tower_complexes)
+                              tower_complexes, truncation_map)
 from nervetower.oracles import ConsistencyError, SpecError
 from nervetower.words import enumerate_words
 
+from support import linalg_oracle
 from support.linalg_oracle import betti_oracle, induced_rank_oracle
 
 Q = FieldKind(0)
@@ -61,6 +65,35 @@ class TestFieldKind:
         assert GF2.label == "GF(2)"
 
 
+class TestReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda nrows: st.lists(
+        st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows),
+        min_size=1, max_size=7)))
+    def test_integer_reduction_matches_dense_oracle(self, matrix_columns):
+        # entries in -3..3 make non-unit pivots, which the fraction-free path scales
+        columns = [{i: v for i, v in enumerate(col) if v} for col in matrix_columns]
+        rows = [list(row) for row in zip(*matrix_columns)]
+        rank = linalg_oracle.rank(rows, 0)
+        reduced, kernel = _reduce(columns, 0, want_kernel=True)
+        assert len(reduced) == rank
+        assert len(kernel) == len(columns) - rank
+        assert all(isinstance(v, int) for col in reduced + kernel for v in col.values())
+        for vector in kernel:
+            dense = [vector.get(j, 0) for j in range(len(columns))]
+            assert any(dense)
+            assert all(sum(a * x for a, x in zip(row, dense)) == 0 for row in rows)
+        # independent too, so a basis of the oracle's null space
+        if kernel:
+            stacked = [[v.get(j, 0) for j in range(len(columns))] for v in kernel]
+            assert linalg_oracle.rank(stacked, 0) == len(kernel)
+
+    def test_boundary_entries_are_plain_ints(self):
+        for col in homology._boundary_columns(RP2, 2, 0):
+            assert sorted(col.values()) == [-1, 1, 1]
+            assert all(type(v) is int for v in col.values())
+
+
 class TestBetti:
     def test_moebius_band(self):
         for fk in FIELDS:
@@ -97,6 +130,12 @@ class TestBetti:
             alternating = sum((-1) ** r * betti(c, Q, r)
                               for r in range(c.dim_cap + 1))
             assert alternating == c.euler_characteristic()
+
+    def test_replaced_simplices_are_reduced_again(self):
+        c = synthetic(["123", "234", "345", "451", "512"], 5)
+        assert betti(c, Q, 1) == 1
+        c.simplices = {**c.simplices, 2: c.simplices[2][:-1]}
+        assert betti(c, Q, 1) == betti_oracle(c, 1, 0) == 2
 
     def test_capped_complex_refuses(self, bundled):
         capped = build_nerve(bundled("finite-trivial").spec, 2, dim_cap=1)
@@ -138,6 +177,40 @@ class TestInducedRank:
         # depth-2 map to depth 1 on components: three blocks stay three blocks
         tower = tower_complexes(bundled("finite-trivial").spec, 2, dim_cap=2)
         assert induced_rank(tower.map_to_base(2), 0, Q) == 3
+
+
+class TestOneReductionPerBoundary:
+    def test_pentagasket_tower_builds_each_boundary_once(self, bundled, monkeypatch):
+        """Betti numbers at neighbouring r share a boundary, and lambda_k's cycle
+        reduction shares d_1 with the Betti numbers of depth k; the depth-6
+        pentagasket tower built d_1 of each depth k >= 2 three times."""
+        built = Counter()
+        original = homology._boundary_columns
+
+        def counting(complex_, r, char):
+            built[complex_.level, r] += 1
+            return original(complex_, r, char)
+
+        monkeypatch.setattr(homology, "_boundary_columns", counting)
+        table = tower_analysis(bundled("pentagasket").spec, 6, Q)
+        assert table.sequence(1)[:3] == [1, 6, 31]
+        assert len(table.lam) == 5
+        assert {k for k, _r in built} == set(range(1, 7))
+        assert [key for key, n in built.items() if n > 1] == []
+
+    @pytest.mark.parametrize("name", ["gasket", "pentagasket"])
+    def test_composed_map_to_base_is_the_truncation(self, bundled, name):
+        tower = tower_complexes(bundled(name).spec, 4)
+        for k in range(2, 5):
+            composed = tower.map_to_base(k)
+            direct = truncation_map(tower.complex_at(k), tower.complex_at(1))
+            assert composed.source is direct.source and composed.target is direct.target
+            assert composed.vertex_map == direct.vertex_map
+            assert composed.surjective is direct.surjective is True
+
+    def test_map_to_base_needs_two_depths(self, gasket):
+        with pytest.raises(SpecError):
+            tower_complexes(gasket, 2).map_to_base(1)
 
 
 class TestTowerAnalysis:
