@@ -104,7 +104,8 @@ def check_postunbranched(spec: SystemSpec, depth: int = 4,
 
 
 def _symbolic_pu_report(spec: SystemSpec, depth: int) -> PUReport:
-    oracles.generate_pu_nerve(spec, depth)  # re-validates address consistency
+    for k in range(1, depth + 1):  # re-validates address consistency, shallowest first
+        oracles.generate_pu_nerve(spec, k)
     backend = spec.backend
     pairs = {
         pair: PairReport(pair, "ok", address=addr, prefix=None,

@@ -28,7 +28,7 @@ from .oracles import (
     SystemSpec,
     TableBackend,
 )
-from .words import Word, enumerate_words, prefixed_copies, truncate
+from .words import Word, enumerate_words
 
 
 @dataclass
@@ -40,6 +40,12 @@ class SimplicialComplex:
     `complete` records whether that enumeration is in fact the whole nerve
     (no larger simplex can exist), which is what makes Euler characteristics
     and top-dimension Betti numbers exact.
+
+    Index layout: `words` are all m^level words in lexicographic order, so
+    index(w) = sum of (w_i - 1) m^(level - i).  Every layer works on these
+    indices by arithmetic: the copy of vertex v under a first symbol j is
+    (j - 1) m^(level - 1) + v, the children of v are v m + x for x in 0..m-1,
+    and dropping the last d symbols is v // m^d.
     """
 
     level: int
@@ -49,16 +55,13 @@ class SimplicialComplex:
     dim_cap: int
     complete: bool
     uncertain: tuple[tuple[tuple[Word, ...], str], ...] = ()
-    _index: dict[Word, int] = field(default_factory=dict, repr=False)
     # boundary reductions already made, kept by the homology layer
     _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self._index:
-            self._index = {w: i for i, w in enumerate(self.words)}
-
     def index_of(self, w: Word) -> int:
-        return self._index[w]
+        if w.m != self.m or len(w) != self.level:
+            raise KeyError(w)
+        return sum((x - 1) * self.m ** (self.level - 1 - t) for t, x in enumerate(w.symbols))
 
     def simplex_counts(self) -> dict[int, int]:
         return {dim: len(sims) for dim, sims in self.simplices.items() if sims}
@@ -90,8 +93,8 @@ def _close_downward(buckets: dict[int, set[tuple[int, ...]]]) -> None:
                 lower.add(face)
 
 
-def _from_word_sets(spec: SystemSpec, level: int, sets, dim_cap: int,
-                    uncertain=()) -> SimplicialComplex:
+def _from_word_sets(spec: SystemSpec, level: int, sets, dim_cap: int) -> SimplicialComplex:
+    """A table level: simplices read as stored, as sets of words."""
     words = tuple(enumerate_words(spec.m, level))
     index = {w: i for i, w in enumerate(words)}
     buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(len(words))}}
@@ -104,8 +107,7 @@ def _from_word_sets(spec: SystemSpec, level: int, sets, dim_cap: int,
         buckets.setdefault(dim, set()).add(tuple(sorted(index[w] for w in s)))
     _close_downward(buckets)
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    return SimplicialComplex(level, spec.m, words, simplices, dim_cap,
-                             complete=not truncated, uncertain=tuple(uncertain))
+    return SimplicialComplex(level, spec.m, words, simplices, dim_cap, complete=not truncated)
 
 
 def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
@@ -116,92 +118,113 @@ def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
     if dim_cap < 1:
         raise SpecError("dim_cap must be at least 1")
     backend = spec.backend
-    if isinstance(backend, SymbolicPUBackend):
-        return _from_word_sets(spec, level, oracles.generate_pu_nerve(spec, level), dim_cap)
     if isinstance(backend, TableBackend):
         stored = backend.levels.get(level)
         if stored is None:
             raise SpecError(f"system {spec.name!r} stores no depth-{level} data")
         return _from_word_sets(spec, level, stored, dim_cap)
-    cached = _geometric_levels(spec, level, dim_cap, budget)[level - 1]
+    cached = _levels(spec, level, dim_cap, budget)[level - 1]
     # tower_complexes sweeps certificates into the complexes it builds; the
-    # cached level must stay as the oracle left it, since deeper levels copy it
+    # cached level must stay as the backend left it, since deeper levels copy it
     return replace(cached, simplices=dict(cached.simplices))
 
 
-def _geometric_levels(spec: SystemSpec, depth: int, dim_cap: int,
-                      budget: Budget) -> list[SimplicialComplex]:
-    """Nerves at depths 1..depth as the oracle answers them, generated level to
-    level and cached on the spec.
+def _levels(spec: SystemSpec, depth: int, dim_cap: int,
+            budget: Budget) -> list[SimplicialComplex]:
+    """Nerves at depths 1..depth as the backend answers them, generated level
+    to level and cached on the spec.
 
-    Depth 1 queries every pair.  Depth k+1 is grown from depth k:
+    Depth k+1 is the m block copies j.N_k plus the simplices that cross
+    blocks, which only the backend can tell.
 
-    * Block copies.  When every cell map is injective, c_j maps the envelopes,
-      refinement frontiers and certificate points of a tuple w one-to-one onto
-      those of j.w, so the oracle answers j.w as it answered w, with the same
-      note.  The simplices and uncertain tuples inside block j are the copies
-      j.N_k, and no tuple inside one block is queried.
-    * Parent-guided edges.  Cells nest, so a pair can meet only if its
-      truncation does, and the child of a pair certified disjoint is certified
-      disjoint too: its envelopes and refinement frontiers lie inside the
-      parent's.  Only children of depth-k edges and uncertain pairs (and,
-      without block copies, of single vertices) are queried.
-    * Higher simplices grow as cliques over verified simplices, as at depth 1.
+    * Block copies.  For a symbolic system the cells of j.w are the images of
+      those of w under one cell map.  For a geometric one, when every cell map
+      is injective, c_j maps the envelopes, refinement frontiers and
+      certificate points of a tuple w one-to-one onto those of j.w, so the
+      oracle answers j.w as it answered w, with the same note.
+    * Symbolic crossings are the lifts of the depth-1 simplices
+      (`oracles.generate_pu_nerve`).
+    * Geometric crossings.  Depth 1 queries every pair.  Cells nest, so a pair
+      can meet only if its truncation does, and the child of a pair certified
+      disjoint is certified disjoint too: its envelopes and refinement
+      frontiers lie inside the parent's.  Only children of depth-k edges and
+      uncertain pairs (and, without block copies, of single vertices) are
+      queried, and no tuple inside one block.  Higher simplices grow as
+      cliques over verified simplices.
 
     Singular cell maps skip the block copies; the parent guidance holds for
     every map that sends the envelope into itself.
     """
     levels = spec._cache.setdefault(("nerve_levels", dim_cap, budget), [])
-    if not levels:
-        words = tuple(enumerate_words(spec.m, 1))
-        levels.append(_grow_level(spec, words, combinations(range(spec.m), 2),
-                                  {}, [], None, dim_cap, budget))
-    copies = all(f.determinant() != 0 for f in spec.cell_maps)
+    symbolic = isinstance(spec.backend, SymbolicPUBackend)
+    copies = symbolic or all(f.determinant() != 0 for f in spec.cell_maps)
     while len(levels) < depth:
-        levels.append(_next_level(spec, levels[-1], copies, dim_cap, budget))
+        prev = levels[-1] if levels else None
+        words = tuple(enumerate_words(spec.m, len(levels) + 1))
+        block = len(prev.words) if prev and copies else None
+        known, uncertain = _block_copies(prev, words) if block else ({}, [])
+        if symbolic:
+            levels.append(_lifted_level(spec, words, known, dim_cap))
+        else:
+            pairs = _candidate_pairs(prev, block) if prev else combinations(range(spec.m), 2)
+            levels.append(_grow_level(spec, words, pairs, known, uncertain, block,
+                                      dim_cap, budget))
     return levels
 
 
-def _next_level(spec: SystemSpec, prev: SimplicialComplex, copies: bool,
-                dim_cap: int, budget: Budget) -> SimplicialComplex:
-    m = spec.m
-    block = len(prev.words)  # words per first symbol at the new depth
-    parent_block = block // m  # and at the parent depth
+def _block_copies(prev: SimplicialComplex, words: tuple[Word, ...]) -> tuple[dict, list]:
+    """The simplices (dimension >= 1) and uncertain entries of the m copies
+    j.N_k inside depth k+1: vertex v of N_k is vertex (j - 1) n_k + v."""
+    offsets = range(0, len(words), len(prev.words))
+    known = {dim: [tuple(o + v for v in s) for o in offsets for s in sims]
+             for dim, sims in prev.simplices.items() if dim}
+    uncertain = [(tuple(words[o + prev.index_of(w)] for w in ws), note)
+                 for o in offsets for ws, note in prev.uncertain]
+    return known, uncertain
+
+
+def _lifted_level(spec: SystemSpec, words: tuple[Word, ...],
+                  known: dict[int, list[tuple[int, ...]]], dim_cap: int) -> SimplicialComplex:
+    """A symbolic level: the block copies `known` plus the lifts up to dim_cap.
+
+    N_1 is closed under faces and the lift of a face is the face of the lift,
+    so the lifts, and with them the level, are closed under faces too.
+    """
+    lifts = oracles.generate_pu_nerve(spec, len(words[0]))
+    for lift in lifts:
+        if len(lift) - 1 <= dim_cap:
+            known.setdefault(len(lift) - 1, []).append(lift)
+    simplices = {0: tuple((v,) for v in range(len(words)))}
+    simplices.update((dim, tuple(sorted(sims))) for dim, sims in sorted(known.items()))
+    return SimplicialComplex(len(words[0]), spec.m, words, simplices, dim_cap,
+                             complete=all(len(lift) - 1 <= dim_cap for lift in lifts))
+
+
+def _candidate_pairs(prev: SimplicialComplex, block: Optional[int]) -> list[tuple[int, int]]:
+    """The pairs of cells the oracle is asked about at the depth after `prev`:
+    the children of the parent pairs that may meet, leaving out pairs inside
+    one block when blocks are copied."""
+    m = prev.m
     pairs = list(prev.simplices.get(1, ()))
-    pairs += [tuple(sorted(prev.index_of(w) for w in ws))
+    pairs += [tuple(sorted(map(prev.index_of, ws)))
               for ws, _note in prev.uncertain if len(ws) == 2]
-    known: dict[int, list[tuple[Word, ...]]] = {}
-    uncertain: list[tuple[tuple[Word, ...], str]] = []
-    if copies:
+    if block:
+        parent_block = block // m
         pairs = [(a, b) for a, b in pairs if a // parent_block != b // parent_block]
-        for dim, sims in prev.simplices.items():
-            if dim:
-                known[dim] = list(prefixed_copies(
-                    (tuple(prev.words[v] for v in s) for s in sims), m))
-        notes = [note for _ws, note in prev.uncertain] * m
-        uncertain = list(zip(prefixed_copies((ws for ws, _note in prev.uncertain), m), notes))
     else:
-        pairs += [(v, v) for v in range(block)]  # siblings share a parent cell
-    # words are in lexicographic order, so w.x sits at index(w) * m + x - 1
-    children = sorted({(a * m + x, b * m + y) for a, b in pairs
-                       for x in range(m) for y in range(m) if a * m + x < b * m + y})
-    return _grow_level(spec, tuple(enumerate_words(m, prev.level + 1)), children, known,
-                       uncertain, block if copies else None, dim_cap, budget)
+        pairs += [(v, v) for v in range(len(prev.words))]  # siblings share a parent cell
+    return sorted({(a * m + x, b * m + y) for a, b in pairs
+                   for x in range(m) for y in range(m) if a * m + x < b * m + y})
 
 
 def _grow_level(spec: SystemSpec, words: tuple[Word, ...], pairs: Iterable[tuple[int, int]],
-                known: dict[int, list[tuple[Word, ...]]], uncertain: list,
+                known: dict[int, list[tuple[int, ...]]], uncertain: list,
                 block: Optional[int], dim_cap: int, budget: Budget) -> SimplicialComplex:
     """Query `pairs`, then grow cliques.  Tuples inside one block of `block`
     consecutive words are not queried: `known` simplices and the `uncertain`
     entries passed in already hold their answers."""
     n = len(words)
-    index = {w: i for i, w in enumerate(words)}
-
-    def indexed(dim: int) -> set[tuple[int, ...]]:
-        return {tuple(index[w] for w in ws) for ws in known.get(dim, ())}
-
-    edges = indexed(1)
+    edges = set(known.get(1, ()))
     for i, j in pairs:
         verdict = oracles.cells_intersect(spec, (words[i], words[j]), budget)
         if verdict.kind == "intersect":
@@ -219,7 +242,7 @@ def _grow_level(spec: SystemSpec, words: tuple[Word, ...], pairs: Iterable[tuple
     # candidates grow from verified simplices only.
     current = edges
     for dim in range(2, dim_cap + 1):
-        verified = indexed(dim)
+        verified = set(known.get(dim, ()))
         for s in sorted(current):
             shared = set.intersection(*(adjacency[v] for v in s))
             for v in sorted(shared):
@@ -251,8 +274,7 @@ def _grow_level(spec: SystemSpec, words: tuple[Word, ...], pairs: Iterable[tuple
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
     uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return SimplicialComplex(len(words[0]), spec.m, words, simplices, dim_cap,
-                             complete=complete, uncertain=tuple(uncertain),
-                             _index=index)
+                             complete=complete, uncertain=tuple(uncertain))
 
 
 @dataclass
@@ -265,6 +287,12 @@ class SimplicialMap:
     surjective: Optional[bool] = None
 
 
+def _truncation(long: SimplicialComplex, short: SimplicialComplex) -> tuple[int, ...]:
+    """Vertex v of the deeper complex truncates to v // m^(long.level - short.level)."""
+    ratio = len(long.words) // len(short.words)
+    return tuple(v // ratio for v in range(len(long.words)))
+
+
 def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
     """The drop-last-symbols map between nerve depths, with its contracts checked.
 
@@ -274,7 +302,7 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
     """
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
-    vertex_map = tuple(short.index_of(truncate(w, short.level)) for w in long.words)
+    vertex_map = _truncation(long, short)
     target_sets = {dim: set(sims) for dim, sims in short.simplices.items()}
     for dim, sims in long.simplices.items():
         if dim == 0:
@@ -359,7 +387,7 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
 
 
 def _sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> None:
-    vertex_map = [short.index_of(truncate(w, short.level)) for w in long.words]
+    vertex_map = _truncation(long, short)
     buckets = {dim: set(sims) for dim, sims in short.simplices.items()}
     added = False
     for dim, sims in long.simplices.items():
@@ -377,9 +405,9 @@ def _sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> No
         return
     _close_downward(buckets)
     short.simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    certified = short.simplex_word_sets()
     short.uncertain = tuple(
-        entry for entry in short.uncertain if frozenset(entry[0]) not in certified
+        entry for entry in short.uncertain
+        if tuple(sorted(map(short.index_of, entry[0]))) not in buckets.get(len(entry[0]) - 1, ())
     )
 
 
@@ -396,22 +424,20 @@ def block_subcomplex(complex_: SimplicialComplex, prefix: Word) -> SimplicialCom
         raise SpecError("prefix alphabet disagrees with the complex")
     sub_level = complex_.level - drop
     words = tuple(enumerate_words(complex_.m, sub_level))
-    index = {w: i for i, w in enumerate(words)}
-    in_block = {}
-    for i, w in enumerate(complex_.words):
-        if w.symbols[:drop] == prefix.symbols:
-            in_block[i] = index[Word(w.symbols[drop:], complex_.m)]
+    # the words starting with `prefix` are one index range, from prefix.1...1 on
+    first = complex_.index_of(Word(prefix.symbols + (1,) * sub_level, complex_.m))
+    in_block = range(first, first + len(words))
     buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(len(words))}}
     for dim, sims in complex_.simplices.items():
         if dim == 0:
             continue
         for s in sims:
             if all(v in in_block for v in s):
-                buckets.setdefault(dim, set()).add(tuple(sorted(in_block[v] for v in s)))
+                buckets.setdefault(dim, set()).add(tuple(v - first for v in s))
     uncertain = tuple(
-        (tuple(Word(w.symbols[drop:], complex_.m) for w in entry[0]), entry[1])
+        (tuple(words[complex_.index_of(w) - first] for w in entry[0]), entry[1])
         for entry in complex_.uncertain
-        if all(w.symbols[:drop] == prefix.symbols for w in entry[0])
+        if all(complex_.index_of(w) in in_block for w in entry[0])
     )
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
     return SimplicialComplex(sub_level, complex_.m, words, simplices,

@@ -15,9 +15,10 @@ Three backends answer it:
   that neither side settles within budget return Unknown rather than a guess.
 * table: the complex is given explicitly per depth (for systems whose maps
   are not affine); queries beyond the stored depth are Unknown.
-* symbolic: the complex at depth 1 plus one overlap address per ordered pair,
-  from which every deeper complex is generated.  This backend assumes the
-  single-address property that the generation rule requires, and never
+* symbolic: the complex at depth 1 plus one overlap address per ordered pair.
+  Depth k is the block copies of depth k - 1 plus the lifts of the depth-1
+  simplices along their addresses (`generate_pu_nerve`).  This backend
+  assumes the single-address property that lifting requires, and never
   answers Unknown.
 """
 
@@ -36,7 +37,7 @@ from .exactgeom import (
     compose,
     map_polygon,
 )
-from .words import Address, Word, concat, enumerate_words, prefixed_copies, truncate
+from .words import Address, Word, concat, enumerate_words
 
 
 class SpecError(ValueError):
@@ -368,8 +369,9 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
         if frozenset(tup) in stored:
             return Verdict.intersect("table")
         return Verdict.disjoint(0, "table")
-    simplices = generate_pu_nerve(spec, level)
-    if frozenset(tup) in simplices:
+    from .nerve import build_nerve  # symbolic nerves are generated there
+    nerve = build_nerve(spec, level, max(len(tup) - 1, 1))
+    if tuple(sorted(map(nerve.index_of, tup))) in nerve.simplices.get(len(tup) - 1, ()):
         return Verdict.intersect("symbolic")
     return Verdict.disjoint(0, "symbolic")
 
@@ -463,47 +465,35 @@ def cells_containing_point(spec: SystemSpec, point: Point2, depth: int,
     return yes, undecided
 
 
-def generate_pu_nerve(spec: SystemSpec, k: int) -> frozenset[frozenset[Word]]:
-    """All depth-k simplices of a symbolic system, generated from depth 1.
+def generate_pu_nerve(spec: SystemSpec, k: int) -> tuple[tuple[int, ...], ...]:
+    """The depth-k simplices of a symbolic system that cross blocks, as sorted
+    tuples of indices into the lexicographic depth-k words.
 
-    Depth k+1 is the union of one prefixed copy of depth k per symbol with the
-    face closure of the unique lifts of the depth-1 simplices of dimension
-    >= 1.  The lift of a simplex places vertex i at i followed by the first k
-    symbols of its overlap address with any other vertex; simplices whose
-    vertices disagree on that prefix raise AddressConsistencyError.
+    They are the lifts of the depth-1 simplices of dimension >= 1 (at k = 1,
+    N_1 itself): vertex i goes to i followed by the first k - 1 symbols of its
+    overlap address with the other vertices.  A vertex whose addresses differ
+    there raises AddressConsistencyError; callers go depth by depth, so the
+    error names the shallowest ambiguous depth.
     """
     backend = spec.backend
     if not isinstance(backend, SymbolicPUBackend):
         raise SpecError(f"system {spec.name!r} is not symbolic")
     if k < 1:
         raise SpecError("depth must be at least 1")
-    levels: list[frozenset[frozenset[Word]]] = spec._cache.setdefault("pu_levels", [])
-    if not levels:
-        levels.append(frozenset(
-            frozenset(Word((i,), spec.m) for i in s) for s in backend.n1
-        ))
-    while len(levels) < k:
-        depth = len(levels)  # building depth + 1
-        nxt = set(map(frozenset, prefixed_copies(levels[-1], spec.m)))
-        for s in backend.n1:
-            if len(s) < 2:
-                continue
-            lift = _lift_simplex(backend, spec.m, s, depth)
-            verts = sorted(lift)
-            for size in range(1, len(verts) + 1):
-                for sub in combinations(verts, size):
-                    nxt.add(frozenset(sub))
-        levels.append(frozenset(nxt))
-    return levels[k - 1]
-
-
-def _lift_simplex(backend: SymbolicPUBackend, m: int, simplex: frozenset[int],
-                  depth: int) -> frozenset[Word]:
-    lift = []
-    for i in sorted(simplex):
-        prefixes = {truncate(backend.addresses[(i, j)], depth) for j in sorted(simplex) if j != i}
-        if len(prefixes) > 1:
-            raise AddressConsistencyError(simplex, i, depth, sorted(prefixes))
-        (prefix,) = prefixes
-        lift.append(Word((i,) + prefix.symbols, m))
-    return frozenset(lift)
+    lifts = []
+    for s in backend.n1:
+        if len(s) < 2:
+            continue
+        lift = []
+        for i in sorted(s):
+            prefixes = {tuple(backend.addresses[(i, j)].symbol_at(t) for t in range(k - 1))
+                        for j in s if j != i}
+            if len(prefixes) > 1:
+                raise AddressConsistencyError(s, i, k - 1,
+                                              sorted(Word(p, spec.m) for p in prefixes))
+            index = i - 1  # of the word i.prefix, in lexicographic order
+            for symbol in prefixes.pop():
+                index = index * spec.m + symbol - 1
+            lift.append(index)
+        lifts.append(tuple(lift))
+    return tuple(sorted(lifts))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 
 @dataclass(frozen=True, order=True)
@@ -133,25 +133,6 @@ def enumerate_words(m: int, k: int) -> list[Word]:
     if k < 0:
         raise ValueError("length must be nonnegative")
     return [Word(t, m) for t in product(range(1, m + 1), repeat=k)]
-
-
-def prefixed_copies(tuples: Iterable[Iterable[Word]], m: int) -> Iterator[tuple[Word, ...]]:
-    """Every tuple of words under every one-symbol prefix, block by block.
-
-    Applied to the simplices of a depth-k nerve this gives the m block copies
-    j . N_k inside depth k+1: block 1's copies first, in the given order.
-    """
-    tuples = list(tuples)
-    for j in range(1, m + 1):
-        image: dict[Word, Word] = {}  # one prefixed word per vertex, shared by its simplices
-        for ws in tuples:
-            out = []
-            for w in ws:
-                v = image.get(w)
-                if v is None:
-                    v = image[w] = Word((j,) + w.symbols, m)
-                out.append(v)
-            yield tuple(out)
 
 
 def word_from_string(text: str, m: int) -> Word:

@@ -143,6 +143,22 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert "--max-cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--dim-cap", "1"],
+                                       ["--dim-cap", "1", "--pu-depth", "1"]])
+    def test_inconsistent_triangle(self, tmp_path, capsys, extra):
+        # vertex 1 overlaps 2 at (1)^inf and 3 at (2)^inf: its lift into the
+        # triangle is ambiguous at depth 1, even when triangles are above the cap
+        pairs = {"1,2": [1], "1,3": [2], "2,1": [1], "2,3": [1], "3,1": [1], "3,2": [1]}
+        path = write_doc(tmp_path, {
+            "name": "bad-triangle", "orientation": "forward", "m": 3,
+            "backend": {"kind": "symbolicPU", "n1": [[1, 2, 3]],
+                        "addresses": {pair: {"pre": [], "per": per}
+                                      for pair, per in pairs.items()}}})
+        code = main(["tower", path, "--max-depth", "3",
+                     "--out-csv", str(tmp_path / "t.csv"), *extra])
+        assert code == EXIT_INPUT
+        assert "vertex 1 lifts ambiguously at depth 1" in capsys.readouterr().err
+
     def test_list_ok(self, capsys):
         assert main(["list"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -16,7 +16,7 @@ from nervetower.homology import (BettiTable, FieldKind, _reduce, betti, betti_ex
 from nervetower.nerve import (SimplicialComplex, SimplicialMap, build_nerve,
                               tower_complexes, truncation_map)
 from nervetower.oracles import ConsistencyError, SpecError
-from nervetower.words import enumerate_words
+from nervetower.words import enumerate_words, truncate
 
 from support import linalg_oracle
 from support.linalg_oracle import betti_oracle, induced_rank_oracle
@@ -207,6 +207,9 @@ class TestOneReductionPerBoundary:
             assert composed.source is direct.source and composed.target is direct.target
             assert composed.vertex_map == direct.vertex_map
             assert composed.surjective is direct.surjective is True
+            short, words = direct.target, direct.source.words
+            assert all(direct.vertex_map[v] == short.index_of(truncate(words[v], short.level))
+                       for v in range(len(words)))
 
     def test_map_to_base_needs_two_depths(self, gasket):
         with pytest.raises(SpecError):

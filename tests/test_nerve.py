@@ -1,6 +1,7 @@
 """Nerve construction, truncation maps, towers, block and derived systems."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,12 @@ from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.nerve import (TowerData, block_subcomplex, build_nerve,
                               build_iterate_or_subsystem, iterate_system,
                               tower_complexes, truncation_map)
-from nervetower.oracles import (Budget, ConsistencyError, GeometricBackend,
-                                SpecError, SystemSpec)
-from nervetower.words import Word, enumerate_words, word_from_string
+from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyError,
+                                GeometricBackend, SpecError, SymbolicPUBackend,
+                                SystemSpec)
+from nervetower.words import Address, Word, enumerate_words, word_from_string
 from support.allpairs_nerve import allpairs_nerve, allpairs_tower
+from support.pu_nerve import capped, pu_nerve
 
 
 def P(x, y):
@@ -309,3 +312,107 @@ def test_gasket_depth6_oracle_calls(monkeypatch):
     built = len(calls)
     build_nerve(spec, 6)  # the levels are cached on the spec
     assert len(calls) == built
+
+
+def addresses(m):
+    symbols = st.integers(min_value=1, max_value=m)
+    return st.builds(lambda pre, per: Address(Word(tuple(pre), m), Word(tuple(per), m)),
+                     st.lists(symbols, max_size=2), st.lists(symbols, min_size=1, max_size=2))
+
+
+@st.composite
+def symbolic_systems(draw):
+    """A random symbolic system with triangles (and perhaps a tetrahedron) in N_1.
+
+    Each vertex of a simplex above an edge uses one address for all its
+    pairs, so every lift is consistent; the other edges get free addresses.
+    """
+    m = draw(st.integers(min_value=3, max_value=5))
+    symbols = range(1, m + 1)
+    n1 = draw(st.lists(st.sampled_from(list(combinations(symbols, 3))
+                                       + list(combinations(symbols, 4))[:1]),
+                       min_size=1, max_size=3, unique=True))
+    n1 += draw(st.lists(st.sampled_from(list(combinations(symbols, 2))), max_size=3,
+                        unique=True))
+    per_vertex = {i: draw(addresses(m)) for i in symbols}
+    filled = {(i, j) for s in n1 if len(s) > 2 for i in s for j in s if i != j}
+    pairs = {}
+    for s in n1:
+        for i in s:
+            for j in s:
+                if i != j:
+                    pairs[(i, j)] = per_vertex[i] if (i, j) in filled else draw(addresses(m))
+    return SystemSpec("random-pu", "forward", m, SymbolicPUBackend(m, n1, pairs))
+
+
+def perturbed(spec, position, draw):
+    """The same system with one address of a simplex above an edge changed at
+    `position`, so that its vertex lifts ambiguously from nerve depth position + 2."""
+    backend = spec.backend
+    i, j, other = draw(st.sampled_from(sorted(
+        sorted(s) for s in backend.n1 if len(s) > 2)))[:3]
+    kept = backend.addresses[(i, other)]
+    head = tuple(kept.symbol_at(t) for t in range(position))
+    changed = draw(st.sampled_from([x for x in range(1, spec.m + 1)
+                                    if x != kept.symbol_at(position)]))
+    pairs = dict(backend.addresses)
+    pairs[(i, j)] = Address(Word(head + (changed,), spec.m), Word((1,), spec.m))
+    return SystemSpec("perturbed-pu", "forward", spec.m,
+                      SymbolicPUBackend(spec.m, backend.n1, pairs))
+
+
+def assert_matches_word_sets(spec, depth, dim_caps):
+    reference = pu_nerve(spec, depth)
+    for dim_cap in dim_caps:
+        got = build_nerve(spec, depth, dim_cap)
+        kept, complete = capped(reference, dim_cap)
+        assert got.simplex_word_sets() == kept
+        assert got.complete is complete
+        assert got.uncertain == ()
+
+
+class TestAgainstWordSets:
+    """The index generator on symbolic systems against the word-set reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(symbolic_systems(), st.integers(min_value=1, max_value=4))
+    def test_random_symbolic_systems(self, spec, depth):
+        assert_matches_word_sets(spec, depth, (1, 2, 3))
+        tower = tower_complexes(spec, depth, 2)
+        assert [c.simplex_word_sets() for c in tower.complexes] == \
+            [capped(pu_nerve(spec, k), 2)[0] for k in range(1, depth + 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(symbolic_systems(), st.integers(min_value=2, max_value=4), st.data())
+    def test_inconsistent_addresses_raise_the_reference_error(self, spec, depth, data):
+        bad = perturbed(spec, data.draw(st.integers(min_value=0, max_value=depth - 2)),
+                        data.draw)
+        with pytest.raises(AddressConsistencyError) as expected:
+            pu_nerve(bad, depth)
+        for dim_cap in (1, 2, 3):
+            with pytest.raises(AddressConsistencyError) as got:
+                build_nerve(bad, depth, dim_cap)
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name", ["pentagasket", "simplex-boundary-1",
+                                      "simplex-boundary-2", "simplex-boundary-3",
+                                      "simplex-boundary-4"])
+    def test_bundled_symbolic_systems(self, name):
+        assert_matches_word_sets(cli.load_bundled(name).spec, 5, (1, 2, 3))
+
+
+def test_pentagasket_depth6_word_constructions(monkeypatch):
+    """The symbolic tower works on vertex indices: the only words it makes are
+    one per vertex, 19,530 over depths 1..6 (the word-set generator made 78,220)."""
+    spec = cli.load_bundled("pentagasket").spec
+    made = []
+    original = Word.__post_init__
+
+    def counting(self):
+        made.append(self.symbols)
+        original(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    tower = tower_complexes(spec, 6)
+    assert tower.complex_at(6).simplex_counts()[0] == 15625
+    assert len(made) < 20000

@@ -1,11 +1,13 @@
 """Intersection oracle: verdicts, budgets, backends, symbolic generation."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nervetower.exactgeom import Point2, compose
+from nervetower.nerve import build_nerve
 from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 SymbolicPUBackend, SystemSpec, TableBackend,
                                 Verdict, cell_envelope, cells_containing_point,
@@ -191,8 +193,8 @@ class TestSymbolicBackend:
             self._addresses({(1, 2): 2, (2, 1): 1, (1, 3): 3,
                              (3, 1): 1, (2, 3): 3, (3, 2): 2})))
         for k in (1, 2, 3):
-            symbolic = {frozenset(str(w) for w in s)
-                        for s in generate_pu_nerve(twin, k)}
+            nerve = build_nerve(twin, k)
+            symbolic = {frozenset(str(w) for w in s) for s in nerve.simplex_word_sets()}
             geometric = set()
             words = enumerate_words(3, k)
             for i in range(len(words)):
@@ -202,21 +204,41 @@ class TestSymbolicBackend:
                     if v.kind == "intersect":
                         geometric.add(frozenset({str(words[i]), str(words[j])}))
             assert symbolic == geometric
+            # the lifts are the edges that cross blocks
+            block = 3 ** (k - 1)
+            assert set(generate_pu_nerve(twin, k)) == {
+                (a, b) for a, b in nerve.simplices[1] if a // block != b // block}
 
     def test_inconsistent_triangle_raises(self):
         backend = SymbolicPUBackend(3, [[1, 2, 3]], self._addresses(
             {(1, 2): 1, (1, 3): 2, (2, 1): 1, (2, 3): 1, (3, 1): 1, (3, 2): 1}))
         spec = SystemSpec("bad", "forward", 3, backend)
-        assert len(generate_pu_nerve(spec, 1)) == 7  # depth 1 is stored as-is
-        with pytest.raises(AddressConsistencyError):
-            generate_pu_nerve(spec, 2)
+        assert generate_pu_nerve(spec, 1) == ((0, 1), (0, 1, 2), (0, 2), (1, 2))
+        assert len(build_nerve(spec, 1).simplex_word_sets()) == 7  # depth 1 is stored as-is
+        for dim_cap in (1, 2):
+            with pytest.raises(AddressConsistencyError,
+                               match="vertex 1 lifts ambiguously at depth 1: 1, 2"):
+                build_nerve(spec, 2, dim_cap)
 
     def test_consistent_triangle_lifts(self):
         backend = SymbolicPUBackend(3, [[1, 2, 3]], self._addresses(
             {(1, 2): 1, (1, 3): 1, (2, 1): 2, (2, 3): 2, (3, 1): 3, (3, 2): 3}))
         spec = SystemSpec("ok", "forward", 3, backend)
-        n2 = generate_pu_nerve(spec, 2)
-        assert frozenset({W("11"), W("22"), W("33")}) in n2
+        assert (0, 4, 8) in generate_pu_nerve(spec, 2)
+        assert frozenset({W("11"), W("22"), W("33")}) in build_nerve(spec, 2).simplex_word_sets()
+
+    @pytest.mark.parametrize("name,arities", [("pentagasket", (2,)),
+                                              ("simplex-boundary-2", (2, 3))])
+    def test_cells_intersect_answers_from_the_nerve(self, bundled, name, arities):
+        spec = bundled(name).spec
+        nerve = build_nerve(spec, 2)
+        for arity in arities:
+            for ws in combinations(nerve.words, arity):
+                verdict = cells_intersect(spec, ws)
+                assert verdict.source == "symbolic"
+                simplex = tuple(nerve.index_of(w) for w in ws)
+                expected = "intersect" if simplex in nerve.simplices[arity - 1] else "disjoint"
+                assert verdict.kind == expected, ws
 
 
 class TestUnknownPaths:
