@@ -2,10 +2,10 @@
 
 Everything is exact: the rationals by fraction-free elimination on Python
 ints, prime fields by modular arithmetic.  Matrices are kept as sparse columns
-and reduced by the standard lowest-one elimination, which besides ranks hands
-us kernel bases, and those are what the induced-map ranks (the lambda numbers
-of the tower) need.  Each complex keeps the rank of every boundary it has
-reduced, so a tower reduces each boundary once.
+and reduced by the standard lowest-one elimination, which gives ranks only.
+The induced-map ranks (the lambda numbers of the tower) are ranks too: one
+reduction of a map's mapping cone.  Each complex keeps the rank of every
+boundary it has reduced, so a tower reduces each boundary once.
 
 The tower analysis fills a Betti table for depths 1..K and attaches limit
 verdicts.  A verdict is only ever Finite/Infinite when a mechanism licenses
@@ -67,27 +67,22 @@ def _subtract(col: dict[int, int], factor: int, other: dict[int, int], char: int
             col.pop(row, None)
 
 
-def _reduce(columns: Sequence[dict[int, int]], char: int,
-            want_kernel: bool = False) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Column reduction by lowest nonzero row; returns (reduced columns, kernel basis).
+def _reduce(columns: Sequence[dict[int, int]], char: int) -> list[dict[int, int]]:
+    """Column reduction by lowest nonzero row; returns the reduced columns.
 
-    The reduced columns are the nonzero ones; their lowest rows are distinct,
-    so they are a basis of the column space and their number is the rank.
-    Kernel vectors are combinations over the original column indices.
+    They are the nonzero ones; their lowest rows are distinct, so they are a
+    basis of the column space and their number is the rank.
 
     Over Q the arithmetic stays on integers, fraction-free: to clear b = col[low]
     with pivot a = other[low], a unit pivot subtracts (b a) other, and any
-    other pivot first scales col (and its combination) by a/g, g = gcd(a, b),
-    then subtracts (b/g) other.  Scaling by a nonzero integer changes neither
-    the span of the columns nor that of the kernel over Q.
+    other pivot first scales col by a/g, g = gcd(a, b), then subtracts
+    (b/g) other.  Scaling by a nonzero integer does not change the span of
+    the columns over Q.
     """
     pivots: dict[int, int] = {}
     reduced: list[dict[int, int]] = []
-    combos: list[dict[int, int]] = []
-    kernel: list[dict[int, int]] = []
-    for j, original in enumerate(columns):
+    for original in columns:
         col = dict(original)
-        combo = {j: 1} if want_kernel else None
         while col:
             low = max(col)
             at = pivots.get(low)
@@ -103,19 +98,11 @@ def _reduce(columns: Sequence[dict[int, int]], char: int,
                 g = math.gcd(a, b)
                 scale, factor = a // g, b // g
                 col = {row: scale * val for row, val in col.items()}
-                if want_kernel:
-                    combo = {idx: scale * val for idx, val in combo.items()}
             _subtract(col, factor, other, char)
-            if want_kernel:
-                _subtract(combo, factor, combos[at], char)
         if col:
             pivots[max(col)] = len(reduced)
             reduced.append(col)
-            if want_kernel:
-                combos.append(combo)
-        elif want_kernel:
-            kernel.append(combo)
-    return reduced, kernel
+    return reduced
 
 
 def _boundary_columns(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int, int]]:
@@ -155,16 +142,8 @@ def _boundary_rank(complex_: SimplicialComplex, r: int, char: int) -> int:
     """rank d_r, reduced at most once per complex and field."""
     memo = _memo(complex_, char)
     if r not in memo:
-        memo[r] = len(_reduce(_boundary_columns(complex_, r, char), char)[0])
+        memo[r] = len(_reduce(_boundary_columns(complex_, r, char), char))
     return memo[r]
-
-
-def _cycles(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int, int]]:
-    """A basis of the r-cycles, the kernel of d_r; the rank of d_r is kept, the
-    basis is not."""
-    reduced, kernel = _reduce(_boundary_columns(complex_, r, char), char, want_kernel=True)
-    _memo(complex_, char)[r] = len(reduced)
-    return kernel
 
 
 def _boundaries(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int, int]]:
@@ -172,7 +151,7 @@ def _boundaries(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int
     distinct lowest rows, which later reductions take as they are."""
     memo = _memo(complex_, char)
     if ("basis", r) not in memo:
-        reduced = _reduce(_boundary_columns(complex_, r, char), char)[0]
+        reduced = _reduce(_boundary_columns(complex_, r, char), char)
         memo["basis", r] = reduced
         memo[r] = len(reduced)
     return memo["basis", r]
@@ -180,13 +159,7 @@ def _boundaries(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int
 
 def betti_exact(complex_: SimplicialComplex, r: int) -> bool:
     """Is a_{r} computable exactly from this complex's enumerated simplices?"""
-    if r < 0:
-        return True
-    if r > complex_.dim_cap:
-        return complex_.complete
-    if r + 1 > complex_.dim_cap:
-        return complex_.complete
-    return True
+    return r < 0 or r + 1 <= complex_.dim_cap or complex_.complete
 
 
 def betti(complex_: SimplicialComplex, fieldkind: FieldKind, r: int) -> int:
@@ -219,7 +192,7 @@ def cobetti(complex_: SimplicialComplex, fieldkind: FieldKind, r: int) -> int:
         return rows
 
     def rank(cols: list[dict[int, int]]) -> int:
-        return len(_reduce(cols, char)[0])
+        return len(_reduce(cols, char))
 
     # d_r has one row per (r-1)-simplex, d_{r+1} one per r-simplex
     low = _boundary_columns(complex_, r, char)
@@ -231,57 +204,44 @@ def cobetti(complex_: SimplicialComplex, fieldkind: FieldKind, r: int) -> int:
     return n_r - rank_low - rank_high
 
 
-def _chain_images(smap: SimplicialMap, r: int, char: int,
-                  vectors: Sequence[dict[int, int]]) -> list[dict[int, int]]:
-    """Push r-chains through the simplicial map (degenerate images vanish)."""
-    col_of = {s: i for i, s in enumerate(smap.target.simplices.get(r, ()))}
-    image_of: list[Optional[tuple[int, int]]] = []  # per source simplex: (column, sign)
-    for simplex in smap.source.simplices.get(r, ()):
-        images = [smap.vertex_map[v] for v in simplex]
-        if len(set(images)) != len(images):
-            image_of.append(None)
-            continue
-        inversions = sum(1 for a in range(len(images)) for b in range(a + 1, len(images))
-                         if images[a] > images[b])
-        image_of.append((col_of[tuple(sorted(images))], -1 if inversions % 2 else 1))
-    out = []
-    for vector in vectors:
-        chain: dict[int, int] = {}
-        for idx, coeff in vector.items():
-            hit = image_of[idx]
-            if hit is None:
-                continue
-            column, sign = hit
-            new = chain.get(column, 0) + sign * coeff
-            if char:
-                new %= char
-            if new:
-                chain[column] = new
-            else:
-                chain.pop(column, None)
-        out.append(chain)
-    return out
-
-
 def induced_rank(smap: SimplicialMap, r: int, fieldkind: FieldKind) -> int:
     """Rank of the induced map H_r(source) -> H_r(target) over the field.
 
     Over a field this equals the rank of the dual map on cohomology, so for a
     truncation from depth k to depth 1 at r = 1 it is exactly the tower's
-    lambda_k.  The reduction behind the source's cycles also gives its rank of
-    d_r, and the target's reduced d_{r+1} is kept for the next map into it.
+    lambda_k.
+
+    One reduction of the mapping cone's boundary gives it.  The columns are
+    the target's d_{r+1}, then one per source r-simplex s: (f_# s, d_r s),
+    with the source's (r-1)-rows placed below the target's r-rows.  That
+    matrix has rank rank d_r(source) + rank d_{r+1}(target) + rank f_*, and
+    the reduced columns whose lowest row is a source row number exactly
+    rank d_r(source), which is kept for the source's Betti numbers.  The
+    target's reduced d_{r+1} is kept for the next map into it.
     """
     char = fieldkind.char
-    if not betti_exact(smap.source, r) or not betti_exact(smap.target, r):
+    source, target = smap.source, smap.target
+    if not betti_exact(source, r) or not betti_exact(target, r):
         raise ConsistencyError("induced rank needs exact homology on both ends")
-    if not smap.source.simplices.get(r) or not smap.target.simplices.get(r):
+    if not source.simplices.get(r) or not target.simplices.get(r):
         return 0
-    boundaries = _boundaries(smap.target, r + 1, char)
-    cycles = _cycles(smap.source, r, char)
-    if not cycles:
-        return 0
-    images = _chain_images(smap, r, char, cycles)
-    return len(_reduce(boundaries + images, char)[0]) - len(boundaries)
+    boundaries = _boundaries(target, r + 1, char)
+    row_of = {s: i for i, s in enumerate(target.simplices[r])}
+    offset = len(row_of)
+    minus = char - 1 if char else -1
+    columns = []
+    for simplex, faces in zip(source.simplices[r], _boundary_columns(source, r, char)):
+        col = {offset + row: val for row, val in faces.items()}
+        images = [smap.vertex_map[v] for v in simplex]
+        if len(set(images)) == len(images):  # degenerate images vanish
+            inversions = sum(1 for a in range(len(images)) for b in range(a + 1, len(images))
+                             if images[a] > images[b])
+            col[row_of[tuple(sorted(images))]] = minus if inversions % 2 else 1
+        columns.append(col)
+    reduced = _reduce(boundaries + columns, char)
+    source_rank = sum(1 for col in reduced if max(col) >= offset)
+    _memo(source, char)[r] = source_rank
+    return len(reduced) - source_rank - len(boundaries)
 
 
 @dataclass
@@ -332,8 +292,8 @@ def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
 
     exact_dims = tuple(r for r in range(dim_cap + 1)
                        if all(betti_exact(c, r) for c in complexes))
-    # lambda first: its cycle reductions leave the rank of each d_1 on the
-    # complex, where the Betti numbers below read it
+    # lambda first: its mapping-cone reductions leave the rank of each d_1 on
+    # the complex, where the Betti numbers below read it
     lam: dict[int, int] = {}
     if 1 in exact_dims:
         for k in range(2, depth + 1):

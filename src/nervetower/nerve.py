@@ -304,28 +304,21 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
         raise SpecError("truncation needs two depths of one system, deeper first")
     vertex_map = _truncation(long, short)
     target_sets = {dim: set(sims) for dim, sims in short.simplices.items()}
+    images: dict[int, set[tuple[int, ...]]] = {}
     for dim, sims in long.simplices.items():
-        if dim == 0:
-            continue
         for s in sims:
             image = tuple(sorted({vertex_map[v] for v in s}))
-            if len(image) - 1 > short.dim_cap:
-                raise ConsistencyError("target complex capped below an image simplex")
-            if image not in target_sets.get(len(image) - 1, set()):
-                raise ConsistencyError(
-                    f"truncation is not simplicial: {s} maps outside depth {short.level}"
-                )
+            if dim:
+                if len(image) - 1 > short.dim_cap:
+                    raise ConsistencyError("target complex capped below an image simplex")
+                if image not in target_sets.get(len(image) - 1, set()):
+                    raise ConsistencyError(
+                        f"truncation is not simplicial: {s} maps outside depth {short.level}"
+                    )
+            images.setdefault(len(image) - 1, set()).add(image)
     surjective: Optional[bool] = None
     if not long.uncertain and not short.uncertain:
-        images: dict[int, set[tuple[int, ...]]] = {}
-        for dim, sims in long.simplices.items():
-            for s in sims:
-                image = tuple(sorted({vertex_map[v] for v in s}))
-                images.setdefault(len(image) - 1, set()).add(image)
-        surjective = all(
-            set(sims) <= images.get(dim, set())
-            for dim, sims in short.simplices.items()
-        )
+        surjective = all(sims <= images.get(dim, set()) for dim, sims in target_sets.items())
         if not surjective:
             raise ConsistencyError(
                 f"truncation from depth {long.level} misses simplices of depth {short.level}"

@@ -1,14 +1,16 @@
 """Dense textbook homology computations, independent of the package's sparse path.
 
-Everything here is plain Gaussian elimination on dense matrices (Fraction
-entries for characteristic 0, ints mod p otherwise) so the package's column
-reduction has something structurally different to agree with.  The induced
-rank is computed on cohomology via cochain pullback, the dual route to the
-package's chain pushforward.
+Everything here is plain Gaussian elimination on dense matrices, row by row
+(ints mod p; for characteristic 0, Fractions in `rref` and fraction-free ints
+in `rank`), so the package's sparse column reduction has something
+structurally different to agree with.  The induced rank is computed on
+cohomology via cochain pullback and a kernel basis, where the package reduces
+the chain-side mapping cone once.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 
 def _inv(x, char):
@@ -43,9 +45,41 @@ def rref(matrix, char):
 
 
 def rank(matrix, char):
+    """Rank by forward elimination: mod p for a prime field, and over Q on
+    integers, fraction-free (row <- a row - b pivot_row, then divided by the
+    gcd of its entries), after clearing each row's denominators."""
     if not matrix or not matrix[0]:
         return 0
-    return len(rref(matrix, char)[1])
+    if char:
+        rows = [[x % char for x in row] for row in matrix]
+    else:
+        rows = []
+        for row in matrix:
+            scale = lcm(*(x.denominator for x in row))
+            rows.append([int(x * scale) for x in row])
+    found = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        top = rows[found]
+        a = top[c]
+        for i in range(found + 1, len(rows)):
+            b = rows[i][c]
+            if not b:
+                continue
+            if char:
+                factor = b * _inv(a, char) % char
+                rows[i] = [(x - factor * y) % char for x, y in zip(rows[i], top)]
+            else:
+                new = [a * x - b * y for x, y in zip(rows[i], top)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+        found += 1
+        if found == len(rows):
+            break
+    return found
 
 
 def nullspace(matrix, char):
@@ -119,7 +153,7 @@ def induced_rank_oracle(smap, r, char):
     """Rank of H^r(target) -> H^r(source) under cochain pullback.
 
     Over a field this equals the rank of the induced map on homology in the
-    other direction, which is what the package computes.
+    other direction, which the package reads off its mapping-cone reduction.
     """
     n_src = len(smap.source.simplices.get(r, ()))
     n_tgt = len(smap.target.simplices.get(r, ()))
@@ -132,9 +166,11 @@ def induced_rank_oracle(smap, r, char):
     else:
         cocycles = [[1 if i == j else 0 for i in range(n_tgt)] for j in range(n_tgt)]
     pullback = _pullback_matrix(smap, r, char)
-    pulled = [[sum(row[k] * z[k] for k in range(n_tgt)) % char if char else
-               sum(row[k] * z[k] for k in range(n_tgt)) for row in pullback]
-              for z in cocycles]  # each pulled cocycle as a length-n_src vector
+    # each pulled cocycle as a length-n_src vector; a pullback row has at
+    # most one nonzero entry, so the zero terms are skipped
+    pulled = [[sum(a * x for a, x in zip(row, z) if a) % char if char else
+               sum(a * x for a, x in zip(row, z) if a) for row in pullback]
+              for z in cocycles]
     # coboundaries of the source: columns of (d_r)^T, i.e. rows of d_r
     cobound = boundary_matrix(smap.source, r, char)
     base = [list(row) for row in cobound] if cobound and cobound[0] else []

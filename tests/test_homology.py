@@ -10,16 +10,17 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import homology
+from nervetower import cli, homology
 from nervetower.homology import (BettiTable, FieldKind, _reduce, betti, betti_exact,
                                  cobetti, induced_rank, tower_analysis)
 from nervetower.nerve import (SimplicialComplex, SimplicialMap, build_nerve,
                               tower_complexes, truncation_map)
-from nervetower.oracles import ConsistencyError, SpecError
+from nervetower.oracles import ConsistencyError, SpecError, TableBackend
 from nervetower.words import enumerate_words, truncate
 
 from support import linalg_oracle
 from support.linalg_oracle import betti_oracle, induced_rank_oracle
+from test_nerve import symbolic_systems
 
 Q = FieldKind(0)
 GF2 = FieldKind(2)
@@ -74,19 +75,15 @@ class TestReduce:
         # entries in -3..3 make non-unit pivots, which the fraction-free path scales
         columns = [{i: v for i, v in enumerate(col) if v} for col in matrix_columns]
         rows = [list(row) for row in zip(*matrix_columns)]
+        nrows = len(rows)
         rank = linalg_oracle.rank(rows, 0)
-        reduced, kernel = _reduce(columns, 0, want_kernel=True)
+        reduced = _reduce(columns, 0)
         assert len(reduced) == rank
-        assert len(kernel) == len(columns) - rank
-        assert all(isinstance(v, int) for col in reduced + kernel for v in col.values())
-        for vector in kernel:
-            dense = [vector.get(j, 0) for j in range(len(columns))]
-            assert any(dense)
-            assert all(sum(a * x for a, x in zip(row, dense)) == 0 for row in rows)
-        # independent too, so a basis of the oracle's null space
-        if kernel:
-            stacked = [[v.get(j, 0) for j in range(len(columns))] for v in kernel]
-            assert linalg_oracle.rank(stacked, 0) == len(kernel)
+        assert all(isinstance(v, int) for col in reduced for v in col.values())
+        assert len({max(col) for col in reduced}) == len(reduced)
+        # the reduced columns lie in the input's span: adding them keeps the rank
+        dense = [[col.get(i, 0) for col in columns + reduced] for i in range(nrows)]
+        assert linalg_oracle.rank(dense, 0) == rank
 
     def test_boundary_entries_are_plain_ints(self):
         for col in homology._boundary_columns(RP2, 2, 0):
@@ -153,15 +150,41 @@ class TestInducedRank:
                 for r in range(3):
                     assert induced_rank(ident, r, fk) == betti(c, fk, r)
 
+    def test_image_orientation_signs(self):
+        # the rotation v -> v + 1 mod 5 of the Moebius band sends the edge (0, 4)
+        # to (1, 0), against the vertex order; truncation maps never do
+        rotation = SimplicialMap(MOEBIUS, MOEBIUS, (1, 2, 3, 4, 0), True)
+        for fk in FIELDS:
+            for r in range(3):
+                assert induced_rank(rotation, r, fk) == betti(MOEBIUS, fk, r) == \
+                    induced_rank_oracle(rotation, r, fk.char)
+
     def test_oracle_agreement_on_towers(self, bundled):
-        for name in ("gasket", "pentagasket", "gasket-sub-mixed",
-                     "banded-annuli", "simplex-boundary-2", "finite-cycle"):
-            tower = tower_complexes(bundled(name).spec, 2, dim_cap=2)
-            smap = tower.map_to_base(2)
+        for name in ("gasket", "pentagasket", "gasket-sub-mixed", "banded-annuli",
+                     "simplex-boundary-2", "simplex-boundary-3", "simplex-boundary-4",
+                     "finite-cycle", "two-map-split"):
+            spec = bundled(name).spec
+            # table systems store depth 2 only
+            depth = 2 if isinstance(spec.backend, TableBackend) else 3
+            tower = tower_complexes(spec, depth, dim_cap=3)
+            maps = tower.maps + [tower.map_to_base(k) for k in range(3, depth + 1)]
+            for smap in maps:
+                for fk in FIELDS:
+                    for r in (0, 1, 2):
+                        assert induced_rank(smap, r, fk) == \
+                            induced_rank_oracle(smap, r, fk.char), \
+                            (name, smap.source.level, smap.target.level, r, fk)
+
+    @settings(max_examples=25, deadline=None)
+    @given(symbolic_systems())
+    def test_oracle_agreement_on_random_towers_with_2_cells(self, spec):
+        tower = tower_complexes(spec, 3, 3)
+        for smap in tower.maps + [tower.map_to_base(3)]:
             for fk in FIELDS:
-                for r in (0, 1):
+                for r in (1, 2):
                     assert induced_rank(smap, r, fk) == \
-                        induced_rank_oracle(smap, r, fk.char), (name, r, fk)
+                        induced_rank_oracle(smap, r, fk.char), \
+                        (smap.source.level, smap.target.level, r, fk)
 
     def test_frozen_lambda_values(self, bundled):
         expected = {
@@ -181,9 +204,9 @@ class TestInducedRank:
 
 class TestOneReductionPerBoundary:
     def test_pentagasket_tower_builds_each_boundary_once(self, bundled, monkeypatch):
-        """Betti numbers at neighbouring r share a boundary, and lambda_k's cycle
-        reduction shares d_1 with the Betti numbers of depth k; the depth-6
-        pentagasket tower built d_1 of each depth k >= 2 three times."""
+        """Betti numbers at neighbouring r share a boundary, and lambda_k's
+        mapping-cone reduction shares d_1 with the Betti numbers of depth k; the
+        depth-6 pentagasket tower once built d_1 of each depth k >= 2 three times."""
         built = Counter()
         original = homology._boundary_columns
 
@@ -214,6 +237,23 @@ class TestOneReductionPerBoundary:
     def test_map_to_base_needs_two_depths(self, gasket):
         with pytest.raises(SpecError):
             tower_complexes(gasket, 2).map_to_base(1)
+
+
+def test_pentagasket_tower_column_subtractions(monkeypatch):
+    """lambda_k tracks no kernel combinations: the depth-6 pentagasket analysis
+    makes 62,478 column subtractions (reducing d_1 with a kernel basis made
+    124,947)."""
+    spec = cli.load_bundled("pentagasket").spec
+    calls = []
+    original = homology._subtract
+
+    def counting(col, factor, other, char):
+        calls.append(char)
+        original(col, factor, other, char)
+
+    monkeypatch.setattr(homology, "_subtract", counting)
+    tower_analysis(spec, 6, Q)
+    assert len(calls) < 80000
 
 
 class TestTowerAnalysis:

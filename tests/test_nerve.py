@@ -1,5 +1,6 @@
 """Nerve construction, truncation maps, towers, block and derived systems."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nervetower import cli, oracles
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
-from nervetower.nerve import (TowerData, block_subcomplex, build_nerve,
+from nervetower.nerve import (SimplicialComplex, TowerData, block_subcomplex, build_nerve,
                               build_iterate_or_subsystem, iterate_system,
                               tower_complexes, truncation_map)
 from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyError,
@@ -169,6 +170,24 @@ class TestTruncation:
                           {0: n1.simplices[0], 1: ()}, n1.dim_cap, True)
         with pytest.raises(ConsistencyError):
             truncation_map(n2, hollow)
+
+    def test_contract_failures_name_the_contract(self):
+        def hand_built(level, simplices, dim_cap):
+            words = tuple(enumerate_words(3, level))
+            vertices = tuple((v,) for v in range(len(words)))
+            return SimplicialComplex(level, 3, words, {0: vertices, **simplices},
+                                     dim_cap, True)
+
+        # depth-2 vertex v truncates to v // 3: the triangle (0, 3, 6) maps onto (0, 1, 2)
+        long = hand_built(2, {1: ((0, 3), (0, 6), (3, 6)), 2: ((0, 3, 6),)}, 2)
+        edges = {1: ((0, 1), (0, 2), (1, 2))}
+        cases = [(long, hand_built(1, edges, 1), "capped below an image simplex"),
+                 (long, hand_built(1, edges, 2), "truncation is not simplicial: (0, 3, 6)"),
+                 (hand_built(2, {}, 1), hand_built(1, edges, 1), "misses simplices")]
+        for deep, shallow, message in cases:
+            with pytest.raises(ConsistencyError, match=re.escape(message)):
+                truncation_map(deep, shallow)
+        assert truncation_map(long, hand_built(1, {**edges, 2: ((0, 1, 2),)}, 2)).surjective
 
     def test_tower_and_base_map(self, gasket):
         tower = tower_complexes(gasket, 3)
