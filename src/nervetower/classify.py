@@ -189,6 +189,12 @@ def _singleton_status(spec: SystemSpec, i: int, j: int, budget: Budget) -> Singl
         return "empty"
     if verdict.kind == "unknown":
         return "unknown"
+    # two-points: each certified point of cell(wi) & cell(wj) lies in some
+    # child pair at every depth, whose envelopes then meet; the one that is
+    # not `point` keeps a region other than {point} alive forever, so the
+    # refinement below could only end in unknown.
+    if len(certificate_points(spec, (wi, wj), budget)) >= 2:
+        return "unknown"
     point = verdict.point
     alive = [(wi, wj)]
     for _ in range(budget.refine_depth + 1):
