@@ -6,6 +6,9 @@ Three checkers inspect a system's depth-1 overlaps:
   overlap back into a single address cell?  Certified only up to a depth and
   a point budget; refuted by exhibiting a branching witness.
 * check_singleton_overlaps: is each pairwise overlap a single point?
+  Refuted, as `several`, by two distinct certified points in both cells
+  (then no refinement could ever certify it); otherwise certified by
+  refining until every surviving region is the certificate point.
 * check_h1_infinite_conditions: the four pivot conditions that force the
   first cohomology of the limit to have infinite rank.
 
@@ -155,7 +158,7 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
     return PairReport((i, j), "ok", points, prefix=shared_prefix, address=address)
 
 
-SingletonStatus = Literal["empty", "singleton", "unknown"]
+SingletonStatus = Literal["empty", "singleton", "several", "unknown"]
 
 
 @dataclass
@@ -163,45 +166,56 @@ class SingletonReport:
     name: str
     pairs: dict[tuple[int, int], SingletonStatus]
     all_small: bool  # every pair empty or a single point
-    detail: str = ""
+    # the two smallest certified common points of each `several` pair
+    witnesses: dict[tuple[int, int], tuple[Point2, Point2]] = field(default_factory=dict)
 
 
 def check_singleton_overlaps(spec: SystemSpec, budget: Budget = Budget()) -> SingletonReport:
     """Certify that each pairwise overlap of depth-1 cells is empty or one point.
 
     A pair is a certified singleton when, at some refinement depth, every
-    surviving envelope intersection is exactly the certificate point.
+    surviving envelope intersection is exactly the certificate point.  It is
+    `several` when two distinct in-budget points are certified to lie in both
+    cells: such an overlap holds more than one point, so no refinement is
+    tried, and the two points are its witness.
     """
     if not spec.is_geometric:
         raise SpecError("singleton certification needs the geometric backend")
     pairs: dict[tuple[int, int], SingletonStatus] = {}
+    witnesses: dict[tuple[int, int], tuple[Point2, Point2]] = {}
     for i in range(1, spec.m + 1):
         for j in range(i + 1, spec.m + 1):
-            pairs[(i, j)] = _singleton_status(spec, i, j, budget)
+            pairs[(i, j)], points = _singleton_status(spec, i, j, budget)
+            if points:
+                witnesses[(i, j)] = points
     all_small = all(s in ("empty", "singleton") for s in pairs.values())
-    return SingletonReport(spec.name, pairs, all_small)
+    return SingletonReport(spec.name, pairs, all_small, witnesses)
 
 
-def _singleton_status(spec: SystemSpec, i: int, j: int, budget: Budget) -> SingletonStatus:
+def _singleton_status(spec: SystemSpec, i: int, j: int,
+                      budget: Budget) -> tuple[SingletonStatus, tuple[Point2, ...]]:
+    """The pair's status, with its two witness points when it is `several`."""
     wi, wj = Word((i,), spec.m), Word((j,), spec.m)
     verdict = oracles.cells_intersect(spec, (wi, wj), budget)
     if verdict.kind == "disjoint":
-        return "empty"
+        return "empty", ()
     if verdict.kind == "unknown":
-        return "unknown"
-    # two-points: each certified point of cell(wi) & cell(wj) lies in some
-    # child pair at every depth, whose envelopes then meet; the one that is
-    # not `point` keeps a region other than {point} alive forever, so the
-    # refinement below could only end in unknown.
-    if len(certificate_points(spec, (wi, wj), budget)) >= 2:
-        return "unknown"
+        return "unknown", ()
+    # several: licensed at every depth.  A certified point of cell(wi) and
+    # cell(wj) lies in both cells of some child pair at each depth, so that
+    # pair's envelopes meet and it stays alive.  With two distinct points,
+    # one differs from verdict.point, and its region never equals
+    # {verdict.point}: the refinement below could never answer singleton.
+    points = certificate_points(spec, (wi, wj), budget)
+    if len(points) >= 2:
+        return "several", tuple(points[:2])
     point = verdict.point
     alive = [(wi, wj)]
     for _ in range(budget.refine_depth + 1):
         regions = [intersection_cycle((cell_envelope(spec, u), cell_envelope(spec, v)))
                    for (u, v) in alive]
         if all(set(region) == {point} for region in regions):
-            return "singleton"
+            return "singleton", ()
         frontier = []
         for (u, v) in alive:
             for su in range(1, spec.m + 1):
@@ -211,11 +225,11 @@ def _singleton_status(spec: SystemSpec, i: int, j: int, budget: Budget) -> Singl
                             [cell_envelope(spec, cu), cell_envelope(spec, cv)]):
                         frontier.append((cu, cv))
                         if len(frontier) > oracles._ALIVE_CAP:
-                            return "unknown"
+                            return "unknown", ()
         if not frontier:
-            return "unknown"
+            return "unknown", ()
         alive = frontier
-    return "unknown"
+    return "unknown", ()
 
 
 @dataclass

@@ -576,6 +576,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "all_small": sreport.all_small,
             "pairs": {f"{i},{j}": status for (i, j), status in sorted(sreport.pairs.items())},
         }
+        if sreport.witnesses:
+            bundle["singleton_overlaps"]["witnesses"] = {
+                f"{i},{j}": [_point_doc(p) for p in points]
+                for (i, j), points in sorted(sreport.witnesses.items())}
         lines.append("overlaps: every touching pair meets in a single point"
                      if sreport.all_small else
                      "overlaps: not all pairs certified to be single points")

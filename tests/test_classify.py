@@ -3,13 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nervetower import classify, cli
 from nervetower.classify import (check_h1_infinite_conditions,
                                  check_postunbranched,
                                  check_singleton_overlaps, verify_puthm)
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, tower_analysis
-from nervetower.oracles import Budget, GeometricBackend, SpecError, SystemSpec
+from nervetower.nerve import build_iterate_or_subsystem, iterate_system
+from nervetower.oracles import (Budget, GeometricBackend, SpecError, SystemSpec,
+                                point_in_cell)
+from nervetower.words import Word, enumerate_words
+from support.singleton_refine import singleton_status
 
 Q = FieldKind(0)
 
@@ -82,10 +88,21 @@ class TestSingletonOverlaps:
         assert set(rep.pairs.values()) == {"singleton"}
 
     def test_interval_mixed(self, bundled):
-        rep = check_singleton_overlaps(bundled("interval-overlap").spec)
+        spec = bundled("interval-overlap").spec
+        rep = check_singleton_overlaps(spec)
         assert rep.pairs[(1, 3)] == "singleton"
-        assert rep.pairs[(1, 2)] == "unknown"  # genuinely fat, never certifies
+        assert rep.pairs[(1, 2)] == "several"  # a segment: two certified points refute it
         assert not rep.all_small
+        assert rep.witnesses[(1, 2)] == (P("1/4", 0), P("7/24", 0))
+        assert sorted(rep.witnesses) == [(1, 2), (2, 3)]
+        for (i, j), points in rep.witnesses.items():
+            for p in points:
+                assert [point_in_cell(spec, p, Word((k,), 3)) for k in (i, j)] == ["yes", "yes"]
+
+    def test_starved_budget_still_refutes_fat_pairs(self, bundled):
+        starved = Budget(cert_period_max=1, cert_preperiod_max=0)
+        rep = check_singleton_overlaps(bundled("interval-overlap").spec, starved)
+        assert rep.pairs == {(1, 2): "several", (1, 3): "singleton", (2, 3): "several"}
 
     def test_disjoint_cells_count_as_small(self, bundled):
         rep = check_singleton_overlaps(bundled("two-map-split").spec)
@@ -95,6 +112,69 @@ class TestSingletonOverlaps:
     def test_needs_geometry(self, bundled):
         with pytest.raises(SpecError):
             check_singleton_overlaps(bundled("finite-cycle").spec)
+
+
+def test_interval_overlap_singleton_refinement_calls(monkeypatch):
+    """Fat overlaps are refuted from two certified points, not refined to the
+    frontier cap: refining them made 5,463 intersection_cycle and 27,060
+    common_point_exists calls."""
+    spec = cli.load_bundled("interval-overlap").spec
+    calls = {"intersection_cycle": 0, "common_point_exists": 0}
+
+    def counting(name):
+        original = getattr(classify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classify, name, counting(name))
+    rep = check_singleton_overlaps(spec)
+    assert rep.pairs == {(1, 2): "several", (1, 3): "singleton", (2, 3): "several"}
+    assert calls["intersection_cycle"] < 100
+    assert calls["common_point_exists"] < 100
+
+
+WORDS2 = enumerate_words(3, 2)
+
+
+@st.composite
+def derived_systems(draw):
+    """Subsystems of interval-overlap and of the gasket on depth-2 words, and
+    the second iterate of interval-overlap, whose fat pairs multiply."""
+    name = draw(st.sampled_from(["interval-overlap", "gasket"]))
+    spec = cli.load_bundled(name).spec
+    if name == "interval-overlap" and draw(st.booleans()):
+        return iterate_system(spec, 2)
+    words = draw(st.lists(st.sampled_from(WORDS2), min_size=2, max_size=5, unique=True))
+    return build_iterate_or_subsystem(spec, words)
+
+
+@settings(max_examples=20, deadline=None)
+@given(derived_systems(), st.integers(min_value=2, max_value=3), st.data())
+def test_singletons_match_the_refinement_reference(spec, refine_depth, data):
+    """The two-point refutation answers what refinement alone answers, with
+    `several` read as unknown, and each witness is certified in both cells.
+    A `several` pair costs the reference about a second, so one of them is
+    drawn for it; every other pair is checked."""
+    budget = Budget(refine_depth=refine_depth)
+    rep = check_singleton_overlaps(spec, budget)
+    several = sorted(p for p, s in rep.pairs.items() if s == "several")
+    checked = [p for p in sorted(rep.pairs) if p not in several]
+    if several:
+        checked.append(data.draw(st.sampled_from(several)))
+    for i, j in checked:
+        status = rep.pairs[(i, j)]
+        assert ("unknown" if status == "several" else status) == \
+            singleton_status(spec, i, j, budget)
+    assert sorted(rep.witnesses) == several
+    for (i, j), points in rep.witnesses.items():
+        assert len(set(points)) == 2
+        for p in points:
+            for k in (i, j):
+                assert point_in_cell(spec, p, Word((k,), spec.m), budget) == "yes"
 
 
 class TestPivotConditions:
