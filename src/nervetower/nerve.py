@@ -370,10 +370,14 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
     simplex at depth k+1 certifies its truncated image at depth k (cells only
     grow under truncation), so any image missing merely because the shallower
     query exhausted its budget is added and dropped from the uncertain log.
+    A generated level with no uncertain tuples is already exact up to its
+    cap, so only table levels and levels with uncertain tuples are swept.
     """
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    table = isinstance(spec.backend, TableBackend)
     for k in range(len(complexes) - 1, 0, -1):
-        _sweep_certificates(complexes[k], complexes[k - 1])
+        if table or complexes[k - 1].uncertain:
+            _sweep_certificates(complexes[k], complexes[k - 1])
     maps = [truncation_map(complexes[i + 1], complexes[i]) for i in range(len(complexes) - 1)]
     return TowerData(spec, dim_cap, budget, complexes, maps,
                      [components(c) for c in complexes])

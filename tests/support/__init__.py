@@ -1,0 +1,15 @@
+"""Slow references that the package's fast paths are checked against.
+
+* `allpairs_nerve`: every pair of depth-k cells asked of the oracle, then
+  cliques; checks the block-copy generator `nerve._levels` on geometric
+  systems and the certificate sweep of `nerve.tower_complexes`.
+* `pu_nerve`: symbolic nerves as sets of word sets; checks the index
+  generator `nerve._lifted_level` and its address-consistency errors.
+* `linalg_oracle`: dense Gaussian elimination and cochain pullback; checks
+  the sparse reduction `homology._reduce`, `homology.betti` and the
+  mapping-cone `homology.induced_rank`.
+* `finite_oracle`: cells of finite point systems as point sets; checks the
+  hand-worked table levels of the bundled finite-cycle and finite-trivial.
+* `singleton_refine`: the singleton-overlap check by refinement alone;
+  checks the two-point refutation in `classify.check_singleton_overlaps`.
+"""

@@ -7,11 +7,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import cli, oracles
+from nervetower import cli, nerve, oracles
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.nerve import (SimplicialComplex, TowerData, block_subcomplex, build_nerve,
                               build_iterate_or_subsystem, iterate_system,
-                              tower_complexes, truncation_map)
+                              _sweep_certificates, tower_complexes, truncation_map)
 from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyError,
                                 GeometricBackend, SpecError, SymbolicPUBackend,
                                 SystemSpec)
@@ -331,6 +331,63 @@ def test_gasket_depth6_oracle_calls(monkeypatch):
     built = len(calls)
     build_nerve(spec, 6)  # the levels are cached on the spec
     assert len(calls) == built
+
+
+GENERATING_DEPTHS = {
+    "gasket": 4, "snowflake": 2, "interval-overlap": 3, "five-map-funnel": 3,
+    "gasket-sub-mixed": 2, "gasket-sub7": 2, "two-map-split": 5, "pentagasket": 4,
+    "simplex-boundary-1": 3, "simplex-boundary-2": 3, "simplex-boundary-3": 3,
+    "simplex-boundary-4": 3,
+}
+
+
+def assert_sweep_adds_nothing_below_exact_levels(spec, depth, dim_cap, budget):
+    """Sweeping a level free of uncertain tuples adds nothing to it, so
+    tower_complexes may skip it.  Returns the number of such levels."""
+    exact = 0
+    for k in range(1, depth):
+        long, short = (build_nerve(spec, level, dim_cap, budget) for level in (k + 1, k))
+        if short.uncertain:
+            continue
+        before = dict(short.simplices)
+        _sweep_certificates(long, short)  # build_nerve hands out copies
+        assert short.simplices == before and short.uncertain == ()
+        exact += 1
+    return exact
+
+
+class TestCertificateSweep:
+    @pytest.mark.parametrize("name", sorted(GENERATING_DEPTHS))
+    def test_exact_generated_levels_gain_nothing(self, bundled, name):
+        spec = bundled(name).spec
+        for dim_cap in (2, 3):
+            assert assert_sweep_adds_nothing_below_exact_levels(
+                spec, GENERATING_DEPTHS[name], dim_cap, Budget()) == \
+                GENERATING_DEPTHS[name] - 1
+
+    def test_slow_to_separate(self):
+        spec = slow_to_separate_spec()
+        assert assert_sweep_adds_nothing_below_exact_levels(spec, 6, 2, Budget()) == 5
+        # starved, every level is uncertain and is swept
+        assert assert_sweep_adds_nothing_below_exact_levels(spec, 6, 2, STARVED) == 0
+
+    @pytest.mark.parametrize("name,depth,swept", [
+        ("pentagasket", 4, []), ("gasket", 4, []),
+        ("finite-cycle", 2, [1]), ("banded-annuli", 2, [1])])
+    def test_table_levels_swept_exact_generated_levels_skipped(self, monkeypatch, name,
+                                                               depth, swept):
+        calls = []
+        monkeypatch.setattr(nerve, "_sweep_certificates",
+                            lambda long, short: calls.append(short.level))
+        tower_complexes(cli.load_bundled(name).spec, depth)
+        assert calls == swept
+
+    def test_uncertain_levels_are_swept(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nerve, "_sweep_certificates",
+                            lambda long, short: calls.append(short.level))
+        tower_complexes(slow_to_separate_spec(), 3, 2, STARVED)
+        assert calls == [2, 1]
 
 
 def addresses(m):

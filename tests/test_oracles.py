@@ -15,6 +15,7 @@ from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 generate_pu_nerve, limit_point, point_in_cell,
                                 word_map)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
+from support.finite_oracle import finite_cycle_system, finite_trivial_system
 
 
 def P(x, y):
@@ -173,6 +174,15 @@ class TestTableBackend:
     def test_level_one_required(self):
         with pytest.raises(SpecError):
             TableBackend(2, {2: [[(1, 1), (2, 2)]]})
+
+    @pytest.mark.parametrize("name,system", [("finite-cycle", finite_cycle_system),
+                                             ("finite-trivial", finite_trivial_system)])
+    def test_bundled_levels_match_point_sets(self, bundled, name, system):
+        """The hand-worked table levels are the nerves of the point-set systems."""
+        backend = bundled(name).spec.backend
+        for level, stored in backend.levels.items():
+            assert {frozenset(w.symbols for w in s) for s in stored} == \
+                system().nerve_word_sets(level)
 
 
 class TestSymbolicBackend:
