@@ -24,7 +24,8 @@ _TOWER_DEPTHS = {
     "gasket-sub-mixed": 2, "banded-annuli": 2, "finite-cycle": 2, "finite-trivial": 2,
 }
 # banded-annuli stores table data to depth 2 only
-CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3}
+CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3,
+                   "snowflake": 2}
 
 
 def _cases() -> list[tuple[str, list[str]]]:
