@@ -52,6 +52,7 @@ class PairReport:
     prefix: Optional[Word] = None        # the unique address prefix, to the checked depth
     address: Optional[Address] = None    # when the pulled-back point has a known periodic tail
     detail: str = ""
+    singular: bool = False               # unknown because cell map i has no inverse
 
 
 @dataclass
@@ -76,6 +77,8 @@ def check_postunbranched(spec: SystemSpec, depth: int = 4,
     depth-d cell for every d <= depth, the same one for all points.  The
     symbolic backend carries the property by construction; only its address
     consistency is re-validated.  Table systems have no geometry to check.
+    A singular cell map cannot pull its overlap points back, so its pairs
+    stay unknown, and the report names that map rather than the budget.
     """
     if depth < 1:
         raise SpecError("check depth must be at least 1")
@@ -89,6 +92,7 @@ def check_postunbranched(spec: SystemSpec, depth: int = 4,
     pairs: dict[tuple[int, int], PairReport] = {}
     any_unknown = False
     violation = ""
+    singular = ""
     for i in range(1, spec.m + 1):
         for j in range(1, spec.m + 1):
             if i == j:
@@ -97,10 +101,15 @@ def check_postunbranched(spec: SystemSpec, depth: int = 4,
             pairs[(i, j)] = report
             if report.status == "violated" and not violation:
                 violation = f"pair ({i},{j}): {report.detail}"
+            if report.singular and not singular:
+                singular = f"pair ({i},{j}): {report.detail}"
             any_unknown = any_unknown or report.status == "unknown"
     if violation:
         return PUReport(spec.name, depth, "not-postunbranched", "branching-witness",
                         pairs, witness=violation)
+    if singular:  # no budget could pull the overlap back through that map
+        return PUReport(spec.name, depth, "unknown", "singular-cell-map", pairs,
+                        witness=singular)
     if any_unknown:
         return PUReport(spec.name, depth, "unknown", "budget-exhausted", pairs)
     return PUReport(spec.name, depth, "postunbranched", "checked-to-depth", pairs)
@@ -127,7 +136,12 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
         return PairReport((i, j), "unknown", detail=verdict.note)
 
     points = tuple(certificate_points(spec, (wi, wj), budget))
-    pull = oracles.word_map(spec, wi).inverse()
+    try:
+        pull = oracles.word_map(spec, wi).inverse()
+    except ValueError:
+        return PairReport((i, j), "unknown", points, singular=True,
+                          detail=f"cell map {i} is singular: overlap points cannot be "
+                                 f"pulled back through it")
     tails = oracles._tail_table(spec, budget)
     shared_prefix: Optional[Word] = None
     address: Optional[Address] = None

@@ -566,7 +566,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "postunbranched": f"postunbranched up to depth {pu_report.depth}"
                               f" ({pu_report.mechanism})",
             "not-postunbranched": f"not postunbranched: {pu_report.witness}",
-            "unknown": "postunbranched: unknown within budget",
+            "unknown": f"postunbranched: unknown: {pu_report.witness}" if pu_report.witness
+                       else "postunbranched: unknown within budget",
         }[pu_report.status])
     else:
         lines.append("postunbranched: no geometry or addresses to check")

@@ -1,9 +1,13 @@
 """Exact rational plane geometry: affine maps and convex polygon predicates.
 
-Everything here is computed over fractions.Fraction.  Floats are rejected at
-the boundary: the intersection patterns this package certifies routinely hinge
-on polygons meeting in exactly one point, which no floating-point predicate
-can witness.
+Coordinates are fractions.Fraction.  Certified limit points, which are
+mapped in bulk, are also written as normalized integer triples
+(Point2.homogeneous) and maps over one common denominator
+(RationalAffineMap.over_common_denominator), so that an image is a few
+integer products and equal points have equal keys.  There are no floats:
+they are rejected at the boundary, because the intersection patterns this
+package certifies routinely hinge on polygons meeting in exactly one point,
+which no floating-point predicate can witness.
 
 Degenerate convex polygons are first-class: a segment (two vertices) and a
 single point (one vertex) occur naturally as envelopes of systems living on a
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -48,6 +53,18 @@ class Point2:
 
     def as_pair(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.y)
+
+    def homogeneous(self) -> tuple[int, int, int]:
+        """The normalized integer triple (X, Y, Z): x = X/Z, y = Y/Z, Z > 0 and
+        gcd(X, Y, Z) = 1, so equal points have equal triples."""
+        z = lcm(self.x.denominator, self.y.denominator)
+        return (self.x.numerator * (z // self.x.denominator),
+                self.y.numerator * (z // self.y.denominator), z)
+
+    @staticmethod
+    def from_homogeneous(triple: tuple[int, int, int]) -> "Point2":
+        x, y, z = triple
+        return Point2(Fraction(x, z), Fraction(y, z))
 
 
 def cross(o: Point2, a: Point2, b: Point2) -> Fraction:
@@ -85,6 +102,12 @@ class RationalAffineMap:
         if center is None:
             return RationalAffineMap(r, 0, 0, r, 0, 0)
         return RationalAffineMap(r, 0, 0, r, (1 - r) * center.x, (1 - r) * center.y)
+
+    def over_common_denominator(self) -> tuple[int, int, int, int, int, int, int]:
+        """(A, B, C, D, E, F, den): the six coefficients a..f as A/den .. F/den."""
+        coeffs = (self.a, self.b, self.c, self.d, self.e, self.f)
+        den = lcm(*(q.denominator for q in coeffs))
+        return tuple(q.numerator * (den // q.denominator) for q in coeffs) + (den,)
 
     def determinant(self) -> Fraction:
         return self.a * self.d - self.b * self.c
@@ -211,8 +234,17 @@ class ConvexPolygon:
 
 
 def map_polygon(f: RationalAffineMap, poly: ConvexPolygon) -> ConvexPolygon:
-    # The hull re-normalizes: a singular map may collapse dimension.
-    return ConvexPolygon.hull(f(p) for p in poly.vertices)
+    """The image polygon, in the normal form ConvexPolygon.hull gives."""
+    images = [f(p) for p in poly.vertices]
+    det = f.determinant()
+    if det == 0:  # the map may collapse dimension; the hull re-normalizes
+        return ConvexPolygon.hull(images)
+    # A nonsingular map keeps a strictly convex cycle strictly convex; only
+    # a reflection turns it clockwise.  The hull starts at the smallest vertex.
+    if det < 0:
+        images.reverse()
+    start = min(range(len(images)), key=lambda i: images[i].as_pair())
+    return ConvexPolygon(tuple(images[start:] + images[:start]))
 
 
 def _clip(cycle: list[Point2], hp: tuple[Fraction, Fraction, Fraction]) -> list[Point2]:

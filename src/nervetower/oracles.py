@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import gcd
 from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
 
 from .exactgeom import (
@@ -317,27 +318,53 @@ def _tail_table(spec: SystemSpec, budget: Budget) -> dict[Point2, Address]:
     return table
 
 
-def _word_points(spec: SystemSpec, w: Word, budget: Budget) -> dict[Point2, Address]:
-    """In-budget certified points of cell(w), each mapped to its tail address."""
+# A certified point keyed by its normalized homogeneous integer triple.
+PointKey = tuple[int, int, int]
+
+
+def _tail_triples(spec: SystemSpec, budget: Budget) -> tuple[tuple[PointKey, Address], ...]:
+    """The tail table's points as normalized integer triples, in table order."""
+    key = ("tail_triples", budget.cert_preperiod_max, budget.cert_period_max)
+    got = spec._cache.get(key)
+    if got is None:
+        got = tuple((p.homogeneous(), addr) for p, addr in _tail_table(spec, budget).items())
+        spec._cache[key] = got
+    return got
+
+
+def _word_points(spec: SystemSpec, w: Word, budget: Budget) -> dict[PointKey, Address]:
+    """In-budget certified points of cell(w), each mapped to its tail address.
+
+    Points are keyed by normalized integer triples (Point2.homogeneous): each
+    tail point's image under w's map, written over one common denominator, is
+    six integer products, a gcd and three exact divisions.  The first tail
+    address in table order wins when a singular map merges points.
+    """
     key = ("word_points", w.symbols, budget.cert_preperiod_max, budget.cert_period_max)
     got = spec._cache.get(key)
     if got is not None:
         return got
-    f = word_map(spec, w)
-    table: dict[Point2, Address] = {}
-    for point, addr in _tail_table(spec, budget).items():
-        table.setdefault(f(point), addr)
+    a, b, c, d, e, f, den = word_map(spec, w).over_common_denominator()
+    table: dict[PointKey, Address] = {}
+    for (x, y, z), addr in _tail_triples(spec, budget):
+        px, py, pz = a * x + b * y + e * z, c * x + d * y + f * z, den * z
+        g = gcd(px, py, pz)
+        table.setdefault((px // g, py // g, pz // g), addr)
     spec._cache[key] = table
     return table
 
 
-def certificate_points(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> list[Point2]:
-    """All in-budget points certified to lie in every listed cell, sorted."""
-    dicts = [_word_points(spec, w, budget) for w in ws]
+def _common_keys(dicts: Sequence[dict[PointKey, Address]]) -> set[PointKey]:
     common = set(dicts[0])
     for d in dicts[1:]:
-        common &= set(d)
-    return sorted(common, key=Point2.as_pair)
+        common &= d.keys()
+    return common
+
+
+def certificate_points(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> list[Point2]:
+    """All in-budget points certified to lie in every listed cell, sorted."""
+    common = _common_keys([_word_points(spec, w, budget) for w in ws])
+    return sorted(map(Point2.from_homogeneous, common), key=Point2.as_pair)
 
 
 def _validate_query(spec: SystemSpec, ws: Sequence[Word]) -> tuple[Word, ...]:
@@ -378,20 +405,15 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
 
 def _geometric_intersect(spec: SystemSpec, ws: tuple[Word, ...], budget: Budget) -> Verdict:
     envelopes = [cell_envelope(spec, w) for w in ws]
-    if len(ws) == 1:
-        point = min(_word_points(spec, ws[0], budget), key=Point2.as_pair)
-        addr = _word_points(spec, ws[0], budget)[point]
-        return Verdict.intersect("geometric", point, (concat(ws[0], addr),))
-    if not common_point_exists(envelopes):
+    if len(ws) > 1 and not common_point_exists(envelopes):
         return Verdict.disjoint(0, "geometric")
 
     dicts = [_word_points(spec, w, budget) for w in ws]
-    common = set(dicts[0])
-    for d in dicts[1:]:
-        common &= set(d)
+    common = _common_keys(dicts)
     if common:
-        point = min(common, key=Point2.as_pair)
-        addresses = tuple(concat(w, d[point]) for w, d in zip(ws, dicts))
+        point = min(map(Point2.from_homogeneous, common), key=Point2.as_pair)
+        key = point.homogeneous()
+        addresses = tuple(concat(w, d[key]) for w, d in zip(ws, dicts))
         return Verdict.intersect("geometric", point, addresses)
 
     alive: list[tuple[Word, ...]] = [ws]

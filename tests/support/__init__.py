@@ -12,4 +12,8 @@
   hand-worked table levels of the bundled finite-cycle and finite-trivial.
 * `singleton_refine`: the singleton-overlap check by refinement alone;
   checks the two-point refutation in `classify.check_singleton_overlaps`.
+* `fraction_geometry`: certificate points as `Fraction` points and envelope
+  images re-hulled; checks the integer-triple `oracles._word_points` (and
+  `oracles.certificate_points` on it) and the hull-free
+  `exactgeom.map_polygon` for nonsingular maps.
 """

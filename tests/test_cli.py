@@ -137,6 +137,25 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "n.json").read_text())
         assert doc["uncertain"]
 
+    def test_singular_cell_map_is_unknown_not_a_traceback(self, tmp_path, capsys):
+        # cell map 1 flattens the triangle onto a segment: the overlap points
+        # of pair (1,2) cannot be pulled back through it
+        doc = dict(GASKET_DOC, name="singular-first-map")
+        doc["backend"] = dict(doc["backend"], maps=[
+            {"matrix": [["1/2", 0], [0, 0]], "translation": [0, 0]},
+            *GASKET_DOC["backend"]["maps"][1:]])
+        path = write_doc(tmp_path, doc)
+        assert main(["tower", path, "--max-depth", "2",
+                     "--out-csv", str(tmp_path / "t.csv")]) == EXIT_OK
+        report = tmp_path / "c.json"
+        assert main(["classify", path, "--out-report", str(report)]) == EXIT_UNCERTAIN
+        pu = json.loads(report.read_text())["postunbranched"]
+        assert (pu["status"], pu["mechanism"]) == ("unknown", "singular-cell-map")
+        assert pu["pairs"]["1,2"]["status"] == "unknown"
+        assert "cell map 1 is singular" in pu["pairs"]["1,2"]["detail"]
+        assert pu["witness"].startswith("pair (1,2): cell map 1 is singular")
+        assert "cell map 1 is singular" in capsys.readouterr().out
+
     def test_resource_cap(self, tmp_path, capsys):
         code = main(["tower", "gasket", "--max-depth", "9", "--max-cells", "1000",
                      "--out-csv", str(tmp_path / "t.csv")])

@@ -1,14 +1,16 @@
 """Exact rational geometry: maps, hulls, clipping, intersection emptiness."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap,
                                   bboxes_overlap, check_envelope,
                                   common_point_exists, compose, cross,
                                   intersection_cycle, map_polygon, rational)
+from support import fraction_geometry
 
 
 def P(x, y):
@@ -171,6 +173,59 @@ class TestIntersection:
                  ConvexPolygon.hull(pts)]
         for q in intersection_cycle(polys):
             assert all(poly.contains_point(q) for poly in polys)
+
+
+@st.composite
+def affine_maps(draw):
+    """Rational affine maps of every kind: det > 0, det < 0 (reflections),
+    rank one (projections) and rank zero (constants)."""
+    kind = draw(st.sampled_from(["preserving", "reflecting", "projection", "constant"]))
+    e, f = draw(fracs), draw(fracs)
+    if kind == "constant":
+        return RationalAffineMap(0, 0, 0, 0, e, f)
+    if kind == "projection":
+        p, q, r, s = (draw(fracs) for _ in range(4))
+        return RationalAffineMap(p * r, p * s, q * r, q * s, e, f)
+    a, b, c, d = (draw(fracs) for _ in range(4))
+    det = a * d - b * c
+    assume(det != 0)
+    if (det > 0) != (kind == "preserving"):
+        a, b, c, d = c, d, a, b  # swapping the rows negates det
+    return RationalAffineMap(a, b, c, d, e, f)
+
+
+SHAPES = [  # a point, a segment, a triangle and a hexagon
+    ConvexPolygon.hull([P(1, 2)]),
+    ConvexPolygon.hull([P(0, 0), P(2, 1)]),
+    TRIANGLE,
+    ConvexPolygon.hull([P(0, 0), P(2, 0), P(3, 1), P(2, 2), P(0, 2), P(-1, 1)]),
+]
+
+
+class TestMapPolygon:
+    @given(affine_maps(), st.sampled_from(SHAPES))
+    def test_matches_the_hull_reference(self, f, poly):
+        assert map_polygon(f, poly).vertices == \
+            fraction_geometry.map_polygon(f, poly).vertices
+
+    def test_reflection_keeps_ccw_normal_form(self):
+        swap = RationalAffineMap(0, Fraction(1, 2), Fraction(1, 2), 0, 0, 0)
+        assert map_polygon(swap, UNIT_SQUARE).vertices == (
+            P(0, 0), P("1/2", 0), P("1/2", "1/2"), P(0, "1/2"))
+
+
+class TestHomogeneous:
+    @given(points)
+    def test_round_trip_and_normal_form(self, p):
+        x, y, z = p.homogeneous()
+        assert z > 0 and gcd(x, y, z) == 1
+        assert Point2.from_homogeneous((x, y, z)) == p
+
+    @given(affine_maps())
+    def test_common_denominator(self, f):
+        *nums, den = f.over_common_denominator()
+        assert den > 0
+        assert [Fraction(n, den) for n in nums] == [f.a, f.b, f.c, f.d, f.e, f.f]
 
 
 class TestEnvelope:

@@ -6,15 +6,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower.exactgeom import Point2, compose
-from nervetower.nerve import build_nerve
+from nervetower import cli
+from nervetower.classify import check_postunbranched
+from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap, compose
+from nervetower.nerve import (build_iterate_or_subsystem, build_nerve,
+                              iterate_system, tower_complexes)
 from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 SymbolicPUBackend, SystemSpec, TableBackend,
-                                Verdict, cell_envelope, cells_containing_point,
-                                cells_intersect, certificate_points,
-                                generate_pu_nerve, limit_point, point_in_cell,
-                                word_map)
+                                Verdict, _word_points, cell_envelope,
+                                cells_containing_point, cells_intersect,
+                                certificate_points, generate_pu_nerve,
+                                limit_point, point_in_cell, word_map)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
+from support import fraction_geometry
 from support.finite_oracle import finite_cycle_system, finite_trivial_system
 
 
@@ -118,6 +122,91 @@ class TestGeometricVerdicts:
                     continue
                 big = cells_intersect(gasket, [words[i], words[j]], Budget())
                 assert big.kind == small.kind
+
+
+def _gasket_doc(map1, orientation="forward", scale="1/2", shift="1/2"):
+    """The gasket with its first map replaced by `map1`."""
+    return {
+        "name": "gasket-variant", "orientation": orientation, "m": 3,
+        "backend": {
+            "kind": "geometric",
+            "maps": [map1,
+                     {"matrix": [[scale, 0], [0, scale]], "translation": [shift, 0]},
+                     {"matrix": [[scale, 0], [0, scale]], "translation": [0, shift]}],
+            "envelope": [[0, 0], [1, 0], [0, 1]],
+        },
+    }
+
+
+CERTIFICATE_DOCS = {
+    "reflected": _gasket_doc({"matrix": [[0, "1/2"], ["1/2", 0]], "translation": [0, 0]}),
+    "singular": _gasket_doc({"matrix": [["1/2", 0], [0, 0]], "translation": [0, 0]}),
+    "backward": _gasket_doc({"matrix": [[2, 0], [0, 2]], "translation": [0, 0]},
+                            orientation="backward", scale=2, shift=-1),
+}
+
+
+@st.composite
+def certificate_systems(draw):
+    """Gasket variants with a reflection, a singular map or a backward
+    orientation, subsystems of the snowflake, and the second iterate of
+    interval-overlap."""
+    kind = draw(st.sampled_from(sorted(CERTIFICATE_DOCS) + ["snowflake-sub", "iterate"]))
+    if kind in CERTIFICATE_DOCS:
+        return cli.parse_spec(CERTIFICATE_DOCS[kind]).spec
+    if kind == "iterate":
+        return iterate_system(cli.load_bundled("interval-overlap").spec, 2)
+    depth = draw(st.integers(min_value=1, max_value=2))
+    words = draw(st.lists(st.sampled_from(enumerate_words(7, depth)),
+                          min_size=2, max_size=4, unique=True))
+    return build_iterate_or_subsystem(cli.load_bundled("snowflake").spec, words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(certificate_systems(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=1), st.data())
+def test_word_points_match_the_fraction_reference(spec, period, preperiod, data):
+    """Integer-triple certificate points are the Fraction reference's points,
+    with the same tail addresses, and the same sorted common points."""
+    budget = Budget(cert_period_max=period, cert_preperiod_max=preperiod)
+    words = st.integers(min_value=0, max_value=2).flatmap(
+        lambda k: st.sampled_from(enumerate_words(spec.m, k)))
+    for w in data.draw(st.lists(words, min_size=1, max_size=4)):
+        fast = {Point2.from_homogeneous(key): addr
+                for key, addr in _word_points(spec, w, budget).items()}
+        assert fast == fraction_geometry.word_points(spec, w, budget)
+    for _ in range(3):
+        k = data.draw(st.integers(min_value=1, max_value=2))
+        u, v = data.draw(st.lists(st.sampled_from(enumerate_words(spec.m, k)),
+                                  min_size=2, max_size=2, unique=True))
+        expected = fraction_geometry.certificate_points(spec, (u, v), budget)
+        assert certificate_points(spec, (u, v), budget) == expected
+        if expected:  # the verdict point is the smallest common point
+            assert cells_intersect(spec, (u, v), budget).point == expected[0]
+
+
+def test_snowflake_certificate_map_calls(monkeypatch):
+    """Certified points are mapped as integer triples, and nonsingular
+    envelope images are not re-hulled: with Fraction points and a hull per
+    image, this run made 20,516 map applications and 308 hulls."""
+    spec = cli.load_bundled("snowflake").spec
+    calls = {"map": 0, "hull": 0}
+    apply, hull = RationalAffineMap.__call__, ConvexPolygon.hull
+
+    def counting_apply(self, p):
+        calls["map"] += 1
+        return apply(self, p)
+
+    def counting_hull(points):
+        calls["hull"] += 1
+        return hull(points)
+
+    monkeypatch.setattr(RationalAffineMap, "__call__", counting_apply)
+    monkeypatch.setattr(ConvexPolygon, "hull", staticmethod(counting_hull))
+    tower_complexes(spec, 3)
+    check_postunbranched(spec)
+    assert calls["map"] < 5000
+    assert calls["hull"] == 0
 
 
 class TestPointQueries:
