@@ -132,10 +132,13 @@ class TestExitCodes:
         path = write_doc(tmp_path, SLOW_DOC)
         code = main(["nerve", path, "--depth", "1", "--refine-depth", "0",
                      "--cert-period", "1", "--cert-preperiod", "0",
-                     "--out-json", str(tmp_path / "n.json")])
+                     "--out-json", str(tmp_path / "n.json"),
+                     "--out-dot", str(tmp_path / "n.dot")])
         assert code == EXIT_UNCERTAIN
         doc = json.loads((tmp_path / "n.json").read_text())
         assert doc["uncertain"]
+        dot = (tmp_path / "n.dot").read_text().splitlines()
+        assert '  "1" -- "2" [style=dashed label="uncertain"];' in dot
 
     def test_singular_cell_map_is_unknown_not_a_traceback(self, tmp_path, capsys):
         # cell map 1 flattens the triangle onto a segment: the overlap points

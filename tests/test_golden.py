@@ -1,8 +1,8 @@
-"""Golden-output contract: `tower` and `classify` reports byte for byte.
+"""Golden-output contract: `tower`, `classify` and `nerve` reports byte for byte.
 
-Every bundled system's tower CSV and JSON report, and the classify report of
-a few systems that exercise each checker, are compared against fixtures in
-tests/golden/.  A refactor that is meant to keep the command-line output must
+Every bundled system's tower CSV and JSON report, the classify report of a
+few systems that exercise each checker, and the nerve JSON and DOT export of
+one system per backend are compared against fixtures in tests/golden/.  A refactor that is meant to keep the command-line output must
 leave every fixture untouched; an intended output change regenerates them
 with
 
@@ -26,6 +26,8 @@ _TOWER_DEPTHS = {
 # banded-annuli stores table data to depth 2 only
 CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3,
                    "snowflake": 2}
+# one geometric system per oracle path, one symbolic and one table system
+NERVE_DEPTHS = {"gasket": 3, "snowflake": 2, "pentagasket": 3, "finite-cycle": 2}
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -35,13 +37,18 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append((f"tower-{name}-k{depth}", ["tower", name, "--max-depth", str(depth)]))
     cases.extend((f"classify-{name}", ["classify", name, "--max-depth", str(depth)])
                  for name, depth in CLASSIFY_DEPTHS.items())
+    cases.extend((f"nerve-{name}-k{depth}", ["nerve", name, "--depth", str(depth)])
+                 for name, depth in NERVE_DEPTHS.items())
     return cases
 
 
 def _run(argv: list[str], out_dir: Path, case: str) -> dict[str, str]:
     """Run one command; return its outputs keyed by fixture file name."""
-    report = out_dir / f"{case}.json"
-    extra = ["--out-report", str(report)]
+    if argv[0] == "nerve":
+        extra = ["--out-json", str(out_dir / f"{case}.json"),
+                 "--out-dot", str(out_dir / f"{case}.dot")]
+    else:
+        extra = ["--out-report", str(out_dir / f"{case}.json")]
     if argv[0] == "tower":
         extra += ["--out-csv", str(out_dir / f"{case}.csv")]
     stdout = io.StringIO()
