@@ -279,13 +279,8 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
         count == 1, f"depth-1 nerve has {count} component(s)")
 
     pp = n2.index_of(Word((pivot, pivot), spec.m))
-    offender = ""
-    for (x, y) in n2.simplices.get(1, ()):
-        if pp in (x, y):
-            other = n2.words[y if x == pp else x]
-            if other.symbols[0] != pivot:
-                offender = str(other)
-                break
+    offender = next((str(w) for edge in n2.simplices.get(1, ()) if pp in edge
+                     for w in map(n2.word, edge) if w.symbols[0] != pivot), "")
     conditions["pivot-block-isolated"] = ConditionResult(
         offender == "",
         f"cell {pivot}{pivot} touches cell {offender}" if offender

@@ -301,6 +301,7 @@ def _address_doc(addr: Address) -> dict:
 
 
 def nerve_doc(complex_: SimplicialComplex, name: str) -> dict:
+    names = [str(complex_.word(v)) for v in range(complex_.m ** complex_.level)]
     return {
         "name": name,
         "depth": complex_.level,
@@ -309,7 +310,7 @@ def nerve_doc(complex_: SimplicialComplex, name: str) -> dict:
         "complete": complex_.complete,
         "counts": {str(d): n for d, n in sorted(complex_.simplex_counts().items())},
         "simplices": {
-            str(dim): sorted(sorted(str(complex_.words[v]) for v in s) for s in sims)
+            str(dim): sorted(sorted(names[v] for v in s) for s in sims)
             for dim, sims in sorted(complex_.simplices.items()) if sims
         },
         "uncertain": [
@@ -320,12 +321,12 @@ def nerve_doc(complex_: SimplicialComplex, name: str) -> dict:
 
 
 def nerve_dot(complex_: SimplicialComplex, name: str) -> str:
+    names = [str(complex_.word(v)) for v in range(complex_.m ** complex_.level)]
     lines = [f'graph "{name}-k{complex_.level}" {{']
-    for w in complex_.words:
-        lines.append(f'  "{w}";')
+    lines.extend(f'  "{w}";' for w in names)
     edge_lines = []
     for (i, j) in complex_.simplices.get(1, ()):
-        a, b = sorted((str(complex_.words[i]), str(complex_.words[j])))
+        a, b = sorted((names[i], names[j]))
         edge_lines.append(f'  "{a}" -- "{b}";')
     for ws, _note in complex_.uncertain:
         if len(ws) == 2:

@@ -63,20 +63,17 @@ class ComponentsLevel:
 
 
 def components(complex_: SimplicialComplex) -> ComponentsLevel:
-    n = len(complex_.words)
+    n = complex_.m ** complex_.level
     uf = UnionFind(n)
     for (a, b) in complex_.simplices.get(1, ()):
         uf.union(a, b)
-    roots: dict[int, int] = {}
-    reps: list[Word] = []
-    labels = [0] * n
-    for i in range(n):  # words are in lexicographic order already
-        root = uf.find(i)
-        if root not in roots:
-            roots[root] = len(reps)
-            reps.append(complex_.words[i])
-        labels[i] = roots[root]
-    return ComponentsLevel(len(reps), tuple(labels), tuple(reps))
+    roots = [uf.find(i) for i in range(n)]
+    least: dict[int, int] = {}  # root -> least vertex, in the order of words
+    for i, root in enumerate(roots):
+        least.setdefault(root, i)
+    ids = {root: c for c, root in enumerate(least)}
+    return ComponentsLevel(len(least), tuple(ids[root] for root in roots),
+                           tuple(map(complex_.word, least.values())))
 
 
 VerdictKind = Literal[

@@ -13,6 +13,7 @@ reports can say exactly which conclusions are conditional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -31,26 +32,37 @@ from .oracles import (
 from .words import Word, enumerate_words
 
 
+def _index(m: int, level: int, w: Word) -> int:
+    if w.m != m or len(w) != level:
+        raise KeyError(w)
+    return sum((x - 1) * m ** (level - 1 - t) for t, x in enumerate(w.symbols))
+
+
+def _word(m: int, level: int, v: int) -> Word:
+    if not 0 <= v < m ** level:
+        raise IndexError(f"vertex {v} outside 0..{m ** level - 1}")
+    return Word(tuple(v // m ** t % m + 1 for t in range(level - 1, -1, -1)), m)
+
+
 @dataclass
 class SimplicialComplex:
     """A finite simplicial complex on the depth-`level` words of a system.
 
     simplices maps dimension -> sorted tuple of simplices, each a sorted tuple
-    of vertex indices into `words`.  Dimensions are enumerated up to dim_cap;
-    `complete` records whether that enumeration is in fact the whole nerve
-    (no larger simplex can exist), which is what makes Euler characteristics
-    and top-dimension Betti numbers exact.
+    of vertex indices.  Dimensions are enumerated up to dim_cap; `complete`
+    records whether that enumeration is in fact the whole nerve (no larger
+    simplex can exist), which is what makes Euler characteristics and
+    top-dimension Betti numbers exact.
 
-    Index layout: `words` are all m^level words in lexicographic order, so
-    index(w) = sum of (w_i - 1) m^(level - i).  Every layer works on these
-    indices by arithmetic: the copy of vertex v under a first symbol j is
-    (j - 1) m^(level - 1) + v, the children of v are v m + x for x in 0..m-1,
-    and dropping the last d symbols is v // m^d.
+    Index layout: vertex v is the v-th of the m^level words in lexicographic
+    order, index_of(w) = sum of (w_i - 1) m^(level - i), and word(v) builds it
+    where a word is read.  Every layer works on indices by arithmetic: the copy
+    of v under a first symbol j is (j - 1) m^(level - 1) + v, the children of v
+    are v m + x for x in 0..m-1, and dropping the last d symbols is v // m^d.
     """
 
     level: int
     m: int
-    words: tuple[Word, ...]
     simplices: dict[int, tuple[tuple[int, ...], ...]]
     dim_cap: int
     complete: bool
@@ -59,9 +71,11 @@ class SimplicialComplex:
     _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def index_of(self, w: Word) -> int:
-        if w.m != self.m or len(w) != self.level:
-            raise KeyError(w)
-        return sum((x - 1) * self.m ** (self.level - 1 - t) for t, x in enumerate(w.symbols))
+        return _index(self.m, self.level, w)
+
+    def word(self, v: int) -> Word:
+        """The word of vertex v: the base-m digits of v, each plus one."""
+        return _word(self.m, self.level, v)
 
     def simplex_counts(self) -> dict[int, int]:
         return {dim: len(sims) for dim, sims in self.simplices.items() if sims}
@@ -73,7 +87,7 @@ class SimplicialComplex:
         out: set[frozenset[Word]] = set()
         for sims in self.simplices.values():
             for s in sims:
-                out.add(frozenset(self.words[i] for i in s))
+                out.add(frozenset(map(self.word, s)))
         return out
 
     def euler_characteristic(self) -> int:
@@ -95,19 +109,17 @@ def _close_downward(buckets: dict[int, set[tuple[int, ...]]]) -> None:
 
 def _from_word_sets(spec: SystemSpec, level: int, sets, dim_cap: int) -> SimplicialComplex:
     """A table level: simplices read as stored, as sets of words."""
-    words = tuple(enumerate_words(spec.m, level))
-    index = {w: i for i, w in enumerate(words)}
-    buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(len(words))}}
+    buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(spec.m ** level)}}
     truncated = False
     for s in sets:
         dim = len(s) - 1
         if dim > dim_cap:
             truncated = True
             continue
-        buckets.setdefault(dim, set()).add(tuple(sorted(index[w] for w in s)))
+        buckets.setdefault(dim, set()).add(tuple(sorted(_index(spec.m, level, w) for w in s)))
     _close_downward(buckets)
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    return SimplicialComplex(level, spec.m, words, simplices, dim_cap, complete=not truncated)
+    return SimplicialComplex(level, spec.m, simplices, dim_cap, complete=not truncated)
 
 
 def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
@@ -160,43 +172,43 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
     copies = symbolic or all(f.determinant() != 0 for f in spec.cell_maps)
     while len(levels) < depth:
         prev = levels[-1] if levels else None
-        words = tuple(enumerate_words(spec.m, len(levels) + 1))
-        block = len(prev.words) if prev and copies else None
-        known, uncertain = _block_copies(prev, words) if block else ({}, [])
+        level = len(levels) + 1
+        block = spec.m ** prev.level if prev and copies else None
+        known, uncertain = _block_copies(prev) if block else ({}, [])
         if symbolic:
-            levels.append(_lifted_level(spec, words, known, dim_cap))
+            levels.append(_lifted_level(spec, level, known, dim_cap))
         else:
             pairs = _candidate_pairs(prev, block) if prev else combinations(range(spec.m), 2)
-            levels.append(_grow_level(spec, words, pairs, known, uncertain, block,
+            levels.append(_grow_level(spec, level, pairs, known, uncertain, block,
                                       dim_cap, budget))
     return levels
 
 
-def _block_copies(prev: SimplicialComplex, words: tuple[Word, ...]) -> tuple[dict, list]:
+def _block_copies(prev: SimplicialComplex) -> tuple[dict, list]:
     """The simplices (dimension >= 1) and uncertain entries of the m copies
-    j.N_k inside depth k+1: vertex v of N_k is vertex (j - 1) n_k + v."""
-    offsets = range(0, len(words), len(prev.words))
+    j.N_k inside depth k+1: vertex v of N_k is vertex (j - 1) m^k + v."""
+    offsets = range(0, prev.m ** (prev.level + 1), prev.m ** prev.level)
     known = {dim: [tuple(o + v for v in s) for o in offsets for s in sims]
              for dim, sims in prev.simplices.items() if dim}
-    uncertain = [(tuple(words[o + prev.index_of(w)] for w in ws), note)
-                 for o in offsets for ws, note in prev.uncertain]
+    uncertain = [(tuple(Word((j,) + w.symbols, prev.m) for w in ws), note)
+                 for j in range(1, prev.m + 1) for ws, note in prev.uncertain]
     return known, uncertain
 
 
-def _lifted_level(spec: SystemSpec, words: tuple[Word, ...],
+def _lifted_level(spec: SystemSpec, level: int,
                   known: dict[int, list[tuple[int, ...]]], dim_cap: int) -> SimplicialComplex:
     """A symbolic level: the block copies `known` plus the lifts up to dim_cap.
 
     N_1 is closed under faces and the lift of a face is the face of the lift,
     so the lifts, and with them the level, are closed under faces too.
     """
-    lifts = oracles.generate_pu_nerve(spec, len(words[0]))
+    lifts = oracles.generate_pu_nerve(spec, level)
     for lift in lifts:
         if len(lift) - 1 <= dim_cap:
             known.setdefault(len(lift) - 1, []).append(lift)
-    simplices = {0: tuple((v,) for v in range(len(words)))}
+    simplices = {0: tuple((v,) for v in range(spec.m ** level))}
     simplices.update((dim, tuple(sorted(sims))) for dim, sims in sorted(known.items()))
-    return SimplicialComplex(len(words[0]), spec.m, words, simplices, dim_cap,
+    return SimplicialComplex(level, spec.m, simplices, dim_cap,
                              complete=all(len(lift) - 1 <= dim_cap for lift in lifts))
 
 
@@ -212,25 +224,26 @@ def _candidate_pairs(prev: SimplicialComplex, block: Optional[int]) -> list[tupl
         parent_block = block // m
         pairs = [(a, b) for a, b in pairs if a // parent_block != b // parent_block]
     else:
-        pairs += [(v, v) for v in range(len(prev.words))]  # siblings share a parent cell
+        pairs += [(v, v) for v in range(m ** prev.level)]  # siblings share a parent cell
     return sorted({(a * m + x, b * m + y) for a, b in pairs
                    for x in range(m) for y in range(m) if a * m + x < b * m + y})
 
 
-def _grow_level(spec: SystemSpec, words: tuple[Word, ...], pairs: Iterable[tuple[int, int]],
+def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
                 known: dict[int, list[tuple[int, ...]]], uncertain: list,
                 block: Optional[int], dim_cap: int, budget: Budget) -> SimplicialComplex:
     """Query `pairs`, then grow cliques.  Tuples inside one block of `block`
     consecutive words are not queried: `known` simplices and the `uncertain`
     entries passed in already hold their answers."""
-    n = len(words)
+    n = spec.m ** level
+    word = cache(partial(_word, spec.m, level))
     edges = set(known.get(1, ()))
-    for i, j in pairs:
-        verdict = oracles.cells_intersect(spec, (words[i], words[j]), budget)
+    for pair in pairs:
+        verdict = oracles.cells_intersect(spec, tuple(map(word, pair)), budget)
         if verdict.kind == "intersect":
-            edges.add((i, j))
+            edges.add(pair)
         elif verdict.kind == "unknown":
-            uncertain.append(((words[i], words[j]), verdict.note))
+            uncertain.append((tuple(map(word, pair)), verdict.note))
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
     for i, j in edges:
         adjacency[i].add(j)
@@ -249,12 +262,11 @@ def _grow_level(spec: SystemSpec, words: tuple[Word, ...], pairs: Iterable[tuple
                 if v <= s[-1] or (block and s[0] // block == v // block):
                     continue
                 candidate = s + (v,)
-                verdict = oracles.cells_intersect(
-                    spec, tuple(words[i] for i in candidate), budget)
+                verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
                 if verdict.kind == "intersect":
                     verified.add(candidate)
                 elif verdict.kind == "unknown":
-                    uncertain.append((tuple(words[i] for i in candidate), verdict.note))
+                    uncertain.append((tuple(map(word, candidate)), verdict.note))
         if not verified:
             buckets[dim] = set()
             break
@@ -273,7 +285,7 @@ def _grow_level(spec: SystemSpec, words: tuple[Word, ...], pairs: Iterable[tuple
     _close_downward(buckets)
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
     uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return SimplicialComplex(len(words[0]), spec.m, words, simplices, dim_cap,
+    return SimplicialComplex(level, spec.m, simplices, dim_cap,
                              complete=complete, uncertain=tuple(uncertain))
 
 
@@ -289,8 +301,8 @@ class SimplicialMap:
 
 def _truncation(long: SimplicialComplex, short: SimplicialComplex) -> tuple[int, ...]:
     """Vertex v of the deeper complex truncates to v // m^(long.level - short.level)."""
-    ratio = len(long.words) // len(short.words)
-    return tuple(v // ratio for v in range(len(long.words)))
+    ratio = long.m ** (long.level - short.level)
+    return tuple(v // ratio for v in range(long.m ** long.level))
 
 
 def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
@@ -420,24 +432,17 @@ def block_subcomplex(complex_: SimplicialComplex, prefix: Word) -> SimplicialCom
     if prefix.m != complex_.m:
         raise SpecError("prefix alphabet disagrees with the complex")
     sub_level = complex_.level - drop
-    words = tuple(enumerate_words(complex_.m, sub_level))
+    n = complex_.m ** sub_level
     # the words starting with `prefix` are one index range, from prefix.1...1 on
-    first = complex_.index_of(Word(prefix.symbols + (1,) * sub_level, complex_.m))
-    in_block = range(first, first + len(words))
-    buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(len(words))}}
-    for dim, sims in complex_.simplices.items():
-        if dim == 0:
-            continue
-        for s in sims:
-            if all(v in in_block for v in s):
-                buckets.setdefault(dim, set()).add(tuple(v - first for v in s))
-    uncertain = tuple(
-        (tuple(words[complex_.index_of(w) - first] for w in entry[0]), entry[1])
-        for entry in complex_.uncertain
-        if all(complex_.index_of(w) in in_block for w in entry[0])
-    )
-    simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    return SimplicialComplex(sub_level, complex_.m, words, simplices,
+    first = _index(complex_.m, drop, prefix) * n
+    inside = {dim: tuple(tuple(v - first for v in s) for s in sims
+                         if first <= s[0] and s[-1] < first + n)
+              for dim, sims in complex_.simplices.items()}
+    simplices = {dim: sims for dim, sims in inside.items() if sims}
+    uncertain = tuple((tuple(Word(w.symbols[drop:], complex_.m) for w in ws), note)
+                      for ws, note in complex_.uncertain
+                      if all(w.symbols[:drop] == prefix.symbols for w in ws))
+    return SimplicialComplex(sub_level, complex_.m, simplices,
                              complex_.dim_cap, complex_.complete, uncertain)
 
 

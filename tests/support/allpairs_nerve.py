@@ -69,7 +69,7 @@ def allpairs_nerve(spec: SystemSpec, level: int, dim_cap: int,
     _close_downward(buckets)
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
     uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return SimplicialComplex(level, spec.m, words, simplices, dim_cap,
+    return SimplicialComplex(level, spec.m, simplices, dim_cap,
                              complete=complete, uncertain=tuple(uncertain))
 
 

@@ -29,7 +29,7 @@ def W(text, m=3):
 
 
 def edge_words(complex_):
-    return {frozenset(str(complex_.words[i]) for i in e)
+    return {frozenset(str(complex_.word(i)) for i in e)
             for e in complex_.simplices.get(1, ())}
 
 
@@ -90,7 +90,7 @@ STARVED = Budget(refine_depth=0, cert_period_max=1, cert_preperiod_max=0)
 class TestBuildNerve:
     def test_gasket_depth1(self, gasket):
         n1 = build_nerve(gasket, 1)
-        assert [str(w) for w in n1.words] == ["1", "2", "3"]
+        assert [str(n1.word(v)) for v in range(3)] == ["1", "2", "3"]
         assert edge_words(n1) == {frozenset(e) for e in [("1", "2"), ("1", "3"), ("2", "3")]}
         assert n1.simplex_counts() == {0: 3, 1: 3}
         assert n1.complete and n1.uncertain == ()
@@ -154,8 +154,8 @@ class TestTruncation:
         n2 = build_nerve(gasket, 2)
         phi = truncation_map(n2, n1)
         assert phi.surjective is True
-        for i, w in enumerate(n2.words):
-            assert n1.words[phi.vertex_map[i]] == Word(w.symbols[:1], 3)
+        for i in range(9):
+            assert n1.word(phi.vertex_map[i]) == Word(n2.word(i).symbols[:1], 3)
 
     def test_wrong_direction_rejected(self, gasket):
         n1 = build_nerve(gasket, 1)
@@ -166,17 +166,14 @@ class TestTruncation:
     def test_simpliciality_enforced(self, gasket):
         n1 = build_nerve(gasket, 1)
         n2 = build_nerve(gasket, 2)
-        hollow = type(n1)(n1.level, n1.m, n1.words,
-                          {0: n1.simplices[0], 1: ()}, n1.dim_cap, True)
+        hollow = type(n1)(n1.level, n1.m, {0: n1.simplices[0], 1: ()}, n1.dim_cap, True)
         with pytest.raises(ConsistencyError):
             truncation_map(n2, hollow)
 
     def test_contract_failures_name_the_contract(self):
         def hand_built(level, simplices, dim_cap):
-            words = tuple(enumerate_words(3, level))
-            vertices = tuple((v,) for v in range(len(words)))
-            return SimplicialComplex(level, 3, words, {0: vertices, **simplices},
-                                     dim_cap, True)
+            vertices = tuple((v,) for v in range(3 ** level))
+            return SimplicialComplex(level, 3, {0: vertices, **simplices}, dim_cap, True)
 
         # depth-2 vertex v truncates to v // 3: the triangle (0, 3, 6) maps onto (0, 1, 2)
         long = hand_built(2, {1: ((0, 3), (0, 6), (3, 6)), 2: ((0, 3, 6),)}, 2)
@@ -210,7 +207,7 @@ class TestBlocks:
         n1 = build_nerve(gasket, 1)
         for j in (1, 2, 3):
             block = block_subcomplex(n2, Word((j,), 3))
-            assert [str(w) for w in block.words] == [str(w) for w in n1.words]
+            assert (block.level, block.m) == (n1.level, n1.m)
             assert block.edge_sets() == n1.edge_sets()
 
     def test_pentagasket_blocks(self, bundled):
@@ -251,7 +248,7 @@ class TestDerivedSystems:
 
 
 def _nerve_data(complex_):
-    return (complex_.level, complex_.words, complex_.simplices, complex_.uncertain,
+    return (complex_.level, complex_.m, complex_.simplices, complex_.uncertain,
             complex_.complete)
 
 
@@ -479,7 +476,8 @@ class TestAgainstWordSets:
 
 def test_pentagasket_depth6_word_constructions(monkeypatch):
     """The symbolic tower works on vertex indices: the only words it makes are
-    one per vertex, 19,530 over depths 1..6 (the word-set generator made 78,220)."""
+    the component representatives it reports, one per depth (a words tuple per
+    nerve made 19,530, and the word-set generator before it 78,220)."""
     spec = cli.load_bundled("pentagasket").spec
     made = []
     original = Word.__post_init__
@@ -491,4 +489,16 @@ def test_pentagasket_depth6_word_constructions(monkeypatch):
     monkeypatch.setattr(Word, "__post_init__", counting)
     tower = tower_complexes(spec, 6)
     assert tower.complex_at(6).simplex_counts()[0] == 15625
-    assert len(made) < 20000
+    assert len(made) == sum(level.count for level in tower.components) == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_word_is_the_inverse_of_index_of(m, level, data):
+    complex_ = SimplicialComplex(level, m, {}, 1, True)
+    words = enumerate_words(m, level)
+    assert [complex_.word(v) for v in range(m ** level)] == words
+    assert [complex_.index_of(w) for w in words] == list(range(m ** level))
+    outside = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=m ** level)))
+    with pytest.raises(IndexError):
+        complex_.word(outside)

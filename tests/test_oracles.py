@@ -332,7 +332,7 @@ class TestSymbolicBackend:
         spec = bundled(name).spec
         nerve = build_nerve(spec, 2)
         for arity in arities:
-            for ws in combinations(nerve.words, arity):
+            for ws in combinations(enumerate_words(spec.m, 2), arity):
                 verdict = cells_intersect(spec, ws)
                 assert verdict.source == "symbolic"
                 simplex = tuple(nerve.index_of(w) for w in ws)
