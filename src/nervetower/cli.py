@@ -87,14 +87,14 @@ def _point(node: Any, where: str) -> Point2:
 
 
 def _symbols(node: Any, m: int, where: str) -> tuple[int, ...]:
-    if isinstance(node, str):
-        try:
+    try:
+        if isinstance(node, str):
             return word_from_string(node, m).symbols
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from None
-    if isinstance(node, list) and all(isinstance(s, int) and not isinstance(s, bool)
-                                      for s in node):
-        return tuple(node)
+        if isinstance(node, list) and all(isinstance(s, int) and not isinstance(s, bool)
+                                          for s in node):
+            return Word(tuple(node), m).symbols
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from None
     raise SpecError(f"{where}: expected a digit string or a list of symbols")
 
 
@@ -208,9 +208,12 @@ def parse_spec(doc: dict, *, rename: Optional[str] = None) -> LoadedSpec:
     if pivot is not None and (not isinstance(pivot, int) or isinstance(pivot, bool)
                               or not 1 <= pivot <= m):
         raise SpecError(f"flags.pivot must be a symbol in 1..{m}")
+    for key in ("assert_lx_connected", "assert_injective"):
+        if not isinstance(flags_node.get(key, False), bool):
+            raise SpecError(f"flags.{key} must be true or false")
     flags = SpecFlags(
-        lx_connected=bool(flags_node.get("assert_lx_connected", False)),
-        injective=bool(flags_node.get("assert_injective", False)),
+        lx_connected=flags_node.get("assert_lx_connected", False),
+        injective=flags_node.get("assert_injective", False),
         pivot=pivot)
     spec = SystemSpec(name, orientation, m, backend)
     return LoadedSpec(spec, flags, doc)
@@ -544,12 +547,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
               f" {args.max_cells}", file=sys.stderr)
         return EXIT_RESOURCE
     budget = _budget(args)
+    fieldkind = FieldKind.parse(args.field)
     if args.pivot is not None:
         loaded = LoadedSpec(spec, SpecFlags(loaded.flags.lx_connected,
                                             loaded.flags.injective, args.pivot),
                             loaded.doc)
     certs = _certifications(loaded, args.depth, budget, run_pivot=True)
-    fieldkind = FieldKind.parse(args.field)
     table = tower_analysis(spec, max_depth, fieldkind, dim_cap=args.dim_cap,
                            budget=budget, postunbranched=certs["pu"],
                            singleton_overlaps=certs["singleton"],

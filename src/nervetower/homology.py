@@ -46,7 +46,7 @@ class FieldKind:
         if t in ("q", "rational", "rationals", "0"):
             return FieldKind(0)
         match = re.fullmatch(r"gf(\d+)", t)
-        if match:
+        if match and int(match.group(1)):  # GF(0) is no field; characteristic 0 is q
             return FieldKind(int(match.group(1)))
         raise SpecError(f"unrecognized field {text!r}; use 'q' or 'gfP' for a prime P")
 

@@ -38,7 +38,7 @@ from .exactgeom import (
     compose,
     map_polygon,
 )
-from .words import Address, Word, concat, enumerate_words
+from .words import Address, Word, concat, enumerate_words, truncate
 
 
 class SpecError(ValueError):
@@ -141,7 +141,9 @@ class TableBackend:
 
     Each simplex is an iterable of words (tuples of symbols).  Faces and the
     singletons of every word at a stored level are implied and added here:
-    depth-k cells are never empty, so every word is a vertex.
+    depth-k cells are never empty, so every word is a vertex.  Consecutive
+    stored levels must form a tower: a point in two depth-k cells lies in a
+    child of each, so every depth-k simplex truncates from a depth-(k+1) one.
     """
 
     kind = "table"  # the backend's "kind" in spec files
@@ -166,6 +168,15 @@ class TableBackend:
             closed[level] = frozenset(sims)
         if 1 not in closed:
             raise SpecError("table backend must store at least level 1")
+        for level in sorted(closed):
+            if level + 1 not in closed:
+                continue
+            images = {frozenset(truncate(w, level) for w in s) for s in closed[level + 1]}
+            missing = closed[level] - images
+            if missing:
+                s = sorted(min(missing, key=lambda s: (len(s), sorted(s))))
+                raise SpecError(f"table level {level} lists {{{', '.join(map(str, s))}}},"
+                                f" which no level-{level + 1} simplex truncates onto")
         self.levels = closed
 
 

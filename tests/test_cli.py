@@ -128,6 +128,38 @@ class TestExitCodes:
         code = main(["derive", "gasket", "--subsystem", "99", "--out", out])
         assert code == EXIT_INPUT
 
+    def test_table_symbol_outside_the_alphabet(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {
+            "name": "bad", "orientation": "forward", "m": 3,
+            "backend": {"kind": "table", "levels": {"1": [[[1], [5]]]}}})
+        assert main(["tower", path, "--max-depth", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: backend.levels[1][0]: symbol 5 outside 1..3\n"
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_hypothesis_flags_must_be_booleans(self, tmp_path, capsys, value):
+        path = write_doc(tmp_path, {
+            "name": "flagged", "orientation": "forward", "m": 2,
+            "backend": {"kind": "table", "levels": {"1": [["1", "2"]]}},
+            "flags": {"assert_lx_connected": value}})
+        assert main(["tower", path, "--max-depth", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: flags.assert_lx_connected must be true or false\n"
+
+    def test_table_levels_must_form_a_tower(self, tmp_path, capsys):
+        # cells 1 and 2 meet, yet no child of 1 meets a child of 2
+        path = write_doc(tmp_path, {
+            "name": "not-a-tower", "orientation": "forward", "m": 2,
+            "backend": {"kind": "table", "levels": {"1": [["1", "2"]], "2": [["11", "12"]]}}})
+        assert main(["tower", path, "--max-depth", "2"]) == EXIT_INPUT
+        assert capsys.readouterr().err == ("error: table level 1 lists {1, 2}, which no"
+                                           " level-2 simplex truncates onto\n")
+
+    def test_field_gf0_is_not_the_rationals(self, capsys):
+        assert main(["tower", "finite-trivial", "--max-depth", "1",
+                     "--field", "gf0"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: unrecognized field 'gf0'")
+
     def test_uncertain_exit(self, tmp_path, capsys):
         path = write_doc(tmp_path, SLOW_DOC)
         code = main(["nerve", path, "--depth", "1", "--refine-depth", "0",
@@ -256,6 +288,16 @@ class TestTowerCommand:
                   "--out-report", str(rep)])
             outs.append(rep.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_false_flag_leaves_the_hypothesis_unverified(self, tmp_path):
+        path = write_doc(tmp_path, {
+            "name": "flagged", "orientation": "forward", "m": 2,
+            "backend": {"kind": "table", "levels": {"1": [["1", "2"]]}},
+            "flags": {"assert_lx_connected": False}})
+        rep = tmp_path / "r.json"
+        assert main(["tower", path, "--max-depth", "1", "--out-csv", str(tmp_path / "r.csv"),
+                     "--out-report", str(rep)]) == EXIT_OK
+        assert json.loads(rep.read_text())["component_verdict"]["hypothesis"] == "unverified"
 
     def test_flags_from_file_drive_verdict(self, tmp_path):
         rep = tmp_path / "ft.json"

@@ -56,7 +56,7 @@ class TestFieldKind:
         assert FieldKind.parse("GF7") == FieldKind(7)
 
     def test_parse_rejects(self):
-        for bad in ("r", "gf4", "gf1", "f2"):
+        for bad in ("r", "gf4", "gf1", "gf0", "f2"):
             with pytest.raises(SpecError):
                 FieldKind.parse(bad)
 
