@@ -142,8 +142,10 @@ class TableBackend:
     Each simplex is an iterable of words (tuples of symbols).  Faces and the
     singletons of every word at a stored level are implied and added here:
     depth-k cells are never empty, so every word is a vertex.  Consecutive
-    stored levels must form a tower: a point in two depth-k cells lies in a
-    child of each, so every depth-k simplex truncates from a depth-(k+1) one.
+    stored levels must form a tower: cells only grow under truncation, so
+    every depth-(k+1) simplex truncates onto a depth-k one, and a point in
+    several depth-k cells lies in a child of each, so every depth-k simplex
+    is the truncation of a depth-(k+1) one.
     """
 
     kind = "table"  # the backend's "kind" in spec files
@@ -172,12 +174,20 @@ class TableBackend:
             if level + 1 not in closed:
                 continue
             images = {frozenset(truncate(w, level) for w in s) for s in closed[level + 1]}
-            missing = closed[level] - images
-            if missing:
-                s = sorted(min(missing, key=lambda s: (len(s), sorted(s))))
-                raise SpecError(f"table level {level} lists {{{', '.join(map(str, s))}}},"
+            if images - closed[level]:
+                raise SpecError(f"table level {level + 1} truncates onto"
+                                f" {_least(images - closed[level])}, which level {level}"
+                                " does not list")
+            if closed[level] - images:
+                raise SpecError(f"table level {level} lists {_least(closed[level] - images)},"
                                 f" which no level-{level + 1} simplex truncates onto")
         self.levels = closed
+
+
+def _least(simplices: set[frozenset[Word]]) -> str:
+    """The least simplex (fewest cells, then by words), written {w, ...}."""
+    s = min(simplices, key=lambda s: (len(s), sorted(s)))
+    return "{" + ", ".join(map(str, sorted(s))) + "}"
 
 
 class SymbolicPUBackend:

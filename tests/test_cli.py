@@ -146,14 +146,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: flags.assert_lx_connected must be true or false\n"
 
-    def test_table_levels_must_form_a_tower(self, tmp_path, capsys):
+    @pytest.mark.parametrize("levels,message", [
         # cells 1 and 2 meet, yet no child of 1 meets a child of 2
-        path = write_doc(tmp_path, {
-            "name": "not-a-tower", "orientation": "forward", "m": 2,
-            "backend": {"kind": "table", "levels": {"1": [["1", "2"]], "2": [["11", "12"]]}}})
+        ({"1": [["1", "2"]], "2": [["11", "12"]]},
+         "table level 1 lists {1, 2}, which no level-2 simplex truncates onto"),
+        # cells 12 and 21 meet inside cells 1 and 2, which do not meet
+        ({"1": [], "2": [["12", "21"]]},
+         "table level 2 truncates onto {1, 2}, which level 1 does not list")])
+    def test_table_levels_must_form_a_tower(self, tmp_path, capsys, levels, message):
+        path = write_doc(tmp_path, {"name": "not-a-tower", "orientation": "forward", "m": 2,
+                                    "backend": {"kind": "table", "levels": levels}})
         assert main(["tower", path, "--max-depth", "2"]) == EXIT_INPUT
-        assert capsys.readouterr().err == ("error: table level 1 lists {1, 2}, which no"
-                                           " level-2 simplex truncates onto\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_field_gf0_is_not_the_rationals(self, capsys):
         assert main(["tower", "finite-trivial", "--max-depth", "1",
