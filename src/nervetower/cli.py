@@ -13,7 +13,8 @@ integer; float literals are rejected outright.  Three backend kinds:
 Words appear as digit strings for alphabets up to 9 symbols, or as lists of
 integers.  An optional "flags" object carries hypotheses the file's author
 asserts rather than the tool proving them ("assert_lx_connected",
-"assert_injective") and a default "pivot" symbol for the rank-growth check.
+"assert_injective", each true or false) and a default "pivot" symbol for the
+rank-growth check.
 
 Exit codes: 0 ok, 2 bad input, 3 some intersection query stayed undecided
 (classify: or the postunbranched check is unknown), 4 resource cap hit.

@@ -2,9 +2,9 @@
 
 Every bundled system's tower CSV and JSON report, the classify report of a
 few systems that exercise each checker, and the nerve JSON and DOT export of
-one system per backend are compared against fixtures in tests/golden/.  A refactor that is meant to keep the command-line output must
-leave every fixture untouched; an intended output change regenerates them
-with
+four systems are compared against fixtures in tests/golden/.  A refactor that
+is meant to keep the command-line output must leave every fixture untouched;
+an intended output change regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
