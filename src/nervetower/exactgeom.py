@@ -1,13 +1,22 @@
 """Exact rational plane geometry: affine maps and convex polygon predicates.
 
-Coordinates are fractions.Fraction.  Certified limit points, which are
-mapped in bulk, are also written as normalized integer triples
-(Point2.homogeneous) and maps over one common denominator
-(RationalAffineMap.over_common_denominator), so that an image is a few
-integer products and equal points have equal keys.  There are no floats:
-they are rejected at the boundary, because the intersection patterns this
-package certifies routinely hinge on polygons meeting in exactly one point,
-which no floating-point predicate can witness.
+Points and maps are given and reported in fractions.Fraction, but every
+predicate runs on Python ints.  Each object caches one integer form:
+
+* a point (Point2.homogeneous) is the normalized triple (X, Y, Z) with
+  x = X/Z, y = Y/Z, Z > 0 and gcd 1, so equal points have equal triples;
+* a map (RationalAffineMap.over_common_denominator) is its six coefficients
+  over one common denominator, so an image is six products and a gcd, and
+  compose, inverse and fixed_point are integer formulas;
+* a polygon keeps integer half-plane rows (A, B, C), the point (X, Y, Z)
+  inside when A X + B Y + C Z >= 0 for every row, and an integer bounding
+  box over the common denominator of its vertices.
+
+Strict convexity is the sign of a 3x3 integer determinant, bounding boxes
+compare cross-multiplied, and clipping yields normalized triples.  There are
+no floats: they are rejected at the boundary, because the intersection
+patterns this package certifies routinely hinge on polygons meeting in
+exactly one point, which no floating-point predicate can witness.
 
 Degenerate convex polygons are first-class: a segment (two vertices) and a
 single point (one vertex) occur naturally as envelopes of systems living on a
@@ -19,18 +28,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+# A point as a normalized homogeneous integer triple (Point2.homogeneous).
+Triple = tuple[int, int, int]
 
 
 def rational(value: RationalLike) -> Fraction:
     """Coerce to Fraction, refusing floats (they have no place in exact geometry)."""
+    if type(value) is Fraction:  # immutable, so shared as it is
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a string like '1/3' or a Fraction")
     return Fraction(value)
+
+
+def _normalized(x: int, y: int, z: int) -> Triple:
+    """The triple (x, y, z), z != 0, divided by its gcd and signed so that z > 0."""
+    g = gcd(x, y, z)
+    if z < 0:
+        g = -g
+    return (x // g, y // g, z // g)
+
+
+def _line(p: Triple, q: Triple) -> Triple:
+    """The row p x q: its value at r is det[p; q; r], > 0 left of p -> q."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _det3(o: Triple, a: Triple, b: Triple) -> int:
+    """det[o; a; b]: with every Z > 0 it has the sign of the turn o -> a -> b,
+    > 0 for a left turn."""
+    x, y, z = _line(o, a)
+    return x * b[0] + y * b[1] + z * b[2]
 
 
 @dataclass(frozen=True)
@@ -48,28 +81,28 @@ class Point2:
     def __sub__(self, other: "Point2") -> "Point2":
         return Point2(self.x - other.x, self.y - other.y)
 
-    def scaled(self, t: Fraction) -> "Point2":
-        return Point2(t * self.x, t * self.y)
-
     def as_pair(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.y)
 
-    def homogeneous(self) -> tuple[int, int, int]:
+    def homogeneous(self) -> Triple:
         """The normalized integer triple (X, Y, Z): x = X/Z, y = Y/Z, Z > 0 and
-        gcd(X, Y, Z) = 1, so equal points have equal triples."""
-        z = lcm(self.x.denominator, self.y.denominator)
-        return (self.x.numerator * (z // self.x.denominator),
-                self.y.numerator * (z // self.y.denominator), z)
+        gcd(X, Y, Z) = 1, so equal points have equal triples.  Cached."""
+        got = self.__dict__.get("_triple")
+        if got is None:
+            z = lcm(self.x.denominator, self.y.denominator)
+            got = (self.x.numerator * (z // self.x.denominator),
+                   self.y.numerator * (z // self.y.denominator), z)
+            self.__dict__["_triple"] = got
+        return got
 
     @staticmethod
-    def from_homogeneous(triple: tuple[int, int, int]) -> "Point2":
+    def from_homogeneous(triple: Triple) -> "Point2":
+        """The point (X/Z, Y/Z) of any triple with Z != 0."""
+        triple = _normalized(*triple)
         x, y, z = triple
-        return Point2(Fraction(x, z), Fraction(y, z))
-
-
-def cross(o: Point2, a: Point2, b: Point2) -> Fraction:
-    """Signed area of the parallelogram (a - o, b - o); > 0 means left turn."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+        p = Point2(Fraction(x, z), Fraction(y, z))
+        p.__dict__["_triple"] = triple
+        return p
 
 
 @dataclass(frozen=True)
@@ -87,9 +120,40 @@ class RationalAffineMap:
         for name in "abcdef":
             object.__setattr__(self, name, rational(getattr(self, name)))
 
+    @staticmethod
+    def _from_row(*row: int) -> "RationalAffineMap":
+        """The map A/den .. F/den of the integer row (A, B, C, D, E, F, den),
+        den != 0; the reduced row is cached as its common-denominator form."""
+        g = gcd(*row)
+        if row[6] < 0:
+            g = -g
+        row = tuple(v // g for v in row)
+        den = row[6]
+        f = RationalAffineMap(*(Fraction(v, den) for v in row[:6]))
+        # Dividing by the gcd of all seven leaves the lcm of the reduced
+        # denominators, so this is the row over_common_denominator computes.
+        f.__dict__["_row"] = row
+        return f
+
+    @cached_property
+    def _row(self) -> tuple[int, int, int, int, int, int, int]:
+        coeffs = (self.a, self.b, self.c, self.d, self.e, self.f)
+        den = lcm(*(q.denominator for q in coeffs))
+        return tuple(q.numerator * (den // q.denominator) for q in coeffs) + (den,)
+
+    def over_common_denominator(self) -> tuple[int, int, int, int, int, int, int]:
+        """(A, B, C, D, E, F, den): the six coefficients a..f as A/den .. F/den,
+        den > 0 the least common denominator.  Cached."""
+        return self._row
+
+    def apply(self, t: Triple) -> Triple:
+        """The image of a homogeneous triple, normalized."""
+        a, b, c, d, e, f, den = self._row
+        x, y, z = t
+        return _normalized(a * x + b * y + e * z, c * x + d * y + f * z, den * z)
+
     def __call__(self, p: Point2) -> Point2:
-        return Point2(self.a * p.x + self.b * p.y + self.e,
-                      self.c * p.x + self.d * p.y + self.f)
+        return Point2.from_homogeneous(self.apply(p.homogeneous()))
 
     @staticmethod
     def identity() -> "RationalAffineMap":
@@ -102,12 +166,6 @@ class RationalAffineMap:
         if center is None:
             return RationalAffineMap(r, 0, 0, r, 0, 0)
         return RationalAffineMap(r, 0, 0, r, (1 - r) * center.x, (1 - r) * center.y)
-
-    def over_common_denominator(self) -> tuple[int, int, int, int, int, int, int]:
-        """(A, B, C, D, E, F, den): the six coefficients a..f as A/den .. F/den."""
-        coeffs = (self.a, self.b, self.c, self.d, self.e, self.f)
-        den = lcm(*(q.denominator for q in coeffs))
-        return tuple(q.numerator * (den // q.denominator) for q in coeffs) + (den,)
 
     def determinant(self) -> Fraction:
         return self.a * self.d - self.b * self.c
@@ -123,34 +181,30 @@ class RationalAffineMap:
         return s11 + s22 < 2 and (s11 - 1) * (s22 - 1) - s12 * s12 > 0
 
     def fixed_point(self) -> Point2:
-        det = (1 - self.a) * (1 - self.d) - self.b * self.c
+        # Cramer's rule for (I - M) p = t, every entry scaled by den.
+        a, b, c, d, e, f, den = self._row
+        det = (den - a) * (den - d) - b * c
         if det == 0:
             raise ValueError("map has no unique fixed point (I - M is singular)")
-        x = ((1 - self.d) * self.e + self.b * self.f) / det
-        y = (self.c * self.e + (1 - self.a) * self.f) / det
-        return Point2(x, y)
+        return Point2.from_homogeneous(((den - d) * e + b * f, c * e + (den - a) * f, det))
 
     def inverse(self) -> "RationalAffineMap":
-        det = self.determinant()
+        # M^-1 = den / (a d - b c) [[d, -b], [-c, a]] and t' = -M^-1 t.
+        a, b, c, d, e, f, den = self._row
+        det = a * d - b * c
         if det == 0:
             raise ValueError("affine map is singular")
-        ia, ib = self.d / det, -self.b / det
-        ic, id_ = -self.c / det, self.a / det
-        return RationalAffineMap(ia, ib, ic, id_,
-                                 -(ia * self.e + ib * self.f),
-                                 -(ic * self.e + id_ * self.f))
+        return RationalAffineMap._from_row(den * d, -den * b, -den * c, den * a,
+                                           b * f - d * e, c * e - a * f, det)
 
 
 def compose(outer: RationalAffineMap, inner: RationalAffineMap) -> RationalAffineMap:
     """The map p |-> outer(inner(p))."""
-    return RationalAffineMap(
-        outer.a * inner.a + outer.b * inner.c,
-        outer.a * inner.b + outer.b * inner.d,
-        outer.c * inner.a + outer.d * inner.c,
-        outer.c * inner.b + outer.d * inner.d,
-        outer.a * inner.e + outer.b * inner.f + outer.e,
-        outer.c * inner.e + outer.d * inner.f + outer.f,
-    )
+    a, b, c, d, e, f, n = outer._row
+    p, q, r, s, t, u, k = inner._row
+    return RationalAffineMap._from_row(
+        a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
+        a * t + b * u + e * k, c * t + d * u + f * k, n * k)
 
 
 @dataclass(frozen=True)
@@ -164,7 +218,7 @@ class ConvexPolygon:
     vertices: tuple[Point2, ...]
 
     def __post_init__(self) -> None:
-        v = self.vertices
+        v = [p.homogeneous() for p in self.vertices]
         if not v:
             raise ValueError("polygon needs at least one vertex")
         if len(set(v)) != len(v):
@@ -172,7 +226,7 @@ class ConvexPolygon:
         n = len(v)
         if n >= 3:
             for i in range(n):
-                if cross(v[i], v[(i + 1) % n], v[(i + 2) % n]) <= 0:
+                if _det3(v[i], v[(i + 1) % n], v[(i + 2) % n]) <= 0:
                     raise ValueError("vertices are not a strictly convex CCW cycle")
 
     @staticmethod
@@ -183,14 +237,19 @@ class ConvexPolygon:
             raise ValueError("hull of no points")
         if len(pts) <= 2:
             return ConvexPolygon(tuple(pts))
+
+        def turns_left(chain: list[Point2], p: Point2) -> bool:
+            return _det3(chain[-2].homogeneous(), chain[-1].homogeneous(),
+                         p.homogeneous()) > 0
+
         lower: list[Point2] = []
         for p in pts:
-            while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            while len(lower) >= 2 and not turns_left(lower, p):
                 lower.pop()
             lower.append(p)
         upper: list[Point2] = []
         for p in reversed(pts):
-            while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            while len(upper) >= 2 and not turns_left(upper, p):
                 upper.pop()
             upper.append(p)
         ring = lower[:-1] + upper[:-1]
@@ -199,63 +258,76 @@ class ConvexPolygon:
         return ConvexPolygon(tuple(ring))
 
     @cached_property
-    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return (min(xs), max(xs), min(ys), max(ys))
+    def _box(self) -> tuple[int, int, int, int, int]:
+        """(x0, x1, y0, y1, den): the bounding box [x0/den, x1/den] x [y0/den, y1/den]."""
+        v = [p.homogeneous() for p in self.vertices]
+        den = lcm(*(z for _, _, z in v))
+        xs = [x * (den // z) for x, _, z in v]
+        ys = [y * (den // z) for _, y, z in v]
+        return (min(xs), max(xs), min(ys), max(ys), den)
 
     @cached_property
-    def halfplanes(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        """(A, B, C) rows with the polygon = {A x + B y + C >= 0 for all rows}."""
-        v = self.vertices
+    def _rows(self) -> tuple[Triple, ...]:
+        """Integer rows (A, B, C) with the polygon = {(X, Y, Z) : A X + B Y + C Z >= 0
+        for all rows}; each row a positive multiple of the affine half-plane."""
+        v = [p.homogeneous() for p in self.vertices]
         if len(v) == 1:
-            (p,) = v
-            return ((Fraction(1), Fraction(0), -p.x), (Fraction(-1), Fraction(0), p.x),
-                    (Fraction(0), Fraction(1), -p.y), (Fraction(0), Fraction(-1), p.y))
+            ((x, y, z),) = v
+            return ((z, 0, -x), (-z, 0, x), (0, z, -y), (0, -z, y))
         if len(v) == 2:
-            p, q = v
-            dx, dy = q.x - p.x, q.y - p.y
+            (px, py, pz), (qx, qy, qz) = v
+            dx, dy = qx * pz - px * qz, qy * pz - py * qz  # pz qz (q - p)
+            a, b, c = _line(v[0], v[1])
             return (
-                (-dy, dx, dy * p.x - dx * p.y),    # on the line, one side
-                (dy, -dx, dx * p.y - dy * p.x),    # and the other
-                (dx, dy, -(dx * p.x + dy * p.y)),  # between the endpoints
-                (-dx, -dy, dx * q.x + dy * q.y),
+                (a, b, c),                                 # on the line, one side
+                (-a, -b, -c),                              # and the other
+                (dx * pz, dy * pz, -(dx * px + dy * py)),  # between the endpoints
+                (-dx * qz, -dy * qz, dx * qx + dy * qy),
             )
-        rows = []
         n = len(v)
-        for i in range(n):
-            p, q = v[i], v[(i + 1) % n]
-            a, b = -(q.y - p.y), q.x - p.x
-            rows.append((a, b, -(a * p.x + b * p.y)))
-        return tuple(rows)
+        return tuple(_line(v[i], v[(i + 1) % n]) for i in range(n))
 
     def contains_point(self, p: Point2) -> bool:
-        return all(a * p.x + b * p.y + c >= 0 for a, b, c in self.halfplanes)
+        x, y, z = p.homogeneous()
+        for a, b, c in self._rows:
+            if a * x + b * y + c * z < 0:
+                return False
+        return True
+
+
+def _precedes(p: Triple, q: Triple) -> bool:
+    """p < q in the (x, y) order that ConvexPolygon.hull sorts by."""
+    dx = p[0] * q[2] - q[0] * p[2]
+    return dx < 0 or (dx == 0 and p[1] * q[2] < q[1] * p[2])
 
 
 def map_polygon(f: RationalAffineMap, poly: ConvexPolygon) -> ConvexPolygon:
     """The image polygon, in the normal form ConvexPolygon.hull gives."""
-    images = [f(p) for p in poly.vertices]
-    det = f.determinant()
+    images = [f.apply(p.homogeneous()) for p in poly.vertices]
+    a, b, c, d = f.over_common_denominator()[:4]
+    det = a * d - b * c
     if det == 0:  # the map may collapse dimension; the hull re-normalizes
-        return ConvexPolygon.hull(images)
+        return ConvexPolygon.hull(map(Point2.from_homogeneous, images))
     # A nonsingular map keeps a strictly convex cycle strictly convex; only
     # a reflection turns it clockwise.  The hull starts at the smallest vertex.
     if det < 0:
         images.reverse()
-    start = min(range(len(images)), key=lambda i: images[i].as_pair())
-    return ConvexPolygon(tuple(images[start:] + images[:start]))
+    start = 0
+    for i in range(1, len(images)):
+        if _precedes(images[i], images[start]):
+            start = i
+    return ConvexPolygon(tuple(map(Point2.from_homogeneous, images[start:] + images[:start])))
 
 
-def _clip(cycle: list[Point2], hp: tuple[Fraction, Fraction, Fraction]) -> list[Point2]:
+def _clip(cycle: list[Triple], row: Triple) -> list[Triple]:
     """Sutherland-Hodgman step: intersect a convex cycle with a halfplane."""
-    a, b, c = hp
+    a, b, c = row
     if not cycle:
         return cycle
-    vals = [a * p.x + b * p.y + c for p in cycle]
+    vals = [a * x + b * y + c * z for x, y, z in cycle]
     if len(cycle) == 1:
         return cycle if vals[0] >= 0 else []
-    out: list[Point2] = []
+    out: list[Triple] = []
     n = len(cycle)
     for i in range(n):
         p, vp = cycle[i], vals[i]
@@ -263,9 +335,10 @@ def _clip(cycle: list[Point2], hp: tuple[Fraction, Fraction, Fraction]) -> list[
         if vp >= 0:
             out.append(p)
         if (vp > 0 > vq) or (vp < 0 < vq):
-            t = vp / (vp - vq)
-            out.append(p + (q - p).scaled(t))
-    deduped: list[Point2] = []
+            # vp q - vq p lies on the row's line, between p and q
+            out.append(_normalized(vp * q[0] - vq * p[0], vp * q[1] - vq * p[1],
+                                   vp * q[2] - vq * p[2]))
+    deduped: list[Triple] = []
     for p in out:
         if not deduped or p != deduped[-1]:
             deduped.append(p)
@@ -275,22 +348,27 @@ def _clip(cycle: list[Point2], hp: tuple[Fraction, Fraction, Fraction]) -> list[
 
 
 def bboxes_overlap(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    ax0, ax1, ay0, ay1 = a.bbox
-    bx0, bx1, by0, by1 = b.bbox
-    return ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+    ax0, ax1, ay0, ay1, ad = a._box
+    bx0, bx1, by0, by1, bd = b._box
+    return (ax0 * bd <= bx1 * ad and bx0 * ad <= ax1 * bd
+            and ay0 * bd <= by1 * ad and by0 * ad <= ay1 * bd)
+
+
+def _region(polys: Sequence[ConvexPolygon]) -> list[Triple]:
+    if not polys:
+        raise ValueError("need at least one polygon")
+    region = [p.homogeneous() for p in polys[0].vertices]
+    for poly in polys[1:]:
+        for row in poly._rows:
+            region = _clip(region, row)
+            if not region:
+                return region
+    return region
 
 
 def intersection_cycle(polys: Sequence[ConvexPolygon]) -> tuple[Point2, ...]:
     """Vertex cycle of the common intersection; empty tuple if it is empty."""
-    if not polys:
-        raise ValueError("need at least one polygon")
-    region = list(polys[0].vertices)
-    for poly in polys[1:]:
-        for hp in poly.halfplanes:
-            region = _clip(region, hp)
-            if not region:
-                return ()
-    return tuple(region)
+    return tuple(map(Point2.from_homogeneous, _region(polys)))
 
 
 def common_point_exists(polys: Sequence[ConvexPolygon]) -> bool:
@@ -299,7 +377,7 @@ def common_point_exists(polys: Sequence[ConvexPolygon]) -> bool:
         for j in range(i + 1, len(polys)):
             if not bboxes_overlap(polys[i], polys[j]):
                 return False
-    return bool(intersection_cycle(polys))
+    return bool(_region(polys))
 
 
 def check_envelope(maps: Sequence[RationalAffineMap], envelope: ConvexPolygon) -> bool:

@@ -29,19 +29,7 @@ from .oracles import (
     SystemSpec,
     TableBackend,
 )
-from .words import Word, enumerate_words
-
-
-def _index(m: int, level: int, w: Word) -> int:
-    if w.m != m or len(w) != level:
-        raise KeyError(w)
-    return sum((x - 1) * m ** (level - 1 - t) for t, x in enumerate(w.symbols))
-
-
-def _word(m: int, level: int, v: int) -> Word:
-    if not 0 <= v < m ** level:
-        raise IndexError(f"vertex {v} outside 0..{m ** level - 1}")
-    return Word(tuple(v // m ** t % m + 1 for t in range(level - 1, -1, -1)), m)
+from .words import Word, enumerate_words, indexed_word, word_index
 
 
 @dataclass
@@ -71,11 +59,11 @@ class SimplicialComplex:
     _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def index_of(self, w: Word) -> int:
-        return _index(self.m, self.level, w)
+        return word_index(self.m, self.level, w)
 
     def word(self, v: int) -> Word:
         """The word of vertex v: the base-m digits of v, each plus one."""
-        return _word(self.m, self.level, v)
+        return indexed_word(self.m, self.level, v)
 
     def simplex_counts(self) -> dict[int, int]:
         return {dim: len(sims) for dim, sims in self.simplices.items() if sims}
@@ -116,7 +104,7 @@ def _from_word_sets(spec: SystemSpec, level: int, sets, dim_cap: int) -> Simplic
         if dim > dim_cap:
             truncated = True
             continue
-        buckets.setdefault(dim, set()).add(tuple(sorted(_index(spec.m, level, w) for w in s)))
+        buckets.setdefault(dim, set()).add(tuple(sorted(word_index(spec.m, level, w) for w in s)))
     _close_downward(buckets)
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
     return SimplicialComplex(level, spec.m, simplices, dim_cap, complete=not truncated)
@@ -236,7 +224,7 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
     consecutive words are not queried: `known` simplices and the `uncertain`
     entries passed in already hold their answers."""
     n = spec.m ** level
-    word = cache(partial(_word, spec.m, level))
+    word = cache(partial(indexed_word, spec.m, level))
     edges = set(known.get(1, ()))
     for pair in pairs:
         verdict = oracles.cells_intersect(spec, tuple(map(word, pair)), budget)
@@ -382,13 +370,14 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
     simplex at depth k+1 certifies its truncated image at depth k (cells only
     grow under truncation), so any image missing merely because the shallower
     query exhausted its budget is added and dropped from the uncertain log.
-    A generated level with no uncertain tuples is already exact up to its
-    cap, so only table levels and levels with uncertain tuples are swept.
+    Only levels with uncertain tuples are swept: a generated level without
+    them is already exact up to its cap, and table levels are checked to form
+    a tower when the backend is built, so each stored level already lists the
+    truncation of every simplex one level deeper.
     """
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
-    table = isinstance(spec.backend, TableBackend)
     for k in range(len(complexes) - 1, 0, -1):
-        if table or complexes[k - 1].uncertain:
+        if complexes[k - 1].uncertain:
             _sweep_certificates(complexes[k], complexes[k - 1])
     maps = [truncation_map(complexes[i + 1], complexes[i]) for i in range(len(complexes) - 1)]
     return TowerData(spec, dim_cap, budget, complexes, maps,
@@ -434,7 +423,7 @@ def block_subcomplex(complex_: SimplicialComplex, prefix: Word) -> SimplicialCom
     sub_level = complex_.level - drop
     n = complex_.m ** sub_level
     # the words starting with `prefix` are one index range, from prefix.1...1 on
-    first = _index(complex_.m, drop, prefix) * n
+    first = word_index(complex_.m, drop, prefix) * n
     inside = {dim: tuple(tuple(v - first for v in s) for s in sims
                          if first <= s[0] and s[-1] < first + n)
               for dim, sims in complex_.simplices.items()}

@@ -38,7 +38,7 @@ from .exactgeom import (
     compose,
     map_polygon,
 )
-from .words import Address, Word, concat, enumerate_words, truncate
+from .words import Address, Word, concat, enumerate_words, symbols_index, truncate
 
 
 class SpecError(ValueError):
@@ -458,6 +458,23 @@ def _geometric_intersect(spec: SystemSpec, ws: tuple[Word, ...], budget: Budget)
 PointAnswer = Literal["yes", "no", "unknown"]
 
 
+def _envelope_walk(spec: SystemSpec, point: Point2, depth: int) -> list[Word]:
+    """The depth-`depth` words whose cell envelopes contain `point`, each level
+    kept from the children of the one above.
+
+    A cell lies inside its parent, so a word whose envelope misses the point
+    has no descendant that contains it.  The levels are kept on the spec per
+    point and extended from the deepest one walked, so the walk from the root
+    is made once per point, whatever depths are asked for.
+    """
+    levels = spec._cache.setdefault(("envelope_walk", point), [[Word((), spec.m)]])
+    symbols = range(1, spec.m + 1)
+    while len(levels) <= depth:
+        children = (u.extended(j) for u in levels[-1] for j in symbols)
+        levels.append([v for v in children if cell_envelope(spec, v).contains_point(point)])
+    return levels[depth]
+
+
 def point_in_cell(spec: SystemSpec, point: Point2, w: Word, budget: Budget = Budget()) -> PointAnswer:
     """Semi-decision of point-in-cell membership for the geometric backend.
 
@@ -476,12 +493,8 @@ def point_in_cell(spec: SystemSpec, point: Point2, w: Word, budget: Budget = Bud
         return "no"
     if q in _tail_table(spec, budget):
         return "yes"
-    frontier = [Word((), spec.m)]
-    for _ in range(budget.refine_depth):
-        frontier = [u.extended(j) for u in frontier for j in range(1, spec.m + 1)
-                    if cell_envelope(spec, u.extended(j)).contains_point(q)]
-        if not frontier:
-            return "no"
+    if not _envelope_walk(spec, q, budget.refine_depth):
+        return "no"
     return "unknown"
 
 
@@ -494,12 +507,8 @@ def cells_containing_point(spec: SystemSpec, point: Point2, depth: int,
     """
     if not spec.is_geometric:
         raise SpecError("cells_containing_point needs the geometric backend")
-    frontier = [Word((), spec.m)]
-    for _ in range(depth):
-        frontier = [u.extended(j) for u in frontier for j in range(1, spec.m + 1)
-                    if cell_envelope(spec, u.extended(j)).contains_point(point)]
     yes, undecided = [], []
-    for u in frontier:
+    for u in _envelope_walk(spec, point, depth):
         answer = point_in_cell(spec, point, u, budget)
         if answer == "yes":
             yes.append(u)
@@ -534,9 +543,6 @@ def generate_pu_nerve(spec: SystemSpec, k: int) -> tuple[tuple[int, ...], ...]:
             if len(prefixes) > 1:
                 raise AddressConsistencyError(s, i, k - 1,
                                               sorted(Word(p, spec.m) for p in prefixes))
-            index = i - 1  # of the word i.prefix, in lexicographic order
-            for symbol in prefixes.pop():
-                index = index * spec.m + symbol - 1
-            lift.append(index)
+            lift.append(symbols_index(spec.m, (i,) + prefixes.pop()))
         lifts.append(tuple(lift))
     return tuple(sorted(lifts))

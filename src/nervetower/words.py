@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 
 @dataclass(frozen=True, order=True)
@@ -133,6 +133,31 @@ def enumerate_words(m: int, k: int) -> list[Word]:
     if k < 0:
         raise ValueError("length must be nonnegative")
     return [Word(t, m) for t in product(range(1, m + 1), repeat=k)]
+
+
+def symbols_index(m: int, symbols: Iterable[int]) -> int:
+    """The vertex index of the word with these symbols among the m^k words of
+    its length k, in lexicographic order: the sum of (w_i - 1) m^(k - i)."""
+    index = 0
+    for symbol in symbols:
+        index = index * m + symbol - 1
+    return index
+
+
+def word_index(m: int, level: int, w: Word) -> int:
+    """symbols_index of w, which must be a length-`level` word over m symbols
+    (KeyError otherwise)."""
+    if w.m != m or len(w) != level:
+        raise KeyError(w)
+    return symbols_index(m, w.symbols)
+
+
+def indexed_word(m: int, level: int, v: int) -> Word:
+    """The word of vertex index v, the inverse of symbols_index: the base-m
+    digits of v, each plus one."""
+    if not 0 <= v < m ** level:
+        raise IndexError(f"vertex {v} outside 0..{m ** level - 1}")
+    return Word(tuple(v // m ** t % m + 1 for t in range(level - 1, -1, -1)), m)
 
 
 def word_from_string(text: str, m: int) -> Word:

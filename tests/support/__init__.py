@@ -12,8 +12,10 @@
   hand-worked table levels of the bundled finite-cycle and finite-trivial.
 * `singleton_refine`: the singleton-overlap check by refinement alone;
   checks the two-point refutation in `classify.check_singleton_overlaps`.
-* `fraction_geometry`: certificate points as `Fraction` points and envelope
-  images re-hulled; checks the integer-triple `oracles._word_points` (and
-  `oracles.certificate_points` on it) and the hull-free
-  `exactgeom.map_polygon` for nonsingular maps.
+* `fraction_geometry`: plane geometry in `Fraction`s (map images,
+  compositions, inverses, fixed points, half-plane containment, convexity,
+  bounding boxes, clipping, re-hulled envelope images) and certificate points
+  as `Fraction` points; checks the integer kernel of `exactgeom` and the
+  integer-triple `oracles._word_points` (and `oracles.certificate_points` on
+  it).
 """

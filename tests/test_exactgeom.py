@@ -8,9 +8,10 @@ from hypothesis import assume, given, strategies as st
 
 from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap,
                                   bboxes_overlap, check_envelope,
-                                  common_point_exists, compose, cross,
+                                  common_point_exists, compose,
                                   intersection_cycle, map_polygon, rational)
 from support import fraction_geometry
+from support.fraction_geometry import cross
 
 
 def P(x, y):
@@ -242,3 +243,126 @@ class TestEnvelope:
     def test_non_contraction_rejected(self):
         f = RationalAffineMap.identity()
         assert not check_envelope([f], TRIANGLE)
+
+
+# The integer kernel against the Fraction references.  Points on a coarse
+# grid make touching polygons, shared vertices, collinear triples and
+# boundary points common.
+grid = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+grid_points = st.builds(Point2, grid, grid)
+any_points = st.one_of(points, grid_points)
+# hulls of one, two or more points: single points, segments and polygons
+polygons = st.lists(grid_points, min_size=1, max_size=6).map(ConvexPolygon.hull)
+
+
+def _accepts(vertices) -> bool:
+    try:
+        ConvexPolygon(tuple(vertices))
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def vertex_cycles(draw):
+    """Candidate vertex tuples: raw point lists, and hull cycles rotated,
+    reversed, with a vertex repeated or an edge midpoint inserted."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(grid_points, min_size=1, max_size=5)))
+    v = list(draw(polygons).vertices)
+    k = draw(st.integers(0, len(v) - 1))
+    v = v[k:] + v[:k]
+    edit = draw(st.sampled_from(["none", "reverse", "repeat", "midpoint"]))
+    if edit == "reverse":
+        v.reverse()
+    elif edit == "repeat":
+        v.insert(draw(st.integers(0, len(v))), v[0])
+    elif edit == "midpoint" and len(v) >= 2:
+        p, q = v[0], v[1]
+        v.insert(1, Point2((p.x + q.x) / 2, (p.y + q.y) / 2))
+    return tuple(v)
+
+
+@st.composite
+def polygon_and_point(draw):
+    """A polygon and a point: anywhere, or on the line through two of its
+    vertices (on an edge, a chord or their extension), where the predicate
+    is tight."""
+    poly = draw(polygons)
+    if draw(st.booleans()):
+        return poly, draw(any_points)
+    p = draw(st.sampled_from(poly.vertices))
+    q = draw(st.sampled_from(poly.vertices))
+    t = draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))
+    return poly, Point2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+
+
+# Axis-parallel scalings and reflections keep vertical edges vertical, so
+# the image's smallest vertex is decided by y.
+nonzero = fracs.filter(bool)
+axis_maps = st.builds(lambda a, d, e, f: RationalAffineMap(a, 0, 0, d, e, f),
+                      nonzero, nonzero, fracs, fracs)
+
+
+@st.composite
+def maps_with_fixed_point_cases(draw):
+    """affine_maps(), plus maps with eigenvalue 1, where I - M may be singular."""
+    if draw(st.booleans()):
+        return draw(affine_maps())
+    b, d, e, f = (draw(fracs) for _ in range(4))
+    return RationalAffineMap(1, b, 0, d, e, f)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestIntegerKernel:
+    @given(polygon_and_point())
+    def test_contains_point(self, case):
+        poly, p = case
+        assert poly.contains_point(p) == fraction_geometry.contains_point(poly, p)
+
+    @given(vertex_cycles())
+    def test_convexity_accept_reject(self, vertices):
+        assert _accepts(vertices) == fraction_geometry.is_convex_cycle(vertices)
+
+    @given(st.lists(polygons, min_size=2, max_size=3))
+    def test_common_point_exists(self, polys):
+        assert common_point_exists(polys) == fraction_geometry.common_point_exists(polys)
+        assert intersection_cycle(polys) == fraction_geometry.intersection_cycle(polys)
+
+    @given(polygons, polygons)
+    def test_bbox_shortcut(self, a, b):
+        assert bboxes_overlap(a, b) == fraction_geometry.bboxes_overlap(a, b)
+
+    @given(st.one_of(affine_maps(), axis_maps), polygons)
+    def test_map_polygon(self, f, poly):
+        assert map_polygon(f, poly).vertices == fraction_geometry.map_polygon(f, poly).vertices
+
+    @given(affine_maps(), any_points)
+    def test_apply(self, f, p):
+        assert f(p) == fraction_geometry.apply(f, p)
+
+    @given(affine_maps(), affine_maps())
+    def test_compose(self, f, g):
+        h = compose(f, g)
+        assert h == fraction_geometry.compose(f, g)
+        # the cached common-denominator form is the one the map itself gives
+        assert h.over_common_denominator() == \
+            RationalAffineMap(h.a, h.b, h.c, h.d, h.e, h.f).over_common_denominator()
+
+    @given(maps_with_fixed_point_cases())
+    def test_fixed_point(self, f):
+        assert _outcome(f.fixed_point) == _outcome(fraction_geometry.fixed_point, f)
+
+    @given(affine_maps())
+    def test_inverse(self, f):
+        g = _outcome(f.inverse)
+        assert g == _outcome(fraction_geometry.inverse, f)
+        if g is not ValueError:
+            assert g.over_common_denominator() == \
+                RationalAffineMap(g.a, g.b, g.c, g.d, g.e, g.f).over_common_denominator()

