@@ -17,8 +17,8 @@ from .oracles import (AddressConsistencyError, Budget, ConsistencyError,
 from .nerve import (SimplicialComplex, SimplicialMap, TowerData, block_subcomplex,
                     build_iterate_or_subsystem, build_nerve, iterate_system,
                     tower_complexes, truncation_map)
-from .homology import (BettiTable, FieldKind, LimitVerdict, betti, cobetti,
-                       betti_exact, induced_rank, tower_analysis)
+from .homology import (BettiTable, FieldKind, LimitVerdict, betti, betti_exact,
+                       induced_rank, tower_analysis)
 from .components import (ComponentTower, ComponentVerdict, ComponentsLevel,
                          component_tower, components)
 from .classify import (PUReport, PairReport, PivotReport, SingletonReport,
@@ -40,7 +40,7 @@ __all__ = [
     "betti", "betti_exact", "block_subcomplex", "build_iterate_or_subsystem",
     "build_nerve", "bundled_names", "cells_containing_point", "cells_intersect",
     "check_h1_infinite_conditions", "check_postunbranched",
-    "check_singleton_overlaps", "cobetti", "compose", "component_tower",
+    "check_singleton_overlaps", "compose", "component_tower",
     "components", "concat", "constant_address", "enumerate_words",
     "generate_pu_nerve", "induced_rank", "iterate_system", "load_bundled",
     "parse_spec", "point_in_cell", "resolve_spec", "reverse", "spec_to_doc",

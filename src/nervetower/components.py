@@ -54,18 +54,32 @@ class ComponentsLevel:
 
     labels[i] is the component id of vertex i; ids run 0..count-1 in order of
     each component's lexicographically least word, which is also the
-    component's representative.
+    component's representative.  crossing has one pair per edge whose ends
+    have different first symbols (a block is the words sharing one): a
+    vertex of each end's component within its block, in the edge's order.
     """
 
     count: int
     labels: tuple[int, ...]
     representatives: tuple[Word, ...]
+    crossing: tuple[tuple[int, int], ...]
 
 
 def components(complex_: SimplicialComplex) -> ComponentsLevel:
+    """One union-find pass: the edges inside a block first, which leaves each
+    block's components for `crossing`, then the few that cross blocks."""
     n = complex_.m ** complex_.level
+    block = n // complex_.m
     uf = UnionFind(n)
-    for (a, b) in complex_.simplices.get(1, ()):
+    crossing = []
+    for edge in complex_.simplices.get(1, ()):
+        a, b = edge
+        if a // block == b // block:
+            uf.union(a, b)
+        else:
+            crossing.append(edge)
+    crossing = [(uf.find(a), uf.find(b)) for a, b in crossing]
+    for a, b in crossing:
         uf.union(a, b)
     roots = [uf.find(i) for i in range(n)]
     least: dict[int, int] = {}  # root -> least vertex, in the order of words
@@ -73,7 +87,7 @@ def components(complex_: SimplicialComplex) -> ComponentsLevel:
         least.setdefault(root, i)
     ids = {root: c for c, root in enumerate(least)}
     return ComponentsLevel(len(least), tuple(ids[root] for root in roots),
-                           tuple(map(complex_.word, least.values())))
+                           tuple(map(complex_.word, least.values())), tuple(crossing))
 
 
 VerdictKind = Literal[

@@ -139,13 +139,13 @@ class GeometricBackend:
 class TableBackend:
     """Explicit nerve data per depth: mapping level -> iterable of simplices.
 
-    Each simplex is an iterable of words (tuples of symbols).  Faces and the
-    singletons of every word at a stored level are implied and added here:
-    depth-k cells are never empty, so every word is a vertex.  Consecutive
-    stored levels must form a tower: cells only grow under truncation, so
-    every depth-(k+1) simplex truncates onto a depth-k one, and a point in
-    several depth-k cells lies in a child of each, so every depth-k simplex
-    is the truncation of a depth-(k+1) one.
+    Each simplex is an iterable of words (tuples of symbols).  Faces are
+    implied and added here; `levels` keeps the simplices of two or more
+    words, since depth-k cells are never empty, so every word is a vertex.
+    Consecutive stored levels must form a tower: cells only grow under
+    truncation, so every depth-(k+1) simplex truncates onto a depth-k one, and
+    a point in several depth-k cells lies in a child of each, so every
+    depth-k simplex is the truncation of a depth-(k+1) one.
     """
 
     kind = "table"  # the backend's "kind" in spec files
@@ -162,11 +162,9 @@ class TableBackend:
                 ws = frozenset(Word(tuple(symbols), m) for symbols in simplex)
                 if any(len(w) != level for w in ws):
                     raise SpecError(f"table level {level} lists a word of the wrong length")
-                for size in range(1, len(ws) + 1):
+                for size in range(2, len(ws) + 1):
                     for sub in combinations(sorted(ws), size):
                         sims.add(frozenset(sub))
-            for w in enumerate_words(m, level):
-                sims.add(frozenset((w,)))
             closed[level] = frozenset(sims)
         if 1 not in closed:
             raise SpecError("table backend must store at least level 1")
@@ -174,6 +172,7 @@ class TableBackend:
             if level + 1 not in closed:
                 continue
             images = {frozenset(truncate(w, level) for w in s) for s in closed[level + 1]}
+            images = {s for s in images if len(s) > 1}  # every word is a vertex
             if images - closed[level]:
                 raise SpecError(f"table level {level + 1} truncates onto"
                                 f" {_least(images - closed[level])}, which level {level}"
@@ -414,7 +413,7 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
         stored = backend.levels.get(level)
         if stored is None:
             return Verdict.unknown(None, "table", note=f"no stored data at depth {level}")
-        if frozenset(tup) in stored:
+        if len(tup) == 1 or frozenset(tup) in stored:  # a cell is never empty
             return Verdict.intersect("table")
         return Verdict.disjoint(0, "table")
     from .nerve import build_nerve  # symbolic nerves are generated there

@@ -6,8 +6,11 @@
 * `pu_nerve`: symbolic nerves as sets of word sets; checks the index
   generator `nerve._lifted_level` and its address-consistency errors.
 * `linalg_oracle`: dense Gaussian elimination and cochain pullback; checks
-  the sparse reduction `homology._reduce`, `homology.betti` and the
-  mapping-cone `homology.induced_rank`.
+  the sparse reduction `homology._reduce`, `homology.betti`, the
+  mapping-cone `homology.induced_rank`, the crossing-edge pass
+  `homology.lambda_ranks`, and the component counts that give rank d_1.
+* `cohomology`: Betti numbers through transposed boundaries (`cobetti`);
+  checks `homology.betti` on a second path through the same reduction.
 * `finite_oracle`: cells of finite point systems as point sets; checks the
   hand-worked table levels of the bundled finite-cycle and finite-trivial.
 * `singleton_refine`: the singleton-overlap check by refinement alone;

@@ -12,14 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from nervetower import cli, homology
 from nervetower.homology import (BettiTable, FieldKind, _reduce, betti, betti_exact,
-                                 cobetti, induced_rank, tower_analysis)
-from nervetower.nerve import (SimplicialComplex, SimplicialMap, build_nerve,
+                                 induced_rank, lambda_ranks, tower_analysis)
+from nervetower.nerve import (SimplicialComplex, SimplicialMap, TowerData, build_nerve,
                               tower_complexes, truncation_map)
 from nervetower.oracles import ConsistencyError, SpecError, TableBackend
 from nervetower.words import truncate
 
 from support import linalg_oracle
+from support.cohomology import cobetti
 from support.linalg_oracle import betti_oracle, induced_rank_oracle
+from test_acceptance import SUITE_DEPTHS, SUITE_DIM_CAPS
+from test_classify import derived_systems
 from test_nerve import symbolic_systems
 
 Q = FieldKind(0)
@@ -201,11 +204,107 @@ class TestInducedRank:
         assert induced_rank(tower.map_to_base(2), 0, Q) == 3
 
 
+def assert_lambda_pass_matches(tower: TowerData, fk: FieldKind, oracle_cells: int) -> None:
+    """tower_analysis on a fresh tower: lambda_k equals the mapping-cone rank
+    (and the dense cochain rank, on at most oracle_cells vertices), and the
+    rank of d_1 it stores equals a fresh reduction of d_1."""
+    depth = tower.depth
+    table = tower_analysis(tower.spec, depth, fk, tower.dim_cap, tower=tower)
+    for c in tower.complexes:
+        fresh = len(_reduce(homology._boundary_columns(c, 1, fk.char), fk.char))
+        assert homology._memo(c, fk.char)[1] == fresh, (c.level, fk)
+    assert table.lam == lambda_ranks(tower, fk, depth)
+    for k in range(2, depth + 1):
+        smap = tower.map_to_base(k)
+        assert table.lam[k] == induced_rank(smap, 1, fk), (k, fk)
+        if tower.spec.m ** k <= oracle_cells:
+            assert table.lam[k] == induced_rank_oracle(smap, 1, fk.char), (k, fk)
+
+
+# every bundled system: the property-suite depths, gasket and pentagasket deeper
+LAMBDA_DEPTHS = {**SUITE_DEPTHS, "gasket": 5, "pentagasket": 5}
+
+
+def assert_cocycle_basis(c: SimplicialComplex, fk: FieldKind) -> None:
+    """_base_cocycles: annihilators of every d_2 column, as many as
+    dim Z^1 = n_1 - rank d_2, and independent."""
+    char = fk.char
+    cocycles = homology._base_cocycles(c, char)
+    n1 = len(c.simplices.get(1, ()))
+    d2 = linalg_oracle.boundary_matrix(c, 2, char)
+    assert len(cocycles) == n1 - linalg_oracle.rank(d2, char)
+    assert all(len(z) == n1 and all(type(x) is int for x in z) for z in cocycles)
+    for z in cocycles:
+        for col in homology._boundary_columns(c, 2, char):
+            total = sum(z[row] * val for row, val in col.items())
+            assert (total % char if char else total) == 0
+    assert linalg_oracle.rank(cocycles, char) == len(cocycles)
+
+
+class TestLambdaPass:
+    def test_cocycle_bases(self, bundled):
+        complexes = [MOEBIUS, RP2] + [build_nerve(bundled(name).spec, 1, dim_cap=3)
+                                      for name in sorted(LAMBDA_DEPTHS)]
+        for c in complexes:
+            for fk in FIELDS:
+                assert_cocycle_basis(c, fk)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["".join(map(str, t)) for t in combinations(range(1, 7), 3)]),
+                    max_size=10))
+    def test_cocycle_bases_of_random_complexes(self, faces):
+        for fk in FIELDS:
+            assert_cocycle_basis(synthetic(faces, 6), fk)
+
+    @pytest.mark.parametrize("name", sorted(LAMBDA_DEPTHS))
+    def test_bundled_systems_match_references(self, bundled, name):
+        spec = bundled(name).spec
+        for fk in FIELDS:
+            tower = tower_complexes(spec, LAMBDA_DEPTHS[name], SUITE_DIM_CAPS.get(name, 2))
+            assert_lambda_pass_matches(tower, fk, oracle_cells=125)
+
+    @settings(max_examples=15, deadline=None)
+    @given(derived_systems())
+    def test_derived_systems_match_references(self, spec):
+        for fk in FIELDS:
+            tower = tower_complexes(spec, 3 if spec.m <= 4 else 2, 2)
+            assert_lambda_pass_matches(tower, fk, oracle_cells=81)
+
+    @settings(max_examples=15, deadline=None)
+    @given(symbolic_systems())
+    def test_symbolic_systems_with_2_cells_match_references(self, spec):
+        for fk in FIELDS:
+            assert_lambda_pass_matches(tower_complexes(spec, 3, 3), fk, oracle_cells=27)
+
+    @pytest.mark.parametrize("name", sorted(SUITE_DEPTHS))
+    def test_a0_by_reduction_is_the_component_count(self, bundled, name):
+        tower = tower_complexes(bundled(name).spec, SUITE_DEPTHS[name],
+                                SUITE_DIM_CAPS.get(name, 2))
+        for c, level in zip(tower.complexes, tower.components):
+            assert betti_oracle(c, 0, 0) == level.count, (name, c.level)
+
+
 class TestOneReductionPerBoundary:
+    def test_pentagasket_tower_reduces_no_d1(self, bundled, monkeypatch):
+        """rank d_1 comes from the component count and lambda from the
+        crossing edges, so no d_1 column is built; the mapping-cone lambda
+        built d_1 of every depth."""
+        built = Counter()
+        original = homology._boundary_columns
+
+        def counting(complex_, r, char):
+            built[r] += 1
+            return original(complex_, r, char)
+
+        monkeypatch.setattr(homology, "_boundary_columns", counting)
+        table = tower_analysis(bundled("pentagasket").spec, 6, Q)
+        assert table.lam == {k: 1 for k in range(2, 7)}
+        assert built[1] == 0
+        assert built[2] == 6
+
     def test_pentagasket_tower_builds_each_boundary_once(self, bundled, monkeypatch):
-        """Betti numbers at neighbouring r share a boundary, and lambda_k's
-        mapping-cone reduction shares d_1 with the Betti numbers of depth k; the
-        depth-6 pentagasket tower once built d_1 of each depth k >= 2 three times."""
+        """Betti numbers at neighbouring r share a boundary, and the cocycles of
+        N_1 share its d_2 with the Betti numbers of depth 1."""
         built = Counter()
         original = homology._boundary_columns
 
@@ -240,8 +339,8 @@ class TestOneReductionPerBoundary:
 
 def test_pentagasket_tower_column_subtractions(monkeypatch):
     """lambda_k tracks no kernel combinations: the depth-6 pentagasket analysis
-    makes 62,478 column subtractions (reducing d_1 with a kernel basis made
-    124,947)."""
+    makes no column subtractions (the mapping-cone lambda made 62,478, and
+    reducing d_1 with a kernel basis 124,947)."""
     spec = cli.load_bundled("pentagasket").spec
     calls = []
     original = homology._subtract

@@ -272,6 +272,14 @@ class TestTableBackend:
         assert v.kind == "intersect"
         assert cells_intersect(spec, [Word((1,), 2)]).kind == "intersect"
 
+    def test_lone_words_are_vertices_without_being_stored(self):
+        backend = TableBackend(2, {1: [], 2: [[(1, 1), (1, 2)]]})
+        spec = SystemSpec("t", "forward", 2, backend)
+        assert all(len(s) > 1 for stored in backend.levels.values() for s in stored)
+        for w in enumerate_words(2, 1) + enumerate_words(2, 2):
+            assert cells_intersect(spec, [w]).kind == "intersect"
+        assert cells_intersect(spec, [Word((2, 1), 2), Word((2, 2), 2)]).kind == "disjoint"
+
     def test_absent_simplex_is_disjoint(self):
         backend = TableBackend(2, {1: []})
         spec = SystemSpec("t", "forward", 2, backend)
@@ -295,10 +303,13 @@ class TestTableBackend:
     @pytest.mark.parametrize("name,system", [("finite-cycle", finite_cycle_system),
                                              ("finite-trivial", finite_trivial_system)])
     def test_bundled_levels_match_point_sets(self, bundled, name, system):
-        """The hand-worked table levels are the nerves of the point-set systems."""
-        backend = bundled(name).spec.backend
-        for level, stored in backend.levels.items():
-            assert {frozenset(w.symbols for w in s) for s in stored} == \
+        """The hand-worked table levels, with every word a vertex, are the
+        nerves of the point-set systems."""
+        spec = bundled(name).spec
+        for level in spec.backend.levels:
+            nerve = build_nerve(spec, level, dim_cap=spec.m ** level)
+            assert nerve.complete
+            assert {frozenset(w.symbols for w in s) for s in nerve.simplex_word_sets()} == \
                 system().nerve_word_sets(level)
 
 
