@@ -25,7 +25,8 @@ from typing import Literal, Optional
 
 from . import oracles
 from .components import components as nerve_components, stationary_bound
-from .exactgeom import Point2, common_point_exists, intersection_cycle
+# common_point_exists is unused here; the tracer self-test in perfbench/tests patches it
+from .exactgeom import Point2, common_point_exists, intersection_cycle  # noqa: F401
 from .homology import BettiTable
 from .nerve import build_nerve
 from .oracles import (
@@ -34,7 +35,6 @@ from .oracles import (
     SpecError,
     SymbolicPUBackend,
     SystemSpec,
-    Verdict,
     cell_envelope,
     cells_containing_point,
     certificate_points,
@@ -230,19 +230,9 @@ def _singleton_status(spec: SystemSpec, i: int, j: int,
                    for (u, v) in alive]
         if all(set(region) == {point} for region in regions):
             return "singleton", ()
-        frontier = []
-        for (u, v) in alive:
-            for su in range(1, spec.m + 1):
-                for sv in range(1, spec.m + 1):
-                    cu, cv = u.extended(su), v.extended(sv)
-                    if common_point_exists(
-                            [cell_envelope(spec, cu), cell_envelope(spec, cv)]):
-                        frontier.append((cu, cv))
-                        if len(frontier) > oracles._ALIVE_CAP:
-                            return "unknown", ()
-        if not frontier:
+        alive = oracles._refine(spec, alive)
+        if not alive:  # past the frontier cap, or every child separated
             return "unknown", ()
-        alive = frontier
     return "unknown", ()
 
 

@@ -515,8 +515,8 @@ def cmd_tower(args: argparse.Namespace) -> int:
                            singleton_overlaps=certs["singleton"],
                            assert_injective=loaded.flags.injective,
                            pivot_conditions=certs["pivot"])
-    ctower = component_tower(tower, assert_lx_connected=loaded.flags.lx_connected,
-                             facts=table.facts)
+    ctower = component_tower(tower, table.facts,
+                             assert_lx_connected=loaded.flags.lx_connected)
     _emit(tower_csv(table), args.out_csv)
     report = tower_report_doc(table, ctower)
     if args.out_report:

@@ -161,10 +161,10 @@ def dim0_facts(tower: TowerData, depth: int, *, assert_injective: bool,
     if any(b < a for a, b in zip(counts, counts[1:])):
         raise ConsistencyError("component counts decreased along the tower")
     parents: list[tuple[int, ...]] = []
-    for smap, deep, shallow in zip(tower.maps, levels[1:], levels):
+    for deep, shallow in zip(levels[1:], levels):
         parent: dict[int, int] = {}
         for v, label in enumerate(deep.labels):
-            image = shallow.labels[smap.vertex_map[v]]
+            image = shallow.labels[v // spec.m]
             if parent.setdefault(label, image) != image:  # truncation is simplicial: never
                 raise ConsistencyError("component parent map is not well defined")
         parents.append(tuple(parent[c] for c in range(deep.count)))
@@ -265,26 +265,15 @@ def dim0_verdict(facts: Dim0Facts) -> tuple[LimitVerdict, ComponentVerdict]:
             ComponentVerdict(mech.kind, value, mech.name, component))
 
 
-def component_tower(tower: TowerData, *,
-                    assert_lx_connected: bool = False,
-                    facts: Optional[Dim0Facts] = None,
-                    assert_injective: bool = False,
-                    postunbranched: Optional[bool] = None,
-                    n1_betti: Optional[tuple[int, int]] = None) -> ComponentTower:
+def component_tower(tower: TowerData, facts: Dim0Facts, *,
+                    assert_lx_connected: bool = False) -> ComponentTower:
     """Counts, parent links, and a verdict about the invariant set's components.
 
-    facts, when given, are the ones a Betti table already derived for every
-    depth of this tower (BettiTable.facts), and the inputs after it are not
-    read.  Otherwise they are derived here: n1_betti, when available, is
-    (a_{0,1}, a_{1,1}) over a field and unlocks the count-bound mechanisms for
-    certified systems; postunbranched likewise comes from the classifier, and
-    None means not certified.
+    facts are the ones a Betti table derived for every depth of this tower
+    (BettiTable.facts, or `dim0_facts` of the whole tower).
     """
     spec = tower.spec
-    if facts is None:
-        facts = dim0_facts(tower, tower.depth, assert_injective=assert_injective,
-                           postunbranched=postunbranched, n1_betti=n1_betti)
-    elif len(facts.counts) != tower.depth:
+    if len(facts.counts) != tower.depth:
         raise ConsistencyError("dim-0 facts cover a different depth than the tower")
     if spec.is_geometric:
         hypothesis = "verified-contraction"  # cell maps contract, so nested cells shrink to points

@@ -3,7 +3,7 @@
 The depth-k nerve has one vertex per length-k word (cells are never empty) and
 a simplex for every tuple of words whose cells share a point.  Dropping the
 last symbol of every word induces a simplicial surjection from depth k+1 onto
-depth k; those maps are what the tower analysis consumes.
+depth k, v -> v // m on vertex indices; a tower checks each one as it is built.
 
 Oracle answers of Unknown do not abort construction: the affected tuples are
 excluded from the complex and recorded in its `uncertain` log, so downstream
@@ -287,54 +287,65 @@ class SimplicialMap:
     surjective: Optional[bool] = None
 
 
-def _truncation(long: SimplicialComplex, short: SimplicialComplex) -> tuple[int, ...]:
-    """Vertex v of the deeper complex truncates to v // m^(long.level - short.level)."""
-    ratio = long.m ** (long.level - short.level)
-    return tuple(v // ratio for v in range(long.m ** long.level))
-
-
 def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
-    """The drop-last-symbols map between nerve depths, with its contracts checked.
+    """The drop-last-symbols map v -> v // m^d between nerve depths, with its
+    contracts checked, in one pass over the simplices of `long`.
 
-    Simpliciality is a soundness requirement and failures raise; surjectivity
-    holds for true nerves and is checked whenever both complexes are free of
-    uncertain tuples (left None otherwise).
+    Simpliciality is a soundness requirement.  An image missing from `short`
+    raises, unless `short` has uncertain tuples: then the simplex above the
+    image certifies it (cells only grow under truncation), so it is added to
+    `short`, and the uncertain entries it resolves are dropped.  Its faces
+    are the images of faces of that simplex, so the same pass adds them.
+    A level without uncertain tuples is exact up to its cap, and table levels
+    are checked to form a tower when the backend is built, so neither gains
+    anything.  Surjectivity holds for true nerves and is checked whenever both
+    complexes are free of uncertain tuples (left None otherwise).
     """
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
-    vertex_map = _truncation(long, short)
-    target_sets = {dim: set(sims) for dim, sims in short.simplices.items()}
-    images: dict[int, set[tuple[int, ...]]] = {}
-    for dim, sims in long.simplices.items():
+    ratio = long.m ** (long.level - short.level)
+    target = {dim: set(sims) for dim, sims in short.simplices.items()}
+    images: dict[int, set[tuple[int, ...]]] = {dim: set() for dim in range(short.dim_cap + 1)}
+    swept = False
+    for sims in long.simplices.values():
         for s in sims:
-            image = tuple(sorted({vertex_map[v] for v in s}))
-            if dim:
-                if len(image) - 1 > short.dim_cap:
-                    raise ConsistencyError("target complex capped below an image simplex")
-                if image not in target_sets.get(len(image) - 1, set()):
+            image = tuple(sorted({v // ratio for v in s}))
+            dim = len(image) - 1
+            if dim > short.dim_cap:
+                raise ConsistencyError("target complex capped below an image simplex")
+            if image not in target.get(dim, ()):
+                if not short.uncertain:
                     raise ConsistencyError(
                         f"truncation is not simplicial: {s} maps outside depth {short.level}"
                     )
-            images.setdefault(len(image) - 1, set()).add(image)
+                target.setdefault(dim, set()).add(image)
+                swept = True
+            images[dim].add(image)
+    if swept:
+        short.simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(target.items())}
+        short.uncertain = tuple(
+            entry for entry in short.uncertain
+            if tuple(sorted(map(short.index_of, entry[0]))) not in target.get(len(entry[0]) - 1, ())
+        )
     surjective: Optional[bool] = None
     if not long.uncertain and not short.uncertain:
-        surjective = all(sims <= images.get(dim, set()) for dim, sims in target_sets.items())
+        surjective = all(sims <= images.get(dim, set()) for dim, sims in target.items())
         if not surjective:
             raise ConsistencyError(
                 f"truncation from depth {long.level} misses simplices of depth {short.level}"
             )
-    return SimplicialMap(long, short, vertex_map, surjective)
+    return SimplicialMap(long, short, tuple(v // ratio for v in range(long.m ** long.level)),
+                         surjective)
 
 
 @dataclass
 class TowerData:
-    """Nerves at depths 1..K, the truncation maps between them, and their components."""
+    """Nerves at depths 1..K and their components."""
 
     spec: SystemSpec
     dim_cap: int
     budget: Budget
     complexes: list[SimplicialComplex]
-    maps: list[SimplicialMap]  # maps[i]: depth i+2 -> depth i+1
     components: list[ComponentsLevel]
 
     @property
@@ -344,69 +355,19 @@ class TowerData:
     def complex_at(self, level: int) -> SimplicialComplex:
         return self.complexes[level - 1]
 
-    def map_to_base(self, level: int) -> SimplicialMap:
-        """Truncation from depth `level` all the way down to depth 1.
-
-        It is the composite of the stored maps, each checked simplicial when it
-        was built, and a composite of simplicial surjections is one as well;
-        it is marked surjective only when every factor is.
-        """
-        if level < 2:
-            raise SpecError("truncation needs two depths of one system, deeper first")
-        source = self.complex_at(level)
-        factors = self.maps[:level - 1]
-        vertex_map = factors[-1].vertex_map
-        for smap in reversed(factors[:-1]):
-            vertex_map = tuple(smap.vertex_map[v] for v in vertex_map)
-        surjective = True if all(f.surjective is True for f in factors) else None
-        return SimplicialMap(source, self.complex_at(1), vertex_map, surjective)
-
 
 def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
                     budget: Budget = Budget()) -> TowerData:
-    """Build nerves for depths 1..depth and the maps between them.
+    """Build nerves for depths 1..depth and check the truncations between them.
 
-    Before the maps are formed, certificates are swept downward: a certified
-    simplex at depth k+1 certifies its truncated image at depth k (cells only
-    grow under truncation), so any image missing merely because the shallower
-    query exhausted its budget is added and dropped from the uncertain log.
-    Only levels with uncertain tuples are swept: a generated level without
-    them is already exact up to its cap, and table levels are checked to form
-    a tower when the backend is built, so each stored level already lists the
-    truncation of every simplex one level deeper.
+    One `truncation_map` per pair of consecutive depths, deepest pair first,
+    so certificates swept into a level reach the level below it too.  The
+    maps are not kept: truncation is v // m on vertex indices.
     """
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
-        if complexes[k - 1].uncertain:
-            _sweep_certificates(complexes[k], complexes[k - 1])
-    maps = [truncation_map(complexes[i + 1], complexes[i]) for i in range(len(complexes) - 1)]
-    return TowerData(spec, dim_cap, budget, complexes, maps,
-                     [components(c) for c in complexes])
-
-
-def _sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> None:
-    vertex_map = _truncation(long, short)
-    buckets = {dim: set(sims) for dim, sims in short.simplices.items()}
-    added = False
-    for dim, sims in long.simplices.items():
-        if dim == 0:
-            continue
-        for s in sims:
-            image = tuple(sorted({vertex_map[v] for v in s}))
-            if len(image) == 1:
-                continue
-            bucket = buckets.setdefault(len(image) - 1, set())
-            if image not in bucket:
-                bucket.add(image)
-                added = True
-    if not added:
-        return
-    _close_downward(buckets)
-    short.simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    short.uncertain = tuple(
-        entry for entry in short.uncertain
-        if tuple(sorted(map(short.index_of, entry[0]))) not in buckets.get(len(entry[0]) - 1, ())
-    )
+        truncation_map(complexes[k], complexes[k - 1])
+    return TowerData(spec, dim_cap, budget, complexes, [components(c) for c in complexes])
 
 
 def block_subcomplex(complex_: SimplicialComplex, prefix: Word) -> SimplicialComplex:

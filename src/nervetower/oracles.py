@@ -24,7 +24,7 @@ Three backends answer it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
@@ -437,21 +437,30 @@ def _geometric_intersect(spec: SystemSpec, ws: tuple[Word, ...], budget: Budget)
         return Verdict.intersect("geometric", point, addresses)
 
     alive: list[tuple[Word, ...]] = [ws]
-    symbols = range(1, spec.m + 1)
     for depth in range(1, budget.refine_depth + 1):
-        frontier: list[tuple[Word, ...]] = []
-        for tup in alive:
-            for ext in product(symbols, repeat=len(tup)):
-                child = tuple(w.extended(j) for w, j in zip(tup, ext))
-                if common_point_exists([cell_envelope(spec, w) for w in child]):
-                    frontier.append(child)
-                    if len(frontier) > _ALIVE_CAP:
-                        return Verdict.unknown(budget, "geometric",
-                                               note=f"refinement frontier exceeded {_ALIVE_CAP}")
-        if not frontier:
+        alive = _refine(spec, alive)
+        if alive is None:
+            return Verdict.unknown(budget, "geometric",
+                                   note=f"refinement frontier exceeded {_ALIVE_CAP}")
+        if not alive:
             return Verdict.disjoint(depth, "geometric")
-        alive = frontier
     return Verdict.unknown(budget, "geometric", note="budget exhausted")
+
+
+def _refine(spec: SystemSpec, alive: list[tuple[Word, ...]]) -> Optional[list[tuple[Word, ...]]]:
+    """One refinement step: every child tuple of an alive tuple (each word
+    extended by one symbol) whose cell envelopes meet, or None once more than
+    _ALIVE_CAP children survive."""
+    symbols = range(1, spec.m + 1)
+    frontier: list[tuple[Word, ...]] = []
+    for tup in alive:
+        for ext in product(symbols, repeat=len(tup)):
+            child = tuple(w.extended(j) for w, j in zip(tup, ext))
+            if common_point_exists([cell_envelope(spec, w) for w in child]):
+                frontier.append(child)
+                if len(frontier) > _ALIVE_CAP:
+                    return None
+    return frontier
 
 
 PointAnswer = Literal["yes", "no", "unknown"]

@@ -1,8 +1,10 @@
 """Slow references that the package's fast paths are checked against.
 
 * `allpairs_nerve`: every pair of depth-k cells asked of the oracle, then
-  cliques; checks the block-copy generator `nerve._levels` on geometric
-  systems and the certificate sweep of `nerve.tower_complexes`.
+  cliques, and the reference sweep `sweep_certificates`, which sweeps
+  certificates into every level; checks the block-copy generator
+  `nerve._levels` on geometric systems and the sweep that
+  `nerve.truncation_map` makes into levels with uncertain tuples.
 * `pu_nerve`: symbolic nerves as sets of word sets; checks the index
   generator `nerve._lifted_level` and its address-consistency errors.
 * `linalg_oracle`: dense Gaussian elimination and cochain pullback; checks

@@ -4,10 +4,13 @@ in `nervetower.nerve` is checked against.
 It queries the oracle on every pair of depth-k cells, then grows cliques of
 verified simplices, without using the self-similar structure at all.  Its
 output is the nerve before `tower_complexes` sweeps certificates downward.
+`allpairs_tower` sweeps them with the reference sweep `sweep_certificates`
+into every level, where `nerve.truncation_map` sweeps only into levels that
+have uncertain tuples.
 """
 
 from nervetower import oracles
-from nervetower.nerve import SimplicialComplex, _close_downward, _sweep_certificates
+from nervetower.nerve import SimplicialComplex, _close_downward
 from nervetower.oracles import Budget, SystemSpec
 from nervetower.words import Word, enumerate_words
 
@@ -79,5 +82,32 @@ def allpairs_tower(spec: SystemSpec, depth: int, dim_cap: int,
     """Nerves at depths 1..depth with certificates swept down, as in `tower_complexes`."""
     complexes = [allpairs_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
-        _sweep_certificates(complexes[k], complexes[k - 1])
+        sweep_certificates(complexes[k], complexes[k - 1])
     return complexes
+
+
+def sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> None:
+    """Add to `short` every truncated image of a simplex of `long`, with its
+    faces, and drop the uncertain entries of `short` that those resolve."""
+    ratio = long.m ** (long.level - short.level)
+    buckets = {dim: set(sims) for dim, sims in short.simplices.items()}
+    added = False
+    for dim, sims in long.simplices.items():
+        if dim == 0:
+            continue
+        for s in sims:
+            image = tuple(sorted({v // ratio for v in s}))
+            if len(image) == 1:
+                continue
+            bucket = buckets.setdefault(len(image) - 1, set())
+            if image not in bucket:
+                bucket.add(image)
+                added = True
+    if not added:
+        return
+    _close_downward(buckets)
+    short.simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
+    short.uncertain = tuple(
+        entry for entry in short.uncertain
+        if tuple(sorted(map(short.index_of, entry[0]))) not in buckets.get(len(entry[0]) - 1, ())
+    )

@@ -15,10 +15,10 @@ from nervetower import cli
 from nervetower.classify import (check_h1_infinite_conditions,
                                  check_postunbranched,
                                  check_singleton_overlaps, verify_puthm)
-from nervetower.components import component_tower, components
+from nervetower.components import component_tower, components, dim0_facts
 from nervetower.homology import (FieldKind, betti, betti_exact, induced_rank,
                                  tower_analysis)
-from nervetower.nerve import build_nerve, tower_complexes
+from nervetower.nerve import build_nerve, tower_complexes, truncation_map
 from nervetower.oracles import (Budget, SymbolicPUBackend, SystemSpec,
                                 cells_intersect)
 from nervetower.words import Address, Word, enumerate_words
@@ -145,7 +145,7 @@ def test_criterion_06_funnel_collapse(bundled):
         assert rep.status == "postunbranched"
         tower = tower_complexes(spec, 2, dim_cap=2)
         assert betti(tower.complex_at(1), Q, 1) >= 1
-        assert induced_rank(tower.maps[0], 1, Q) == 0
+        assert induced_rank(truncation_map(tower.complex_at(2), tower.complex_at(1)), 1, Q) == 0
         table = tower_analysis(spec, 3, Q, dim_cap=2, postunbranched=True)
         thm = verify_puthm(table)
         assert thm.passed
@@ -188,7 +188,8 @@ def test_criterion_09_property_suite(bundled, suite_towers):
         for name, tower in suite_towers.items():
             # truncation maps are simplicial by construction (checked in
             # truncation_map) and surjective whenever nothing was uncertain
-            for smap in tower.maps:
+            for long, short in zip(tower.complexes[1:], tower.complexes):
+                smap = truncation_map(long, short)
                 if not (smap.source.uncertain or smap.target.uncertain):
                     assert smap.surjective is True, name
 
@@ -207,7 +208,7 @@ def test_criterion_09_property_suite(bundled, suite_towers):
 
             # induced rank through homology equals the dual cochain route
             for k in range(2, tower.depth + 1):
-                smap = tower.map_to_base(k)
+                smap = truncation_map(tower.complex_at(k), tower.complex_at(1))
                 if betti_exact(smap.source, 1) and betti_exact(smap.target, 1):
                     for fk in fields:
                         assert induced_rank(smap, 1, fk) == \
@@ -263,6 +264,8 @@ def test_criterion_09_property_suite(bundled, suite_towers):
 def test_criterion_10_two_map_split(bundled):
     with criterion(10, "two-map split"):
         spec = bundled("two-map-split").spec
-        ct = component_tower(tower_complexes(spec, 4))
+        tower = tower_complexes(spec, 4)
+        ct = component_tower(tower, dim0_facts(tower, 4, assert_injective=False,
+                                               postunbranched=None, n1_betti=None))
         assert ct.counts == [2, 4, 8, 16]
         assert ct.verdict.kind == "uncountable"

@@ -7,7 +7,7 @@ import pytest
 
 from nervetower import cli
 from nervetower.components import (DIM0_MECHANISMS, ComponentTower, Dim0Facts,
-                                   component_tower, components)
+                                   component_tower, components, dim0_facts)
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import build_nerve, tower_complexes
@@ -19,6 +19,12 @@ components_module = importlib.import_module("nervetower.components")
 
 def P(x, y):
     return Point2(Fraction(x), Fraction(y))
+
+
+def facts(tower, *, postunbranched=None, n1_betti=None):
+    """The dim-0 facts of the whole tower, as tower_analysis derives them."""
+    return dim0_facts(tower, tower.depth, assert_injective=False,
+                      postunbranched=postunbranched, n1_betti=n1_betti)
 
 
 def interval_with_isolated_cell():
@@ -62,7 +68,7 @@ class TestParentLinks:
         monkeypatch.setattr(components_module, "ComponentsLevel", Counting)
         tower = tower_complexes(gasket, 3)
         tower_analysis(gasket, 3, FieldKind(0), dim_cap=2, tower=tower)
-        component_tower(tower)
+        component_tower(tower, facts(tower))
         assert len(made) == 3
 
     def test_facts_derived_once_per_tower_command(self, tmp_path, monkeypatch):
@@ -86,16 +92,17 @@ class TestParentLinks:
         tower = tower_complexes(gasket, 3)
         table = tower_analysis(gasket, 2, FieldKind(0), dim_cap=2, tower=tower)
         with pytest.raises(ConsistencyError):
-            component_tower(tower, facts=table.facts)
+            component_tower(tower, table.facts)
 
     def test_connected_chain(self, gasket):
-        ct = component_tower(tower_complexes(gasket, 3))
+        tower = tower_complexes(gasket, 3)
+        ct = component_tower(tower, facts(tower))
         assert ct.counts == [1, 1, 1]
         assert ct.parents == [(0,), (0,)]
 
     def test_three_blocks_map_bijectively(self, bundled):
         tower = tower_complexes(bundled("finite-trivial").spec, 2, dim_cap=2)
-        ct = component_tower(tower, assert_lx_connected=True)
+        ct = component_tower(tower, facts(tower), assert_lx_connected=True)
         assert ct.counts == [3, 3]
         assert ct.parents == [(0, 1, 2)]
 
@@ -112,7 +119,8 @@ class TestVerdicts:
         assert DIM0_MECHANISMS[-1].needs == ()
 
     def test_connected_base(self, gasket):
-        ct = component_tower(tower_complexes(gasket, 2))
+        tower = tower_complexes(gasket, 2)
+        ct = component_tower(tower, facts(tower))
         assert ct.hypothesis == "verified-contraction"
         assert ct.verdict.kind == "connected"
         assert ct.verdict.count == 1
@@ -120,14 +128,16 @@ class TestVerdicts:
 
     def test_two_block_split_is_uncountable(self, bundled):
         spec = bundled("two-map-split").spec
-        ct = component_tower(tower_complexes(spec, 3))
+        tower = tower_complexes(spec, 3)
+        ct = component_tower(tower, facts(tower))
         assert ct.counts == [2, 4, 8]
         assert ct.verdict.kind == "uncountable"
         assert ct.verdict.mechanism == "two-block-split"
 
     def test_isolated_block_grows_strictly(self):
         spec = interval_with_isolated_cell()
-        ct = component_tower(tower_complexes(spec, 3))
+        tower = tower_complexes(spec, 3)
+        ct = component_tower(tower, facts(tower))
         assert ct.counts == [2, 5, 14]
         assert ct.verdict.kind == "countably-infinite-plus"
         assert ct.verdict.mechanism == "isolated-block"
@@ -135,7 +145,7 @@ class TestVerdicts:
 
     def test_stabilized_table(self, bundled):
         tower = tower_complexes(bundled("finite-trivial").spec, 2, dim_cap=2)
-        ct = component_tower(tower, assert_lx_connected=True)
+        ct = component_tower(tower, facts(tower), assert_lx_connected=True)
         assert ct.hypothesis == "user-asserted"
         assert ct.verdict.kind == "finitely-many"
         assert ct.verdict.count == 3
@@ -144,7 +154,7 @@ class TestVerdicts:
     def test_hypothesis_gate_blocks_table_verdicts(self, bundled):
         # no lx-connectedness assertion: counts are reported, nothing concluded
         tower = tower_complexes(bundled("finite-cycle").spec, 2, dim_cap=4)
-        ct = component_tower(tower)
+        ct = component_tower(tower, facts(tower))
         assert ct.hypothesis == "unverified"
         assert ct.verdict.kind == "growing-unknown"
         assert ct.verdict.mechanism == "hypothesis-unverified"
@@ -152,13 +162,13 @@ class TestVerdicts:
 
     def test_asserted_cycle_is_connected(self, bundled):
         tower = tower_complexes(bundled("finite-cycle").spec, 2, dim_cap=4)
-        ct = component_tower(tower, assert_lx_connected=True)
+        ct = component_tower(tower, facts(tower), assert_lx_connected=True)
         assert ct.verdict.kind == "connected"
 
     def test_pu_count_lower_bound(self, bundled):
         spec = bundled("gasket-sub-mixed").spec
         tower = tower_complexes(spec, 2)
-        ct = component_tower(tower, postunbranched=True, n1_betti=(2, 1))
+        ct = component_tower(tower, facts(tower, postunbranched=True, n1_betti=(2, 1)))
         # m=7: stationary bound (7 - 2 + 1)/6 = 1 < 2 components
         assert ct.verdict.kind == "countably-infinite-plus"
         assert ct.verdict.mechanism == "pu-count-lower-bound"
@@ -168,9 +178,9 @@ class TestVerdicts:
         # is tight (2 = 2) so only the small-m mechanism applies
         edges = [[(a,), (b,)] for a in range(1, 6) for b in range(a + 1, 6)]
         spec = SystemSpec("smallm", "forward", 6, TableBackend(6, {1: edges}))
-        ct = component_tower(tower_complexes(spec, 1),
-                             assert_lx_connected=True,
-                             postunbranched=True, n1_betti=(2, 6))
+        tower = tower_complexes(spec, 1)
+        ct = component_tower(tower, facts(tower, postunbranched=True, n1_betti=(2, 6)),
+                             assert_lx_connected=True)
         assert ct.verdict.kind == "countably-infinite-plus"
         assert ct.verdict.mechanism == "pu-small-m-disconnected"
 
@@ -187,14 +197,15 @@ class TestVerdicts:
         assert table.component_counts == [2, 32]
         assert table.verdicts[0].mechanism == "pu-escaped-bound"
         assert table.verdicts[0].status == "infinite"
-        ct = component_tower(tower, assert_lx_connected=True, postunbranched=True,
-                             n1_betti=(table.a[(0, 1)], table.a[(1, 1)]))
+        n1_betti = (table.a[(0, 1)], table.a[(1, 1)])
+        ct = component_tower(tower, facts(tower, postunbranched=True, n1_betti=n1_betti),
+                             assert_lx_connected=True)
         assert ct.verdict.mechanism == "pu-escaped-bound"
         assert ct.verdict.kind == "countably-infinite-plus"
 
     def test_single_level_gives_no_certificate(self, bundled):
         tower = tower_complexes(bundled("finite-trivial").spec, 1, dim_cap=2)
-        ct = component_tower(tower, assert_lx_connected=True)
+        ct = component_tower(tower, facts(tower), assert_lx_connected=True)
         assert ct.verdict.kind == "growing-unknown"
         assert ct.verdict.mechanism == "no-certificate"
 
@@ -205,6 +216,7 @@ class TestVerdicts:
         envelope = ConvexPolygon.hull([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
         spec = SystemSpec("slow", "forward", 2, GeometricBackend(maps, envelope))
         starved = Budget(refine_depth=0, cert_period_max=1, cert_preperiod_max=0)
-        ct = component_tower(tower_complexes(spec, 1, budget=starved))
+        tower = tower_complexes(spec, 1, budget=starved)
+        ct = component_tower(tower, facts(tower))
         assert ct.verdict.kind == "growing-unknown"
         assert ct.verdict.mechanism == "uncertain-simplices"

@@ -16,14 +16,13 @@ from nervetower.homology import (BettiTable, FieldKind, _reduce, betti, betti_ex
 from nervetower.nerve import (SimplicialComplex, SimplicialMap, TowerData, build_nerve,
                               tower_complexes, truncation_map)
 from nervetower.oracles import ConsistencyError, SpecError, TableBackend
-from nervetower.words import truncate
 
 from support import linalg_oracle
 from support.cohomology import cobetti
 from support.linalg_oracle import betti_oracle, induced_rank_oracle
 from test_acceptance import SUITE_DEPTHS, SUITE_DIM_CAPS
 from test_classify import derived_systems
-from test_nerve import symbolic_systems
+from test_nerve import one_step_maps, symbolic_systems
 
 Q = FieldKind(0)
 GF2 = FieldKind(2)
@@ -49,6 +48,12 @@ def synthetic(faces, n):
 MOEBIUS = synthetic(["123", "234", "345", "451", "512"], 5)
 RP2 = synthetic(["123", "134", "145", "156", "126",
                  "235", "346", "452", "563", "624"], 6)
+
+
+def truncation_maps(tower: TowerData) -> list[SimplicialMap]:
+    """The one-step truncations, then those from depths 3..K to depth 1."""
+    return one_step_maps(tower) + [truncation_map(tower.complex_at(k), tower.complex_at(1))
+                                   for k in range(3, tower.depth + 1)]
 
 
 class TestFieldKind:
@@ -169,8 +174,7 @@ class TestInducedRank:
             # table systems store depth 2 only
             depth = 2 if isinstance(spec.backend, TableBackend) else 3
             tower = tower_complexes(spec, depth, dim_cap=3)
-            maps = tower.maps + [tower.map_to_base(k) for k in range(3, depth + 1)]
-            for smap in maps:
+            for smap in truncation_maps(tower):
                 for fk in FIELDS:
                     for r in (0, 1, 2):
                         assert induced_rank(smap, r, fk) == \
@@ -180,8 +184,7 @@ class TestInducedRank:
     @settings(max_examples=25, deadline=None)
     @given(symbolic_systems())
     def test_oracle_agreement_on_random_towers_with_2_cells(self, spec):
-        tower = tower_complexes(spec, 3, 3)
-        for smap in tower.maps + [tower.map_to_base(3)]:
+        for smap in truncation_maps(tower_complexes(spec, 3, 3)):
             for fk in FIELDS:
                 for r in (1, 2):
                     assert induced_rank(smap, r, fk) == \
@@ -196,12 +199,14 @@ class TestInducedRank:
         }
         for name, lam2 in expected.items():
             tower = tower_complexes(bundled(name).spec, 2, dim_cap=2)
-            assert induced_rank(tower.map_to_base(2), 1, Q) == lam2, name
+            to_base = truncation_map(tower.complex_at(2), tower.complex_at(1))
+            assert induced_rank(to_base, 1, Q) == lam2, name
 
     def test_dim0_rank_counts_surviving_components(self, bundled):
         # depth-2 map to depth 1 on components: three blocks stay three blocks
         tower = tower_complexes(bundled("finite-trivial").spec, 2, dim_cap=2)
-        assert induced_rank(tower.map_to_base(2), 0, Q) == 3
+        to_base = truncation_map(tower.complex_at(2), tower.complex_at(1))
+        assert induced_rank(to_base, 0, Q) == 3
 
 
 def assert_lambda_pass_matches(tower: TowerData, fk: FieldKind, oracle_cells: int) -> None:
@@ -215,7 +220,7 @@ def assert_lambda_pass_matches(tower: TowerData, fk: FieldKind, oracle_cells: in
         assert homology._memo(c, fk.char)[1] == fresh, (c.level, fk)
     assert table.lam == lambda_ranks(tower, fk, depth)
     for k in range(2, depth + 1):
-        smap = tower.map_to_base(k)
+        smap = truncation_map(tower.complex_at(k), tower.complex_at(1))
         assert table.lam[k] == induced_rank(smap, 1, fk), (k, fk)
         if tower.spec.m ** k <= oracle_cells:
             assert table.lam[k] == induced_rank_oracle(smap, 1, fk.char), (k, fk)
@@ -318,23 +323,6 @@ class TestOneReductionPerBoundary:
         assert len(table.lam) == 5
         assert {k for k, _r in built} == set(range(1, 7))
         assert [key for key, n in built.items() if n > 1] == []
-
-    @pytest.mark.parametrize("name", ["gasket", "pentagasket"])
-    def test_composed_map_to_base_is_the_truncation(self, bundled, name):
-        tower = tower_complexes(bundled(name).spec, 4)
-        for k in range(2, 5):
-            composed = tower.map_to_base(k)
-            direct = truncation_map(tower.complex_at(k), tower.complex_at(1))
-            assert composed.source is direct.source and composed.target is direct.target
-            assert composed.vertex_map == direct.vertex_map
-            assert composed.surjective is direct.surjective is True
-            long, short = direct.source, direct.target
-            assert all(direct.vertex_map[v] == short.index_of(truncate(long.word(v), short.level))
-                       for v in range(long.m ** long.level))
-
-    def test_map_to_base_needs_two_depths(self, gasket):
-        with pytest.raises(SpecError):
-            tower_complexes(gasket, 2).map_to_base(1)
 
 
 def test_pentagasket_tower_column_subtractions(monkeypatch):

@@ -11,12 +11,12 @@ from nervetower import cli, nerve, oracles
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.nerve import (SimplicialComplex, TowerData, block_subcomplex, build_nerve,
                               build_iterate_or_subsystem, iterate_system,
-                              _sweep_certificates, tower_complexes, truncation_map)
+                              tower_complexes, truncation_map)
 from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyError,
                                 GeometricBackend, SpecError, SymbolicPUBackend,
                                 SystemSpec)
-from nervetower.words import Address, Word, enumerate_words, word_from_string
-from support.allpairs_nerve import allpairs_nerve, allpairs_tower
+from nervetower.words import Address, Word, enumerate_words, truncate, word_from_string
+from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certificates
 from support.pu_nerve import capped, pu_nerve
 
 
@@ -148,6 +148,17 @@ class TestBuildNerve:
         assert resolved.edge_sets() == set()
 
 
+def hand_built(level, simplices, dim_cap):
+    """A complex on all 3^level vertices with the given simplices above them."""
+    vertices = tuple((v,) for v in range(3 ** level))
+    return SimplicialComplex(level, 3, {0: vertices, **simplices}, dim_cap, True)
+
+
+def one_step_maps(tower):
+    return [truncation_map(long, short)
+            for long, short in zip(tower.complexes[1:], tower.complexes)]
+
+
 class TestTruncation:
     def test_gasket_map_contracts(self, gasket):
         n1 = build_nerve(gasket, 1)
@@ -171,10 +182,6 @@ class TestTruncation:
             truncation_map(n2, hollow)
 
     def test_contract_failures_name_the_contract(self):
-        def hand_built(level, simplices, dim_cap):
-            vertices = tuple((v,) for v in range(3 ** level))
-            return SimplicialComplex(level, 3, {0: vertices, **simplices}, dim_cap, True)
-
         # depth-2 vertex v truncates to v // 3: the triangle (0, 3, 6) maps onto (0, 1, 2)
         long = hand_built(2, {1: ((0, 3), (0, 6), (3, 6)), 2: ((0, 3, 6),)}, 2)
         edges = {1: ((0, 1), (0, 2), (1, 2))}
@@ -191,14 +198,32 @@ class TestTruncation:
         assert isinstance(tower, TowerData)
         assert tower.depth == 3
         assert tower.complex_at(2).level == 2
-        assert all(m.surjective for m in tower.maps)
-        to_base = tower.map_to_base(3)
+        assert all(m.surjective for m in one_step_maps(tower))
+        long, short = tower.complex_at(3), tower.complex_at(1)
+        to_base = truncation_map(long, short)
         assert to_base.target.level == 1 and to_base.surjective is True
+        assert all(to_base.vertex_map[v] == short.index_of(truncate(long.word(v), 1))
+                   for v in range(27))
 
     def test_symbolic_tower(self, bundled):
         tower = tower_complexes(bundled("pentagasket").spec, 3)
         assert [c.simplex_counts()[0] for c in tower.complexes] == [5, 25, 125]
-        assert all(m.surjective for m in tower.maps)
+        assert all(m.surjective for m in one_step_maps(tower))
+
+    def test_uncertain_target_gains_the_missing_image(self):
+        """An image missing from a target with uncertain tuples is certified by
+        the simplex above it: it is added, and the uncertain pair it resolves
+        is dropped.  Without that uncertain pair the same input is not
+        simplicial."""
+        # depth-2 edges 11-21 and 11-31 truncate onto 1-2 and 1-3
+        long = hand_built(2, {1: ((0, 3), (0, 6))}, 2)
+        short = hand_built(1, {1: ((0, 1),)}, 2)
+        short.uncertain = (((W("1"), W("3")), "budget exhausted"),)
+        assert truncation_map(long, short).surjective is True
+        assert short.simplices == {0: ((0,), (1,), (2,)), 1: ((0, 1), (0, 2))}
+        assert short.uncertain == ()
+        with pytest.raises(ConsistencyError, match=re.escape("not simplicial: (0, 6)")):
+            truncation_map(long, hand_built(1, {1: ((0, 1),)}, 2))
 
 
 class TestBlocks:
@@ -347,7 +372,7 @@ def assert_sweep_adds_nothing_below_exact_levels(spec, depth, dim_cap, budget):
         if short.uncertain:
             continue
         before = dict(short.simplices)
-        _sweep_certificates(long, short)  # build_nerve hands out copies
+        sweep_certificates(long, short)  # build_nerve hands out copies
         assert short.simplices == before and short.uncertain == ()
         exact += 1
     return exact
@@ -373,24 +398,42 @@ class TestCertificateSweep:
         ("finite-cycle", 2, []), ("banded-annuli", 2, [])])
     def test_table_levels_swept_exact_generated_levels_skipped(self, monkeypatch, name,
                                                                depth, swept):
-        """Neither exact generated levels nor table levels are swept: a table
-        backend checks that its stored levels form a tower, so a sweep would
-        add nothing to them either."""
+        """Neither exact generated levels nor table levels gain anything: a
+        table backend checks that its stored levels form a tower, so a sweep
+        would add nothing to them either."""
         spec = cli.load_bundled(name).spec
         assert assert_sweep_adds_nothing_below_exact_levels(spec, depth, 3, Budget()) == \
             depth - 1
-        calls = []
-        monkeypatch.setattr(nerve, "_sweep_certificates",
-                            lambda long, short: calls.append(short.level))
-        tower_complexes(spec, depth)
-        assert calls == swept
+        assert tower_sweeps(monkeypatch, spec, depth, 3, Budget()) == swept
 
     def test_uncertain_levels_are_swept(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(nerve, "_sweep_certificates",
-                            lambda long, short: calls.append(short.level))
-        tower_complexes(slow_to_separate_spec(), 3, 2, STARVED)
-        assert calls == [2, 1]
+        # every level is uncertain, and no certificate is found to sweep down
+        assert tower_sweeps(monkeypatch, slow_to_separate_spec(), 3, 2, STARVED) == []
+        # depth-2 certificates resolve uncertain pairs of depth 1, and so on
+        interval = cli.load_bundled("interval-overlap").spec
+        spec = build_iterate_or_subsystem(interval, [W("11"), W("33"), W("32")])
+        assert tower_sweeps(monkeypatch, spec, 3, 2, STARVED) == [1, 2]
+        assert_matches_allpairs(spec, 3, 2, STARVED)
+
+
+def tower_sweeps(monkeypatch, spec, depth, dim_cap, budget):
+    """The levels that tower_complexes changes, after checking that it makes
+    one truncation_map call per pair of consecutive depths, deepest first,
+    and changes only levels that have uncertain tuples."""
+    calls = []
+
+    def counting(long, short):
+        calls.append((long.level, short.level))
+        return truncation_map(long, short)
+
+    monkeypatch.setattr(nerve, "truncation_map", counting)
+    tower = tower_complexes(spec, depth, dim_cap, budget)
+    assert calls == [(k + 1, k) for k in range(depth - 1, 0, -1)]
+    built = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    changed = [c.level for c, fresh in zip(tower.complexes, built)
+               if (c.simplices, c.uncertain) != (fresh.simplices, fresh.uncertain)]
+    assert all(built[k - 1].uncertain for k in changed)
+    return changed
 
 
 def addresses(m):
