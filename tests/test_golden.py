@@ -26,6 +26,8 @@ _TOWER_DEPTHS = {
 # banded-annuli stores table data to depth 2 only
 CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3,
                    "snowflake": 2}
+# deep towers, where most of each level is block copies of the level before
+DEEP_TOWER_DEPTHS = {"pentagasket": 6}
 # one geometric system per oracle path, one symbolic and one table system
 NERVE_DEPTHS = {"gasket": 3, "snowflake": 2, "pentagasket": 3, "finite-cycle": 2}
 
@@ -35,6 +37,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     for name in cli.bundled_names():
         depth = _TOWER_DEPTHS.get(name, 3)
         cases.append((f"tower-{name}-k{depth}", ["tower", name, "--max-depth", str(depth)]))
+    cases.extend((f"tower-{name}-k{depth}", ["tower", name, "--max-depth", str(depth)])
+                 for name, depth in DEEP_TOWER_DEPTHS.items())
     cases.extend((f"classify-{name}", ["classify", name, "--max-depth", str(depth)])
                  for name, depth in CLASSIFY_DEPTHS.items())
     cases.extend((f"nerve-{name}-k{depth}", ["nerve", name, "--depth", str(depth)])
