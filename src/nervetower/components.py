@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Literal, Optional
 
 from .oracles import ConsistencyError
-from .words import Word
+from .words import Word, word_index
 
 if TYPE_CHECKING:  # nerve builds on this module: TowerData holds each nerve's components
     from .nerve import SimplicialComplex, TowerData
@@ -55,8 +55,9 @@ class ComponentsLevel:
     labels[i] is the component id of vertex i; ids run 0..count-1 in order of
     each component's lexicographically least word, which is also the
     component's representative.  crossing has one pair per edge whose ends
-    have different first symbols (a block is the words sharing one): a
-    vertex of each end's component within its block, in the edge's order.
+    have different first symbols (a block is the words sharing one): the
+    least vertex of each end's component within its block, in the edge's
+    order.
     """
 
     count: int
@@ -65,29 +66,56 @@ class ComponentsLevel:
     crossing: tuple[tuple[int, int], ...]
 
 
-def components(complex_: SimplicialComplex) -> ComponentsLevel:
-    """One union-find pass: the edges inside a block first, which leaves each
-    block's components for `crossing`, then the few that cross blocks."""
-    n = complex_.m ** complex_.level
-    block = n // complex_.m
-    uf = UnionFind(n)
+def components(complex_: SimplicialComplex,
+               below: Optional[ComponentsLevel] = None) -> ComponentsLevel:
+    """The components of each block (the words sharing a first symbol), then
+    one union-find over those that unites only the edges crossing blocks.
+
+    The components of each block come from a union-find over the edges inside
+    blocks or, given `below`, from the level below.  `below` must be the
+    components of a level whose edges are copied into every block (the
+    complex's `block_source`): the components of block j are then j.c for
+    the components c of `below`, and the least vertex of j.c is
+    (j - 1) m^(level - 1) plus that of c.
+    """
+    m = complex_.m
+    n = m ** complex_.level
+    block = n // m
+    edges = complex_.simplices.get(1, ())
+    # inner[v] is the component of v within its block; they are numbered in
+    # order of their least vertices, least[x]
+    if below is None:
+        uf = UnionFind(n)
+        for a, b in edges:
+            if a // block == b // block:
+                uf.union(a, b)
+        inner: list[int] = []
+        least: list[int] = []
+        index: dict[int, int] = {}
+        for v in range(n):
+            root = uf.find(v)
+            if root not in index:
+                index[root] = len(least)
+                least.append(v)
+            inner.append(index[root])
+    else:
+        inner = [j * below.count + c for j in range(m) for c in below.labels]
+        below_least = [word_index(m, complex_.level - 1, w) for w in below.representatives]
+        least = [o + v for o in range(0, n, block) for v in below_least]
+    uf = UnionFind(len(least))
     crossing = []
-    for edge in complex_.simplices.get(1, ()):
-        a, b = edge
-        if a // block == b // block:
-            uf.union(a, b)
-        else:
-            crossing.append(edge)
-    crossing = [(uf.find(a), uf.find(b)) for a, b in crossing]
-    for a, b in crossing:
-        uf.union(a, b)
-    roots = [uf.find(i) for i in range(n)]
-    least: dict[int, int] = {}  # root -> least vertex, in the order of words
-    for i, root in enumerate(roots):
-        least.setdefault(root, i)
-    ids = {root: c for c, root in enumerate(least)}
-    return ComponentsLevel(len(least), tuple(ids[root] for root in roots),
-                           tuple(map(complex_.word, least.values())), tuple(crossing))
+    for a, b in edges:
+        if a // block != b // block:
+            x, y = inner[a], inner[b]
+            uf.union(x, y)
+            crossing.append((least[x], least[y]))
+    ids: dict[int, int] = {}
+    component = [ids.setdefault(uf.find(x), len(ids)) for x in range(len(least))]
+    first: dict[int, int] = {}  # component -> its least vertex
+    for x, c in enumerate(component):
+        first.setdefault(c, least[x])
+    return ComponentsLevel(len(first), tuple(map(component.__getitem__, inner)),
+                           tuple(map(complex_.word, first.values())), tuple(crossing))
 
 
 VerdictKind = Literal[

@@ -47,6 +47,16 @@ class SimplicialComplex:
     where a word is read.  Every layer works on indices by arithmetic: the copy
     of v under a first symbol j is (j - 1) m^(level - 1) + v, the children of v
     are v m + x for x in 0..m-1, and dropping the last d symbols is v // m^d.
+    A block is the m^(level - 1) words sharing a first symbol; a simplex
+    crosses blocks when s[0] and s[-1] lie in different ones.
+
+    block_source is the level before, when the generator built this level as
+    its m block copies j.N plus crossing simplices (symbolic levels, and
+    geometric ones whose cell maps are all nonsingular), and None otherwise or
+    once a truncation sweep has changed this level.  The edges inside block j
+    are then exactly the copies j.e of block_source's edges, and, when
+    neither level has uncertain tuples, so are the simplices of every
+    dimension.
     """
 
     level: int
@@ -55,6 +65,7 @@ class SimplicialComplex:
     dim_cap: int
     complete: bool
     uncertain: tuple[tuple[tuple[Word, ...], str], ...] = ()
+    block_source: Optional[SimplicialComplex] = field(default=None, repr=False, compare=False)
     # boundary reductions already made, kept by the homology layer
     _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -164,20 +175,28 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
         block = spec.m ** prev.level if prev and copies else None
         known, uncertain = _block_copies(prev) if block else ({}, [])
         if symbolic:
-            levels.append(_lifted_level(spec, level, known, dim_cap))
+            built = _lifted_level(spec, level, known, dim_cap)
         else:
             pairs = _candidate_pairs(prev, block) if prev else combinations(range(spec.m), 2)
-            levels.append(_grow_level(spec, level, pairs, known, uncertain, block,
-                                      dim_cap, budget))
+            built = _grow_level(spec, level, pairs, known, uncertain, block, dim_cap, budget)
+        built.block_source = prev if block else None
+        levels.append(built)
     return levels
 
 
 def _block_copies(prev: SimplicialComplex) -> tuple[dict, list]:
     """The simplices (dimension >= 1) and uncertain entries of the m copies
-    j.N_k inside depth k+1: vertex v of N_k is vertex (j - 1) m^k + v."""
+    j.N_k inside depth k+1: vertex v of N_k is vertex (j - 1) m^k + v.
+    Edges and triangles are copied as fixed-arity tuples, the bulk of a level."""
     offsets = range(0, prev.m ** (prev.level + 1), prev.m ** prev.level)
-    known = {dim: [tuple(o + v for v in s) for o in offsets for s in sims]
-             for dim, sims in prev.simplices.items() if dim}
+    known: dict[int, list[tuple[int, ...]]] = {}
+    for dim, sims in prev.simplices.items():
+        if dim == 1:
+            known[dim] = [(o + a, o + b) for o in offsets for a, b in sims]
+        elif dim == 2:
+            known[dim] = [(o + a, o + b, o + c) for o in offsets for a, b, c in sims]
+        elif dim:
+            known[dim] = [tuple(o + v for v in s) for o in offsets for s in sims]
     uncertain = [(tuple(Word((j,) + w.symbols, prev.m) for w in ws), note)
                  for j in range(1, prev.m + 1) for ws, note in prev.uncertain]
     return known, uncertain
@@ -277,14 +296,48 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
                              complete=complete, uncertain=tuple(uncertain))
 
 
+@dataclass(frozen=True)
+class _Quotients(Sequence[int]):
+    """The vertex map v -> v // ratio on 0..n-1, computed where it is read."""
+
+    n: int
+    ratio: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise IndexError(v)
+        return v // self.ratio
+
+
 @dataclass
 class SimplicialMap:
     """A vertex map that sends simplices to simplices (checked at construction)."""
 
     source: SimplicialComplex
     target: SimplicialComplex
-    vertex_map: tuple[int, ...]
+    vertex_map: Sequence[int]
     surjective: Optional[bool] = None
+
+
+def _truncate(simplex: tuple[int, ...], ratio: int) -> tuple[int, ...]:
+    """The image of one simplex under v -> v // ratio."""
+    return tuple(sorted({v // ratio for v in simplex}))
+
+
+def _copy_built_pair(long: SimplicialComplex, short: SimplicialComplex) -> bool:
+    """Whether `long` is the m block copies of `short` plus crossing simplices,
+    `short` is copies of the level below it, and neither has uncertain tuples."""
+    return (long.level == short.level + 1 and not long.uncertain and not short.uncertain
+            and short.block_source is not None and long.block_source is not None
+            and long.block_source.simplices == short.simplices)
+
+
+def _crossing(sims: Iterable[tuple[int, ...]], block: int) -> list[tuple[int, ...]]:
+    """The simplices that cross blocks of `block` consecutive vertices."""
+    return [s for s in sims if s[0] // block != s[-1] // block]
 
 
 def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
@@ -300,16 +353,39 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
     are checked to form a tower when the backend is built, so neither gains
     anything.  Surjectivity holds for true nerves and is checked whenever both
     complexes are free of uncertain tuples (left None otherwise).
+
+    Copy-built pairs check only the simplices that cross blocks.  When `long`
+    is depth k+1 built as the block copies of `short` (its `block_source`),
+    `short` is depth k >= 2 built as copies of depth k-1, and neither has
+    uncertain tuples, then a simplex inside block j of `long` is j.s for a
+    simplex s of `short`, and its image is j.t(s), where t truncates depth k
+    onto depth k-1.  `tower_complexes` checks t as the next pair of the same
+    call (a lone call relies on the generator's own pair below), so t(s) lies
+    in depth k-1 and j.t(s) in block j of `short`, its copy j.N_{k-1}; and t
+    onto depth k-1 covers it, so every simplex inside a block of `short` is
+    an image.  A crossing simplex maps into the blocks of its own first
+    symbols, so its image crosses too.  The images of `long`'s crossing
+    simplices must therefore lie among `short`'s crossing simplices and
+    cover them.  Depth 1, table levels, singular cell maps, levels with
+    uncertain tuples (the certificate sweep) and non-consecutive depths take
+    the full pass.
     """
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
     ratio = long.m ** (long.level - short.level)
-    target = {dim: set(sims) for dim, sims in short.simplices.items()}
+    if _copy_built_pair(long, short):
+        block, short_block = long.m ** short.level, short.m ** (short.level - 1)
+        sources = {dim: _crossing(sims, block) for dim, sims in long.simplices.items() if dim}
+        target = {dim: set(_crossing(sims, short_block))
+                  for dim, sims in short.simplices.items() if dim}
+    else:
+        sources = long.simplices
+        target = {dim: set(sims) for dim, sims in short.simplices.items()}
     images: dict[int, set[tuple[int, ...]]] = {dim: set() for dim in range(short.dim_cap + 1)}
     swept = False
-    for sims in long.simplices.values():
+    for sims in sources.values():
         for s in sims:
-            image = tuple(sorted({v // ratio for v in s}))
+            image = _truncate(s, ratio)
             dim = len(image) - 1
             if dim > short.dim_cap:
                 raise ConsistencyError("target complex capped below an image simplex")
@@ -327,6 +403,7 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
             entry for entry in short.uncertain
             if tuple(sorted(map(short.index_of, entry[0]))) not in target.get(len(entry[0]) - 1, ())
         )
+        short.block_source = None  # its blocks may no longer be copies
     surjective: Optional[bool] = None
     if not long.uncertain and not short.uncertain:
         surjective = all(sims <= images.get(dim, set()) for dim, sims in target.items())
@@ -334,8 +411,7 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
             raise ConsistencyError(
                 f"truncation from depth {long.level} misses simplices of depth {short.level}"
             )
-    return SimplicialMap(long, short, tuple(v // ratio for v in range(long.m ** long.level)),
-                         surjective)
+    return SimplicialMap(long, short, _Quotients(long.m ** long.level, ratio), surjective)
 
 
 @dataclass
@@ -362,12 +438,19 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
 
     One `truncation_map` per pair of consecutive depths, deepest pair first,
     so certificates swept into a level reach the level below it too.  The
-    maps are not kept: truncation is v // m on vertex indices.
+    maps are not kept: truncation is v // m on vertex indices.  The components
+    of a level whose blocks copy the edges of the level below come from that
+    level's components.
     """
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
         truncation_map(complexes[k], complexes[k - 1])
-    return TowerData(spec, dim_cap, budget, complexes, [components(c) for c in complexes])
+    levels: list[ComponentsLevel] = []
+    for k, complex_ in enumerate(complexes):
+        source = complex_.block_source  # None at depth 1
+        copied = source is not None and source.simplices.get(1) == complexes[k - 1].simplices.get(1)
+        levels.append(components(complex_, levels[-1] if copied else None))
+    return TowerData(spec, dim_cap, budget, complexes, levels)
 
 
 def block_subcomplex(complex_: SimplicialComplex, prefix: Word) -> SimplicialComplex:

@@ -5,6 +5,9 @@
   certificates into every level; checks the block-copy generator
   `nerve._levels` on geometric systems and the sweep that
   `nerve.truncation_map` makes into levels with uncertain tuples.
+* `full_tower`: the truncation pass over every simplex and the union-find
+  over every edge; check the crossing-only pass of `nerve.truncation_map`
+  and the block-aware `components.components` on copy-built levels.
 * `pu_nerve`: symbolic nerves as sets of word sets; checks the index
   generator `nerve._lifted_level` and its address-consistency errors.
 * `linalg_oracle`: dense Gaussian elimination and cochain pullback; checks

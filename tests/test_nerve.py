@@ -1,6 +1,7 @@
 """Nerve construction, truncation maps, towers, block and derived systems."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from nervetower import cli, nerve, oracles
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
+from nervetower.homology import FieldKind, betti_exact, lambda_ranks
 from nervetower.nerve import (SimplicialComplex, TowerData, block_subcomplex, build_nerve,
                               build_iterate_or_subsystem, iterate_system,
                               tower_complexes, truncation_map)
@@ -17,6 +19,7 @@ from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyErro
                                 SystemSpec)
 from nervetower.words import Address, Word, enumerate_words, truncate, word_from_string
 from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certificates
+from support.full_tower import full_truncation_map, unionfind_components
 from support.pu_nerve import capped, pu_nerve
 
 
@@ -551,3 +554,242 @@ def test_word_is_the_inverse_of_index_of(m, level, data):
     outside = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=m ** level)))
     with pytest.raises(IndexError):
         complex_.word(outside)
+
+
+def reference_tower(spec, depth, dim_cap, budget):
+    """The tower checked by the full truncation pass on every pair, deepest
+    first, with the components of the all-edges union-find."""
+    complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    for k in range(depth - 1, 0, -1):
+        full_truncation_map(complexes[k], complexes[k - 1])
+    return TowerData(spec, dim_cap, budget, complexes,
+                     [unionfind_components(c) for c in complexes])
+
+
+def assert_fast_paths_match_references(spec, depth, dim_cap=2, budget=Budget()):
+    """tower_complexes against the reference tower: the same levels, the same
+    components, and the same lambda over Q and GF(2).  Returns the levels
+    whose truncation onto the level below took the crossing-only pass."""
+    fast = tower_complexes(spec, depth, dim_cap, budget)
+    reference = reference_tower(spec, depth, dim_cap, budget)
+    assert [_nerve_data(c) for c in fast.complexes] == \
+        [_nerve_data(c) for c in reference.complexes]
+    for got, want in zip(fast.components, reference.components):
+        assert (got.count, got.labels, got.representatives) == \
+            (want.count, want.labels, want.representatives)
+        assert len(got.crossing) == len(want.crossing)
+    if depth >= 2 and betti_exact(fast.complex_at(1), 1):
+        for char in (0, 2):
+            assert lambda_ranks(fast, FieldKind(char), depth) == \
+                lambda_ranks(reference, FieldKind(char), depth)
+    fresh = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    return [long.level for long, short in zip(fresh[1:], fresh)
+            if nerve._copy_built_pair(long, short)]
+
+
+def gasket_subsystem(words):
+    return build_iterate_or_subsystem(cli.load_bundled("gasket").spec, words)
+
+
+# fresh specs, so that levels injected into one spec's cache reach no other test
+COPY_BUILT_SYSTEMS = {
+    "pentagasket": (lambda: cli.load_bundled("pentagasket").spec, 4),
+    "simplex-boundary-3": (lambda: cli.load_bundled("simplex-boundary-3").spec, 3),
+    "gasket": (lambda: cli.load_bundled("gasket").spec, 4),
+    "snowflake": (lambda: cli.load_bundled("snowflake").spec, 3),
+    "two-map-split": (lambda: cli.load_bundled("two-map-split").spec, 5),
+    "interval-overlap": (lambda: cli.load_bundled("interval-overlap").spec, 3),
+    "gasket-iterate-2": (lambda: iterate_system(cli.load_bundled("gasket").spec, 2), 3),
+    "gasket-sub": (lambda: gasket_subsystem([W("11"), W("12"), W("21"), W("33")]), 4),
+}
+FULL_PASS_SYSTEMS = {
+    "singular": (singular_spec, 3),
+    "finite-cycle": (lambda: cli.load_bundled("finite-cycle").spec, 2),
+    "banded-annuli": (lambda: cli.load_bundled("banded-annuli").spec, 2),
+}
+
+
+def mutated_levels(levels, k, mutated):
+    """`levels` with level k replaced by `mutated`, and every level above
+    rebuilt as the block copies of the level below plus its own crossing
+    simplices."""
+    out = levels[:k - 1] + [mutated]
+    for level in levels[k:]:
+        prev = out[-1]
+        block = prev.m ** prev.level
+        known, _ = nerve._block_copies(prev)
+        simplices = {0: level.simplices[0]}
+        for dim in sorted(set(level.simplices) | set(known)):
+            if dim:
+                crossing = nerve._crossing(level.simplices.get(dim, ()), block)
+                simplices[dim] = tuple(sorted(known.get(dim, []) + crossing))
+        out.append(replace(level, simplices=simplices, block_source=prev))
+    return out
+
+
+def outcome(check):
+    try:
+        check()
+    except ConsistencyError as error:
+        return str(error)
+    return None
+
+
+class TestCopyBuiltFastPaths:
+    """The crossing-only truncation pass and the block-aware components
+    against the full pass and the all-edges union-find."""
+
+    @pytest.mark.parametrize("name", sorted(COPY_BUILT_SYSTEMS))
+    def test_copy_built_systems(self, name):
+        make, depth = COPY_BUILT_SYSTEMS[name]
+        assert assert_fast_paths_match_references(make(), depth) == list(range(3, depth + 1))
+
+    @pytest.mark.parametrize("name", sorted(FULL_PASS_SYSTEMS))
+    def test_full_pass_systems(self, name):
+        make, depth = FULL_PASS_SYSTEMS[name]
+        for budget in (Budget(), STARVED):
+            assert assert_fast_paths_match_references(make(), depth, 3, budget) == []
+
+    def test_uncertain_levels_take_the_full_pass(self):
+        spec = slow_to_separate_spec()
+        assert assert_fast_paths_match_references(spec, 4, 2, STARVED) == []
+        interval = cli.load_bundled("interval-overlap").spec
+        swept = build_iterate_or_subsystem(interval, [W("11"), W("33"), W("32")])
+        assert assert_fast_paths_match_references(swept, 3, 2, STARVED) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(symbolic_systems(), st.integers(min_value=3, max_value=4))
+    def test_random_symbolic_systems(self, spec, depth):
+        assert assert_fast_paths_match_references(spec, depth) == list(range(3, depth + 1))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.sampled_from(GASKET_WORDS2), min_size=2, max_size=4, unique=True))
+    def test_random_gasket_subsystems(self, words):
+        spec = gasket_subsystem(words)
+        assert assert_fast_paths_match_references(spec, 3) == [3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(COPY_BUILT_SYSTEMS)), st.data())
+    def test_mutations_are_rejected_as_the_full_pass_rejects_them(self, name, data):
+        """Drop a crossing simplex of one level, or add a crossing edge, and
+        rebuild the levels above as copies: the tower fails exactly when the
+        full pass fails, and otherwise has the reference components.  The
+        failing pair may differ: the full pass meets a defect of a shallow
+        pair again in the copies of every deeper one."""
+        make, depth = COPY_BUILT_SYSTEMS[name]
+        spec, dim_cap, budget = make(), 2, Budget()
+        levels = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+        k = data.draw(st.integers(min_value=1, max_value=depth - 1))
+        level = levels[k - 1]
+        block = spec.m ** (k - 1)
+        simplices = dict(level.simplices)
+        crossing = [(dim, s) for dim, sims in simplices.items() if dim
+                    for s in nerve._crossing(sims, block)]
+        if crossing and data.draw(st.booleans()):
+            dim, dropped = data.draw(st.sampled_from(crossing))
+            simplices[dim] = tuple(s for s in simplices[dim] if s != dropped)
+        else:
+            a = data.draw(st.integers(min_value=0, max_value=spec.m ** k - block - 1))
+            b = data.draw(st.integers(min_value=(a // block + 1) * block,
+                                      max_value=spec.m ** k - 1))
+            simplices[1] = tuple(sorted(set(simplices.get(1, ())) | {(a, b)}))
+        injected = mutated_levels(levels, k, replace(level, simplices=simplices))
+
+        reference = [replace(c, simplices=dict(c.simplices)) for c in injected]
+        expected = outcome(lambda: [full_truncation_map(reference[i], reference[i - 1])
+                                    for i in range(depth - 1, 0, -1)])
+        spec._cache[("nerve_levels", dim_cap, budget)] = injected
+        towers = []
+        got = outcome(lambda: towers.append(tower_complexes(spec, depth, dim_cap, budget)))
+        assert (got is None) == (expected is None), (got, expected)
+        if expected is None:
+            assert [(c.count, c.labels) for c in towers[0].components] == \
+                [(c.count, c.labels) for c in map(unionfind_components, reference)]
+
+
+def copy_built_pentagasket(drop_image_of=None, add_crossing=None):
+    """A fresh pentagasket spec whose cached levels 1..3 are built by hand:
+    level 2 with one crossing edge dropped or added, and level 3 as the block
+    copies of that level 2 plus the generated crossings."""
+    spec = cli.load_bundled("pentagasket").spec
+    levels = [build_nerve(spec, k, 1) for k in (1, 2, 3)]
+    edges = set(levels[1].simplices[1])
+    if drop_image_of is not None:
+        edges.discard(nerve._truncate(drop_image_of, 5))
+    if add_crossing is not None:
+        edges.add(add_crossing)
+    level2 = replace(levels[1], simplices={0: levels[1].simplices[0], 1: tuple(sorted(edges))})
+    spec._cache[("nerve_levels", 1, Budget())] = mutated_levels(levels, 2, level2)
+    return spec
+
+
+class TestCopyBuiltMutations:
+    """Hand-built copy-built levels on which the crossing-only pass is the
+    only check that can fail, so that it is not vacuous."""
+
+    def crossing_edges(self):
+        level3 = build_nerve(cli.load_bundled("pentagasket").spec, 3, 1)
+        return nerve._crossing(level3.simplices[1], 25)
+
+    def test_missing_image_is_not_simplicial(self, monkeypatch):
+        edge = self.crossing_edges()[2]
+        spec = copy_built_pentagasket(drop_image_of=edge)
+        images = []
+        original = nerve._truncate
+        monkeypatch.setattr(nerve, "_truncate", lambda s, r: images.append(s) or original(s, r))
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"truncation is not simplicial: {edge} maps outside")):
+            tower_complexes(spec, 3, 1)
+        assert images == self.crossing_edges()[:3]  # the crossing edges only, up to it
+
+    def test_crossing_nothing_maps_onto_is_missed(self):
+        # words 11 and 21 lie in different blocks and truncate onto the N_1 edge 1-2
+        assert (0, 5) not in build_nerve(cli.load_bundled("pentagasket").spec, 2, 1).simplices[1]
+        spec = copy_built_pentagasket(add_crossing=(0, 5))
+        with pytest.raises(ConsistencyError,
+                           match=re.escape("truncation from depth 3 misses simplices of depth 2")):
+            tower_complexes(spec, 3, 1)
+
+
+    def test_swept_level_takes_the_full_pass(self):
+        """A sweep can add a simplex inside a block of the swept level, which
+        is then no copy of the level below: its truncation takes the full pass."""
+
+        def copy_built(prev, crossings):
+            known, _ = nerve._block_copies(prev)
+            level = hand_built(prev.level + 1, {1: tuple(sorted(known[1] + crossings))}, 1)
+            level.block_source = prev
+            return level
+
+        n1 = hand_built(1, {1: ((0, 1), (1, 2))}, 1)
+        n2 = copy_built(n1, [(2, 3), (5, 6)])
+        n3 = copy_built(n2, [(8, 9), (17, 18)])
+        # 111-131 is undecided at depth 3; 1111-1211 above it sweeps it in, but
+        # its image 11-13 is no edge of depth 2
+        n3.uncertain = (((n3.word(0), n3.word(6)), "budget exhausted"),)
+        n4 = copy_built(n3, [(0, 18), (26, 27), (53, 54)])
+        spec = cli.load_bundled("gasket").spec
+        spec._cache[("nerve_levels", 1, Budget())] = [n1, n2, n3, n4]
+        with pytest.raises(ConsistencyError, match=re.escape(
+                "truncation is not simplicial: (0, 6) maps outside depth 2")):
+            tower_complexes(spec, 4, 1)
+
+
+def test_pentagasket_depth6_truncation_images(monkeypatch):
+    """Truncation forms images of the crossing simplices only, apart from the
+    full pass from depth 2 onto depth 1: 55 + 4 * 5, where a pass over every
+    simplex formed 43,925."""
+    spec = cli.load_bundled("pentagasket").spec
+    images = []
+    original = nerve._truncate
+
+    def counting(simplex, ratio):
+        images.append(simplex)
+        return original(simplex, ratio)
+
+    monkeypatch.setattr(nerve, "_truncate", counting)
+    tower = tower_complexes(spec, 6)
+    crossings = sum(len(nerve._crossing(sims, 5 ** (c.level - 1)))
+                    for c in tower.complexes[2:] for dim, sims in c.simplices.items() if dim)
+    level2 = sum(map(len, tower.complex_at(2).simplices.values()))
+    assert len(images) == level2 + crossings == 55 + 4 * 5
