@@ -1,8 +1,10 @@
 """Golden-output contract: `tower`, `classify` and `nerve` reports byte for byte.
 
 Every bundled system's tower CSV and JSON report, the classify report of a
-few systems that exercise each checker, and the nerve JSON and DOT export of
-four systems are compared against fixtures in tests/golden/.  A refactor that
+few systems that exercise each checker, the nerve JSON and DOT export of
+four systems, and a derived system's spec with its tower and nerve under a
+starved budget (the uncertain path) are compared against fixtures in
+tests/golden/.  A refactor that
 is meant to keep the command-line output must leave every fixture untouched;
 an intended output change regenerates them with
 
@@ -30,6 +32,12 @@ CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "inte
 DEEP_TOWER_DEPTHS = {"pentagasket": 6}
 # one geometric system per oracle path, one symbolic and one table system
 NERVE_DEPTHS = {"gasket": 3, "snowflake": 2, "pentagasket": 3, "finite-cycle": 2}
+# A derived system under a starved budget: its levels keep uncertain tuples,
+# and the tower sweeps certificates from depth 3 into depths 1 and 2.  Its
+# spec is itself a fixture, the output of the `derive` case.
+DERIVED = "interval-overlap-sub-11-33-32"
+DERIVED_SPEC = GOLDEN / f"derive-{DERIVED}.json"
+STARVED = ["--refine-depth", "0", "--cert-period", "1", "--cert-preperiod", "0"]
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -43,6 +51,11 @@ def _cases() -> list[tuple[str, list[str]]]:
                  for name, depth in CLASSIFY_DEPTHS.items())
     cases.extend((f"nerve-{name}-k{depth}", ["nerve", name, "--depth", str(depth)])
                  for name, depth in NERVE_DEPTHS.items())
+    cases.append((f"derive-{DERIVED}", ["derive", "interval-overlap", "--subsystem", "11,33,32"]))
+    cases.append((f"tower-{DERIVED}-starved-k3",
+                  ["tower", str(DERIVED_SPEC), "--max-depth", "3"] + STARVED))
+    cases.append((f"nerve-{DERIVED}-starved-k2",
+                  ["nerve", str(DERIVED_SPEC), "--depth", "2"] + STARVED))
     return cases
 
 
@@ -51,6 +64,8 @@ def _run(argv: list[str], out_dir: Path, case: str) -> dict[str, str]:
     if argv[0] == "nerve":
         extra = ["--out-json", str(out_dir / f"{case}.json"),
                  "--out-dot", str(out_dir / f"{case}.dot")]
+    elif argv[0] == "derive":
+        extra = ["--out", str(out_dir / f"{case}.json")]
     else:
         extra = ["--out-report", str(out_dir / f"{case}.json")]
     if argv[0] == "tower":
