@@ -318,8 +318,8 @@ def nerve_doc(complex_: SimplicialComplex, name: str) -> dict:
             for dim, sims in sorted(complex_.simplices.items()) if sims
         },
         "uncertain": [
-            {"cells": [str(w) for w in ws], "note": note}
-            for ws, note in complex_.uncertain
+            {"cells": [names[v] for v in s], "note": note}
+            for s, note in complex_.uncertain
         ],
     }
 
@@ -332,9 +332,9 @@ def nerve_dot(complex_: SimplicialComplex, name: str) -> str:
     for (i, j) in complex_.simplices.get(1, ()):
         a, b = sorted((names[i], names[j]))
         edge_lines.append(f'  "{a}" -- "{b}";')
-    for ws, _note in complex_.uncertain:
-        if len(ws) == 2:
-            a, b = sorted(str(w) for w in ws)
+    for s, _note in complex_.uncertain:
+        if len(s) == 2:
+            a, b = sorted(names[v] for v in s)
             edge_lines.append(f'  "{a}" -- "{b}" [style=dashed label="uncertain"];')
     lines.extend(sorted(edge_lines))
     lines.append("}")
@@ -450,8 +450,12 @@ def _budget(args: argparse.Namespace) -> Budget:
                   cert_preperiod_max=args.cert_preperiod)
 
 
-def _cell_cap_hit(spec: SystemSpec, depth: int, cap: int) -> bool:
-    return spec.m ** depth > cap
+def _refused(spec: SystemSpec, depth: int, cap: int, what: str = "cells") -> bool:
+    """Whether m^depth `what` exceed --max-cells, said on standard error."""
+    if spec.m ** depth <= cap:
+        return False
+    print(f"error: {spec.m}^{depth} {what} exceed --max-cells {cap}", file=sys.stderr)
+    return True
 
 
 def _certifications(loaded: LoadedSpec, pu_depth: int, budget: Budget,
@@ -487,9 +491,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def cmd_nerve(args: argparse.Namespace) -> int:
     loaded = resolve_spec(args.spec)
-    if _cell_cap_hit(loaded.spec, args.depth, args.max_cells):
-        print(f"error: {loaded.spec.m}^{args.depth} cells exceed --max-cells"
-              f" {args.max_cells}", file=sys.stderr)
+    if _refused(loaded.spec, args.depth, args.max_cells):
         return EXIT_RESOURCE
     complex_ = build_nerve(loaded.spec, args.depth, dim_cap=args.dim_cap,
                            budget=_budget(args))
@@ -502,9 +504,7 @@ def cmd_nerve(args: argparse.Namespace) -> int:
 def cmd_tower(args: argparse.Namespace) -> int:
     loaded = resolve_spec(args.spec)
     spec = loaded.spec
-    if _cell_cap_hit(spec, args.max_depth, args.max_cells):
-        print(f"error: {spec.m}^{args.max_depth} cells exceed --max-cells"
-              f" {args.max_cells}", file=sys.stderr)
+    if _refused(spec, args.max_depth, args.max_cells):
         return EXIT_RESOURCE
     budget = _budget(args)
     fieldkind = FieldKind.parse(args.field)
@@ -543,9 +543,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         max_depth = 3
         if isinstance(spec.backend, TableBackend):
             max_depth = min(max_depth, _stored_depth(spec.backend))
-    if _cell_cap_hit(spec, max_depth, args.max_cells):
-        print(f"error: {spec.m}^{max_depth} cells exceed --max-cells"
-              f" {args.max_cells}", file=sys.stderr)
+    if _refused(spec, max_depth, args.max_cells):
         return EXIT_RESOURCE
     budget = _budget(args)
     fieldkind = FieldKind.parse(args.field)
@@ -633,9 +631,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     else:
         if args.iterate < 1:
             raise SpecError("--iterate needs a positive depth")
-        if _cell_cap_hit(spec, args.iterate, args.max_cells):
-            print(f"error: {spec.m}^{args.iterate} generators exceed --max-cells"
-                  f" {args.max_cells}", file=sys.stderr)
+        if _refused(spec, args.iterate, args.max_cells, "generators"):
             return EXIT_RESOURCE
         derived = iterate_system(spec, args.iterate, name=args.name)
     _emit(_json_text(spec_to_doc(derived)), args.out)

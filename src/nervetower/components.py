@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Literal, Optional
 
 from .oracles import ConsistencyError
-from .words import Word, word_index
 
 if TYPE_CHECKING:  # nerve builds on this module: TowerData holds each nerve's components
     from .nerve import SimplicialComplex, TowerData
@@ -53,23 +52,23 @@ class ComponentsLevel:
     """Components of one nerve's 1-skeleton.
 
     labels[i] is the component id of vertex i; ids run 0..count-1 in order of
-    each component's lexicographically least word, which is also the
-    component's representative.  crossing has one pair per edge whose ends
-    have different first symbols (a block is the words sharing one): the
-    least vertex of each end's component within its block, in the edge's
-    order.
+    each component's least vertex (its lexicographically least word), which
+    representatives holds.  crossing has one pair per edge whose ends have
+    different first symbols (a block is the words sharing one): the least
+    vertex of each end's component within its block, in the edge's order.
     """
 
     count: int
     labels: tuple[int, ...]
-    representatives: tuple[Word, ...]
+    representatives: tuple[int, ...]
     crossing: tuple[tuple[int, int], ...]
 
 
 def components(complex_: SimplicialComplex,
                below: Optional[ComponentsLevel] = None) -> ComponentsLevel:
     """The components of each block (the words sharing a first symbol), then
-    one union-find over those that unites only the edges crossing blocks.
+    one union-find over those that unites only the edges crossing blocks
+    (the complex's `crossing` edges).
 
     The components of each block come from a union-find over the edges inside
     blocks or, given `below`, from the level below.  `below` must be the
@@ -81,12 +80,11 @@ def components(complex_: SimplicialComplex,
     m = complex_.m
     n = m ** complex_.level
     block = n // m
-    edges = complex_.simplices.get(1, ())
     # inner[v] is the component of v within its block; they are numbered in
     # order of their least vertices, least[x]
     if below is None:
         uf = UnionFind(n)
-        for a, b in edges:
+        for a, b in complex_.simplices.get(1, ()):
             if a // block == b // block:
                 uf.union(a, b)
         inner: list[int] = []
@@ -100,22 +98,20 @@ def components(complex_: SimplicialComplex,
             inner.append(index[root])
     else:
         inner = [j * below.count + c for j in range(m) for c in below.labels]
-        below_least = [word_index(m, complex_.level - 1, w) for w in below.representatives]
-        least = [o + v for o in range(0, n, block) for v in below_least]
+        least = [o + v for o in range(0, n, block) for v in below.representatives]
     uf = UnionFind(len(least))
     crossing = []
-    for a, b in edges:
-        if a // block != b // block:
-            x, y = inner[a], inner[b]
-            uf.union(x, y)
-            crossing.append((least[x], least[y]))
+    for a, b in complex_.crossing.get(1, ()):
+        x, y = inner[a], inner[b]
+        uf.union(x, y)
+        crossing.append((least[x], least[y]))
     ids: dict[int, int] = {}
     component = [ids.setdefault(uf.find(x), len(ids)) for x in range(len(least))]
     first: dict[int, int] = {}  # component -> its least vertex
     for x, c in enumerate(component):
         first.setdefault(c, least[x])
     return ComponentsLevel(len(first), tuple(map(component.__getitem__, inner)),
-                           tuple(map(complex_.word, first.values())), tuple(crossing))
+                           tuple(first.values()), tuple(crossing))
 
 
 VerdictKind = Literal[

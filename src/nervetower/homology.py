@@ -137,13 +137,8 @@ def _boundary_columns(complex_: SimplicialComplex, r: int, char: int) -> list[di
 
 
 def _memo(complex_: SimplicialComplex, char: int) -> dict:
-    """The reductions of complex_ over one field, dropped once its simplices
-    are replaced (as the certificate sweep does)."""
-    simplices, memo = complex_._reductions.get(char, (None, None))
-    if simplices is not complex_.simplices:
-        memo = {}
-        complex_._reductions[char] = (complex_.simplices, memo)
-    return memo
+    """The reductions of complex_ over one field."""
+    return complex_._reductions.setdefault(char, {})
 
 
 def _boundary_rank(complex_: SimplicialComplex, r: int, char: int) -> int:
@@ -391,8 +386,8 @@ def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
         "pivot_conditions": pivot_conditions,
         "forward": spec.orientation == "forward",
     }
-    uncertain = [(c.level, entry[0], entry[1])
-                 for c in complexes for entry in c.uncertain]
+    uncertain = [(c.level, tuple(map(c.word, s)), note)
+                 for c in complexes for s, note in c.uncertain]
 
     verdicts = _limit_verdicts(facts, exact_dims, a, lam, flags, bool(uncertain))
     b1_inf = _b1_infinity(lam, depth, postunbranched)

@@ -13,7 +13,7 @@ reports can say exactly which conclusions are conditional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -29,18 +29,21 @@ from .oracles import (
     SystemSpec,
     TableBackend,
 )
-from .words import Word, enumerate_words, indexed_word, word_index
+from .words import Word, enumerate_words, indexed_word, symbols_index, word_index
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite simplicial complex on the depth-`level` words of a system.
+    """A finite simplicial complex on the depth-`level` words of a system: a
+    fixed value, never changed once built.
 
     simplices maps dimension -> sorted tuple of simplices, each a sorted tuple
     of vertex indices.  Dimensions are enumerated up to dim_cap; `complete`
     records whether that enumeration is in fact the whole nerve (no larger
     simplex can exist), which is what makes Euler characteristics and
-    top-dimension Betti numbers exact.
+    top-dimension Betti numbers exact.  uncertain holds the tuples the oracle
+    left undecided, each a sorted tuple of vertex indices with the oracle's
+    note, in order of size, then of the tuple.
 
     Index layout: vertex v is the v-th of the m^level words in lexicographic
     order, index_of(w) = sum of (w_i - 1) m^(level - i), and word(v) builds it
@@ -52,8 +55,8 @@ class SimplicialComplex:
 
     block_source is the level before, when the generator built this level as
     its m block copies j.N plus crossing simplices (symbolic levels, and
-    geometric ones whose cell maps are all nonsingular), and None otherwise or
-    once a truncation sweep has changed this level.  The edges inside block j
+    geometric ones whose cell maps are all nonsingular), and None otherwise,
+    as on a level that a truncation sweep built.  The edges inside block j
     are then exactly the copies j.e of block_source's edges, and, when
     neither level has uncertain tuples, so are the simplices of every
     dimension.
@@ -64,10 +67,17 @@ class SimplicialComplex:
     simplices: dict[int, tuple[tuple[int, ...], ...]]
     dim_cap: int
     complete: bool
-    uncertain: tuple[tuple[tuple[Word, ...], str], ...] = ()
+    uncertain: tuple[tuple[tuple[int, ...], str], ...] = ()
     block_source: Optional[SimplicialComplex] = field(default=None, repr=False, compare=False)
     # boundary reductions already made, kept by the homology layer
     _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def crossing(self) -> dict[int, list[tuple[int, ...]]]:
+        """The simplices of each dimension >= 1 that cross blocks."""
+        block = self.m ** (self.level - 1)
+        return {dim: [s for s in sims if s[0] // block != s[-1] // block]
+                for dim, sims in self.simplices.items() if dim}
 
     def index_of(self, w: Word) -> int:
         return word_index(self.m, self.level, w)
@@ -134,10 +144,7 @@ def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
         if stored is None:
             raise SpecError(f"system {spec.name!r} stores no depth-{level} data")
         return _from_word_sets(spec, level, stored, dim_cap)
-    cached = _levels(spec, level, dim_cap, budget)[level - 1]
-    # tower_complexes sweeps certificates into the complexes it builds; the
-    # cached level must stay as the backend left it, since deeper levels copy it
-    return replace(cached, simplices=dict(cached.simplices))
+    return _levels(spec, level, dim_cap, budget)[level - 1]
 
 
 def _levels(spec: SystemSpec, depth: int, dim_cap: int,
@@ -175,12 +182,14 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
         block = spec.m ** prev.level if prev and copies else None
         known, uncertain = _block_copies(prev) if block else ({}, [])
         if symbolic:
-            built = _lifted_level(spec, level, known, dim_cap)
+            simplices, complete = _lifted_level(spec, level, known, dim_cap)
         else:
             pairs = _candidate_pairs(prev, block) if prev else combinations(range(spec.m), 2)
-            built = _grow_level(spec, level, pairs, known, uncertain, block, dim_cap, budget)
-        built.block_source = prev if block else None
-        levels.append(built)
+            simplices, complete = _grow_level(spec, level, pairs, known, uncertain, block,
+                                              dim_cap, budget)
+        uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
+        levels.append(SimplicialComplex(level, spec.m, simplices, dim_cap, complete,
+                                        tuple(uncertain), prev if block else None))
     return levels
 
 
@@ -197,14 +206,14 @@ def _block_copies(prev: SimplicialComplex) -> tuple[dict, list]:
             known[dim] = [(o + a, o + b, o + c) for o in offsets for a, b, c in sims]
         elif dim:
             known[dim] = [tuple(o + v for v in s) for o in offsets for s in sims]
-    uncertain = [(tuple(Word((j,) + w.symbols, prev.m) for w in ws), note)
-                 for j in range(1, prev.m + 1) for ws, note in prev.uncertain]
+    uncertain = [(tuple(o + v for v in s), note) for o in offsets for s, note in prev.uncertain]
     return known, uncertain
 
 
-def _lifted_level(spec: SystemSpec, level: int,
-                  known: dict[int, list[tuple[int, ...]]], dim_cap: int) -> SimplicialComplex:
-    """A symbolic level: the block copies `known` plus the lifts up to dim_cap.
+def _lifted_level(spec: SystemSpec, level: int, known: dict[int, list[tuple[int, ...]]],
+                  dim_cap: int) -> tuple[dict[int, tuple[tuple[int, ...], ...]], bool]:
+    """A symbolic level's simplices, the block copies `known` plus the lifts up
+    to dim_cap, and whether they are complete.
 
     N_1 is closed under faces and the lift of a face is the face of the lift,
     so the lifts, and with them the level, are closed under faces too.
@@ -215,8 +224,7 @@ def _lifted_level(spec: SystemSpec, level: int,
             known.setdefault(len(lift) - 1, []).append(lift)
     simplices = {0: tuple((v,) for v in range(spec.m ** level))}
     simplices.update((dim, tuple(sorted(sims))) for dim, sims in sorted(known.items()))
-    return SimplicialComplex(level, spec.m, simplices, dim_cap,
-                             complete=all(len(lift) - 1 <= dim_cap for lift in lifts))
+    return simplices, all(len(lift) - 1 <= dim_cap for lift in lifts)
 
 
 def _candidate_pairs(prev: SimplicialComplex, block: Optional[int]) -> list[tuple[int, int]]:
@@ -225,8 +233,7 @@ def _candidate_pairs(prev: SimplicialComplex, block: Optional[int]) -> list[tupl
     one block when blocks are copied."""
     m = prev.m
     pairs = list(prev.simplices.get(1, ()))
-    pairs += [tuple(sorted(map(prev.index_of, ws)))
-              for ws, _note in prev.uncertain if len(ws) == 2]
+    pairs += [s for s, _note in prev.uncertain if len(s) == 2]
     if block:
         parent_block = block // m
         pairs = [(a, b) for a, b in pairs if a // parent_block != b // parent_block]
@@ -238,10 +245,13 @@ def _candidate_pairs(prev: SimplicialComplex, block: Optional[int]) -> list[tupl
 
 def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
                 known: dict[int, list[tuple[int, ...]]], uncertain: list,
-                block: Optional[int], dim_cap: int, budget: Budget) -> SimplicialComplex:
-    """Query `pairs`, then grow cliques.  Tuples inside one block of `block`
-    consecutive words are not queried: `known` simplices and the `uncertain`
-    entries passed in already hold their answers."""
+                block: Optional[int], dim_cap: int,
+                budget: Budget) -> tuple[dict[int, tuple[tuple[int, ...], ...]], bool]:
+    """Query `pairs`, then grow cliques; return the simplices and whether they
+    are complete, and add the undecided tuples to `uncertain`.  Tuples
+    inside one block of `block` consecutive words are not queried: `known`
+    simplices and the `uncertain` entries passed in already hold their
+    answers."""
     n = spec.m ** level
     word = cache(partial(indexed_word, spec.m, level))
     edges = set(known.get(1, ()))
@@ -250,7 +260,7 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
         if verdict.kind == "intersect":
             edges.add(pair)
         elif verdict.kind == "unknown":
-            uncertain.append((tuple(map(word, pair)), verdict.note))
+            uncertain.append((pair, verdict.note))
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
     for i, j in edges:
         adjacency[i].add(j)
@@ -273,7 +283,7 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
                 if verdict.kind == "intersect":
                     verified.add(candidate)
                 elif verdict.kind == "unknown":
-                    uncertain.append((tuple(map(word, candidate)), verdict.note))
+                    uncertain.append((candidate, verdict.note))
         if not verified:
             buckets[dim] = set()
             break
@@ -291,9 +301,7 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
 
     _close_downward(buckets)
     simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return SimplicialComplex(level, spec.m, simplices, dim_cap,
-                             complete=complete, uncertain=tuple(uncertain))
+    return simplices, complete
 
 
 @dataclass(frozen=True)
@@ -330,29 +338,26 @@ def _truncate(simplex: tuple[int, ...], ratio: int) -> tuple[int, ...]:
 def _copy_built_pair(long: SimplicialComplex, short: SimplicialComplex) -> bool:
     """Whether `long` is the m block copies of `short` plus crossing simplices,
     `short` is copies of the level below it, and neither has uncertain tuples."""
-    return (long.level == short.level + 1 and not long.uncertain and not short.uncertain
-            and short.block_source is not None and long.block_source is not None
-            and long.block_source.simplices == short.simplices)
-
-
-def _crossing(sims: Iterable[tuple[int, ...]], block: int) -> list[tuple[int, ...]]:
-    """The simplices that cross blocks of `block` consecutive vertices."""
-    return [s for s in sims if s[0] // block != s[-1] // block]
+    return (long.block_source is short and short.block_source is not None
+            and not long.uncertain and not short.uncertain)
 
 
 def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
     """The drop-last-symbols map v -> v // m^d between nerve depths, with its
-    contracts checked, in one pass over the simplices of `long`.
+    contracts checked, in one pass over the simplices of `long`.  Neither
+    level is changed.
 
     Simpliciality is a soundness requirement.  An image missing from `short`
     raises, unless `short` has uncertain tuples: then the simplex above the
-    image certifies it (cells only grow under truncation), so it is added to
-    `short`, and the uncertain entries it resolves are dropped.  Its faces
-    are the images of faces of that simplex, so the same pass adds them.
-    A level without uncertain tuples is exact up to its cap, and table levels
-    are checked to form a tower when the backend is built, so neither gains
-    anything.  Surjectivity holds for true nerves and is checked whenever both
-    complexes are free of uncertain tuples (left None otherwise).
+    image certifies it (cells only grow under truncation).  The map's target
+    is then a new level: `short` with the images added and the uncertain
+    entries they resolve dropped.  The faces of an image are the images of
+    faces of that simplex, so the same pass adds them.  Otherwise the target
+    is `short` itself.  A level without uncertain tuples is exact up to its
+    cap, and table levels are checked to form a tower when the backend is
+    built, so neither gains anything.  Surjectivity holds for true nerves and
+    is checked whenever both complexes are free of uncertain tuples (left
+    None otherwise).
 
     Copy-built pairs check only the simplices that cross blocks.  When `long`
     is depth k+1 built as the block copies of `short` (its `block_source`),
@@ -374,13 +379,10 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
         raise SpecError("truncation needs two depths of one system, deeper first")
     ratio = long.m ** (long.level - short.level)
     if _copy_built_pair(long, short):
-        block, short_block = long.m ** short.level, short.m ** (short.level - 1)
-        sources = {dim: _crossing(sims, block) for dim, sims in long.simplices.items() if dim}
-        target = {dim: set(_crossing(sims, short_block))
-                  for dim, sims in short.simplices.items() if dim}
+        sources, targets = long.crossing, short.crossing
     else:
-        sources = long.simplices
-        target = {dim: set(sims) for dim, sims in short.simplices.items()}
+        sources, targets = long.simplices, short.simplices
+    target = {dim: set(sims) for dim, sims in targets.items()}
     images: dict[int, set[tuple[int, ...]]] = {dim: set() for dim in range(short.dim_cap + 1)}
     swept = False
     for sims in sources.values():
@@ -398,12 +400,11 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
                 swept = True
             images[dim].add(image)
     if swept:
-        short.simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(target.items())}
-        short.uncertain = tuple(
-            entry for entry in short.uncertain
-            if tuple(sorted(map(short.index_of, entry[0]))) not in target.get(len(entry[0]) - 1, ())
-        )
-        short.block_source = None  # its blocks may no longer be copies
+        short = replace(
+            short, simplices={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items())},
+            uncertain=tuple(entry for entry in short.uncertain
+                            if entry[0] not in target.get(len(entry[0]) - 1, ())),
+            block_source=None)
     surjective: Optional[bool] = None
     if not long.uncertain and not short.uncertain:
         surjective = all(sims <= images.get(dim, set()) for dim, sims in target.items())
@@ -436,19 +437,19 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
                     budget: Budget = Budget()) -> TowerData:
     """Build nerves for depths 1..depth and check the truncations between them.
 
-    One `truncation_map` per pair of consecutive depths, deepest pair first,
-    so certificates swept into a level reach the level below it too.  The
-    maps are not kept: truncation is v // m on vertex indices.  The components
-    of a level whose blocks copy the edges of the level below come from that
-    level's components.
+    One `truncation_map` per pair of consecutive depths, deepest pair first;
+    each level is replaced by that map's target, so certificates swept into a
+    level reach the level below it too.  The levels `build_nerve` returns are
+    left as they are.  The maps are not kept: truncation is v // m on vertex
+    indices.  The components of a level that copies the tower's level below
+    come from that level's components.
     """
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
-        truncation_map(complexes[k], complexes[k - 1])
+        complexes[k - 1] = truncation_map(complexes[k], complexes[k - 1]).target
     levels: list[ComponentsLevel] = []
     for k, complex_ in enumerate(complexes):
-        source = complex_.block_source  # None at depth 1
-        copied = source is not None and source.simplices.get(1) == complexes[k - 1].simplices.get(1)
+        copied = k and complex_.block_source is complexes[k - 1]
         levels.append(components(complex_, levels[-1] if copied else None))
     return TowerData(spec, dim_cap, budget, complexes, levels)
 
@@ -467,14 +468,13 @@ def block_subcomplex(complex_: SimplicialComplex, prefix: Word) -> SimplicialCom
     sub_level = complex_.level - drop
     n = complex_.m ** sub_level
     # the words starting with `prefix` are one index range, from prefix.1...1 on
-    first = word_index(complex_.m, drop, prefix) * n
+    first = symbols_index(complex_.m, prefix.symbols) * n
     inside = {dim: tuple(tuple(v - first for v in s) for s in sims
                          if first <= s[0] and s[-1] < first + n)
               for dim, sims in complex_.simplices.items()}
     simplices = {dim: sims for dim, sims in inside.items() if sims}
-    uncertain = tuple((tuple(Word(w.symbols[drop:], complex_.m) for w in ws), note)
-                      for ws, note in complex_.uncertain
-                      if all(w.symbols[:drop] == prefix.symbols for w in ws))
+    uncertain = tuple((tuple(v - first for v in s), note) for s, note in complex_.uncertain
+                      if first <= s[0] and s[-1] < first + n)
     return SimplicialComplex(sub_level, complex_.m, simplices,
                              complex_.dim_cap, complex_.complete, uncertain)
 

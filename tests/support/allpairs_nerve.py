@@ -6,13 +6,16 @@ verified simplices, without using the self-similar structure at all.  Its
 output is the nerve before `tower_complexes` sweeps certificates downward.
 `allpairs_tower` sweeps them with the reference sweep `sweep_certificates`
 into every level, where `nerve.truncation_map` sweeps only into levels that
-have uncertain tuples.
+have uncertain tuples.  Like those, a sweep leaves its levels alone and
+returns a new one.
 """
+
+from dataclasses import replace
 
 from nervetower import oracles
 from nervetower.nerve import SimplicialComplex, _close_downward
 from nervetower.oracles import Budget, SystemSpec
-from nervetower.words import Word, enumerate_words
+from nervetower.words import enumerate_words
 
 
 def allpairs_nerve(spec: SystemSpec, level: int, dim_cap: int,
@@ -20,7 +23,7 @@ def allpairs_nerve(spec: SystemSpec, level: int, dim_cap: int,
     """The depth-`level` nerve from one oracle query per pair and per clique."""
     words = tuple(enumerate_words(spec.m, level))
     n = len(words)
-    uncertain: list[tuple[tuple[Word, ...], str]] = []
+    uncertain: list[tuple[tuple[int, ...], str]] = []
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
     buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(n)}}
 
@@ -33,7 +36,7 @@ def allpairs_nerve(spec: SystemSpec, level: int, dim_cap: int,
                 adjacency[i].add(j)
                 adjacency[j].add(i)
             elif verdict.kind == "unknown":
-                uncertain.append(((words[i], words[j]), verdict.note))
+                uncertain.append(((i, j), verdict.note))
     buckets[1] = edges
 
     # Higher simplices are cliques whose tuple of cells passes the oracle;
@@ -53,7 +56,7 @@ def allpairs_nerve(spec: SystemSpec, level: int, dim_cap: int,
                 if verdict.kind == "intersect":
                     verified.add(candidate)
                 elif verdict.kind == "unknown":
-                    uncertain.append((tuple(words[i] for i in candidate), verdict.note))
+                    uncertain.append((candidate, verdict.note))
         if not verified:
             buckets[dim] = set()
             break
@@ -82,13 +85,14 @@ def allpairs_tower(spec: SystemSpec, depth: int, dim_cap: int,
     """Nerves at depths 1..depth with certificates swept down, as in `tower_complexes`."""
     complexes = [allpairs_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
-        sweep_certificates(complexes[k], complexes[k - 1])
+        complexes[k - 1] = sweep_certificates(complexes[k], complexes[k - 1])
     return complexes
 
 
-def sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> None:
-    """Add to `short` every truncated image of a simplex of `long`, with its
-    faces, and drop the uncertain entries of `short` that those resolve."""
+def sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialComplex:
+    """`short` with every truncated image of a simplex of `long` added, with
+    its faces, and the uncertain entries that those resolve dropped: a new
+    level, or `short` itself when nothing is added."""
     ratio = long.m ** (long.level - short.level)
     buckets = {dim: set(sims) for dim, sims in short.simplices.items()}
     added = False
@@ -104,10 +108,10 @@ def sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> Non
                 bucket.add(image)
                 added = True
     if not added:
-        return
+        return short
     _close_downward(buckets)
-    short.simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    short.uncertain = tuple(
-        entry for entry in short.uncertain
-        if tuple(sorted(map(short.index_of, entry[0]))) not in buckets.get(len(entry[0]) - 1, ())
-    )
+    return replace(
+        short, simplices={dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())},
+        uncertain=tuple(entry for entry in short.uncertain
+                        if entry[0] not in buckets.get(len(entry[0]) - 1, ())),
+        block_source=None)

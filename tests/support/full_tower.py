@@ -6,6 +6,7 @@ Both look at every simplex of a level, without using that a copy-built level
 is m block copies of the level before plus the simplices that cross blocks.
 """
 
+from dataclasses import replace
 from typing import Optional
 
 from nervetower.components import ComponentsLevel, UnionFind
@@ -15,8 +16,9 @@ from nervetower.oracles import ConsistencyError, SpecError
 
 def full_truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
     """The image of every simplex of `long` under v -> v // m^d, checked to
-    lie in `short` (or swept into it when `short` has uncertain tuples), and
-    checked to cover `short` when neither complex has uncertain tuples."""
+    lie in `short` (or swept into a new target level when `short` has
+    uncertain tuples), and checked to cover the target when neither complex
+    has uncertain tuples."""
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
     ratio = long.m ** (long.level - short.level)
@@ -38,11 +40,11 @@ def full_truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Si
                 swept = True
             images[dim].add(image)
     if swept:
-        short.simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(target.items())}
-        short.uncertain = tuple(
-            entry for entry in short.uncertain
-            if tuple(sorted(map(short.index_of, entry[0]))) not in target.get(len(entry[0]) - 1, ())
-        )
+        short = replace(
+            short, simplices={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items())},
+            uncertain=tuple(entry for entry in short.uncertain
+                            if entry[0] not in target.get(len(entry[0]) - 1, ())),
+            block_source=None)
     surjective: Optional[bool] = None
     if not long.uncertain and not short.uncertain:
         surjective = all(sims <= images.get(dim, set()) for dim, sims in target.items())
@@ -77,4 +79,4 @@ def unionfind_components(complex_: SimplicialComplex) -> ComponentsLevel:
         least.setdefault(root, i)
     ids = {root: c for c, root in enumerate(least)}
     return ComponentsLevel(len(least), tuple(ids[root] for root in roots),
-                           tuple(map(complex_.word, least.values())), tuple(crossing))
+                           tuple(least.values()), tuple(crossing))

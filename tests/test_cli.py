@@ -201,6 +201,24 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert "--max-cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["nerve", "gasket", "--depth", "7"], "3^7 cells"),
+        (["tower", "gasket", "--max-depth", "7"], "3^7 cells"),
+        (["classify", "gasket", "--max-depth", "7"], "3^7 cells"),
+        (["classify", "pentagasket"], "5^3 cells"),  # the default depth
+        (["derive", "gasket", "--iterate", "7"], "3^7 generators"),
+    ])
+    def test_resource_cap_message(self, tmp_path, capsys, argv, message):
+        """Every command refuses before any work, with one message and no output."""
+        out = tmp_path / "out"
+        extra = {"nerve": "--out-json", "tower": "--out-csv", "classify": "--out-report",
+                 "derive": "--out"}[argv[0]]
+        assert main(argv + ["--max-cells", "100", extra, str(out)]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == \
+            ("", f"error: {message} exceed --max-cells 100\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--dim-cap", "1"],
                                        ["--dim-cap", "1", "--pu-depth", "1"]])
     def test_inconsistent_triangle(self, tmp_path, capsys, extra):

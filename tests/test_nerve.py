@@ -1,8 +1,9 @@
 """Nerve construction, truncation maps, towers, block and derived systems."""
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,7 @@ from nervetower.words import Address, Word, enumerate_words, truncate, word_from
 from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certificates
 from support.full_tower import full_truncation_map, unionfind_components
 from support.pu_nerve import capped, pu_nerve
+from test_classify import derived_systems
 
 
 def P(x, y):
@@ -142,8 +144,7 @@ class TestBuildNerve:
         starved = build_nerve(spec, 1, budget=Budget(refine_depth=0,
                                                      cert_period_max=1,
                                                      cert_preperiod_max=0))
-        assert starved.uncertain
-        assert {tuple(str(w) for w in ws) for ws, _ in starved.uncertain} == {("1", "2")}
+        assert [s for s, _ in starved.uncertain] == [(0, 1)]  # the cells 1 and 2
         assert starved.edge_sets() == set()
 
         resolved = build_nerve(spec, 1)
@@ -220,11 +221,16 @@ class TestTruncation:
         simplicial."""
         # depth-2 edges 11-21 and 11-31 truncate onto 1-2 and 1-3
         long = hand_built(2, {1: ((0, 3), (0, 6))}, 2)
-        short = hand_built(1, {1: ((0, 1),)}, 2)
-        short.uncertain = (((W("1"), W("3")), "budget exhausted"),)
-        assert truncation_map(long, short).surjective is True
-        assert short.simplices == {0: ((0,), (1,), (2,)), 1: ((0, 1), (0, 2))}
-        assert short.uncertain == ()
+        short = replace(hand_built(1, {1: ((0, 1),)}, 2),
+                        uncertain=(((0, 2), "budget exhausted"),))
+        smap = truncation_map(long, short)
+        assert smap.surjective is True and smap.target is not short
+        assert smap.target.simplices == {0: ((0,), (1,), (2,)), 1: ((0, 1), (0, 2))}
+        assert smap.target.uncertain == ()
+        # the swept level is a new one; `short` is as it was built
+        assert short.simplices[1] == ((0, 1),) and short.uncertain
+        with pytest.raises(FrozenInstanceError):
+            short.uncertain = ()
         with pytest.raises(ConsistencyError, match=re.escape("not simplicial: (0, 6)")):
             truncation_map(long, hand_built(1, {1: ((0, 1),)}, 2))
 
@@ -326,7 +332,7 @@ class TestAgainstAllPairs:
         swept = tower_complexes(spec, 2, 2, budget).complex_at(1)
         assert swept.uncertain == () and edge_words(swept) == {frozenset(("1", "2"))}
         alone = build_nerve(spec, 1, 2, budget)
-        assert [str(w) for w in alone.uncertain[0][0]] == ["1", "2"]
+        assert alone.uncertain[0][0] == (0, 1)
         assert edge_words(alone) == set()
 
     def test_singular_map_falls_back(self):
@@ -374,9 +380,7 @@ def assert_sweep_adds_nothing_below_exact_levels(spec, depth, dim_cap, budget):
         long, short = (build_nerve(spec, level, dim_cap, budget) for level in (k + 1, k))
         if short.uncertain:
             continue
-        before = dict(short.simplices)
-        sweep_certificates(long, short)  # build_nerve hands out copies
-        assert short.simplices == before and short.uncertain == ()
+        assert sweep_certificates(long, short) is short
         exact += 1
     return exact
 
@@ -433,10 +437,46 @@ def tower_sweeps(monkeypatch, spec, depth, dim_cap, budget):
     tower = tower_complexes(spec, depth, dim_cap, budget)
     assert calls == [(k + 1, k) for k in range(depth - 1, 0, -1)]
     built = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
-    changed = [c.level for c, fresh in zip(tower.complexes, built)
-               if (c.simplices, c.uncertain) != (fresh.simplices, fresh.uncertain)]
+    changed = [c.level for c, fresh in zip(tower.complexes, built) if c != fresh]
     assert all(built[k - 1].uncertain for k in changed)
     return changed
+
+
+def snapshot(complex_):
+    return (complex_.level, complex_.m, dict(complex_.simplices), complex_.dim_cap,
+            complex_.complete, complex_.uncertain, complex_.block_source)
+
+
+def assert_tower_leaves_built_levels_alone(spec, depth, dim_cap, budget):
+    """Every level `build_nerve` returns equals its snapshot from before the
+    tower, and is the level it returns again after it."""
+    built = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    before = list(map(snapshot, built))
+    tower = tower_complexes(spec, depth, dim_cap, budget)
+    again = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    assert all(a is b for a, b in zip(again, built))
+    assert list(map(snapshot, built)) == before
+    return [k for k in range(1, depth + 1) if tower.complex_at(k) is not built[k - 1]]
+
+
+class TestLevelsAreValues:
+    """tower_complexes sweeps certificates into new levels and changes none
+    that `build_nerve` returns."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(derived_systems(), st.sampled_from([Budget(), STARVED]))
+    def test_derived_systems(self, spec, budget):
+        assert_tower_leaves_built_levels_alone(spec, 3 if spec.m <= 5 else 2, 2, budget)
+
+    def test_starved_systems(self):
+        interval = cli.load_bundled("interval-overlap").spec
+        swept = build_iterate_or_subsystem(interval, [W("11"), W("33"), W("32")])
+        assert assert_tower_leaves_built_levels_alone(swept, 3, 2, STARVED) == [1, 2]
+        assert assert_tower_leaves_built_levels_alone(slow_to_separate_spec(), 4, 2,
+                                                      STARVED) == []
+        flipped = Budget(refine_depth=2, cert_period_max=1, cert_preperiod_max=0)
+        assert assert_tower_leaves_built_levels_alone(flipped_halves_spec(), 3, 2,
+                                                      flipped) == [1, 2]
 
 
 def addresses(m):
@@ -527,9 +567,9 @@ class TestAgainstWordSets:
 
 
 def test_pentagasket_depth6_word_constructions(monkeypatch):
-    """The symbolic tower works on vertex indices: the only words it makes are
-    the component representatives it reports, one per depth (a words tuple per
-    nerve made 19,530, and the word-set generator before it 78,220)."""
+    """The symbolic tower works on vertex indices and makes no word at all
+    (component representatives as words made 6, a words tuple per nerve
+    19,530, and the word-set generator before it 78,220)."""
     spec = cli.load_bundled("pentagasket").spec
     made = []
     original = Word.__post_init__
@@ -541,7 +581,7 @@ def test_pentagasket_depth6_word_constructions(monkeypatch):
     monkeypatch.setattr(Word, "__post_init__", counting)
     tower = tower_complexes(spec, 6)
     assert tower.complex_at(6).simplex_counts()[0] == 15625
-    assert len(made) == sum(level.count for level in tower.components) == 6
+    assert made == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -561,7 +601,7 @@ def reference_tower(spec, depth, dim_cap, budget):
     first, with the components of the all-edges union-find."""
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(depth - 1, 0, -1):
-        full_truncation_map(complexes[k], complexes[k - 1])
+        complexes[k - 1] = full_truncation_map(complexes[k], complexes[k - 1]).target
     return TowerData(spec, dim_cap, budget, complexes,
                      [unionfind_components(c) for c in complexes])
 
@@ -616,12 +656,11 @@ def mutated_levels(levels, k, mutated):
     out = levels[:k - 1] + [mutated]
     for level in levels[k:]:
         prev = out[-1]
-        block = prev.m ** prev.level
         known, _ = nerve._block_copies(prev)
         simplices = {0: level.simplices[0]}
         for dim in sorted(set(level.simplices) | set(known)):
             if dim:
-                crossing = nerve._crossing(level.simplices.get(dim, ()), block)
+                crossing = level.crossing.get(dim, [])
                 simplices[dim] = tuple(sorted(known.get(dim, []) + crossing))
         out.append(replace(level, simplices=simplices, block_source=prev))
     return out
@@ -683,8 +722,7 @@ class TestCopyBuiltFastPaths:
         level = levels[k - 1]
         block = spec.m ** (k - 1)
         simplices = dict(level.simplices)
-        crossing = [(dim, s) for dim, sims in simplices.items() if dim
-                    for s in nerve._crossing(sims, block)]
+        crossing = [(dim, s) for dim, sims in level.crossing.items() for s in sims]
         if crossing and data.draw(st.booleans()):
             dim, dropped = data.draw(st.sampled_from(crossing))
             simplices[dim] = tuple(s for s in simplices[dim] if s != dropped)
@@ -695,8 +733,7 @@ class TestCopyBuiltFastPaths:
             simplices[1] = tuple(sorted(set(simplices.get(1, ())) | {(a, b)}))
         injected = mutated_levels(levels, k, replace(level, simplices=simplices))
 
-        reference = [replace(c, simplices=dict(c.simplices)) for c in injected]
-        expected = outcome(lambda: [full_truncation_map(reference[i], reference[i - 1])
+        expected = outcome(lambda: [full_truncation_map(injected[i], injected[i - 1])
                                     for i in range(depth - 1, 0, -1)])
         spec._cache[("nerve_levels", dim_cap, budget)] = injected
         towers = []
@@ -704,7 +741,7 @@ class TestCopyBuiltFastPaths:
         assert (got is None) == (expected is None), (got, expected)
         if expected is None:
             assert [(c.count, c.labels) for c in towers[0].components] == \
-                [(c.count, c.labels) for c in map(unionfind_components, reference)]
+                [(c.count, c.labels) for c in map(unionfind_components, injected)]
 
 
 def copy_built_pentagasket(drop_image_of=None, add_crossing=None):
@@ -728,8 +765,7 @@ class TestCopyBuiltMutations:
     only check that can fail, so that it is not vacuous."""
 
     def crossing_edges(self):
-        level3 = build_nerve(cli.load_bundled("pentagasket").spec, 3, 1)
-        return nerve._crossing(level3.simplices[1], 25)
+        return build_nerve(cli.load_bundled("pentagasket").spec, 3, 1).crossing[1]
 
     def test_missing_image_is_not_simplicial(self, monkeypatch):
         edge = self.crossing_edges()[2]
@@ -755,18 +791,16 @@ class TestCopyBuiltMutations:
         """A sweep can add a simplex inside a block of the swept level, which
         is then no copy of the level below: its truncation takes the full pass."""
 
-        def copy_built(prev, crossings):
+        def copy_built(prev, crossings, uncertain=()):
             known, _ = nerve._block_copies(prev)
             level = hand_built(prev.level + 1, {1: tuple(sorted(known[1] + crossings))}, 1)
-            level.block_source = prev
-            return level
+            return replace(level, uncertain=uncertain, block_source=prev)
 
         n1 = hand_built(1, {1: ((0, 1), (1, 2))}, 1)
         n2 = copy_built(n1, [(2, 3), (5, 6)])
-        n3 = copy_built(n2, [(8, 9), (17, 18)])
         # 111-131 is undecided at depth 3; 1111-1211 above it sweeps it in, but
         # its image 11-13 is no edge of depth 2
-        n3.uncertain = (((n3.word(0), n3.word(6)), "budget exhausted"),)
+        n3 = copy_built(n2, [(8, 9), (17, 18)], (((0, 6), "budget exhausted"),))
         n4 = copy_built(n3, [(0, 18), (26, 27), (53, 54)])
         spec = cli.load_bundled("gasket").spec
         spec._cache[("nerve_levels", 1, Budget())] = [n1, n2, n3, n4]
@@ -789,7 +823,26 @@ def test_pentagasket_depth6_truncation_images(monkeypatch):
 
     monkeypatch.setattr(nerve, "_truncate", counting)
     tower = tower_complexes(spec, 6)
-    crossings = sum(len(nerve._crossing(sims, 5 ** (c.level - 1)))
-                    for c in tower.complexes[2:] for dim, sims in c.simplices.items() if dim)
+    crossings = sum(len(sims) for c in tower.complexes[2:] for sims in c.crossing.values())
     level2 = sum(map(len, tower.complex_at(2).simplices.values()))
     assert len(images) == level2 + crossings == 55 + 4 * 5
+
+
+def test_pentagasket_depth6_crossing_scans(monkeypatch):
+    """Each level finds its crossing simplices once, for both truncation
+    passes it takes part in and for its components (three scans per level
+    before it was kept on the level)."""
+    spec = cli.load_bundled("pentagasket").spec
+    scanned = []
+    original = SimplicialComplex.__dict__["crossing"].func
+
+    def counting(self):
+        scanned.append(self.level)
+        return original(self)
+
+    counted = cached_property(counting)
+    counted.__set_name__(SimplicialComplex, "crossing")
+    monkeypatch.setattr(SimplicialComplex, "crossing", counted)
+    tower = tower_complexes(spec, 6)
+    assert len(tower.components) == 6
+    assert scanned == [6, 5, 4, 3, 2, 1]
