@@ -510,8 +510,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     fieldkind = FieldKind.parse(args.field)
     certs = _certifications(loaded, args.pu_depth, budget, run_pivot=True)
     tower = tower_complexes(spec, args.max_depth, dim_cap=args.dim_cap, budget=budget)
-    table = tower_analysis(spec, args.max_depth, fieldkind, dim_cap=args.dim_cap,
-                           budget=budget, tower=tower, postunbranched=certs["pu"],
+    table = tower_analysis(tower, fieldkind, postunbranched=certs["pu"],
                            singleton_overlaps=certs["singleton"],
                            assert_injective=loaded.flags.injective,
                            pivot_conditions=certs["pivot"])
@@ -552,8 +551,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
                                             loaded.flags.injective, args.pivot),
                             loaded.doc)
     certs = _certifications(loaded, args.depth, budget, run_pivot=True)
-    table = tower_analysis(spec, max_depth, fieldkind, dim_cap=args.dim_cap,
-                           budget=budget, postunbranched=certs["pu"],
+    tower = tower_complexes(spec, max_depth, dim_cap=args.dim_cap, budget=budget)
+    table = tower_analysis(tower, fieldkind, postunbranched=certs["pu"],
                            singleton_overlaps=certs["singleton"],
                            assert_injective=loaded.flags.injective,
                            pivot_conditions=certs["pivot"])

@@ -176,11 +176,11 @@ class Dim0Facts:
         return stationary_bound(self.m, *self.n1_betti)
 
 
-def dim0_facts(tower: TowerData, depth: int, *, assert_injective: bool,
+def dim0_facts(tower: TowerData, *, assert_injective: bool,
                postunbranched: Optional[bool], n1_betti: Optional[tuple[int, int]]) -> Dim0Facts:
-    """The facts of depths 1..depth of the tower."""
+    """The facts of every depth of the tower."""
     spec = tower.spec
-    levels = tower.components[:depth]
+    levels = tower.components
     counts = [lv.count for lv in levels]
     if any(b < a for a, b in zip(counts, counts[1:])):
         raise ConsistencyError("component counts decreased along the tower")

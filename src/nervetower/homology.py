@@ -3,17 +3,19 @@
 Everything is exact: the rationals by fraction-free elimination on Python
 ints, prime fields by modular arithmetic.  Matrices are kept as sparse columns
 and reduced by the standard lowest-one elimination, which gives ranks only.
-Each complex keeps the rank of every boundary it has reduced, so a tower
-reduces each boundary once.  The induced rank of a general map is one
-reduction of its mapping cone (`induced_rank`).
+`betti` and `induced_rank` are pure: each call reduces what it reads and
+keeps nothing.  The induced rank of a general map is one reduction of its
+mapping cone (`induced_rank`).
 
-The tower needs no reduction of d_1 at all.  One union-find pass per level
-(`components.components`) gives the components of N_k, hence
-rank d_1 = m^k - a_0, and the edges that cross blocks.  The tower's lambda
-numbers, the ranks of H^1(N_1) -> H^1(N_k), come from those few edges
-(`lambda_ranks`): over a field a 1-cochain is a coboundary iff its residuals
-on the edges outside a spanning forest vanish, and the pulled-back cocycles
-of N_1 vanish inside every block.
+The tower analysis keeps each level's boundary ranks while it fills that
+level's Betti numbers, so it reduces each boundary once, and it reduces no
+d_1 at all.  One union-find pass per level (`components.components`) gives
+the components of N_k, hence rank d_1 = m^k - a_0, and the edges that cross
+blocks.  The tower's lambda numbers, the ranks of H^1(N_1) -> H^1(N_k), come
+from those few edges (`lambda_ranks`): over a field a 1-cochain is a
+coboundary iff its residuals on the edges outside a spanning forest vanish,
+and the pulled-back cocycles of N_1 vanish inside every block.  N_1's reduced
+d_2 gives both those cocycles and the Betti numbers of depth 1.
 
 The tower analysis fills a Betti table for depths 1..K and attaches limit
 verdicts.  A verdict is only ever Finite/Infinite when a mechanism licenses
@@ -30,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .components import Dim0Facts, LimitVerdict, dim0_facts, dim0_verdict
-from .nerve import SimplicialComplex, SimplicialMap, TowerData, tower_complexes
-from .oracles import Budget, ConsistencyError, SpecError, SystemSpec
+from .nerve import SimplicialComplex, SimplicialMap, TowerData
+from .oracles import ConsistencyError, SpecError
 from .words import Word
 
 
@@ -136,30 +138,11 @@ def _boundary_columns(complex_: SimplicialComplex, r: int, char: int) -> list[di
     return cols
 
 
-def _memo(complex_: SimplicialComplex, char: int) -> dict:
-    """The reductions of complex_ over one field."""
-    return complex_._reductions.setdefault(char, {})
-
-
-def _boundary_rank(complex_: SimplicialComplex, r: int, char: int) -> int:
-    """rank d_r, reduced at most once per complex and field."""
-    if r <= 0:  # d_0 maps every vertex to 0
-        return 0
-    memo = _memo(complex_, char)
-    if r not in memo:
-        memo[r] = len(_reduce(_boundary_columns(complex_, r, char), char))
-    return memo[r]
-
-
 def _boundaries(complex_: SimplicialComplex, r: int, char: int) -> list[dict[int, int]]:
-    """The reduced columns of d_r, kept: a basis of the (r-1)-boundaries with
-    distinct lowest rows, which later reductions take as they are."""
-    memo = _memo(complex_, char)
-    if ("basis", r) not in memo:
-        reduced = _reduce(_boundary_columns(complex_, r, char), char)
-        memo["basis", r] = reduced
-        memo[r] = len(reduced)
-    return memo["basis", r]
+    """The reduced columns of d_r: a basis of the (r-1)-boundaries with
+    distinct lowest rows, which later reductions take as they are.  Their
+    number is rank d_r; d_0 maps every vertex to 0."""
+    return _reduce(_boundary_columns(complex_, r, char), char) if r > 0 else []
 
 
 def betti_exact(complex_: SimplicialComplex, r: int) -> bool:
@@ -176,7 +159,7 @@ def betti(complex_: SimplicialComplex, fieldkind: FieldKind, r: int) -> int:
     if n_r == 0:
         return 0
     char = fieldkind.char
-    return n_r - _boundary_rank(complex_, r, char) - _boundary_rank(complex_, r + 1, char)
+    return n_r - len(_boundaries(complex_, r, char)) - len(_boundaries(complex_, r + 1, char))
 
 
 def induced_rank(smap: SimplicialMap, r: int, fieldkind: FieldKind) -> int:
@@ -191,8 +174,10 @@ def induced_rank(smap: SimplicialMap, r: int, fieldkind: FieldKind) -> int:
     with the source's (r-1)-rows placed below the target's r-rows.  That
     matrix has rank rank d_r(source) + rank d_{r+1}(target) + rank f_*, and
     the reduced columns whose lowest row is a source row number exactly
-    rank d_r(source), which is kept for the source's Betti numbers.  The
-    target's reduced d_{r+1} is kept for the next map into it.
+    rank d_r(source).
+
+    An r-simplex whose image has r + 1 vertices but is no simplex of the
+    target raises ConsistencyError: the vertex map is not simplicial.
     """
     char = fieldkind.char
     source, target = smap.source, smap.target
@@ -209,30 +194,33 @@ def induced_rank(smap: SimplicialMap, r: int, fieldkind: FieldKind) -> int:
         col = {offset + row: val for row, val in faces.items()}
         images = [smap.vertex_map[v] for v in simplex]
         if len(set(images)) == len(images):  # degenerate images vanish
+            row = row_of.get(tuple(sorted(images)))
+            if row is None:
+                raise ConsistencyError(f"the vertex map sends the {r}-simplex {simplex} to"
+                                       f" {tuple(sorted(images))}, outside the target")
             inversions = sum(1 for a in range(len(images)) for b in range(a + 1, len(images))
                              if images[a] > images[b])
-            col[row_of[tuple(sorted(images))]] = minus if inversions % 2 else 1
+            col[row] = minus if inversions % 2 else 1
         columns.append(col)
     reduced = _reduce(boundaries + columns, char)
     source_rank = sum(1 for col in reduced if max(col) >= offset)
-    _memo(source, char)[r] = source_rank
     return len(reduced) - source_rank - len(boundaries)
 
 
-def _base_cocycles(base: SimplicialComplex, char: int) -> list[list[int]]:
-    """A basis of Z^1(N_1), each cocycle its values on N_1's edges (integers
-    over Q, residues mod p).
+def _base_cocycles(reduced: list[dict[int, int]], n1: int, char: int) -> list[list[int]]:
+    """A basis of Z^1(N_1), each cocycle its values on N_1's n1 edges
+    (integers over Q, residues mod p).
 
-    A cocycle annihilates the column space of d_2, whose reduced columns have
-    distinct lowest rows.  There is one cocycle per edge that is no column's
-    lowest row: nonzero there and 0 on the other such edges.  On the lowest
-    row of each column, taken in increasing order, it takes the value that
-    annihilates the column (its other rows are lower, hence already set).
+    A cocycle annihilates the column space of d_2, whose reduced columns
+    (`reduced`, from `_boundaries`) have distinct lowest rows.  There is one
+    cocycle per edge that is no column's lowest row: nonzero there and 0 on
+    the other such edges.  On the lowest row of each column, taken in
+    increasing order, it takes the value that annihilates the column (its
+    other rows are lower, hence already set).
     Fraction-free: a pivot a other than 1 first scales the cocycle by a,
     which keeps the columns before annihilated and the cocycles independent.
     """
-    reduced = sorted(_boundaries(base, 2, char), key=max)
-    n1 = len(base.simplices.get(1, ()))
+    reduced = sorted(reduced, key=max)
     lows = {max(col) for col in reduced}
     cocycles = []
     for free in range(n1):
@@ -250,9 +238,12 @@ def _base_cocycles(base: SimplicialComplex, char: int) -> list[list[int]]:
     return cocycles
 
 
-def lambda_ranks(tower: TowerData, fieldkind: FieldKind, depth: int) -> dict[int, int]:
-    """lambda_k = rank of H^1(N_1) -> H^1(N_k) for k = 2..depth, which over a
-    field is the rank of H_1(N_k) -> H_1(N_1) under truncation.
+def lambda_ranks(tower: TowerData, fieldkind: FieldKind,
+                 base_d2: list[dict[int, int]]) -> dict[int, int]:
+    """lambda_k = rank of H^1(N_1) -> H^1(N_k) for k = 2..K, the depths of
+    the tower, which over a field is the rank of H_1(N_k) -> H_1(N_1) under
+    truncation.  base_d2 is N_1's reduced d_2 (`_boundaries`), which the
+    caller shares with the Betti numbers of N_1.
 
     Licence.  Fix a spanning forest of N_k.  A 1-cochain c has a potential p
     on each tree with c(a, b) = p(b) - p(a) on the forest edges, and its
@@ -273,7 +264,7 @@ def lambda_ranks(tower: TowerData, fieldkind: FieldKind, depth: int) -> dict[int
     base = tower.complex_at(1)
     if not betti_exact(base, 1):
         raise ConsistencyError("lambda needs the 2-simplices of the depth-1 nerve")
-    cocycles = _base_cocycles(base, char)
+    cocycles = _base_cocycles(base_d2, len(base.simplices.get(1, ())), char)
     pulled = {edge: [z[i] for z in cocycles] for i, edge in enumerate(base.simplices.get(1, ()))}
     zero = [0] * len(cocycles)
 
@@ -281,7 +272,7 @@ def lambda_ranks(tower: TowerData, fieldkind: FieldKind, depth: int) -> dict[int
         return [x % char for x in values] if char else list(values)
 
     lam: dict[int, int] = {}
-    for k in range(2, depth + 1):
+    for k in range(2, tower.depth + 1):
         block = base.m ** (k - 1)
         parent: dict[int, int] = {}
         offset: dict[int, list[int]] = {}  # potential minus the parent's
@@ -338,39 +329,42 @@ class BettiTable:
         return [self.a[(r, k)] for k in range(1, self.depth + 1)]
 
 
-def tower_analysis(spec: SystemSpec, depth: int, fieldkind: FieldKind,
-                   dim_cap: int = 3, budget: Budget = Budget(), *,
-                   tower: Optional[TowerData] = None,
+def tower_analysis(tower: TowerData, fieldkind: FieldKind, *,
                    postunbranched: Optional[bool] = None,
                    singleton_overlaps: Optional[bool] = None,
                    assert_injective: bool = False,
                    pivot_conditions: Optional[bool] = None) -> BettiTable:
-    """Betti table and limit verdicts for depths 1..depth over one field.
+    """Betti table and limit verdicts for the depths of `tower` over one field.
 
-    The optional certification flags come from the classify layer (None =
-    not certified) and gate which verdict mechanisms may fire;
+    The tower is the one source of the system, the depth, the dim cap and
+    the budget.  The optional certification flags come from the classify
+    layer (None = not certified) and gate which verdict mechanisms may fire;
     assert_injective carries the spec file's assertion of that name.
     """
+    spec, depth, dim_cap, complexes = tower.spec, tower.depth, tower.dim_cap, tower.complexes
     if depth < 1:
         raise SpecError("tower depth must be at least 1")
-    if tower is None:
-        tower = tower_complexes(spec, depth, dim_cap, budget)
-    complexes = tower.complexes[:depth]
+    char = fieldkind.char
 
     exact_dims = tuple(r for r in range(dim_cap + 1)
                        if all(betti_exact(c, r) for c in complexes))
-    # rank d_1 is the vertex count less the component count, so the Betti
-    # numbers below reduce no d_1
-    for c, level in zip(complexes, tower.components):
-        _memo(c, fieldkind.char)[1] = c.m ** c.level - level.count
-    lam = lambda_ranks(tower, fieldkind, depth) if 1 in exact_dims else {}
+    base_d2 = _boundaries(complexes[0], 2, char) if 1 in exact_dims else []
+    lam = lambda_ranks(tower, fieldkind, base_d2) if 1 in exact_dims else {}
     a: dict[tuple[int, int], int] = {}
-    for k, c in enumerate(complexes, start=1):
+    for k, (c, level) in enumerate(zip(complexes, tower.components), start=1):
+        # rank d_r of this level, each reduced once; rank d_1 is the vertex
+        # count less the component count, so no d_1 is reduced
+        ranks = {0: 0, 1: c.m ** c.level - level.count}
+        if k == 1:
+            ranks[2] = len(base_d2)
         for r in exact_dims:
-            a[(r, k)] = betti(c, fieldkind, r)
+            n_r = len(c.simplices.get(r, ()))
+            if r + 1 not in ranks and n_r:
+                ranks[r + 1] = len(_boundaries(c, r + 1, char))
+            a[(r, k)] = n_r - ranks[r] - ranks[r + 1] if n_r else 0
 
     n1_betti = (a[(0, 1)], a[(1, 1)]) if 1 in exact_dims else None
-    facts = dim0_facts(tower, depth, assert_injective=assert_injective,
+    facts = dim0_facts(tower, assert_injective=assert_injective,
                        postunbranched=postunbranched, n1_betti=n1_betti)
 
     growth = {

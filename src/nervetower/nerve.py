@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from . import oracles
@@ -69,8 +69,6 @@ class SimplicialComplex:
     complete: bool
     uncertain: tuple[tuple[tuple[int, ...], str], ...] = ()
     block_source: Optional[SimplicialComplex] = field(default=None, repr=False, compare=False)
-    # boundary reductions already made, kept by the homology layer
-    _reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def crossing(self) -> dict[int, list[tuple[int, ...]]]:
@@ -116,21 +114,6 @@ def _close_downward(buckets: dict[int, set[tuple[int, ...]]]) -> None:
                 lower.add(face)
 
 
-def _from_word_sets(spec: SystemSpec, level: int, sets, dim_cap: int) -> SimplicialComplex:
-    """A table level: simplices read as stored, as sets of words."""
-    buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(spec.m ** level)}}
-    truncated = False
-    for s in sets:
-        dim = len(s) - 1
-        if dim > dim_cap:
-            truncated = True
-            continue
-        buckets.setdefault(dim, set()).add(tuple(sorted(word_index(spec.m, level, w) for w in s)))
-    _close_downward(buckets)
-    simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    return SimplicialComplex(level, spec.m, simplices, dim_cap, complete=not truncated)
-
-
 def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
                 budget: Budget = Budget()) -> SimplicialComplex:
     """The depth-`level` nerve, with simplices enumerated up to dimension dim_cap."""
@@ -138,13 +121,24 @@ def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
         raise SpecError("nerve depth must be at least 1")
     if dim_cap < 1:
         raise SpecError("dim_cap must be at least 1")
-    backend = spec.backend
-    if isinstance(backend, TableBackend):
-        stored = backend.levels.get(level)
-        if stored is None:
+    if isinstance(spec.backend, TableBackend):
+        if level not in spec.backend.levels:
             raise SpecError(f"system {spec.name!r} stores no depth-{level} data")
-        return _from_word_sets(spec, level, stored, dim_cap)
+        key = ("table_level", level, dim_cap)
+        if key not in spec._cache:
+            spec._cache[key] = _table_level(spec, level, dim_cap)
+        return spec._cache[key]
     return _levels(spec, level, dim_cap, budget)[level - 1]
+
+
+def _table_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComplex:
+    """A stored table level up to dim_cap.  The backend keeps it closed under
+    faces and sorted by size, then by index, so each dimension is one run."""
+    stored = spec.backend.levels[level]
+    kept = [s for s in stored if len(s) - 1 <= dim_cap]
+    simplices = {0: tuple((v,) for v in range(spec.m ** level))}
+    simplices.update((size - 1, tuple(sims)) for size, sims in groupby(kept, len))
+    return SimplicialComplex(level, spec.m, simplices, dim_cap, len(kept) == len(stored))
 
 
 def _levels(spec: SystemSpec, depth: int, dim_cap: int,
@@ -304,30 +298,16 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
     return simplices, complete
 
 
-@dataclass(frozen=True)
-class _Quotients(Sequence[int]):
-    """The vertex map v -> v // ratio on 0..n-1, computed where it is read."""
-
-    n: int
-    ratio: int
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(v)
-        return v // self.ratio
-
-
 @dataclass
 class SimplicialMap:
-    """A vertex map that sends simplices to simplices (checked at construction)."""
+    """A vertex map from `source` into `target`, the input of
+    `homology.induced_rank`.  Nothing is checked when it is built;
+    `induced_rank` raises ConsistencyError when it sends a simplex of the
+    dimension it reads outside the target."""
 
     source: SimplicialComplex
     target: SimplicialComplex
     vertex_map: Sequence[int]
-    surjective: Optional[bool] = None
 
 
 def _truncate(simplex: tuple[int, ...], ratio: int) -> tuple[int, ...]:
@@ -342,22 +322,21 @@ def _copy_built_pair(long: SimplicialComplex, short: SimplicialComplex) -> bool:
             and not long.uncertain and not short.uncertain)
 
 
-def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
-    """The drop-last-symbols map v -> v // m^d between nerve depths, with its
-    contracts checked, in one pass over the simplices of `long`.  Neither
-    level is changed.
+def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialComplex:
+    """Check the drop-last-symbols map v -> v // m^d from `long` onto
+    `short`, in one pass over the simplices of `long`, and return its
+    target level.  Neither level is changed.
 
     Simpliciality is a soundness requirement.  An image missing from `short`
     raises, unless `short` has uncertain tuples: then the simplex above the
-    image certifies it (cells only grow under truncation).  The map's target
-    is then a new level: `short` with the images added and the uncertain
+    image certifies it (cells only grow under truncation).  The target is
+    then a new level: `short` with the images added and the uncertain
     entries they resolve dropped.  The faces of an image are the images of
     faces of that simplex, so the same pass adds them.  Otherwise the target
     is `short` itself.  A level without uncertain tuples is exact up to its
     cap, and table levels are checked to form a tower when the backend is
     built, so neither gains anything.  Surjectivity holds for true nerves and
-    is checked whenever both complexes are free of uncertain tuples (left
-    None otherwise).
+    is checked whenever both levels are free of uncertain tuples.
 
     Copy-built pairs check only the simplices that cross blocks.  When `long`
     is depth k+1 built as the block copies of `short` (its `block_source`),
@@ -405,14 +384,11 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
             uncertain=tuple(entry for entry in short.uncertain
                             if entry[0] not in target.get(len(entry[0]) - 1, ())),
             block_source=None)
-    surjective: Optional[bool] = None
-    if not long.uncertain and not short.uncertain:
-        surjective = all(sims <= images.get(dim, set()) for dim, sims in target.items())
-        if not surjective:
-            raise ConsistencyError(
-                f"truncation from depth {long.level} misses simplices of depth {short.level}"
-            )
-    return SimplicialMap(long, short, _Quotients(long.m ** long.level, ratio), surjective)
+    if not long.uncertain and not short.uncertain and \
+            not all(sims <= images.get(dim, set()) for dim, sims in target.items()):
+        raise ConsistencyError(
+            f"truncation from depth {long.level} misses simplices of depth {short.level}")
+    return short
 
 
 @dataclass
@@ -438,15 +414,15 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
     """Build nerves for depths 1..depth and check the truncations between them.
 
     One `truncation_map` per pair of consecutive depths, deepest pair first;
-    each level is replaced by that map's target, so certificates swept into a
-    level reach the level below it too.  The levels `build_nerve` returns are
-    left as they are.  The maps are not kept: truncation is v // m on vertex
-    indices.  The components of a level that copies the tower's level below
-    come from that level's components.
+    each level is replaced by the target it returns, so certificates swept
+    into a level reach the level below it too.  The levels `build_nerve`
+    returns are left as they are.  No map is kept: truncation is v // m on
+    vertex indices.  The components of a level that copies the tower's level
+    below come from that level's components.
     """
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
-        complexes[k - 1] = truncation_map(complexes[k], complexes[k - 1]).target
+        complexes[k - 1] = truncation_map(complexes[k], complexes[k - 1])
     levels: list[ComponentsLevel] = []
     for k, complex_ in enumerate(complexes):
         copied = k and complex_.block_source is complexes[k - 1]

@@ -38,7 +38,7 @@ from .exactgeom import (
     compose,
     map_polygon,
 )
-from .words import Address, Word, concat, enumerate_words, symbols_index, truncate
+from .words import Address, Word, concat, enumerate_words, indexed_word, symbols_index
 
 
 class SpecError(ValueError):
@@ -139,12 +139,14 @@ class GeometricBackend:
 class TableBackend:
     """Explicit nerve data per depth: mapping level -> iterable of simplices.
 
-    Each simplex is an iterable of words (tuples of symbols).  Faces are
-    implied and added here; `levels` keeps the simplices of two or more
-    words, since depth-k cells are never empty, so every word is a vertex.
-    Consecutive stored levels must form a tower: cells only grow under
-    truncation, so every depth-(k+1) simplex truncates onto a depth-k one, and
-    a point in several depth-k cells lies in a child of each, so every
+    Each simplex is an iterable of words (tuples of symbols).  `levels` maps
+    each stored depth to its simplices of two or more words, closed under
+    faces, each a sorted tuple of vertex indices (words in lexicographic
+    order, as in `nerve.SimplicialComplex`), sorted by size, then by index.
+    Depth-k cells are never empty, so every word is a vertex.  Consecutive
+    stored levels must form a tower: cells only grow under truncation
+    v -> v // m, so every depth-(k+1) simplex truncates onto a depth-k one,
+    and a point in several depth-k cells lies in a child of each, so every
     depth-k simplex is the truncation of a depth-(k+1) one.
     """
 
@@ -152,41 +154,43 @@ class TableBackend:
 
     def __init__(self, m: int, levels: Mapping[int, Iterable[Iterable[Sequence[int]]]]):
         self.m = m
-        closed: dict[int, frozenset[frozenset[Word]]] = {}
+        closed: dict[int, set[tuple[int, ...]]] = {}
         for level, simplices in levels.items():
             level = int(level)
             if level < 1:
                 raise SpecError(f"table level {level} out of range")
-            sims: set[frozenset[Word]] = set()
+            sims: set[tuple[int, ...]] = set()
             for simplex in simplices:
-                ws = frozenset(Word(tuple(symbols), m) for symbols in simplex)
+                ws = {Word(tuple(symbols), m) for symbols in simplex}
                 if any(len(w) != level for w in ws):
                     raise SpecError(f"table level {level} lists a word of the wrong length")
-                for size in range(2, len(ws) + 1):
-                    for sub in combinations(sorted(ws), size):
-                        sims.add(frozenset(sub))
-            closed[level] = frozenset(sims)
+                vertices = sorted(symbols_index(m, w.symbols) for w in ws)
+                for size in range(2, len(vertices) + 1):
+                    sims.update(combinations(vertices, size))
+            closed[level] = sims
         if 1 not in closed:
             raise SpecError("table backend must store at least level 1")
         for level in sorted(closed):
             if level + 1 not in closed:
                 continue
-            images = {frozenset(truncate(w, level) for w in s) for s in closed[level + 1]}
+            images = {tuple(sorted({v // m for v in s})) for s in closed[level + 1]}
             images = {s for s in images if len(s) > 1}  # every word is a vertex
             if images - closed[level]:
                 raise SpecError(f"table level {level + 1} truncates onto"
-                                f" {_least(images - closed[level])}, which level {level}"
-                                " does not list")
+                                f" {_least(images - closed[level], m, level)}, which level"
+                                f" {level} does not list")
             if closed[level] - images:
-                raise SpecError(f"table level {level} lists {_least(closed[level] - images)},"
+                raise SpecError(f"table level {level} lists"
+                                f" {_least(closed[level] - images, m, level)},"
                                 f" which no level-{level + 1} simplex truncates onto")
-        self.levels = closed
+        self.levels = {level: tuple(sorted(sims, key=lambda s: (len(s), s)))
+                       for level, sims in closed.items()}
 
 
-def _least(simplices: set[frozenset[Word]]) -> str:
+def _least(simplices: set[tuple[int, ...]], m: int, level: int) -> str:
     """The least simplex (fewest cells, then by words), written {w, ...}."""
-    s = min(simplices, key=lambda s: (len(s), sorted(s)))
-    return "{" + ", ".join(map(str, sorted(s))) + "}"
+    s = min(simplices, key=lambda s: (len(s), s))
+    return "{" + ", ".join(str(indexed_word(m, level, v)) for v in s) + "}"
 
 
 class SymbolicPUBackend:
@@ -409,18 +413,15 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
     if isinstance(backend, GeometricBackend):
         return _geometric_intersect(spec, tup, budget)
     level = len(tup[0])
-    if isinstance(backend, TableBackend):
-        stored = backend.levels.get(level)
-        if stored is None:
-            return Verdict.unknown(None, "table", note=f"no stored data at depth {level}")
-        if len(tup) == 1 or frozenset(tup) in stored:  # a cell is never empty
-            return Verdict.intersect("table")
-        return Verdict.disjoint(0, "table")
-    from .nerve import build_nerve  # symbolic nerves are generated there
+    table = isinstance(backend, TableBackend)
+    if table and level not in backend.levels:
+        return Verdict.unknown(None, "table", note=f"no stored data at depth {level}")
+    from .nerve import build_nerve  # table and symbolic levels are cached there
     nerve = build_nerve(spec, level, max(len(tup) - 1, 1))
+    source = "table" if table else "symbolic"
     if tuple(sorted(map(nerve.index_of, tup))) in nerve.simplices.get(len(tup) - 1, ()):
-        return Verdict.intersect("symbolic")
-    return Verdict.disjoint(0, "symbolic")
+        return Verdict.intersect(source)
+    return Verdict.disjoint(0, source)
 
 
 def _geometric_intersect(spec: SystemSpec, ws: tuple[Word, ...], budget: Budget) -> Verdict:

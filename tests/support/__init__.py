@@ -8,12 +8,15 @@
 * `full_tower`: the truncation pass over every simplex and the union-find
   over every edge; check the crossing-only pass of `nerve.truncation_map`
   and the block-aware `components.components` on copy-built levels.
+  `truncation` writes v -> v // m^d as the `nerve.SimplicialMap` that
+  `homology.induced_rank` takes, since `truncation_map` returns a level.
 * `pu_nerve`: symbolic nerves as sets of word sets; checks the index
   generator `nerve._lifted_level` and its address-consistency errors.
 * `linalg_oracle`: dense Gaussian elimination and cochain pullback; checks
   the sparse reduction `homology._reduce`, `homology.betti`, the
   mapping-cone `homology.induced_rank`, the crossing-edge pass
-  `homology.lambda_ranks`, and the component counts that give rank d_1.
+  `homology.lambda_ranks`, and the component counts that give
+  `homology.tower_analysis` its rank d_1 = m^k - a_0.
 * `cohomology`: Betti numbers through transposed boundaries (`cobetti`);
   checks `homology.betti` on a second path through the same reduction.
 * `finite_oracle`: cells of finite point systems as point sets; checks the

@@ -4,21 +4,28 @@ are checked against.
 
 Both look at every simplex of a level, without using that a copy-built level
 is m block copies of the level before plus the simplices that cross blocks.
+`truncation` writes the same map v -> v // m^d as the `SimplicialMap` that
+`homology.induced_rank` takes.
 """
 
 from dataclasses import replace
-from typing import Optional
 
 from nervetower.components import ComponentsLevel, UnionFind
 from nervetower.nerve import SimplicialComplex, SimplicialMap
 from nervetower.oracles import ConsistencyError, SpecError
 
 
-def full_truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
+def truncation(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
+    """The truncation v -> v // m^d from `long` to `short`, unchecked."""
+    ratio = long.m ** (long.level - short.level)
+    return SimplicialMap(long, short, tuple(v // ratio for v in range(long.m ** long.level)))
+
+
+def full_truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialComplex:
     """The image of every simplex of `long` under v -> v // m^d, checked to
     lie in `short` (or swept into a new target level when `short` has
-    uncertain tuples), and checked to cover the target when neither complex
-    has uncertain tuples."""
+    uncertain tuples), and checked to cover the target when neither level
+    has uncertain tuples; returns the target level."""
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
     ratio = long.m ** (long.level - short.level)
@@ -45,15 +52,11 @@ def full_truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Si
             uncertain=tuple(entry for entry in short.uncertain
                             if entry[0] not in target.get(len(entry[0]) - 1, ())),
             block_source=None)
-    surjective: Optional[bool] = None
-    if not long.uncertain and not short.uncertain:
-        surjective = all(sims <= images.get(dim, set()) for dim, sims in target.items())
-        if not surjective:
-            raise ConsistencyError(
-                f"truncation from depth {long.level} misses simplices of depth {short.level}"
-            )
-    return SimplicialMap(long, short, tuple(v // ratio for v in range(long.m ** long.level)),
-                         surjective)
+    if not long.uncertain and not short.uncertain and \
+            not all(sims <= images.get(dim, set()) for dim, sims in target.items()):
+        raise ConsistencyError(
+            f"truncation from depth {long.level} misses simplices of depth {short.level}")
+    return short
 
 
 def unionfind_components(complex_: SimplicialComplex) -> ComponentsLevel:

@@ -11,7 +11,7 @@ from nervetower.classify import (check_h1_infinite_conditions,
                                  check_singleton_overlaps, verify_puthm)
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, tower_analysis
-from nervetower.nerve import build_iterate_or_subsystem, iterate_system
+from nervetower.nerve import build_iterate_or_subsystem, iterate_system, tower_complexes
 from nervetower.oracles import (Budget, GeometricBackend, SpecError, SystemSpec,
                                 point_in_cell)
 from nervetower.words import Word, enumerate_words
@@ -214,13 +214,13 @@ class TestPivotConditions:
 
 class TestVerifyIdentities:
     def test_not_applicable_without_certificate(self, gasket):
-        table = tower_analysis(gasket, 3, Q, dim_cap=2)
+        table = tower_analysis(tower_complexes(gasket, 3, dim_cap=2), Q)
         tc = verify_puthm(table)
         assert not tc.applicable
         assert tc.passed is None
 
     def test_gasket_identities(self, gasket):
-        table = tower_analysis(gasket, 4, Q, dim_cap=2, postunbranched=True)
+        table = tower_analysis(tower_complexes(gasket, 4, dim_cap=2), Q, postunbranched=True)
         tc = verify_puthm(table)
         assert tc.applicable and tc.passed
         names = [c.name for c in tc.checks]
@@ -232,8 +232,8 @@ class TestVerifyIdentities:
         assert any("3/2 is not an integer" in p for p in tc.predictions)
 
     def test_funnel_identities_and_collapse(self, bundled):
-        table = tower_analysis(bundled("five-map-funnel").spec, 3, Q,
-                               dim_cap=2, postunbranched=True)
+        table = tower_analysis(tower_complexes(bundled("five-map-funnel").spec, 3, dim_cap=2),
+                               Q, postunbranched=True)
         tc = verify_puthm(table)
         assert tc.passed
         assert len(tc.checks) == 7  # no connected or finite-limit lines here
@@ -244,8 +244,8 @@ class TestVerifyIdentities:
         assert table.b1_infinity.value == 0
 
     def test_mixed_subsystem_identities(self, bundled):
-        table = tower_analysis(bundled("gasket-sub-mixed").spec, 2, Q,
-                               dim_cap=2, postunbranched=True)
+        table = tower_analysis(tower_complexes(bundled("gasket-sub-mixed").spec, 2, dim_cap=2),
+                               Q, postunbranched=True)
         tc = verify_puthm(table)
         assert tc.passed
         assert table.sequence(1) == [1, 7]
@@ -255,7 +255,7 @@ class TestVerifyIdentities:
         assert table.verdicts[0].mechanism == "pu-count-lower-bound"
 
     def test_corrupted_table_fails_identities(self, gasket):
-        table = tower_analysis(gasket, 3, Q, dim_cap=2, postunbranched=True)
+        table = tower_analysis(tower_complexes(gasket, 3, dim_cap=2), Q, postunbranched=True)
         table.a[(1, 2)] = 5  # true value is 4
         tc = verify_puthm(table)
         assert tc.passed is False
@@ -267,7 +267,7 @@ class TestVerifyIdentities:
 
 class TestLimitVerdicts:
     def test_gasket_limits(self, gasket):
-        table = tower_analysis(gasket, 4, Q, dim_cap=2, postunbranched=True)
+        table = tower_analysis(tower_complexes(gasket, 4, dim_cap=2), Q, postunbranched=True)
         assert table.verdicts[0].status == "finite"
         assert table.verdicts[0].value == 1
         assert table.verdicts[1].status == "infinite"
@@ -278,7 +278,7 @@ class TestLimitVerdicts:
         assert table.b1_infinity.value == 1
 
     def test_without_certificate_limits_stay_unknown(self, gasket):
-        table = tower_analysis(gasket, 3, Q, dim_cap=2)
+        table = tower_analysis(tower_complexes(gasket, 3, dim_cap=2), Q)
         assert table.verdicts[1].status in ("unknown", "infinite")
         # a_0 limit only needs connectedness, which is unconditional here
         assert table.verdicts[0].status == "finite"

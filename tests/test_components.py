@@ -23,7 +23,7 @@ def P(x, y):
 
 def facts(tower, *, postunbranched=None, n1_betti=None):
     """The dim-0 facts of the whole tower, as tower_analysis derives them."""
-    return dim0_facts(tower, tower.depth, assert_injective=False,
+    return dim0_facts(tower, assert_injective=False,
                       postunbranched=postunbranched, n1_betti=n1_betti)
 
 
@@ -68,7 +68,7 @@ class TestParentLinks:
 
         monkeypatch.setattr(components_module, "ComponentsLevel", Counting)
         tower = tower_complexes(gasket, 3)
-        tower_analysis(gasket, 3, FieldKind(0), dim_cap=2, tower=tower)
+        tower_analysis(tower, FieldKind(0))
         component_tower(tower, facts(tower))
         assert len(made) == 3
 
@@ -78,7 +78,7 @@ class TestParentLinks:
         original = components_module.dim0_facts
 
         def counting(*args, **kwargs):
-            derived.append(args[1])
+            derived.append(args[0].depth)
             return original(*args, **kwargs)
 
         for module in (components_module, homology_module):
@@ -91,7 +91,7 @@ class TestParentLinks:
 
     def test_facts_must_cover_the_tower(self, gasket):
         tower = tower_complexes(gasket, 3)
-        table = tower_analysis(gasket, 2, FieldKind(0), dim_cap=2, tower=tower)
+        table = tower_analysis(tower_complexes(gasket, 2), FieldKind(0))
         with pytest.raises(ConsistencyError):
             component_tower(tower, table.facts)
 
@@ -193,8 +193,7 @@ class TestVerdicts:
                   2: [[(a, 1), (b, 1)] for a, b in k5]}
         spec = SystemSpec("escaped", "forward", 6, TableBackend(6, levels))
         tower = tower_complexes(spec, 2, dim_cap=2)
-        table = tower_analysis(spec, 2, FieldKind(0), dim_cap=2, tower=tower,
-                               postunbranched=True)
+        table = tower_analysis(tower, FieldKind(0), postunbranched=True)
         assert table.component_counts == [2, 32]
         assert table.verdicts[0].mechanism == "pu-escaped-bound"
         assert table.verdicts[0].status == "infinite"

@@ -4,6 +4,7 @@ Expected values are cross-checked against tests/support/linalg_oracle.py,
 a dense-elimination implementation that shares no code with the package.
 """
 
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
@@ -13,17 +14,18 @@ from hypothesis import given, settings, strategies as st
 
 from nervetower import cli, homology
 from nervetower.homology import (BettiTable, FieldKind, _reduce, betti, betti_exact,
-                                 induced_rank, lambda_ranks, tower_analysis)
+                                 induced_rank, tower_analysis)
 from nervetower.nerve import (SimplicialComplex, SimplicialMap, TowerData, build_nerve,
-                              tower_complexes, truncation_map)
+                              tower_complexes)
 from nervetower.oracles import ConsistencyError, SpecError, TableBackend
 
 from support import linalg_oracle
 from support.cohomology import cobetti
+from support.full_tower import truncation
 from support.linalg_oracle import betti_oracle, induced_rank_oracle
 from test_acceptance import SUITE_DEPTHS, SUITE_DIM_CAPS
 from test_classify import derived_systems
-from test_nerve import one_step_maps, symbolic_systems
+from test_nerve import symbolic_systems
 
 Q = FieldKind(0)
 GF2 = FieldKind(2)
@@ -53,8 +55,9 @@ RP2 = synthetic(["123", "134", "145", "156", "126",
 
 def truncation_maps(tower: TowerData) -> list[SimplicialMap]:
     """The one-step truncations, then those from depths 3..K to depth 1."""
-    return one_step_maps(tower) + [truncation_map(tower.complex_at(k), tower.complex_at(1))
-                                   for k in range(3, tower.depth + 1)]
+    pairs = list(zip(tower.complexes[1:], tower.complexes))
+    pairs += [(tower.complex_at(k), tower.complex_at(1)) for k in range(3, tower.depth + 1)]
+    return [truncation(long, short) for long, short in pairs]
 
 
 class TestFieldKind:
@@ -138,7 +141,7 @@ class TestBetti:
 
     def test_replaced_simplices_are_reduced_again(self):
         """A level is never changed: a level with other simplices is a new
-        value, with no reductions yet."""
+        value, and betti reads each level afresh."""
         c = synthetic(["123", "234", "345", "451", "512"], 5)
         assert betti(c, Q, 1) == 1
         with pytest.raises(FrozenInstanceError):
@@ -154,11 +157,28 @@ class TestBetti:
         # dimension 0 only needs edges, which a cap of 1 still enumerates
         assert betti(capped, Q, 0) == 3
 
+    def test_betti_keeps_nothing(self, monkeypatch):
+        """betti is pure: it leaves the level as it was, and a second call
+        reduces both boundaries again."""
+        built = Counter()
+        original = homology._boundary_columns
+
+        def counting(complex_, r, char):
+            built[r] += 1
+            return original(complex_, r, char)
+
+        monkeypatch.setattr(homology, "_boundary_columns", counting)
+        before = dict(vars(RP2))
+        assert [betti(RP2, GF2, 1) for _ in range(2)] == [1, 1]
+        assert built == {1: 2, 2: 2}
+        assert vars(RP2) == before
+        assert not hasattr(RP2, "_reductions")
+
 
 class TestInducedRank:
     def test_identity_map_realizes_betti(self):
         for c in (MOEBIUS, RP2):
-            ident = SimplicialMap(c, c, tuple(range(c.m ** c.level)), True)
+            ident = SimplicialMap(c, c, tuple(range(c.m ** c.level)))
             for fk in FIELDS:
                 for r in range(3):
                     assert induced_rank(ident, r, fk) == betti(c, fk, r)
@@ -166,7 +186,7 @@ class TestInducedRank:
     def test_image_orientation_signs(self):
         # the rotation v -> v + 1 mod 5 of the Moebius band sends the edge (0, 4)
         # to (1, 0), against the vertex order; truncation maps never do
-        rotation = SimplicialMap(MOEBIUS, MOEBIUS, (1, 2, 3, 4, 0), True)
+        rotation = SimplicialMap(MOEBIUS, MOEBIUS, (1, 2, 3, 4, 0))
         for fk in FIELDS:
             for r in range(3):
                 assert induced_rank(rotation, r, fk) == betti(MOEBIUS, fk, r) == \
@@ -205,28 +225,37 @@ class TestInducedRank:
         }
         for name, lam2 in expected.items():
             tower = tower_complexes(bundled(name).spec, 2, dim_cap=2)
-            to_base = truncation_map(tower.complex_at(2), tower.complex_at(1))
+            to_base = truncation(tower.complex_at(2), tower.complex_at(1))
             assert induced_rank(to_base, 1, Q) == lam2, name
 
     def test_dim0_rank_counts_surviving_components(self, bundled):
         # depth-2 map to depth 1 on components: three blocks stay three blocks
         tower = tower_complexes(bundled("finite-trivial").spec, 2, dim_cap=2)
-        to_base = truncation_map(tower.complex_at(2), tower.complex_at(1))
+        to_base = truncation(tower.complex_at(2), tower.complex_at(1))
         assert induced_rank(to_base, 0, Q) == 3
+
+    def test_non_simplicial_vertex_map_names_the_simplex(self, bundled):
+        """v -> v mod 5 from pentagasket depth 2 to depth 1 sends the edge
+        (2, 9), between the words 13 and 25, onto (2, 4), which is no edge."""
+        tower = tower_complexes(bundled("pentagasket").spec, 2, dim_cap=2)
+        long, short = tower.complex_at(2), tower.complex_at(1)
+        modulo = SimplicialMap(long, short, tuple(v % 5 for v in range(25)))
+        message = "sends the 1-simplex (2, 9) to (2, 4), outside the target"
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            induced_rank(modulo, 1, Q)
 
 
 def assert_lambda_pass_matches(tower: TowerData, fk: FieldKind, oracle_cells: int) -> None:
-    """tower_analysis on a fresh tower: lambda_k equals the mapping-cone rank
-    (and the dense cochain rank, on at most oracle_cells vertices), and the
-    rank of d_1 it stores equals a fresh reduction of d_1."""
-    depth = tower.depth
-    table = tower_analysis(tower.spec, depth, fk, tower.dim_cap, tower=tower)
-    for c in tower.complexes:
-        fresh = len(_reduce(homology._boundary_columns(c, 1, fk.char), fk.char))
-        assert homology._memo(c, fk.char)[1] == fresh, (c.level, fk)
-    assert table.lam == lambda_ranks(tower, fk, depth)
-    for k in range(2, depth + 1):
-        smap = truncation_map(tower.complex_at(k), tower.complex_at(1))
+    """tower_analysis: lambda_k equals the mapping-cone rank (and the dense
+    cochain rank, on at most oracle_cells vertices), and every Betti number
+    equals betti's, which reduces d_1 where the table takes rank d_1 from
+    the component count."""
+    table = tower_analysis(tower, fk)
+    for k, c in enumerate(tower.complexes, start=1):
+        for r in table.exact_dims:
+            assert table.a[(r, k)] == betti(c, fk, r), (k, r, fk)
+    for k in range(2, tower.depth + 1):
+        smap = truncation(tower.complex_at(k), tower.complex_at(1))
         assert table.lam[k] == induced_rank(smap, 1, fk), (k, fk)
         if tower.spec.m ** k <= oracle_cells:
             assert table.lam[k] == induced_rank_oracle(smap, 1, fk.char), (k, fk)
@@ -240,8 +269,8 @@ def assert_cocycle_basis(c: SimplicialComplex, fk: FieldKind) -> None:
     """_base_cocycles: annihilators of every d_2 column, as many as
     dim Z^1 = n_1 - rank d_2, and independent."""
     char = fk.char
-    cocycles = homology._base_cocycles(c, char)
     n1 = len(c.simplices.get(1, ()))
+    cocycles = homology._base_cocycles(homology._boundaries(c, 2, char), n1, char)
     d2 = linalg_oracle.boundary_matrix(c, 2, char)
     assert len(cocycles) == n1 - linalg_oracle.rank(d2, char)
     assert all(len(z) == n1 and all(type(x) is int for x in z) for z in cocycles)
@@ -296,7 +325,6 @@ class TestLambdaPass:
 
 
 class TestOneReductionPerBoundary:
-    # a fresh spec each: reductions are kept on the cached levels of a spec
     def test_pentagasket_tower_reduces_no_d1(self, monkeypatch):
         """rank d_1 comes from the component count and lambda from the
         crossing edges, so no d_1 column is built; the mapping-cone lambda
@@ -309,7 +337,7 @@ class TestOneReductionPerBoundary:
             return original(complex_, r, char)
 
         monkeypatch.setattr(homology, "_boundary_columns", counting)
-        table = tower_analysis(cli.load_bundled("pentagasket").spec, 6, Q)
+        table = tower_analysis(tower_complexes(cli.load_bundled("pentagasket").spec, 6), Q)
         assert table.lam == {k: 1 for k in range(2, 7)}
         assert built[1] == 0
         assert built[2] == 6
@@ -325,7 +353,7 @@ class TestOneReductionPerBoundary:
             return original(complex_, r, char)
 
         monkeypatch.setattr(homology, "_boundary_columns", counting)
-        table = tower_analysis(cli.load_bundled("pentagasket").spec, 6, Q)
+        table = tower_analysis(tower_complexes(cli.load_bundled("pentagasket").spec, 6), Q)
         assert table.sequence(1)[:3] == [1, 6, 31]
         assert len(table.lam) == 5
         assert {k for k, _r in built} == set(range(1, 7))
@@ -345,13 +373,13 @@ def test_pentagasket_tower_column_subtractions(monkeypatch):
         original(col, factor, other, char)
 
     monkeypatch.setattr(homology, "_subtract", counting)
-    tower_analysis(spec, 6, Q)
+    tower_analysis(tower_complexes(spec, 6), Q)
     assert len(calls) < 80000
 
 
 class TestTowerAnalysis:
     def test_gasket_table(self, gasket):
-        table = tower_analysis(gasket, 4, Q, dim_cap=2)
+        table = tower_analysis(tower_complexes(gasket, 4, dim_cap=2), Q)
         assert isinstance(table, BettiTable)
         assert table.m == 3
         assert table.sequence(1) == [1, 4, 13, 40]
@@ -362,7 +390,7 @@ class TestTowerAnalysis:
 
     def test_growth_logs(self, gasket):
         import math
-        table = tower_analysis(gasket, 3, Q, dim_cap=2)
+        table = tower_analysis(tower_complexes(gasket, 3, dim_cap=2), Q)
         assert table.growth[1][0] == 0.0  # log 1
         assert table.growth[1][1] == pytest.approx(math.log(4) / 2)
         assert table.growth[1][2] == pytest.approx(math.log(13) / 3)
@@ -370,15 +398,24 @@ class TestTowerAnalysis:
 
     def test_depth_validation(self, gasket):
         with pytest.raises(SpecError):
-            tower_analysis(gasket, 0, Q)
+            tower_analysis(tower_complexes(gasket, 0), Q)
 
     def test_component_counts_match_a0(self, bundled):
-        table = tower_analysis(bundled("finite-trivial").spec, 2, Q, dim_cap=2)
+        table = tower_analysis(tower_complexes(bundled("finite-trivial").spec, 2, dim_cap=2), Q)
         assert table.sequence(0) == [3, 3]
         assert table.component_counts == [3, 3]
 
     def test_field_changes_nothing_on_graph_towers(self, gasket):
-        over_q = tower_analysis(gasket, 3, Q, dim_cap=2)
-        over_2 = tower_analysis(gasket, 3, GF2, dim_cap=2)
+        over_q = tower_analysis(tower_complexes(gasket, 3, dim_cap=2), Q)
+        over_2 = tower_analysis(tower_complexes(gasket, 3, dim_cap=2), GF2)
         assert over_q.sequence(1) == over_2.sequence(1)
         assert over_q.lam == over_2.lam
+
+    def test_the_tower_names_system_depth_and_cap(self, bundled):
+        """The table describes the tower it is given: its system, alphabet,
+        depth and dim cap all come from it."""
+        tower = tower_complexes(bundled("pentagasket").spec, 3, dim_cap=2)
+        table = tower_analysis(tower, Q)
+        assert (table.name, table.m, table.depth, table.dim_cap) == ("pentagasket", 5, 3, 2)
+        assert table.sequence(1) == [1, 6, 31]
+        assert table.exact_dims == (0, 1, 2)

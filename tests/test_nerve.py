@@ -1,6 +1,8 @@
 """Nerve construction, truncation maps, towers, block and derived systems."""
 
+import json
 import re
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from functools import cached_property
@@ -9,7 +11,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import cli, nerve, oracles
+from nervetower import cli, homology, nerve, oracles
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, betti_exact, lambda_ranks
 from nervetower.nerve import (SimplicialComplex, TowerData, block_subcomplex, build_nerve,
@@ -158,7 +160,8 @@ def hand_built(level, simplices, dim_cap):
     return SimplicialComplex(level, 3, {0: vertices, **simplices}, dim_cap, True)
 
 
-def one_step_maps(tower):
+def one_step_targets(tower):
+    """What truncation_map returns for each pair of consecutive depths."""
     return [truncation_map(long, short)
             for long, short in zip(tower.complexes[1:], tower.complexes)]
 
@@ -167,10 +170,9 @@ class TestTruncation:
     def test_gasket_map_contracts(self, gasket):
         n1 = build_nerve(gasket, 1)
         n2 = build_nerve(gasket, 2)
-        phi = truncation_map(n2, n1)
-        assert phi.surjective is True
+        assert truncation_map(n2, n1) is n1
         for i in range(9):
-            assert n1.word(phi.vertex_map[i]) == Word(n2.word(i).symbols[:1], 3)
+            assert n1.word(i // 3) == Word(n2.word(i).symbols[:1], 3)
 
     def test_wrong_direction_rejected(self, gasket):
         n1 = build_nerve(gasket, 1)
@@ -195,24 +197,23 @@ class TestTruncation:
         for deep, shallow, message in cases:
             with pytest.raises(ConsistencyError, match=re.escape(message)):
                 truncation_map(deep, shallow)
-        assert truncation_map(long, hand_built(1, {**edges, 2: ((0, 1, 2),)}, 2)).surjective
+        short = hand_built(1, {**edges, 2: ((0, 1, 2),)}, 2)
+        assert truncation_map(long, short) is short
 
     def test_tower_and_base_map(self, gasket):
         tower = tower_complexes(gasket, 3)
         assert isinstance(tower, TowerData)
         assert tower.depth == 3
         assert tower.complex_at(2).level == 2
-        assert all(m.surjective for m in one_step_maps(tower))
+        assert one_step_targets(tower) == tower.complexes[:-1]
         long, short = tower.complex_at(3), tower.complex_at(1)
-        to_base = truncation_map(long, short)
-        assert to_base.target.level == 1 and to_base.surjective is True
-        assert all(to_base.vertex_map[v] == short.index_of(truncate(long.word(v), 1))
-                   for v in range(27))
+        assert truncation_map(long, short) is short
+        assert all(v // 9 == short.index_of(truncate(long.word(v), 1)) for v in range(27))
 
     def test_symbolic_tower(self, bundled):
         tower = tower_complexes(bundled("pentagasket").spec, 3)
         assert [c.simplex_counts()[0] for c in tower.complexes] == [5, 25, 125]
-        assert all(m.surjective for m in one_step_maps(tower))
+        assert one_step_targets(tower) == tower.complexes[:-1]
 
     def test_uncertain_target_gains_the_missing_image(self):
         """An image missing from a target with uncertain tuples is certified by
@@ -223,10 +224,10 @@ class TestTruncation:
         long = hand_built(2, {1: ((0, 3), (0, 6))}, 2)
         short = replace(hand_built(1, {1: ((0, 1),)}, 2),
                         uncertain=(((0, 2), "budget exhausted"),))
-        smap = truncation_map(long, short)
-        assert smap.surjective is True and smap.target is not short
-        assert smap.target.simplices == {0: ((0,), (1,), (2,)), 1: ((0, 1), (0, 2))}
-        assert smap.target.uncertain == ()
+        target = truncation_map(long, short)
+        assert target is not short
+        assert target.simplices == {0: ((0,), (1,), (2,)), 1: ((0, 1), (0, 2))}
+        assert target.uncertain == ()
         # the swept level is a new one; `short` is as it was built
         assert short.simplices[1] == ((0, 1),) and short.uncertain
         with pytest.raises(FrozenInstanceError):
@@ -478,6 +479,34 @@ class TestLevelsAreValues:
         assert assert_tower_leaves_built_levels_alone(flipped_halves_spec(), 3, 2,
                                                       flipped) == [1, 2]
 
+    @pytest.mark.parametrize("name", ["finite-cycle", "finite-trivial", "banded-annuli"])
+    def test_table_systems(self, bundled, name):
+        spec = bundled(name).spec
+        for dim_cap in (1, 2, 3):
+            assert assert_tower_leaves_built_levels_alone(spec, 2, dim_cap, Budget()) == []
+
+    def test_table_with_a_gap(self, tmp_path, capsys):
+        """A table that stores depths 1 and 3: each stored level is one cached
+        value, and depth 2 is no level at all."""
+        levels = {1: [[(1,), (2,)]],
+                  3: [[(1, 1, 2), (1, 2, 1)], [(1, 2, 2), (2, 1, 1)], [(2, 1, 2), (2, 2, 1)]]}
+        spec = SystemSpec("gapped", "forward", 2, oracles.TableBackend(2, levels))
+        for level in (1, 3):
+            built = build_nerve(spec, level, 2)
+            assert build_nerve(spec, level, 2) is built
+            assert build_nerve(spec, level, 1) is not built
+        assert build_nerve(spec, 3).simplex_counts() == {0: 8, 1: 3}
+        with pytest.raises(SpecError, match="stores no depth-2 data"):
+            build_nerve(spec, 2)
+        assert oracles.cells_intersect(spec, [W("11", 2), W("12", 2)]).kind == "unknown"
+        assert oracles.cells_intersect(spec, [W("122", 2), W("211", 2)]).kind == "intersect"
+        assert oracles.cells_intersect(spec, [W("111", 2), W("211", 2)]).kind == "disjoint"
+        path = tmp_path / "gapped.json"
+        path.write_text(json.dumps({"name": "gapped", "orientation": "forward", "m": 2,
+                                    "backend": {"kind": "table", "levels": levels}}))
+        assert cli.main(["nerve", str(path), "--depth", "3"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["counts"] == {"0": 8, "1": 3}
+
 
 def addresses(m):
     symbols = st.integers(min_value=1, max_value=m)
@@ -601,7 +630,7 @@ def reference_tower(spec, depth, dim_cap, budget):
     first, with the components of the all-edges union-find."""
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(depth - 1, 0, -1):
-        complexes[k - 1] = full_truncation_map(complexes[k], complexes[k - 1]).target
+        complexes[k - 1] = full_truncation_map(complexes[k], complexes[k - 1])
     return TowerData(spec, dim_cap, budget, complexes,
                      [unionfind_components(c) for c in complexes])
 
@@ -620,8 +649,9 @@ def assert_fast_paths_match_references(spec, depth, dim_cap=2, budget=Budget()):
         assert len(got.crossing) == len(want.crossing)
     if depth >= 2 and betti_exact(fast.complex_at(1), 1):
         for char in (0, 2):
-            assert lambda_ranks(fast, FieldKind(char), depth) == \
-                lambda_ranks(reference, FieldKind(char), depth)
+            base_d2 = homology._boundaries(fast.complex_at(1), 2, char)
+            assert lambda_ranks(fast, FieldKind(char), base_d2) == \
+                lambda_ranks(reference, FieldKind(char), base_d2)
     fresh = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     return [long.level for long, short in zip(fresh[1:], fresh)
             if nerve._copy_built_pair(long, short)]
@@ -807,6 +837,27 @@ class TestCopyBuiltMutations:
         with pytest.raises(ConsistencyError, match=re.escape(
                 "truncation is not simplicial: (0, 6) maps outside depth 2")):
             tower_complexes(spec, 4, 1)
+
+
+@pytest.mark.parametrize("argv", [["tower", "banded-annuli", "--max-depth", "2"],
+                                  ["classify", "banded-annuli"]])
+def test_banded_annuli_table_levels_built_once(monkeypatch, tmp_path, argv):
+    """A command reads each stored table level into a level once: the pivot
+    check and the tower share the spec's cached levels (each was built twice
+    while table levels were not cached)."""
+    built = Counter()
+    original = nerve._table_level
+
+    def counting(spec, level, dim_cap):
+        built[level, dim_cap] += 1
+        return original(spec, level, dim_cap)
+
+    monkeypatch.setattr(nerve, "_table_level", counting)
+    outputs = ["--out-report", str(tmp_path / "report.json")]
+    if argv[0] == "tower":
+        outputs += ["--out-csv", str(tmp_path / "tower.csv")]
+    assert cli.main(argv + outputs) == cli.EXIT_OK
+    assert built == {(1, 2): 1, (2, 2): 1}
 
 
 def test_pentagasket_depth6_truncation_images(monkeypatch):
