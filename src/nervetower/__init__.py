@@ -14,9 +14,8 @@ from .oracles import (AddressConsistencyError, Budget, ConsistencyError,
                       GeometricBackend, SpecError, SymbolicPUBackend, SystemSpec,
                       TableBackend, Verdict, cells_containing_point, cells_intersect,
                       generate_pu_nerve, point_in_cell)
-from .nerve import (SimplicialComplex, SimplicialMap, TowerData, block_subcomplex,
-                    build_iterate_or_subsystem, build_nerve, iterate_system,
-                    tower_complexes, truncation_map)
+from .nerve import (SimplicialComplex, SimplicialMap, TowerData, build_iterate_or_subsystem,
+                    build_nerve, iterate_system, tower_complexes, truncation_map)
 from .homology import (BettiTable, FieldKind, LimitVerdict, betti, betti_exact,
                        induced_rank, tower_analysis)
 from .components import (ComponentTower, ComponentVerdict, ComponentsLevel,
@@ -37,7 +36,7 @@ __all__ = [
     "RationalAffineMap", "SimplicialComplex", "SimplicialMap", "SingletonReport",
     "SpecError", "SpecFlags", "SymbolicPUBackend", "SystemSpec", "TableBackend",
     "TheoremCheck", "TowerData", "Verdict", "Word",
-    "betti", "betti_exact", "block_subcomplex", "build_iterate_or_subsystem",
+    "betti", "betti_exact", "build_iterate_or_subsystem",
     "build_nerve", "bundled_names", "cells_containing_point", "cells_intersect",
     "check_h1_infinite_conditions", "check_postunbranched",
     "check_singleton_overlaps", "compose", "component_tower",

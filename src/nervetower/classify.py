@@ -269,7 +269,7 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
         count == 1, f"depth-1 nerve has {count} component(s)")
 
     pp = n2.index_of(Word((pivot, pivot), spec.m))
-    offender = next((str(w) for edge in n2.simplices.get(1, ()) if pp in edge
+    offender = next((str(w) for edge in n2.simplices_of(1) if pp in edge
                      for w in map(n2.word, edge) if w.symbols[0] != pivot), "")
     conditions["pivot-block-isolated"] = ConditionResult(
         offender == "",
@@ -293,7 +293,7 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
         f"cycle {cycle_witness}" if cycle_witness else "no 3-cycle through the pivot")
 
     triangle = ""
-    for s in n1.simplices.get(2, ()):
+    for s in n1.simplices_of(2):
         if pivot - 1 in s:
             triangle = "{" + ",".join(str(v + 1) for v in s) + "}"
             break

@@ -329,7 +329,7 @@ def nerve_dot(complex_: SimplicialComplex, name: str) -> str:
     lines = [f'graph "{name}-k{complex_.level}" {{']
     lines.extend(f'  "{w}";' for w in names)
     edge_lines = []
-    for (i, j) in complex_.simplices.get(1, ()):
+    for (i, j) in complex_.simplices_of(1):
         a, b = sorted((names[i], names[j]))
         edge_lines.append(f'  "{a}" -- "{b}";')
     for s, _note in complex_.uncertain:

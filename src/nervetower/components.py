@@ -10,12 +10,18 @@ caller must assert it and the tower refuses a verdict if nobody does.
 The r = 0 limit verdict of the Betti table reads the same inverse limit, so
 both come from one table, DIM0_MECHANISMS; the component verdict only adds
 the hypothesis gate above.
+
+A level built as block copies of the level below takes its components from
+that level's and the union along its crossing edges, in work linear in the
+number of components; vertex labels are read down that chain on demand, and
+the parent links take one lookup per component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Literal, Optional
 
 from .oracles import ConsistencyError
@@ -47,46 +53,80 @@ class UnionFind:
         self.size[ra] += self.size[rb]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentsLevel:
     """Components of one nerve's 1-skeleton.
 
-    labels[i] is the component id of vertex i; ids run 0..count-1 in order of
-    each component's least vertex (its lexicographically least word), which
-    representatives holds.  crossing has one pair per edge whose ends have
-    different first symbols (a block is the words sharing one): the least
-    vertex of each end's component within its block, in the edge's order.
+    Components are numbered 0..count-1 in order of their least vertex (its
+    lexicographically least word), which representatives holds.  crossing
+    has one pair per edge whose ends have different first symbols (a block is
+    the words sharing one): the least vertex of each end's component within
+    its block, in the edge's order.
+
+    A level found by a pass over every edge has `below` None and ids[v] the
+    component of vertex v.  A level found from the components `below` of its
+    block source has, for block j (from 0) and component c of `below`,
+    ids[j below.count + c] the component holding j.c; `block` is the number
+    of words in a block.  `label` and `labels` read the components of
+    vertices off that chain of levels.
     """
 
     count: int
-    labels: tuple[int, ...]
     representatives: tuple[int, ...]
     crossing: tuple[tuple[int, int], ...]
+    ids: tuple[int, ...]
+    block: int
+    below: Optional[ComponentsLevel] = None
+
+    def label(self, v: int) -> int:
+        """The component of vertex v: one lookup per level of the chain."""
+        path = []
+        level = self
+        while level.below is not None:
+            path.append((level, v // level.block))
+            v %= level.block
+            level = level.below
+        label = level.ids[v]
+        for level, j in reversed(path):
+            label = level.ids[j * level.below.count + label]
+        return label
+
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        """The component of every vertex, in vertex order."""
+        if self.below is None:
+            return self.ids
+        count = self.below.count
+        return tuple(self.ids[j * count + c] for j in range(len(self.ids) // count)
+                     for c in self.below.labels)
 
 
 def components(complex_: SimplicialComplex,
                below: Optional[ComponentsLevel] = None) -> ComponentsLevel:
     """The components of each block (the words sharing a first symbol), then
-    one union-find over those that unites only the edges crossing blocks
-    (the complex's `crossing` edges).
+    one union-find over those that unites only the edges crossing blocks.
 
-    The components of each block come from a union-find over the edges inside
-    blocks or, given `below`, from the level below.  `below` must be the
-    components of a level whose edges are copied into every block (the
-    complex's `block_source`): the components of block j are then j.c for
-    the components c of `below`, and the least vertex of j.c is
-    (j - 1) m^(level - 1) plus that of c.
+    Without `below`, a union-find over every edge inside a block finds the
+    components of each block.  `below` must be the components of the
+    complex's block source, whose edges are copied into every block: the
+    components of block j are then j.c for the components c of `below`, and
+    the least vertex of j.c is (j - 1) m^(level - 1) plus that of c.  Only
+    the crossing edges the complex adds are then read, and the work is
+    linear in the number of components, not of vertices.
     """
     m = complex_.m
     n = m ** complex_.level
     block = n // m
-    # inner[v] is the component of v within its block; they are numbered in
+    # within(v) is the component of v within its block; they are numbered in
     # order of their least vertices, least[x]
     if below is None:
         uf = UnionFind(n)
-        for a, b in complex_.simplices.get(1, ()):
+        edges = []
+        for a, b in complex_.simplices_of(1):
             if a // block == b // block:
                 uf.union(a, b)
+            else:
+                edges.append((a, b))
         inner: list[int] = []
         least: list[int] = []
         index: dict[int, int] = {}
@@ -96,13 +136,17 @@ def components(complex_: SimplicialComplex,
                 index[root] = len(least)
                 least.append(v)
             inner.append(index[root])
+        within = inner.__getitem__
     else:
-        inner = [j * below.count + c for j in range(m) for c in below.labels]
+        edges = complex_.added.get(1, ())
         least = [o + v for o in range(0, n, block) for v in below.representatives]
+
+        def within(v: int) -> int:
+            return v // block * below.count + below.label(v % block)
     uf = UnionFind(len(least))
     crossing = []
-    for a, b in complex_.crossing.get(1, ()):
-        x, y = inner[a], inner[b]
+    for a, b in edges:
+        x, y = within(a), within(b)
         uf.union(x, y)
         crossing.append((least[x], least[y]))
     ids: dict[int, int] = {}
@@ -110,8 +154,10 @@ def components(complex_: SimplicialComplex,
     first: dict[int, int] = {}  # component -> its least vertex
     for x, c in enumerate(component):
         first.setdefault(c, least[x])
-    return ComponentsLevel(len(first), tuple(map(component.__getitem__, inner)),
-                           tuple(first.values()), tuple(crossing))
+    if below is None:
+        component = [component[x] for x in inner]
+    return ComponentsLevel(len(first), tuple(first.values()), tuple(crossing),
+                           tuple(component), block, below)
 
 
 VerdictKind = Literal[
@@ -184,18 +230,15 @@ def dim0_facts(tower: TowerData, *, assert_injective: bool,
     counts = [lv.count for lv in levels]
     if any(b < a for a, b in zip(counts, counts[1:])):
         raise ConsistencyError("component counts decreased along the tower")
-    parents: list[tuple[int, ...]] = []
-    for deep, shallow in zip(levels[1:], levels):
-        parent: dict[int, int] = {}
-        for v, label in enumerate(deep.labels):
-            image = shallow.labels[v // spec.m]
-            if parent.setdefault(label, image) != image:  # truncation is simplicial: never
-                raise ConsistencyError("component parent map is not well defined")
-        parents.append(tuple(parent[c] for c in range(deep.count)))
+    # Truncation is simplicial (tower_complexes checks it), so it maps each
+    # component of N_{k+1} into one component of N_k: the parent of a
+    # component is that of any one of its vertices, here its least.
+    parents = [tuple(shallow.label(v // spec.m) for v in deep.representatives)
+               for deep, shallow in zip(levels[1:], levels)]
     injective = assert_injective or None
     if spec.is_geometric and not injective:
         injective = all(f.determinant() != 0 for f in spec.backend.maps)
-    touched = {v for edge in tower.complexes[0].simplices.get(1, ()) for v in edge}
+    touched = {v for edge in tower.complexes[0].simplices_of(1) for v in edge}
     return Dim0Facts(spec.m, counts, parents,
                      tuple(j + 1 for j in range(spec.m) if j not in touched), injective,
                      spec.orientation == "backward" or bool(injective),

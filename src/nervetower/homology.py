@@ -11,7 +11,11 @@ The tower analysis keeps each level's boundary ranks while it fills that
 level's Betti numbers, so it reduces each boundary once, and it reduces no
 d_1 at all.  One union-find pass per level (`components.components`) gives
 the components of N_k, hence rank d_1 = m^k - a_0, and the edges that cross
-blocks.  The tower's lambda numbers, the ranks of H^1(N_1) -> H^1(N_k), come
+blocks.  A level built as m block copies of the level below with no
+crossing (r+1)-simplex takes rank d_{r+1} as m times the rank below, so a
+postunbranched tower without crossing triangles reduces only N_1's d_2; the
+simplex counts come from the levels' recurrence, not from their lists.
+The tower's lambda numbers, the ranks of H^1(N_1) -> H^1(N_k), come
 from those few edges (`lambda_ranks`): over a field a 1-cochain is a
 coboundary iff its residuals on the edges outside a spanning forest vanish,
 and the pulled-back cocycles of N_1 vanish inside every block.  N_1's reduced
@@ -119,11 +123,11 @@ def _boundary_columns(complex_: SimplicialComplex, r: int, char: int) -> list[di
     """Columns of the boundary operator C_r -> C_{r-1} in the sorted simplex bases."""
     if r < 0:
         return []
-    top = complex_.simplices.get(r, ())
     if r == 0:
         # the zero map, but on the right space: every 0-chain is a cycle
-        return [dict() for _ in top]
-    below = complex_.simplices.get(r - 1, ())
+        return [dict() for _ in range(complex_.m ** complex_.level)]
+    top = complex_.simplices_of(r)
+    below = complex_.simplices_of(r - 1)
     if not top or not below:
         return []
     row_of = {s: i for i, s in enumerate(below)}
@@ -155,7 +159,7 @@ def betti(complex_: SimplicialComplex, fieldkind: FieldKind, r: int) -> int:
     if not betti_exact(complex_, r):
         raise ConsistencyError(
             f"Betti number r={r} needs simplices beyond dim_cap={complex_.dim_cap}")
-    n_r = len(complex_.simplices.get(r, ()))
+    n_r = complex_.simplex_counts().get(r, 0)
     if n_r == 0:
         return 0
     char = fieldkind.char
@@ -183,14 +187,14 @@ def induced_rank(smap: SimplicialMap, r: int, fieldkind: FieldKind) -> int:
     source, target = smap.source, smap.target
     if not betti_exact(source, r) or not betti_exact(target, r):
         raise ConsistencyError("induced rank needs exact homology on both ends")
-    if not source.simplices.get(r) or not target.simplices.get(r):
+    if not source.simplex_counts().get(r) or not target.simplex_counts().get(r):
         return 0
     boundaries = _boundaries(target, r + 1, char)
-    row_of = {s: i for i, s in enumerate(target.simplices[r])}
+    row_of = {s: i for i, s in enumerate(target.simplices_of(r))}
     offset = len(row_of)
     minus = char - 1 if char else -1
     columns = []
-    for simplex, faces in zip(source.simplices[r], _boundary_columns(source, r, char)):
+    for simplex, faces in zip(source.simplices_of(r), _boundary_columns(source, r, char)):
         col = {offset + row: val for row, val in faces.items()}
         images = [smap.vertex_map[v] for v in simplex]
         if len(set(images)) == len(images):  # degenerate images vanish
@@ -264,8 +268,9 @@ def lambda_ranks(tower: TowerData, fieldkind: FieldKind,
     base = tower.complex_at(1)
     if not betti_exact(base, 1):
         raise ConsistencyError("lambda needs the 2-simplices of the depth-1 nerve")
-    cocycles = _base_cocycles(base_d2, len(base.simplices.get(1, ())), char)
-    pulled = {edge: [z[i] for z in cocycles] for i, edge in enumerate(base.simplices.get(1, ()))}
+    edges = base.simplices_of(1)
+    cocycles = _base_cocycles(base_d2, len(edges), char)
+    pulled = {edge: [z[i] for z in cocycles] for i, edge in enumerate(edges)}
     zero = [0] * len(cocycles)
 
     def in_field(values) -> list[int]:
@@ -351,17 +356,29 @@ def tower_analysis(tower: TowerData, fieldkind: FieldKind, *,
     base_d2 = _boundaries(complexes[0], 2, char) if 1 in exact_dims else []
     lam = lambda_ranks(tower, fieldkind, base_d2) if 1 in exact_dims else {}
     a: dict[tuple[int, int], int] = {}
+    below: dict[int, int] = {}
     for k, (c, level) in enumerate(zip(complexes, tower.components), start=1):
-        # rank d_r of this level, each reduced once; rank d_1 is the vertex
+        # rank d_r of this level, each found once; rank d_1 is the vertex
         # count less the component count, so no d_1 is reduced
-        ranks = {0: 0, 1: c.m ** c.level - level.count}
+        counts = c.simplex_counts()
+        ranks = {0: 0, 1: counts[0] - level.count}
         if k == 1:
             ranks[2] = len(base_d2)
+        copied = k > 1 and c.block_source is complexes[k - 2]
         for r in exact_dims:
-            n_r = len(c.simplices.get(r, ()))
+            n_r = counts.get(r, 0)
             if r + 1 not in ranks and n_r:
-                ranks[r + 1] = len(_boundaries(c, r + 1, char))
+                if copied and not c.added.get(r + 1):
+                    # Licence: every (r+1)-simplex of this copy-built level is
+                    # a copy j.s of one of N_{k-1}, whose faces are the copies
+                    # j.f of its faces.  In the bases ordered by block, d_{r+1}
+                    # is then block diagonal with m blocks equal to d_{r+1} of
+                    # N_{k-1}, and the crossing r-simplices add only zero rows.
+                    ranks[r + 1] = c.m * below.get(r + 1, 0)
+                else:
+                    ranks[r + 1] = len(_boundaries(c, r + 1, char))
             a[(r, k)] = n_r - ranks[r] - ranks[r + 1] if n_r else 0
+        below = ranks
 
     n1_betti = (a[(0, 1)], a[(1, 1)]) if 1 in exact_dims else None
     facts = dim0_facts(tower, assert_injective=assert_injective,

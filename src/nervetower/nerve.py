@@ -5,6 +5,13 @@ a simplex for every tuple of words whose cells share a point.  Dropping the
 last symbol of every word induces a simplicial surjection from depth k+1 onto
 depth k, v -> v // m on vertex indices; a tower checks each one as it is built.
 
+A level the generator builds as the m block copies j.N_k of the level below
+stores only that level (its block source) and the simplices that cross
+blocks.  Those are a constant handful per level on postunbranched systems, so
+counts, truncation checks, components and the block-diagonal boundary ranks
+read only what each level adds; the full simplex lists are expanded only for
+a reader that needs every simplex.
+
 Oracle answers of Unknown do not abort construction: the affected tuples are
 excluded from the complex and recorded in its `uncertain` log, so downstream
 reports can say exactly which conclusions are conditional.
@@ -29,7 +36,9 @@ from .oracles import (
     SystemSpec,
     TableBackend,
 )
-from .words import Word, enumerate_words, indexed_word, symbols_index, word_index
+from .words import Word, enumerate_words, indexed_word, word_index
+
+Simplices = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -37,10 +46,12 @@ class SimplicialComplex:
     """A finite simplicial complex on the depth-`level` words of a system: a
     fixed value, never changed once built.
 
-    simplices maps dimension -> sorted tuple of simplices, each a sorted tuple
-    of vertex indices.  Dimensions are enumerated up to dim_cap; `complete`
-    records whether that enumeration is in fact the whole nerve (no larger
-    simplex can exist), which is what makes Euler characteristics and
+    Vertices are implicit: they are range(m^level), one per word.  A simplex
+    is a sorted tuple of vertex indices.  `added` maps each dimension >= 1 to
+    the sorted simplices this level adds to the copies of its block source,
+    which are all of its simplices when block_source is None.  Dimensions are
+    enumerated up to dim_cap; `complete` records whether that enumeration is
+    in fact the whole nerve (no larger simplex can exist), which is what makes
     top-dimension Betti numbers exact.  uncertain holds the tuples the oracle
     left undecided, each a sorted tuple of vertex indices with the oracle's
     note, in order of size, then of the tuple.
@@ -53,29 +64,30 @@ class SimplicialComplex:
     A block is the m^(level - 1) words sharing a first symbol; a simplex
     crosses blocks when s[0] and s[-1] lie in different ones.
 
-    block_source is the level before, when the generator built this level as
-    its m block copies j.N plus crossing simplices (symbolic levels, and
-    geometric ones whose cell maps are all nonsingular), and None otherwise,
-    as on a level that a truncation sweep built.  The edges inside block j
-    are then exactly the copies j.e of block_source's edges, and, when
-    neither level has uncertain tuples, so are the simplices of every
-    dimension.
+    block_source is the level before when the generator built this level as
+    its m block copies j.N plus crossing simplices, and None otherwise.  Such a
+    copy-built level (symbolic levels from depth 2, and geometric ones whose
+    cell maps are all nonsingular) has no uncertain tuples: the simplices
+    inside block j are exactly the copies j.s of block_source's simplices, and
+    `added` holds exactly the simplices that cross blocks.  Depth 1, table
+    levels, levels under singular cell maps, levels with uncertain tuples and
+    levels a truncation sweep built store every simplex in `added`.
+
+    Readers take what they need: `simplex_counts` follows E_k = m E_{k-1} +
+    c_k, membership and `neighbours` go down the block sources, and
+    `simplices_of` / `simplices` expand the copies for a reader that needs
+    every simplex (reports, `homology.betti`, the full truncation pass).
     """
 
     level: int
     m: int
-    simplices: dict[int, tuple[tuple[int, ...], ...]]
+    added: dict[int, Simplices]
     dim_cap: int
     complete: bool
     uncertain: tuple[tuple[tuple[int, ...], str], ...] = ()
-    block_source: Optional[SimplicialComplex] = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def crossing(self) -> dict[int, list[tuple[int, ...]]]:
-        """The simplices of each dimension >= 1 that cross blocks."""
-        block = self.m ** (self.level - 1)
-        return {dim: [s for s in sims if s[0] // block != s[-1] // block]
-                for dim, sims in self.simplices.items() if dim}
+    block_source: Optional[SimplicialComplex] = field(default=None, repr=False)
+    _expanded: dict[int, Simplices] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
 
     def index_of(self, w: Word) -> int:
         return word_index(self.m, self.level, w)
@@ -84,34 +96,79 @@ class SimplicialComplex:
         """The word of vertex v: the base-m digits of v, each plus one."""
         return indexed_word(self.m, self.level, v)
 
+    @cached_property
+    def _counts(self) -> dict[int, int]:
+        counts = {0: self.m ** self.level}
+        if self.block_source is not None:
+            counts.update((dim, self.m * n) for dim, n in self.block_source._counts.items() if dim)
+        for dim, sims in self.added.items():
+            if dim and sims:
+                counts[dim] = counts.get(dim, 0) + len(sims)
+        return dict(sorted(counts.items()))
+
     def simplex_counts(self) -> dict[int, int]:
-        return {dim: len(sims) for dim, sims in self.simplices.items() if sims}
+        """The number of simplices of each nonempty dimension, m times those of
+        the block source plus the ones added, without expanding any."""
+        return dict(self._counts)
+
+    def simplices_of(self, dim: int) -> Simplices:
+        """The sorted simplices of one dimension, expanded from the block
+        source on a copy-built level (and kept); vertices are built here."""
+        if dim == 0:
+            return tuple((v,) for v in range(self.m ** self.level))
+        if self.block_source is None:
+            return self.added.get(dim, ())
+        if dim not in self._expanded:
+            block = self.m ** (self.level - 1)
+            copies = [tuple(o + v for v in s) for o in range(0, self.m * block, block)
+                      for s in self.block_source.simplices_of(dim)]
+            self._expanded[dim] = tuple(sorted(copies + list(self.added.get(dim, ()))))
+        return self._expanded[dim]
+
+    @property
+    def simplices(self) -> dict[int, Simplices]:
+        """Every simplex, by nonempty dimension (`simplices_of` each)."""
+        return {dim: self.simplices_of(dim) for dim in self._counts}
+
+    @cached_property
+    def _added_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(s for dim, sims in self.added.items() if dim for s in sims)
+
+    def __contains__(self, simplex: tuple[int, ...]) -> bool:
+        """Whether a sorted tuple of vertex indices is a simplex: one inside a
+        block is looked up as the block source's simplex it copies."""
+        if len(simplex) == 1:
+            return 0 <= simplex[0] < self.m ** self.level
+        level = self
+        while level.block_source is not None:
+            block = level.m ** (level.level - 1)
+            first = simplex[0] - simplex[0] % block
+            if simplex[-1] >= first + block:
+                break
+            simplex = tuple(v - first for v in simplex)
+            level = level.block_source
+        return simplex in level._added_set
+
+    @cached_property
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        near: dict[int, set[int]] = {}
+        for a, b in self.added.get(1, ()):
+            near.setdefault(a, set()).add(b)
+            near.setdefault(b, set()).add(a)
+        return {v: frozenset(us) for v, us in near.items()}
+
+    def neighbours(self, v: int) -> frozenset[int]:
+        """The vertices that share an edge with v: the block source's
+        neighbours of v's copy, shifted into v's block, and the added ones."""
+        own = self._adjacency.get(v, frozenset())
+        if self.block_source is None:
+            return own
+        block = self.m ** (self.level - 1)
+        first = v - v % block
+        return own.union(first + u for u in self.block_source.neighbours(v - first))
 
     def edge_sets(self) -> set[frozenset[int]]:
-        return {frozenset(e) for e in self.simplices.get(1, ())}
-
-    def simplex_word_sets(self) -> set[frozenset[Word]]:
-        out: set[frozenset[Word]] = set()
-        for sims in self.simplices.values():
-            for s in sims:
-                out.add(frozenset(map(self.word, s)))
-        return out
-
-    def euler_characteristic(self) -> int:
-        if not self.complete:
-            raise ConsistencyError("Euler characteristic undefined on a capped complex")
-        return sum((-1) ** dim * len(sims) for dim, sims in self.simplices.items())
-
-
-def _close_downward(buckets: dict[int, set[tuple[int, ...]]]) -> None:
-    # Intersection certificates are monotone: every face of a kept simplex is kept.
-    for dim in sorted(buckets, reverse=True):
-        if dim == 0:
-            continue
-        lower = buckets.setdefault(dim - 1, set())
-        for s in buckets[dim]:
-            for face in combinations(s, dim):
-                lower.add(face)
+        return {frozenset(e) for e in self.simplices_of(1)}
 
 
 def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
@@ -136,9 +193,8 @@ def _table_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComple
     faces and sorted by size, then by index, so each dimension is one run."""
     stored = spec.backend.levels[level]
     kept = [s for s in stored if len(s) - 1 <= dim_cap]
-    simplices = {0: tuple((v,) for v in range(spec.m ** level))}
-    simplices.update((size - 1, tuple(sims)) for size, sims in groupby(kept, len))
-    return SimplicialComplex(level, spec.m, simplices, dim_cap, len(kept) == len(stored))
+    added = {size - 1: tuple(sims) for size, sims in groupby(kept, len)}
+    return SimplicialComplex(level, spec.m, added, dim_cap, len(kept) == len(stored))
 
 
 def _levels(spec: SystemSpec, depth: int, dim_cap: int,
@@ -160,12 +216,14 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
       can meet only if its truncation does, and the child of a pair certified
       disjoint is certified disjoint too: its envelopes and refinement
       frontiers lie inside the parent's.  Only children of depth-k edges and
-      uncertain pairs (and, without block copies, of single vertices) are
-      queried, and no tuple inside one block.  Higher simplices grow as
-      cliques over verified simplices.
+      uncertain pairs that cross blocks (and, without block copies, of every
+      edge and single vertex) are queried, and no tuple inside one block.
+      Higher simplices grow as cliques over verified simplices.
 
     Singular cell maps skip the block copies; the parent guidance holds for
-    every map that sends the envelope into itself.
+    every map that sends the envelope into itself.  A level whose copies or
+    crossings hold uncertain tuples keeps every simplex, so that a truncation
+    sweep can add to it.
     """
     levels = spec._cache.setdefault(("nerve_levels", dim_cap, budget), [])
     symbolic = isinstance(spec.backend, SymbolicPUBackend)
@@ -173,64 +231,55 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
     while len(levels) < depth:
         prev = levels[-1] if levels else None
         level = len(levels) + 1
-        block = spec.m ** prev.level if prev and copies else None
-        known, uncertain = _block_copies(prev) if block else ({}, [])
+        source = prev if copies else None
+        uncertain = [] if source is None else [
+            (tuple(o + v for v in s), note)
+            for o in range(0, spec.m ** level, spec.m ** prev.level) for s, note in prev.uncertain]
         if symbolic:
-            simplices, complete = _lifted_level(spec, level, known, dim_cap)
+            added, complete = _lifted_level(spec, level, dim_cap)
         else:
-            pairs = _candidate_pairs(prev, block) if prev else combinations(range(spec.m), 2)
-            simplices, complete = _grow_level(spec, level, pairs, known, uncertain, block,
-                                              dim_cap, budget)
+            pairs = _candidate_pairs(prev, copies) if prev else combinations(range(spec.m), 2)
+            added, complete = _grow_level(spec, level, pairs, source, uncertain, dim_cap, budget)
         uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
-        levels.append(SimplicialComplex(level, spec.m, simplices, dim_cap, complete,
-                                        tuple(uncertain), prev if block else None))
+        built = SimplicialComplex(level, spec.m, added, dim_cap, complete, tuple(uncertain),
+                                  source)
+        if uncertain and source is not None:
+            built = replace(built, added={dim: built.simplices_of(dim)
+                                          for dim in built.simplex_counts() if dim},
+                            block_source=None)
+        levels.append(built)
     return levels
 
 
-def _block_copies(prev: SimplicialComplex) -> tuple[dict, list]:
-    """The simplices (dimension >= 1) and uncertain entries of the m copies
-    j.N_k inside depth k+1: vertex v of N_k is vertex (j - 1) m^k + v.
-    Edges and triangles are copied as fixed-arity tuples, the bulk of a level."""
-    offsets = range(0, prev.m ** (prev.level + 1), prev.m ** prev.level)
-    known: dict[int, list[tuple[int, ...]]] = {}
-    for dim, sims in prev.simplices.items():
-        if dim == 1:
-            known[dim] = [(o + a, o + b) for o in offsets for a, b in sims]
-        elif dim == 2:
-            known[dim] = [(o + a, o + b, o + c) for o in offsets for a, b, c in sims]
-        elif dim:
-            known[dim] = [tuple(o + v for v in s) for o in offsets for s in sims]
-    uncertain = [(tuple(o + v for v in s), note) for o in offsets for s, note in prev.uncertain]
-    return known, uncertain
-
-
-def _lifted_level(spec: SystemSpec, level: int, known: dict[int, list[tuple[int, ...]]],
-                  dim_cap: int) -> tuple[dict[int, tuple[tuple[int, ...], ...]], bool]:
-    """A symbolic level's simplices, the block copies `known` plus the lifts up
-    to dim_cap, and whether they are complete.
+def _lifted_level(spec: SystemSpec, level: int,
+                  dim_cap: int) -> tuple[dict[int, Simplices], bool]:
+    """The lifts of a symbolic level up to dim_cap, which are the simplices
+    crossing its blocks (all of N_1 at depth 1), and whether the level is
+    complete.
 
     N_1 is closed under faces and the lift of a face is the face of the lift,
     so the lifts, and with them the level, are closed under faces too.
     """
     lifts = oracles.generate_pu_nerve(spec, level)
+    added: dict[int, list[tuple[int, ...]]] = {}
     for lift in lifts:
         if len(lift) - 1 <= dim_cap:
-            known.setdefault(len(lift) - 1, []).append(lift)
-    simplices = {0: tuple((v,) for v in range(spec.m ** level))}
-    simplices.update((dim, tuple(sorted(sims))) for dim, sims in sorted(known.items()))
-    return simplices, all(len(lift) - 1 <= dim_cap for lift in lifts)
+            added.setdefault(len(lift) - 1, []).append(lift)
+    return ({dim: tuple(sorted(sims)) for dim, sims in sorted(added.items())},
+            all(len(lift) - 1 <= dim_cap for lift in lifts))
 
 
-def _candidate_pairs(prev: SimplicialComplex, block: Optional[int]) -> list[tuple[int, int]]:
+def _candidate_pairs(prev: SimplicialComplex, copies: bool) -> list[tuple[int, int]]:
     """The pairs of cells the oracle is asked about at the depth after `prev`:
     the children of the parent pairs that may meet, leaving out pairs inside
-    one block when blocks are copied."""
+    one block when blocks are copied.  A child of a pair crosses blocks
+    exactly when the pair crosses the blocks of `prev`."""
     m = prev.m
-    pairs = list(prev.simplices.get(1, ()))
+    pairs = list(prev.added.get(1, ()))
     pairs += [s for s, _note in prev.uncertain if len(s) == 2]
-    if block:
-        parent_block = block // m
-        pairs = [(a, b) for a, b in pairs if a // parent_block != b // parent_block]
+    if copies:
+        block = m ** (prev.level - 1)
+        pairs = [(a, b) for a, b in pairs if a // block != b // block]
     else:
         pairs += [(v, v) for v in range(m ** prev.level)]  # siblings share a parent cell
     return sorted({(a * m + x, b * m + y) for a, b in pairs
@@ -238,64 +287,53 @@ def _candidate_pairs(prev: SimplicialComplex, block: Optional[int]) -> list[tupl
 
 
 def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
-                known: dict[int, list[tuple[int, ...]]], uncertain: list,
-                block: Optional[int], dim_cap: int,
-                budget: Budget) -> tuple[dict[int, tuple[tuple[int, ...], ...]], bool]:
-    """Query `pairs`, then grow cliques; return the simplices and whether they
-    are complete, and add the undecided tuples to `uncertain`.  Tuples
-    inside one block of `block` consecutive words are not queried: `known`
-    simplices and the `uncertain` entries passed in already hold their
-    answers."""
-    n = spec.m ** level
+                source: Optional[SimplicialComplex], uncertain: list, dim_cap: int,
+                budget: Budget) -> tuple[dict[int, Simplices], bool]:
+    """Query `pairs`, then grow cliques; return the simplices the level adds
+    to the block copies of `source` (every simplex when there is none) and
+    whether the level is complete, and add the undecided tuples to
+    `uncertain`.  Tuples inside one block are not queried: the copies and
+    the `uncertain` entries passed in already hold their answers.
+
+    A candidate d-simplex is a verified (d-1)-simplex t[:-1] extended by a
+    common neighbour t[-1] above it.  With block copies the candidates that
+    are not copies cross blocks, so t[0] t[-1] is a crossing edge: each
+    candidate is a queried edge (a, b) with d - 1 common neighbours of a and
+    b between them, and finding those neighbours goes through the block
+    source.  The level is complete when no clique extends past dim_cap: none
+    that crosses, and none inside a block, which the source's flag tells.
+    """
     word = cache(partial(indexed_word, spec.m, level))
-    edges = set(known.get(1, ()))
-    for pair in pairs:
-        verdict = oracles.cells_intersect(spec, tuple(map(word, pair)), budget)
-        if verdict.kind == "intersect":
-            edges.add(pair)
-        elif verdict.kind == "unknown":
-            uncertain.append((pair, verdict.note))
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    buckets: dict[int, set[tuple[int, ...]]] = {0: {(i,) for i in range(n)}, 1: edges}
 
-    # Higher simplices are cliques whose tuple of cells passes the oracle;
-    # a clique with a missing or disjoint sub-tuple can never certify, so
-    # candidates grow from verified simplices only.
-    current = edges
-    for dim in range(2, dim_cap + 1):
-        verified = set(known.get(dim, ()))
-        for s in sorted(current):
-            shared = set.intersection(*(adjacency[v] for v in s))
-            for v in sorted(shared):
-                if v <= s[-1] or (block and s[0] // block == v // block):
-                    continue
-                candidate = s + (v,)
-                verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
-                if verdict.kind == "intersect":
-                    verified.add(candidate)
-                elif verdict.kind == "unknown":
-                    uncertain.append((candidate, verdict.note))
-        if not verified:
-            buckets[dim] = set()
-            break
-        buckets[dim] = verified
-        current = verified
+    def holds(candidate: tuple[int, ...]) -> bool:
+        verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
+        if verdict.kind == "unknown":
+            uncertain.append((candidate, verdict.note))
+        return verdict.kind == "intersect"
 
-    # Completeness: does any clique one dimension past the cap exist at all?
+    found: dict[int, set[tuple[int, ...]]] = {1: {pair for pair in pairs if holds(pair)}}
+    # the queried edges over the copies of `source`: the level's neighbours,
+    # and its simplices inside one block
+    graph = SimplicialComplex(level, spec.m, {1: tuple(found[1])}, dim_cap, True, (), source)
+    between = {(a, b): sorted(v for v in graph.neighbours(a) & graph.neighbours(b) if a < v < b)
+               for a, b in found[1]}
     complete = True
-    if current and max(buckets) == dim_cap and buckets[dim_cap]:
-        for s in buckets[dim_cap]:
-            shared = set.intersection(*(adjacency[v] for v in s))
-            if any(v > s[-1] for v in shared):
-                complete = False
-                break
+    for dim in range(2, dim_cap + 2):
+        candidates = ((a,) + middle + (b,) for (a, b), inner in between.items()
+                      for middle in combinations(inner, dim - 1)
+                      if (a,) + middle in found[dim - 1] or (a,) + middle in graph)
+        if dim > dim_cap:
+            complete = next(candidates, None) is None and (source is None or source.complete)
+            break
+        found[dim] = {candidate for candidate in candidates if holds(candidate)}
+        if not found[dim] and not (source is not None and source.simplex_counts().get(dim)):
+            break
 
-    _close_downward(buckets)
-    simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
-    return simplices, complete
+    # Intersection certificates are monotone: every face of a kept simplex is kept.
+    for dim in sorted(found, reverse=True):
+        for s in found[dim] if dim > 1 else ():
+            found[dim - 1].update(face for face in combinations(s, dim) if face not in graph)
+    return {dim: tuple(sorted(sims)) for dim, sims in sorted(found.items()) if sims}, complete
 
 
 @dataclass
@@ -317,8 +355,9 @@ def _truncate(simplex: tuple[int, ...], ratio: int) -> tuple[int, ...]:
 
 def _copy_built_pair(long: SimplicialComplex, short: SimplicialComplex) -> bool:
     """Whether `long` is the m block copies of `short` plus crossing simplices,
-    `short` is copies of the level below it, and neither has uncertain tuples."""
-    return (long.block_source is short and short.block_source is not None
+    `short` is depth 1 or copies of the level below it, and neither has
+    uncertain tuples."""
+    return (long.block_source is short and (short.level == 1 or short.block_source is not None)
             and not long.uncertain and not short.uncertain)
 
 
@@ -327,41 +366,45 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
     `short`, in one pass over the simplices of `long`, and return its
     target level.  Neither level is changed.
 
-    Simpliciality is a soundness requirement.  An image missing from `short`
-    raises, unless `short` has uncertain tuples: then the simplex above the
-    image certifies it (cells only grow under truncation).  The target is
-    then a new level: `short` with the images added and the uncertain
-    entries they resolve dropped.  The faces of an image are the images of
-    faces of that simplex, so the same pass adds them.  Otherwise the target
-    is `short` itself.  A level without uncertain tuples is exact up to its
-    cap, and table levels are checked to form a tower when the backend is
-    built, so neither gains anything.  Surjectivity holds for true nerves and
-    is checked whenever both levels are free of uncertain tuples.
+    Vertices map onto vertices, so only simplices of dimension >= 1 are
+    read.  Simpliciality is a soundness requirement.  An image missing from
+    `short` raises, unless `short` has uncertain tuples: then the simplex
+    above the image certifies it (cells only grow under truncation).  The
+    target is then a new level: `short` with the images added and the
+    uncertain entries they resolve dropped.  The faces of an image are the
+    images of faces of that simplex, so the same pass adds them.  Otherwise
+    the target is `short` itself.  A level without uncertain tuples is exact
+    up to its cap, and table levels are checked to form a tower when the
+    backend is built, so neither gains anything.  Surjectivity holds for
+    true nerves and is checked whenever both levels are free of uncertain
+    tuples.
 
-    Copy-built pairs check only the simplices that cross blocks.  When `long`
-    is depth k+1 built as the block copies of `short` (its `block_source`),
-    `short` is depth k >= 2 built as copies of depth k-1, and neither has
-    uncertain tuples, then a simplex inside block j of `long` is j.s for a
-    simplex s of `short`, and its image is j.t(s), where t truncates depth k
-    onto depth k-1.  `tower_complexes` checks t as the next pair of the same
-    call (a lone call relies on the generator's own pair below), so t(s) lies
-    in depth k-1 and j.t(s) in block j of `short`, its copy j.N_{k-1}; and t
-    onto depth k-1 covers it, so every simplex inside a block of `short` is
-    an image.  A crossing simplex maps into the blocks of its own first
-    symbols, so its image crosses too.  The images of `long`'s crossing
-    simplices must therefore lie among `short`'s crossing simplices and
-    cover them.  Depth 1, table levels, singular cell maps, levels with
-    uncertain tuples (the certificate sweep) and non-consecutive depths take
-    the full pass.
+    Copy-built pairs check only the simplices that cross blocks, which is
+    what each level stores in `added`.  When `long` is depth k+1 built as
+    the block copies of `short` (its `block_source`) and neither has
+    uncertain tuples, a simplex inside block j of `long` is j.s for a simplex
+    s of `short`.  At k = 1 its image is the vertex j.  At k >= 2, when
+    `short` is built as copies of depth k-1, the image is j.t(s), where t
+    truncates depth k onto depth k-1.  `tower_complexes` checks t as the
+    next pair of the same call (a lone call relies on the generator's own
+    pair below), so t(s) lies in depth k-1 and j.t(s) in block j of `short`,
+    its copy j.N_{k-1}; and t onto depth k-1 covers it, so every simplex
+    inside a block of `short` is an image.  A crossing simplex maps into the
+    blocks of its own first symbols, so its image crosses too.  The images
+    of `long`'s crossing simplices must therefore lie among `short`'s
+    crossing simplices (every simplex of depth 1) and cover them.  Table
+    levels, singular cell maps, levels with uncertain tuples (the
+    certificate sweep) and non-consecutive depths take the full pass.
     """
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
     ratio = long.m ** (long.level - short.level)
     if _copy_built_pair(long, short):
-        sources, targets = long.crossing, short.crossing
+        sources, targets = long.added, short.added
     else:
-        sources, targets = long.simplices, short.simplices
-    target = {dim: set(sims) for dim, sims in targets.items()}
+        sources, targets = ({dim: c.simplices_of(dim) for dim in c.simplex_counts() if dim}
+                            for c in (long, short))
+    target = {dim: set(sims) for dim, sims in targets.items() if dim}
     images: dict[int, set[tuple[int, ...]]] = {dim: set() for dim in range(short.dim_cap + 1)}
     swept = False
     for sims in sources.values():
@@ -370,7 +413,7 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
             dim = len(image) - 1
             if dim > short.dim_cap:
                 raise ConsistencyError("target complex capped below an image simplex")
-            if image not in target.get(dim, ()):
+            if dim and image not in target.get(dim, ()):
                 if not short.uncertain:
                     raise ConsistencyError(
                         f"truncation is not simplicial: {s} maps outside depth {short.level}"
@@ -380,7 +423,8 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
             images[dim].add(image)
     if swept:
         short = replace(
-            short, simplices={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items())},
+            short,
+            added={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items()) if sims},
             uncertain=tuple(entry for entry in short.uncertain
                             if entry[0] not in target.get(len(entry[0]) - 1, ())),
             block_source=None)
@@ -428,31 +472,6 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
         copied = k and complex_.block_source is complexes[k - 1]
         levels.append(components(complex_, levels[-1] if copied else None))
     return TowerData(spec, dim_cap, budget, complexes, levels)
-
-
-def block_subcomplex(complex_: SimplicialComplex, prefix: Word) -> SimplicialComplex:
-    """The full subcomplex on words starting with `prefix`, reindexed by suffix.
-
-    The result lives at depth level - len(prefix) with suffix words as its
-    vertices, so it can be compared directly with the nerve at that depth.
-    """
-    drop = len(prefix)
-    if drop < 1 or drop >= complex_.level:
-        raise SpecError("prefix length must be between 1 and level - 1")
-    if prefix.m != complex_.m:
-        raise SpecError("prefix alphabet disagrees with the complex")
-    sub_level = complex_.level - drop
-    n = complex_.m ** sub_level
-    # the words starting with `prefix` are one index range, from prefix.1...1 on
-    first = symbols_index(complex_.m, prefix.symbols) * n
-    inside = {dim: tuple(tuple(v - first for v in s) for s in sims
-                         if first <= s[0] and s[-1] < first + n)
-              for dim, sims in complex_.simplices.items()}
-    simplices = {dim: sims for dim, sims in inside.items() if sims}
-    uncertain = tuple((tuple(v - first for v in s), note) for s, note in complex_.uncertain
-                      if first <= s[0] and s[-1] < first + n)
-    return SimplicialComplex(sub_level, complex_.m, simplices,
-                             complex_.dim_cap, complex_.complete, uncertain)
 
 
 def build_iterate_or_subsystem(spec: SystemSpec, generator_words: Sequence[Word],

@@ -147,7 +147,10 @@ class TableBackend:
     stored levels must form a tower: cells only grow under truncation
     v -> v // m, so every depth-(k+1) simplex truncates onto a depth-k one,
     and a point in several depth-k cells lies in a child of each, so every
-    depth-k simplex is the truncation of a depth-(k+1) one.
+    depth-k simplex is the truncation of a depth-(k+1) one.  Block j of depth
+    k+1 (the words with first symbol j) must hold the copy j.N_k of depth k:
+    the cells of j.w are the images of those of w under one map, and an
+    image of a common point is a common point of the images.
     """
 
     kind = "table"  # the backend's "kind" in spec files
@@ -183,6 +186,16 @@ class TableBackend:
                 raise SpecError(f"table level {level} lists"
                                 f" {_least(closed[level] - images, m, level)},"
                                 f" which no level-{level + 1} simplex truncates onto")
+            size = m ** level
+            missing = {tuple(o + v for v in s) for o in range(0, m * size, size)
+                       for s in closed[level]} - closed[level + 1]
+            if missing:
+                copy = min(missing, key=lambda s: (len(s), s))
+                first = copy[0] - copy[0] % size
+                raise SpecError(f"table level {level + 1} does not list"
+                                f" {_least({copy}, m, level + 1)}, the copy of level-{level} simplex"
+                                f" {_least({tuple(v - first for v in copy)}, m, level)}"
+                                f" in block {first // size + 1}")
         self.levels = {level: tuple(sorted(sims, key=lambda s: (len(s), s)))
                        for level, sims in closed.items()}
 
@@ -419,7 +432,7 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
     from .nerve import build_nerve  # table and symbolic levels are cached there
     nerve = build_nerve(spec, level, max(len(tup) - 1, 1))
     source = "table" if table else "symbolic"
-    if tuple(sorted(map(nerve.index_of, tup))) in nerve.simplices.get(len(tup) - 1, ()):
+    if tuple(sorted(map(nerve.index_of, tup))) in nerve:
         return Verdict.intersect(source)
     return Verdict.disjoint(0, source)
 

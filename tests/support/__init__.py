@@ -5,11 +5,17 @@
   certificates into every level; checks the block-copy generator
   `nerve._levels` on geometric systems and the sweep that
   `nerve.truncation_map` makes into levels with uncertain tuples.
-* `full_tower`: the truncation pass over every simplex and the union-find
-  over every edge; check the crossing-only pass of `nerve.truncation_map`
-  and the block-aware `components.components` on copy-built levels.
-  `truncation` writes v -> v // m^d as the `nerve.SimplicialMap` that
-  `homology.induced_rank` takes, since `truncation_map` returns a level.
+* `full_tower`: the truncation pass over every simplex, the union-find
+  over every edge and the parent map read off every vertex; check the
+  crossing-only pass of `nerve.truncation_map`, the block-aware
+  `components.components` and the per-component parents of
+  `components.dim0_facts` on copy-built levels.  `reference_numbers`
+  reduces the expanded boundaries of every level, against the counts and
+  rank recurrences of `homology.tower_analysis`.  `truncation` writes
+  v -> v // m^d as the `nerve.SimplicialMap` that `homology.induced_rank`
+  takes, since `truncation_map` returns a level.
+* `complexes`: readers of every simplex that only tests use
+  (`block_subcomplex`, `euler_characteristic`, `simplex_word_sets`).
 * `pu_nerve`: symbolic nerves as sets of word sets; checks the index
   generator `nerve._lifted_level` and its address-consistency errors.
 * `linalg_oracle`: dense Gaussian elimination and cochain pullback; checks

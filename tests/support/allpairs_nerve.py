@@ -11,11 +11,23 @@ returns a new one.
 """
 
 from dataclasses import replace
+from itertools import combinations
 
 from nervetower import oracles
-from nervetower.nerve import SimplicialComplex, _close_downward
+from nervetower.nerve import SimplicialComplex
 from nervetower.oracles import Budget, SystemSpec
 from nervetower.words import enumerate_words
+
+
+def _close_downward(buckets: dict[int, set[tuple[int, ...]]]) -> None:
+    # Intersection certificates are monotone: every face of a kept simplex is kept.
+    for dim in sorted(buckets, reverse=True):
+        if dim == 0:
+            continue
+        lower = buckets.setdefault(dim - 1, set())
+        for s in buckets[dim]:
+            for face in combinations(s, dim):
+                lower.add(face)
 
 
 def allpairs_nerve(spec: SystemSpec, level: int, dim_cap: int,
@@ -73,7 +85,7 @@ def allpairs_nerve(spec: SystemSpec, level: int, dim_cap: int,
                 break
 
     _close_downward(buckets)
-    simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())}
+    simplices = {dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items()) if dim}
     uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return SimplicialComplex(level, spec.m, simplices, dim_cap,
                              complete=complete, uncertain=tuple(uncertain))
@@ -111,7 +123,7 @@ def sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> Sim
         return short
     _close_downward(buckets)
     return replace(
-        short, simplices={dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items())},
+        short, added={dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items()) if dim},
         uncertain=tuple(entry for entry in short.uncertain
                         if entry[0] not in buckets.get(len(entry[0]) - 1, ())),
         block_source=None)

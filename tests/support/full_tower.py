@@ -1,9 +1,11 @@
-"""The full truncation pass and the all-edges union-find: the references that
-the copy-built paths of `nerve.truncation_map` and `components.components`
+"""The full truncation pass, the all-edges union-find and the per-vertex
+parent map: the references that the copy-built paths of
+`nerve.truncation_map`, `components.components` and `components.dim0_facts`
 are checked against.
 
-Both look at every simplex of a level, without using that a copy-built level
-is m block copies of the level before plus the simplices that cross blocks.
+They look at every simplex and every vertex of a level, without using that a
+copy-built level is m block copies of the level before plus the simplices
+that cross blocks.
 `truncation` writes the same map v -> v // m^d as the `SimplicialMap` that
 `homology.induced_rank` takes.
 """
@@ -11,8 +13,9 @@ is m block copies of the level before plus the simplices that cross blocks.
 from dataclasses import replace
 
 from nervetower.components import ComponentsLevel, UnionFind
-from nervetower.nerve import SimplicialComplex, SimplicialMap
-from nervetower.oracles import ConsistencyError, SpecError
+from nervetower.homology import FieldKind, betti, betti_exact, induced_rank
+from nervetower.nerve import SimplicialComplex, SimplicialMap, TowerData, build_nerve
+from nervetower.oracles import Budget, ConsistencyError, SpecError, SystemSpec
 
 
 def truncation(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialMap:
@@ -48,7 +51,7 @@ def full_truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Si
             images[dim].add(image)
     if swept:
         short = replace(
-            short, simplices={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items())},
+            short, added={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items()) if dim},
             uncertain=tuple(entry for entry in short.uncertain
                             if entry[0] not in target.get(len(entry[0]) - 1, ())),
             block_source=None)
@@ -81,5 +84,48 @@ def unionfind_components(complex_: SimplicialComplex) -> ComponentsLevel:
     for i, root in enumerate(roots):
         least.setdefault(root, i)
     ids = {root: c for c, root in enumerate(least)}
-    return ComponentsLevel(len(least), tuple(ids[root] for root in roots),
-                           tuple(least.values()), tuple(crossing))
+    return ComponentsLevel(len(least), tuple(least.values()), tuple(crossing),
+                           tuple(ids[root] for root in roots), block)
+
+
+def vertex_parents(deep: ComponentsLevel, shallow: ComponentsLevel, m: int) -> tuple[int, ...]:
+    """The component of N_k under each component of N_{k+1}, read off every
+    vertex v of N_{k+1} as the component of v // m, and checked to be one
+    per component."""
+    parent: dict[int, int] = {}
+    for v, label in enumerate(deep.labels):
+        image = shallow.labels[v // m]
+        if parent.setdefault(label, image) != image:
+            raise ConsistencyError("component parent map is not well defined")
+    return tuple(parent[c] for c in range(deep.count))
+
+
+def reference_tower(spec: SystemSpec, depth: int, dim_cap: int, budget: Budget) -> TowerData:
+    """The tower checked by the full truncation pass on every pair, deepest
+    first, with the components of the all-edges union-find."""
+    complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    for k in range(depth - 1, 0, -1):
+        complexes[k - 1] = full_truncation_map(complexes[k], complexes[k - 1])
+    return TowerData(spec, dim_cap, budget, complexes,
+                     [unionfind_components(c) for c in complexes])
+
+
+def reference_numbers(tower: TowerData, fieldkind: FieldKind) -> dict:
+    """What `homology.tower_analysis` reports, from every simplex and vertex:
+    simplex counts of the expanded levels, every a_{r,k} by reducing both
+    boundaries of each level (`homology.betti`), lambda_k as the induced rank
+    of the truncation onto depth 1 (`homology.induced_rank`), and component
+    counts, labels and parents from `vertex_parents`."""
+    complexes, levels = tower.complexes, tower.components
+    exact = [r for r in range(tower.dim_cap + 1) if all(betti_exact(c, r) for c in complexes)]
+    lam = {k: induced_rank(truncation(c, complexes[0]), 1, fieldkind)
+           for k, c in enumerate(complexes[1:], start=2)} if 1 in exact else {}
+    return {
+        "counts": [{dim: len(sims) for dim, sims in c.simplices.items()} for c in complexes],
+        "a": {(r, k): betti(c, fieldkind, r) for k, c in enumerate(complexes, start=1)
+              for r in exact},
+        "lambda": lam,
+        "components": [(lv.count, lv.labels) for lv in levels],
+        "parents": [vertex_parents(deep, shallow, tower.spec.m)
+                    for deep, shallow in zip(levels[1:], levels)],
+    }

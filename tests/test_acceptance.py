@@ -23,6 +23,7 @@ from nervetower.oracles import (Budget, SymbolicPUBackend, SystemSpec,
                                 cells_intersect)
 from nervetower.words import Address, Word, enumerate_words
 
+from support.complexes import euler_characteristic, simplex_word_sets
 from support.full_tower import truncation
 from support.linalg_oracle import induced_rank_oracle
 
@@ -202,7 +203,7 @@ def test_criterion_09_property_suite(bundled, suite_towers):
                         alternating = sum((-1) ** r * betti(c, fk, r)
                                           for r in range(c.dim_cap + 1)
                                           if betti_exact(c, r))
-                        assert alternating == c.euler_characteristic(), name
+                        assert alternating == euler_characteristic(c), name
 
             # induced rank through homology equals the dual cochain route
             for k in range(2, tower.depth + 1):
@@ -220,8 +221,8 @@ def test_criterion_09_property_suite(bundled, suite_towers):
         twin = SystemSpec("twin", "forward", 3,
                           SymbolicPUBackend(3, [[1, 2], [1, 3], [2, 3]], addr))
         for k in range(1, 5):
-            got = build_nerve(twin, k).simplex_word_sets()
-            expected = build_nerve(gasket, k).simplex_word_sets()
+            got = simplex_word_sets(build_nerve(twin, k))
+            expected = simplex_word_sets(build_nerve(gasket, k))
             assert got == expected, k
 
         # a certified verdict never flips when the budget grows

@@ -159,6 +159,19 @@ class TestExitCodes:
         assert main(["tower", path, "--max-depth", "2"]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [["tower", "--max-depth", "2"], ["classify"]])
+    def test_table_blocks_must_hold_the_copies(self, tmp_path, capsys, argv):
+        """This table forms a tower, but block 1 of level 2 lacks the copy
+        11-12-13 of the level-1 triangle (both commands used to stop with a
+        ConsistencyError traceback from the component verdict)."""
+        levels = {"1": [["1", "2", "3"]],
+                  "2": [["12", "21", "31"], ["13", "32"], ["23", "33"]]}
+        path = write_doc(tmp_path, {"name": "no-copies", "orientation": "forward", "m": 3,
+                                    "backend": {"kind": "table", "levels": levels}})
+        assert main([argv[0], path, *argv[1:]]) == EXIT_INPUT
+        assert capsys.readouterr().err == ("error: table level 2 does not list {11, 12}, the"
+                                           " copy of level-1 simplex {1, 2} in block 1\n")
+
     def test_field_gf0_is_not_the_rationals(self, capsys):
         assert main(["tower", "finite-trivial", "--max-depth", "1",
                      "--field", "gf0"]) == EXIT_INPUT

@@ -187,14 +187,17 @@ class TestVerdicts:
 
     def test_pu_escaped_bound_in_both_verdicts(self):
         # K5 on cells 1..5 plus an isolated sixth: a_{0,1} = 2 meets the
-        # stationary bound (6 - 2 + 6)/5 = 2, but depth 2 has 32 components
+        # stationary bound (6 - 2 + 6)/5 = 2, but depth 2 has 8 components:
+        # the copies of K5 in blocks 1..5 joined by the edges a1-b1, the
+        # copy in block 6, and the six cells j6
         k5 = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
         levels = {1: [[(a,), (b,)] for a, b in k5],
-                  2: [[(a, 1), (b, 1)] for a, b in k5]}
+                  2: [[(j, a), (j, b)] for j in range(1, 7) for a, b in k5]
+                  + [[(a, 1), (b, 1)] for a, b in k5]}
         spec = SystemSpec("escaped", "forward", 6, TableBackend(6, levels))
         tower = tower_complexes(spec, 2, dim_cap=2)
         table = tower_analysis(tower, FieldKind(0), postunbranched=True)
-        assert table.component_counts == [2, 32]
+        assert table.component_counts == [2, 8]
         assert table.verdicts[0].mechanism == "pu-escaped-bound"
         assert table.verdicts[0].status == "infinite"
         n1_betti = (table.a[(0, 1)], table.a[(1, 1)])

@@ -5,7 +5,6 @@ import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from nervetower import cli, homology, nerve, oracles
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, betti_exact, lambda_ranks
-from nervetower.nerve import (SimplicialComplex, TowerData, block_subcomplex, build_nerve,
+from nervetower.nerve import (SimplicialComplex, TowerData, build_nerve,
                               build_iterate_or_subsystem, iterate_system,
                               tower_complexes, truncation_map)
 from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyError,
@@ -22,7 +21,8 @@ from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyErro
                                 SystemSpec)
 from nervetower.words import Address, Word, enumerate_words, truncate, word_from_string
 from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certificates
-from support.full_tower import full_truncation_map, unionfind_components
+from support.complexes import block_subcomplex, euler_characteristic, simplex_word_sets
+from support.full_tower import full_truncation_map, reference_tower, unionfind_components
 from support.pu_nerve import capped, pu_nerve
 from test_classify import derived_systems
 
@@ -123,13 +123,13 @@ class TestBuildNerve:
     def test_euler_characteristic(self, bundled):
         n2 = build_nerve(bundled("finite-trivial").spec, 2, dim_cap=2)
         assert n2.complete
-        assert n2.euler_characteristic() == 9 - 9 + 3
+        assert euler_characteristic(n2) == 9 - 9 + 3
 
     def test_dim_cap_marks_incomplete(self, bundled):
         n2 = build_nerve(bundled("finite-trivial").spec, 2, dim_cap=1)
         assert not n2.complete
         with pytest.raises(ConsistencyError):
-            n2.euler_characteristic()
+            euler_characteristic(n2)
 
     def test_bad_arguments(self, gasket):
         with pytest.raises(SpecError):
@@ -156,8 +156,7 @@ class TestBuildNerve:
 
 def hand_built(level, simplices, dim_cap):
     """A complex on all 3^level vertices with the given simplices above them."""
-    vertices = tuple((v,) for v in range(3 ** level))
-    return SimplicialComplex(level, 3, {0: vertices, **simplices}, dim_cap, True)
+    return SimplicialComplex(level, 3, simplices, dim_cap, True)
 
 
 def one_step_targets(tower):
@@ -183,7 +182,7 @@ class TestTruncation:
     def test_simpliciality_enforced(self, gasket):
         n1 = build_nerve(gasket, 1)
         n2 = build_nerve(gasket, 2)
-        hollow = type(n1)(n1.level, n1.m, {0: n1.simplices[0], 1: ()}, n1.dim_cap, True)
+        hollow = type(n1)(n1.level, n1.m, {1: ()}, n1.dim_cap, True)
         with pytest.raises(ConsistencyError):
             truncation_map(n2, hollow)
 
@@ -560,7 +559,7 @@ def assert_matches_word_sets(spec, depth, dim_caps):
     for dim_cap in dim_caps:
         got = build_nerve(spec, depth, dim_cap)
         kept, complete = capped(reference, dim_cap)
-        assert got.simplex_word_sets() == kept
+        assert simplex_word_sets(got) == kept
         assert got.complete is complete
         assert got.uncertain == ()
 
@@ -573,7 +572,7 @@ class TestAgainstWordSets:
     def test_random_symbolic_systems(self, spec, depth):
         assert_matches_word_sets(spec, depth, (1, 2, 3))
         tower = tower_complexes(spec, depth, 2)
-        assert [c.simplex_word_sets() for c in tower.complexes] == \
+        assert [simplex_word_sets(c) for c in tower.complexes] == \
             [capped(pu_nerve(spec, k), 2)[0] for k in range(1, depth + 1)]
 
     @settings(max_examples=40, deadline=None)
@@ -623,16 +622,6 @@ def test_word_is_the_inverse_of_index_of(m, level, data):
     outside = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=m ** level)))
     with pytest.raises(IndexError):
         complex_.word(outside)
-
-
-def reference_tower(spec, depth, dim_cap, budget):
-    """The tower checked by the full truncation pass on every pair, deepest
-    first, with the components of the all-edges union-find."""
-    complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
-    for k in range(depth - 1, 0, -1):
-        complexes[k - 1] = full_truncation_map(complexes[k], complexes[k - 1])
-    return TowerData(spec, dim_cap, budget, complexes,
-                     [unionfind_components(c) for c in complexes])
 
 
 def assert_fast_paths_match_references(spec, depth, dim_cap=2, budget=Budget()):
@@ -685,14 +674,8 @@ def mutated_levels(levels, k, mutated):
     simplices."""
     out = levels[:k - 1] + [mutated]
     for level in levels[k:]:
-        prev = out[-1]
-        known, _ = nerve._block_copies(prev)
-        simplices = {0: level.simplices[0]}
-        for dim in sorted(set(level.simplices) | set(known)):
-            if dim:
-                crossing = level.crossing.get(dim, [])
-                simplices[dim] = tuple(sorted(known.get(dim, []) + crossing))
-        out.append(replace(level, simplices=simplices, block_source=prev))
+        assert level.block_source is not None
+        out.append(replace(level, block_source=out[-1]))
     return out
 
 
@@ -711,7 +694,7 @@ class TestCopyBuiltFastPaths:
     @pytest.mark.parametrize("name", sorted(COPY_BUILT_SYSTEMS))
     def test_copy_built_systems(self, name):
         make, depth = COPY_BUILT_SYSTEMS[name]
-        assert assert_fast_paths_match_references(make(), depth) == list(range(3, depth + 1))
+        assert assert_fast_paths_match_references(make(), depth) == list(range(2, depth + 1))
 
     @pytest.mark.parametrize("name", sorted(FULL_PASS_SYSTEMS))
     def test_full_pass_systems(self, name):
@@ -729,13 +712,13 @@ class TestCopyBuiltFastPaths:
     @settings(max_examples=25, deadline=None)
     @given(symbolic_systems(), st.integers(min_value=3, max_value=4))
     def test_random_symbolic_systems(self, spec, depth):
-        assert assert_fast_paths_match_references(spec, depth) == list(range(3, depth + 1))
+        assert assert_fast_paths_match_references(spec, depth) == list(range(2, depth + 1))
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.sampled_from(GASKET_WORDS2), min_size=2, max_size=4, unique=True))
     def test_random_gasket_subsystems(self, words):
         spec = gasket_subsystem(words)
-        assert assert_fast_paths_match_references(spec, 3) == [3]
+        assert assert_fast_paths_match_references(spec, 3) == [2, 3]
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(COPY_BUILT_SYSTEMS)), st.data())
@@ -751,17 +734,17 @@ class TestCopyBuiltFastPaths:
         k = data.draw(st.integers(min_value=1, max_value=depth - 1))
         level = levels[k - 1]
         block = spec.m ** (k - 1)
-        simplices = dict(level.simplices)
-        crossing = [(dim, s) for dim, sims in level.crossing.items() for s in sims]
+        added = dict(level.added)  # the crossing simplices: at depth 1, every simplex
+        crossing = [(dim, s) for dim, sims in added.items() for s in sims]
         if crossing and data.draw(st.booleans()):
             dim, dropped = data.draw(st.sampled_from(crossing))
-            simplices[dim] = tuple(s for s in simplices[dim] if s != dropped)
+            added[dim] = tuple(s for s in added[dim] if s != dropped)
         else:
             a = data.draw(st.integers(min_value=0, max_value=spec.m ** k - block - 1))
             b = data.draw(st.integers(min_value=(a // block + 1) * block,
                                       max_value=spec.m ** k - 1))
-            simplices[1] = tuple(sorted(set(simplices.get(1, ())) | {(a, b)}))
-        injected = mutated_levels(levels, k, replace(level, simplices=simplices))
+            added[1] = tuple(sorted(set(added.get(1, ())) | {(a, b)}))
+        injected = mutated_levels(levels, k, replace(level, added=added))
 
         expected = outcome(lambda: [full_truncation_map(injected[i], injected[i - 1])
                                     for i in range(depth - 1, 0, -1)])
@@ -780,12 +763,12 @@ def copy_built_pentagasket(drop_image_of=None, add_crossing=None):
     copies of that level 2 plus the generated crossings."""
     spec = cli.load_bundled("pentagasket").spec
     levels = [build_nerve(spec, k, 1) for k in (1, 2, 3)]
-    edges = set(levels[1].simplices[1])
+    edges = set(levels[1].added[1])
     if drop_image_of is not None:
         edges.discard(nerve._truncate(drop_image_of, 5))
     if add_crossing is not None:
         edges.add(add_crossing)
-    level2 = replace(levels[1], simplices={0: levels[1].simplices[0], 1: tuple(sorted(edges))})
+    level2 = replace(levels[1], added={1: tuple(sorted(edges))})
     spec._cache[("nerve_levels", 1, Budget())] = mutated_levels(levels, 2, level2)
     return spec
 
@@ -795,7 +778,7 @@ class TestCopyBuiltMutations:
     only check that can fail, so that it is not vacuous."""
 
     def crossing_edges(self):
-        return build_nerve(cli.load_bundled("pentagasket").spec, 3, 1).crossing[1]
+        return list(build_nerve(cli.load_bundled("pentagasket").spec, 3, 1).added[1])
 
     def test_missing_image_is_not_simplicial(self, monkeypatch):
         edge = self.crossing_edges()[2]
@@ -821,10 +804,9 @@ class TestCopyBuiltMutations:
         """A sweep can add a simplex inside a block of the swept level, which
         is then no copy of the level below: its truncation takes the full pass."""
 
-        def copy_built(prev, crossings, uncertain=()):
-            known, _ = nerve._block_copies(prev)
-            level = hand_built(prev.level + 1, {1: tuple(sorted(known[1] + crossings))}, 1)
-            return replace(level, uncertain=uncertain, block_source=prev)
+        def copy_built(prev, added, uncertain=()):
+            return SimplicialComplex(prev.level + 1, 3, {1: tuple(sorted(added))}, 1, True,
+                                     uncertain, prev)
 
         n1 = hand_built(1, {1: ((0, 1), (1, 2))}, 1)
         n2 = copy_built(n1, [(2, 3), (5, 6)])
@@ -861,9 +843,9 @@ def test_banded_annuli_table_levels_built_once(monkeypatch, tmp_path, argv):
 
 
 def test_pentagasket_depth6_truncation_images(monkeypatch):
-    """Truncation forms images of the crossing simplices only, apart from the
-    full pass from depth 2 onto depth 1: 55 + 4 * 5, where a pass over every
-    simplex formed 43,925."""
+    """Truncation forms images of the crossing simplices only, 5 at each of
+    depths 2..6, where the full pass from depth 2 onto depth 1 formed 55 and
+    a pass over every simplex 43,925."""
     spec = cli.load_bundled("pentagasket").spec
     images = []
     original = nerve._truncate
@@ -874,26 +856,5 @@ def test_pentagasket_depth6_truncation_images(monkeypatch):
 
     monkeypatch.setattr(nerve, "_truncate", counting)
     tower = tower_complexes(spec, 6)
-    crossings = sum(len(sims) for c in tower.complexes[2:] for sims in c.crossing.values())
-    level2 = sum(map(len, tower.complex_at(2).simplices.values()))
-    assert len(images) == level2 + crossings == 55 + 4 * 5
-
-
-def test_pentagasket_depth6_crossing_scans(monkeypatch):
-    """Each level finds its crossing simplices once, for both truncation
-    passes it takes part in and for its components (three scans per level
-    before it was kept on the level)."""
-    spec = cli.load_bundled("pentagasket").spec
-    scanned = []
-    original = SimplicialComplex.__dict__["crossing"].func
-
-    def counting(self):
-        scanned.append(self.level)
-        return original(self)
-
-    counted = cached_property(counting)
-    counted.__set_name__(SimplicialComplex, "crossing")
-    monkeypatch.setattr(SimplicialComplex, "crossing", counted)
-    tower = tower_complexes(spec, 6)
-    assert len(tower.components) == 6
-    assert scanned == [6, 5, 4, 3, 2, 1]
+    crossings = sum(len(sims) for c in tower.complexes[1:] for sims in c.added.values())
+    assert len(images) == crossings == 5 * 5

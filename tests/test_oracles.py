@@ -19,6 +19,7 @@ from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 limit_point, point_in_cell, word_map)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
 from support import fraction_geometry
+from support.complexes import simplex_word_sets
 from support.finite_oracle import finite_cycle_system, finite_trivial_system
 
 
@@ -309,7 +310,7 @@ class TestTableBackend:
         for level in spec.backend.levels:
             nerve = build_nerve(spec, level, dim_cap=spec.m ** level)
             assert nerve.complete
-            assert {frozenset(w.symbols for w in s) for s in nerve.simplex_word_sets()} == \
+            assert {frozenset(w.symbols for w in s) for s in simplex_word_sets(nerve)} == \
                 system().nerve_word_sets(level)
 
 
@@ -332,7 +333,7 @@ class TestSymbolicBackend:
                              (3, 1): 1, (2, 3): 3, (3, 2): 2})))
         for k in (1, 2, 3):
             nerve = build_nerve(twin, k)
-            symbolic = {frozenset(str(w) for w in s) for s in nerve.simplex_word_sets()}
+            symbolic = {frozenset(str(w) for w in s) for s in simplex_word_sets(nerve)}
             geometric = set()
             words = enumerate_words(3, k)
             for i in range(len(words)):
@@ -352,7 +353,7 @@ class TestSymbolicBackend:
             {(1, 2): 1, (1, 3): 2, (2, 1): 1, (2, 3): 1, (3, 1): 1, (3, 2): 1}))
         spec = SystemSpec("bad", "forward", 3, backend)
         assert generate_pu_nerve(spec, 1) == ((0, 1), (0, 1, 2), (0, 2), (1, 2))
-        assert len(build_nerve(spec, 1).simplex_word_sets()) == 7  # depth 1 is stored as-is
+        assert len(simplex_word_sets(build_nerve(spec, 1))) == 7  # depth 1 is stored as-is
         for dim_cap in (1, 2):
             with pytest.raises(AddressConsistencyError,
                                match="vertex 1 lifts ambiguously at depth 1: 1, 2"):
@@ -363,7 +364,7 @@ class TestSymbolicBackend:
             {(1, 2): 1, (1, 3): 1, (2, 1): 2, (2, 3): 2, (3, 1): 3, (3, 2): 3}))
         spec = SystemSpec("ok", "forward", 3, backend)
         assert (0, 4, 8) in generate_pu_nerve(spec, 2)
-        assert frozenset({W("11"), W("22"), W("33")}) in build_nerve(spec, 2).simplex_word_sets()
+        assert frozenset({W("11"), W("22"), W("33")}) in simplex_word_sets(build_nerve(spec, 2))
 
     @pytest.mark.parametrize("name,arities", [("pentagasket", (2,)),
                                               ("simplex-boundary-2", (2, 3))])

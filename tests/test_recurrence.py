@@ -1,0 +1,96 @@
+"""Copy-built levels read only what each level adds: the recurrences for
+counts, ranks, components and parents against the full reference, and count
+guards on what a deep symbolic tower reads."""
+
+import pytest
+from hypothesis import given, settings
+
+from nervetower import cli
+from nervetower.components import ComponentsLevel, dim0_facts
+from nervetower.homology import FieldKind, tower_analysis
+from nervetower.nerve import SimplicialComplex, tower_complexes
+from nervetower.oracles import Budget
+from support.full_tower import reference_numbers, reference_tower
+from test_acceptance import SUITE_DEPTHS, SUITE_DIM_CAPS
+from test_classify import derived_systems
+
+FIELDS = (FieldKind(0), FieldKind(2))
+
+RECURRENCE_DEPTHS = {
+    "pentagasket": 4, "gasket": 4, "snowflake": 2, "five-map-funnel": 3,
+    "two-map-split": 5, "simplex-boundary-1": 4, "simplex-boundary-2": 3,
+    "simplex-boundary-3": 3, "simplex-boundary-4": 3,
+}
+
+
+def assert_recurrences_match_reference(spec, depth, dim_cap):
+    """Counts, every a_{r,k}, lambda_k, components, labels and parents of
+    the tower against `reference_numbers` of the full reference tower."""
+    tower = tower_complexes(spec, depth, dim_cap)
+    reference = reference_tower(spec, depth, dim_cap, Budget())
+    for fieldkind in FIELDS:
+        table = tower_analysis(tower, fieldkind)
+        want = reference_numbers(reference, fieldkind)
+        assert [c.simplex_counts() for c in tower.complexes] == want["counts"]
+        assert table.a == want["a"]
+        assert table.lam == want["lambda"]
+        assert [(lv.count, lv.labels) for lv in tower.components] == want["components"]
+        assert table.facts.counts == [count for count, _labels in want["components"]]
+        assert table.facts.parents == want["parents"]
+
+
+@pytest.mark.parametrize("name", sorted(RECURRENCE_DEPTHS))
+def test_bundled_systems_match_the_full_reference(name):
+    assert_recurrences_match_reference(cli.load_bundled(name).spec, RECURRENCE_DEPTHS[name],
+                                       SUITE_DIM_CAPS.get(name, 2))
+
+
+@settings(max_examples=15, deadline=None)
+@given(derived_systems())
+def test_derived_systems_match_the_full_reference(spec):
+    assert_recurrences_match_reference(spec, 3 if spec.m <= 5 else 2, 2)
+
+
+def test_pentagasket_depth6_reads_only_what_levels_add(monkeypatch, tmp_path):
+    """`tower pentagasket --max-depth 6` builds no vertex tuple and expands no
+    simplex of depths 2..6 (the tower held 19,530 vertex tuples and 43,925
+    simplices)."""
+    expanded = []
+    original = SimplicialComplex.simplices_of
+
+    def recording(self, dim):
+        if dim == 0 or self.level > 1:
+            expanded.append((self.level, dim))
+        return original(self, dim)
+
+    monkeypatch.setattr(SimplicialComplex, "simplices_of", recording)
+    assert cli.main(["tower", "pentagasket", "--max-depth", "6",
+                     "--out-csv", str(tmp_path / "t.csv"),
+                     "--out-report", str(tmp_path / "t.json")]) == cli.EXIT_OK
+    assert expanded == []
+
+
+@pytest.mark.parametrize("name,depth", [("pentagasket", 6), ("two-map-split", 6)])
+def test_dim0_facts_looks_up_one_parent_per_component(monkeypatch, name, depth):
+    """One lookup per component of depths 2..depth (one per vertex made
+    19,525 for pentagasket): 5 for pentagasket, whose every depth is
+    connected, and 124 for two-map-split, whose every cell is a component."""
+    tower = tower_complexes(cli.load_bundled(name).spec, depth)
+    lookups = []
+    original = ComponentsLevel.label
+
+    def counting(self, v):
+        lookups.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(ComponentsLevel, "label", counting)
+    facts = dim0_facts(tower, assert_injective=False, postunbranched=None, n1_betti=None)
+    assert len(lookups) == sum(facts.counts[1:])
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_DEPTHS))
+def test_counts_are_those_of_the_expanded_simplices(name):
+    spec = cli.load_bundled(name).spec
+    tower = tower_complexes(spec, SUITE_DEPTHS[name], SUITE_DIM_CAPS.get(name, 2))
+    for c in tower.complexes:
+        assert c.simplex_counts() == {dim: len(sims) for dim, sims in c.simplices.items()}
