@@ -215,15 +215,16 @@ def _singleton_status(spec: SystemSpec, i: int, j: int,
         return "empty", ()
     if verdict.kind == "unknown":
         return "unknown", ()
-    # several: licensed at every depth.  A certified point of cell(wi) and
-    # cell(wj) lies in both cells of some child pair at each depth, so that
-    # pair's envelopes meet and it stays alive.  With two distinct points,
-    # one differs from verdict.point, and its region never equals
-    # {verdict.point}: the refinement below could never answer singleton.
+    # An intersect verdict is certified by a common point, so `points` is
+    # nonempty.  several: licensed at every depth.  A certified point of
+    # cell(wi) and cell(wj) lies in both cells of some child pair at each
+    # depth, so that pair's envelopes meet and it stays alive.  With two
+    # distinct points, one differs from points[0], and its region never
+    # equals {points[0]}: the refinement below could never answer singleton.
     points = certificate_points(spec, (wi, wj), budget)
     if len(points) >= 2:
         return "several", tuple(points[:2])
-    point = verdict.point
+    point = points[0]
     alive = [(wi, wj)]
     for _ in range(budget.refine_depth + 1):
         regions = [intersection_cycle((cell_envelope(spec, u), cell_envelope(spec, v)))

@@ -245,7 +245,11 @@ def resolve_spec(ref: str) -> LoadedSpec:
     """A path to a spec file, or the name of a bundled system."""
     path = Path(ref)
     if path.is_file():
-        return load_spec_text(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"spec file {ref} is not UTF-8 text: {exc}") from None
+        return load_spec_text(text)
     if "/" not in ref and "\\" not in ref:
         return load_bundled(ref[:-5] if ref.endswith(".json") else ref)
     raise SpecError(f"spec file not found: {ref}")
@@ -710,10 +714,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (SpecError, OSError) as exc:  # bad input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

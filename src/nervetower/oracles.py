@@ -38,7 +38,7 @@ from .exactgeom import (
     compose,
     map_polygon,
 )
-from .words import Address, Word, concat, enumerate_words, indexed_word, symbols_index
+from .words import Address, Word, enumerate_words, indexed_word, symbols_index
 
 
 class SpecError(ValueError):
@@ -90,21 +90,17 @@ VerdictKind = Literal["disjoint", "intersect", "unknown"]
 
 @dataclass(frozen=True)
 class Verdict:
-    """Answer to "do these cells share a point?", with its evidence.
+    """Answer to "do these cells share a point?": its kind, and where from.
 
     disjoint: certified empty after `depth` subdivision rounds.
-    intersect: certified nonempty; geometric verdicts carry the common point
-      and one full address per queried word, combinatorial backends carry
-      membership only.
-    unknown: neither certificate found within `budget`.
+    intersect: certified nonempty.  The geometric backend certifies with a
+      common in-budget point, which `certificate_points` lists.
+    unknown: neither certificate found within budget; `note` says why.
     """
 
     kind: VerdictKind
     source: str
     depth: Optional[int] = None
-    point: Optional[Point2] = None
-    addresses: Optional[tuple[Address, ...]] = None
-    budget: Optional[Budget] = None
     note: str = ""
 
     @staticmethod
@@ -112,13 +108,12 @@ class Verdict:
         return Verdict("disjoint", source, depth=depth)
 
     @staticmethod
-    def intersect(source: str, point: Optional[Point2] = None,
-                  addresses: Optional[tuple[Address, ...]] = None) -> "Verdict":
-        return Verdict("intersect", source, point=point, addresses=addresses)
+    def intersect(source: str) -> "Verdict":
+        return Verdict("intersect", source)
 
     @staticmethod
-    def unknown(budget: Optional[Budget], source: str, note: str = "") -> "Verdict":
-        return Verdict("unknown", source, budget=budget, note=note)
+    def unknown(source: str, note: str) -> "Verdict":
+        return Verdict("unknown", source, note=note)
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against truthiness misuse
         raise TypeError("Verdict is three-valued; test .kind explicitly")
@@ -359,49 +354,50 @@ def _tail_table(spec: SystemSpec, budget: Budget) -> dict[Point2, Address]:
 PointKey = tuple[int, int, int]
 
 
-def _tail_triples(spec: SystemSpec, budget: Budget) -> tuple[tuple[PointKey, Address], ...]:
+def _tail_triples(spec: SystemSpec, budget: Budget) -> tuple[PointKey, ...]:
     """The tail table's points as normalized integer triples, in table order."""
     key = ("tail_triples", budget.cert_preperiod_max, budget.cert_period_max)
     got = spec._cache.get(key)
     if got is None:
-        got = tuple((p.homogeneous(), addr) for p, addr in _tail_table(spec, budget).items())
+        got = tuple(p.homogeneous() for p in _tail_table(spec, budget))
         spec._cache[key] = got
     return got
 
 
-def _word_points(spec: SystemSpec, w: Word, budget: Budget) -> dict[PointKey, Address]:
-    """In-budget certified points of cell(w), each mapped to its tail address.
+def _word_points(spec: SystemSpec, w: Word, budget: Budget) -> frozenset[PointKey]:
+    """In-budget certified points of cell(w), as normalized integer triples.
 
-    Points are keyed by normalized integer triples (Point2.homogeneous): each
-    tail point's image under w's map, written over one common denominator, is
-    six integer products, a gcd and three exact divisions.  The first tail
-    address in table order wins when a singular map merges points.
+    Each is a tail point's image under w's map (Point2.homogeneous): written
+    over one common denominator, that is six integer products, a gcd and
+    three exact divisions.  A singular map may merge tail points.
     """
     key = ("word_points", w.symbols, budget.cert_preperiod_max, budget.cert_period_max)
     got = spec._cache.get(key)
     if got is not None:
         return got
     a, b, c, d, e, f, den = word_map(spec, w).over_common_denominator()
-    table: dict[PointKey, Address] = {}
-    for (x, y, z), addr in _tail_triples(spec, budget):
+    points = set()
+    for x, y, z in _tail_triples(spec, budget):
         px, py, pz = a * x + b * y + e * z, c * x + d * y + f * z, den * z
         g = gcd(px, py, pz)
-        table.setdefault((px // g, py // g, pz // g), addr)
-    spec._cache[key] = table
-    return table
+        points.add((px // g, py // g, pz // g))
+    got = frozenset(points)
+    spec._cache[key] = got
+    return got
 
 
-def _common_keys(dicts: Sequence[dict[PointKey, Address]]) -> set[PointKey]:
-    common = set(dicts[0])
-    for d in dicts[1:]:
-        common &= d.keys()
-    return common
+def _common_keys(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> frozenset[PointKey]:
+    """The in-budget certified points shared by every listed cell."""
+    return frozenset.intersection(*(_word_points(spec, w, budget) for w in ws))
 
 
 def certificate_points(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> list[Point2]:
-    """All in-budget points certified to lie in every listed cell, sorted."""
-    common = _common_keys([_word_points(spec, w, budget) for w in ws])
-    return sorted(map(Point2.from_homogeneous, common), key=Point2.as_pair)
+    """All in-budget points certified to lie in every listed cell, sorted by
+    Point2.as_pair.  On a geometric system the list is nonempty exactly when
+    `cells_intersect` answers intersect: a common point is the only
+    intersection certificate that backend has."""
+    return sorted(map(Point2.from_homogeneous, _common_keys(spec, ws, budget)),
+                  key=Point2.as_pair)
 
 
 def _validate_query(spec: SystemSpec, ws: Sequence[Word]) -> tuple[Word, ...]:
@@ -428,7 +424,7 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
     level = len(tup[0])
     table = isinstance(backend, TableBackend)
     if table and level not in backend.levels:
-        return Verdict.unknown(None, "table", note=f"no stored data at depth {level}")
+        return Verdict.unknown("table", f"no stored data at depth {level}")
     from .nerve import build_nerve  # table and symbolic levels are cached there
     nerve = build_nerve(spec, level, max(len(tup) - 1, 1))
     source = "table" if table else "symbolic"
@@ -442,23 +438,17 @@ def _geometric_intersect(spec: SystemSpec, ws: tuple[Word, ...], budget: Budget)
     if len(ws) > 1 and not common_point_exists(envelopes):
         return Verdict.disjoint(0, "geometric")
 
-    dicts = [_word_points(spec, w, budget) for w in ws]
-    common = _common_keys(dicts)
-    if common:
-        point = min(map(Point2.from_homogeneous, common), key=Point2.as_pair)
-        key = point.homogeneous()
-        addresses = tuple(concat(w, d[key]) for w, d in zip(ws, dicts))
-        return Verdict.intersect("geometric", point, addresses)
+    if _common_keys(spec, ws, budget):
+        return Verdict.intersect("geometric")
 
     alive: list[tuple[Word, ...]] = [ws]
     for depth in range(1, budget.refine_depth + 1):
         alive = _refine(spec, alive)
         if alive is None:
-            return Verdict.unknown(budget, "geometric",
-                                   note=f"refinement frontier exceeded {_ALIVE_CAP}")
+            return Verdict.unknown("geometric", f"refinement frontier exceeded {_ALIVE_CAP}")
         if not alive:
             return Verdict.disjoint(depth, "geometric")
-    return Verdict.unknown(budget, "geometric", note="budget exhausted")
+    return Verdict.unknown("geometric", "budget exhausted")
 
 
 def _refine(spec: SystemSpec, alive: list[tuple[Word, ...]]) -> Optional[list[tuple[Word, ...]]]:

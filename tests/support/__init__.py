@@ -32,7 +32,7 @@
 * `fraction_geometry`: plane geometry in `Fraction`s (map images,
   compositions, inverses, fixed points, half-plane containment, convexity,
   bounding boxes, clipping, re-hulled envelope images) and certificate points
-  as `Fraction` points; checks the integer kernel of `exactgeom` and the
-  integer-triple `oracles._word_points` (and `oracles.certificate_points` on
-  it).
+  as sets of `Fraction` points; checks the integer kernel of `exactgeom`, the
+  integer-triple point sets of `oracles._word_points`, and
+  `oracles.certificate_points` on them.
 """

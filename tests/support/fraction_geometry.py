@@ -5,15 +5,14 @@ points of `nervetower.oracles` are checked against.
 Maps are applied, composed, inverted and solved for fixed points in
 `Fraction`s; polygons are tested, bounded and clipped with `Fraction`
 half-planes; envelope images are re-hulled.  `word_points` pushes every
-tail-table point through the word's map as a `Point2` and keys the result by
-that point.
+tail-table point through the word's map as a `Point2`.
 """
 
 from fractions import Fraction
 
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.oracles import Budget, SystemSpec, _tail_table, word_map
-from nervetower.words import Address, Word
+from nervetower.words import Word
 
 
 def cross(o: Point2, a: Point2, b: Point2) -> Fraction:
@@ -159,19 +158,13 @@ def map_polygon(f: RationalAffineMap, poly: ConvexPolygon) -> ConvexPolygon:
 
 # Certificate points.
 
-def word_points(spec: SystemSpec, w: Word, budget: Budget) -> dict[Point2, Address]:
-    """In-budget certified points of cell(w), each mapped to its tail address."""
+def word_points(spec: SystemSpec, w: Word, budget: Budget) -> set[Point2]:
+    """In-budget certified points of cell(w)."""
     f = word_map(spec, w)
-    table: dict[Point2, Address] = {}
-    for point, addr in _tail_table(spec, budget).items():
-        table.setdefault(apply(f, point), addr)
-    return table
+    return {apply(f, point) for point in _tail_table(spec, budget)}
 
 
 def certificate_points(spec: SystemSpec, ws, budget: Budget) -> list[Point2]:
     """All in-budget points certified to lie in every listed cell, sorted."""
-    dicts = [word_points(spec, w, budget) for w in ws]
-    common = set(dicts[0])
-    for d in dicts[1:]:
-        common &= set(d)
+    common = set.intersection(*(word_points(spec, w, budget) for w in ws))
     return sorted(common, key=Point2.as_pair)

@@ -8,7 +8,7 @@ fat overlap runs to the frontier cap or the budget before it answers unknown.
 
 from nervetower import oracles
 from nervetower.exactgeom import common_point_exists, intersection_cycle
-from nervetower.oracles import Budget, SystemSpec, cell_envelope
+from nervetower.oracles import Budget, SystemSpec, cell_envelope, certificate_points
 from nervetower.words import Word
 
 
@@ -20,7 +20,7 @@ def singleton_status(spec: SystemSpec, i: int, j: int, budget: Budget) -> str:
         return "empty"
     if verdict.kind == "unknown":
         return "unknown"
-    point = verdict.point
+    point = certificate_points(spec, (wi, wj), budget)[0]
     alive = [(wi, wj)]
     for _ in range(budget.refine_depth + 1):
         regions = [intersection_cycle((cell_envelope(spec, u), cell_envelope(spec, v)))

@@ -232,6 +232,33 @@ class TestExitCodes:
             ("", f"error: {message} exceed --max-cells 100\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["nerve", "gasket", "--depth", "2"], "--out-json"),
+        (["nerve", "gasket", "--depth", "2"], "--out-dot"),
+        (["tower", "gasket", "--max-depth", "2"], "--out-csv"),
+        (["tower", "gasket", "--max-depth", "2"], "--out-report"),
+        (["classify", "gasket"], "--out-report"),
+        (["derive", "gasket", "--iterate", "2"], "--out"),
+    ])
+    @pytest.mark.parametrize("target", ["a-directory", "missing-parent/out"])
+    def test_unwritable_output_path(self, tmp_path, capsys, argv, flag, target):
+        """An output path that is a directory, or whose directory is missing,
+        is bad input reported on one line, not an OSError traceback."""
+        out = tmp_path / target
+        if target == "a-directory":
+            out.mkdir()
+        assert main(argv + [flag, str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(out) in err
+        assert err.count("\n") == 1
+
+    def test_spec_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["tower", str(path), "--max-depth", "2"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: spec file {path} is not UTF-8 text: ")
+
     @pytest.mark.parametrize("extra", [[], ["--dim-cap", "1"],
                                        ["--dim-cap", "1", "--pu-depth", "1"]])
     def test_inconsistent_triangle(self, tmp_path, capsys, extra):

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import nervetower
+from nervetower import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +37,20 @@ def test_every_traced_function_resolves_and_is_patched():
         traced.uninstall()
     for (modname, fname), original in originals.items():
         assert getattr(importlib.import_module(f"nervetower.{modname}"), fname) is original
+
+
+def test_observers_split_every_oracle_query_by_outcome(capsys):
+    """The observers read `Verdict.kind` and `Verdict.depth` on real queries:
+    every traced `cells_intersect` call lands in exactly one outcome."""
+    traced = load_tracer().Tracer()
+    traced.install(nervetower)
+    try:
+        assert cli.main(["classify", "interval-overlap"]) == cli.EXIT_OK
+    finally:
+        traced.uninstall()
+    assert capsys.readouterr().out.startswith("system: interval-overlap")
+    stats = traced.stats["oracles.cells_intersect"]
+    outcomes = ("intersect", "disjoint_envelope", "disjoint_refined", "unknown")
+    assert stats["calls"] > 0
+    assert sum(stats.get(outcome, 0) for outcome in outcomes) == stats["calls"]
+    traced.layer_metrics()
