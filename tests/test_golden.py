@@ -28,8 +28,9 @@ _TOWER_DEPTHS = {
 # banded-annuli stores table data to depth 2 only
 CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3,
                    "snowflake": 2}
-# deep towers, where most of each level is block copies of the level before
-DEEP_TOWER_DEPTHS = {"pentagasket": 6}
+# deep towers, where most of each level is block copies of the level before;
+# gasket and snowflake also pin the oracle's certified touching points there
+DEEP_TOWER_DEPTHS = {"pentagasket": 6, "gasket": 6, "snowflake": 3}
 # one geometric system per oracle path, one symbolic and one table system
 NERVE_DEPTHS = {"gasket": 3, "snowflake": 2, "pentagasket": 3, "finite-cycle": 2}
 # A derived system under a starved budget: its levels keep uncertain tuples,
