@@ -77,7 +77,9 @@ def _rat(node: Any, where: str) -> Fraction:
         raise SpecError(f"{where}: expected an integer or a \"p/q\" string, got {node!r}")
     try:
         return Fraction(node)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise SpecError(f"{where}: zero denominator in {json.dumps(node)}") from None
+    except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from None
 
 
@@ -115,9 +117,8 @@ def _parse_geometric(node: dict, m: int) -> GeometricBackend:
         if not isinstance(translation, list) or len(translation) != 2:
             raise SpecError(f"{where}.translation must be a pair")
         maps.append(RationalAffineMap(
-            _rat(matrix[0][0], where), _rat(matrix[0][1], where),
-            _rat(matrix[1][0], where), _rat(matrix[1][1], where),
-            _rat(translation[0], where), _rat(translation[1], where)))
+            *(_rat(matrix[r][c], f"{where}.matrix[{r}][{c}]") for r in (0, 1) for c in (0, 1)),
+            *(_rat(translation[i], f"{where}.translation[{i}]") for i in (0, 1))))
     env_node = node.get("envelope")
     if not isinstance(env_node, list) or not env_node:
         raise SpecError("backend.envelope must list the envelope's vertices")
@@ -645,11 +646,21 @@ def cmd_derive(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("spec", help="path to a spec file, or a bundled system name")
     parser.add_argument("--dim-cap", type=int, default=2,
                         help="largest simplex dimension to compute (default 2)")
-    parser.add_argument("--max-cells", type=int, default=250_000,
+    parser.add_argument("--max-cells", type=_positive_int, default=250_000,
                         help="refuse computations with more cells than this")
     parser.add_argument("--refine-depth", type=int, default=8,
                         help="subdivision rounds before answering unknown")

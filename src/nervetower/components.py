@@ -235,9 +235,7 @@ def dim0_facts(tower: TowerData, *, assert_injective: bool,
     # component is that of any one of its vertices, here its least.
     parents = [tuple(shallow.label(v // spec.m) for v in deep.representatives)
                for deep, shallow in zip(levels[1:], levels)]
-    injective = assert_injective or None
-    if spec.is_geometric and not injective:
-        injective = all(f.determinant() != 0 for f in spec.backend.maps)
+    injective = assert_injective or spec.injective
     touched = {v for edge in tower.complexes[0].simplices_of(1) for v in edge}
     return Dim0Facts(spec.m, counts, parents,
                      tuple(j + 1 for j in range(spec.m) if j not in touched), injective,

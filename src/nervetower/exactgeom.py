@@ -1,22 +1,25 @@
 """Exact rational plane geometry: affine maps and convex polygon predicates.
 
-Points and maps are given and reported in fractions.Fraction, but every
-predicate runs on Python ints.  Each object caches one integer form:
+Points and maps are given and reported in fractions.Fraction, but their
+values are integers, and every predicate runs on Python ints:
 
 * a point (Point2.homogeneous) is the normalized triple (X, Y, Z) with
   x = X/Z, y = Y/Z, Z > 0 and gcd 1, so equal points have equal triples;
 * a map (RationalAffineMap.over_common_denominator) is its six coefficients
-  over one common denominator, so an image is six products and a gcd, and
-  compose, inverse and fixed_point are integer formulas;
+  over one least common denominator, so an image is six products and a gcd,
+  and compose, inverse, preimage and fixed_point are integer formulas;
 * a polygon keeps integer half-plane rows (A, B, C), the point (X, Y, Z)
   inside when A X + B Y + C Z >= 0 for every row, and an integer bounding
   box over the common denominator of its vertices.
 
-Strict convexity is the sign of a 3x3 integer determinant, bounding boxes
-compare cross-multiplied, and clipping yields normalized triples.  There are
-no floats: they are rejected at the boundary, because the intersection
-patterns this package certifies routinely hinge on polygons meeting in
-exactly one point, which no floating-point predicate can witness.
+Equality and hashing compare the integer forms.  A point's x and y and a
+map's a..f are Fractions made only when read, for reports and tests: no
+predicate, composition or image reads them.  Strict convexity is the sign of
+a 3x3 integer determinant, bounding boxes compare cross-multiplied, and
+clipping yields normalized triples.  There are no floats: they are rejected
+at the boundary, because the intersection patterns this package certifies
+routinely hinge on polygons meeting in exactly one point, which no
+floating-point predicate can witness.
 
 Degenerate convex polygons are first-class: a segment (two vertices) and a
 single point (one vertex) occur naturally as envelopes of systems living on a
@@ -25,7 +28,7 @@ line, and as intersections of nondegenerate polygons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -35,6 +38,8 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 # A point as a normalized homogeneous integer triple (Point2.homogeneous).
 Triple = tuple[int, int, int]
+# A map as its reduced integer row (RationalAffineMap.over_common_denominator).
+Row = tuple[int, int, int, int, int, int, int]
 
 
 def rational(value: RationalLike) -> Fraction:
@@ -44,6 +49,14 @@ def rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a string like '1/3' or a Fraction")
     return Fraction(value)
+
+
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator > 0) in lowest terms; an int makes no Fraction."""
+    if type(value) is int:
+        return value, 1
+    q = rational(value)
+    return q.numerator, q.denominator
 
 
 def _normalized(x: int, y: int, z: int) -> Triple:
@@ -66,85 +79,129 @@ def _det3(o: Triple, a: Triple, b: Triple) -> int:
     return x * b[0] + y * b[1] + z * b[2]
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: Fraction
-    y: Fraction
+class _Frozen:
+    """Immutable slotted values: only the constructors set the slot."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", rational(self.x))
-        object.__setattr__(self, "y", rational(self.y))
+    __slots__ = ()
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def as_pair(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
 
-    def homogeneous(self) -> Triple:
-        """The normalized integer triple (X, Y, Z): x = X/Z, y = Y/Z, Z > 0 and
-        gcd(X, Y, Z) = 1, so equal points have equal triples.  Cached."""
-        got = self.__dict__.get("_triple")
-        if got is None:
-            z = lcm(self.x.denominator, self.y.denominator)
-            got = (self.x.numerator * (z // self.x.denominator),
-                   self.y.numerator * (z // self.y.denominator), z)
-            self.__dict__["_triple"] = got
-        return got
+class Point2(_Frozen):
+    """The point (x, y), held as its normalized triple (homogeneous())."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, x: RationalLike, y: RationalLike) -> None:
+        (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
+        z = lcm(xd, yd)
+        object.__setattr__(self, "_t", (xn * (z // xd), yn * (z // yd), z))
+
+    @staticmethod
+    def _of(triple: Triple) -> "Point2":
+        """The point of an already normalized triple."""
+        p = object.__new__(Point2)
+        object.__setattr__(p, "_t", triple)
+        return p
 
     @staticmethod
     def from_homogeneous(triple: Triple) -> "Point2":
         """The point (X/Z, Y/Z) of any triple with Z != 0."""
-        triple = _normalized(*triple)
-        x, y, z = triple
-        p = Point2(Fraction(x, z), Fraction(y, z))
-        p.__dict__["_triple"] = triple
-        return p
+        return Point2._of(_normalized(*triple))
+
+    def homogeneous(self) -> Triple:
+        """The normalized integer triple (X, Y, Z): x = X/Z, y = Y/Z, Z > 0 and
+        gcd(X, Y, Z) = 1, so equal points have equal triples."""
+        return self._t
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
+
+    def as_pair(self) -> tuple[Fraction, Fraction]:
+        return (self.x, self.y)
+
+    def __add__(self, other: "Point2") -> "Point2":
+        (x, y, z), (u, v, w) = self._t, other._t
+        return Point2.from_homogeneous((x * w + u * z, y * w + v * z, z * w))
+
+    def __sub__(self, other: "Point2") -> "Point2":
+        (x, y, z), (u, v, w) = self._t, other._t
+        return Point2.from_homogeneous((x * w - u * z, y * w - v * z, z * w))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Point2:
+            return self._t == other._t
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._t)
+
+    def __repr__(self) -> str:
+        return f"Point2(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        return (Point2._of, (self._t,))
 
 
-@dataclass(frozen=True)
-class RationalAffineMap:
-    """p = (x, y)  |->  (a x + b y + e,  c x + d y + f)."""
+def _coefficient(i: int) -> property:
+    return property(lambda self: Fraction(self._row[i], self._row[6]))
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-    f: Fraction
 
-    def __post_init__(self) -> None:
-        for name in "abcdef":
-            object.__setattr__(self, name, rational(getattr(self, name)))
+class RationalAffineMap(_Frozen):
+    """p = (x, y)  |->  (a x + b y + e,  c x + d y + f), held as its reduced
+    integer row (over_common_denominator())."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike,
+                 d: RationalLike, e: RationalLike, f: RationalLike) -> None:
+        coeffs = [_ratio(v) for v in (a, b, c, d, e, f)]
+        den = lcm(*(q for _, q in coeffs))
+        # Over the least common denominator the seven entries have gcd 1:
+        # this is the row _from_row reduces to.
+        object.__setattr__(self, "_row", tuple(n * (den // q) for n, q in coeffs) + (den,))
 
     @staticmethod
     def _from_row(*row: int) -> "RationalAffineMap":
         """The map A/den .. F/den of the integer row (A, B, C, D, E, F, den),
-        den != 0; the reduced row is cached as its common-denominator form."""
+        den != 0, divided by its gcd and signed so that den > 0."""
         g = gcd(*row)
         if row[6] < 0:
             g = -g
-        row = tuple(v // g for v in row)
-        den = row[6]
-        f = RationalAffineMap(*(Fraction(v, den) for v in row[:6]))
-        # Dividing by the gcd of all seven leaves the lcm of the reduced
-        # denominators, so this is the row over_common_denominator computes.
-        f.__dict__["_row"] = row
+        f = object.__new__(RationalAffineMap)
+        object.__setattr__(f, "_row", tuple(v // g for v in row))
         return f
 
-    @cached_property
-    def _row(self) -> tuple[int, int, int, int, int, int, int]:
-        coeffs = (self.a, self.b, self.c, self.d, self.e, self.f)
-        den = lcm(*(q.denominator for q in coeffs))
-        return tuple(q.numerator * (den // q.denominator) for q in coeffs) + (den,)
+    a, b, c, d, e, f = (_coefficient(i) for i in range(6))
 
-    def over_common_denominator(self) -> tuple[int, int, int, int, int, int, int]:
+    def over_common_denominator(self) -> Row:
         """(A, B, C, D, E, F, den): the six coefficients a..f as A/den .. F/den,
-        den > 0 the least common denominator.  Cached."""
+        den > 0 the least common denominator."""
         return self._row
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RationalAffineMap:
+            return self._row == other._row
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._row)
+
+    def __repr__(self) -> str:
+        return ("RationalAffineMap(" + ", ".join(f"{name}={getattr(self, name)!r}"
+                                                for name in "abcdef") + ")")
+
+    def __reduce__(self):
+        return (RationalAffineMap._from_row, self._row)
 
     def apply(self, t: Triple) -> Triple:
         """The image of a homogeneous triple, normalized."""
@@ -152,33 +209,52 @@ class RationalAffineMap:
         x, y, z = t
         return _normalized(a * x + b * y + e * z, c * x + d * y + f * z, den * z)
 
+    def preimage(self, t: Triple) -> Triple:
+        """The normalized triple that a nonsingular map sends to t.
+
+        With u = den X - E Z and v = den Y - F Z, Cramer's rule for
+        M (x, y) = (u, v) / Z gives (D u - B v, A v - C u, Z (A D - B C)).
+        """
+        a, b, c, d, e, f, den = self._row
+        x, y, z = t
+        u, v = den * x - e * z, den * y - f * z
+        det = a * d - b * c
+        if det == 0:
+            raise ValueError("affine map is singular")
+        return _normalized(d * u - b * v, a * v - c * u, z * det)
+
     def __call__(self, p: Point2) -> Point2:
-        return Point2.from_homogeneous(self.apply(p.homogeneous()))
+        return Point2._of(self.apply(p._t))
 
     @staticmethod
     def identity() -> "RationalAffineMap":
-        return RationalAffineMap(1, 0, 0, 1, 0, 0)
+        return RationalAffineMap._from_row(1, 0, 0, 1, 0, 0, 1)
 
     @staticmethod
     def scaling(ratio: RationalLike, center: Point2 | None = None) -> "RationalAffineMap":
         """p |-> center + ratio (p - center); the workhorse for test systems."""
-        r = rational(ratio)
-        if center is None:
-            return RationalAffineMap(r, 0, 0, r, 0, 0)
-        return RationalAffineMap(r, 0, 0, r, (1 - r) * center.x, (1 - r) * center.y)
+        r, q = _ratio(ratio)
+        x, y, z = center._t if center is not None else (0, 0, 1)
+        return RationalAffineMap._from_row(r * z, 0, 0, r * z, (q - r) * x, (q - r) * y, q * z)
+
+    def is_singular(self) -> bool:
+        """Whether the linear part has determinant 0."""
+        a, b, c, d = self._row[:4]
+        return a * d == b * c
 
     def determinant(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d, _, _, den = self._row
+        return Fraction(a * d - b * c, den * den)
 
     def is_contraction(self) -> bool:
         """Exact operator-norm test: ||M|| < 1 for the linear part M.
 
-        M^T M - I is negative definite iff tr(M^T M) < 2 and det(M^T M - I) > 0.
+        M^T M - I is negative definite iff tr(M^T M) < 2 and det(M^T M - I) > 0;
+        here every entry of M^T M is scaled by den^2.
         """
-        s11 = self.a * self.a + self.c * self.c
-        s22 = self.b * self.b + self.d * self.d
-        s12 = self.a * self.b + self.c * self.d
-        return s11 + s22 < 2 and (s11 - 1) * (s22 - 1) - s12 * s12 > 0
+        a, b, c, d, _, _, den = self._row
+        s11, s22, s12, one = a * a + c * c, b * b + d * d, a * b + c * d, den * den
+        return s11 + s22 < 2 * one and (s11 - one) * (s22 - one) - s12 * s12 > 0
 
     def fixed_point(self) -> Point2:
         # Cramer's rule for (I - M) p = t, every entry scaled by den.
@@ -307,7 +383,7 @@ def map_polygon(f: RationalAffineMap, poly: ConvexPolygon) -> ConvexPolygon:
     a, b, c, d = f.over_common_denominator()[:4]
     det = a * d - b * c
     if det == 0:  # the map may collapse dimension; the hull re-normalizes
-        return ConvexPolygon.hull(map(Point2.from_homogeneous, images))
+        return ConvexPolygon.hull(map(Point2._of, images))
     # A nonsingular map keeps a strictly convex cycle strictly convex; only
     # a reflection turns it clockwise.  The hull starts at the smallest vertex.
     if det < 0:
@@ -316,7 +392,7 @@ def map_polygon(f: RationalAffineMap, poly: ConvexPolygon) -> ConvexPolygon:
     for i in range(1, len(images)):
         if _precedes(images[i], images[start]):
             start = i
-    return ConvexPolygon(tuple(map(Point2.from_homogeneous, images[start:] + images[:start])))
+    return ConvexPolygon(tuple(map(Point2._of, images[start:] + images[:start])))
 
 
 def _clip(cycle: list[Triple], row: Triple) -> list[Triple]:
@@ -368,16 +444,22 @@ def _region(polys: Sequence[ConvexPolygon]) -> list[Triple]:
 
 def intersection_cycle(polys: Sequence[ConvexPolygon]) -> tuple[Point2, ...]:
     """Vertex cycle of the common intersection; empty tuple if it is empty."""
-    return tuple(map(Point2.from_homogeneous, _region(polys)))
+    return tuple(map(Point2._of, _region(polys)))
+
+
+def common_region(polys: Sequence[ConvexPolygon]) -> list[Triple]:
+    """The common intersection of convex polygons as a cycle of normalized
+    triples, [] when it is empty: pairwise bounding boxes first, then the clip."""
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if not bboxes_overlap(polys[i], polys[j]):
+                return []
+    return _region(polys)
 
 
 def common_point_exists(polys: Sequence[ConvexPolygon]) -> bool:
     """Exact emptiness test for the intersection of convex polygons."""
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if not bboxes_overlap(polys[i], polys[j]):
-                return False
-    return bool(_region(polys))
+    return bool(common_region(polys))
 
 
 def check_envelope(maps: Sequence[RationalAffineMap], envelope: ConvexPolygon) -> bool:

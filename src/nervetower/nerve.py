@@ -227,7 +227,7 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
     """
     levels = spec._cache.setdefault(("nerve_levels", dim_cap, budget), [])
     symbolic = isinstance(spec.backend, SymbolicPUBackend)
-    copies = symbolic or all(f.determinant() != 0 for f in spec.cell_maps)
+    copies = symbolic or spec.injective
     while len(levels) < depth:
         prev = levels[-1] if levels else None
         level = len(levels) + 1

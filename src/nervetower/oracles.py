@@ -35,6 +35,7 @@ from .exactgeom import (
     RationalAffineMap,
     check_envelope,
     common_point_exists,
+    common_region,
     compose,
     map_polygon,
 )
@@ -269,10 +270,14 @@ class SystemSpec:
                 raise SpecError(
                     "envelope check failed: cell maps must contract and map the envelope into itself"
                 )
+            # Whether every cell map, and so every word's map, is injective
+            # (None for backends without maps).
+            self.injective = not any(f.is_singular() for f in self._cell_maps)
         elif isinstance(backend, (TableBackend, SymbolicPUBackend)):
             if backend.m != m:
                 raise SpecError("backend alphabet size disagrees with the system's")
             self._cell_maps = None
+            self.injective = None
         else:
             raise SpecError(f"unrecognized backend {type(backend).__name__}")
 
@@ -354,12 +359,12 @@ def _tail_table(spec: SystemSpec, budget: Budget) -> dict[Point2, Address]:
 PointKey = tuple[int, int, int]
 
 
-def _tail_triples(spec: SystemSpec, budget: Budget) -> tuple[PointKey, ...]:
-    """The tail table's points as normalized integer triples, in table order."""
+def _tail_triples(spec: SystemSpec, budget: Budget) -> frozenset[PointKey]:
+    """The tail table's points as normalized integer triples."""
     key = ("tail_triples", budget.cert_preperiod_max, budget.cert_period_max)
     got = spec._cache.get(key)
     if got is None:
-        got = tuple(p.homogeneous() for p in _tail_table(spec, budget))
+        got = frozenset(p.homogeneous() for p in _tail_table(spec, budget))
         spec._cache[key] = got
     return got
 
@@ -386,9 +391,33 @@ def _word_points(spec: SystemSpec, w: Word, budget: Budget) -> frozenset[PointKe
     return got
 
 
-def _common_keys(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> frozenset[PointKey]:
-    """The in-budget certified points shared by every listed cell."""
+def _common_keys(spec: SystemSpec, ws: Sequence[Word], budget: Budget,
+                 region: Optional[list[PointKey]] = None) -> frozenset[PointKey]:
+    """The in-budget certified points shared by every listed cell.
+
+    `region`, when given, is the meet of the cells' envelopes
+    (`exactgeom.common_region`).  Tail points are limit points, so they lie in
+    the envelope, and w maps them into w's envelope: every common certified
+    point lies in the meet.  An empty meet has none.  When the meet is one
+    point p and every word's map is injective, p has at most one preimage
+    under w, so p is certified for w exactly when w^-1(p) is a tail point:
+    one lookup per word instead of mapping the whole tail table.  Larger
+    meets and singular maps intersect the per-word point sets.
+    """
+    if region == []:
+        return frozenset()
+    if region is not None and len(region) == 1 and spec.injective:
+        tails = _tail_triples(spec, budget)
+        return frozenset(region if all(word_map(spec, w).preimage(region[0]) in tails
+                                       for w in ws) else ())
     return frozenset.intersection(*(_word_points(spec, w, budget) for w in ws))
+
+
+def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointKey]]:
+    """The meet of the cell envelopes of two or more words, else None."""
+    if len(ws) < 2:
+        return None
+    return common_region([cell_envelope(spec, w) for w in ws])
 
 
 def certificate_points(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> list[Point2]:
@@ -396,8 +425,8 @@ def certificate_points(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> 
     Point2.as_pair.  On a geometric system the list is nonempty exactly when
     `cells_intersect` answers intersect: a common point is the only
     intersection certificate that backend has."""
-    return sorted(map(Point2.from_homogeneous, _common_keys(spec, ws, budget)),
-                  key=Point2.as_pair)
+    keys = _common_keys(spec, ws, budget, _envelope_meet(spec, ws))
+    return sorted(map(Point2.from_homogeneous, keys), key=Point2.as_pair)
 
 
 def _validate_query(spec: SystemSpec, ws: Sequence[Word]) -> tuple[Word, ...]:
@@ -434,11 +463,11 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
 
 
 def _geometric_intersect(spec: SystemSpec, ws: tuple[Word, ...], budget: Budget) -> Verdict:
-    envelopes = [cell_envelope(spec, w) for w in ws]
-    if len(ws) > 1 and not common_point_exists(envelopes):
+    region = _envelope_meet(spec, ws)
+    if region == []:
         return Verdict.disjoint(0, "geometric")
 
-    if _common_keys(spec, ws, budget):
+    if _common_keys(spec, ws, budget, region):
         return Verdict.intersect("geometric")
 
     alive: list[tuple[Word, ...]] = [ws]
@@ -496,9 +525,8 @@ def point_in_cell(spec: SystemSpec, point: Point2, w: Word, budget: Budget = Bud
     """
     if not spec.is_geometric:
         return "unknown"
-    f = word_map(spec, w)
     try:
-        q = f.inverse()(point)
+        q = Point2.from_homogeneous(word_map(spec, w).preimage(point.homogeneous()))
     except ValueError:
         return "unknown"
     if not spec.backend.envelope.contains_point(q):

@@ -29,10 +29,14 @@
   hand-worked table levels of the bundled finite-cycle and finite-trivial.
 * `singleton_refine`: the singleton-overlap check by refinement alone;
   checks the two-point refutation in `classify.check_singleton_overlaps`.
-* `fraction_geometry`: plane geometry in `Fraction`s (map images,
-  compositions, inverses, fixed points, half-plane containment, convexity,
-  bounding boxes, clipping, re-hulled envelope images) and certificate points
-  as sets of `Fraction` points; checks the integer kernel of `exactgeom`, the
-  integer-triple point sets of `oracles._word_points`, and
-  `oracles.certificate_points` on them.
+* `fraction_geometry`: points and maps as dataclasses of `Fraction`s, plane
+  geometry in `Fraction`s (map images, compositions, inverses, fixed points,
+  half-plane containment, convexity, bounding boxes, clipping, re-hulled
+  envelope images) and certificate points as sets of `Fraction` points;
+  checks equality, hashing and printing of the integer-valued `Point2` and
+  `RationalAffineMap`, the integer kernel of `exactgeom`, the integer-triple
+  point sets of `oracles._word_points`, and `oracles.certificate_points`.
+* `certificate_sets`: common certified points as the intersection of every
+  word's whole point set; checks the one-point pull-back of
+  `oracles._common_keys` and `oracles.certificate_points`.
 """

@@ -2,32 +2,62 @@
 integer kernel of `nervetower.exactgeom` and the integer-triple certificate
 points of `nervetower.oracles` are checked against.
 
-Maps are applied, composed, inverted and solved for fixed points in
-`Fraction`s; polygons are tested, bounded and clipped with `Fraction`
-half-planes; envelope images are re-hulled.  `word_points` pushes every
-tail-table point through the word's map as a `Point2`.
+`FractionPoint` and `FractionMap` are a point and a map as frozen dataclasses
+of `Fraction`s, compared, hashed and printed by them; `point` and
+`affine_map` read a `Point2` or `RationalAffineMap` into them.  Maps are
+applied, composed, inverted and solved for fixed points in `Fraction`s and
+give these reference values; polygons are tested, bounded and clipped with
+`Fraction` half-planes; envelope images are re-hulled.  `word_points` pushes
+every tail-table point through the word's map as a `FractionPoint`.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
+from nervetower.exactgeom import ConvexPolygon, Point2
 from nervetower.oracles import Budget, SystemSpec, _tail_table, word_map
 from nervetower.words import Word
 
 
-def cross(o: Point2, a: Point2, b: Point2) -> Fraction:
+@dataclass(frozen=True)
+class FractionPoint:
+    x: Fraction
+    y: Fraction
+
+
+@dataclass(frozen=True)
+class FractionMap:
+    """p = (x, y)  |->  (a x + b y + e,  c x + d y + f)."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+    e: Fraction
+    f: Fraction
+
+
+def point(p) -> FractionPoint:
+    return FractionPoint(p.x, p.y)
+
+
+def affine_map(f) -> FractionMap:
+    return FractionMap(f.a, f.b, f.c, f.d, f.e, f.f)
+
+
+def cross(o, a, b) -> Fraction:
     """Signed area of the parallelogram (a - o, b - o); > 0 means left turn."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-# Maps.
+# Maps: each takes points and maps of either kind and gives reference values.
 
-def apply(f: RationalAffineMap, p: Point2) -> Point2:
-    return Point2(f.a * p.x + f.b * p.y + f.e, f.c * p.x + f.d * p.y + f.f)
+def apply(f, p) -> FractionPoint:
+    return FractionPoint(f.a * p.x + f.b * p.y + f.e, f.c * p.x + f.d * p.y + f.f)
 
 
-def compose(outer: RationalAffineMap, inner: RationalAffineMap) -> RationalAffineMap:
-    return RationalAffineMap(
+def compose(outer, inner) -> FractionMap:
+    return FractionMap(
         outer.a * inner.a + outer.b * inner.c,
         outer.a * inner.b + outer.b * inner.d,
         outer.c * inner.a + outer.d * inner.c,
@@ -37,20 +67,21 @@ def compose(outer: RationalAffineMap, inner: RationalAffineMap) -> RationalAffin
     )
 
 
-def fixed_point(f: RationalAffineMap) -> Point2:
+def fixed_point(f) -> FractionPoint:
     det = (1 - f.a) * (1 - f.d) - f.b * f.c
     if det == 0:
         raise ValueError("map has no unique fixed point (I - M is singular)")
-    return Point2(((1 - f.d) * f.e + f.b * f.f) / det, (f.c * f.e + (1 - f.a) * f.f) / det)
+    return FractionPoint(((1 - f.d) * f.e + f.b * f.f) / det,
+                         (f.c * f.e + (1 - f.a) * f.f) / det)
 
 
-def inverse(f: RationalAffineMap) -> RationalAffineMap:
-    det = f.determinant()
+def inverse(f) -> FractionMap:
+    det = f.a * f.d - f.b * f.c
     if det == 0:
         raise ValueError("affine map is singular")
     ia, ib = f.d / det, -f.b / det
     ic, id_ = -f.c / det, f.a / det
-    return RationalAffineMap(ia, ib, ic, id_, -(ia * f.e + ib * f.f), -(ic * f.e + id_ * f.f))
+    return FractionMap(ia, ib, ic, id_, -(ia * f.e + ib * f.f), -(ic * f.e + id_ * f.f))
 
 
 # Polygons.
@@ -151,20 +182,20 @@ def common_point_exists(polys) -> bool:
     return bool(intersection_cycle(polys))
 
 
-def map_polygon(f: RationalAffineMap, poly: ConvexPolygon) -> ConvexPolygon:
+def map_polygon(f, poly: ConvexPolygon) -> ConvexPolygon:
     """The hull of the image vertices."""
-    return ConvexPolygon.hull(apply(f, p) for p in poly.vertices)
+    return ConvexPolygon.hull(Point2(q.x, q.y) for q in (apply(f, p) for p in poly.vertices))
 
 
 # Certificate points.
 
-def word_points(spec: SystemSpec, w: Word, budget: Budget) -> set[Point2]:
+def word_points(spec: SystemSpec, w: Word, budget: Budget) -> set[FractionPoint]:
     """In-budget certified points of cell(w)."""
-    f = word_map(spec, w)
-    return {apply(f, point) for point in _tail_table(spec, budget)}
+    f = affine_map(word_map(spec, w))
+    return {apply(f, point(p)) for p in _tail_table(spec, budget)}
 
 
-def certificate_points(spec: SystemSpec, ws, budget: Budget) -> list[Point2]:
+def certificate_points(spec: SystemSpec, ws, budget: Budget) -> list[FractionPoint]:
     """All in-budget points certified to lie in every listed cell, sorted."""
     common = set.intersection(*(word_points(spec, w, budget) for w in ws))
-    return sorted(common, key=Point2.as_pair)
+    return sorted(common, key=lambda p: (p.x, p.y))

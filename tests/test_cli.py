@@ -208,6 +208,36 @@ class TestExitCodes:
         assert pu["witness"].startswith("pair (1,2): cell map 1 is singular")
         assert "cell map 1 is singular" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["nerve", "gasket", "--depth", "2"],
+        ["tower", "gasket", "--max-depth", "2"],
+        ["classify", "gasket"],
+        ["derive", "gasket", "--iterate", "2"],
+    ])
+    @pytest.mark.parametrize("cap", ["-5", "0"])
+    def test_non_positive_max_cells_is_a_usage_error(self, capsys, argv, cap):
+        """A cap below 1 is rejected while parsing, as bad input, not
+        reported as a resource refusal after the spec is loaded."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-cells", cap])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --max-cells: must be a positive integer, got {int(cap)}\n")
+
+    @pytest.mark.parametrize("entry,where", [
+        ({"matrix": [["1/2", 0], [0, "1/0"]], "translation": [0, 0]}, "matrix[1][1]"),
+        ({"matrix": [["1/2", 0], [0, "1/2"]], "translation": [0, "3/0"]}, "translation[1]"),
+    ])
+    def test_zero_denominator_names_its_entry(self, tmp_path, capsys, entry, where):
+        doc = dict(GASKET_DOC)
+        doc["backend"] = dict(doc["backend"], maps=[entry, *GASKET_DOC["backend"]["maps"][1:]])
+        assert main(["tower", write_doc(tmp_path, doc), "--max-depth", "1"]) == EXIT_INPUT
+        bad = entry["matrix"][1][1] if where.startswith("matrix") else entry["translation"][1]
+        assert capsys.readouterr().err == \
+            f'error: backend.maps[0].{where}: zero denominator in "{bad}"\n'
+
     def test_resource_cap(self, tmp_path, capsys):
         code = main(["tower", "gasket", "--max-depth", "9", "--max-cells", "1000",
                      "--out-csv", str(tmp_path / "t.csv")])

@@ -1,5 +1,7 @@
 """Exact rational geometry: maps, hulls, clipping, intersection emptiness."""
 
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 
 from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap,
                                   bboxes_overlap, check_envelope,
-                                  common_point_exists, compose,
+                                  common_point_exists, common_region, compose,
                                   intersection_cycle, map_polygon, rational)
 from support import fraction_geometry
 from support.fraction_geometry import cross
@@ -320,6 +322,12 @@ def _outcome(fn, *args):
         return ValueError
 
 
+# Maps whose coefficients come from a coarse grid, so that equal maps, and
+# maps with I - M singular, are drawn often.
+grid_maps = st.builds(RationalAffineMap, grid, grid, grid, grid, grid, grid)
+values_maps = st.one_of(affine_maps(), maps_with_fixed_point_cases(), grid_maps)
+
+
 class TestIntegerKernel:
     @given(polygon_and_point())
     def test_contains_point(self, case):
@@ -334,6 +342,9 @@ class TestIntegerKernel:
     def test_common_point_exists(self, polys):
         assert common_point_exists(polys) == fraction_geometry.common_point_exists(polys)
         assert intersection_cycle(polys) == fraction_geometry.intersection_cycle(polys)
+        expected = (fraction_geometry.intersection_cycle(polys)
+                    if fraction_geometry.common_point_exists(polys) else ())
+        assert tuple(map(Point2.from_homogeneous, common_region(polys))) == expected
 
     @given(polygons, polygons)
     def test_bbox_shortcut(self, a, b):
@@ -345,24 +356,65 @@ class TestIntegerKernel:
 
     @given(affine_maps(), any_points)
     def test_apply(self, f, p):
-        assert f(p) == fraction_geometry.apply(f, p)
+        assert fraction_geometry.point(f(p)) == fraction_geometry.apply(f, p)
 
-    @given(affine_maps(), affine_maps())
+    @given(values_maps, values_maps)
     def test_compose(self, f, g):
         h = compose(f, g)
-        assert h == fraction_geometry.compose(f, g)
-        # the cached common-denominator form is the one the map itself gives
+        assert fraction_geometry.affine_map(h) == fraction_geometry.compose(
+            fraction_geometry.affine_map(f), fraction_geometry.affine_map(g))
+        # the reduced row is the one the map's own coefficients give
         assert h.over_common_denominator() == \
             RationalAffineMap(h.a, h.b, h.c, h.d, h.e, h.f).over_common_denominator()
 
-    @given(maps_with_fixed_point_cases())
+    @given(values_maps)
     def test_fixed_point(self, f):
-        assert _outcome(f.fixed_point) == _outcome(fraction_geometry.fixed_point, f)
+        got = _outcome(f.fixed_point)
+        if got is not ValueError:
+            got = fraction_geometry.point(got)
+        assert got == _outcome(fraction_geometry.fixed_point, fraction_geometry.affine_map(f))
 
-    @given(affine_maps())
-    def test_inverse(self, f):
+    @given(values_maps, any_points)
+    def test_inverse(self, f, p):
         g = _outcome(f.inverse)
-        assert g == _outcome(fraction_geometry.inverse, f)
+        expected = _outcome(fraction_geometry.inverse, fraction_geometry.affine_map(f))
+        assert (g is ValueError) == (expected is ValueError) == f.is_singular()
         if g is not ValueError:
+            assert fraction_geometry.affine_map(g) == expected
             assert g.over_common_denominator() == \
                 RationalAffineMap(g.a, g.b, g.c, g.d, g.e, g.f).over_common_denominator()
+            q = Point2.from_homogeneous(f.preimage(p.homogeneous()))
+            assert fraction_geometry.point(q) == fraction_geometry.apply(expected, p)
+
+
+class TestIntegerValues:
+    """Points and maps held as integer forms agree with the Fraction-valued
+    reference types on equality, hash and repr; TestIntegerKernel checks
+    their operations against the Fraction formulas."""
+
+    @given(any_points, any_points)
+    def test_point_equality_hash_and_repr(self, p, q):
+        fp, fq = fraction_geometry.point(p), fraction_geometry.point(q)
+        assert (p == q) == (fp == fq)
+        if p == q:
+            assert hash(p) == hash(q)
+        assert repr(p) == "Point2" + repr(fp).removeprefix("FractionPoint")
+        same = Point2.from_homogeneous(tuple(3 * v for v in p.homogeneous()))
+        assert same == p and hash(same) == hash(p)
+        assert Point2(str(p.x), str(p.y)) == p
+
+    @given(values_maps, values_maps)
+    def test_map_equality_hash_and_repr(self, f, g):
+        ff, fg = fraction_geometry.affine_map(f), fraction_geometry.affine_map(g)
+        assert (f == g) == (ff == fg)
+        if f == g:
+            assert hash(f) == hash(g)
+        assert repr(f) == "RationalAffineMap" + repr(ff).removeprefix("FractionMap")
+        assert RationalAffineMap(*(str(v) for v in (f.a, f.b, f.c, f.d, f.e, f.f))) == f
+
+    def test_values_are_immutable_and_pickle(self):
+        p, f = P("1/2", 3), RationalAffineMap.scaling("1/3", P(1, 0))
+        for value, field in ((p, "x"), (f, "a")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, field, 0)
+            assert pickle.loads(pickle.dumps(value)) == value

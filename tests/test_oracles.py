@@ -8,19 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from nervetower import cli
 from nervetower.classify import check_postunbranched
-from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap, compose
+from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, common_point_exists,
+                                  compose)
 from nervetower.nerve import (build_iterate_or_subsystem, build_nerve,
                               iterate_system, tower_complexes)
 from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 SymbolicPUBackend, SystemSpec, TableBackend,
-                                Verdict, _word_points, cell_envelope,
+                                Verdict, _common_keys, _envelope_meet,
+                                _word_points, cell_envelope,
                                 cells_containing_point, cells_intersect,
                                 certificate_points, generate_pu_nerve,
                                 limit_point, point_in_cell, word_map)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
-from support import fraction_geometry
+from support import certificate_sets, fraction_geometry
 from support.complexes import simplex_word_sets
 from support.finite_oracle import finite_cycle_system, finite_trivial_system
+from test_classify import derived_systems
 
 
 def P(x, y):
@@ -171,16 +174,71 @@ def test_word_points_match_the_fraction_reference(spec, period, preperiod, data)
     words = st.integers(min_value=0, max_value=2).flatmap(
         lambda k: st.sampled_from(enumerate_words(spec.m, k)))
     for w in data.draw(st.lists(words, min_size=1, max_size=4)):
-        fast = set(map(Point2.from_homogeneous, _word_points(spec, w, budget)))
+        fast = {fraction_geometry.point(Point2.from_homogeneous(t))
+                for t in _word_points(spec, w, budget)}
         assert fast == fraction_geometry.word_points(spec, w, budget)
     for _ in range(3):
         k = data.draw(st.integers(min_value=1, max_value=2))
         u, v = data.draw(st.lists(st.sampled_from(enumerate_words(spec.m, k)),
                                   min_size=2, max_size=2, unique=True))
         expected = fraction_geometry.certificate_points(spec, (u, v), budget)
-        assert certificate_points(spec, (u, v), budget) == expected
+        got = certificate_points(spec, (u, v), budget)
+        assert [fraction_geometry.point(p) for p in got] == expected
         kind = cells_intersect(spec, (u, v), budget).kind
         assert (kind == "intersect") == bool(expected), (u, v, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(derived_systems(), st.sampled_from([Budget(), TINY]), st.data())
+def test_one_point_meets_match_the_per_word_sets(spec, budget, data):
+    """Pulling a one-point envelope meet back through each word finds the
+    common certified points that intersecting the words' whole point sets
+    finds, for pairs and triples at depths 1-3.  Half the tuples are drawn
+    among words whose envelopes meet the first word's, where meets of one
+    point occur."""
+    for _ in range(4):
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        words = enumerate_words(spec.m, k)
+        u = data.draw(st.sampled_from(words))
+        near = [v for v in words if v != u and common_point_exists(
+            [cell_envelope(spec, u), cell_envelope(spec, v)])]
+        size = data.draw(st.integers(min_value=2, max_value=min(3, len(words))))
+        pool = near if len(near) >= size - 1 and data.draw(st.booleans()) else \
+            [v for v in words if v != u]
+        ws = (u, *data.draw(st.lists(st.sampled_from(pool), min_size=size - 1,
+                                     max_size=size - 1, unique=True)))
+        expected = certificate_sets.common_keys(spec, ws, budget)
+        assert _common_keys(spec, ws, budget, _envelope_meet(spec, ws)) == expected
+        assert certificate_points(spec, ws, budget) == \
+            certificate_sets.certificate_points(spec, ws, budget)
+
+
+@pytest.mark.parametrize("name,depth", [("snowflake", 3), ("gasket", 6)])
+def test_one_point_meets_build_no_word_point_sets(name, depth):
+    """Every certification query of these towers meets the envelopes in one
+    point, so each word is asked about one pulled-back point, and no word's
+    tail table is mapped whole."""
+    spec = cli.load_bundled(name).spec
+    build_nerve(spec, depth)
+    assert not [key for key in spec._cache if key[0] == "word_points"]
+
+
+def test_snowflake_nerve_builds_no_fraction(monkeypatch):
+    """Points and maps are integer values and predicates read only those:
+    building the depth-3 snowflake nerve constructs no Fraction."""
+    spec = cli.load_bundled("snowflake").spec
+    calls = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    build_nerve(spec, 3)
+    monkeypatch.undo()
+    assert calls == 0
 
 
 def test_snowflake_certificate_map_calls(monkeypatch):
