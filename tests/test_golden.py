@@ -29,8 +29,9 @@ _TOWER_DEPTHS = {
 CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3,
                    "snowflake": 2}
 # deep towers, where most of each level is block copies of the level before;
-# gasket and snowflake also pin the oracle's certified touching points there
-DEEP_TOWER_DEPTHS = {"pentagasket": 6, "gasket": 6, "snowflake": 3}
+# gasket and snowflake also pin the oracle's certified touching points there,
+# and interval-overlap, whose crossings grow with depth, its segment meets
+DEEP_TOWER_DEPTHS = {"pentagasket": 6, "gasket": 6, "snowflake": 3, "interval-overlap": 5}
 # one geometric system per oracle path, one symbolic and one table system
 NERVE_DEPTHS = {"gasket": 3, "snowflake": 2, "pentagasket": 3, "finite-cycle": 2}
 # A derived system under a starved budget: its levels keep uncertain tuples,
