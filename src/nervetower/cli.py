@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import classify as classify_mod
 from .components import ComponentTower, component_tower
@@ -646,14 +646,22 @@ def cmd_derive(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(lowest: int, what: str) -> Callable[[str], int]:
+    """An argparse type for ints of at least `lowest`; `what` names the rule
+    in the error message."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -662,11 +670,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="largest simplex dimension to compute (default 2)")
     parser.add_argument("--max-cells", type=_positive_int, default=250_000,
                         help="refuse computations with more cells than this")
-    parser.add_argument("--refine-depth", type=int, default=8,
+    parser.add_argument("--refine-depth", type=_nonnegative_int, default=8,
                         help="subdivision rounds before answering unknown")
-    parser.add_argument("--cert-period", type=int, default=2,
+    parser.add_argument("--cert-period", type=_positive_int, default=2,
                         help="longest address period tried for intersection certificates")
-    parser.add_argument("--cert-preperiod", type=int, default=1,
+    parser.add_argument("--cert-preperiod", type=_nonnegative_int, default=1,
                         help="longest address preperiod tried for certificates")
 
 

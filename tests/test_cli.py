@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,27 @@ class TestExitCodes:
         assert captured.err.endswith(
             f"error: argument --max-cells: must be a positive integer, got {int(cap)}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["nerve", "gasket", "--depth", "2"],
+        ["tower", "gasket", "--max-depth", "2"],
+        ["classify", "gasket"],
+        ["derive", "gasket", "--iterate", "2"],
+    ])
+    @pytest.mark.parametrize("flag,value,rule", [
+        ("--refine-depth", "-1", "a non-negative integer"),
+        ("--cert-period", "0", "a positive integer"),
+        ("--cert-preperiod", "-1", "a non-negative integer"),
+    ])
+    def test_nonsensical_budget_is_a_usage_error(self, capsys, argv, flag, value, rule):
+        """A budget flag out of range is named while parsing (it used to
+        reach the oracle as an unnamed `nonsensical budget`)."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: must be {rule}, got {value}\n")
+
     @pytest.mark.parametrize("entry,where", [
         ({"matrix": [["1/2", 0], [0, "1/0"]], "translation": [0, 0]}, "matrix[1][1]"),
         ({"matrix": [["1/2", 0], [0, "1/2"]], "translation": [0, "3/0"]}, "translation[1]"),
@@ -350,7 +372,34 @@ class TestNerveCommand:
         assert '"1" -- "2"' in text
 
 
+def _interval_overlap_on(direction):
+    """interval-overlap carried onto the segment from the origin to
+    `direction`: each map x/2 + t becomes p/2 + t * direction."""
+    half = [["1/2", 0], [0, "1/2"]]
+    return {
+        "name": "interval-overlap", "orientation": "forward", "m": 3,
+        "backend": {
+            "kind": "geometric",
+            "maps": [{"matrix": half, "translation": [str(Fraction(t) * d) for d in direction]}
+                     for t in ("0", "1/4", "1/2")],
+            "envelope": [[0, 0], list(direction)],
+        },
+    }
+
+
 class TestTowerCommand:
+    @pytest.mark.parametrize("direction", [(0, 1), (1, 1)], ids=["vertical", "diagonal"])
+    def test_interval_overlap_off_the_x_axis(self, tmp_path, capsys, direction):
+        """Moved onto a vertical or a diagonal segment, interval-overlap's
+        envelopes meet along that line, and its tower and nerves are the
+        bundled system's."""
+        outputs = []
+        for spec in ("interval-overlap", write_doc(tmp_path, _interval_overlap_on(direction))):
+            assert main(["tower", spec, "--max-depth", "4"]) == EXIT_OK
+            assert main(["nerve", spec, "--depth", "3"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_gasket_csv_and_report(self, tmp_path):
         csv_path, rep_path = tmp_path / "t.csv", tmp_path / "t.json"
         code = main(["tower", "gasket", "--max-depth", "3",

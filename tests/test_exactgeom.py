@@ -6,10 +6,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap,
-                                  bboxes_overlap, check_envelope,
+from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _collinear_region,
+                                  _region, bboxes_overlap, check_envelope,
                                   common_point_exists, common_region, compose,
                                   intersection_cycle, map_polygon, rational)
 from support import fraction_geometry
@@ -385,6 +385,83 @@ class TestIntegerKernel:
                 RationalAffineMap(g.a, g.b, g.c, g.d, g.e, g.f).over_common_denominator()
             q = Point2.from_homogeneous(f.preimage(p.homogeneous()))
             assert fraction_geometry.point(q) == fraction_geometry.apply(expected, p)
+
+
+# Segments and points on one line through a grid point: horizontal,
+# vertical or sloped.  Ends sit at coarse line parameters, so shared ends,
+# nested and equal segments and single points are common; the two ends are
+# stored in the order drawn, either way along the line.
+line_parameters = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+directions = st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (Fraction(1, 3), 1)])
+
+
+@st.composite
+def collinear_polygons(draw):
+    ox, oy = draw(grid), draw(grid)
+    dx, dy = draw(directions)
+    polys = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        s, t = draw(line_parameters), draw(line_parameters)
+        ends = (s,) if s == t else (s, t)
+        polys.append(ConvexPolygon(tuple(Point2(ox + u * dx, oy + u * dy) for u in ends)))
+    return polys
+
+
+@st.composite
+def mixed_polygons(draw):
+    """Collinear polygons, one of them perhaps swapped for a segment with an
+    end off the line or for any polygon, placed anywhere in the list."""
+    polys = draw(collinear_polygons())
+    kind = draw(st.sampled_from(["collinear", "off-line", "any"]))
+    if kind == "off-line":
+        p = draw(st.sampled_from(polys)).vertices[0]
+        q = Point2(p.x + draw(grid), p.y + draw(grid))
+        if q != p:
+            polys[-1] = ConvexPolygon((p, q) if draw(st.booleans()) else (q, p))
+    elif kind == "any":
+        polys[-1] = draw(polygons)
+    return draw(st.permutations(polys))
+
+
+def _segments_on_one_line(polys) -> bool:
+    """Whether every polygon is a segment or a point, all on one line."""
+    if any(len(poly.vertices) > 2 for poly in polys):
+        return False
+    vertices = list(dict.fromkeys(v for poly in polys for v in poly.vertices))
+    return all(cross(vertices[0], vertices[1], r) == 0 for r in vertices[2:])
+
+
+class TestCollinearMeet:
+    """Segments on one line meet in the coordinate of that line, and the
+    meet is the list the clip gives, element for element and in order."""
+
+    @settings(max_examples=300)
+    @given(collinear_polygons())
+    def test_collinear_meet_is_the_clip(self, polys):
+        assert _collinear_region(polys) is not None
+        assert common_region(polys) == _region(polys)
+
+    @settings(max_examples=300)
+    @given(mixed_polygons())
+    def test_only_collinear_segments_take_the_line(self, polys):
+        assert (_collinear_region(polys) is not None) == _segments_on_one_line(polys)
+        assert common_region(polys) == _region(polys)
+
+    def test_reversed_first_segment_keeps_its_direction(self):
+        a = ConvexPolygon((P(0, 2), P(0, 0)))
+        b = ConvexPolygon((P(0, 1), P(0, 3)))
+        inner = ConvexPolygon((P(0, "1/2"), P(0, 1)))
+        assert common_region([a, b]) == _region([a, b]) == [(0, 2, 1), (0, 1, 1)]
+        assert common_region([b, a]) == [(0, 1, 1), (0, 2, 1)]
+        assert common_region([a, inner]) == _region([a, inner]) == [(0, 1, 1), (0, 1, 2)]
+
+    def test_touching_and_disjoint_segments(self):
+        a = ConvexPolygon((P(0, 0), P(1, 1)))
+        b = ConvexPolygon((P(2, 2), P(1, 1)))
+        c = ConvexPolygon((P("3/2", "3/2"), P(2, 2)))
+        assert common_region([a, b]) == [(1, 1, 1)]
+        assert intersection_cycle([a, c]) == ()
+        assert intersection_cycle([b, c]) == (P(2, 2), P("3/2", "3/2"))
 
 
 class TestIntegerValues:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from nervetower import cli
 from nervetower.classify import check_postunbranched
-from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, common_point_exists,
-                                  compose)
+from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _collinear_region,
+                                  _region, common_point_exists, common_region, compose)
 from nervetower.nerve import (build_iterate_or_subsystem, build_nerve,
                               iterate_system, tower_complexes)
 from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
@@ -188,29 +188,68 @@ def test_word_points_match_the_fraction_reference(spec, period, preperiod, data)
         assert (kind == "intersect") == bool(expected), (u, v, kind)
 
 
+def _draw_cells(spec, data) -> tuple[Word, ...]:
+    """A pair or triple of distinct words at depth 1-3.  Half the tuples are
+    drawn among words whose envelopes meet the first word's, where meets of
+    one point or a segment occur."""
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    words = enumerate_words(spec.m, k)
+    u = data.draw(st.sampled_from(words))
+    near = [v for v in words if v != u and common_point_exists(
+        [cell_envelope(spec, u), cell_envelope(spec, v)])]
+    size = data.draw(st.integers(min_value=2, max_value=min(3, len(words))))
+    pool = near if len(near) >= size - 1 and data.draw(st.booleans()) else \
+        [v for v in words if v != u]
+    return (u, *data.draw(st.lists(st.sampled_from(pool), min_size=size - 1,
+                                   max_size=size - 1, unique=True)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(derived_systems(), st.sampled_from([Budget(), TINY]), st.data())
 def test_one_point_meets_match_the_per_word_sets(spec, budget, data):
     """Pulling a one-point envelope meet back through each word finds the
     common certified points that intersecting the words' whole point sets
-    finds, for pairs and triples at depths 1-3.  Half the tuples are drawn
-    among words whose envelopes meet the first word's, where meets of one
-    point occur."""
+    finds, for pairs and triples at depths 1-3."""
     for _ in range(4):
-        k = data.draw(st.integers(min_value=1, max_value=3))
-        words = enumerate_words(spec.m, k)
-        u = data.draw(st.sampled_from(words))
-        near = [v for v in words if v != u and common_point_exists(
-            [cell_envelope(spec, u), cell_envelope(spec, v)])]
-        size = data.draw(st.integers(min_value=2, max_value=min(3, len(words))))
-        pool = near if len(near) >= size - 1 and data.draw(st.booleans()) else \
-            [v for v in words if v != u]
-        ws = (u, *data.draw(st.lists(st.sampled_from(pool), min_size=size - 1,
-                                     max_size=size - 1, unique=True)))
+        ws = _draw_cells(spec, data)
         expected = certificate_sets.common_keys(spec, ws, budget)
         assert _common_keys(spec, ws, budget, _envelope_meet(spec, ws)) == expected
         assert certificate_points(spec, ws, budget) == \
             certificate_sets.certificate_points(spec, ws, budget)
+
+
+@settings(max_examples=30, deadline=None)
+@given(derived_systems(), st.data())
+def test_envelope_meets_match_the_clip(spec, data):
+    """The envelope meet is the clip's list, element for element: on
+    interval-overlap's systems, whose envelopes are segments on one line,
+    it is taken in the line's coordinate, and on the gasket's by the clip."""
+    segments = len(spec.backend.envelope.vertices) == 2
+    for _ in range(4):
+        polys = [cell_envelope(spec, w) for w in _draw_cells(spec, data)]
+        assert (_collinear_region(polys) is not None) == segments
+        assert common_region(polys) == _region(polys)
+
+
+def _envelopes_to_depth_3(spec):
+    return [cell_envelope(spec, w) for k in (1, 2, 3) for w in enumerate_words(spec.m, k)]
+
+
+def test_bundled_cell_envelopes_are_strictly_convex():
+    """Nonsingular images of the envelope are built without the convexity
+    check; each is a cycle that the check accepts."""
+    for name in cli.bundled_names():
+        spec = cli.load_bundled(name).spec
+        if spec.is_geometric:
+            for env in _envelopes_to_depth_3(spec):
+                assert ConvexPolygon(env.vertices) == env
+
+
+@settings(max_examples=10, deadline=None)
+@given(derived_systems())
+def test_derived_cell_envelopes_are_strictly_convex(spec):
+    for env in _envelopes_to_depth_3(spec):
+        assert ConvexPolygon(env.vertices) == env
 
 
 @pytest.mark.parametrize("name,depth", [("snowflake", 3), ("gasket", 6)])
