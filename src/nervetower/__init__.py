@@ -7,8 +7,7 @@ verdicts -> overlap certificates and recurrence replay.  The cli module adds
 a file format and command-line front end, plus bundled example systems.
 """
 
-from .words import Address, Word, concat, constant_address, enumerate_words, \
-    reverse, truncate, word_from_string
+from .words import Address, Word, enumerate_words, word_from_string
 from .exactgeom import ConvexPolygon, Point2, RationalAffineMap, compose
 from .oracles import (AddressConsistencyError, Budget, ConsistencyError,
                       GeometricBackend, SpecError, SymbolicPUBackend, SystemSpec,
@@ -40,9 +39,9 @@ __all__ = [
     "build_nerve", "bundled_names", "cells_containing_point", "cells_intersect",
     "check_h1_infinite_conditions", "check_postunbranched",
     "check_singleton_overlaps", "compose", "component_tower",
-    "components", "concat", "constant_address", "enumerate_words",
+    "components", "enumerate_words",
     "generate_pu_nerve", "induced_rank", "iterate_system", "load_bundled",
-    "parse_spec", "point_in_cell", "resolve_spec", "reverse", "spec_to_doc",
-    "tower_analysis", "tower_complexes", "truncation_map", "truncate",
+    "parse_spec", "point_in_cell", "resolve_spec", "spec_to_doc",
+    "tower_analysis", "tower_complexes", "truncation_map",
     "verify_puthm", "word_from_string",
 ]

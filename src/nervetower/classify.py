@@ -64,9 +64,6 @@ class PUReport:
     pairs: dict[tuple[int, int], PairReport]
     witness: str = ""
 
-    def pair_status(self, i: int, j: int) -> PairStatus:
-        return self.pairs[(i, j)].status
-
 
 def check_postunbranched(spec: SystemSpec, depth: int = 4,
                          budget: Budget = Budget()) -> PUReport:
@@ -164,7 +161,7 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
             prefix = containing[0]
         if shared_prefix is None:
             shared_prefix = prefix
-            address = tails.get(q)
+            address = tails.get(q.homogeneous())
         elif prefix != shared_prefix:
             return PairReport((i, j), "violated", points,
                               detail=f"overlap points pull back into distinct address cells "

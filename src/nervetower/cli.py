@@ -177,10 +177,10 @@ def _parse_symbolic(node: dict, m: int) -> SymbolicPUBackend:
 _FLAG_KEYS = {"assert_lx_connected", "assert_injective", "pivot"}
 
 
-def parse_spec(doc: dict, *, rename: Optional[str] = None) -> LoadedSpec:
+def parse_spec(doc: dict) -> LoadedSpec:
     if not isinstance(doc, dict):
         raise SpecError("spec file must hold a JSON object")
-    name = rename or doc.get("name")
+    name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise SpecError("spec needs a non-empty \"name\"")
     orientation = doc.get("orientation")
@@ -221,12 +221,12 @@ def parse_spec(doc: dict, *, rename: Optional[str] = None) -> LoadedSpec:
     return LoadedSpec(spec, flags, doc)
 
 
-def load_spec_text(text: str, *, rename: Optional[str] = None) -> LoadedSpec:
+def load_spec_text(text: str) -> LoadedSpec:
     try:
         doc = json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
         raise SpecError(f"not valid JSON: {exc}") from None
-    return parse_spec(doc, rename=rename)
+    return parse_spec(doc)
 
 
 def bundled_names() -> list[str]:
@@ -261,12 +261,12 @@ def _rat_str(value: Fraction) -> str:
         f"{value.numerator}/{value.denominator}"
 
 
-def spec_to_doc(spec: SystemSpec, flags: SpecFlags = SpecFlags()) -> dict:
+def spec_to_doc(spec: SystemSpec) -> dict:
     """Serialize a geometric system back to the spec-file shape."""
     if not spec.is_geometric:
         raise SpecError("only geometric systems serialize back to spec files")
     backend = spec.backend
-    doc: dict[str, Any] = {
+    return {
         "name": spec.name,
         "orientation": spec.orientation,
         "m": spec.m,
@@ -281,16 +281,6 @@ def spec_to_doc(spec: SystemSpec, flags: SpecFlags = SpecFlags()) -> dict:
             "envelope": [[_rat_str(v.x), _rat_str(v.y)] for v in backend.envelope.vertices],
         },
     }
-    flag_node: dict[str, Any] = {}
-    if flags.lx_connected:
-        flag_node["assert_lx_connected"] = True
-    if flags.injective:
-        flag_node["assert_injective"] = True
-    if flags.pivot is not None:
-        flag_node["pivot"] = flags.pivot
-    if flag_node:
-        doc["flags"] = flag_node
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +453,7 @@ def _refused(spec: SystemSpec, depth: int, cap: int, what: str = "cells") -> boo
     return True
 
 
-def _certifications(loaded: LoadedSpec, pu_depth: int, budget: Budget,
-                    run_pivot: bool) -> dict[str, Any]:
+def _certifications(loaded: LoadedSpec, pu_depth: int, budget: Budget) -> dict[str, Any]:
     """Run the overlap checkers appropriate to the backend, once, for reuse."""
     spec = loaded.spec
     out: dict[str, Any] = {"pu": None, "pu_report": None, "singleton": None,
@@ -479,7 +468,7 @@ def _certifications(loaded: LoadedSpec, pu_depth: int, budget: Budget,
         out["singleton_report"] = sreport
         out["singleton"] = True if sreport.all_small else None
     pivot = loaded.flags.pivot
-    if run_pivot and pivot is not None:
+    if pivot is not None:
         preport = classify_mod.check_h1_infinite_conditions(spec, pivot, budget)
         out["pivot_report"] = preport
         out["pivot"] = True if preport.conclusion else None
@@ -513,7 +502,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
         return EXIT_RESOURCE
     budget = _budget(args)
     fieldkind = FieldKind.parse(args.field)
-    certs = _certifications(loaded, args.pu_depth, budget, run_pivot=True)
+    certs = _certifications(loaded, args.pu_depth, budget)
     tower = tower_complexes(spec, args.max_depth, dim_cap=args.dim_cap, budget=budget)
     table = tower_analysis(tower, fieldkind, postunbranched=certs["pu"],
                            singleton_overlaps=certs["singleton"],
@@ -525,7 +514,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     report = tower_report_doc(table, ctower)
     if args.out_report:
         _emit(_json_text(report), args.out_report)
-    elif args.out_csv:
+    elif args.out_csv not in (None, "-"):
         # CSV went to a file; the report is still wanted on standard output.
         sys.stdout.write(_json_text(report))
     return EXIT_UNCERTAIN if table.uncertain else EXIT_OK
@@ -555,7 +544,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         loaded = LoadedSpec(spec, SpecFlags(loaded.flags.lx_connected,
                                             loaded.flags.injective, args.pivot),
                             loaded.doc)
-    certs = _certifications(loaded, args.depth, budget, run_pivot=True)
+    certs = _certifications(loaded, args.depth, budget)
     tower = tower_complexes(spec, max_depth, dim_cap=args.dim_cap, budget=budget)
     table = tower_analysis(tower, fieldkind, postunbranched=certs["pu"],
                            singleton_overlaps=certs["singleton"],
@@ -633,8 +622,6 @@ def cmd_derive(args: argparse.Namespace) -> int:
             raise SpecError("--subsystem needs at least one word")
         derived = build_iterate_or_subsystem(spec, words, name=args.name)
     else:
-        if args.iterate < 1:
-            raise SpecError("--iterate needs a positive depth")
         if _refused(spec, args.iterate, args.max_cells, "generators"):
             return EXIT_RESOURCE
         derived = iterate_system(spec, args.iterate, name=args.name)
@@ -719,7 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="write the spec of an iterate or a subsystem")
     _add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--iterate", type=int, help="replace generators by all n-fold words")
+    group.add_argument("--iterate", type=_positive_int,
+                       help="replace generators by all n-fold words")
     group.add_argument("--subsystem", help="comma-separated generator words, e.g. \"11,13\"")
     p.add_argument("--name", help="name for the derived system")
     p.add_argument("--out", help="write the derived spec here (default stdout)")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Literal, Optional
 
 from .oracles import ConsistencyError
@@ -67,8 +66,8 @@ class ComponentsLevel:
     component of vertex v.  A level found from the components `below` of its
     block source has, for block j (from 0) and component c of `below`,
     ids[j below.count + c] the component holding j.c; `block` is the number
-    of words in a block.  `label` and `labels` read the components of
-    vertices off that chain of levels.
+    of words in a block.  `label` reads the component of a vertex off
+    that chain of levels.
     """
 
     count: int
@@ -90,15 +89,6 @@ class ComponentsLevel:
         for level, j in reversed(path):
             label = level.ids[j * level.below.count + label]
         return label
-
-    @cached_property
-    def labels(self) -> tuple[int, ...]:
-        """The component of every vertex, in vertex order."""
-        if self.below is None:
-            return self.ids
-        count = self.below.count
-        return tuple(self.ids[j * count + c] for j in range(len(self.ids) // count)
-                     for c in self.below.labels)
 
 
 def components(complex_: SimplicialComplex,

@@ -243,10 +243,6 @@ class RationalAffineMap(_Frozen):
         a, b, c, d = self._row[:4]
         return a * d == b * c
 
-    def determinant(self) -> Fraction:
-        a, b, c, d, _, _, den = self._row
-        return Fraction(a * d - b * c, den * den)
-
     def is_contraction(self) -> bool:
         """Exact operator-norm test: ||M|| < 1 for the linear part M.
 
@@ -503,6 +499,8 @@ def _collinear_region(polys: Sequence[ConvexPolygon]) -> list[Triple] | None:
                 end = hi
     if start is None:
         return None
+    if line is None and len(set(points)) > 2:  # points only: the line through two
+        line = _line(*list(dict.fromkeys(points))[:2])
     if line is not None:
         a, b, c = line
         if any(a * x + b * y + c * z for x, y, z in points):

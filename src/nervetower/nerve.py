@@ -302,6 +302,13 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
     b between them, and finding those neighbours goes through the block
     source.  The level is complete when no clique extends past dim_cap: none
     that crosses, and none inside a block, which the source's flag tells.
+
+    No pass closes the level under faces.  The oracle is monotone (fewer
+    words only enlarge the envelope meet and the shared certified points), so
+    it certifies every face of a certified candidate.  A face inside a block
+    copies a source tuple that the oracle answers alike; any other face was a
+    candidate itself: its prefix is a face of a verified prefix, and its
+    other vertices are common neighbours of its ends.
     """
     word = cache(partial(indexed_word, spec.m, level))
 
@@ -329,10 +336,6 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
         if not found[dim] and not (source is not None and source.simplex_counts().get(dim)):
             break
 
-    # Intersection certificates are monotone: every face of a kept simplex is kept.
-    for dim in sorted(found, reverse=True):
-        for s in found[dim] if dim > 1 else ():
-            found[dim - 1].update(face for face in combinations(s, dim) if face not in graph)
     return {dim: tuple(sorted(sims)) for dim, sims in sorted(found.items()) if sims}, complete
 
 

@@ -7,19 +7,20 @@ and its inverse for backward systems (first symbol outermost).  Nerve
 construction reduces to one question: do the cells of a tuple of words share
 a point?
 
-Three backends answer it:
+Three backends describe a system.  `cells_intersect` answers for the
+geometric one; a table or symbolic tuple of words shares a point exactly when
+its vertex indices (`index_of`) form a simplex of `nerve.build_nerve(spec, k)`.
 
 * geometric: exact rational affine maps in the plane.  Intersections are
   certified by exhibiting a common eventually periodic limit point;
   disjointness by refining cells until convex envelopes separate.  Queries
   that neither side settles within budget return Unknown rather than a guess.
 * table: the complex is given explicitly per depth (for systems whose maps
-  are not affine); queries beyond the stored depth are Unknown.
+  are not affine).
 * symbolic: the complex at depth 1 plus one overlap address per ordered pair.
   Depth k is the block copies of depth k - 1 plus the lifts of the depth-1
   simplices along their addresses (`generate_pu_nerve`).  This backend
-  assumes the single-address property that lifting requires, and never
-  answers Unknown.
+  assumes the single-address property that lifting requires.
 """
 
 from __future__ import annotations
@@ -91,30 +92,29 @@ VerdictKind = Literal["disjoint", "intersect", "unknown"]
 
 @dataclass(frozen=True)
 class Verdict:
-    """Answer to "do these cells share a point?": its kind, and where from.
+    """Answer to "do these cells share a point?" on a geometric system.
 
     disjoint: certified empty after `depth` subdivision rounds.
-    intersect: certified nonempty.  The geometric backend certifies with a
-      common in-budget point, which `certificate_points` lists.
+    intersect: certified nonempty by a common in-budget point, which
+      `certificate_points` lists.
     unknown: neither certificate found within budget; `note` says why.
     """
 
     kind: VerdictKind
-    source: str
     depth: Optional[int] = None
     note: str = ""
 
     @staticmethod
-    def disjoint(depth: int, source: str) -> "Verdict":
-        return Verdict("disjoint", source, depth=depth)
+    def disjoint(depth: int) -> "Verdict":
+        return Verdict("disjoint", depth=depth)
 
     @staticmethod
-    def intersect(source: str) -> "Verdict":
-        return Verdict("intersect", source)
+    def intersect() -> "Verdict":
+        return Verdict("intersect")
 
     @staticmethod
-    def unknown(source: str, note: str) -> "Verdict":
-        return Verdict("unknown", source, note=note)
+    def unknown(note: str) -> "Verdict":
+        return Verdict("unknown", note=note)
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against truthiness misuse
         raise TypeError("Verdict is three-valued; test .kind explicitly")
@@ -326,8 +326,13 @@ def limit_point(spec: SystemSpec, head: Word, cycle: Word) -> Point2:
     return word_map(spec, head)(word_map(spec, cycle).fixed_point())
 
 
-def _tail_table(spec: SystemSpec, budget: Budget) -> dict[Point2, Address]:
-    """Limit points of all in-budget eventually periodic addresses, deduplicated.
+# A certified point keyed by its normalized homogeneous integer triple.
+PointKey = tuple[int, int, int]
+
+
+def _tail_table(spec: SystemSpec, budget: Budget) -> dict[PointKey, Address]:
+    """Limit points of all in-budget eventually periodic addresses, deduplicated,
+    each keyed by its normalized integer triple (Point2.homogeneous).
 
     Enumeration is in canonical order (shorter first, then lexicographic), so
     each point keeps its minimal naming address; the table is shared by every
@@ -337,7 +342,7 @@ def _tail_table(spec: SystemSpec, budget: Budget) -> dict[Point2, Address]:
     got = spec._cache.get(key)
     if got is not None:
         return got
-    table: dict[Point2, Address] = {}
+    table: dict[PointKey, Address] = {}
     seen: set[Address] = set()
     heads = [w for length in range(budget.cert_preperiod_max + 1)
              for w in enumerate_words(spec.m, length)]
@@ -350,23 +355,9 @@ def _tail_table(spec: SystemSpec, budget: Budget) -> dict[Point2, Address]:
                 continue
             seen.add(addr)
             point = limit_point(spec, addr.preperiod, addr.period)
-            table.setdefault(point, addr)
+            table.setdefault(point.homogeneous(), addr)
     spec._cache[key] = table
     return table
-
-
-# A certified point keyed by its normalized homogeneous integer triple.
-PointKey = tuple[int, int, int]
-
-
-def _tail_triples(spec: SystemSpec, budget: Budget) -> frozenset[PointKey]:
-    """The tail table's points as normalized integer triples."""
-    key = ("tail_triples", budget.cert_preperiod_max, budget.cert_period_max)
-    got = spec._cache.get(key)
-    if got is None:
-        got = frozenset(p.homogeneous() for p in _tail_table(spec, budget))
-        spec._cache[key] = got
-    return got
 
 
 def _word_points(spec: SystemSpec, w: Word, budget: Budget) -> frozenset[PointKey]:
@@ -382,7 +373,7 @@ def _word_points(spec: SystemSpec, w: Word, budget: Budget) -> frozenset[PointKe
         return got
     a, b, c, d, e, f, den = word_map(spec, w).over_common_denominator()
     points = set()
-    for x, y, z in _tail_triples(spec, budget):
+    for x, y, z in _tail_table(spec, budget):
         px, py, pz = a * x + b * y + e * z, c * x + d * y + f * z, den * z
         g = gcd(px, py, pz)
         points.add((px // g, py // g, pz // g))
@@ -407,7 +398,7 @@ def _common_keys(spec: SystemSpec, ws: Sequence[Word], budget: Budget,
     if region == []:
         return frozenset()
     if region is not None and len(region) == 1 and spec.injective:
-        tails = _tail_triples(spec, budget)
+        tails = _tail_table(spec, budget)
         return frozenset(region if all(word_map(spec, w).preimage(region[0]) in tails
                                        for w in ws) else ())
     return frozenset.intersection(*(_word_points(spec, w, budget) for w in ws))
@@ -445,39 +436,26 @@ def _validate_query(spec: SystemSpec, ws: Sequence[Word]) -> tuple[Word, ...]:
 
 
 def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budget()) -> Verdict:
-    """Do the cells of these equal-length words share a common point?"""
-    tup = _validate_query(spec, ws)
-    backend = spec.backend
-    if isinstance(backend, GeometricBackend):
-        return _geometric_intersect(spec, tup, budget)
-    level = len(tup[0])
-    table = isinstance(backend, TableBackend)
-    if table and level not in backend.levels:
-        return Verdict.unknown("table", f"no stored data at depth {level}")
-    from .nerve import build_nerve  # table and symbolic levels are cached there
-    nerve = build_nerve(spec, level, max(len(tup) - 1, 1))
-    source = "table" if table else "symbolic"
-    if tuple(sorted(map(nerve.index_of, tup))) in nerve:
-        return Verdict.intersect(source)
-    return Verdict.disjoint(0, source)
-
-
-def _geometric_intersect(spec: SystemSpec, ws: tuple[Word, ...], budget: Budget) -> Verdict:
+    """Do the cells of these equal-length words share a common point?  A
+    geometric system's question only (SpecError otherwise)."""
+    if not spec.is_geometric:
+        raise SpecError("cells_intersect needs the geometric backend")
+    ws = _validate_query(spec, ws)
     region = _envelope_meet(spec, ws)
     if region == []:
-        return Verdict.disjoint(0, "geometric")
+        return Verdict.disjoint(0)
 
     if _common_keys(spec, ws, budget, region):
-        return Verdict.intersect("geometric")
+        return Verdict.intersect()
 
     alive: list[tuple[Word, ...]] = [ws]
     for depth in range(1, budget.refine_depth + 1):
         alive = _refine(spec, alive)
         if alive is None:
-            return Verdict.unknown("geometric", f"refinement frontier exceeded {_ALIVE_CAP}")
+            return Verdict.unknown(f"refinement frontier exceeded {_ALIVE_CAP}")
         if not alive:
-            return Verdict.disjoint(depth, "geometric")
-    return Verdict.unknown("geometric", "budget exhausted")
+            return Verdict.disjoint(depth)
+    return Verdict.unknown("budget exhausted")
 
 
 def _refine(spec: SystemSpec, alive: list[tuple[Word, ...]]) -> Optional[list[tuple[Word, ...]]]:
@@ -531,7 +509,7 @@ def point_in_cell(spec: SystemSpec, point: Point2, w: Word, budget: Budget = Bud
         return "unknown"
     if not spec.backend.envelope.contains_point(q):
         return "no"
-    if q in _tail_table(spec, budget):
+    if q.homogeneous() in _tail_table(spec, budget):
         return "yes"
     if not _envelope_walk(spec, q, budget.refine_depth):
         return "no"

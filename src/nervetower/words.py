@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -97,35 +97,6 @@ def _normalize(pre: tuple[int, ...], per: tuple[int, ...]) -> tuple[tuple[int, .
         per.insert(0, per.pop())
         pre.pop()
     return tuple(pre), tuple(per)
-
-
-def constant_address(j: int, m: int) -> Address:
-    """The address j j j ... ."""
-    return Address(Word((), m), Word((j,), m))
-
-
-def truncate(seq: Union[Word, Address], length: int) -> Word:
-    """First `length` symbols, as a Word."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if isinstance(seq, Word):
-        if length > len(seq):
-            raise ValueError(f"cannot take {length} symbols from a word of length {len(seq)}")
-        return Word(seq.symbols[:length], seq.m)
-    return Word(tuple(seq.symbol_at(i) for i in range(length)), seq.m)
-
-
-def reverse(word: Word) -> Word:
-    return Word(word.symbols[::-1], word.m)
-
-
-def concat(word: Word, tail: Union[Word, Address]) -> Union[Word, Address]:
-    """word followed by tail; an Address tail yields an Address."""
-    if word.m != tail.m:
-        raise ValueError("cannot concatenate words over different alphabets")
-    if isinstance(tail, Word):
-        return Word(word.symbols + tail.symbols, word.m)
-    return Address(Word(word.symbols + tail.preperiod.symbols, word.m), tail.period)
 
 
 def enumerate_words(m: int, k: int) -> list[Word]:

@@ -13,11 +13,13 @@
   reduces the expanded boundaries of every level, against the counts and
   rank recurrences of `homology.tower_analysis`.  `truncation` writes
   v -> v // m^d as the `nerve.SimplicialMap` that `homology.induced_rank`
-  takes, since `truncation_map` returns a level.
+  takes, since `truncation_map` returns a level, and `labels` reads the
+  component of every vertex down a chain of `ComponentsLevel`s.
 * `complexes`: readers of every simplex that only tests use
   (`block_subcomplex`, `euler_characteristic`, `simplex_word_sets`).
 * `pu_nerve`: symbolic nerves as sets of word sets; checks the index
   generator `nerve._lifted_level` and its address-consistency errors.
+  `truncate` takes the first symbols of a word or an address.
 * `linalg_oracle`: dense Gaussian elimination and cochain pullback; checks
   the sparse reduction `homology._reduce`, `homology.betti`, the
   mapping-cone `homology.induced_rank`, the crossing-edge pass

@@ -192,7 +192,7 @@ def map_polygon(f, poly: ConvexPolygon) -> ConvexPolygon:
 def word_points(spec: SystemSpec, w: Word, budget: Budget) -> set[FractionPoint]:
     """In-budget certified points of cell(w)."""
     f = affine_map(word_map(spec, w))
-    return {apply(f, point(p)) for p in _tail_table(spec, budget)}
+    return {apply(f, point(Point2.from_homogeneous(t))) for t in _tail_table(spec, budget)}
 
 
 def certificate_points(spec: SystemSpec, ws, budget: Budget) -> list[FractionPoint]:

@@ -88,13 +88,24 @@ def unionfind_components(complex_: SimplicialComplex) -> ComponentsLevel:
                            tuple(ids[root] for root in roots), block)
 
 
+def labels(level: ComponentsLevel) -> tuple[int, ...]:
+    """The component of every vertex, in vertex order, read down the chain
+    of levels `below`."""
+    if level.below is None:
+        return level.ids
+    count = level.below.count
+    return tuple(level.ids[j * count + c] for j in range(len(level.ids) // count)
+                 for c in labels(level.below))
+
+
 def vertex_parents(deep: ComponentsLevel, shallow: ComponentsLevel, m: int) -> tuple[int, ...]:
     """The component of N_k under each component of N_{k+1}, read off every
     vertex v of N_{k+1} as the component of v // m, and checked to be one
     per component."""
     parent: dict[int, int] = {}
-    for v, label in enumerate(deep.labels):
-        image = shallow.labels[v // m]
+    shallow_labels = labels(shallow)
+    for v, label in enumerate(labels(deep)):
+        image = shallow_labels[v // m]
         if parent.setdefault(label, image) != image:
             raise ConsistencyError("component parent map is not well defined")
     return tuple(parent[c] for c in range(deep.count))
@@ -125,7 +136,7 @@ def reference_numbers(tower: TowerData, fieldkind: FieldKind) -> dict:
         "a": {(r, k): betti(c, fieldkind, r) for k, c in enumerate(complexes, start=1)
               for r in exact},
         "lambda": lam,
-        "components": [(lv.count, lv.labels) for lv in levels],
+        "components": [(lv.count, labels(lv)) for lv in levels],
         "parents": [vertex_parents(deep, shallow, tower.spec.m)
                     for deep, shallow in zip(levels[1:], levels)],
     }

@@ -7,9 +7,21 @@ lifts of the depth-1 simplices, levels built in order from depth 1.
 """
 
 from itertools import combinations
+from typing import Union
 
 from nervetower.oracles import AddressConsistencyError, SymbolicPUBackend, SystemSpec
-from nervetower.words import Word, truncate
+from nervetower.words import Address, Word
+
+
+def truncate(seq: Union[Word, Address], length: int) -> Word:
+    """First `length` symbols, as a Word."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    if isinstance(seq, Word):
+        if length > len(seq):
+            raise ValueError(f"cannot take {length} symbols from a word of length {len(seq)}")
+        return Word(seq.symbols[:length], seq.m)
+    return Word(tuple(seq.symbol_at(i) for i in range(length)), seq.m)
 
 
 def pu_nerve(spec: SystemSpec, k: int) -> frozenset[frozenset[Word]]:

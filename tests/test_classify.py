@@ -40,15 +40,15 @@ class TestPostunbranched:
         rep = check_postunbranched(gasket, depth=4)
         assert rep.status == "postunbranched"
         assert rep.mechanism == "checked-to-depth"
-        assert rep.pair_status(1, 2) == "ok"
+        assert rep.pairs[(1, 2)].status == "ok"
         assert rep.pairs[(1, 2)].prefix is not None
         assert len(rep.pairs) == 6  # ordered pairs
 
     def test_funnel_certified_with_empty_pairs(self, bundled):
         rep = check_postunbranched(bundled("five-map-funnel").spec, depth=5)
         assert rep.status == "postunbranched"
-        assert rep.pair_status(1, 2) == "empty"
-        assert rep.pair_status(3, 4) == "ok"
+        assert rep.pairs[(1, 2)].status == "empty"
+        assert rep.pairs[(3, 4)].status == "ok"
 
     def test_fat_overlap_refuted(self, bundled):
         rep = check_postunbranched(bundled("interval-overlap").spec, depth=3)

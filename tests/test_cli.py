@@ -108,9 +108,9 @@ class TestParseSpec:
 
     def test_geometric_round_trip(self):
         loaded = parse_spec(GASKET_DOC)
-        doc = spec_to_doc(loaded.spec, loaded.flags)
+        doc = spec_to_doc(loaded.spec)
         again = parse_spec(doc)
-        assert spec_to_doc(again.spec, again.flags) == doc
+        assert spec_to_doc(again.spec) == doc
 
 
 class TestExitCodes:
@@ -247,6 +247,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument {flag}: must be {rule}, got {value}\n")
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_iterate_is_a_usage_error(self, capsys, value):
+        """--iterate is checked while parsing, like the other counts."""
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "gasket", "--iterate", value])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument --iterate: must be a positive integer, got {value}\n")
 
     @pytest.mark.parametrize("entry,where", [
         ({"matrix": [["1/2", 0], [0, "1/0"]], "translation": [0, 0]}, "matrix[1][1]"),
@@ -419,6 +430,15 @@ class TestTowerCommand:
         assert doc["component_verdict"]["kind"] == "connected"
         assert doc["b1_infinity"]["status"] == "finite"
         assert doc["b1_infinity"]["value"] == 1
+
+    def test_csv_to_stdout_prints_what_the_default_prints(self, capsys):
+        """`--out-csv -` writes the CSV alone on standard output, with no
+        report after it, as when the flag is left out."""
+        outs = []
+        for extra in ([], ["--out-csv", "-"]):
+            assert main(["tower", "gasket", "--max-depth", "2", *extra]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == "k,a_0,a_1,a_2,lambda,components\n1,1,1,0,,1\n2,1,4,0,1,1\n"
 
     def test_report_deterministic(self, tmp_path):
         outs = []

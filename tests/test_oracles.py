@@ -39,7 +39,7 @@ TINY = Budget(refine_depth=1, cert_period_max=1, cert_preperiod_max=0)
 
 class TestVerdict:
     def test_not_boolean(self):
-        v = Verdict.intersect("test")
+        v = Verdict.intersect()
         with pytest.raises(TypeError):
             bool(v)
 
@@ -358,34 +358,37 @@ class TestPointQueries:
         with pytest.raises(SpecError):
             cells_containing_point(table, P(0, 0), 1)
 
+    @pytest.mark.parametrize("name", ["finite-cycle", "pentagasket"])
+    def test_cells_intersect_needs_geometry(self, bundled, name):
+        """Table and symbolic tuples are simplices of `build_nerve`, or not."""
+        spec = bundled(name).spec
+        with pytest.raises(SpecError, match="needs the geometric backend"):
+            cells_intersect(spec, [Word((1,), spec.m), Word((2,), spec.m)])
+
 
 class TestTableBackend:
     def test_face_closure_and_singletons(self):
-        backend = TableBackend(2, {1: [[(1,), (2,)]]})
-        spec = SystemSpec("t", "forward", 2, backend)
-        v = cells_intersect(spec, [Word((1,), 2), Word((2,), 2)])
-        assert v.kind == "intersect"
-        assert cells_intersect(spec, [Word((1,), 2)]).kind == "intersect"
+        backend = TableBackend(3, {1: [[(1,), (2,), (3,)]]})
+        spec = SystemSpec("t", "forward", 3, backend)
+        nerve = build_nerve(spec, 1)
+        assert all(tuple(map(nerve.index_of, ws)) in nerve
+                   for size in (1, 2, 3) for ws in combinations(enumerate_words(3, 1), size))
 
     def test_lone_words_are_vertices_without_being_stored(self):
         backend = TableBackend(2, {1: [], 2: [[(1, 1), (1, 2)]]})
         spec = SystemSpec("t", "forward", 2, backend)
         assert all(len(s) > 1 for stored in backend.levels.values() for s in stored)
-        for w in enumerate_words(2, 1) + enumerate_words(2, 2):
-            assert cells_intersect(spec, [w]).kind == "intersect"
-        assert cells_intersect(spec, [Word((2, 1), 2), Word((2, 2), 2)]).kind == "disjoint"
+        for level in (1, 2):
+            nerve = build_nerve(spec, level)
+            assert all((nerve.index_of(w),) in nerve for w in enumerate_words(2, level))
+        nerve = build_nerve(spec, 2)
+        assert (nerve.index_of(Word((2, 1), 2)), nerve.index_of(Word((2, 2), 2))) not in nerve
 
     def test_absent_simplex_is_disjoint(self):
         backend = TableBackend(2, {1: []})
         spec = SystemSpec("t", "forward", 2, backend)
-        v = cells_intersect(spec, [Word((1,), 2), Word((2,), 2)])
-        assert v.kind == "disjoint"
-
-    def test_unstored_level_is_unknown(self):
-        backend = TableBackend(2, {1: [[(1,), (2,)]]})
-        spec = SystemSpec("t", "forward", 2, backend)
-        v = cells_intersect(spec, [Word((1, 1), 2), Word((2, 2), 2)])
-        assert v.kind == "unknown"
+        nerve = build_nerve(spec, 1)
+        assert (nerve.index_of(Word((1,), 2)), nerve.index_of(Word((2,), 2))) not in nerve
 
     def test_wrong_length_rejected(self):
         with pytest.raises(SpecError):
@@ -459,19 +462,6 @@ class TestSymbolicBackend:
         spec = SystemSpec("ok", "forward", 3, backend)
         assert (0, 4, 8) in generate_pu_nerve(spec, 2)
         assert frozenset({W("11"), W("22"), W("33")}) in simplex_word_sets(build_nerve(spec, 2))
-
-    @pytest.mark.parametrize("name,arities", [("pentagasket", (2,)),
-                                              ("simplex-boundary-2", (2, 3))])
-    def test_cells_intersect_answers_from_the_nerve(self, bundled, name, arities):
-        spec = bundled(name).spec
-        nerve = build_nerve(spec, 2)
-        for arity in arities:
-            for ws in combinations(enumerate_words(spec.m, 2), arity):
-                verdict = cells_intersect(spec, ws)
-                assert verdict.source == "symbolic"
-                simplex = tuple(nerve.index_of(w) for w in ws)
-                expected = "intersect" if simplex in nerve.simplices[arity - 1] else "disjoint"
-                assert verdict.kind == expected, ws
 
 
 class TestUnknownPaths:

@@ -1,4 +1,7 @@
-"""The package's export list."""
+"""The package's export list and layering."""
+
+import ast
+from pathlib import Path
 
 import nervetower
 
@@ -17,8 +20,32 @@ def test_star_import():
 
 def test_readers_only_the_tests_use_are_not_exported():
     """block_subcomplex, the Euler characteristic and the word sets of a
-    level live in tests/support/complexes.py."""
-    assert "block_subcomplex" not in nervetower.__all__
+    level live in tests/support/complexes.py, `truncate` in
+    tests/support/pu_nerve.py and the per-vertex component labels in
+    tests/support/full_tower.py; the other names are gone."""
+    for name in ("block_subcomplex", "concat", "constant_address", "reverse", "truncate"):
+        assert name not in nervetower.__all__
     assert not hasattr(nervetower.nerve, "block_subcomplex")
+    for name in ("concat", "constant_address", "reverse", "truncate"):
+        assert not hasattr(nervetower.words, name)
     for name in ("euler_characteristic", "simplex_word_sets"):
         assert not hasattr(nervetower.SimplicialComplex, name)
+    assert not hasattr(nervetower.ComponentsLevel, "labels")
+    assert not hasattr(nervetower.PUReport, "pair_status")
+    assert not hasattr(nervetower.RationalAffineMap, "determinant")
+    assert not hasattr(nervetower.oracles, "_tail_triples")
+    assert "source" not in nervetower.Verdict.__dataclass_fields__
+
+
+def test_oracles_import_no_layer_above_them():
+    """The oracle answers geometric queries from geometry alone: it imports
+    none of the layers built on it."""
+    source = Path(nervetower.oracles.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert not imported & {"nerve", "homology", "components", "classify", "cli"}

@@ -10,7 +10,7 @@ from nervetower.components import ComponentsLevel, dim0_facts
 from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import SimplicialComplex, tower_complexes
 from nervetower.oracles import Budget
-from support.full_tower import reference_numbers, reference_tower
+from support.full_tower import labels, reference_numbers, reference_tower
 from test_acceptance import SUITE_DEPTHS, SUITE_DIM_CAPS
 from test_classify import derived_systems
 
@@ -34,7 +34,7 @@ def assert_recurrences_match_reference(spec, depth, dim_cap):
         assert [c.simplex_counts() for c in tower.complexes] == want["counts"]
         assert table.a == want["a"]
         assert table.lam == want["lambda"]
-        assert [(lv.count, lv.labels) for lv in tower.components] == want["components"]
+        assert [(lv.count, labels(lv)) for lv in tower.components] == want["components"]
         assert table.facts.counts == [count for count, _labels in want["components"]]
         assert table.facts.parents == want["parents"]
 

@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nervetower.words import (Address, Word, concat, constant_address,
-                              enumerate_words, reverse, truncate,
-                              word_from_string)
+from nervetower.words import Address, Word, enumerate_words, word_from_string
+from support.pu_nerve import truncate
 
 
 def symbols(m, min_size=0, max_size=6):
@@ -48,12 +47,6 @@ class TestWord:
         assert ws == sorted(ws)
         assert str(ws[0]) == "111" and str(ws[-1]) == "222"
 
-    @given(small_m.flatmap(lambda m: st.tuples(st.just(m), symbols(m, 1))))
-    def test_reverse_involution(self, mw):
-        m, syms = mw
-        w = Word(tuple(syms), m)
-        assert reverse(reverse(w)) == w
-
 
 class TestAddress:
     def test_normalization_primitive_period(self):
@@ -87,7 +80,7 @@ class TestAddress:
         assert (a == b) == same
 
     def test_constant(self):
-        a = constant_address(2, 3)
+        a = Address(Word((), 3), Word((2,), 3))
         assert [a.symbol_at(i) for i in range(4)] == [2, 2, 2, 2]
 
     @given(small_m.flatmap(lambda m: st.tuples(
@@ -101,26 +94,11 @@ class TestAddress:
 
 
 class TestConcat:
-    @given(small_m.flatmap(lambda m: st.tuples(
-        st.just(m), symbols(m, 0, 4), symbols(m, 0, 3), symbols(m, 1, 3))))
-    def test_concat_address(self, data):
-        m, head, pre, per = data
-        w = Word(tuple(head), m)
-        addr = Address(Word(tuple(pre), m), Word(tuple(per), m))
-        joined = concat(w, addr)
-        assert isinstance(joined, Address)
-        for i in range(len(head) + 8):
-            expected = head[i] if i < len(head) else addr.symbol_at(i - len(head))
-            assert joined.symbol_at(i) == expected
-
-    def test_concat_word(self):
-        got = concat(Word((1,), 3), Word((2, 3), 3))
-        assert got == Word((1, 2, 3), 3)
+    """A word followed by a periodic tail: the address with that preperiod."""
 
     @given(small_m.flatmap(lambda m: st.tuples(
         st.just(m), symbols(m, 0, 5), symbols(m, 1, 3))))
     def test_truncate_concat_recovers_head(self, data):
         m, head, per = data
         w = Word(tuple(head), m)
-        addr = Address(Word((), m), Word(tuple(per), m))
-        assert truncate(concat(w, addr), len(w)) == w
+        assert truncate(Address(w, Word(tuple(per), m)), len(w)) == w
