@@ -28,10 +28,15 @@ _TOWER_DEPTHS = {
 # banded-annuli stores table data to depth 2 only
 CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3,
                    "snowflake": 2}
+# the postunbranched check to depth 8, where each pulled-back overlap point
+# has a deep address prefix
+DEEP_CLASSIFY = {"snowflake": 8}
 # deep towers, where most of each level is block copies of the level before;
 # gasket and snowflake also pin the oracle's certified touching points there,
-# and interval-overlap, whose crossings grow with depth, its segment meets
-DEEP_TOWER_DEPTHS = {"pentagasket": 6, "gasket": 6, "snowflake": 3, "interval-overlap": 5}
+# and interval-overlap, whose crossings grow with depth, its segment meets;
+# snowflake's depth 4 pins the crossing pairs of one-point meets one level further
+DEEP_TOWERS = [("pentagasket", 6), ("gasket", 6), ("snowflake", 3), ("snowflake", 4),
+               ("interval-overlap", 5)]
 # one geometric system per oracle path, one symbolic and one table system
 NERVE_DEPTHS = {"gasket": 3, "snowflake": 2, "pentagasket": 3, "finite-cycle": 2}
 # A derived system under a starved budget: its levels keep uncertain tuples,
@@ -48,9 +53,11 @@ def _cases() -> list[tuple[str, list[str]]]:
         depth = _TOWER_DEPTHS.get(name, 3)
         cases.append((f"tower-{name}-k{depth}", ["tower", name, "--max-depth", str(depth)]))
     cases.extend((f"tower-{name}-k{depth}", ["tower", name, "--max-depth", str(depth)])
-                 for name, depth in DEEP_TOWER_DEPTHS.items())
+                 for name, depth in DEEP_TOWERS)
     cases.extend((f"classify-{name}", ["classify", name, "--max-depth", str(depth)])
                  for name, depth in CLASSIFY_DEPTHS.items())
+    cases.extend((f"classify-{name}-pu{depth}", ["classify", name, "--depth", str(depth)])
+                 for name, depth in DEEP_CLASSIFY.items())
     cases.extend((f"nerve-{name}-k{depth}", ["nerve", name, "--depth", str(depth)])
                  for name, depth in NERVE_DEPTHS.items())
     cases.append((f"derive-{DERIVED}", ["derive", "interval-overlap", "--subsystem", "11,33,32"]))
