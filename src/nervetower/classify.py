@@ -113,15 +113,35 @@ def check_postunbranched(spec: SystemSpec, depth: int = 4,
 
 
 def _symbolic_pu_report(spec: SystemSpec, depth: int) -> PUReport:
-    for k in range(1, depth + 1):  # re-validates address consistency, shallowest first
-        oracles.generate_pu_nerve(spec, k)
+    """Re-validates address consistency to `depth`.  The lifts of depth k read
+    the first k - 1 symbols of each address, so the shallowest ambiguous
+    depth is t + 2 for the least index t at which some vertex's addresses
+    differ; `generate_pu_nerve` raises there what a depth-by-depth pass
+    would raise first."""
     backend = spec.backend
+    splits = [_split_index([backend.addresses[(i, j)] for j in s if j != i])
+              for s in backend.n1 if len(s) > 1 for i in s]
+    first = min((t for t in splits if t is not None), default=None)
+    if first is not None and first + 2 <= depth:
+        oracles.generate_pu_nerve(spec, first + 2)
     pairs = {
         pair: PairReport(pair, "ok", address=addr, prefix=None,
                          detail="address stored by the backend")
         for pair, addr in sorted(backend.addresses.items())
     }
     return PUReport(spec.name, depth, "postunbranched", "by-construction", pairs)
+
+
+def _split_index(addresses: list[Address]) -> Optional[int]:
+    """The first index at which the addresses' symbols differ, None when they
+    are one address.  Addresses are normalized, so distinct ones differ
+    within their longest preperiod plus the product of their periods."""
+    if len(set(addresses)) < 2:
+        return None
+    t = 0
+    while len({a.symbol_at(t) for a in addresses}) == 1:
+        t += 1
+    return t
 
 
 def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) -> PairReport:

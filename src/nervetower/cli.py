@@ -446,11 +446,16 @@ def _budget(args: argparse.Namespace) -> Budget:
 
 
 def _refused(spec: SystemSpec, depth: int, cap: int, what: str = "cells") -> bool:
-    """Whether m^depth `what` exceed --max-cells, said on standard error."""
-    if spec.m ** depth <= cap:
-        return False
-    print(f"error: {spec.m}^{depth} {what} exceed --max-cells {cap}", file=sys.stderr)
-    return True
+    """Whether m^depth `what` exceed --max-cells, said on standard error.  The
+    product is multiplied up only while it stays within the cap, so a huge
+    depth is refused at once."""
+    cells = 1
+    for _ in range(depth):
+        cells *= spec.m
+        if cells > cap:
+            print(f"error: {spec.m}^{depth} {what} exceed --max-cells {cap}", file=sys.stderr)
+            return True
+    return False
 
 
 def _certifications(loaded: LoadedSpec, pu_depth: int, budget: Budget) -> dict[str, Any]:

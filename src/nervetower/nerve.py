@@ -219,6 +219,14 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
       uncertain pairs that cross blocks (and, without block copies, of every
       edge and single vertex) are queried, and no tuple inside one block.
       Higher simplices grow as cliques over verified simplices.
+    * One-point parent meets.  When the cell maps are injective and the
+      envelopes of a parent pair (a, b) meet in one point p, only the
+      children a x with f_a^-1(p) in env(x) and b y with f_b^-1(p) in env(y)
+      are paired.  check_envelope makes env(child) lie in env(parent), so
+      env(a x) and env(b y) meet at most in p; a pair left out has an empty
+      envelope meet, which `cells_intersect` answers disjoint(0), and a
+      disjoint pair leaves no trace in the level.  Segment and polygon
+      meets, and singular maps, keep all m^2 children.
 
     Singular cell maps skip the block copies; the parent guidance holds for
     every map that sends the envelope into itself.  A level whose copies or
@@ -238,7 +246,7 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
         if symbolic:
             added, complete = _lifted_level(spec, level, dim_cap)
         else:
-            pairs = _candidate_pairs(prev, copies) if prev else combinations(range(spec.m), 2)
+            pairs = _candidate_pairs(spec, prev, copies) if prev else combinations(range(spec.m), 2)
             added, complete = _grow_level(spec, level, pairs, source, uncertain, dim_cap, budget)
         uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
         built = SimplicialComplex(level, spec.m, added, dim_cap, complete, tuple(uncertain),
@@ -269,11 +277,15 @@ def _lifted_level(spec: SystemSpec, level: int,
             all(len(lift) - 1 <= dim_cap for lift in lifts))
 
 
-def _candidate_pairs(prev: SimplicialComplex, copies: bool) -> list[tuple[int, int]]:
+def _candidate_pairs(spec: SystemSpec, prev: SimplicialComplex,
+                     copies: bool) -> list[tuple[int, int]]:
     """The pairs of cells the oracle is asked about at the depth after `prev`:
     the children of the parent pairs that may meet, leaving out pairs inside
     one block when blocks are copied.  A child of a pair crosses blocks
-    exactly when the pair crosses the blocks of `prev`."""
+    exactly when the pair crosses the blocks of `prev`.  A parent pair whose
+    envelopes meet in one point, on an injective system, keeps only the
+    children whose envelopes hold that point (`oracles.touching_children`);
+    any other keeps all m^2."""
     m = prev.m
     pairs = list(prev.added.get(1, ()))
     pairs += [s for s, _note in prev.uncertain if len(s) == 2]
@@ -282,8 +294,13 @@ def _candidate_pairs(prev: SimplicialComplex, copies: bool) -> list[tuple[int, i
         pairs = [(a, b) for a, b in pairs if a // block != b // block]
     else:
         pairs += [(v, v) for v in range(m ** prev.level)]  # siblings share a parent cell
-    return sorted({(a * m + x, b * m + y) for a, b in pairs
-                   for x in range(m) for y in range(m) if a * m + x < b * m + y})
+    word = partial(indexed_word, m, prev.level)
+    children = set()
+    for a, b in pairs:
+        kept = oracles.touching_children(spec, (word(a), word(b))) or [range(1, m + 1)] * 2
+        children.update((a * m + x - 1, b * m + y - 1) for x in kept[0] for y in kept[1]
+                        if a * m + x < b * m + y)
+    return sorted(children)
 
 
 def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],

@@ -477,21 +477,77 @@ def _refine(spec: SystemSpec, alive: list[tuple[Word, ...]]) -> Optional[list[tu
 PointAnswer = Literal["yes", "no", "unknown"]
 
 
-def _envelope_walk(spec: SystemSpec, point: Point2, depth: int) -> list[Word]:
-    """The depth-`depth` words whose cell envelopes contain `point`, each level
-    kept from the children of the one above.
+def _symbol_envelopes(spec: SystemSpec) -> tuple[ConvexPolygon, ...]:
+    """The depth-1 cell envelopes, cell_envelope of each one-symbol word."""
+    got = spec._cache.get("symbol_envelopes")
+    if got is None:
+        got = spec._cache["symbol_envelopes"] = tuple(
+            cell_envelope(spec, Word((j,), spec.m)) for j in range(1, spec.m + 1))
+    return got
+
+
+def touching_children(spec: SystemSpec, pair: tuple[Word, Word]) -> Optional[list[list[int]]]:
+    """When every cell map is injective and the envelopes of the two words
+    meet in one point p, the symbols j of each word w whose child w j has an
+    envelope that holds p, else None: env(w j) = f_w(env(j)), so these are
+    the j with f_w^-1(p) in env(j).  No clip and no child envelope is built."""
+    if not spec.injective:
+        return None
+    region = _envelope_meet(spec, pair)
+    if len(region) != 1:
+        return None
+    kept = []
+    for w in pair:
+        q = Point2._of(word_map(spec, w).preimage(region[0]))
+        kept.append([j for j, env in enumerate(_symbol_envelopes(spec), 1)
+                     if env.contains_point(q)])
+    return kept
+
+
+def _envelope_walk(spec: SystemSpec, point: Point2,
+                   depth: int) -> list[tuple[tuple[int, ...], Optional[PointKey]]]:
+    """The depth-`depth` words whose cell envelopes contain `point`, as symbol
+    tuples, each level kept from the children of the one above.  On injective
+    specs each word u carries q_u = f_u^-1(point), and None otherwise.
 
     A cell lies inside its parent, so a word whose envelope misses the point
-    has no descendant that contains it.  The levels are kept on the spec per
+    has no descendant that contains it.  When every cell map is injective,
+    env(u j) = f_u(env(j)), so the child u j is kept exactly when env(j)
+    holds q_u, and it carries f_j^-1(q_u) = f_{u j}^-1(point): each step is
+    m tests against the depth-1 envelopes and a preimage under one cell map,
+    with no word map composed and no deep envelope built.  Singular specs
+    test each child's own envelope.  The levels are kept on the spec per
     point and extended from the deepest one walked, so the walk from the root
     is made once per point, whatever depths are asked for.
     """
-    levels = spec._cache.setdefault(("envelope_walk", point), [[Word((), spec.m)]])
+    key = ("envelope_walk", point)
+    levels = spec._cache.get(key)
+    if levels is None:
+        levels = spec._cache[key] = [[((), point.homogeneous() if spec.injective else None)]]
     symbols = range(1, spec.m + 1)
     while len(levels) <= depth:
-        children = (u.extended(j) for u in levels[-1] for j in symbols)
-        levels.append([v for v in children if cell_envelope(spec, v).contains_point(point)])
+        if spec.injective:
+            kept = []
+            for u, q in levels[-1]:
+                here = Point2._of(q)
+                kept += [(u + (j,), spec.cell_maps[j - 1].preimage(q))
+                         for j, env in zip(symbols, _symbol_envelopes(spec))
+                         if env.contains_point(here)]
+        else:
+            kept = [(v, None) for v in (u + (j,) for u, _ in levels[-1] for j in symbols)
+                    if cell_envelope(spec, Word._of(v, spec.m)).contains_point(point)]
+        levels.append(kept)
     return levels[depth]
+
+
+def _pulled_back_answer(spec: SystemSpec, q: PointKey, budget: Budget) -> PointAnswer:
+    """point_in_cell's answer for a cell whose map pulls the point back to q,
+    a point of the envelope."""
+    if q in _tail_table(spec, budget):
+        return "yes"
+    if not _envelope_walk(spec, Point2._of(q), budget.refine_depth):
+        return "no"
+    return "unknown"
 
 
 def point_in_cell(spec: SystemSpec, point: Point2, w: Word, budget: Budget = Budget()) -> PointAnswer:
@@ -509,11 +565,7 @@ def point_in_cell(spec: SystemSpec, point: Point2, w: Word, budget: Budget = Bud
         return "unknown"
     if not spec.backend.envelope.contains_point(q):
         return "no"
-    if q.homogeneous() in _tail_table(spec, budget):
-        return "yes"
-    if not _envelope_walk(spec, q, budget.refine_depth):
-        return "no"
-    return "unknown"
+    return _pulled_back_answer(spec, q.homogeneous(), budget)
 
 
 def cells_containing_point(spec: SystemSpec, point: Point2, depth: int,
@@ -522,12 +574,16 @@ def cells_containing_point(spec: SystemSpec, point: Point2, depth: int,
 
     Candidates are pruned by envelope membership, so the undecided list is the
     set of envelope hits where cell membership could not be settled either way.
+    On injective specs each hit u is answered from the q_u the walk pulled
+    back, which is point_in_cell's pulled-back point, inside the envelope.
     """
     if not spec.is_geometric:
         raise SpecError("cells_containing_point needs the geometric backend")
     yes, undecided = [], []
-    for u in _envelope_walk(spec, point, depth):
-        answer = point_in_cell(spec, point, u, budget)
+    for symbols, q in _envelope_walk(spec, point, depth):
+        u = Word._of(symbols, spec.m)
+        answer = point_in_cell(spec, point, u, budget) if q is None else \
+            _pulled_back_answer(spec, q, budget)
         if answer == "yes":
             yes.append(u)
         elif answer == "unknown":

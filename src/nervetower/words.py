@@ -27,6 +27,14 @@ class Word:
             if not isinstance(s, int) or isinstance(s, bool) or not 1 <= s <= self.m:
                 raise ValueError(f"symbol {s!r} outside 1..{self.m}")
 
+    @staticmethod
+    def _of(symbols: tuple[int, ...], m: int) -> "Word":
+        """The word of symbols already known to lie in 1..m, left unchecked."""
+        w = object.__new__(Word)
+        object.__setattr__(w, "symbols", symbols)
+        object.__setattr__(w, "m", m)
+        return w
+
     def __len__(self) -> int:
         return len(self.symbols)
 

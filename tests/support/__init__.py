@@ -41,4 +41,9 @@
 * `certificate_sets`: common certified points as the intersection of every
   word's whole point set; checks the one-point pull-back of
   `oracles._common_keys` and `oracles.certificate_points`.
+* `unpruned`: all m^2 children of every parent pair as nerve candidates,
+  and the point walk that tests each word's own envelope and pulls the point
+  back through each whole word map; check the one-point pruning of
+  `nerve._candidate_pairs` and the pull-back walk behind
+  `oracles.cells_containing_point`.
 """

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,6 +295,22 @@ class TestExitCodes:
         assert (captured.out, captured.err) == \
             ("", f"error: {message} exceed --max-cells 100\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["nerve", "gasket", "--depth"],
+        ["tower", "gasket", "--max-depth"],
+        ["classify", "gasket", "--max-depth"],
+        ["derive", "gasket", "--iterate"],
+    ])
+    def test_huge_depth_is_refused_at_once(self, capsys, argv):
+        """The cap is compared while m^depth is multiplied up: computing
+        3^100000000 first made each of these hang."""
+        start = time.perf_counter()
+        assert main(argv + ["100000000"]) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1
+        what = "generators" if argv[0] == "derive" else "cells"
+        assert capsys.readouterr().err == \
+            f"error: 3^100000000 {what} exceed --max-cells 250000\n"
 
     @pytest.mark.parametrize("argv,flag", [
         (["nerve", "gasket", "--depth", "2"], "--out-json"),

@@ -2,15 +2,18 @@
 
 import json
 import re
+import time
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nervetower import cli, homology, nerve, oracles
+from nervetower.classify import check_postunbranched
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, betti_exact, lambda_ranks
 from nervetower.nerve import (SimplicialComplex, TowerData, build_nerve,
@@ -20,6 +23,7 @@ from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyErro
                                 GeometricBackend, SpecError, SymbolicPUBackend,
                                 SystemSpec)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
+from support import unpruned
 from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certificates
 from support.complexes import block_subcomplex, euler_characteristic, simplex_word_sets
 from support.full_tower import (full_truncation_map, labels, reference_tower,
@@ -295,6 +299,43 @@ def assert_matches_allpairs(spec, depth, dim_cap, budget):
     for k in range(1, depth + 1):
         assert _nerve_data(build_nerve(spec, k, dim_cap, budget)) == \
             _nerve_data(allpairs_nerve(spec, k, dim_cap, budget))
+
+
+def fresh(spec):
+    """The same system with nothing cached."""
+    return SystemSpec(spec.name, spec.orientation, spec.m, spec.backend)
+
+
+def assert_matches_unpruned(spec, depth, dim_cap, budget):
+    """Levels 1..depth built from candidates pruned at one-point parent meets
+    equal those built from all m^2 children of every parent pair."""
+    def levels(system):
+        return [(c.added, c.uncertain, c.complete)
+                for c in (build_nerve(system, k, dim_cap, budget) for k in range(1, depth + 1))]
+
+    pruned = levels(fresh(spec))
+    with patch.object(nerve, "_candidate_pairs", unpruned.candidate_pairs):
+        assert levels(fresh(spec)) == pruned
+
+
+class TestOnePointPruning:
+    """The generator against the unpruned candidates: a child pair that the
+    pruning leaves out has an empty envelope meet."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(derived_systems(), st.sampled_from([Budget(), STARVED]))
+    def test_derived_systems(self, spec, budget):
+        assert_matches_unpruned(spec, 3 if spec.m <= 5 else 2, 2, budget)
+
+    @pytest.mark.parametrize("name,depth", [("snowflake", 3), ("gasket", 4),
+                                            ("interval-overlap", 3), ("five-map-funnel", 3)])
+    @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+    def test_bundled_systems(self, name, depth, budget):
+        assert_matches_unpruned(cli.load_bundled(name).spec, depth, 2, budget)
+
+    def test_uncertain_and_singular_parents(self):
+        assert_matches_unpruned(slow_to_separate_spec(), 4, 2, STARVED)
+        assert_matches_unpruned(singular_spec(), 3, 2, Budget())
 
 
 GASKET_WORDS2 = enumerate_words(3, 2)
@@ -636,6 +677,35 @@ class TestAgainstWordSets:
             with pytest.raises(AddressConsistencyError) as got:
                 build_nerve(bad, depth, dim_cap)
             assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(symbolic_systems(), st.integers(min_value=1, max_value=6), st.data())
+    def test_postunbranched_check_raises_the_depth_by_depth_error(self, spec, depth, data):
+        """The symbolic postunbranched check lifts once, at the shallowest
+        ambiguous depth, and raises what lifting every depth up to its own
+        raises first (or nothing)."""
+        if data.draw(st.booleans()):
+            spec = perturbed(spec, data.draw(st.integers(min_value=0, max_value=5)), data.draw)
+        expected = None
+        try:
+            for k in range(1, depth + 1):
+                oracles.generate_pu_nerve(spec, k)
+        except AddressConsistencyError as exc:
+            expected = str(exc)
+        try:
+            report = check_postunbranched(spec, depth)
+        except AddressConsistencyError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert (report.status, report.mechanism) == ("postunbranched", "by-construction")
+
+    def test_deep_postunbranched_check_lifts_no_level(self):
+        """Lifting every depth up to 3000 took 47.6 s on the pentagasket."""
+        spec = cli.load_bundled("pentagasket").spec
+        start = time.perf_counter()
+        assert check_postunbranched(spec, 3000).status == "postunbranched"
+        assert time.perf_counter() - start < 2
 
     @pytest.mark.parametrize("name", ["pentagasket", "simplex-boundary-1",
                                       "simplex-boundary-2", "simplex-boundary-3",

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import cli
+from nervetower import cli, oracles
 from nervetower.classify import check_postunbranched
 from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _collinear_region,
                                   _region, common_point_exists, common_region, compose)
@@ -14,16 +14,17 @@ from nervetower.nerve import (build_iterate_or_subsystem, build_nerve,
                               iterate_system, tower_complexes)
 from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 SymbolicPUBackend, SystemSpec, TableBackend,
-                                Verdict, _common_keys, _envelope_meet,
+                                Verdict, _common_keys, _envelope_meet, _tail_table,
                                 _word_points, cell_envelope,
                                 cells_containing_point, cells_intersect,
                                 certificate_points, generate_pu_nerve,
                                 limit_point, point_in_cell, word_map)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
-from support import certificate_sets, fraction_geometry
+from support import certificate_sets, fraction_geometry, unpruned
 from support.complexes import simplex_word_sets
 from support.finite_oracle import finite_cycle_system, finite_trivial_system
 from test_classify import derived_systems
+from test_nerve import singular_spec
 
 
 def P(x, y):
@@ -308,7 +309,9 @@ def test_snowflake_single_envelope_walk(monkeypatch):
     """Each pulled-back overlap point's envelope frontier is walked from the
     root once and kept per depth, not re-walked for every d = 1..4 of the
     postunbranched check: the re-walking code made 1,776 contains_point
-    calls on this run, the kept walk makes 264."""
+    calls on this run, the kept walk 264, and the walk down pulled-back
+    points makes 168.  Only the check is counted; the tower before it tests
+    points against envelopes of its own."""
     spec = cli.load_bundled("snowflake").spec
     calls = 0
     contains = ConvexPolygon.contains_point
@@ -318,10 +321,55 @@ def test_snowflake_single_envelope_walk(monkeypatch):
         calls += 1
         return contains(self, p)
 
-    monkeypatch.setattr(ConvexPolygon, "contains_point", counting)
     tower_complexes(spec, 3)
+    monkeypatch.setattr(ConvexPolygon, "contains_point", counting)
     check_postunbranched(spec)
     assert calls < 500
+
+
+def test_snowflake_one_point_meets_prune_the_candidates(monkeypatch):
+    """Children of a crossing pair whose envelopes meet in one point are
+    paired only when both hold that point: the m^2 children of every
+    crossing edge made 1,203 oracle queries on this tower, 36 of them
+    intersecting; the pruned candidates make 51."""
+    spec = cli.load_bundled("snowflake").spec
+    queries = 0
+    original = oracles.cells_intersect
+
+    def counting(spec, ws, budget=Budget()):
+        nonlocal queries
+        queries += 1
+        return original(spec, ws, budget)
+
+    monkeypatch.setattr(oracles, "cells_intersect", counting)
+    tower_complexes(spec, 3)
+    assert queries <= 100
+
+
+def _hole_point(envelope):
+    """The average of an envelope's vertices, which misses most invariant sets."""
+    n = len(envelope.vertices)
+    return Point2(sum(v.x for v in envelope.vertices) / n, sum(v.y for v in envelope.vertices) / n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(derived_systems(), st.sampled_from([Budget(), TINY]), st.data())
+def test_pull_back_walk_matches_the_forward_walk(spec, budget, data):
+    """cells_containing_point, walking down pulled-back points against the
+    depth-1 envelopes, answers tail points and hole points at depths 1-3 as
+    the walk that builds every word's envelope and pulls the point back
+    through its whole map answers them."""
+    tails = sorted(_tail_table(spec, budget))
+    points = [Point2.from_homogeneous(t) for t in
+              data.draw(st.lists(st.sampled_from(tails), min_size=1, max_size=3, unique=True))]
+    words = [w for k in (0, 1, 2) for w in enumerate_words(spec.m, k)]
+    points += [_hole_point(cell_envelope(spec, w))
+               for w in data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=2))]
+    for point in points:
+        for depth in (1, 2, 3):
+            fresh = SystemSpec(spec.name, spec.orientation, spec.m, spec.backend)
+            assert cells_containing_point(spec, point, depth, budget) == \
+                unpruned.cells_containing_point(fresh, point, depth, budget)
 
 
 class TestPointQueries:
@@ -352,6 +400,16 @@ class TestPointQueries:
                 fresh = cli.load_bundled("gasket").spec
                 assert cells_containing_point(walked, point, depth) == \
                     cells_containing_point(fresh, point, depth)
+
+    @pytest.mark.parametrize("budget", [Budget(), TINY], ids=["default", "tiny"])
+    def test_singular_maps_walk_forward(self, budget):
+        """Without inverses the walk tests each word's own envelope."""
+        spec = singular_spec()
+        for point in (P(0, 0), P("1/2", "1/2"), P("1/3", "1/6"), P("5/6", 0)):
+            for depth in (1, 2, 3):
+                fresh = singular_spec()
+                assert cells_containing_point(spec, point, depth, budget) == \
+                    unpruned.cells_containing_point(fresh, point, depth, budget)
 
     def test_needs_geometry(self, bundled):
         table = bundled("finite-cycle").spec
