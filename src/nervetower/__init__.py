@@ -7,7 +7,7 @@ verdicts -> overlap certificates and recurrence replay.  The cli module adds
 a file format and command-line front end, plus bundled example systems.
 """
 
-from .words import Address, Word, enumerate_words, word_from_string
+from .words import Address, FrozenInstanceError, Word, enumerate_words, word_from_string
 from .exactgeom import ConvexPolygon, Point2, RationalAffineMap, compose
 from .oracles import (AddressConsistencyError, Budget, ConsistencyError,
                       GeometricBackend, SpecError, SymbolicPUBackend, SystemSpec,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Address", "AddressConsistencyError", "BettiTable", "Budget",
     "ComponentTower", "ComponentVerdict", "ComponentsLevel", "ConsistencyError",
-    "ConvexPolygon", "FieldKind", "GeometricBackend", "LimitVerdict",
+    "ConvexPolygon", "FieldKind", "FrozenInstanceError", "GeometricBackend", "LimitVerdict",
     "LoadedSpec", "PUReport", "PairReport", "PivotReport", "Point2",
     "RationalAffineMap", "SimplicialComplex", "SimplicialMap", "SingletonReport",
     "SpecError", "SpecFlags", "SymbolicPUBackend", "SystemSpec", "TableBackend",

@@ -20,7 +20,6 @@ the report says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 from . import oracles
@@ -39,30 +38,53 @@ from .oracles import (
     cells_containing_point,
     certificate_points,
 )
-from .words import Address, Word
+from .words import Address, Word, _Record
 
 PairStatus = Literal["ok", "empty", "violated", "unknown"]
 
 
-@dataclass
-class PairReport:
+class PairReport(_Record):
+    __slots__ = _fields = ("pair", "status", "points", "prefix", "address", "detail", "singular")
     pair: tuple[int, int]
     status: PairStatus
-    points: tuple[Point2, ...] = ()
-    prefix: Optional[Word] = None        # the unique address prefix, to the checked depth
-    address: Optional[Address] = None    # when the pulled-back point has a known periodic tail
-    detail: str = ""
-    singular: bool = False               # unknown because cell map i has no inverse
+    points: tuple[Point2, ...]
+    prefix: Optional[Word]        # the unique address prefix, to the checked depth
+    address: Optional[Address]    # when the pulled-back point has a known periodic tail
+    detail: str
+    singular: bool                # unknown because cell map i has no inverse
+
+    def __init__(self, pair: tuple[int, int], status: PairStatus,
+                 points: tuple[Point2, ...] = (), prefix: Optional[Word] = None,
+                 address: Optional[Address] = None, detail: str = "",
+                 singular: bool = False) -> None:
+        self.pair = pair
+        self.status = status
+        self.points = points
+        self.prefix = prefix
+        self.address = address
+        self.detail = detail
+        self.singular = singular
 
 
-@dataclass
-class PUReport:
+class PUReport(_Record):
+    __slots__ = _fields = ("name", "depth", "status", "mechanism", "pairs", "witness")
     name: str
     depth: int
     status: Literal["postunbranched", "not-postunbranched", "unknown"]
     mechanism: str
     pairs: dict[tuple[int, int], PairReport]
-    witness: str = ""
+    witness: str
+
+    def __init__(self, name: str, depth: int,
+                 status: Literal["postunbranched", "not-postunbranched", "unknown"],
+                 mechanism: str, pairs: dict[tuple[int, int], PairReport],
+                 witness: str = "") -> None:
+        self.name = name
+        self.depth = depth
+        self.status = status
+        self.mechanism = mechanism
+        self.pairs = pairs
+        self.witness = witness
 
 
 def check_postunbranched(spec: SystemSpec, depth: int = 4,
@@ -164,21 +186,19 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
     address: Optional[Address] = None
     for p in points:
         q = pull(p)
-        prefix = None
-        for d in range(1, depth + 1):
-            containing, undecided = cells_containing_point(spec, q, d, budget)
-            if undecided:
-                return PairReport((i, j), "unknown", points,
-                                  detail=f"membership undecided for cells {[str(u) for u in undecided]}")
-            if not containing:
-                raise ConsistencyError(
-                    f"pulled-back overlap point {q} of pair ({i},{j}) lies in no cell")
-            if len(containing) > 1:
-                cells = ", ".join(str(u) for u in containing)
-                return PairReport((i, j), "violated", points,
-                                  detail=f"point ({p.x}, {p.y}) pulls back into depth-{d} "
-                                         f"cells {cells}")
-            prefix = containing[0]
+        d, containing, undecided = _address_cells(spec, q, depth, budget)
+        if undecided:
+            return PairReport((i, j), "unknown", points,
+                              detail=f"membership undecided for cells {[str(u) for u in undecided]}")
+        if not containing:
+            raise ConsistencyError(
+                f"pulled-back overlap point {q} of pair ({i},{j}) lies in no cell")
+        if len(containing) > 1:
+            cells = ", ".join(str(u) for u in containing)
+            return PairReport((i, j), "violated", points,
+                              detail=f"point ({p.x}, {p.y}) pulls back into depth-{d} "
+                                     f"cells {cells}")
+        prefix = containing[0]
         if shared_prefix is None:
             shared_prefix = prefix
             address = tails.get(q.homogeneous())
@@ -189,16 +209,42 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
     return PairReport((i, j), "ok", points, prefix=shared_prefix, address=address)
 
 
+def _address_cells(spec: SystemSpec, q: Point2, depth: int,
+                   budget: Budget) -> tuple[int, list[Word], list[Word]]:
+    """(d, containing, undecided): `cells_containing_point` of the pulled-back
+    point q at the first depth d <= `depth` where q is not in exactly one
+    certified cell, else at `depth`.  Kept on the spec per point: the pairs
+    of one cell i that share an overlap point pull it back to the same q,
+    and its walk is made once, depth by depth."""
+    key = ("address_cells", q, depth, budget)
+    got = spec._cache.get(key)
+    if got is None:
+        for d in range(1, depth + 1):
+            containing, undecided = cells_containing_point(spec, q, d, budget)
+            if undecided or len(containing) != 1:
+                break
+        got = spec._cache[key] = (d, containing, undecided)
+    return got
+
+
 SingletonStatus = Literal["empty", "singleton", "several", "unknown"]
 
 
-@dataclass
-class SingletonReport:
+class SingletonReport(_Record):
+    __slots__ = _fields = ("name", "pairs", "all_small", "witnesses")
     name: str
     pairs: dict[tuple[int, int], SingletonStatus]
     all_small: bool  # every pair empty or a single point
     # the two smallest certified common points of each `several` pair
-    witnesses: dict[tuple[int, int], tuple[Point2, Point2]] = field(default_factory=dict)
+    witnesses: dict[tuple[int, int], tuple[Point2, Point2]]
+
+    def __init__(self, name: str, pairs: dict[tuple[int, int], SingletonStatus],
+                 all_small: bool,
+                 witnesses: Optional[dict[tuple[int, int], tuple[Point2, Point2]]] = None) -> None:
+        self.name = name
+        self.pairs = pairs
+        self.all_small = all_small
+        self.witnesses = {} if witnesses is None else witnesses
 
 
 def check_singleton_overlaps(spec: SystemSpec, budget: Budget = Budget()) -> SingletonReport:
@@ -254,22 +300,35 @@ def _singleton_status(spec: SystemSpec, i: int, j: int,
     return "unknown", ()
 
 
-@dataclass
-class ConditionResult:
+class ConditionResult(_Record):
+    __slots__ = _fields = ("ok", "witness")
     ok: bool
-    witness: str = ""
+    witness: str
+
+    def __init__(self, ok: bool, witness: str = "") -> None:
+        self.ok = ok
+        self.witness = witness
 
 
-@dataclass
-class PivotReport:
+class PivotReport(_Record):
     """The four structural conditions that force infinite limit rank at r = 1."""
 
+    __slots__ = _fields = ("name", "pivot", "conditions", "conclusion", "conditional", "detail")
     name: str
     pivot: int
     conditions: dict[str, ConditionResult]
     conclusion: bool
     conditional: bool  # True when undecided simplices could change an answer
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, pivot: int, conditions: dict[str, ConditionResult],
+                 conclusion: bool, conditional: bool, detail: str = "") -> None:
+        self.name = name
+        self.pivot = pivot
+        self.conditions = conditions
+        self.conclusion = conclusion
+        self.conditional = conditional
+        self.detail = detail
 
 
 def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
@@ -327,21 +386,36 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
     return PivotReport(spec.name, pivot, conditions, conclusion, conditional, detail)
 
 
-@dataclass
-class TheoremCheckItem:
+class TheoremCheckItem(_Record):
+    __slots__ = _fields = ("name", "ok", "detail")
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str = "") -> None:
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
-class TheoremCheck:
+class TheoremCheck(_Record):
+    __slots__ = _fields = ("name", "applicable", "passed", "checks", "predictions", "note")
     name: str
     applicable: bool
     passed: Optional[bool]
-    checks: list[TheoremCheckItem] = field(default_factory=list)
-    predictions: list[str] = field(default_factory=list)
-    note: str = ""
+    checks: list[TheoremCheckItem]
+    predictions: list[str]
+    note: str
+
+    def __init__(self, name: str, applicable: bool, passed: Optional[bool],
+                 checks: Optional[list[TheoremCheckItem]] = None,
+                 predictions: Optional[list[str]] = None, note: str = "") -> None:
+        self.name = name
+        self.applicable = applicable
+        self.passed = passed
+        self.checks = [] if checks is None else checks
+        self.predictions = [] if predictions is None else predictions
+        self.note = note
 
 
 def verify_puthm(table: BettiTable) -> TheoremCheck:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -40,7 +39,7 @@ from .nerve import (SimplicialComplex, build_iterate_or_subsystem, build_nerve,
                     iterate_system, tower_complexes)
 from .oracles import (Budget, GeometricBackend, SpecError, SymbolicPUBackend,
                       SystemSpec, TableBackend)
-from .words import Address, Word, word_from_string
+from .words import Address, Word, _Frozen, word_from_string
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -52,20 +51,31 @@ EXIT_RESOURCE = 4
 # spec files
 
 
-@dataclass(frozen=True)
-class SpecFlags:
+class SpecFlags(_Frozen):
     """Author-asserted hypotheses and defaults carried by a spec file."""
 
-    lx_connected: bool = False
-    injective: bool = False
-    pivot: Optional[int] = None
+    __slots__ = _fields = ("lx_connected", "injective", "pivot")
+    lx_connected: bool
+    injective: bool
+    pivot: Optional[int]
+
+    def __init__(self, lx_connected: bool = False, injective: bool = False,
+                 pivot: Optional[int] = None) -> None:
+        object.__setattr__(self, "lx_connected", lx_connected)
+        object.__setattr__(self, "injective", injective)
+        object.__setattr__(self, "pivot", pivot)
 
 
-@dataclass(frozen=True)
-class LoadedSpec:
+class LoadedSpec(_Frozen):
+    __slots__ = _fields = ("spec", "flags", "doc")
     spec: SystemSpec
     flags: SpecFlags
     doc: dict
+
+    def __init__(self, spec: SystemSpec, flags: SpecFlags, doc: dict) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "doc", doc)
 
 
 def _reject_float(text: str) -> None:

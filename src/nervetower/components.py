@@ -19,11 +19,11 @@ the parent links take one lookup per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Literal, Optional
 
 from .oracles import ConsistencyError
+from .words import _Frozen, _Record
 
 if TYPE_CHECKING:  # nerve builds on this module: TowerData holds each nerve's components
     from .nerve import SimplicialComplex, TowerData
@@ -52,8 +52,7 @@ class UnionFind:
         self.size[ra] += self.size[rb]
 
 
-@dataclass(frozen=True)
-class ComponentsLevel:
+class ComponentsLevel(_Frozen):
     """Components of one nerve's 1-skeleton.
 
     Components are numbered 0..count-1 in order of their least vertex (its
@@ -70,12 +69,23 @@ class ComponentsLevel:
     that chain of levels.
     """
 
+    __slots__ = _fields = ("count", "representatives", "crossing", "ids", "block", "below")
     count: int
     representatives: tuple[int, ...]
     crossing: tuple[tuple[int, int], ...]
     ids: tuple[int, ...]
     block: int
-    below: Optional[ComponentsLevel] = None
+    below: Optional[ComponentsLevel]
+
+    def __init__(self, count: int, representatives: tuple[int, ...],
+                 crossing: tuple[tuple[int, int], ...], ids: tuple[int, ...], block: int,
+                 below: Optional[ComponentsLevel] = None) -> None:
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "crossing", crossing)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "below", below)
 
     def label(self, v: int) -> int:
         """The component of vertex v: one lookup per level of the chain."""
@@ -162,31 +172,53 @@ VerdictKind = Literal[
 VerdictStatus = Literal["finite", "infinite", "unknown"]
 
 
-@dataclass
-class LimitVerdict:
+class LimitVerdict(_Record):
+    __slots__ = _fields = ("status", "value", "mechanism", "detail")
     status: VerdictStatus
     value: Optional[int]  # the limit dimension, when finite
     mechanism: str
-    detail: str = ""
+    detail: str
+
+    def __init__(self, status: VerdictStatus, value: Optional[int], mechanism: str,
+                 detail: str = "") -> None:
+        self.status = status
+        self.value = value
+        self.mechanism = mechanism
+        self.detail = detail
 
 
-@dataclass
-class ComponentVerdict:
+class ComponentVerdict(_Record):
+    __slots__ = _fields = ("kind", "count", "mechanism", "detail")
     kind: VerdictKind
     count: Optional[int]  # set for connected / finitely-many
     mechanism: str
-    detail: str = ""
+    detail: str
+
+    def __init__(self, kind: VerdictKind, count: Optional[int], mechanism: str,
+                 detail: str = "") -> None:
+        self.kind = kind
+        self.count = count
+        self.mechanism = mechanism
+        self.detail = detail
 
 
-@dataclass
-class ComponentTower:
+class ComponentTower(_Record):
     """Component counts per depth, parent links, and the licensed verdict."""
 
+    __slots__ = _fields = ("name", "counts", "parents", "hypothesis", "verdict")
     name: str
     counts: list[int]
     parents: list[tuple[int, ...]]  # as in Dim0Facts
     hypothesis: str  # 'verified-contraction' | 'user-asserted' | 'unverified'
     verdict: ComponentVerdict
+
+    def __init__(self, name: str, counts: list[int], parents: list[tuple[int, ...]],
+                 hypothesis: str, verdict: ComponentVerdict) -> None:
+        self.name = name
+        self.counts = counts
+        self.parents = parents
+        self.hypothesis = hypothesis
+        self.verdict = verdict
 
 
 def stationary_bound(m: int, a01: int, a11: int) -> Fraction:
@@ -194,10 +226,11 @@ def stationary_bound(m: int, a01: int, a11: int) -> Fraction:
     return Fraction(m - a01 + a11, m - 1)
 
 
-@dataclass
-class Dim0Facts:
+class Dim0Facts(_Record):
     """What the dim-0 mechanisms read off depths 1..K of a tower."""
 
+    __slots__ = _fields = ("m", "counts", "parents", "isolated", "injective", "split_ok",
+                           "postunbranched", "n1_betti")
     m: int
     counts: list[int]
     parents: list[tuple[int, ...]]  # parents[i][c] = component at depth i+1 containing c's image
@@ -206,6 +239,18 @@ class Dim0Facts:
     split_ok: bool                  # injective cell maps, or backward (cells are preimages)
     postunbranched: bool
     n1_betti: Optional[tuple[int, int]]  # (a_{0,1}, a_{1,1}) over a field
+
+    def __init__(self, m: int, counts: list[int], parents: list[tuple[int, ...]],
+                 isolated: tuple[int, ...], injective: Optional[bool], split_ok: bool,
+                 postunbranched: bool, n1_betti: Optional[tuple[int, int]]) -> None:
+        self.m = m
+        self.counts = counts
+        self.parents = parents
+        self.isolated = isolated
+        self.injective = injective
+        self.split_ok = split_ok
+        self.postunbranched = postunbranched
+        self.n1_betti = n1_betti
 
     @property
     def bound(self) -> Fraction:
@@ -233,14 +278,15 @@ def dim0_facts(tower: TowerData, *, assert_injective: bool,
                      postunbranched is True, n1_betti)
 
 
-@dataclass(frozen=True)
-class Dim0Mechanism:
+class Dim0Mechanism(_Frozen):
     """One way to settle the limit at r = 0, i.e. the invariant set's components.
 
     Tried only when every Dim0Facts field in `needs` is truthy.  The details
     format the facts `f`; the component detail defaults to the limit detail.
     """
 
+    __slots__ = _fields = ("name", "needs", "status", "kind", "applies", "licence", "detail",
+                           "component_detail")
     name: str
     needs: tuple[str, ...]
     status: VerdictStatus  # a finite limit is the deepest count
@@ -248,7 +294,19 @@ class Dim0Mechanism:
     applies: Callable[[Dim0Facts], bool]
     licence: str
     detail: str
-    component_detail: str = ""
+    component_detail: str
+
+    def __init__(self, name: str, needs: tuple[str, ...], status: VerdictStatus,
+                 kind: VerdictKind, applies: Callable[[Dim0Facts], bool], licence: str,
+                 detail: str, component_detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "needs", needs)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "applies", applies)
+        object.__setattr__(self, "licence", licence)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "component_detail", component_detail)
 
 
 # Tried in order; the first that applies settles both the r = 0 limit verdict

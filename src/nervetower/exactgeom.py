@@ -29,11 +29,12 @@ on one line meet in the coordinate of that line, without clipping.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
+
+from .words import _Frozen
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -78,18 +79,6 @@ def _det3(o: Triple, a: Triple, b: Triple) -> int:
     > 0 for a left turn."""
     x, y, z = _line(o, a)
     return x * b[0] + y * b[1] + z * b[2]
-
-
-class _Frozen:
-    """Immutable slotted values: only the constructors set the slot."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class Point2(_Frozen):
@@ -280,18 +269,20 @@ def compose(outer: RationalAffineMap, inner: RationalAffineMap) -> RationalAffin
         a * t + b * u + e * k, c * t + d * u + f * k, n * k)
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(_Frozen):
     """Convex polygon as a CCW vertex cycle with no repeated or interior-collinear vertices.
 
     One vertex is a point, two a segment.  Build with ConvexPolygon.hull()
-    unless the vertices are already in normal form.
+    unless the vertices are already in normal form.  The `__dict__` holds
+    the cached integer forms.
     """
 
+    _fields = ("vertices",)
+    __slots__ = ("vertices", "__dict__")
     vertices: tuple[Point2, ...]
 
-    def __post_init__(self) -> None:
-        v = [p.homogeneous() for p in self.vertices]
+    def __init__(self, vertices: tuple[Point2, ...]) -> None:
+        v = [p.homogeneous() for p in vertices]
         if not v:
             raise ValueError("polygon needs at least one vertex")
         if len(set(v)) != len(v):
@@ -301,6 +292,7 @@ class ConvexPolygon:
             for i in range(n):
                 if _det3(v[i], v[(i + 1) % n], v[(i + 2) % n]) <= 0:
                     raise ValueError("vertices are not a strictly convex CCW cycle")
+        object.__setattr__(self, "vertices", vertices)
 
     @staticmethod
     def _of(vertices: tuple[Point2, ...]) -> "ConvexPolygon":

@@ -32,27 +32,25 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .components import Dim0Facts, LimitVerdict, dim0_facts, dim0_verdict
 from .nerve import SimplicialComplex, SimplicialMap, TowerData
 from .oracles import ConsistencyError, SpecError
-from .words import Word
+from .words import Word, _Frozen, _Record
 
 
-@dataclass(frozen=True)
-class FieldKind:
+class FieldKind(_Frozen):
     """A coefficient field: the rationals (char 0) or a prime field GF(p)."""
 
-    char: int = 0
+    __slots__ = _fields = ("char",)
+    char: int
 
-    def __post_init__(self) -> None:
-        p = self.char
-        if p == 0:
-            return
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    def __init__(self, char: int = 0) -> None:
+        p = char
+        if p != 0 and (p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1))):
             raise SpecError(f"field characteristic must be 0 or a prime, got {p}")
+        object.__setattr__(self, "char", char)
 
     @staticmethod
     def parse(text: str) -> "FieldKind":
@@ -307,10 +305,11 @@ def lambda_ranks(tower: TowerData, fieldkind: FieldKind,
     return lam
 
 
-@dataclass
-class BettiTable:
+class BettiTable(_Record):
     """Interaction numbers a_{r,k} for one system over one field, plus verdicts."""
 
+    __slots__ = _fields = ("name", "m", "field", "depth", "dim_cap", "exact_dims", "a", "lam",
+                           "facts", "growth", "verdicts", "b1_infinity", "flags", "uncertain")
     name: str
     m: int
     field: FieldKind
@@ -324,7 +323,28 @@ class BettiTable:
     verdicts: dict[int, LimitVerdict]
     b1_infinity: LimitVerdict
     flags: dict[str, Optional[bool]]
-    uncertain: list[tuple[int, tuple[Word, ...], str]] = field(default_factory=list)
+    uncertain: list[tuple[int, tuple[Word, ...], str]]
+
+    def __init__(self, name: str, m: int, field: FieldKind, depth: int, dim_cap: int,
+                 exact_dims: tuple[int, ...], a: dict[tuple[int, int], int],
+                 lam: dict[int, int], facts: Dim0Facts,
+                 growth: dict[int, list[Optional[float]]], verdicts: dict[int, LimitVerdict],
+                 b1_infinity: LimitVerdict, flags: dict[str, Optional[bool]],
+                 uncertain: Optional[list[tuple[int, tuple[Word, ...], str]]] = None) -> None:
+        self.name = name
+        self.m = m
+        self.field = field
+        self.depth = depth
+        self.dim_cap = dim_cap
+        self.exact_dims = exact_dims
+        self.a = a
+        self.lam = lam
+        self.facts = facts
+        self.growth = growth
+        self.verdicts = verdicts
+        self.b1_infinity = b1_infinity
+        self.flags = flags
+        self.uncertain = [] if uncertain is None else uncertain
 
     @property
     def component_counts(self) -> list[int]:

@@ -19,7 +19,6 @@ reports can say exactly which conclusions are conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
@@ -36,13 +35,12 @@ from .oracles import (
     SystemSpec,
     TableBackend,
 )
-from .words import Word, enumerate_words, indexed_word, word_index
+from .words import Word, _Frozen, _Record, enumerate_words, indexed_word, word_index
 
 Simplices = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """A finite simplicial complex on the depth-`level` words of a system: a
     fixed value, never changed once built.
 
@@ -79,15 +77,40 @@ class SimplicialComplex:
     every simplex (reports, `homology.betti`, the full truncation pass).
     """
 
+    _fields = ("level", "m", "added", "dim_cap", "complete", "uncertain", "block_source")
+    __slots__ = _fields + ("__dict__",)  # the __dict__ holds the cached_property values
     level: int
     m: int
     added: dict[int, Simplices]
     dim_cap: int
     complete: bool
-    uncertain: tuple[tuple[tuple[int, ...], str], ...] = ()
-    block_source: Optional[SimplicialComplex] = field(default=None, repr=False)
-    _expanded: dict[int, Simplices] = field(default_factory=dict, init=False, repr=False,
-                                            compare=False)
+    uncertain: tuple[tuple[tuple[int, ...], str], ...]
+    block_source: Optional[SimplicialComplex]
+
+    def __init__(self, level: int, m: int, added: dict[int, Simplices], dim_cap: int,
+                 complete: bool, uncertain: tuple[tuple[tuple[int, ...], str], ...] = (),
+                 block_source: Optional[SimplicialComplex] = None) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "dim_cap", dim_cap)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "uncertain", uncertain)
+        object.__setattr__(self, "block_source", block_source)
+
+    def replace(self, **changes) -> SimplicialComplex:
+        """This complex with the named fields changed, built anew."""
+        return SimplicialComplex(**{**dict(zip(self._fields, self._astuple())), **changes})
+
+    def __repr__(self) -> str:
+        # The block source is left out: it is the whole chain of levels below.
+        return ("SimplicialComplex(" + ", ".join(f"{name}={getattr(self, name)!r}"
+                                                 for name in self._fields[:-1]) + ")")
+
+    @cached_property
+    def _expanded(self) -> dict[int, Simplices]:
+        """The simplices that simplices_of expanded, by dimension."""
+        return {}
 
     def index_of(self, w: Word) -> int:
         return word_index(self.m, self.level, w)
@@ -252,9 +275,9 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
         built = SimplicialComplex(level, spec.m, added, dim_cap, complete, tuple(uncertain),
                                   source)
         if uncertain and source is not None:
-            built = replace(built, added={dim: built.simplices_of(dim)
-                                          for dim in built.simplex_counts() if dim},
-                            block_source=None)
+            built = built.replace(added={dim: built.simplices_of(dim)
+                                         for dim in built.simplex_counts() if dim},
+                                  block_source=None)
         levels.append(built)
     return levels
 
@@ -356,16 +379,22 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
     return {dim: tuple(sorted(sims)) for dim, sims in sorted(found.items()) if sims}, complete
 
 
-@dataclass
-class SimplicialMap:
+class SimplicialMap(_Record):
     """A vertex map from `source` into `target`, the input of
     `homology.induced_rank`.  Nothing is checked when it is built;
     `induced_rank` raises ConsistencyError when it sends a simplex of the
     dimension it reads outside the target."""
 
+    __slots__ = _fields = ("source", "target", "vertex_map")
     source: SimplicialComplex
     target: SimplicialComplex
     vertex_map: Sequence[int]
+
+    def __init__(self, source: SimplicialComplex, target: SimplicialComplex,
+                 vertex_map: Sequence[int]) -> None:
+        self.source = source
+        self.target = target
+        self.vertex_map = vertex_map
 
 
 def _truncate(simplex: tuple[int, ...], ratio: int) -> tuple[int, ...]:
@@ -442,8 +471,7 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
                 swept = True
             images[dim].add(image)
     if swept:
-        short = replace(
-            short,
+        short = short.replace(
             added={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items()) if sims},
             uncertain=tuple(entry for entry in short.uncertain
                             if entry[0] not in target.get(len(entry[0]) - 1, ())),
@@ -455,15 +483,23 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
     return short
 
 
-@dataclass
-class TowerData:
+class TowerData(_Record):
     """Nerves at depths 1..K and their components."""
 
+    __slots__ = _fields = ("spec", "dim_cap", "budget", "complexes", "components")
     spec: SystemSpec
     dim_cap: int
     budget: Budget
     complexes: list[SimplicialComplex]
     components: list[ComponentsLevel]
+
+    def __init__(self, spec: SystemSpec, dim_cap: int, budget: Budget,
+                 complexes: list[SimplicialComplex], components: list[ComponentsLevel]) -> None:
+        self.spec = spec
+        self.dim_cap = dim_cap
+        self.budget = budget
+        self.complexes = complexes
+        self.components = components
 
     @property
     def depth(self) -> int:

@@ -25,7 +25,6 @@ its vertex indices (`index_of`) form a simplex of `nerve.build_nerve(spec, k)`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
@@ -40,7 +39,7 @@ from .exactgeom import (
     compose,
     map_polygon,
 )
-from .words import Address, Word, enumerate_words, indexed_word, symbols_index
+from .words import Address, Word, _Frozen, _normalize, indexed_word, symbols_index
 
 
 class SpecError(ValueError):
@@ -65,8 +64,7 @@ class AddressConsistencyError(SpecError):
         )
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(_Frozen):
     """Search bounds for the geometric backend.
 
     refine_depth bounds the subdivision rounds used to separate cells;
@@ -74,12 +72,17 @@ class Budget:
     enumerated when hunting for a common limit point.
     """
 
-    refine_depth: int = 8
-    cert_period_max: int = 2
-    cert_preperiod_max: int = 1
+    __slots__ = _fields = ("refine_depth", "cert_period_max", "cert_preperiod_max")
+    refine_depth: int
+    cert_period_max: int
+    cert_preperiod_max: int
 
-    def __post_init__(self) -> None:
-        if self.refine_depth < 0 or self.cert_period_max < 1 or self.cert_preperiod_max < 0:
+    def __init__(self, refine_depth: int = 8, cert_period_max: int = 2,
+                 cert_preperiod_max: int = 1) -> None:
+        object.__setattr__(self, "refine_depth", refine_depth)
+        object.__setattr__(self, "cert_period_max", cert_period_max)
+        object.__setattr__(self, "cert_preperiod_max", cert_preperiod_max)
+        if refine_depth < 0 or cert_period_max < 1 or cert_preperiod_max < 0:
             raise SpecError(f"nonsensical budget {self}")
 
 
@@ -90,8 +93,7 @@ _ALIVE_CAP = 4096
 VerdictKind = Literal["disjoint", "intersect", "unknown"]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Frozen):
     """Answer to "do these cells share a point?" on a geometric system.
 
     disjoint: certified empty after `depth` subdivision rounds.
@@ -100,9 +102,15 @@ class Verdict:
     unknown: neither certificate found within budget; `note` says why.
     """
 
+    __slots__ = _fields = ("kind", "depth", "note")
     kind: VerdictKind
-    depth: Optional[int] = None
-    note: str = ""
+    depth: Optional[int]
+    note: str
+
+    def __init__(self, kind: VerdictKind, depth: Optional[int] = None, note: str = "") -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "note", note)
 
     @staticmethod
     def disjoint(depth: int) -> "Verdict":
@@ -336,26 +344,36 @@ def _tail_table(spec: SystemSpec, budget: Budget) -> dict[PointKey, Address]:
 
     Enumeration is in canonical order (shorter first, then lexicographic), so
     each point keeps its minimal naming address; the table is shared by every
-    query under the same budget.
+    query under the same budget.  Addresses are deduplicated as their
+    normalized symbol pairs (`words._normalize`), each period's fixed point
+    is found once, and an Address is built only for a point's first name.
     """
     key = ("tails", budget.cert_preperiod_max, budget.cert_period_max)
     got = spec._cache.get(key)
     if got is not None:
         return got
+    m = spec.m
     table: dict[PointKey, Address] = {}
-    seen: set[Address] = set()
-    heads = [w for length in range(budget.cert_preperiod_max + 1)
-             for w in enumerate_words(spec.m, length)]
-    cycles = [w for length in range(1, budget.cert_period_max + 1)
-              for w in enumerate_words(spec.m, length)]
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    fixed: dict[tuple[int, ...], PointKey] = {}
+    symbols = range(1, m + 1)
+    heads = [h for length in range(budget.cert_preperiod_max + 1)
+             for h in product(symbols, repeat=length)]
+    cycles = [c for length in range(1, budget.cert_period_max + 1)
+              for c in product(symbols, repeat=length)]
     for head in heads:
         for cycle in cycles:
-            addr = Address(head, cycle)
-            if addr in seen:
+            pair = _normalize(head, cycle)
+            if pair in seen:
                 continue
-            seen.add(addr)
-            point = limit_point(spec, addr.preperiod, addr.period)
-            table.setdefault(point.homogeneous(), addr)
+            seen.add(pair)
+            pre, per = pair
+            q = fixed.get(per)
+            if q is None:
+                q = fixed[per] = word_map(spec, Word._of(per, m)).fixed_point().homogeneous()
+            point = word_map(spec, Word._of(pre, m)).apply(q)
+            if point not in table:
+                table[point] = Address._of(pre, per, m)
     spec._cache[key] = table
     return table
 
@@ -516,28 +534,32 @@ def _envelope_walk(spec: SystemSpec, point: Point2,
     holds q_u, and it carries f_j^-1(q_u) = f_{u j}^-1(point): each step is
     m tests against the depth-1 envelopes and a preimage under one cell map,
     with no word map composed and no deep envelope built.  Singular specs
-    test each child's own envelope.  The levels are kept on the spec per
-    point and extended from the deepest one walked, so the walk from the root
-    is made once per point, whatever depths are asked for.
+    test each child's own envelope.  Only the level last asked for is kept
+    on the spec per point, with its depth: a deeper ask extends it, and a
+    shallower one walks again from the root, so memory stays one level
+    while asks that rise depth by depth walk from the root once.
     """
     key = ("envelope_walk", point)
-    levels = spec._cache.get(key)
-    if levels is None:
-        levels = spec._cache[key] = [[((), point.homogeneous() if spec.injective else None)]]
+    walked = spec._cache.get(key)
+    if walked is None or walked[0] > depth:
+        walked = (0, [((), point.homogeneous() if spec.injective else None)])
+    reached, level = walked
     symbols = range(1, spec.m + 1)
-    while len(levels) <= depth:
+    while reached < depth:
         if spec.injective:
             kept = []
-            for u, q in levels[-1]:
+            for u, q in level:
                 here = Point2._of(q)
                 kept += [(u + (j,), spec.cell_maps[j - 1].preimage(q))
                          for j, env in zip(symbols, _symbol_envelopes(spec))
                          if env.contains_point(here)]
         else:
-            kept = [(v, None) for v in (u + (j,) for u, _ in levels[-1] for j in symbols)
+            kept = [(v, None) for v in (u + (j,) for u, _ in level for j in symbols)
                     if cell_envelope(spec, Word._of(v, spec.m)).contains_point(point)]
-        levels.append(kept)
-    return levels[depth]
+        level = kept
+        reached += 1
+    spec._cache[key] = (reached, level)
+    return level
 
 
 def _pulled_back_answer(spec: SystemSpec, q: PointKey, budget: Budget) -> PointAnswer:

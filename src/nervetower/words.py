@@ -4,28 +4,113 @@ A system with m generators indexes them 1..m.  Every word carries its
 alphabet size so that cross-system mixups fail loudly instead of producing
 nonsense nerves.  Addresses (right-infinite words) are restricted to the
 eventually periodic ones, which is exactly what exact arithmetic can name.
+
+This lowest module also holds the package's value-class bases: `_Record`
+(slotted fields, equality, repr, pickling) and `_Frozen` (immutable and
+hashable), so that no module builds its classes at import time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    """A finite word w_1 w_2 ... w_k over {1, ..., m}.  k = 0 is allowed."""
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a field of an immutable value."""
 
+
+def _rebuild(cls: type, values: tuple) -> object:
+    """The instance of cls whose fields hold values, built without __init__."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Record:
+    """A slotted record of the fields `_fields` names: equal to a record of
+    its own class with equal fields, shown as Class(field=value, ...) and
+    pickled as its field values.  Mutable and unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
+
+    def __reduce__(self):
+        return (_rebuild, (self.__class__, self._astuple()))
+
+
+class _Frozen(_Record):
+    """Immutable slotted values: only the constructors set the slots, and
+    the value hashes as its field tuple."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+
+class _Ordered(_Frozen):
+    """Frozen values that order as their field tuples."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() < other._astuple()
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() <= other._astuple()
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() > other._astuple()
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() >= other._astuple()
+        return NotImplemented
+
+
+class Word(_Ordered):
+    """A finite word w_1 w_2 ... w_k over {1, ..., m}.  k = 0 is allowed.
+    Words compare as their (symbols, m) tuples."""
+
+    __slots__ = _fields = ("symbols", "m")
     symbols: tuple[int, ...]
     m: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"alphabet size must be at least 1, got {self.m}")
-        for s in self.symbols:
-            if not isinstance(s, int) or isinstance(s, bool) or not 1 <= s <= self.m:
-                raise ValueError(f"symbol {s!r} outside 1..{self.m}")
+    def __init__(self, symbols: tuple[int, ...], m: int) -> None:
+        if m < 1:
+            raise ValueError(f"alphabet size must be at least 1, got {m}")
+        for s in symbols:
+            if not isinstance(s, int) or isinstance(s, bool) or not 1 <= s <= m:
+                raise ValueError(f"symbol {s!r} outside 1..{m}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "m", m)
 
     @staticmethod
     def _of(symbols: tuple[int, ...], m: int) -> "Word":
@@ -34,6 +119,16 @@ class Word:
         object.__setattr__(w, "symbols", symbols)
         object.__setattr__(w, "m", m)
         return w
+
+    # Words are hashed and compared as dict and set keys on the query paths,
+    # so these two are written for the two fields rather than left to _Frozen.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Word:
+            return self.symbols == other.symbols and self.m == other.m
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbols, self.m))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -54,28 +149,38 @@ class Word:
         return Word(self.symbols + (symbol,), self.m)
 
 
-@dataclass(frozen=True, order=True)
-class Address:
+class Address(_Ordered):
     """Eventually periodic right-infinite word: preperiod, then the period forever.
 
     Instances are normalized on construction (primitive period, preperiod not
     absorbable into the period), so two addresses compare equal exactly when
-    they denote the same infinite sequence.
+    they denote the same infinite sequence.  Addresses compare as their
+    (preperiod, period) tuples.
     """
 
+    __slots__ = _fields = ("preperiod", "period")
     preperiod: Word
     period: Word
 
-    def __post_init__(self) -> None:
-        if self.preperiod.m != self.period.m:
+    def __init__(self, preperiod: Word, period: Word) -> None:
+        if preperiod.m != period.m:
             raise ValueError("preperiod and period use different alphabets")
-        if len(self.period) == 0:
+        if len(period) == 0:
             raise ValueError("period must be nonempty")
-        pre, per = _normalize(self.preperiod.symbols, self.period.symbols)
-        if pre != self.preperiod.symbols:
-            object.__setattr__(self, "preperiod", Word(pre, self.m))
-        if per != self.period.symbols:
-            object.__setattr__(self, "period", Word(per, self.m))
+        pre, per = _normalize(preperiod.symbols, period.symbols)
+        object.__setattr__(self, "preperiod", preperiod if pre == preperiod.symbols
+                           else Word(pre, period.m))
+        object.__setattr__(self, "period", period if per == period.symbols
+                           else Word(per, period.m))
+
+    @staticmethod
+    def _of(pre: tuple[int, ...], per: tuple[int, ...], m: int) -> "Address":
+        """The address of symbol tuples already in 1..m and normalized
+        (`_normalize`), left unchecked."""
+        a = object.__new__(Address)
+        object.__setattr__(a, "preperiod", Word._of(pre, m))
+        object.__setattr__(a, "period", Word._of(per, m))
+        return a
 
     @property
     def m(self) -> int:

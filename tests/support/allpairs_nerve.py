@@ -10,7 +10,6 @@ have uncertain tuples.  Like those, a sweep leaves its levels alone and
 returns a new one.
 """
 
-from dataclasses import replace
 from itertools import combinations
 
 from nervetower import oracles
@@ -122,8 +121,8 @@ def sweep_certificates(long: SimplicialComplex, short: SimplicialComplex) -> Sim
     if not added:
         return short
     _close_downward(buckets)
-    return replace(
-        short, added={dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items()) if dim},
+    return short.replace(
+        added={dim: tuple(sorted(sims)) for dim, sims in sorted(buckets.items()) if dim},
         uncertain=tuple(entry for entry in short.uncertain
                         if entry[0] not in buckets.get(len(entry[0]) - 1, ())),
         block_source=None)

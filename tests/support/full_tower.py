@@ -10,8 +10,6 @@ that cross blocks.
 `homology.induced_rank` takes.
 """
 
-from dataclasses import replace
-
 from nervetower.components import ComponentsLevel, UnionFind
 from nervetower.homology import FieldKind, betti, betti_exact, induced_rank
 from nervetower.nerve import SimplicialComplex, SimplicialMap, TowerData, build_nerve
@@ -50,8 +48,8 @@ def full_truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Si
                 swept = True
             images[dim].add(image)
     if swept:
-        short = replace(
-            short, added={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items()) if dim},
+        short = short.replace(
+            added={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items()) if dim},
             uncertain=tuple(entry for entry in short.uncertain
                             if entry[0] not in target.get(len(entry[0]) - 1, ())),
             block_source=None)

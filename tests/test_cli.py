@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -311,6 +312,22 @@ class TestExitCodes:
         what = "generators" if argv[0] == "derive" else "cells"
         assert capsys.readouterr().err == \
             f"error: 3^100000000 {what} exceed --max-cells 250000\n"
+
+    def test_deep_pu_depth_keeps_one_walk_level(self, capsys):
+        """A point walk keeps one level: keeping every level made the
+        allocations of `--pu-depth 3000` peak at 105 MiB (122 MiB peak RSS
+        in a fresh interpreter), with the same output as `--pu-depth 40`."""
+        argv = ["tower", "gasket", "--max-depth", "3", "--pu-depth"]
+        assert main(argv + ["40"]) == EXIT_OK
+        shallow = capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv + ["3000"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == shallow
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("argv,flag", [
         (["nerve", "gasket", "--depth", "2"], "--out-json"),

@@ -113,7 +113,7 @@ class TestVerdicts:
     def test_mechanism_table_is_well_formed(self):
         names = [mech.name for mech in DIM0_MECHANISMS]
         assert len(set(names)) == len(names)
-        facts = Dim0Facts.__dataclass_fields__
+        facts = Dim0Facts._fields
         for mech in DIM0_MECHANISMS:
             assert mech.licence
             assert all(need in facts for need in mech.needs)

@@ -1,13 +1,13 @@
 """Exact rational geometry: maps, hulls, clipping, intersection emptiness."""
 
 import pickle
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nervetower import FrozenInstanceError
 from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _collinear_region,
                                   _region, bboxes_overlap, check_envelope,
                                   common_point_exists, common_region, compose,

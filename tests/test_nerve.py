@@ -4,7 +4,6 @@ import json
 import re
 import time
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import combinations
 from unittest.mock import patch
@@ -12,7 +11,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import cli, homology, nerve, oracles
+from nervetower import FrozenInstanceError, cli, homology, nerve, oracles
 from nervetower.classify import check_postunbranched
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, betti_exact, lambda_ranks
@@ -226,8 +225,8 @@ class TestTruncation:
         simplicial."""
         # depth-2 edges 11-21 and 11-31 truncate onto 1-2 and 1-3
         long = hand_built(2, {1: ((0, 3), (0, 6))}, 2)
-        short = replace(hand_built(1, {1: ((0, 1),)}, 2),
-                        uncertain=(((0, 2), "budget exhausted"),))
+        short = hand_built(1, {1: ((0, 1),)}, 2).replace(
+            uncertain=(((0, 2), "budget exhausted"),))
         target = truncation_map(long, short)
         assert target is not short
         assert target.simplices == {0: ((0,), (1,), (2,)), 1: ((0, 1), (0, 2))}
@@ -720,13 +719,13 @@ def test_pentagasket_depth6_word_constructions(monkeypatch):
     19,530, and the word-set generator before it 78,220)."""
     spec = cli.load_bundled("pentagasket").spec
     made = []
-    original = Word.__post_init__
+    original = Word.__init__
 
-    def counting(self):
-        made.append(self.symbols)
-        original(self)
+    def counting(self, symbols, m):
+        made.append(symbols)
+        original(self, symbols, m)
 
-    monkeypatch.setattr(Word, "__post_init__", counting)
+    monkeypatch.setattr(Word, "__init__", counting)
     tower = tower_complexes(spec, 6)
     assert tower.complex_at(6).simplex_counts()[0] == 15625
     assert made == []
@@ -795,7 +794,7 @@ def mutated_levels(levels, k, mutated):
     out = levels[:k - 1] + [mutated]
     for level in levels[k:]:
         assert level.block_source is not None
-        out.append(replace(level, block_source=out[-1]))
+        out.append(level.replace(block_source=out[-1]))
     return out
 
 
@@ -864,7 +863,7 @@ class TestCopyBuiltFastPaths:
             b = data.draw(st.integers(min_value=(a // block + 1) * block,
                                       max_value=spec.m ** k - 1))
             added[1] = tuple(sorted(set(added.get(1, ())) | {(a, b)}))
-        injected = mutated_levels(levels, k, replace(level, added=added))
+        injected = mutated_levels(levels, k, level.replace(added=added))
 
         expected = outcome(lambda: [full_truncation_map(injected[i], injected[i - 1])
                                     for i in range(depth - 1, 0, -1)])
@@ -888,7 +887,7 @@ def copy_built_pentagasket(drop_image_of=None, add_crossing=None):
         edges.discard(nerve._truncate(drop_image_of, 5))
     if add_crossing is not None:
         edges.add(add_crossing)
-    level2 = replace(levels[1], added={1: tuple(sorted(edges))})
+    level2 = levels[1].replace(added={1: tuple(sorted(edges))})
     spec._cache[("nerve_levels", 1, Budget())] = mutated_levels(levels, 2, level2)
     return spec
 

@@ -1,8 +1,14 @@
-"""Word and address algebra: ordering, truncation, normalization."""
+"""Word and address algebra: ordering, truncation, normalization; and the
+semantics of the package's slotted value classes."""
+
+import operator
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nervetower import (Budget, ConvexPolygon, FrozenInstanceError, PairReport, Point2,
+                        SimplicialComplex, Verdict)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
 from support.pu_nerve import truncate
 
@@ -102,3 +108,94 @@ class TestConcat:
         m, head, per = data
         w = Word(tuple(head), m)
         assert truncate(Address(w, Word(tuple(per), m)), len(w)) == w
+
+
+ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+# Two words and two periods over one alphabet.
+word_quads = small_m.flatmap(lambda m: st.tuples(
+    st.just(m), symbols(m, 0, 4), symbols(m, 0, 4), symbols(m, 1, 3), symbols(m, 1, 3)))
+
+
+def frozen_values(m, u, v, p):
+    """A value of each frozen class, built from drawn words."""
+    symbols_ = sorted(set(u.symbols + v.symbols + p.symbols))
+    corners = [Point2(s, len(u.symbols)) for s in symbols_] + [Point2(0, -1)]
+    return (u, Address(v, p),
+            Budget(len(u), len(p), len(v)),
+            Verdict.disjoint(len(u)) if len(u) % 2 else Verdict.unknown(str(v)),
+            ConvexPolygon.hull(corners),
+            SimplicialComplex(1, m, {1: tuple((a - 1, b - 1) for a in symbols_
+                                              for b in symbols_ if a < b)}, 1, True))
+
+
+class TestValueClasses:
+    """Words and addresses compare, hash and order as their field tuples; the
+    frozen values refuse assignment and round-trip through pickle."""
+
+    @given(word_quads)
+    def test_words_and_addresses_compare_as_field_tuples(self, data):
+        m, a, b, p, q = data
+        u, v = Word(tuple(a), m), Word(tuple(b), m)
+        x, y = Address(u, Word(tuple(p), m)), Address(v, Word(tuple(q), m))
+        for one, other, fields in ((u, v, lambda w: (w.symbols, w.m)),
+                                   (x, y, lambda w: (w.preperiod, w.period))):
+            assert (one == other) == (fields(one) == fields(other))
+            for order in ORDERINGS:
+                assert order(one, other) == order(fields(one), fields(other))
+            # the hash of the field tuple keeps set and dict orders as they were
+            assert hash(one) == hash(fields(one))
+            assert one.__lt__(fields(one)) is NotImplemented
+            assert one != fields(one)
+        assert sorted([v, u]) == sorted([u, v])
+
+    @given(word_quads)
+    def test_frozen_values_refuse_assignment_and_pickle(self, data):
+        m, a, b, p, _ = data
+        u, v, period = Word(tuple(a), m), Word(tuple(b), m), Word(tuple(p), m)
+        for value in frozen_values(m, u, v, period):
+            for name in type(value)._fields:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(value, name, getattr(value, name))
+                with pytest.raises(FrozenInstanceError):
+                    delattr(value, name)
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and copy is not value
+            assert type(copy) is type(value) and copy._astuple() == value._astuple()
+            if isinstance(value, SimplicialComplex):
+                with pytest.raises(TypeError):  # its `added` is a dict
+                    hash(value)
+            else:
+                assert hash(copy) == hash(value) == hash(value._astuple())
+
+    def test_frozen_error_is_an_attribute_error(self):
+        assert issubclass(FrozenInstanceError, AttributeError)
+        assert not hasattr(Word((1,), 2), "__dict__")
+
+    def test_reprs_keep_the_record_format(self):
+        assert repr(Budget()) == "Budget(refine_depth=8, cert_period_max=2, cert_preperiod_max=1)"
+        assert repr(Verdict.disjoint(3)) == "Verdict(kind='disjoint', depth=3, note='')"
+        assert repr(Word((1, 2), 3)) == "Word(symbols=(1, 2), m=3)"
+        level = SimplicialComplex(1, 2, {1: ((0, 1),)}, 1, True)
+        above = SimplicialComplex(2, 2, {}, 1, True, (), level)
+        assert repr(above) == ("SimplicialComplex(level=2, m=2, added={}, dim_cap=1, "
+                               "complete=True, uncertain=())")
+
+    def test_replace_builds_a_new_complex(self):
+        level = SimplicialComplex(1, 3, {1: ((0, 1),)}, 1, True)
+        assert level.simplices_of(1) == ((0, 1),)
+        other = level.replace(added={1: ((0, 2),)}, complete=False)
+        assert other == SimplicialComplex(1, 3, {1: ((0, 2),)}, 1, False)
+        assert other.simplices_of(1) == ((0, 2),) and level.simplices_of(1) == ((0, 1),)
+        assert level.replace() == level and level.replace() is not level
+        with pytest.raises(TypeError):
+            level.replace(depth=2)
+
+    def test_reports_stay_mutable_and_unhashable(self):
+        report = PairReport((1, 2), "ok")
+        report.detail = "checked"
+        assert report == PairReport((1, 2), "ok", detail="checked")
+        assert report != PairReport((1, 2), "ok")
+        with pytest.raises(TypeError):
+            hash(report)
+        assert pickle.loads(pickle.dumps(report)) == report
