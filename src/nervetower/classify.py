@@ -25,7 +25,7 @@ from typing import Literal, Optional
 from . import oracles
 from .components import components as nerve_components, stationary_bound
 # common_point_exists is unused here; the tracer self-test in perfbench/tests patches it
-from .exactgeom import Point2, common_point_exists, intersection_cycle  # noqa: F401
+from .exactgeom import Point2, common_point_exists  # noqa: F401
 from .homology import BettiTable
 from .nerve import build_nerve
 from .oracles import (
@@ -34,7 +34,6 @@ from .oracles import (
     SpecError,
     SymbolicPUBackend,
     SystemSpec,
-    cell_envelope,
     cells_containing_point,
     certificate_points,
 )
@@ -201,7 +200,8 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
         prefix = containing[0]
         if shared_prefix is None:
             shared_prefix = prefix
-            address = tails.get(q.homogeneous())
+            name = tails.get(q.homogeneous())
+            address = None if name is None else Address._of(*name, spec.m)
         elif prefix != shared_prefix:
             return PairReport((i, j), "violated", points,
                               detail=f"overlap points pull back into distinct address cells "
@@ -287,12 +287,10 @@ def _singleton_status(spec: SystemSpec, i: int, j: int,
     points = certificate_points(spec, (wi, wj), budget)
     if len(points) >= 2:
         return "several", tuple(points[:2])
-    point = points[0]
+    only = {points[0].homogeneous()}
     alive = [(wi, wj)]
     for _ in range(budget.refine_depth + 1):
-        regions = [intersection_cycle((cell_envelope(spec, u), cell_envelope(spec, v)))
-                   for (u, v) in alive]
-        if all(set(region) == {point} for region in regions):
+        if all(set(oracles._envelope_meet(spec, pair)) == only for pair in alive):
             return "singleton", ()
         alive = oracles._refine(spec, alive)
         if not alive:  # past the frontier cap, or every child separated

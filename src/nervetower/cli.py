@@ -668,7 +668,7 @@ _nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("spec", help="path to a spec file, or a bundled system name")
-    parser.add_argument("--dim-cap", type=int, default=2,
+    parser.add_argument("--dim-cap", type=_positive_int, default=2,
                         help="largest simplex dimension to compute (default 2)")
     parser.add_argument("--max-cells", type=_positive_int, default=250_000,
                         help="refuse computations with more cells than this")
@@ -691,16 +691,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nerve", help="build one nerve and export JSON/DOT")
     _add_common(p)
-    p.add_argument("--depth", type=int, required=True, help="word length k")
+    p.add_argument("--depth", type=_positive_int, required=True, help="word length k")
     p.add_argument("--out-json", help="write the simplex list here (default stdout)")
     p.add_argument("--out-dot", help="write the 1-skeleton in DOT form here")
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("tower", help="Betti table, lambda ranks, components, verdicts")
     _add_common(p)
-    p.add_argument("--max-depth", type=int, required=True, help="deepest level K")
+    p.add_argument("--max-depth", type=_positive_int, required=True, help="deepest level K")
     p.add_argument("--field", default="q", help="q, or gfP for a prime P (default q)")
-    p.add_argument("--pu-depth", type=int, default=4,
+    p.add_argument("--pu-depth", type=_positive_int, default=4,
                    help="depth for the postunbranched pre-check (default 4)")
     p.add_argument("--out-csv", help="write the CSV table here (default stdout)")
     p.add_argument("--out-report", help="write the JSON verdict report here")
@@ -708,9 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="overlap certificates and recurrence replay")
     _add_common(p)
-    p.add_argument("--depth", type=int, default=4,
+    p.add_argument("--depth", type=_positive_int, default=4,
                    help="postunbranched check depth (default 4)")
-    p.add_argument("--max-depth", type=int,
+    p.add_argument("--max-depth", type=_positive_int,
                    help="tower depth for the recurrence replay (default 3, or the"
                         " deepest depth a table system stores, if less)")
     p.add_argument("--field", default="q", help="q, or gfP for a prime P (default q)")

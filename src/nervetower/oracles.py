@@ -338,42 +338,45 @@ def limit_point(spec: SystemSpec, head: Word, cycle: Word) -> Point2:
 PointKey = tuple[int, int, int]
 
 
-def _tail_table(spec: SystemSpec, budget: Budget) -> dict[PointKey, Address]:
-    """Limit points of all in-budget eventually periodic addresses, deduplicated,
-    each keyed by its normalized integer triple (Point2.homogeneous).
+# The name of a tail point: the symbols of its normalized address
+# (`words._normalize`), head then cycle; `Address._of(*name, m)` builds it.
+TailName = tuple[tuple[int, ...], tuple[int, ...]]
 
-    Enumeration is in canonical order (shorter first, then lexicographic), so
-    each point keeps its minimal naming address; the table is shared by every
-    query under the same budget.  Addresses are deduplicated as their
-    normalized symbol pairs (`words._normalize`), each period's fixed point
-    is found once, and an Address is built only for a point's first name.
+
+def _tail_table(spec: SystemSpec, budget: Budget) -> dict[PointKey, TailName]:
+    """Limit points of all in-budget eventually periodic addresses, deduplicated,
+    each keyed by its normalized integer triple (Point2.homogeneous) and
+    named by its minimal normalized address, as a TailName.
+
+    Only normalized pairs are visited: cycles that are their own primitive
+    root, and heads that are empty or end in a symbol other than the cycle's
+    last.  Licence: normalizing shortens the head or the cycle, or leaves
+    both, so in canonical order (heads, then cycles, each shorter first, then
+    lexicographic) every in-budget address is preceded by its normalized
+    form, which is in budget too.  The keys, their insertion order and their
+    names are those of walking every pair and keeping each normalized class
+    at its first visit.  Each cycle's fixed point and each head's map are
+    found once.  The table is shared by every query under the same budget.
     """
     key = ("tails", budget.cert_preperiod_max, budget.cert_period_max)
     got = spec._cache.get(key)
     if got is not None:
         return got
     m = spec.m
-    table: dict[PointKey, Address] = {}
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    fixed: dict[tuple[int, ...], PointKey] = {}
     symbols = range(1, m + 1)
-    heads = [h for length in range(budget.cert_preperiod_max + 1)
-             for h in product(symbols, repeat=length)]
-    cycles = [c for length in range(1, budget.cert_period_max + 1)
-              for c in product(symbols, repeat=length)]
-    for head in heads:
-        for cycle in cycles:
-            pair = _normalize(head, cycle)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            pre, per = pair
-            q = fixed.get(per)
-            if q is None:
-                q = fixed[per] = word_map(spec, Word._of(per, m)).fixed_point().homogeneous()
-            point = word_map(spec, Word._of(pre, m)).apply(q)
-            if point not in table:
-                table[point] = Address._of(pre, per, m)
+    cycles = [(c, word_map(spec, Word._of(c, m)).fixed_point().homogeneous())
+              for length in range(1, budget.cert_period_max + 1)
+              for c in product(symbols, repeat=length) if _normalize((), c) == ((), c)]
+    table: dict[PointKey, TailName] = {}
+    for length in range(budget.cert_preperiod_max + 1):
+        for head in product(symbols, repeat=length):
+            apply = word_map(spec, Word._of(head, m)).apply
+            for cycle, q in cycles:
+                if head and head[-1] == cycle[-1]:
+                    continue
+                point = apply(q)
+                if point not in table:
+                    table[point] = (head, cycle)
     spec._cache[key] = table
     return table
 
@@ -423,9 +426,28 @@ def _common_keys(spec: SystemSpec, ws: Sequence[Word], budget: Budget,
 
 
 def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointKey]]:
-    """The meet of the cell envelopes of two or more words, else None."""
+    """The meet of the cell envelopes of two or more words
+    (`exactgeom.common_region`), else None.
+
+    The meet of one-symbol words is clipped once per system and kept on the
+    spec under its sorted symbols, so the certificates, N_1 and the depth-2
+    candidates share it: at most sum_r C(m, r) entries.  Licence: the meet,
+    as a set, does not depend on the order of its polygons, and no reader
+    takes the vertex order of a meet of two or more vertices.
+    `cells_intersect` and `_common_keys` read emptiness, length one and
+    region[0], `touching_children` reads length one, `certificate_points`
+    sorts and the singleton refinement compares sets.  Deeper meets are
+    clipped on every call.
+    """
     if len(ws) < 2:
         return None
+    if len(ws[0].symbols) == 1 and all(len(w.symbols) == 1 for w in ws):
+        memo = spec._cache.setdefault("symbol_meets", {})
+        key = tuple(sorted(w.symbols[0] for w in ws))
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = common_region([cell_envelope(spec, w) for w in ws])
+        return got
     return common_region([cell_envelope(spec, w) for w in ws])
 
 

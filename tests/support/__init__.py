@@ -46,4 +46,7 @@
   back through each whole word map; check the one-point pruning of
   `nerve._candidate_pairs` and the pull-back walk behind
   `oracles.cells_containing_point`.
+* `tail_names`: the tail table built by normalizing every in-budget address
+  and skipping the normalized pairs already seen; checks the direct
+  enumeration of normalized pairs in `oracles._tail_table` and its names.
 """

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import classify, cli, oracles
+from nervetower import cli, oracles
 from nervetower.classify import (check_h1_infinite_conditions,
                                  check_postunbranched,
                                  check_singleton_overlaps, verify_puthm)
@@ -116,11 +116,12 @@ class TestSingletonOverlaps:
 
 def test_interval_overlap_singleton_refinement_calls(monkeypatch):
     """Fat overlaps are refuted from two certified points, not refined to the
-    frontier cap: refining them made 5,463 intersection_cycle and 27,060
-    common_point_exists calls (the refinement step `oracles._refine` makes
-    the latter, as do the oracle's queries)."""
+    frontier cap: refining them clipped 5,463 envelope meets (the singleton
+    refinement's `oracles._envelope_meet`, through `common_region`) and made
+    27,060 common_point_exists calls (the refinement step `oracles._refine`
+    makes the latter, as do the oracle's queries)."""
     spec = cli.load_bundled("interval-overlap").spec
-    calls = {"intersection_cycle": 0, "common_point_exists": 0}
+    calls = {"common_region": 0, "common_point_exists": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -130,11 +131,11 @@ def test_interval_overlap_singleton_refinement_calls(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for module, name in ((classify, "intersection_cycle"), (oracles, "common_point_exists")):
-        monkeypatch.setattr(module, name, counting(module, name))
+    for name in ("common_region", "common_point_exists"):
+        monkeypatch.setattr(oracles, name, counting(oracles, name))
     rep = check_singleton_overlaps(spec)
     assert rep.pairs == {(1, 2): "several", (1, 3): "singleton", (2, 3): "several"}
-    assert calls["intersection_cycle"] < 100
+    assert calls["common_region"] < 100
     assert calls["common_point_exists"] < 100
 
 

@@ -250,6 +250,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument {flag}: must be {rule}, got {value}\n")
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["nerve", "gasket", "--depth", "2"], "--dim-cap"),
+        (["tower", "gasket", "--max-depth", "2"], "--dim-cap"),
+        (["classify", "gasket"], "--dim-cap"),
+        (["derive", "gasket", "--iterate", "2"], "--dim-cap"),
+        (["nerve", "gasket"], "--depth"),
+        (["classify", "gasket"], "--depth"),
+        (["tower", "gasket"], "--max-depth"),
+        (["classify", "gasket"], "--max-depth"),
+        (["tower", "gasket", "--max-depth", "2"], "--pu-depth"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_depth_or_cap_is_a_usage_error(self, capsys, argv, flag, value):
+        """Depths and the dim cap are checked while parsing and named in the
+        message; they used to reach the library as `dim_cap must be at least
+        1` or `check depth must be at least 1`."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: must be a positive integer, got {value}\n")
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_non_positive_iterate_is_a_usage_error(self, capsys, value):
         """--iterate is checked while parsing, like the other counts."""

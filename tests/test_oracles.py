@@ -20,7 +20,7 @@ from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 certificate_points, generate_pu_nerve,
                                 limit_point, point_in_cell, word_map)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
-from support import certificate_sets, fraction_geometry, unpruned
+from support import certificate_sets, fraction_geometry, tail_names, unpruned
 from support.complexes import simplex_word_sets
 from support.finite_oracle import finite_cycle_system, finite_trivial_system
 from test_classify import derived_systems
@@ -230,6 +230,59 @@ def test_envelope_meets_match_the_clip(spec, data):
         polys = [cell_envelope(spec, w) for w in _draw_cells(spec, data)]
         assert (_collinear_region(polys) is not None) == segments
         assert common_region(polys) == _region(polys)
+
+
+@settings(max_examples=20, deadline=None)
+@given(derived_systems())
+def test_depth1_meets_are_kept_whatever_the_order(spec):
+    """The meet of one-symbol words, clipped once and kept under the sorted
+    symbols, is the fresh clip's point set, and a one-point meet is one
+    vertex, for every pair and triple of symbols in either order."""
+    for size in (2, 3):
+        for symbols in combinations(range(1, spec.m + 1), size):
+            for order in (symbols, symbols[::-1]):
+                ws = [Word((j,), spec.m) for j in order]
+                fresh = common_region([cell_envelope(spec, w) for w in ws])
+                got = _envelope_meet(spec, ws)
+                assert set(got) == set(fresh)
+                assert (len(got) == 1) == (len(fresh) == 1)
+
+
+def test_snowflake_tower_clips_each_depth1_meet_once(monkeypatch):
+    """tower snowflake --max-depth 3 asks the meet of the same depth-1 pairs
+    from the postunbranched and singleton checks, N_1 and the depth-2
+    candidates: it clipped 27 distinct tuples 138 times, and now clips each
+    once."""
+    loaded = cli.load_bundled("snowflake")
+    spec = loaded.spec
+    symbol_of = {id(cell_envelope(spec, Word((j,), spec.m))): j for j in range(1, spec.m + 1)}
+    clips: dict[tuple[int, ...], int] = {}
+    original = oracles.common_region
+
+    def counting(polys):
+        if all(id(p) in symbol_of for p in polys):
+            key = tuple(sorted(symbol_of[id(p)] for p in polys))
+            clips[key] = clips.get(key, 0) + 1
+        return original(polys)
+
+    monkeypatch.setattr(oracles, "common_region", counting)
+    monkeypatch.setattr(cli, "resolve_spec", lambda ref: loaded)
+    assert cli.main(["tower", "snowflake", "--max-depth", "3"]) == 0
+    assert len(clips) == 27 and max(clips.values()) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(derived_systems(), st.integers(min_value=0, max_value=2),
+       st.integers(min_value=1, max_value=3))
+def test_tail_table_matches_the_normalizing_reference(spec, preperiod, period):
+    """Enumerating only normalized pairs gives the table that normalizing
+    every address and skipping the pairs seen gives: the same keys in the
+    same order, each named by the same address."""
+    budget = Budget(cert_period_max=period, cert_preperiod_max=preperiod)
+    table = _tail_table(spec, budget)
+    expected = tail_names.tail_table(spec, budget)
+    assert list(table) == list(expected)
+    assert all(Address._of(*name, spec.m) == expected[key] for key, name in table.items())
 
 
 def _envelopes_to_depth_3(spec):
