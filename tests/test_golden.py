@@ -34,11 +34,14 @@ DEEP_CLASSIFY = {"snowflake": 8}
 # deep towers, where most of each level is block copies of the level before;
 # gasket and snowflake also pin the oracle's certified touching points there,
 # and interval-overlap, whose crossings grow with depth, its segment meets;
-# snowflake's depth 4 pins the crossing pairs of one-point meets one level further
-DEEP_TOWERS = [("pentagasket", 6), ("gasket", 6), ("snowflake", 3), ("snowflake", 4),
-               ("interval-overlap", 5)]
-# one geometric system per oracle path, one symbolic and one table system
-NERVE_DEPTHS = {"gasket": 3, "snowflake": 2, "pentagasket": 3, "finite-cycle": 2}
+# snowflake's depth 4 pins the crossing pairs of one-point meets one level further;
+# snowflake's depth 6 and gasket's depth 11 pin the counts of deep one-point meets
+DEEP_TOWERS = [("pentagasket", 6), ("gasket", 6), ("gasket", 11), ("snowflake", 3),
+               ("snowflake", 4), ("snowflake", 6), ("interval-overlap", 5)]
+# one geometric system per oracle path, one symbolic and one table system;
+# snowflake's depth 3 pins the exact crossing edges of depth-2 one-point meets
+NERVE_DEPTHS = [("gasket", 3), ("snowflake", 2), ("snowflake", 3), ("pentagasket", 3),
+                ("finite-cycle", 2)]
 # A derived system under a starved budget: its levels keep uncertain tuples,
 # and the tower sweeps certificates from depth 3 into depths 1 and 2.  Its
 # spec is itself a fixture, the output of the `derive` case.
@@ -59,7 +62,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     cases.extend((f"classify-{name}-pu{depth}", ["classify", name, "--depth", str(depth)])
                  for name, depth in DEEP_CLASSIFY.items())
     cases.extend((f"nerve-{name}-k{depth}", ["nerve", name, "--depth", str(depth)])
-                 for name, depth in NERVE_DEPTHS.items())
+                 for name, depth in NERVE_DEPTHS)
     cases.append((f"derive-{DERIVED}", ["derive", "interval-overlap", "--subsystem", "11,33,32"]))
     cases.append((f"tower-{DERIVED}-starved-k3",
                   ["tower", str(DERIVED_SPEC), "--max-depth", "3"] + STARVED))
