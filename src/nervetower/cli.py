@@ -666,12 +666,18 @@ _positive_int = _int_at_least(1, "a positive integer")
 _nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_spec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("spec", help="path to a spec file, or a bundled system name")
-    parser.add_argument("--dim-cap", type=_positive_int, default=2,
-                        help="largest simplex dimension to compute (default 2)")
     parser.add_argument("--max-cells", type=_positive_int, default=250_000,
                         help="refuse computations with more cells than this")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The spec and cap, plus the dim cap and oracle budget that the nerve
+    commands read."""
+    _add_spec(parser)
+    parser.add_argument("--dim-cap", type=_positive_int, default=2,
+                        help="largest simplex dimension to compute (default 2)")
     parser.add_argument("--refine-depth", type=_nonnegative_int, default=8,
                         help="subdivision rounds before answering unknown")
     parser.add_argument("--cert-period", type=_positive_int, default=2,
@@ -719,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("derive", help="write the spec of an iterate or a subsystem")
-    _add_common(p)
+    _add_spec(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--iterate", type=_positive_int,
                        help="replace generators by all n-fold words")

@@ -436,19 +436,47 @@ def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointK
     takes the vertex order of a meet of two or more vertices.
     `cells_intersect` and `_common_keys` read emptiness, length one and
     region[0], `touching_children` reads length one, `certificate_points`
-    sorts and the singleton refinement compares sets.  Deeper meets are
-    clipped on every call.
+    sorts and the singleton refinement compares sets.
+
+    A pair of longer words u, v with distinct first symbols a, b, on a spec
+    whose cell maps are injective, is answered from the kept meet of a and b
+    when that meet is empty or one point p, with no envelope built and no
+    clip.  Licence: `check_envelope` makes every cell map send the envelope E
+    into itself, so env(u) lies in env(a) and env(v) in env(b), and their
+    meet lies in the meet of a and b.  That is empty, or {p}, and then the
+    pair's meet is {p} when p lies in both envelopes and empty when not.  An
+    injective f_w has env(w) = f_w(E), which holds p exactly when f_w^-1(p)
+    lies in E.  The answer is the clip's list, [p] or [].
+    Segment and polygon meets, equal first symbols, tuples of three or more
+    longer words and singular maps are clipped on every call.
     """
     if len(ws) < 2:
         return None
     if len(ws[0].symbols) == 1 and all(len(w.symbols) == 1 for w in ws):
-        memo = spec._cache.setdefault("symbol_meets", {})
-        key = tuple(sorted(w.symbols[0] for w in ws))
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = common_region([cell_envelope(spec, w) for w in ws])
-        return got
+        return _symbol_meet(spec, tuple(sorted(w.symbols[0] for w in ws)))
+    if len(ws) == 2 and spec.injective:
+        u, v = ws
+        a, b = u.symbols[0], v.symbols[0]
+        if a != b:
+            got = _symbol_meet(spec, (a, b) if a < b else (b, a))
+            if not got:
+                return got
+            if len(got) == 1:
+                holds = spec.backend.envelope.contains_point
+                return got if all(holds(Point2._of(word_map(spec, w).preimage(got[0])))
+                                  for w in ws) else []
     return common_region([cell_envelope(spec, w) for w in ws])
+
+
+def _symbol_meet(spec: SystemSpec, key: tuple[int, ...]) -> list[PointKey]:
+    """The kept meet of the depth-1 envelopes of the sorted symbols `key`,
+    clipped on a miss."""
+    memo = spec._cache.setdefault("symbol_meets", {})
+    got = memo.get(key)
+    if got is None:
+        envelopes = _symbol_envelopes(spec)
+        got = memo[key] = common_region([envelopes[j - 1] for j in key])
+    return got
 
 
 def certificate_points(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> list[Point2]:
@@ -530,7 +558,9 @@ def touching_children(spec: SystemSpec, pair: tuple[Word, Word]) -> Optional[lis
     """When every cell map is injective and the envelopes of the two words
     meet in one point p, the symbols j of each word w whose child w j has an
     envelope that holds p, else None: env(w j) = f_w(env(j)), so these are
-    the j with f_w^-1(p) in env(j).  No clip and no child envelope is built."""
+    the j with f_w^-1(p) in env(j).  No child envelope is built, and no clip:
+    a pair of longer words with distinct first symbols reads its meet from
+    the kept depth-1 meet of those symbols (`_envelope_meet`)."""
     if not spec.injective:
         return None
     region = _envelope_meet(spec, pair)

@@ -233,7 +233,6 @@ class TestExitCodes:
         ["nerve", "gasket", "--depth", "2"],
         ["tower", "gasket", "--max-depth", "2"],
         ["classify", "gasket"],
-        ["derive", "gasket", "--iterate", "2"],
     ])
     @pytest.mark.parametrize("flag,value,rule", [
         ("--refine-depth", "-1", "a non-negative integer"),
@@ -250,16 +249,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument {flag}: must be {rule}, got {value}\n")
 
+    # each case keeps its id when a row is dropped
     @pytest.mark.parametrize("argv,flag", [
-        (["nerve", "gasket", "--depth", "2"], "--dim-cap"),
-        (["tower", "gasket", "--max-depth", "2"], "--dim-cap"),
-        (["classify", "gasket"], "--dim-cap"),
-        (["derive", "gasket", "--iterate", "2"], "--dim-cap"),
-        (["nerve", "gasket"], "--depth"),
-        (["classify", "gasket"], "--depth"),
-        (["tower", "gasket"], "--max-depth"),
-        (["classify", "gasket"], "--max-depth"),
-        (["tower", "gasket", "--max-depth", "2"], "--pu-depth"),
+        pytest.param(["nerve", "gasket", "--depth", "2"], "--dim-cap", id="argv0---dim-cap"),
+        pytest.param(["tower", "gasket", "--max-depth", "2"], "--dim-cap", id="argv1---dim-cap"),
+        pytest.param(["classify", "gasket"], "--dim-cap", id="argv2---dim-cap"),
+        pytest.param(["nerve", "gasket"], "--depth", id="argv4---depth"),
+        pytest.param(["classify", "gasket"], "--depth", id="argv5---depth"),
+        pytest.param(["tower", "gasket"], "--max-depth", id="argv6---max-depth"),
+        pytest.param(["classify", "gasket"], "--max-depth", id="argv7---max-depth"),
+        pytest.param(["tower", "gasket", "--max-depth", "2"], "--pu-depth",
+                     id="argv8---pu-depth"),
     ])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_non_positive_depth_or_cap_is_a_usage_error(self, capsys, argv, flag, value):
@@ -273,6 +273,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.endswith(
             f"error: argument {flag}: must be a positive integer, got {value}\n")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--dim-cap", "2"), ("--refine-depth", "8"), ("--cert-period", "2"),
+        ("--cert-preperiod", "1"),
+    ])
+    def test_derive_takes_no_nerve_budget(self, capsys, flag, value):
+        """derive builds no nerve, so the dim cap and the oracle budget are
+        not its flags: even a valid value is an unrecognized argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "gasket", "--iterate", "2", flag, value])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_non_positive_iterate_is_a_usage_error(self, capsys, value):

@@ -271,6 +271,79 @@ def test_snowflake_tower_clips_each_depth1_meet_once(monkeypatch):
     assert len(clips) == 27 and max(clips.values()) == 1
 
 
+def _assert_deep_meets_match_the_clip(spec, words):
+    """Every pair of `words` (equal-length, at depth 2 or more) meets as the
+    clip of its envelopes, element for element, and is clipped exactly when
+    the maps are singular, the first symbols are equal, or the first
+    symbols' envelopes meet in more than one point."""
+    depth1 = {(a, b): _envelope_meet(spec, [Word((a,), spec.m), Word((b,), spec.m)])
+              for a, b in combinations(range(1, spec.m + 1), 2)}
+    clips = 0
+    original = oracles.common_region
+
+    def counting(polys):
+        nonlocal clips
+        clips += 1
+        return original(polys)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "common_region", counting)
+        for u, v in combinations(words, 2):
+            expected = original([cell_envelope(spec, u), cell_envelope(spec, v)])
+            clips = 0
+            assert _envelope_meet(spec, (u, v)) == expected, (u, v)
+            a, b = sorted((u.symbols[0], v.symbols[0]))
+            pulled_back = spec.injective and a != b and len(depth1[(a, b)]) <= 1
+            assert clips == (0 if pulled_back else 1), (u, v)
+
+
+@pytest.mark.parametrize("name", ["five-map-funnel", "gasket", "gasket-sub-mixed",
+                                  "gasket-sub7", "interval-overlap", "snowflake",
+                                  "two-map-split"])
+def test_deep_envelope_meets_match_the_clip(name):
+    """Every pair of words at depths 2 and 3 of each bundled geometric
+    system: one-point and empty depth-1 meets answer deep pairs with distinct
+    first symbols by pulling the point back, and match the clip."""
+    spec = cli.load_bundled(name).spec
+    for k in (2, 3):
+        _assert_deep_meets_match_the_clip(spec, enumerate_words(spec.m, k))
+
+
+@settings(max_examples=10, deadline=None)
+@given(derived_systems(), st.data())
+def test_derived_deep_envelope_meets_match_the_clip(spec, data):
+    """The same on derived systems, every pair at depth 2 and, for the
+    nine-map iterate, the depth-3 words under three drawn first symbols."""
+    _assert_deep_meets_match_the_clip(spec, enumerate_words(spec.m, 2))
+    words = enumerate_words(spec.m, 3)
+    if len(words) > 343:
+        firsts = data.draw(st.sets(st.integers(1, spec.m), min_size=3, max_size=3))
+        words = [w for w in words if w.symbols[0] in firsts]
+    _assert_deep_meets_match_the_clip(spec, words)
+
+
+def test_singular_deep_envelope_meets_are_clipped():
+    """A singular map may send the envelope onto a point or a segment, so
+    f_w^-1(p) is not one point: every deep pair is clipped."""
+    spec = singular_spec()
+    assert not spec.injective
+    for k in (2, 3):
+        _assert_deep_meets_match_the_clip(spec, enumerate_words(spec.m, k))
+
+
+@pytest.mark.parametrize("name,depth", [("snowflake", 4), ("gasket", 6)])
+def test_one_point_towers_build_no_deep_envelope(monkeypatch, name, depth):
+    """Every crossing of these towers descends from a one-point depth-1
+    meet, so no envelope of a word of length 2 or more is built.  Clipping
+    every deep meet built 72 of them on the snowflake tower and 30 on the
+    gasket's."""
+    loaded = cli.load_bundled(name)
+    monkeypatch.setattr(cli, "resolve_spec", lambda ref: loaded)
+    assert cli.main(["tower", name, "--max-depth", str(depth)]) == 0
+    built = loaded.spec._cache["cell_envelope"]
+    assert sorted(built) == [(j,) for j in range(1, loaded.spec.m + 1)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(derived_systems(), st.integers(min_value=0, max_value=2),
        st.integers(min_value=1, max_value=3))
