@@ -455,8 +455,7 @@ def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointK
     if len(ws[0].symbols) == 1 and all(len(w.symbols) == 1 for w in ws):
         return _symbol_meet(spec, tuple(sorted(w.symbols[0] for w in ws)))
     if len(ws) == 2 and spec.injective:
-        u, v = ws
-        a, b = u.symbols[0], v.symbols[0]
+        a, b = ws[0].symbols[0], ws[1].symbols[0]
         if a != b:
             got = _symbol_meet(spec, (a, b) if a < b else (b, a))
             if not got:
