@@ -3,8 +3,9 @@
 Three checkers inspect a system's depth-1 overlaps:
 
 * check_postunbranched: does each ordered pair of touching cells pull its
-  overlap back into a single address cell?  Certified only up to a depth and
-  a point budget; refuted by exhibiting a branching witness.
+  overlap back into a single address cell?  Decided along each pulled-back
+  point's finite orbit, within a point budget; refuted by exhibiting a
+  branching witness.
 * check_singleton_overlaps: is each pairwise overlap a single point?
   Refuted, as `several`, by two distinct certified points in both cells
   (then no refinement could ever certify it); otherwise certified by
@@ -90,45 +91,44 @@ def check_postunbranched(spec: SystemSpec, depth: int = 4,
                          budget: Budget = Budget()) -> PUReport:
     """Certify or refute the unique-address property of every overlap, to `depth`.
 
-    Geometric systems are checked point by point: every certified overlap
-    point is pulled back through the cell map and must sit in exactly one
-    depth-d cell for every d <= depth, the same one for all points.  The
-    symbolic backend carries the property by construction; only its address
-    consistency is re-validated.  Table systems have no geometry to check.
-    A singular cell map cannot pull its overlap points back, so its pairs
-    stay unknown, and the report names that map rather than the budget.
+    Geometric systems are checked point by point.  Each certified overlap
+    point p of cells i, j pulls back to q = f_i^-1(p), a tail point with
+    address a = h c^inf, and must sit in exactly one depth-d cell for every
+    d <= depth, the same one for all points.  Step t of q's orbit asks which
+    depth-1 cells hold q_t = f_{a_t}^-1 ... f_{a_1}^-1(q), and stops unless
+    that is a_{t+1} alone.  Licence: a yes answer needs an invertible cell
+    map, so every prefix map is injective, and the depth-(t + 1) cells that
+    hold q are a_1 ... a_t followed by the depth-1 cells that hold q_t; a
+    cell off the prefix was answered no, and so are all its descendants.
+    From t = |h| on, q_t repeats with period |c|, so the first |h| + |c|
+    steps decide every depth.  The symbolic backend carries the property by
+    construction; only its address consistency is re-validated.  Table
+    systems have no geometry to check.  A singular cell map cannot pull its
+    overlap points back, so its pairs stay unknown, and the report names
+    that map rather than the budget.
     """
     if depth < 1:
         raise SpecError("check depth must be at least 1")
     if isinstance(spec.backend, SymbolicPUBackend):
         return _symbolic_pu_report(spec, depth)
     if not spec.is_geometric:
-        pairs = {}
-        return PUReport(spec.name, depth, "unknown", "no-geometry", pairs,
+        return PUReport(spec.name, depth, "unknown", "no-geometry", {},
                         witness="table backends carry no geometry to certify")
 
-    pairs: dict[tuple[int, int], PairReport] = {}
-    any_unknown = False
-    violation = ""
-    singular = ""
-    for i in range(1, spec.m + 1):
-        for j in range(1, spec.m + 1):
-            if i == j:
-                continue
-            report = _check_pair(spec, i, j, depth, budget)
-            pairs[(i, j)] = report
-            if report.status == "violated" and not violation:
-                violation = f"pair ({i},{j}): {report.detail}"
-            if report.singular and not singular:
-                singular = f"pair ({i},{j}): {report.detail}"
-            any_unknown = any_unknown or report.status == "unknown"
+    symbols = range(1, spec.m + 1)
+    pairs = {(i, j): _check_pair(spec, i, j, depth, budget)
+             for i in symbols for j in symbols if i != j}
+    violation = next((f"pair ({i},{j}): {r.detail}" for (i, j), r in pairs.items()
+                      if r.status == "violated"), "")
+    singular = next((f"pair ({i},{j}): {r.detail}" for (i, j), r in pairs.items()
+                     if r.singular), "")
     if violation:
         return PUReport(spec.name, depth, "not-postunbranched", "branching-witness",
                         pairs, witness=violation)
     if singular:  # no budget could pull the overlap back through that map
         return PUReport(spec.name, depth, "unknown", "singular-cell-map", pairs,
                         witness=singular)
-    if any_unknown:
+    if any(r.status == "unknown" for r in pairs.values()):
         return PUReport(spec.name, depth, "unknown", "budget-exhausted", pairs)
     return PUReport(spec.name, depth, "postunbranched", "checked-to-depth", pairs)
 
@@ -166,7 +166,8 @@ def _split_index(addresses: list[Address]) -> Optional[int]:
 
 
 def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) -> PairReport:
-    wi, wj = Word((i,), spec.m), Word((j,), spec.m)
+    m = spec.m
+    wi, wj = Word((i,), m), Word((j,), m)
     verdict = oracles.cells_intersect(spec, (wi, wj), budget)
     if verdict.kind == "disjoint":
         return PairReport((i, j), "empty")
@@ -181,50 +182,38 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
                           detail=f"cell map {i} is singular: overlap points cannot be "
                                  f"pulled back through it")
     tails = oracles._tail_table(spec, budget)
-    shared_prefix: Optional[Word] = None
-    address: Optional[Address] = None
+    ok: Optional[PairReport] = None
     for p in points:
-        q = pull(p)
-        d, containing, undecided = _address_cells(spec, q, depth, budget)
-        if undecided:
-            return PairReport((i, j), "unknown", points,
-                              detail=f"membership undecided for cells {[str(u) for u in undecided]}")
-        if not containing:
+        q = pull(p).homogeneous()
+        name = tails.get(q)
+        if name is None:
             raise ConsistencyError(
-                f"pulled-back overlap point {q} of pair ({i},{j}) lies in no cell")
-        if len(containing) > 1:
-            cells = ", ".join(str(u) for u in containing)
-            return PairReport((i, j), "violated", points,
-                              detail=f"point ({p.x}, {p.y}) pulls back into depth-{d} "
-                                     f"cells {cells}")
-        prefix = containing[0]
-        if shared_prefix is None:
-            shared_prefix = prefix
-            name = tails.get(q.homogeneous())
-            address = None if name is None else Address._of(*name, spec.m)
-        elif prefix != shared_prefix:
+                f"pulled-back overlap point {Point2._of(q)} of pair ({i},{j}) is no tail point")
+        head, cycle = name
+        prefix = (head + cycle * (depth // len(cycle) + 1))[:depth]
+        for t in range(min(depth, len(head) + len(cycle))):
+            containing, undecided = cells_containing_point(spec, Point2._of(q), 1, budget)
+            cells = [str(Word._of(prefix[:t] + u.symbols, m)) for u in undecided or containing]
+            if undecided:
+                return PairReport((i, j), "unknown", points,
+                                  detail=f"membership undecided for cells {cells}")
+            if len(containing) > 1:
+                return PairReport((i, j), "violated", points,
+                                  detail=f"point ({p.x}, {p.y}) pulls back into depth-{t + 1} "
+                                         f"cells {', '.join(cells)}")
+            if [u.symbols for u in containing] != [prefix[t:t + 1]]:
+                raise ConsistencyError(
+                    f"pulled-back overlap point {Point2._of(q)} of pair ({i},{j}) lies in "
+                    f"no cell on its address")
+            q = spec.cell_maps[prefix[t] - 1].preimage(q)
+        prefix = Word._of(prefix, m)
+        if ok is None:
+            ok = PairReport((i, j), "ok", points, prefix, Address._of(head, cycle, m))
+        elif prefix != ok.prefix:
             return PairReport((i, j), "violated", points,
                               detail=f"overlap points pull back into distinct address cells "
-                                     f"{shared_prefix} and {prefix}")
-    return PairReport((i, j), "ok", points, prefix=shared_prefix, address=address)
-
-
-def _address_cells(spec: SystemSpec, q: Point2, depth: int,
-                   budget: Budget) -> tuple[int, list[Word], list[Word]]:
-    """(d, containing, undecided): `cells_containing_point` of the pulled-back
-    point q at the first depth d <= `depth` where q is not in exactly one
-    certified cell, else at `depth`.  Kept on the spec per point: the pairs
-    of one cell i that share an overlap point pull it back to the same q,
-    and its walk is made once, depth by depth."""
-    key = ("address_cells", q, depth, budget)
-    got = spec._cache.get(key)
-    if got is None:
-        for d in range(1, depth + 1):
-            containing, undecided = cells_containing_point(spec, q, d, budget)
-            if undecided or len(containing) != 1:
-                break
-        got = spec._cache[key] = (d, containing, undecided)
-    return got
+                                     f"{ok.prefix} and {prefix}")
+    return ok
 
 
 SingletonStatus = Literal["empty", "singleton", "several", "unknown"]

@@ -35,7 +35,7 @@ from . import classify as classify_mod
 from .components import ComponentTower, component_tower
 from .exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from .homology import BettiTable, FieldKind, tower_analysis
-from .nerve import (SimplicialComplex, build_iterate_or_subsystem, build_nerve,
+from .nerve import (SimplicialComplex, TowerData, build_iterate_or_subsystem, build_nerve,
                     iterate_system, tower_complexes)
 from .oracles import (Budget, GeometricBackend, SpecError, SymbolicPUBackend,
                       SystemSpec, TableBackend)
@@ -468,26 +468,29 @@ def _refused(spec: SystemSpec, depth: int, cap: int, what: str = "cells") -> boo
     return False
 
 
-def _certifications(loaded: LoadedSpec, pu_depth: int, budget: Budget) -> dict[str, Any]:
-    """Run the overlap checkers appropriate to the backend, once, for reuse."""
+def _analysed_tower(loaded: LoadedSpec, args: argparse.Namespace, depth: int,
+                    pu_depth: int) -> tuple[tuple, TowerData, BettiTable]:
+    """The postunbranched, singleton and pivot reports (None for a checker
+    the backend or flags rule out), the tower to `depth`, and its Betti table
+    under what the reports established."""
     spec = loaded.spec
-    out: dict[str, Any] = {"pu": None, "pu_report": None, "singleton": None,
-                           "singleton_report": None, "pivot_report": None, "pivot": None}
+    budget = _budget(args)
+    fieldkind = FieldKind.parse(args.field)
+    pu = singleton = pivot = None
     if isinstance(spec.backend, SymbolicPUBackend) or spec.is_geometric:
-        report = classify_mod.check_postunbranched(spec, pu_depth, budget)
-        out["pu_report"] = report
-        out["pu"] = {"postunbranched": True, "not-postunbranched": False,
-                     "unknown": None}[report.status]
+        pu = classify_mod.check_postunbranched(spec, pu_depth, budget)
     if spec.is_geometric:
-        sreport = classify_mod.check_singleton_overlaps(spec, budget)
-        out["singleton_report"] = sreport
-        out["singleton"] = True if sreport.all_small else None
-    pivot = loaded.flags.pivot
-    if pivot is not None:
-        preport = classify_mod.check_h1_infinite_conditions(spec, pivot, budget)
-        out["pivot_report"] = preport
-        out["pivot"] = True if preport.conclusion else None
-    return out
+        singleton = classify_mod.check_singleton_overlaps(spec, budget)
+    if loaded.flags.pivot is not None:
+        pivot = classify_mod.check_h1_infinite_conditions(spec, loaded.flags.pivot, budget)
+    tower = tower_complexes(spec, depth, dim_cap=args.dim_cap, budget=budget)
+    table = tower_analysis(tower, fieldkind,
+                           postunbranched=None if pu is None or pu.status == "unknown"
+                           else pu.status == "postunbranched",
+                           singleton_overlaps=True if singleton and singleton.all_small else None,
+                           assert_injective=loaded.flags.injective,
+                           pivot_conditions=True if pivot and pivot.conclusion else None)
+    return (pu, singleton, pivot), tower, table
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -512,17 +515,9 @@ def cmd_nerve(args: argparse.Namespace) -> int:
 
 def cmd_tower(args: argparse.Namespace) -> int:
     loaded = resolve_spec(args.spec)
-    spec = loaded.spec
-    if _refused(spec, args.max_depth, args.max_cells):
+    if _refused(loaded.spec, args.max_depth, args.max_cells):
         return EXIT_RESOURCE
-    budget = _budget(args)
-    fieldkind = FieldKind.parse(args.field)
-    certs = _certifications(loaded, args.pu_depth, budget)
-    tower = tower_complexes(spec, args.max_depth, dim_cap=args.dim_cap, budget=budget)
-    table = tower_analysis(tower, fieldkind, postunbranched=certs["pu"],
-                           singleton_overlaps=certs["singleton"],
-                           assert_injective=loaded.flags.injective,
-                           pivot_conditions=certs["pivot"])
+    _, tower, table = _analysed_tower(loaded, args, args.max_depth, args.pu_depth)
     ctower = component_tower(tower, table.facts,
                              assert_lx_connected=loaded.flags.lx_connected)
     _emit(tower_csv(table), args.out_csv)
@@ -553,24 +548,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
             max_depth = min(max_depth, _stored_depth(spec.backend))
     if _refused(spec, max_depth, args.max_cells):
         return EXIT_RESOURCE
-    budget = _budget(args)
-    fieldkind = FieldKind.parse(args.field)
     if args.pivot is not None:
         loaded = LoadedSpec(spec, SpecFlags(loaded.flags.lx_connected,
                                             loaded.flags.injective, args.pivot),
                             loaded.doc)
-    certs = _certifications(loaded, args.depth, budget)
-    tower = tower_complexes(spec, max_depth, dim_cap=args.dim_cap, budget=budget)
-    table = tower_analysis(tower, fieldkind, postunbranched=certs["pu"],
-                           singleton_overlaps=certs["singleton"],
-                           assert_injective=loaded.flags.injective,
-                           pivot_conditions=certs["pivot"])
+    (pu_report, sreport, preport), _, table = _analysed_tower(loaded, args, max_depth,
+                                                              args.depth)
     thm = classify_mod.verify_puthm(table)
 
     bundle: dict[str, Any] = {"name": spec.name, "orientation": spec.orientation,
                               "m": spec.m}
     lines = [f"system: {spec.name} ({spec.orientation}, m={spec.m})"]
-    pu_report = certs["pu_report"]
     if pu_report is not None:
         bundle["postunbranched"] = pu_report_doc(pu_report)
         lines.append({
@@ -582,7 +570,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         }[pu_report.status])
     else:
         lines.append("postunbranched: no geometry or addresses to check")
-    sreport = certs["singleton_report"]
     if sreport is not None:
         bundle["singleton_overlaps"] = {
             "all_small": sreport.all_small,
@@ -605,7 +592,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
             lines.append(f"  prediction: {p}")
     else:
         lines.append(f"recurrence replay: skipped ({thm.note})")
-    preport = certs["pivot_report"]
     if preport is not None:
         bundle["pivot_conditions"] = pivot_report_doc(preport)
         for key, cond in sorted(preport.conditions.items()):
@@ -705,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tower", help="Betti table, lambda ranks, components, verdicts")
     _add_common(p)
     p.add_argument("--max-depth", type=_positive_int, required=True, help="deepest level K")
-    p.add_argument("--field", default="q", help="q, or gfP for a prime P (default q)")
+    p.add_argument("--field", default="q", help="q, or gfP for a prime P < 10^24 (default q)")
     p.add_argument("--pu-depth", type=_positive_int, default=4,
                    help="depth for the postunbranched pre-check (default 4)")
     p.add_argument("--out-csv", help="write the CSV table here (default stdout)")
@@ -719,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=_positive_int,
                    help="tower depth for the recurrence replay (default 3, or the"
                         " deepest depth a table system stores, if less)")
-    p.add_argument("--field", default="q", help="q, or gfP for a prime P (default q)")
+    p.add_argument("--field", default="q", help="q, or gfP for a prime P < 10^24 (default q)")
     p.add_argument("--pivot", type=int, help="symbol for the rank-growth conditions")
     p.add_argument("--out-report", help="write the JSON bundle here")
     p.set_defaults(func=cmd_classify)

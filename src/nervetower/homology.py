@@ -40,16 +40,42 @@ from .oracles import ConsistencyError, SpecError
 from .words import Word, _Frozen, _Record
 
 
+# Miller-Rabin to the first 13 prime bases is exact below 3.3 * 10^24 (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_CHAR_TOO_LARGE = "field characteristic must be a prime below 10^24"
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if a % n == 0 or x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FieldKind(_Frozen):
-    """A coefficient field: the rationals (char 0) or a prime field GF(p)."""
+    """A coefficient field: the rationals (char 0) or a prime field GF(p), p < 10^24."""
 
     __slots__ = _fields = ("char",)
     char: int
 
     def __init__(self, char: int = 0) -> None:
-        p = char
-        if p != 0 and (p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1))):
-            raise SpecError(f"field characteristic must be 0 or a prime, got {p}")
+        if char >= 10 ** 24:
+            raise SpecError(_CHAR_TOO_LARGE)
+        if char != 0 and not _is_prime(char):
+            raise SpecError(f"field characteristic must be 0 or a prime, got {char}")
         object.__setattr__(self, "char", char)
 
     @staticmethod
@@ -57,7 +83,9 @@ class FieldKind(_Frozen):
         t = text.strip().lower()
         if t in ("q", "rational", "rationals", "0"):
             return FieldKind(0)
-        match = re.fullmatch(r"gf(\d+)", t)
+        match = re.fullmatch(r"gf0*(\d+)", t)
+        if match and len(match.group(1)) > 24:  # before int() reads it
+            raise SpecError(_CHAR_TOO_LARGE)
         if match and int(match.group(1)):  # GF(0) is no field; characteristic 0 is q
             return FieldKind(int(match.group(1)))
         raise SpecError(f"unrecognized field {text!r}; use 'q' or 'gfP' for a prime P")

@@ -585,18 +585,15 @@ def _envelope_walk(spec: SystemSpec, point: Point2,
     holds q_u, and it carries f_j^-1(q_u) = f_{u j}^-1(point): each step is
     m tests against the depth-1 envelopes and a preimage under one cell map,
     with no word map composed and no deep envelope built.  Singular specs
-    test each child's own envelope.  Only the level last asked for is kept
-    on the spec per point, with its depth: a deeper ask extends it, and a
-    shallower one walks again from the root, so memory stays one level
-    while asks that rise depth by depth walk from the root once.
+    test each child's own envelope.  Kept on the spec per point and depth.
     """
-    key = ("envelope_walk", point)
-    walked = spec._cache.get(key)
-    if walked is None or walked[0] > depth:
-        walked = (0, [((), point.homogeneous() if spec.injective else None)])
-    reached, level = walked
+    key = ("envelope_walk", point, depth)
+    got = spec._cache.get(key)
+    if got is not None:
+        return got
+    level = [((), point.homogeneous() if spec.injective else None)]
     symbols = range(1, spec.m + 1)
-    while reached < depth:
+    for _ in range(depth):
         if spec.injective:
             kept = []
             for u, q in level:
@@ -608,8 +605,7 @@ def _envelope_walk(spec: SystemSpec, point: Point2,
             kept = [(v, None) for v in (u + (j,) for u, _ in level for j in symbols)
                     if cell_envelope(spec, Word._of(v, spec.m)).contains_point(point)]
         level = kept
-        reached += 1
-    spec._cache[key] = (reached, level)
+    spec._cache[key] = level
     return level
 
 

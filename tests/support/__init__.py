@@ -46,6 +46,8 @@
   back through each whole word map; check the one-point pruning of
   `nerve._candidate_pairs` and the pull-back walk behind
   `oracles.cells_containing_point`.
+* `pu_walk`: the postunbranched check asked at every depth 1..d; checks
+  the orbit walk of `classify.check_postunbranched`, as a whole `PUReport`.
 * `tail_names`: the tail table built by normalizing every in-budget address
   and skipping the normalized pairs already seen; checks the direct
   enumeration of normalized pairs in `oracles._tail_table` and its names.

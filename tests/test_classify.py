@@ -13,8 +13,9 @@ from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import build_iterate_or_subsystem, iterate_system, tower_complexes
 from nervetower.oracles import (Budget, GeometricBackend, SpecError, SystemSpec,
-                                point_in_cell)
+                                cells_containing_point, point_in_cell)
 from nervetower.words import Word, enumerate_words
+from support import pu_walk
 from support.singleton_refine import singleton_status
 
 Q = FieldKind(0)
@@ -177,6 +178,73 @@ def test_singletons_match_the_refinement_reference(spec, refine_depth, data):
         for p in points:
             for k in (i, j):
                 assert point_in_cell(spec, p, Word((k,), spec.m), budget) == "yes"
+
+
+def _fresh(spec):
+    return SystemSpec(spec.name, spec.orientation, spec.m, spec.backend)
+
+
+def _assert_orbit_walk_matches_the_depth_walk(spec, budget, depths):
+    for depth in depths:
+        assert check_postunbranched(spec, depth, budget) == \
+            pu_walk.check_postunbranched(_fresh(spec), depth, budget)
+
+
+@settings(max_examples=20, deadline=None)
+@given(derived_systems(), st.sampled_from([Budget(), STARVED]),
+       st.integers(min_value=1, max_value=8))
+def test_orbit_walk_matches_the_depth_walk(spec, budget, depth):
+    """Walking each pulled-back point's orbit gives the whole report that
+    asking every depth 1..d gives, on injective derived systems."""
+    _assert_orbit_walk_matches_the_depth_walk(spec, budget, [depth])
+
+
+GEOMETRIC = [name for name in cli.bundled_names() if cli.load_bundled(name).spec.is_geometric]
+
+
+@pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+@pytest.mark.parametrize("name", GEOMETRIC)
+def test_bundled_orbit_walk_matches_the_depth_walk(name, budget):
+    _assert_orbit_walk_matches_the_depth_walk(cli.load_bundled(name).spec, budget, range(1, 9))
+
+
+@pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+def test_singular_orbit_walk_matches_the_depth_walk(budget):
+    from test_nerve import singular_spec  # test_nerve imports this module
+    _assert_orbit_walk_matches_the_depth_walk(singular_spec(), budget, range(1, 9))
+
+
+def no_cell_over_a_singular_child_spec():
+    """Cells 1 and 2 meet at (1/2, 1/2), which pulls back through c_1 to
+    q = (1, 1), the fixed point of c_2.  Cell 3's envelope [1/2, 1]^2 also
+    holds q, but cell 3 does not: c_3^-1(q) = (1, 0) separates from the
+    invariant set at depth 2.  c_4 is singular, and envelope 4 holds (1, 0),
+    so the depth-2 envelope of 34 holds q."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    maps = (RationalAffineMap(half, 0, 0, half, 0, 0),
+            RationalAffineMap(half, 0, 0, half, half, half),
+            RationalAffineMap(0, -half, half, 0, 1, half),
+            RationalAffineMap(0, 0, quarter, -quarter, 1, quarter))
+    envelope = ConvexPolygon.hull([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+    return SystemSpec("no-cell-over-a-singular-child", "forward", 4,
+                      GeometricBackend(maps, envelope))
+
+
+def test_orbit_walk_skips_the_children_of_a_cell_answered_no():
+    """The one kind of case where the two walks differ: the depth walk asks about
+    34, a child of cell 3, which was answered no, and its singular map cannot
+    pull q back, so pair (1, 2) is unknown there.  A cell that misses q has
+    no child that holds q; the orbit walk asks only along q's address and
+    certifies the pair."""
+    spec = no_cell_over_a_singular_child_spec()
+    q = P(1, 1)
+    assert point_in_cell(spec, q, Word((3,), 4)) == "no"
+    assert cells_containing_point(spec, q, 2) == ([Word((2, 2), 4)], [Word((3, 4), 4)])
+    ours = check_postunbranched(spec, 4).pairs[(1, 2)]
+    assert (ours.status, str(ours.prefix), str(ours.address)) == ("ok", "2222", "(2)^inf")
+    theirs = pu_walk.check_postunbranched(_fresh(spec), 4, Budget()).pairs[(1, 2)]
+    assert (theirs.status, theirs.detail) == \
+        ("unknown", "membership undecided for cells ['34']")
 
 
 class TestPivotConditions:

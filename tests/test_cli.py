@@ -180,6 +180,23 @@ class TestExitCodes:
                      "--field", "gf0"]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: unrecognized field 'gf0'")
 
+    def test_field_large_prime_is_quick(self, capsys):
+        """Trial division up to the square root ran past 20 s on this prime."""
+        start = time.perf_counter()
+        assert main(["tower", "gasket", "--max-depth", "2",
+                     "--field", "gf100000000000000003"]) == EXIT_OK
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().out.startswith("k,a_0,a_1,a_2,lambda,components\n")
+
+    @pytest.mark.parametrize("digits", ["7" * 5000, "1" * 25, str(10 ** 24 + 7)],
+                             ids=["5000-digits", "25-digits", "10^24+7"])
+    def test_field_past_the_bound_is_refused(self, capsys, digits):
+        """A 5,000-digit characteristic ended in int()'s ValueError traceback."""
+        assert main(["tower", "gasket", "--max-depth", "2",
+                     "--field", "gf" + digits]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "error: field characteristic must be a prime below 10^24\n"
+
     def test_uncertain_exit(self, tmp_path, capsys):
         path = write_doc(tmp_path, SLOW_DOC)
         code = main(["nerve", path, "--depth", "1", "--refine-depth", "0",
@@ -366,6 +383,18 @@ class TestExitCodes:
             tracemalloc.stop()
         assert capsys.readouterr() == shallow
         assert peak < 4 * 2 ** 20
+
+    def test_huge_pu_depth_walks_only_the_orbit(self, capsys):
+        """The postunbranched check walks each pulled-back point's finite
+        orbit, not every depth: asking every depth 1..d took 1.2 s at
+        `--pu-depth 12000`, and its time grew with the square of d."""
+        argv = ["tower", "gasket", "--max-depth", "3", "--pu-depth"]
+        assert main(argv + ["40"]) == EXIT_OK
+        shallow = capsys.readouterr()
+        start = time.perf_counter()
+        assert main(argv + ["100000"]) == EXIT_OK
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr() == shallow
 
     @pytest.mark.parametrize("argv,flag", [
         (["nerve", "gasket", "--depth", "2"], "--out-json"),

@@ -4,6 +4,7 @@ Expected values are cross-checked against tests/support/linalg_oracle.py,
 a dense-elimination implementation that shares no code with the package.
 """
 
+import math
 import re
 from collections import Counter
 from itertools import combinations
@@ -71,6 +72,24 @@ class TestFieldKind:
         for bad in ("r", "gf4", "gf1", "gf0", "f2"):
             with pytest.raises(SpecError):
                 FieldKind.parse(bad)
+
+    def test_primality_matches_trial_division(self):
+        for n in range(20000):
+            assert homology._is_prime(n) == \
+                (n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least composites passing bases 2..7, 2..23 and 2..37
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            with pytest.raises(SpecError, match="0 or a prime"):
+                FieldKind(n)
+        assert FieldKind(2 ** 61 - 1).char == 2 ** 61 - 1
+        assert FieldKind.parse("gf0007") == FieldKind(7)
+
+    def test_bound(self):
+        for bad in (lambda: FieldKind(10 ** 24 + 7), lambda: FieldKind.parse("gf" + "9" * 25)):
+            with pytest.raises(SpecError, match=r"below 10\^24"):
+                bad()
 
     def test_labels(self):
         assert Q.label == "Q"

@@ -432,12 +432,13 @@ def test_snowflake_certificate_map_calls(monkeypatch):
 
 
 def test_snowflake_single_envelope_walk(monkeypatch):
-    """Each pulled-back overlap point's envelope frontier is walked from the
-    root once and kept per depth, not re-walked for every d = 1..4 of the
-    postunbranched check: the re-walking code made 1,776 contains_point
-    calls on this run, the kept walk 264, and the walk down pulled-back
-    points makes 168.  Only the check is counted; the tower before it tests
-    points against envelopes of its own."""
+    """Each pulled-back overlap point is tested against the depth-1
+    envelopes along its orbit, once per point, not walked for every
+    d = 1..4 of the postunbranched check: re-walking from the root made
+    1,776 contains_point calls on this run, a walk kept across depths 264,
+    the walk down pulled-back points 168, and the orbit walk makes 42.  Only
+    the check is counted; the tower before it tests points against
+    envelopes of its own."""
     spec = cli.load_bundled("snowflake").spec
     calls = 0
     contains = ConvexPolygon.contains_point
@@ -450,7 +451,7 @@ def test_snowflake_single_envelope_walk(monkeypatch):
     tower_complexes(spec, 3)
     monkeypatch.setattr(ConvexPolygon, "contains_point", counting)
     check_postunbranched(spec)
-    assert calls < 500
+    assert calls < 100
 
 
 def test_snowflake_one_point_meets_prune_the_candidates(monkeypatch):
