@@ -45,6 +45,7 @@ PairStatus = Literal["ok", "empty", "violated", "unknown"]
 
 class PairReport(_Record):
     __slots__ = _fields = ("pair", "status", "points", "prefix", "address", "detail", "singular")
+    _defaults = {"points": (), "prefix": None, "address": None, "detail": "", "singular": False}
     pair: tuple[int, int]
     status: PairStatus
     points: tuple[Point2, ...]
@@ -53,38 +54,16 @@ class PairReport(_Record):
     detail: str
     singular: bool                # unknown because cell map i has no inverse
 
-    def __init__(self, pair: tuple[int, int], status: PairStatus,
-                 points: tuple[Point2, ...] = (), prefix: Optional[Word] = None,
-                 address: Optional[Address] = None, detail: str = "",
-                 singular: bool = False) -> None:
-        self.pair = pair
-        self.status = status
-        self.points = points
-        self.prefix = prefix
-        self.address = address
-        self.detail = detail
-        self.singular = singular
-
 
 class PUReport(_Record):
     __slots__ = _fields = ("name", "depth", "status", "mechanism", "pairs", "witness")
+    _defaults = {"witness": ""}
     name: str
     depth: int
     status: Literal["postunbranched", "not-postunbranched", "unknown"]
     mechanism: str
     pairs: dict[tuple[int, int], PairReport]
     witness: str
-
-    def __init__(self, name: str, depth: int,
-                 status: Literal["postunbranched", "not-postunbranched", "unknown"],
-                 mechanism: str, pairs: dict[tuple[int, int], PairReport],
-                 witness: str = "") -> None:
-        self.name = name
-        self.depth = depth
-        self.status = status
-        self.mechanism = mechanism
-        self.pairs = pairs
-        self.witness = witness
 
 
 def check_postunbranched(spec: SystemSpec, depth: int = 4,
@@ -221,19 +200,12 @@ SingletonStatus = Literal["empty", "singleton", "several", "unknown"]
 
 class SingletonReport(_Record):
     __slots__ = _fields = ("name", "pairs", "all_small", "witnesses")
+    _defaults = {"witnesses": dict}
     name: str
     pairs: dict[tuple[int, int], SingletonStatus]
     all_small: bool  # every pair empty or a single point
     # the two smallest certified common points of each `several` pair
     witnesses: dict[tuple[int, int], tuple[Point2, Point2]]
-
-    def __init__(self, name: str, pairs: dict[tuple[int, int], SingletonStatus],
-                 all_small: bool,
-                 witnesses: Optional[dict[tuple[int, int], tuple[Point2, Point2]]] = None) -> None:
-        self.name = name
-        self.pairs = pairs
-        self.all_small = all_small
-        self.witnesses = {} if witnesses is None else witnesses
 
 
 def check_singleton_overlaps(spec: SystemSpec, budget: Budget = Budget()) -> SingletonReport:
@@ -289,33 +261,22 @@ def _singleton_status(spec: SystemSpec, i: int, j: int,
 
 class ConditionResult(_Record):
     __slots__ = _fields = ("ok", "witness")
+    _defaults = {"witness": ""}
     ok: bool
     witness: str
-
-    def __init__(self, ok: bool, witness: str = "") -> None:
-        self.ok = ok
-        self.witness = witness
 
 
 class PivotReport(_Record):
     """The four structural conditions that force infinite limit rank at r = 1."""
 
     __slots__ = _fields = ("name", "pivot", "conditions", "conclusion", "conditional", "detail")
+    _defaults = {"detail": ""}
     name: str
     pivot: int
     conditions: dict[str, ConditionResult]
     conclusion: bool
     conditional: bool  # True when undecided simplices could change an answer
     detail: str
-
-    def __init__(self, name: str, pivot: int, conditions: dict[str, ConditionResult],
-                 conclusion: bool, conditional: bool, detail: str = "") -> None:
-        self.name = name
-        self.pivot = pivot
-        self.conditions = conditions
-        self.conclusion = conclusion
-        self.conditional = conditional
-        self.detail = detail
 
 
 def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
@@ -375,34 +336,21 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
 
 class TheoremCheckItem(_Record):
     __slots__ = _fields = ("name", "ok", "detail")
+    _defaults = {"detail": ""}
     name: str
     ok: bool
     detail: str
 
-    def __init__(self, name: str, ok: bool, detail: str = "") -> None:
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-
 
 class TheoremCheck(_Record):
     __slots__ = _fields = ("name", "applicable", "passed", "checks", "predictions", "note")
+    _defaults = {"checks": list, "predictions": list, "note": ""}
     name: str
     applicable: bool
     passed: Optional[bool]
     checks: list[TheoremCheckItem]
     predictions: list[str]
     note: str
-
-    def __init__(self, name: str, applicable: bool, passed: Optional[bool],
-                 checks: Optional[list[TheoremCheckItem]] = None,
-                 predictions: Optional[list[str]] = None, note: str = "") -> None:
-        self.name = name
-        self.applicable = applicable
-        self.passed = passed
-        self.checks = [] if checks is None else checks
-        self.predictions = [] if predictions is None else predictions
-        self.note = note
 
 
 def verify_puthm(table: BettiTable) -> TheoremCheck:

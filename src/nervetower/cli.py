@@ -55,15 +55,10 @@ class SpecFlags(_Frozen):
     """Author-asserted hypotheses and defaults carried by a spec file."""
 
     __slots__ = _fields = ("lx_connected", "injective", "pivot")
+    _defaults = {"lx_connected": False, "injective": False, "pivot": None}
     lx_connected: bool
     injective: bool
     pivot: Optional[int]
-
-    def __init__(self, lx_connected: bool = False, injective: bool = False,
-                 pivot: Optional[int] = None) -> None:
-        object.__setattr__(self, "lx_connected", lx_connected)
-        object.__setattr__(self, "injective", injective)
-        object.__setattr__(self, "pivot", pivot)
 
 
 class LoadedSpec(_Frozen):
@@ -71,11 +66,6 @@ class LoadedSpec(_Frozen):
     spec: SystemSpec
     flags: SpecFlags
     doc: dict
-
-    def __init__(self, spec: SystemSpec, flags: SpecFlags, doc: dict) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "doc", doc)
 
 
 def _reject_float(text: str) -> None:

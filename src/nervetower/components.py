@@ -70,22 +70,13 @@ class ComponentsLevel(_Frozen):
     """
 
     __slots__ = _fields = ("count", "representatives", "crossing", "ids", "block", "below")
+    _defaults = {"below": None}
     count: int
     representatives: tuple[int, ...]
     crossing: tuple[tuple[int, int], ...]
     ids: tuple[int, ...]
     block: int
     below: Optional[ComponentsLevel]
-
-    def __init__(self, count: int, representatives: tuple[int, ...],
-                 crossing: tuple[tuple[int, int], ...], ids: tuple[int, ...], block: int,
-                 below: Optional[ComponentsLevel] = None) -> None:
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "crossing", crossing)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "below", below)
 
     def label(self, v: int) -> int:
         """The component of vertex v: one lookup per level of the chain."""
@@ -174,32 +165,20 @@ VerdictStatus = Literal["finite", "infinite", "unknown"]
 
 class LimitVerdict(_Record):
     __slots__ = _fields = ("status", "value", "mechanism", "detail")
+    _defaults = {"detail": ""}
     status: VerdictStatus
     value: Optional[int]  # the limit dimension, when finite
     mechanism: str
     detail: str
 
-    def __init__(self, status: VerdictStatus, value: Optional[int], mechanism: str,
-                 detail: str = "") -> None:
-        self.status = status
-        self.value = value
-        self.mechanism = mechanism
-        self.detail = detail
-
 
 class ComponentVerdict(_Record):
     __slots__ = _fields = ("kind", "count", "mechanism", "detail")
+    _defaults = {"detail": ""}
     kind: VerdictKind
     count: Optional[int]  # set for connected / finitely-many
     mechanism: str
     detail: str
-
-    def __init__(self, kind: VerdictKind, count: Optional[int], mechanism: str,
-                 detail: str = "") -> None:
-        self.kind = kind
-        self.count = count
-        self.mechanism = mechanism
-        self.detail = detail
 
 
 class ComponentTower(_Record):
@@ -211,14 +190,6 @@ class ComponentTower(_Record):
     parents: list[tuple[int, ...]]  # as in Dim0Facts
     hypothesis: str  # 'verified-contraction' | 'user-asserted' | 'unverified'
     verdict: ComponentVerdict
-
-    def __init__(self, name: str, counts: list[int], parents: list[tuple[int, ...]],
-                 hypothesis: str, verdict: ComponentVerdict) -> None:
-        self.name = name
-        self.counts = counts
-        self.parents = parents
-        self.hypothesis = hypothesis
-        self.verdict = verdict
 
 
 def stationary_bound(m: int, a01: int, a11: int) -> Fraction:
@@ -239,18 +210,6 @@ class Dim0Facts(_Record):
     split_ok: bool                  # injective cell maps, or backward (cells are preimages)
     postunbranched: bool
     n1_betti: Optional[tuple[int, int]]  # (a_{0,1}, a_{1,1}) over a field
-
-    def __init__(self, m: int, counts: list[int], parents: list[tuple[int, ...]],
-                 isolated: tuple[int, ...], injective: Optional[bool], split_ok: bool,
-                 postunbranched: bool, n1_betti: Optional[tuple[int, int]]) -> None:
-        self.m = m
-        self.counts = counts
-        self.parents = parents
-        self.isolated = isolated
-        self.injective = injective
-        self.split_ok = split_ok
-        self.postunbranched = postunbranched
-        self.n1_betti = n1_betti
 
     @property
     def bound(self) -> Fraction:
@@ -287,6 +246,7 @@ class Dim0Mechanism(_Frozen):
 
     __slots__ = _fields = ("name", "needs", "status", "kind", "applies", "licence", "detail",
                            "component_detail")
+    _defaults = {"component_detail": ""}
     name: str
     needs: tuple[str, ...]
     status: VerdictStatus  # a finite limit is the deepest count
@@ -295,18 +255,6 @@ class Dim0Mechanism(_Frozen):
     licence: str
     detail: str
     component_detail: str
-
-    def __init__(self, name: str, needs: tuple[str, ...], status: VerdictStatus,
-                 kind: VerdictKind, applies: Callable[[Dim0Facts], bool], licence: str,
-                 detail: str, component_detail: str = "") -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "needs", needs)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "applies", applies)
-        object.__setattr__(self, "licence", licence)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "component_detail", component_detail)
 
 
 # Tried in order; the first that applies settles both the r = 0 limit verdict

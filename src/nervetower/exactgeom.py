@@ -220,13 +220,6 @@ class RationalAffineMap(_Frozen):
     def identity() -> "RationalAffineMap":
         return RationalAffineMap._from_row(1, 0, 0, 1, 0, 0, 1)
 
-    @staticmethod
-    def scaling(ratio: RationalLike, center: Point2 | None = None) -> "RationalAffineMap":
-        """p |-> center + ratio (p - center); the workhorse for test systems."""
-        r, q = _ratio(ratio)
-        x, y, z = center._t if center is not None else (0, 0, 1)
-        return RationalAffineMap._from_row(r * z, 0, 0, r * z, (q - r) * x, (q - r) * y, q * z)
-
     def is_singular(self) -> bool:
         """Whether the linear part has determinant 0."""
         a, b, c, d = self._row[:4]
@@ -522,12 +515,6 @@ def common_region(polys: Sequence[ConvexPolygon]) -> list[Triple]:
             if not bboxes_overlap(polys[i], polys[j]):
                 return []
     return _region(polys)
-
-
-def intersection_cycle(polys: Sequence[ConvexPolygon]) -> tuple[Point2, ...]:
-    """Vertex cycle of the common intersection, empty if it is empty: the
-    points of common_region(polys)."""
-    return tuple(map(Point2._of, common_region(polys)))
 
 
 def common_point_exists(polys: Sequence[ConvexPolygon]) -> bool:

@@ -338,6 +338,7 @@ class BettiTable(_Record):
 
     __slots__ = _fields = ("name", "m", "field", "depth", "dim_cap", "exact_dims", "a", "lam",
                            "facts", "growth", "verdicts", "b1_infinity", "flags", "uncertain")
+    _defaults = {"uncertain": list}
     name: str
     m: int
     field: FieldKind
@@ -352,27 +353,6 @@ class BettiTable(_Record):
     b1_infinity: LimitVerdict
     flags: dict[str, Optional[bool]]
     uncertain: list[tuple[int, tuple[Word, ...], str]]
-
-    def __init__(self, name: str, m: int, field: FieldKind, depth: int, dim_cap: int,
-                 exact_dims: tuple[int, ...], a: dict[tuple[int, int], int],
-                 lam: dict[int, int], facts: Dim0Facts,
-                 growth: dict[int, list[Optional[float]]], verdicts: dict[int, LimitVerdict],
-                 b1_infinity: LimitVerdict, flags: dict[str, Optional[bool]],
-                 uncertain: Optional[list[tuple[int, tuple[Word, ...], str]]] = None) -> None:
-        self.name = name
-        self.m = m
-        self.field = field
-        self.depth = depth
-        self.dim_cap = dim_cap
-        self.exact_dims = exact_dims
-        self.a = a
-        self.lam = lam
-        self.facts = facts
-        self.growth = growth
-        self.verdicts = verdicts
-        self.b1_infinity = b1_infinity
-        self.flags = flags
-        self.uncertain = [] if uncertain is None else uncertain
 
     @property
     def component_counts(self) -> list[int]:

@@ -78,6 +78,7 @@ class SimplicialComplex(_Frozen):
     """
 
     _fields = ("level", "m", "added", "dim_cap", "complete", "uncertain", "block_source")
+    _defaults = {"uncertain": (), "block_source": None}
     __slots__ = _fields + ("__dict__",)  # the __dict__ holds the cached_property values
     level: int
     m: int
@@ -86,17 +87,6 @@ class SimplicialComplex(_Frozen):
     complete: bool
     uncertain: tuple[tuple[tuple[int, ...], str], ...]
     block_source: Optional[SimplicialComplex]
-
-    def __init__(self, level: int, m: int, added: dict[int, Simplices], dim_cap: int,
-                 complete: bool, uncertain: tuple[tuple[tuple[int, ...], str], ...] = (),
-                 block_source: Optional[SimplicialComplex] = None) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "added", added)
-        object.__setattr__(self, "dim_cap", dim_cap)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "uncertain", uncertain)
-        object.__setattr__(self, "block_source", block_source)
 
     def replace(self, **changes) -> SimplicialComplex:
         """This complex with the named fields changed, built anew."""
@@ -390,12 +380,6 @@ class SimplicialMap(_Record):
     target: SimplicialComplex
     vertex_map: Sequence[int]
 
-    def __init__(self, source: SimplicialComplex, target: SimplicialComplex,
-                 vertex_map: Sequence[int]) -> None:
-        self.source = source
-        self.target = target
-        self.vertex_map = vertex_map
-
 
 def _truncate(simplex: tuple[int, ...], ratio: int) -> tuple[int, ...]:
     """The image of one simplex under v -> v // ratio."""
@@ -492,14 +476,6 @@ class TowerData(_Record):
     budget: Budget
     complexes: list[SimplicialComplex]
     components: list[ComponentsLevel]
-
-    def __init__(self, spec: SystemSpec, dim_cap: int, budget: Budget,
-                 complexes: list[SimplicialComplex], components: list[ComponentsLevel]) -> None:
-        self.spec = spec
-        self.dim_cap = dim_cap
-        self.budget = budget
-        self.complexes = complexes
-        self.components = components
 
     @property
     def depth(self) -> int:

@@ -327,13 +327,6 @@ def cell_envelope(spec: SystemSpec, w: Word) -> ConvexPolygon:
     return got
 
 
-def limit_point(spec: SystemSpec, head: Word, cycle: Word) -> Point2:
-    """The point with address head (cycle)^inf: apply head's map to the cycle's fixed point."""
-    if len(cycle) == 0:
-        raise SpecError("cycle must be nonempty")
-    return word_map(spec, head)(word_map(spec, cycle).fixed_point())
-
-
 # A certified point keyed by its normalized homogeneous integer triple.
 PointKey = tuple[int, int, int]
 

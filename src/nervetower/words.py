@@ -6,8 +6,13 @@ nonsense nerves.  Addresses (right-infinite words) are restricted to the
 eventually periodic ones, which is exactly what exact arithmetic can name.
 
 This lowest module also holds the package's value-class bases: `_Record`
-(slotted fields, equality, repr, pickling) and `_Frozen` (immutable and
-hashable), so that no module builds its classes at import time.
+(slotted fields, one constructor, equality, repr, pickling) and `_Frozen`
+(immutable and hashable), so that no module builds its classes at import
+time.  A record states its fields once, in `_fields` (with `_defaults` for
+the optional ones at its end), and the one constructor fills them.  A class
+writes its own constructor only to validate or normalise its arguments
+(`Word`, `Address`, `Point2`, `RationalAffineMap`, `ConvexPolygon`, `Budget`,
+`FieldKind`), or because it is built once per oracle query (`Verdict`).
 """
 
 from __future__ import annotations
@@ -31,11 +36,50 @@ def _rebuild(cls: type, values: tuple) -> object:
 class _Record:
     """A slotted record of the fields `_fields` names: equal to a record of
     its own class with equal fields, shown as Class(field=value, ...) and
-    pickled as its field values.  Mutable and unhashable."""
+    pickled as its field values.  Mutable and unhashable.
+
+    The one constructor binds positional, then keyword arguments to
+    `_fields`.  A field left out takes its value from `_defaults`, where a
+    type (`list`, `dict`) stands for a new empty value of that type; the
+    fields with defaults end `_fields`, so positional order keeps its
+    meaning.  A missing, unknown, repeated or surplus argument raises
+    TypeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
     __hash__ = None
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        # Every field positional, the common call, binds nothing.
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The values of all fields, from leading positional arguments,
+        keyword arguments and `_defaults`."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                default = cls._defaults[name]
+                values.append(default() if isinstance(default, type) else default)
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{cls.__qualname__}() got "
+                            + ("multiple values for" if name in fields else "an unexpected")
+                            + f" argument {name!r}")
+        return values
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -17,6 +17,9 @@
   component of every vertex down a chain of `ComponentsLevel`s.
 * `complexes`: readers of every simplex that only tests use
   (`block_subcomplex`, `euler_characteristic`, `simplex_word_sets`).
+* `points`: points and maps that only tests build (`scaling` about a
+  centre, the `limit_point` of an address, and `intersection_cycle`, the
+  vertices of `exactgeom.common_region` as `Point2`s).
 * `pu_nerve`: symbolic nerves as sets of word sets; checks the index
   generator `nerve._lifted_level` and its address-consistency errors.
   `truncate` takes the first symbols of a word or an address.

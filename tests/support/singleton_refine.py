@@ -7,9 +7,10 @@ fat overlap runs to the frontier cap or the budget before it answers unknown.
 """
 
 from nervetower import oracles
-from nervetower.exactgeom import common_point_exists, intersection_cycle
+from nervetower.exactgeom import common_point_exists
 from nervetower.oracles import Budget, SystemSpec, cell_envelope, certificate_points
 from nervetower.words import Word
+from support.points import intersection_cycle
 
 
 def singleton_status(spec: SystemSpec, i: int, j: int, budget: Budget) -> str:

@@ -11,9 +11,10 @@ from nervetower import FrozenInstanceError
 from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _collinear_region,
                                   _region, bboxes_overlap, check_envelope,
                                   common_point_exists, common_region, compose,
-                                  intersection_cycle, map_polygon, rational)
+                                  map_polygon, rational)
 from support import fraction_geometry
 from support.fraction_geometry import cross
+from support.points import intersection_cycle, scaling
 
 
 def P(x, y):
@@ -69,13 +70,13 @@ class TestAffineMap:
         assert f(q) == q
 
     def test_scaling(self):
-        f = RationalAffineMap.scaling("1/2", P(1, 1))
+        f = scaling("1/2", P(1, 1))
         assert f(P(1, 1)) == P(1, 1)
         assert f(P(0, 0)) == P("1/2", "1/2")
         assert f.is_contraction()
 
     def test_expansion_is_not_contraction(self):
-        f = RationalAffineMap.scaling(2)
+        f = scaling(2)
         assert not f.is_contraction()
         assert f.inverse().is_contraction()
 
@@ -490,7 +491,7 @@ class TestIntegerValues:
         assert RationalAffineMap(*(str(v) for v in (f.a, f.b, f.c, f.d, f.e, f.f))) == f
 
     def test_values_are_immutable_and_pickle(self):
-        p, f = P("1/2", 3), RationalAffineMap.scaling("1/3", P(1, 0))
+        p, f = P("1/2", 3), scaling("1/3", P(1, 0))
         for value, field in ((p, "x"), (f, "a")):
             with pytest.raises(FrozenInstanceError):
                 setattr(value, field, 0)

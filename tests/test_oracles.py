@@ -18,11 +18,12 @@ from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 _word_points, cell_envelope,
                                 cells_containing_point, cells_intersect,
                                 certificate_points, generate_pu_nerve,
-                                limit_point, point_in_cell, word_map)
+                                point_in_cell, word_map)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
 from support import certificate_sets, fraction_geometry, tail_names, unpruned
 from support.complexes import simplex_word_sets
 from support.finite_oracle import finite_cycle_system, finite_trivial_system
+from support.points import limit_point
 from test_classify import derived_systems
 from test_nerve import singular_spec
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import nervetower
+from nervetower.words import _Record
 
 
 def test_every_exported_name_resolves():
@@ -24,8 +25,10 @@ def test_star_import():
 def test_readers_only_the_tests_use_are_not_exported():
     """block_subcomplex, the Euler characteristic and the word sets of a
     level live in tests/support/complexes.py, `truncate` in
-    tests/support/pu_nerve.py and the per-vertex component labels in
-    tests/support/full_tower.py; the other names are gone."""
+    tests/support/pu_nerve.py, the per-vertex component labels in
+    tests/support/full_tower.py and `scaling`, `limit_point` and
+    `intersection_cycle` in tests/support/points.py; the other names are
+    gone."""
     for name in ("block_subcomplex", "concat", "constant_address", "reverse", "truncate"):
         assert name not in nervetower.__all__
     assert not hasattr(nervetower.nerve, "block_subcomplex")
@@ -38,12 +41,36 @@ def test_readers_only_the_tests_use_are_not_exported():
     assert not hasattr(nervetower.RationalAffineMap, "determinant")
     assert not hasattr(nervetower.oracles, "_tail_triples")
     assert "source" not in nervetower.Verdict._fields
+    assert not hasattr(nervetower.RationalAffineMap, "scaling")
+    assert not hasattr(nervetower.oracles, "limit_point")
+    assert not hasattr(nervetower.exactgeom, "intersection_cycle")
+
+
+def test_records_state_their_fields_once():
+    """A record takes `_Record`'s one constructor unless it validates or
+    normalises its arguments, or is `Verdict`, built once per oracle query.
+    The fields with `_defaults` end `_fields`, so positional calls keep
+    their meaning."""
+    records, below = [], [_Record]
+    while below:
+        for cls in below.pop().__subclasses__():
+            below.append(cls)
+            if cls.__module__.startswith("nervetower."):
+                records.append(cls)
+    assert {cls.__name__ for cls in records if "__init__" in vars(cls)} == {
+        "Word", "Address", "Point2", "RationalAffineMap", "ConvexPolygon", "Budget",
+        "FieldKind", "Verdict"}
+    for cls in records:
+        optional = cls._fields[len(cls._fields) - len(cls._defaults):]
+        assert set(cls._defaults) <= set(cls._fields), cls
+        assert set(optional) == set(cls._defaults), cls
 
 
 def test_import_generates_no_classes():
-    """The value classes are written out, so importing the CLI loads neither
-    `dataclasses` nor the `inspect` it pulls in (about a fifth of the
-    package's start-up when both were loaded)."""
+    """The value classes are plain classes over `_Record`'s one constructor,
+    so importing the CLI loads neither `dataclasses` nor the `inspect` it
+    pulls in (about a fifth of the package's start-up when both were
+    loaded)."""
     src = str(Path(nervetower.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

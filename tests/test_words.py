@@ -7,8 +7,9 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from nervetower import (Budget, ConvexPolygon, FrozenInstanceError, PairReport, Point2,
-                        SimplicialComplex, Verdict)
+from nervetower import (BettiTable, Budget, ComponentsLevel, ConvexPolygon,
+                        FrozenInstanceError, PairReport, Point2, SimplicialComplex,
+                        SingletonReport, SpecFlags, TheoremCheck, Verdict)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
 from support.pu_nerve import truncate
 
@@ -126,7 +127,9 @@ def frozen_values(m, u, v, p):
             Verdict.disjoint(len(u)) if len(u) % 2 else Verdict.unknown(str(v)),
             ConvexPolygon.hull(corners),
             SimplicialComplex(1, m, {1: tuple((a - 1, b - 1) for a in symbols_
-                                              for b in symbols_ if a < b)}, 1, True))
+                                              for b in symbols_ if a < b)}, 1, True),
+            SpecFlags(injective=len(u) % 2 == 1, pivot=len(p)),
+            ComponentsLevel(1, (0,), (), (0,) * m, m))
 
 
 class TestValueClasses:
@@ -190,6 +193,8 @@ class TestValueClasses:
         assert level.replace() == level and level.replace() is not level
         with pytest.raises(TypeError):
             level.replace(depth=2)
+        above = SimplicialComplex(2, 3, {}, 1, True, block_source=level)
+        assert above.uncertain == () and above.replace(level=3).block_source is level
 
     def test_reports_stay_mutable_and_unhashable(self):
         report = PairReport((1, 2), "ok")
@@ -199,3 +204,22 @@ class TestValueClasses:
         with pytest.raises(TypeError):
             hash(report)
         assert pickle.loads(pickle.dumps(report)) == report
+        # positional, keyword and mixed calls bind to the same fields
+        full = PairReport((1, 2), "ok", (), None, None, "checked", False)
+        assert full == report == PairReport(status="ok", detail="checked", pair=(1, 2))
+        assert full == PairReport((1, 2), "ok", (), singular=False, detail="checked")
+        assert SpecFlags() == SpecFlags(False, False, None) == SpecFlags(pivot=None)
+        for args, kwargs in [(((1, 2),), {}),                      # missing
+                             (((1, 2), "ok"), {"depth": 3}),         # unknown
+                             (((1, 2), "ok"), {"pair": (1, 2)}),     # repeated
+                             (((1, 2), "ok", (), None, None, "", False, 0), {})]:  # surplus
+            with pytest.raises(TypeError):
+                PairReport(*args, **kwargs)
+        # a type among the defaults is a new empty value for each record
+        singles = SingletonReport("s", {}, True), SingletonReport("s", {}, True)
+        checks = TheoremCheck("t", False, None), TheoremCheck("t", False, None)
+        tables = [BettiTable(*[None] * 13) for _ in range(2)]
+        assert singles[0].witnesses == {} and singles[0].witnesses is not singles[1].witnesses
+        assert checks[0].checks is not checks[1].checks
+        assert checks[0].predictions is not checks[1].predictions
+        assert tables[0].uncertain == [] and tables[0].uncertain is not tables[1].uncertain
