@@ -2,10 +2,10 @@
 
 Every bundled system's tower CSV and JSON report, the classify report of a
 few systems that exercise each checker, the nerve JSON and DOT export of
-four systems, and a derived system's spec with its tower and nerve under a
-starved budget (the uncertain path) are compared against fixtures in
-tests/golden/.  A refactor that
-is meant to keep the command-line output must leave every fixture untouched;
+four systems, a derived system's spec with its tower and nerve under a
+starved budget (the uncertain path), and interval-overlap's nerve at dim cap
+3, its starved tower and its second iterate's spec and tower are compared
+against fixtures in tests/golden/.  A refactor that is meant to keep the command-line output must leave every fixture untouched;
 an intended output change regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -48,6 +48,13 @@ NERVE_DEPTHS = [("gasket", 3), ("snowflake", 2), ("snowflake", 3), ("pentagasket
 DERIVED = "interval-overlap-sub-11-33-32"
 DERIVED_SPEC = GOLDEN / f"derive-{DERIVED}.json"
 STARVED = ["--refine-depth", "0", "--cert-period", "1", "--cert-preperiod", "0"]
+# interval-overlap's envelope is a segment that its depth-1 envelopes cover:
+# its nerve at dim cap 3 (245 tetrahedra at depth 3), a starved tower, and the
+# tower of its second iterate, whose spec is the output of the `derive` case
+INTERVAL_NERVE = ("interval-overlap", 3, 3)
+INTERVAL_STARVED_TOWER = ("interval-overlap", 4, 3)
+ITERATE = "interval-overlap-iterate-2"
+ITERATE_SPEC = GOLDEN / f"derive-{ITERATE}.json"
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -68,6 +75,14 @@ def _cases() -> list[tuple[str, list[str]]]:
                   ["tower", str(DERIVED_SPEC), "--max-depth", "3"] + STARVED))
     cases.append((f"nerve-{DERIVED}-starved-k2",
                   ["nerve", str(DERIVED_SPEC), "--depth", "2"] + STARVED))
+    name, depth, cap = INTERVAL_NERVE
+    cases.append((f"nerve-{name}-k{depth}-cap{cap}",
+                  ["nerve", name, "--depth", str(depth), "--dim-cap", str(cap)]))
+    name, depth, cap = INTERVAL_STARVED_TOWER
+    cases.append((f"tower-{name}-starved-k{depth}-cap{cap}",
+                  ["tower", name, "--max-depth", str(depth), "--dim-cap", str(cap)] + STARVED))
+    cases.append((f"derive-{ITERATE}", ["derive", "interval-overlap", "--iterate", "2"]))
+    cases.append((f"tower-{ITERATE}-k2", ["tower", str(ITERATE_SPEC), "--max-depth", "2"]))
     return cases
 
 
