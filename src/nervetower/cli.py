@@ -603,7 +603,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     spec = loaded.spec
     if not spec.is_geometric:
         raise SpecError("derive needs a geometric system")
-    if args.subsystem:
+    if args.subsystem is not None:
         try:
             words = [word_from_string(part.strip(), spec.m)
                      for part in args.subsystem.split(",") if part.strip()]

@@ -232,6 +232,10 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
       uncertain pairs that cross blocks (and, without block copies, of every
       edge and single vertex) are queried, and no tuple inside one block.
       Higher simplices grow as cliques over verified simplices.
+    * Envelope answers.  On a spec that passes `oracles.envelope_exact`,
+      every cell is its envelope, a segment or a point on one line.  A pair
+      is answered by its envelope meet, and every larger candidate holds
+      (Helly), so the oracle is asked nothing and no level is uncertain.
     * One-point parent meets.  When the cell maps are injective and the
       envelopes of a parent pair (a, b) meet in one point p, only the
       children a x with f_a^-1(p) in env(x) and b y with f_b^-1(p) in env(y)
@@ -333,20 +337,33 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
     source.  The level is complete when no clique extends past dim_cap: none
     that crosses, and none inside a block, which the source's flag tells.
 
+    On a spec that passes `oracles.envelope_exact` no tuple is queried or
+    uncertain.  A pair holds exactly when its envelope meet
+    (`oracles._envelope_meet`) is nonempty, since each cell is its envelope.
+    A larger candidate always holds: its vertices are pairwise joined by
+    found or block-copied edges, and segments on a line that meet pairwise
+    share a point (Helly 1923, Helly number 2 on a line).
+
     No pass closes the level under faces.  The oracle is monotone (fewer
     words only enlarge the envelope meet and the shared certified points), so
-    it certifies every face of a certified candidate.  A face inside a block
-    copies a source tuple that the oracle answers alike; any other face was a
-    candidate itself: its prefix is a face of a verified prefix, and its
-    other vertices are common neighbours of its ends.
+    it certifies every face of a certified candidate; the envelope answers
+    are monotone too, as every face of a held candidate holds.  A face
+    inside a block copies a source tuple that is answered alike; any other
+    face was a candidate itself: its prefix is a face of a verified prefix,
+    and its other vertices are common neighbours of its ends.
     """
     word = cache(partial(indexed_word, spec.m, level))
 
-    def holds(candidate: tuple[int, ...]) -> bool:
-        verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
-        if verdict.kind == "unknown":
-            uncertain.append((candidate, verdict.note))
-        return verdict.kind == "intersect"
+    if oracles.envelope_exact(spec):
+        def holds(candidate: tuple[int, ...]) -> bool:
+            return len(candidate) > 2 or bool(
+                oracles._envelope_meet(spec, tuple(map(word, candidate))))
+    else:
+        def holds(candidate: tuple[int, ...]) -> bool:
+            verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
+            if verdict.kind == "unknown":
+                uncertain.append((candidate, verdict.note))
+            return verdict.kind == "intersect"
 
     found: dict[int, set[tuple[int, ...]]] = {1: {pair for pair in pairs if holds(pair)}}
     # the queried edges over the copies of `source`: the level's neighbours,

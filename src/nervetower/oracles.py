@@ -38,6 +38,7 @@ from .exactgeom import (
     common_region,
     compose,
     map_polygon,
+    segment_covered,
 )
 from .words import Address, Word, _Frozen, _normalize, indexed_word, symbols_index
 
@@ -543,6 +544,32 @@ def _symbol_envelopes(spec: SystemSpec) -> tuple[ConvexPolygon, ...]:
     if got is None:
         got = spec._cache["symbol_envelopes"] = tuple(
             cell_envelope(spec, Word((j,), spec.m)) for j in range(1, spec.m + 1))
+    return got
+
+
+def envelope_exact(spec: SystemSpec) -> bool:
+    """Whether every cell of the system is its envelope, which makes a tuple
+    of same-depth cells meet exactly when their envelopes do.  Checked once
+    per spec, in exact arithmetic, and kept on the spec.
+
+    Licence: the spec is geometric, its envelope E is a segment (two
+    vertices), and the depth-1 envelopes f_i(E) cover E
+    (`exactgeom.segment_covered`; a singular map's point image counts as an
+    interval of length zero).  `check_envelope` gives f_i(E) in E and
+    contraction, so E is the union of the f_i(E), and E is the attractor K
+    (Hutchinson, Indiana Univ. Math. J. 1981).  Then every cell f_w(K) is
+    f_w(E), the envelope of w.  Envelopes on one line are segments or points,
+    and on a line segments that meet pairwise share a point (Helly 1923), so
+    a tuple of cells meets exactly when each of its pairs does.
+
+    The nerve generator reads it; `cells_intersect` and `certificate_points`
+    do not, so their verdicts and certificates are the same on every spec.
+    """
+    got = spec._cache.get("envelope_exact")
+    if got is None:
+        got = spec._cache["envelope_exact"] = (
+            spec.is_geometric and len(spec.backend.envelope.vertices) == 2
+            and segment_covered(spec.backend.envelope, _symbol_envelopes(spec)))
     return got
 
 

@@ -131,6 +131,11 @@ class TestExitCodes:
         code = main(["derive", "gasket", "--subsystem", "99", "--out", out])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("words", ["", ","])
+    def test_subsystem_without_words(self, capsys, words):
+        assert main(["derive", "gasket", "--subsystem", words]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: --subsystem needs at least one word\n")
+
     def test_table_symbol_outside_the_alphabet(self, tmp_path, capsys):
         path = write_doc(tmp_path, {
             "name": "bad", "orientation": "forward", "m": 3,

@@ -22,7 +22,7 @@ from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyErro
                                 GeometricBackend, SpecError, SymbolicPUBackend,
                                 SystemSpec)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
-from support import unpruned
+from support import segment_cover, unpruned
 from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certificates
 from support.complexes import block_subcomplex, euler_characteristic, simplex_word_sets
 from support.full_tower import (full_truncation_map, labels, reference_tower,
@@ -578,23 +578,184 @@ class TestFaceClosure:
         tower = tower_complexes(singular_spec(), 3, dim_cap, budget)
         assert [open_faces(c) for c in tower.complexes] == [[]] * 3
 
-    def test_an_oracle_that_breaks_monotonicity_leaves_a_face_open(self, monkeypatch):
-        """The check bites: when the oracle leaves the crossing face 12 13 21
-        of the certified tetrahedron 11 12 13 21 of interval-overlap's N_2
-        undecided, nothing closes it."""
+    @staticmethod
+    def _holding_open(face):
         original = oracles.cells_intersect
-        face = (W("12"), W("13"), W("21"))
 
         def leaves_face_open(spec, ws, budget=Budget()):
             return oracles.Verdict.unknown("held open") if tuple(ws) == face else \
                 original(spec, ws, budget)
+        return leaves_face_open
 
-        monkeypatch.setattr(oracles, "cells_intersect", leaves_face_open)
-        tower = tower_complexes(cli.load_bundled("interval-overlap").spec, 2, 3)
-        level = tower.complex_at(2)
+    def test_an_oracle_that_breaks_monotonicity_leaves_a_face_open(self, monkeypatch):
+        """The check bites: when the oracle leaves the crossing face 23 32 33
+        of the certified tetrahedron 22 23 32 33 of N_2 undecided, nothing
+        closes it.  The system is interval-overlap's subsystem 11, 13, 21,
+        whose envelopes leave a gap, so the generator queries its triangles."""
+        spec = build_iterate_or_subsystem(cli.load_bundled("interval-overlap").spec,
+                                          [W("11"), W("13"), W("21")])
+        assert not oracles.envelope_exact(spec)
+        monkeypatch.setattr(oracles, "cells_intersect",
+                            self._holding_open((W("23"), W("32"), W("33"))))
+        level = tower_complexes(spec, 2, 3).complex_at(2)
+        assert (4, 5, 7, 8) in level.simplices_of(3)
+        assert open_faces(level) == [(5, 7, 8)]
+        assert level.uncertain == (((5, 7, 8), "held open"),)
+
+    def test_a_licensed_generator_asks_no_face(self, monkeypatch):
+        """interval-overlap's cells are their envelopes, so the generator asks
+        the oracle about no triangle: holding the face 12 13 21 of the
+        tetrahedron 11 12 13 21 of N_2 open leaves no face open."""
+        monkeypatch.setattr(oracles, "cells_intersect",
+                            self._holding_open((W("12"), W("13"), W("21"))))
+        level = tower_complexes(cli.load_bundled("interval-overlap").spec, 2, 3).complex_at(2)
         assert (0, 1, 2, 3) in level.simplices_of(3)
-        assert open_faces(level) == [(1, 2, 3)]
-        assert level.uncertain == (((1, 2, 3), "held open"),)
+        assert open_faces(level) == []
+        assert level.uncertain == ()
+
+
+def _segment_spec(name, maps, orientation="forward", envelope=((0, 0), (1, 0))):
+    """A system on a segment; each map is (a, b, c, d, e, f) in Fractions' terms."""
+    return SystemSpec(name, orientation, len(maps), GeometricBackend(
+        [RationalAffineMap(*map(Fraction, row)) for row in maps],
+        ConvexPolygon.hull([P(*v) for v in envelope])))
+
+
+def _q(a, e):
+    """x -> a x + e on the x-axis, as an affine map's row."""
+    return (a, 0, 0, a, e, 0)
+
+
+# Segment systems: a singular middle map whose point image sits inside the
+# cover, a backward one, two halves that touch, an orientation-reversing pair
+# on a slanted segment, and two with a gap (one closed only by a point).
+SEGMENT_SPECS = {
+    "singular": lambda: _segment_spec("singular", [_q("1/2", 0), (0, 0, 0, 0, "1/2", 0),
+                                                   _q("1/2", "1/2")]),
+    "backward": lambda: _segment_spec("backward", [_q(2, 0), (-2, 0, 0, 2, "3/2", 0),
+                                                   _q(2, -1)], "backward"),
+    "halves": lambda: _segment_spec("halves", [_q("1/2", 0), _q("1/2", "1/2")]),
+    "slanted": lambda: _segment_spec("slanted", [("-3/5", 0, 0, "-3/5", "3/5", "6/5"),
+                                                 ("3/5", 0, 0, "3/5", "2/5", "4/5")],
+                                     envelope=((0, 0), (1, 2))),
+    "gap": lambda: _segment_spec("gap", [_q("1/3", 0), _q("1/4", "1/4"), _q("1/3", "2/3")]),
+    "point-in-gap": lambda: _segment_spec("point-in-gap", [_q("1/3", 0), (0, 0, 0, 0, "1/2", 0),
+                                                           _q("1/3", "2/3")]),
+}
+LICENSED_SEGMENTS = ["singular", "backward", "halves", "slanted"]
+
+
+@st.composite
+def covering_systems(draw):
+    """interval-overlap, its second iterate, and its subsystems on depth-2
+    words that cover the envelope: 11 and 33, one word starting at 1/4 (13
+    or 21), one at 1/2 (23 or 31), and up to three more."""
+    spec = cli.load_bundled("interval-overlap").spec
+    kind = draw(st.sampled_from(["bundled", "iterate", "subsystem"]))
+    if kind == "bundled":
+        return spec
+    if kind == "iterate":
+        return iterate_system(spec, 2)
+    words = {"11", "33", draw(st.sampled_from(["13", "21"])), draw(st.sampled_from(["23", "31"]))}
+    words.update(draw(st.lists(st.sampled_from([str(w) for w in enumerate_words(3, 2)]),
+                               max_size=3)))
+    return build_iterate_or_subsystem(spec, [W(w) for w in sorted(words)])
+
+
+def _fresh(spec):
+    """The same system with nothing cached on it."""
+    return SystemSpec(spec.name, spec.orientation, spec.m, spec.backend)
+
+
+def _licensed_and_queried(spec, depth, budget, dim_cap=3):
+    """The levels the envelope answers build, and those the oracle builds
+    with the licence patched off, each on a fresh spec."""
+    licensed = nerve._levels(_fresh(spec), depth, dim_cap, budget)
+    with patch.object(oracles, "envelope_exact", lambda spec: False):
+        queried = nerve._levels(_fresh(spec), depth, dim_cap, budget)
+    return licensed, queried
+
+
+def _simplex_set(complex_):
+    return {s for dim, sims in complex_.simplices.items() if dim for s in sims}
+
+
+def assert_agrees_with_the_oracle(spec, depth, budget):
+    """Licensed levels are never uncertain.  Where the oracle's level is not
+    either, the two are equal; where it is, the licensed level holds all of
+    it, and each simplex it adds is or contains one of its uncertain tuples."""
+    licensed, queried = _licensed_and_queried(spec, depth, budget)
+    for new, old in zip(licensed, queried, strict=True):
+        assert new.uncertain == ()
+        if not old.uncertain:
+            assert (new.simplices, new.complete) == (old.simplices, old.complete)
+            continue
+        held = [set(s) for s, _note in old.uncertain]
+        assert _simplex_set(old) <= _simplex_set(new)
+        for s in _simplex_set(new) - _simplex_set(old):
+            assert any(u <= set(s) for u in held)
+
+
+class TestEnvelopeExact:
+    """Segment envelopes that the depth-1 envelopes cover: each cell is its
+    envelope, pairs are envelope meets and cliques are simplices."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(derived_systems())
+    def test_licence_matches_the_fraction_reference_on_derived_systems(self, spec):
+        assert oracles.envelope_exact(spec) == segment_cover.envelope_covered(spec)
+
+    @pytest.mark.parametrize("name", cli.bundled_names())
+    def test_licence_matches_the_fraction_reference_on_bundled_systems(self, name):
+        spec = cli.load_bundled(name).spec
+        assert oracles.envelope_exact(spec) == segment_cover.envelope_covered(spec) == \
+            (name == "interval-overlap")
+
+    @pytest.mark.parametrize("name", sorted(SEGMENT_SPECS))
+    def test_licence_matches_the_fraction_reference_on_segments(self, name):
+        spec = SEGMENT_SPECS[name]()
+        assert oracles.envelope_exact(spec) == segment_cover.envelope_covered(spec) == \
+            (name in LICENSED_SEGMENTS)
+
+    @settings(max_examples=15, deadline=None)
+    @given(covering_systems(), st.sampled_from([Budget(), STARVED]))
+    def test_covering_systems_agree_with_the_oracle(self, spec, budget):
+        assert oracles.envelope_exact(spec)
+        assert_agrees_with_the_oracle(spec, 3 if spec.m <= 5 else 2, budget)
+
+    @pytest.mark.parametrize("name", LICENSED_SEGMENTS)
+    @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+    def test_segments_agree_with_the_oracle(self, name, budget):
+        assert_agrees_with_the_oracle(SEGMENT_SPECS[name](), 3, budget)
+
+    @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+    def test_interval_overlap_equals_the_oracle(self, budget):
+        licensed, queried = _licensed_and_queried(cli.load_bundled("interval-overlap").spec,
+                                                  4, budget)
+        assert [c.uncertain for c in queried] == [()] * 4
+        assert [(c.simplices, c.complete) for c in licensed] == \
+            [(c.simplices, c.complete) for c in queried]
+
+    @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+    def test_interval_overlap_asks_the_oracle_nothing(self, budget, monkeypatch):
+        def refuse(spec, ws, budget=Budget()):
+            raise AssertionError(f"the generator asked about {ws}")
+
+        monkeypatch.setattr(oracles, "cells_intersect", refuse)
+        levels = nerve._levels(cli.load_bundled("interval-overlap").spec, 4, 3, budget)
+        assert [c.uncertain for c in levels] == [()] * 4
+        assert levels[3].simplex_counts()[3] > 0
+
+    def test_the_oracle_leaves_a_reversing_system_uncertain(self):
+        """On the slanted system, whose first map reverses the segment, no
+        in-budget point certifies the depth-2 contacts 11 12, 11 21 and 21 22:
+        the oracle leaves them uncertain, and the envelopes answer them."""
+        licensed, queried = _licensed_and_queried(SEGMENT_SPECS["slanted"](), 2, Budget())
+        held = ((0, 1), (0, 2), (2, 3))
+        assert queried[1].uncertain == tuple((s, "budget exhausted") for s in held)
+        assert queried[1].simplex_counts() == {0: 4}
+        assert licensed[1].simplices_of(1) == held
+        assert licensed[1].uncertain == ()
 
 
 def addresses(m):
