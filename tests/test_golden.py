@@ -4,8 +4,9 @@ Every bundled system's tower CSV and JSON report, the classify report of a
 few systems that exercise each checker, the nerve JSON and DOT export of
 four systems, a derived system's spec with its tower and nerve under a
 starved budget (the uncertain path), and interval-overlap's nerve at dim cap
-3, its starved tower and its second iterate's spec and tower are compared
-against fixtures in tests/golden/.  A refactor that is meant to keep the command-line output must leave every fixture untouched;
+3, its starved tower, its second iterate's spec and tower, and its tower
+over GF(2), at dim cap 1 and at depth 1 are compared against fixtures in
+tests/golden/.  A refactor that is meant to keep the command-line output must leave every fixture untouched;
 an intended output change regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -55,6 +56,12 @@ INTERVAL_NERVE = ("interval-overlap", 3, 3)
 INTERVAL_STARVED_TOWER = ("interval-overlap", 4, 3)
 ITERATE = "interval-overlap-iterate-2"
 ITERATE_SPEC = GOLDEN / f"derive-{ITERATE}.json"
+# interval-overlap's tower in its three shapes of exact dimensions: every
+# dimension to the cap (over GF(2)), a_1 not exact (dim cap 1), and a_2 exact
+# on the complete depth-1 nerve
+INTERVAL_TOWERS = [("k4-gf2", ["--max-depth", "4", "--field", "gf2"]),
+                   ("k3-cap1", ["--max-depth", "3", "--dim-cap", "1"]),
+                   ("k1", ["--max-depth", "1"])]
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -83,6 +90,8 @@ def _cases() -> list[tuple[str, list[str]]]:
                   ["tower", name, "--max-depth", str(depth), "--dim-cap", str(cap)] + STARVED))
     cases.append((f"derive-{ITERATE}", ["derive", "interval-overlap", "--iterate", "2"]))
     cases.append((f"tower-{ITERATE}-k2", ["tower", str(ITERATE_SPEC), "--max-depth", "2"]))
+    cases.extend((f"tower-interval-overlap-{suffix}", ["tower", "interval-overlap"] + flags)
+                 for suffix, flags in INTERVAL_TOWERS)
     return cases
 
 
