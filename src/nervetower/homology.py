@@ -20,6 +20,9 @@ from those few edges (`lambda_ranks`): over a field a 1-cochain is a
 coboundary iff its residuals on the edges outside a spanning forest vanish,
 and the pulled-back cocycles of N_1 vanish inside every block.  N_1's reduced
 d_2 gives both those cocycles and the Betti numbers of depth 1.
+A tower that passes `oracles.envelope_exact` reduces no boundary: each of its
+nerves is contractible by the nerve theorem (`_contractible_table`), so
+a_0 = 1, every other exact a_r = 0 and every lambda is 0, over any field.
 
 The tower analysis fills a Betti table for depths 1..K and attaches limit
 verdicts.  A verdict is only ever Finite/Infinite when a mechanism licenses
@@ -36,7 +39,7 @@ from typing import Optional, Sequence
 
 from .components import Dim0Facts, LimitVerdict, dim0_facts, dim0_verdict
 from .nerve import SimplicialComplex, SimplicialMap, TowerData
-from .oracles import ConsistencyError, SpecError
+from .oracles import ConsistencyError, SpecError, envelope_exact
 from .words import Word, _Frozen, _Record
 
 
@@ -377,10 +380,63 @@ def tower_analysis(tower: TowerData, fieldkind: FieldKind, *,
     spec, depth, dim_cap, complexes = tower.spec, tower.depth, tower.dim_cap, tower.complexes
     if depth < 1:
         raise SpecError("tower depth must be at least 1")
-    char = fieldkind.char
 
     exact_dims = tuple(r for r in range(dim_cap + 1)
                        if all(betti_exact(c, r) for c in complexes))
+    if envelope_exact(spec):
+        a, lam = _contractible_table(tower, exact_dims)
+    else:
+        a, lam = _reduced_table(tower, fieldkind, exact_dims)
+
+    n1_betti = (a[(0, 1)], a[(1, 1)]) if 1 in exact_dims else None
+    facts = dim0_facts(tower, assert_injective=assert_injective,
+                       postunbranched=postunbranched, n1_betti=n1_betti)
+
+    growth = {
+        r: [None if a[(r, k)] <= 0 else math.log(a[(r, k)]) / k
+            for k in range(1, depth + 1)]
+        for r in exact_dims
+    }
+
+    flags = {
+        "postunbranched": postunbranched,
+        "singleton_overlaps": singleton_overlaps,
+        "injective": facts.injective,
+        "pivot_conditions": pivot_conditions,
+        "forward": spec.orientation == "forward",
+    }
+    uncertain = [(c.level, tuple(map(c.word, s)), note)
+                 for c in complexes for s, note in c.uncertain]
+
+    verdicts = _limit_verdicts(facts, exact_dims, a, lam, flags, bool(uncertain))
+    b1_inf = _b1_infinity(lam, depth, postunbranched)
+
+    return BettiTable(spec.name, spec.m, fieldkind, depth, dim_cap, exact_dims, a, lam,
+                      facts, growth, verdicts, b1_inf, flags, uncertain)
+
+
+def _contractible_table(tower: TowerData, exact_dims: tuple[int, ...]):
+    """a_{r,k} and lambda_k of a tower that passes `oracles.envelope_exact`,
+    by the nerve theorem, with no boundary reduced.
+
+    Licence.  Every cell f_w(K) is a closed segment or a point of the segment
+    K = E, so every nonempty meet of cells is convex, and N_k is homotopy
+    equivalent to the union of its cells, E (Borsuk 1948; Bjorner,
+    "Topological methods", Handbook of Combinatorics 1995): a_0 = 1 and
+    a_r = 0 for r > 0, over Q and over every GF(p).  A level capped at
+    dim_cap keeps H_r for every exact r, as its (r+1)-skeleton is whole.
+    lambda_k is the rank of a map out of H^1(N_1) = 0.  Each level's
+    union-find count is checked to be 1.
+    """
+    if any(level.count != 1 for level in tower.components):
+        raise ConsistencyError("an envelope-exact nerve must be connected")
+    a = {(r, k): int(r == 0) for k in range(1, tower.depth + 1) for r in exact_dims}
+    return a, (dict.fromkeys(range(2, tower.depth + 1), 0) if 1 in exact_dims else {})
+
+
+def _reduced_table(tower: TowerData, fieldkind: FieldKind, exact_dims: tuple[int, ...]):
+    """a_{r,k} and lambda_k by reducing each level's boundaries once."""
+    char, complexes = fieldkind.char, tower.complexes
     base_d2 = _boundaries(complexes[0], 2, char) if 1 in exact_dims else []
     lam = lambda_ranks(tower, fieldkind, base_d2) if 1 in exact_dims else {}
     a: dict[tuple[int, int], int] = {}
@@ -408,31 +464,7 @@ def tower_analysis(tower: TowerData, fieldkind: FieldKind, *,
             a[(r, k)] = n_r - ranks[r] - ranks[r + 1] if n_r else 0
         below = ranks
 
-    n1_betti = (a[(0, 1)], a[(1, 1)]) if 1 in exact_dims else None
-    facts = dim0_facts(tower, assert_injective=assert_injective,
-                       postunbranched=postunbranched, n1_betti=n1_betti)
-
-    growth = {
-        r: [None if a[(r, k)] <= 0 else math.log(a[(r, k)]) / k
-            for k in range(1, depth + 1)]
-        for r in exact_dims
-    }
-
-    flags = {
-        "postunbranched": postunbranched,
-        "singleton_overlaps": singleton_overlaps,
-        "injective": facts.injective,
-        "pivot_conditions": pivot_conditions,
-        "forward": spec.orientation == "forward",
-    }
-    uncertain = [(c.level, tuple(map(c.word, s)), note)
-                 for c in complexes for s, note in c.uncertain]
-
-    verdicts = _limit_verdicts(facts, exact_dims, a, lam, flags, bool(uncertain))
-    b1_inf = _b1_infinity(lam, depth, postunbranched)
-
-    return BettiTable(spec.name, spec.m, fieldkind, depth, dim_cap, exact_dims, a, lam,
-                      facts, growth, verdicts, b1_inf, flags, uncertain)
+    return a, lam
 
 
 def _b1_infinity(lam: dict[int, int], depth: int, pu: Optional[bool]) -> LimitVerdict:

@@ -562,8 +562,10 @@ def envelope_exact(spec: SystemSpec) -> bool:
     and on a line segments that meet pairwise share a point (Helly 1923), so
     a tuple of cells meets exactly when each of its pairs does.
 
-    The nerve generator reads it; `cells_intersect` and `certificate_points`
-    do not, so their verdicts and certificates are the same on every spec.
+    The nerve generator reads it, and so does `homology.tower_analysis`,
+    which then takes its Betti numbers and lambdas from the nerve theorem;
+    `cells_intersect` and `certificate_points` do not, so their verdicts and
+    certificates are the same on every spec.
     """
     got = spec._cache.get("envelope_exact")
     if got is None:

@@ -1,25 +1,29 @@
 """Copy-built levels read only what each level adds: the recurrences for
 counts, ranks, components and parents against the full reference, and count
-guards on what a deep symbolic tower reads."""
+guards on what a deep symbolic tower reads.  Envelope-exact towers take
+their numbers from the nerve theorem; they are checked against the same
+reference, and guarded to reduce no boundary."""
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nervetower import cli
+from nervetower import cli, homology, oracles
 from nervetower.components import ComponentsLevel, dim0_facts
 from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import SimplicialComplex, tower_complexes
-from nervetower.oracles import Budget
+from nervetower.oracles import Budget, ConsistencyError
 from support.full_tower import labels, reference_numbers, reference_tower
 from test_acceptance import SUITE_DEPTHS, SUITE_DIM_CAPS
 from test_classify import derived_systems
+from test_nerve import LICENSED_SEGMENTS, SEGMENT_SPECS, covering_systems
 
 FIELDS = (FieldKind(0), FieldKind(2))
 
 RECURRENCE_DEPTHS = {
     "pentagasket": 4, "gasket": 4, "snowflake": 2, "five-map-funnel": 3,
     "two-map-split": 5, "simplex-boundary-1": 4, "simplex-boundary-2": 3,
-    "simplex-boundary-3": 3, "simplex-boundary-4": 3,
+    "simplex-boundary-3": 3, "simplex-boundary-4": 3, "interval-overlap": 4,
 }
 
 
@@ -51,6 +55,25 @@ def test_derived_systems_match_the_full_reference(spec):
     assert_recurrences_match_reference(spec, 3 if spec.m <= 5 else 2, 2)
 
 
+@settings(max_examples=15, deadline=None)
+@given(covering_systems(), st.integers(1, 4), st.sampled_from([1, 2, 3]))
+def test_covering_systems_match_the_full_reference(spec, depth, dim_cap):
+    """The nerve-theorem table against full reduction, at depths 1..4 where
+    the tower has at most 3^5 cells (the iterate, m = 9, stops at depth 2)."""
+    assert oracles.envelope_exact(spec)
+    while spec.m ** depth > 3 ** 5:
+        depth -= 1
+    assert_recurrences_match_reference(spec, depth, dim_cap)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", LICENSED_SEGMENTS)
+def test_licensed_segments_match_the_full_reference(name, depth):
+    spec = SEGMENT_SPECS[name]()
+    assert oracles.envelope_exact(spec)
+    assert_recurrences_match_reference(spec, depth, 2)
+
+
 def test_pentagasket_depth6_reads_only_what_levels_add(monkeypatch, tmp_path):
     """`tower pentagasket --max-depth 6` builds no vertex tuple and expands no
     simplex of depths 2..6 (the tower held 19,530 vertex tuples and 43,925
@@ -68,6 +91,42 @@ def test_pentagasket_depth6_reads_only_what_levels_add(monkeypatch, tmp_path):
                      "--out-csv", str(tmp_path / "t.csv"),
                      "--out-report", str(tmp_path / "t.json")]) == cli.EXIT_OK
     assert expanded == []
+
+
+def test_interval_overlap_depth6_reduces_no_boundary(monkeypatch, tmp_path):
+    """`tower interval-overlap --max-depth 6` takes its table from the nerve
+    theorem: no column reduction and no simplex of depths 2..6 expanded (at
+    depth 5 the reduction path made 9 and 26)."""
+    reductions, expanded = [], []
+    reduce_, simplices_of = homology._reduce, SimplicialComplex.simplices_of
+
+    def counting_reduce(columns, char):
+        reductions.append(len(columns))
+        return reduce_(columns, char)
+
+    def recording(self, dim):
+        if self.level > 1:
+            expanded.append((self.level, dim))
+        return simplices_of(self, dim)
+
+    monkeypatch.setattr(homology, "_reduce", counting_reduce)
+    monkeypatch.setattr(SimplicialComplex, "simplices_of", recording)
+    assert cli.main(["tower", "interval-overlap", "--max-depth", "6",
+                     "--out-csv", str(tmp_path / "t.csv"),
+                     "--out-report", str(tmp_path / "t.json")]) == cli.EXIT_OK
+    assert (reductions, expanded) == ([], [])
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_licensed_tower_in_two_components_is_inconsistent(depth):
+    """The nerve theorem makes every envelope-exact nerve connected, so a
+    union-find count of 2 at one depth is a contradiction, also at depth 1,
+    which the component checks take as given."""
+    tower = tower_complexes(cli.load_bundled("interval-overlap").spec, 2, 2)
+    level = tower.components[depth - 1]
+    tower.components[depth - 1] = ComponentsLevel(2, *level._astuple()[1:])
+    with pytest.raises(ConsistencyError, match="envelope-exact nerve must be connected"):
+        tower_analysis(tower, FieldKind(0))
 
 
 @pytest.mark.parametrize("name,depth", [("pentagasket", 6), ("two-map-split", 6)])
