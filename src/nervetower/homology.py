@@ -435,7 +435,7 @@ def _contractible_table(tower: TowerData, exact_dims: tuple[int, ...]):
 
 
 def _reduced_table(tower: TowerData, fieldkind: FieldKind, exact_dims: tuple[int, ...]):
-    """a_{r,k} and lambda_k by reducing each level's boundaries once."""
+    """a_{r,k} and lambda_k by column reduction, each boundary rank found once."""
     char, complexes = fieldkind.char, tower.complexes
     base_d2 = _boundaries(complexes[0], 2, char) if 1 in exact_dims else []
     lam = lambda_ranks(tower, fieldkind, base_d2) if 1 in exact_dims else {}
