@@ -44,92 +44,87 @@ PairStatus = Literal["ok", "empty", "violated", "unknown"]
 
 
 class PairReport(_Record):
-    __slots__ = _fields = ("pair", "status", "points", "prefix", "address", "detail", "singular")
-    _defaults = {"points": (), "prefix": None, "address": None, "detail": "", "singular": False}
+    __slots__ = _fields = ("pair", "status", "points", "address", "detail", "singular")
+    _defaults = {"points": (), "address": None, "detail": "", "singular": False}
     pair: tuple[int, int]
     status: PairStatus
     points: tuple[Point2, ...]
-    prefix: Optional[Word]        # the unique address prefix, to the checked depth
-    address: Optional[Address]    # when the pulled-back point has a known periodic tail
+    address: Optional[Address]    # the one address the overlap pulls back to
     detail: str
     singular: bool                # unknown because cell map i has no inverse
 
 
 class PUReport(_Record):
-    __slots__ = _fields = ("name", "depth", "status", "mechanism", "pairs", "witness")
+    __slots__ = _fields = ("name", "status", "mechanism", "pairs", "witness")
     _defaults = {"witness": ""}
     name: str
-    depth: int
     status: Literal["postunbranched", "not-postunbranched", "unknown"]
     mechanism: str
     pairs: dict[tuple[int, int], PairReport]
     witness: str
 
 
-def check_postunbranched(spec: SystemSpec, depth: int = 4,
-                         budget: Budget = Budget()) -> PUReport:
-    """Certify or refute the unique-address property of every overlap, to `depth`.
+def check_postunbranched(spec: SystemSpec, budget: Budget = Budget()) -> PUReport:
+    """Certify or refute the unique-address property of every overlap, at every depth.
 
     Geometric systems are checked point by point.  Each certified overlap
     point p of cells i, j pulls back to q = f_i^-1(p), a tail point with
     address a = h c^inf, and must sit in exactly one depth-d cell for every
-    d <= depth, the same one for all points.  Step t of q's orbit asks which
-    depth-1 cells hold q_t = f_{a_t}^-1 ... f_{a_1}^-1(q), and stops unless
-    that is a_{t+1} alone.  Licence: a yes answer needs an invertible cell
-    map, so every prefix map is injective, and the depth-(t + 1) cells that
-    hold q are a_1 ... a_t followed by the depth-1 cells that hold q_t; a
-    cell off the prefix was answered no, and so are all its descendants.
-    From t = |h| on, q_t repeats with period |c|, so the first |h| + |c|
-    steps decide every depth.  The symbolic backend carries the property by
-    construction; only its address consistency is re-validated.  Table
-    systems have no geometry to check.  A singular cell map cannot pull its
-    overlap points back, so its pairs stay unknown, and the report names
-    that map rather than the budget.
+    d, the same one for all points.  Step t of q's orbit asks which depth-1
+    cells hold q_t = f_{a_t}^-1 ... f_{a_1}^-1(q), and stops unless that is
+    a_{t+1} alone.  Licence: a yes answer needs an invertible cell map, so
+    every prefix map is injective, and the depth-(t + 1) cells that hold q
+    are a_1 ... a_t followed by the depth-1 cells that hold q_t; a cell off
+    the prefix was answered no, and so are all its descendants.  From
+    t = |h| on, q_t repeats with period |c|, so the first |h| + |c| steps
+    decide every depth (mechanism `orbit-walk`), and each point's depth-d
+    cell is then the first d symbols of its address: the points share one
+    cell at every depth exactly when they share one address.  The symbolic
+    backend carries the property by construction; only its address
+    consistency is re-validated.  Table systems have no geometry to check.
+    A singular cell map cannot pull its overlap points back, so its pairs
+    stay unknown, and the report names that map rather than the budget.
     """
-    if depth < 1:
-        raise SpecError("check depth must be at least 1")
     if isinstance(spec.backend, SymbolicPUBackend):
-        return _symbolic_pu_report(spec, depth)
+        return _symbolic_pu_report(spec)
     if not spec.is_geometric:
-        return PUReport(spec.name, depth, "unknown", "no-geometry", {},
+        return PUReport(spec.name, "unknown", "no-geometry", {},
                         witness="table backends carry no geometry to certify")
 
     symbols = range(1, spec.m + 1)
-    pairs = {(i, j): _check_pair(spec, i, j, depth, budget)
+    pairs = {(i, j): _check_pair(spec, i, j, budget)
              for i in symbols for j in symbols if i != j}
     violation = next((f"pair ({i},{j}): {r.detail}" for (i, j), r in pairs.items()
                       if r.status == "violated"), "")
     singular = next((f"pair ({i},{j}): {r.detail}" for (i, j), r in pairs.items()
                      if r.singular), "")
     if violation:
-        return PUReport(spec.name, depth, "not-postunbranched", "branching-witness",
-                        pairs, witness=violation)
+        return PUReport(spec.name, "not-postunbranched", "branching-witness", pairs,
+                        witness=violation)
     if singular:  # no budget could pull the overlap back through that map
-        return PUReport(spec.name, depth, "unknown", "singular-cell-map", pairs,
-                        witness=singular)
+        return PUReport(spec.name, "unknown", "singular-cell-map", pairs, witness=singular)
     if any(r.status == "unknown" for r in pairs.values()):
-        return PUReport(spec.name, depth, "unknown", "budget-exhausted", pairs)
-    return PUReport(spec.name, depth, "postunbranched", "checked-to-depth", pairs)
+        return PUReport(spec.name, "unknown", "budget-exhausted", pairs)
+    return PUReport(spec.name, "postunbranched", "orbit-walk", pairs)
 
 
-def _symbolic_pu_report(spec: SystemSpec, depth: int) -> PUReport:
-    """Re-validates address consistency to `depth`.  The lifts of depth k read
-    the first k - 1 symbols of each address, so the shallowest ambiguous
-    depth is t + 2 for the least index t at which some vertex's addresses
-    differ; `generate_pu_nerve` raises there what a depth-by-depth pass
-    would raise first."""
+def _symbolic_pu_report(spec: SystemSpec) -> PUReport:
+    """Re-validates address consistency at every depth.  The lifts of depth k
+    read the first k - 1 symbols of each address, so the shallowest
+    ambiguous depth is t + 2 for the least index t at which some vertex's
+    addresses differ; `generate_pu_nerve` raises there what `build_nerve`
+    raises at that depth, and with no such t every depth lifts consistently."""
     backend = spec.backend
     splits = [_split_index([backend.addresses[(i, j)] for j in s if j != i])
               for s in backend.n1 if len(s) > 1 for i in s]
     first = min((t for t in splits if t is not None), default=None)
-    if first is not None and first + 2 <= depth:
+    if first is not None:
         oracles.generate_pu_nerve(spec, first + 2)
     pairs = {
-        pair: PairReport(pair, "ok", address=addr, prefix=None,
-                         detail="address stored by the backend")
+        pair: PairReport(pair, "ok", address=addr, detail="address stored by the backend")
         for pair, addr in sorted(backend.addresses.items())
     }
-    return PUReport(spec.name, depth, "postunbranched", "by-construction", pairs)
+    return PUReport(spec.name, "postunbranched", "by-construction", pairs)
 
 
 def _split_index(addresses: list[Address]) -> Optional[int]:
@@ -144,7 +139,7 @@ def _split_index(addresses: list[Address]) -> Optional[int]:
     return t
 
 
-def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) -> PairReport:
+def _check_pair(spec: SystemSpec, i: int, j: int, budget: Budget) -> PairReport:
     m = spec.m
     wi, wj = Word((i,), m), Word((j,), m)
     verdict = oracles.cells_intersect(spec, (wi, wj), budget)
@@ -161,18 +156,17 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
                           detail=f"cell map {i} is singular: overlap points cannot be "
                                  f"pulled back through it")
     tails = oracles._tail_table(spec, budget)
-    ok: Optional[PairReport] = None
+    address: Optional[Address] = None
     for p in points:
         q = pull(p).homogeneous()
         name = tails.get(q)
         if name is None:
             raise ConsistencyError(
                 f"pulled-back overlap point {Point2._of(q)} of pair ({i},{j}) is no tail point")
-        head, cycle = name
-        prefix = (head + cycle * (depth // len(cycle) + 1))[:depth]
-        for t in range(min(depth, len(head) + len(cycle))):
+        orbit = name[0] + name[1]
+        for t in range(len(orbit)):
             containing, undecided = cells_containing_point(spec, Point2._of(q), 1, budget)
-            cells = [str(Word._of(prefix[:t] + u.symbols, m)) for u in undecided or containing]
+            cells = [str(Word._of(orbit[:t] + u.symbols, m)) for u in undecided or containing]
             if undecided:
                 return PairReport((i, j), "unknown", points,
                                   detail=f"membership undecided for cells {cells}")
@@ -180,19 +174,19 @@ def _check_pair(spec: SystemSpec, i: int, j: int, depth: int, budget: Budget) ->
                 return PairReport((i, j), "violated", points,
                                   detail=f"point ({p.x}, {p.y}) pulls back into depth-{t + 1} "
                                          f"cells {', '.join(cells)}")
-            if [u.symbols for u in containing] != [prefix[t:t + 1]]:
+            if [u.symbols for u in containing] != [orbit[t:t + 1]]:
                 raise ConsistencyError(
                     f"pulled-back overlap point {Point2._of(q)} of pair ({i},{j}) lies in "
                     f"no cell on its address")
-            q = spec.cell_maps[prefix[t] - 1].preimage(q)
-        prefix = Word._of(prefix, m)
-        if ok is None:
-            ok = PairReport((i, j), "ok", points, prefix, Address._of(head, cycle, m))
-        elif prefix != ok.prefix:
+            q = spec.cell_maps[orbit[t] - 1].preimage(q)
+        here = Address._of(*name, m)
+        if address is None:
+            address = here
+        elif here != address:
             return PairReport((i, j), "violated", points,
-                              detail=f"overlap points pull back into distinct address cells "
-                                     f"{ok.prefix} and {prefix}")
-    return ok
+                              detail=f"overlap points pull back to distinct addresses "
+                                     f"{address} and {here}")
+    return PairReport((i, j), "ok", points, address=address)
 
 
 SingletonStatus = Literal["empty", "singleton", "several", "unknown"]
@@ -301,14 +295,13 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
         f"cell {pivot}{pivot} touches cell {offender}" if offender
         else f"cell {pivot}{pivot} touches only cells inside block {pivot}")
 
-    edges = n1.edge_sets()
     cycle_witness = ""
     for j2 in range(1, spec.m + 1):
         for j3 in range(1, spec.m + 1):
             if len({pivot, j2, j3}) != 3:
                 continue
-            if ({frozenset((pivot - 1, j2 - 1)), frozenset((j2 - 1, j3 - 1)),
-                 frozenset((j3 - 1, pivot - 1))} <= edges):
+            if all(tuple(sorted((a - 1, b - 1))) in n1
+                   for a, b in ((pivot, j2), (j2, j3), (j3, pivot))):
                 cycle_witness = f"{pivot}-{j2}-{j3}-{pivot}"
                 break
         if cycle_witness:

@@ -392,15 +392,13 @@ def pu_report_doc(report: classify_mod.PUReport) -> dict:
         node: dict[str, Any] = {"status": pr.status}
         if pr.points:
             node["points"] = [_point_doc(p) for p in pr.points]
-        if pr.prefix is not None:
-            node["prefix"] = str(pr.prefix)
         if pr.address is not None:
             node["address"] = _address_doc(pr.address)
         if pr.detail:
             node["detail"] = pr.detail
         pairs[f"{i},{j}"] = node
-    return {"name": report.name, "depth": report.depth, "status": report.status,
-            "mechanism": report.mechanism, "witness": report.witness, "pairs": pairs}
+    return {"name": report.name, "status": report.status, "mechanism": report.mechanism,
+            "witness": report.witness, "pairs": pairs}
 
 
 def theorem_check_doc(check: classify_mod.TheoremCheck) -> dict:
@@ -445,6 +443,13 @@ def _budget(args: argparse.Namespace) -> Budget:
                   cert_preperiod_max=args.cert_preperiod)
 
 
+def _too_big(spec: SystemSpec, depth: int, args: argparse.Namespace) -> bool:
+    """Whether the depth's m^depth cells, or a geometric spec's tail table of
+    about m^(period + preperiod) addresses, would exceed --max-cells."""
+    return _refused(spec, depth, args.max_cells) or spec.is_geometric and _refused(
+        spec, args.cert_period + args.cert_preperiod, args.max_cells, "tail addresses")
+
+
 def _refused(spec: SystemSpec, depth: int, cap: int, what: str = "cells") -> bool:
     """Whether m^depth `what` exceed --max-cells, said on standard error.  The
     product is multiplied up only while it stays within the cap, so a huge
@@ -458,8 +463,8 @@ def _refused(spec: SystemSpec, depth: int, cap: int, what: str = "cells") -> boo
     return False
 
 
-def _analysed_tower(loaded: LoadedSpec, args: argparse.Namespace, depth: int,
-                    pu_depth: int) -> tuple[tuple, TowerData, BettiTable]:
+def _analysed_tower(loaded: LoadedSpec, args: argparse.Namespace,
+                    depth: int) -> tuple[tuple, TowerData, BettiTable]:
     """The postunbranched, singleton and pivot reports (None for a checker
     the backend or flags rule out), the tower to `depth`, and its Betti table
     under what the reports established."""
@@ -468,7 +473,7 @@ def _analysed_tower(loaded: LoadedSpec, args: argparse.Namespace, depth: int,
     fieldkind = FieldKind.parse(args.field)
     pu = singleton = pivot = None
     if isinstance(spec.backend, SymbolicPUBackend) or spec.is_geometric:
-        pu = classify_mod.check_postunbranched(spec, pu_depth, budget)
+        pu = classify_mod.check_postunbranched(spec, budget)
     if spec.is_geometric:
         singleton = classify_mod.check_singleton_overlaps(spec, budget)
     if loaded.flags.pivot is not None:
@@ -493,7 +498,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def cmd_nerve(args: argparse.Namespace) -> int:
     loaded = resolve_spec(args.spec)
-    if _refused(loaded.spec, args.depth, args.max_cells):
+    if _too_big(loaded.spec, args.depth, args):
         return EXIT_RESOURCE
     complex_ = build_nerve(loaded.spec, args.depth, dim_cap=args.dim_cap,
                            budget=_budget(args))
@@ -505,9 +510,9 @@ def cmd_nerve(args: argparse.Namespace) -> int:
 
 def cmd_tower(args: argparse.Namespace) -> int:
     loaded = resolve_spec(args.spec)
-    if _refused(loaded.spec, args.max_depth, args.max_cells):
+    if _too_big(loaded.spec, args.max_depth, args):
         return EXIT_RESOURCE
-    _, tower, table = _analysed_tower(loaded, args, args.max_depth, args.pu_depth)
+    _, tower, table = _analysed_tower(loaded, args, args.max_depth)
     ctower = component_tower(tower, table.facts,
                              assert_lx_connected=loaded.flags.lx_connected)
     _emit(tower_csv(table), args.out_csv)
@@ -536,14 +541,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
         max_depth = 3
         if isinstance(spec.backend, TableBackend):
             max_depth = min(max_depth, _stored_depth(spec.backend))
-    if _refused(spec, max_depth, args.max_cells):
+    if _too_big(spec, max_depth, args):
         return EXIT_RESOURCE
     if args.pivot is not None:
         loaded = LoadedSpec(spec, SpecFlags(loaded.flags.lx_connected,
                                             loaded.flags.injective, args.pivot),
                             loaded.doc)
-    (pu_report, sreport, preport), _, table = _analysed_tower(loaded, args, max_depth,
-                                                              args.depth)
+    (pu_report, sreport, preport), _, table = _analysed_tower(loaded, args, max_depth)
     thm = classify_mod.verify_puthm(table)
 
     bundle: dict[str, Any] = {"name": spec.name, "orientation": spec.orientation,
@@ -552,8 +556,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if pu_report is not None:
         bundle["postunbranched"] = pu_report_doc(pu_report)
         lines.append({
-            "postunbranched": f"postunbranched up to depth {pu_report.depth}"
-                              f" ({pu_report.mechanism})",
+            "postunbranched": f"postunbranched at every depth ({pu_report.mechanism})",
             "not-postunbranched": f"not postunbranched: {pu_report.witness}",
             "unknown": f"postunbranched: unknown: {pu_report.witness}" if pu_report.witness
                        else "postunbranched: unknown within budget",
@@ -657,7 +660,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--refine-depth", type=_nonnegative_int, default=8,
                         help="subdivision rounds before answering unknown")
     parser.add_argument("--cert-period", type=_positive_int, default=2,
-                        help="longest address period tried for intersection certificates")
+                        help="longest address period tried for intersection certificates;"
+                             " the m^(period + preperiod) tail addresses count against"
+                             " --max-cells")
     parser.add_argument("--cert-preperiod", type=_nonnegative_int, default=1,
                         help="longest address preperiod tried for certificates")
 
@@ -682,16 +687,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--max-depth", type=_positive_int, required=True, help="deepest level K")
     p.add_argument("--field", default="q", help="q, or gfP for a prime P < 10^24 (default q)")
-    p.add_argument("--pu-depth", type=_positive_int, default=4,
-                   help="depth for the postunbranched pre-check (default 4)")
     p.add_argument("--out-csv", help="write the CSV table here (default stdout)")
     p.add_argument("--out-report", help="write the JSON verdict report here")
     p.set_defaults(func=cmd_tower)
 
-    p = sub.add_parser("classify", help="overlap certificates and recurrence replay")
+    p = sub.add_parser("classify", help="overlap certificates, decided at every depth,"
+                                        " and recurrence replay")
     _add_common(p)
-    p.add_argument("--depth", type=_positive_int, default=4,
-                   help="postunbranched check depth (default 4)")
     p.add_argument("--max-depth", type=_positive_int,
                    help="tower depth for the recurrence replay (default 3, or the"
                         " deepest depth a table system stores, if less)")

@@ -180,9 +180,6 @@ class SimplicialComplex(_Frozen):
         first = v - v % block
         return own.union(first + u for u in self.block_source.neighbours(v - first))
 
-    def edge_sets(self) -> set[frozenset[int]]:
-        return {frozenset(e) for e in self.simplices_of(1)}
-
 
 def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
                 budget: Budget = Budget()) -> SimplicialComplex:
@@ -487,10 +484,9 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
 class TowerData(_Record):
     """Nerves at depths 1..K and their components."""
 
-    __slots__ = _fields = ("spec", "dim_cap", "budget", "complexes", "components")
+    __slots__ = _fields = ("spec", "dim_cap", "complexes", "components")
     spec: SystemSpec
     dim_cap: int
-    budget: Budget
     complexes: list[SimplicialComplex]
     components: list[ComponentsLevel]
 
@@ -520,7 +516,7 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
     for k, complex_ in enumerate(complexes):
         copied = k and complex_.block_source is complexes[k - 1]
         levels.append(components(complex_, levels[-1] if copied else None))
-    return TowerData(spec, dim_cap, budget, complexes, levels)
+    return TowerData(spec, dim_cap, complexes, levels)
 
 
 def build_iterate_or_subsystem(spec: SystemSpec, generator_words: Sequence[Word],

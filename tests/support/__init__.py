@@ -16,7 +16,8 @@
   takes, since `truncation_map` returns a level, and `labels` reads the
   component of every vertex down a chain of `ComponentsLevel`s.
 * `complexes`: readers of every simplex that only tests use
-  (`block_subcomplex`, `euler_characteristic`, `simplex_word_sets`).
+  (`block_subcomplex`, `euler_characteristic`, `edge_sets`,
+  `simplex_word_sets`).
 * `points`: points and maps that only tests build (`scaling` about a
   centre, the `limit_point` of an address, and `intersection_cycle`, the
   vertices of `exactgeom.common_region` as `Point2`s).
@@ -50,7 +51,8 @@
   `nerve._candidate_pairs` and the pull-back walk behind
   `oracles.cells_containing_point`.
 * `pu_walk`: the postunbranched check asked at every depth 1..d; checks
-  the orbit walk of `classify.check_postunbranched`, as a whole `PUReport`.
+  the orbit walk of `classify.check_postunbranched`, as a whole `PUReport`,
+  at the depth `pu_walk.every_depth(budget)` where it decides every depth.
 * `tail_names`: the tail table built by normalizing every in-budget address
   and skipping the normalized pairs already seen; checks the direct
   enumeration of normalized pairs in `oracles._tail_table` and its names.

@@ -1,5 +1,6 @@
 """Readers of every simplex of a level that only the tests use: the block
-subcomplex, the Euler characteristic and the simplices as sets of words.
+subcomplex, the Euler characteristic, the edges as sets of vertex indices and
+the simplices as sets of words.
 Each expands a copy-built level (`SimplicialComplex.simplices`)."""
 
 from nervetower.nerve import SimplicialComplex
@@ -35,6 +36,10 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
     if not complex_.complete:
         raise ConsistencyError("Euler characteristic undefined on a capped complex")
     return sum((-1) ** dim * n for dim, n in complex_.simplex_counts().items())
+
+
+def edge_sets(complex_: SimplicialComplex) -> set[frozenset[int]]:
+    return {frozenset(e) for e in complex_.simplices_of(1)}
 
 
 def simplex_word_sets(complex_: SimplicialComplex) -> set[frozenset[Word]]:

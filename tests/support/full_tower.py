@@ -115,7 +115,7 @@ def reference_tower(spec: SystemSpec, depth: int, dim_cap: int, budget: Budget) 
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(depth - 1, 0, -1):
         complexes[k - 1] = full_truncation_map(complexes[k], complexes[k - 1])
-    return TowerData(spec, dim_cap, budget, complexes,
+    return TowerData(spec, dim_cap, complexes,
                      [unionfind_components(c) for c in complexes])
 
 

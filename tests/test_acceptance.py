@@ -23,7 +23,7 @@ from nervetower.oracles import (Budget, SymbolicPUBackend, SystemSpec,
                                 cells_intersect)
 from nervetower.words import Address, Word, enumerate_words
 
-from support.complexes import euler_characteristic, simplex_word_sets
+from support.complexes import edge_sets, euler_characteristic, simplex_word_sets
 from support.full_tower import truncation
 from support.linalg_oracle import induced_rank_oracle
 
@@ -113,9 +113,9 @@ def test_criterion_04_seven_cell_subsystem(tmp_path):
                          "--name", "sub7", "--out", str(out)]) == 0
         loaded = cli.parse_spec(json.loads(out.read_text()))
         n1 = build_nerve(loaded.spec, 1)
-        assert n1.edge_sets() == {frozenset(e) for e in
-                                  [(0, 1), (1, 4), (2, 3), (3, 5),
-                                   (4, 5), (4, 6), (5, 6)]}
+        assert edge_sets(n1) == {frozenset(e) for e in
+                                 [(0, 1), (1, 4), (2, 3), (3, 5),
+                                  (4, 5), (4, 6), (5, 6)]}
         table = tower_analysis(tower_complexes(loaded.spec, 3, dim_cap=2), Q)
         assert table.sequence(1) == [1, 8, 57]
 
@@ -141,7 +141,7 @@ def test_criterion_05_mixed_subsystem(tmp_path):
 def test_criterion_06_funnel_collapse(bundled):
     with criterion(6, "5-map collapse system"):
         spec = bundled("five-map-funnel").spec
-        rep = check_postunbranched(spec, depth=5)
+        rep = check_postunbranched(spec)
         assert rep.status == "postunbranched"
         tower = tower_complexes(spec, 2, dim_cap=2)
         assert betti(tower.complex_at(1), Q, 1) >= 1

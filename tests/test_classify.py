@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import cli, oracles
-from nervetower.classify import (check_h1_infinite_conditions,
+from nervetower import classify, cli, oracles
+from nervetower.classify import (PairReport, PUReport, check_h1_infinite_conditions,
                                  check_postunbranched,
                                  check_singleton_overlaps, verify_puthm)
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
@@ -38,21 +38,21 @@ STARVED = Budget(refine_depth=0, cert_period_max=1, cert_preperiod_max=0)
 
 class TestPostunbranched:
     def test_gasket_certified(self, gasket):
-        rep = check_postunbranched(gasket, depth=4)
+        rep = check_postunbranched(gasket)
         assert rep.status == "postunbranched"
-        assert rep.mechanism == "checked-to-depth"
+        assert rep.mechanism == "orbit-walk"
         assert rep.pairs[(1, 2)].status == "ok"
-        assert rep.pairs[(1, 2)].prefix is not None
+        assert str(rep.pairs[(1, 2)].address) == "(2)^inf"
         assert len(rep.pairs) == 6  # ordered pairs
 
     def test_funnel_certified_with_empty_pairs(self, bundled):
-        rep = check_postunbranched(bundled("five-map-funnel").spec, depth=5)
+        rep = check_postunbranched(bundled("five-map-funnel").spec)
         assert rep.status == "postunbranched"
         assert rep.pairs[(1, 2)].status == "empty"
         assert rep.pairs[(3, 4)].status == "ok"
 
     def test_fat_overlap_refuted(self, bundled):
-        rep = check_postunbranched(bundled("interval-overlap").spec, depth=3)
+        rep = check_postunbranched(bundled("interval-overlap").spec)
         assert rep.status == "not-postunbranched"
         assert rep.mechanism == "branching-witness"
         assert "pulls back into depth-1 cells" in rep.witness
@@ -62,7 +62,7 @@ class TestPostunbranched:
         assert stats[(2, 3)] == "violated"
 
     def test_symbolic_by_construction(self, bundled):
-        rep = check_postunbranched(bundled("pentagasket").spec, depth=4)
+        rep = check_postunbranched(bundled("pentagasket").spec)
         assert rep.status == "postunbranched"
         assert rep.mechanism == "by-construction"
         assert rep.pairs[(1, 2)].address is not None
@@ -73,13 +73,36 @@ class TestPostunbranched:
         assert rep.mechanism == "no-geometry"
 
     def test_starved_budget_is_unknown(self):
-        rep = check_postunbranched(slow_spec(), depth=2, budget=STARVED)
+        rep = check_postunbranched(slow_spec(), STARVED)
         assert rep.status == "unknown"
         assert rep.mechanism == "budget-exhausted"
 
-    def test_depth_validation(self, gasket):
-        with pytest.raises(SpecError):
-            check_postunbranched(gasket, depth=0)
+    def test_no_depth_parameter(self, gasket):
+        """The orbit walk decides every depth, so nothing sets a depth and no
+        record carries one, nor a prefix of that length."""
+        with pytest.raises(TypeError):
+            check_postunbranched(gasket, depth=4)
+        assert "depth" not in PUReport._fields
+        assert "prefix" not in PairReport._fields
+
+    def test_distinct_addresses_violate(self, gasket, monkeypatch):
+        """Two overlap points whose walks both pass but whose addresses differ
+        lie in distinct cells from the first symbol where the addresses
+        differ: the pair is violated, and the detail names both addresses.
+        The gasket's cells 1 and 2 meet in one point, (1/2, 0), so the pair
+        is handed a second one, cell 1's corner (0, 1/2), which pulls back
+        to the corner (0, 1) with address (3)^inf."""
+        real = classify.certificate_points
+
+        def two_points(spec, words, budget):
+            got = real(spec, words, budget)
+            return got + [P(0, "1/2")] if [w.symbols for w in words] == [(1,), (2,)] else got
+        monkeypatch.setattr(classify, "certificate_points", two_points)
+        rep = check_postunbranched(gasket)
+        assert (rep.status, rep.mechanism) == ("not-postunbranched", "branching-witness")
+        assert rep.pairs[(1, 2)].status == "violated"
+        assert rep.witness == "pair (1,2): overlap points pull back to distinct addresses " \
+                              "(2)^inf and (3)^inf"
 
 
 class TestSingletonOverlaps:
@@ -184,34 +207,43 @@ def _fresh(spec):
     return SystemSpec(spec.name, spec.orientation, spec.m, spec.backend)
 
 
-def _assert_orbit_walk_matches_the_depth_walk(spec, budget, depths):
-    for depth in depths:
-        assert check_postunbranched(spec, depth, budget) == \
-            pu_walk.check_postunbranched(_fresh(spec), depth, budget)
+BUDGETS = [Budget(), STARVED, Budget(8, 3, 2)]
+BUDGET_IDS = ["default", "starved", "budget-8-3-2"]
+
+
+def _assert_orbit_walk_matches_the_depth_walk(spec, budget):
+    """The orbit walk's report against the depth walk's at the depth where the
+    latter decides every depth: status, mechanism, and each pair's status,
+    points and address."""
+    ours = check_postunbranched(spec, budget)
+    theirs = pu_walk.check_postunbranched(_fresh(spec), pu_walk.every_depth(budget), budget)
+    assert (ours.status, ours.mechanism) == (theirs.status, theirs.mechanism)
+    assert {pair: (r.status, r.points, r.address) for pair, r in ours.pairs.items()} == \
+        {pair: (r.status, r.points, r.address) for pair, r in theirs.pairs.items()}
 
 
 @settings(max_examples=20, deadline=None)
-@given(derived_systems(), st.sampled_from([Budget(), STARVED]),
-       st.integers(min_value=1, max_value=8))
-def test_orbit_walk_matches_the_depth_walk(spec, budget, depth):
-    """Walking each pulled-back point's orbit gives the whole report that
-    asking every depth 1..d gives, on injective derived systems."""
-    _assert_orbit_walk_matches_the_depth_walk(spec, budget, [depth])
+@given(derived_systems(), st.sampled_from(BUDGETS))
+def test_orbit_walk_matches_the_depth_walk(spec, budget):
+    """Walking each pulled-back point's orbit gives the report that asking
+    every depth 1..d gives, on injective derived systems, at a depth d past
+    which no depth can change it."""
+    _assert_orbit_walk_matches_the_depth_walk(spec, budget)
 
 
 GEOMETRIC = [name for name in cli.bundled_names() if cli.load_bundled(name).spec.is_geometric]
 
 
-@pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
 @pytest.mark.parametrize("name", GEOMETRIC)
 def test_bundled_orbit_walk_matches_the_depth_walk(name, budget):
-    _assert_orbit_walk_matches_the_depth_walk(cli.load_bundled(name).spec, budget, range(1, 9))
+    _assert_orbit_walk_matches_the_depth_walk(cli.load_bundled(name).spec, budget)
 
 
-@pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+@pytest.mark.parametrize("budget", BUDGETS, ids=BUDGET_IDS)
 def test_singular_orbit_walk_matches_the_depth_walk(budget):
     from test_nerve import singular_spec  # test_nerve imports this module
-    _assert_orbit_walk_matches_the_depth_walk(singular_spec(), budget, range(1, 9))
+    _assert_orbit_walk_matches_the_depth_walk(singular_spec(), budget)
 
 
 def no_cell_over_a_singular_child_spec():
@@ -240,9 +272,10 @@ def test_orbit_walk_skips_the_children_of_a_cell_answered_no():
     q = P(1, 1)
     assert point_in_cell(spec, q, Word((3,), 4)) == "no"
     assert cells_containing_point(spec, q, 2) == ([Word((2, 2), 4)], [Word((3, 4), 4)])
-    ours = check_postunbranched(spec, 4).pairs[(1, 2)]
-    assert (ours.status, str(ours.prefix), str(ours.address)) == ("ok", "2222", "(2)^inf")
-    theirs = pu_walk.check_postunbranched(_fresh(spec), 4, Budget()).pairs[(1, 2)]
+    ours = check_postunbranched(spec).pairs[(1, 2)]
+    assert (ours.status, str(ours.address)) == ("ok", "(2)^inf")
+    depth = pu_walk.every_depth(Budget())
+    theirs = pu_walk.check_postunbranched(_fresh(spec), depth, Budget()).pairs[(1, 2)]
     assert (theirs.status, theirs.detail) == \
         ("unknown", "membership undecided for cells ['34']")
 

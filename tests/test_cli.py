@@ -3,10 +3,10 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -277,11 +277,8 @@ class TestExitCodes:
         pytest.param(["tower", "gasket", "--max-depth", "2"], "--dim-cap", id="argv1---dim-cap"),
         pytest.param(["classify", "gasket"], "--dim-cap", id="argv2---dim-cap"),
         pytest.param(["nerve", "gasket"], "--depth", id="argv4---depth"),
-        pytest.param(["classify", "gasket"], "--depth", id="argv5---depth"),
         pytest.param(["tower", "gasket"], "--max-depth", id="argv6---max-depth"),
         pytest.param(["classify", "gasket"], "--max-depth", id="argv7---max-depth"),
-        pytest.param(["tower", "gasket", "--max-depth", "2"], "--pu-depth",
-                     id="argv8---pu-depth"),
     ])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_non_positive_depth_or_cap_is_a_usage_error(self, capsys, argv, flag, value):
@@ -373,33 +370,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: 3^100000000 {what} exceed --max-cells 250000\n"
 
-    def test_deep_pu_depth_keeps_one_walk_level(self, capsys):
-        """A point walk keeps one level: keeping every level made the
-        allocations of `--pu-depth 3000` peak at 105 MiB (122 MiB peak RSS
-        in a fresh interpreter), with the same output as `--pu-depth 40`."""
-        argv = ["tower", "gasket", "--max-depth", "3", "--pu-depth"]
-        assert main(argv + ["40"]) == EXIT_OK
-        shallow = capsys.readouterr()
-        tracemalloc.start()
-        try:
-            assert main(argv + ["3000"]) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert capsys.readouterr() == shallow
-        assert peak < 4 * 2 ** 20
-
-    def test_huge_pu_depth_walks_only_the_orbit(self, capsys):
-        """The postunbranched check walks each pulled-back point's finite
-        orbit, not every depth: asking every depth 1..d took 1.2 s at
-        `--pu-depth 12000`, and its time grew with the square of d."""
-        argv = ["tower", "gasket", "--max-depth", "3", "--pu-depth"]
-        assert main(argv + ["40"]) == EXIT_OK
-        shallow = capsys.readouterr()
+    @pytest.mark.parametrize("argv", [
+        ["nerve", "gasket", "--depth", "2"],
+        ["tower", "gasket", "--max-depth", "2"],
+        ["classify", "gasket"],
+    ])
+    def test_huge_certificate_budget_is_refused_at_once(self, capsys, argv):
+        """The tail table holds about m^(period + preperiod) addresses, so its
+        cost triples with each step of the gasket's --cert-period: building
+        it for 40 never returned."""
         start = time.perf_counter()
-        assert main(argv + ["100000"]) == EXIT_OK
-        assert time.perf_counter() - start < 2
-        assert capsys.readouterr() == shallow
+        assert main(argv + ["--cert-period", "40"]) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == \
+            ("", "error: 3^41 tail addresses exceed --max-cells 250000\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["tower", "gasket", "--max-depth", "3", "--pu-depth", "4"],
+        ["classify", "gasket", "--depth", "4"],
+    ])
+    def test_postunbranched_depth_is_no_option(self, capsys, argv):
+        """The orbit walk decides every depth, so no option sets one."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,flag", [
         (["nerve", "gasket", "--depth", "2"], "--out-json"),
@@ -428,8 +423,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"error: spec file {path} is not UTF-8 text: ")
 
-    @pytest.mark.parametrize("extra", [[], ["--dim-cap", "1"],
-                                       ["--dim-cap", "1", "--pu-depth", "1"]])
+    @pytest.mark.parametrize("extra", [[], ["--dim-cap", "1"]])
     def test_inconsistent_triangle(self, tmp_path, capsys, extra):
         # vertex 1 overlaps 2 at (1)^inf and 3 at (2)^inf: its lift into the
         # triangle is ambiguous at depth 1, even when triangles are above the cap
@@ -459,6 +453,24 @@ class TestExitCodes:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == EXIT_OK, done.stderr
         assert "gasket: forward, m=3, geometric" in done.stdout
+
+
+def readme_command_lines() -> list[str]:
+    """The `nervetower` lines of the README's "Command line" block, with
+    backslash continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.strip() for line in block.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("nervetower ")]
+
+
+def test_readme_command_lines_parse():
+    """Each example parses: an option renamed or removed fails here."""
+    lines = readme_command_lines()
+    assert {line.split()[1] for line in lines} == {"list", "nerve", "tower", "classify",
+                                                   "derive"}
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestNerveCommand:
@@ -615,7 +627,7 @@ class TestClassifyCommand:
         code = main(["classify", "gasket"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "postunbranched up to depth 4 (checked-to-depth)" in out
+        assert "postunbranched at every depth (orbit-walk)" in out
         assert "every touching pair meets in a single point" in out
         assert "9/9 identities hold" in out
         assert "condition pivot-cycle: yes" in out
@@ -644,6 +656,20 @@ class TestClassifyCommand:
         code = main(["classify", path, "--refine-depth", "0",
                      "--cert-period", "1", "--cert-preperiod", "0"])
         assert code == EXIT_UNCERTAIN
+
+    def test_deep_address_split_is_bad_input(self, tmp_path, capsys):
+        """Vertex 1's addresses split at index 3, so its lift is ambiguous
+        from depth 5 on: classify refuses the spec although its tower to
+        depth 3 lifts consistently."""
+        ones = {"pre": [], "per": [1]}
+        addresses = {pair: ones for pair in ("1,3", "2,1", "2,3", "3,1", "3,2")}
+        addresses["1,2"] = {"pre": [1, 1, 1, 2], "per": [1]}
+        path = write_doc(tmp_path, {
+            "name": "split-late", "orientation": "forward", "m": 3,
+            "backend": {"kind": "symbolicPU", "n1": [[1, 2, 3]], "addresses": addresses}})
+        assert main(["classify", path]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: simplex (1, 2, 3): vertex 1 lifts "
+                                           "ambiguously at depth 4: 1111, 1112\n")
 
     def test_table_default_depth_is_capped_at_the_table(self, tmp_path, capsys):
         # banded-annuli stores depths 1 and 2: the default replay stops at 2

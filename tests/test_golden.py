@@ -29,9 +29,6 @@ _TOWER_DEPTHS = {
 # banded-annuli stores table data to depth 2 only
 CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "interval-overlap": 3,
                    "snowflake": 2}
-# the postunbranched check to depth 8, where each pulled-back overlap point
-# has a deep address prefix
-DEEP_CLASSIFY = {"snowflake": 8}
 # deep towers, where most of each level is block copies of the level before;
 # gasket and snowflake also pin the oracle's certified touching points there,
 # and interval-overlap, whose crossings grow with depth, its segment meets;
@@ -73,8 +70,6 @@ def _cases() -> list[tuple[str, list[str]]]:
                  for name, depth in DEEP_TOWERS)
     cases.extend((f"classify-{name}", ["classify", name, "--max-depth", str(depth)])
                  for name, depth in CLASSIFY_DEPTHS.items())
-    cases.extend((f"classify-{name}-pu{depth}", ["classify", name, "--depth", str(depth)])
-                 for name, depth in DEEP_CLASSIFY.items())
     cases.extend((f"nerve-{name}-k{depth}", ["nerve", name, "--depth", str(depth)])
                  for name, depth in NERVE_DEPTHS)
     cases.append((f"derive-{DERIVED}", ["derive", "interval-overlap", "--subsystem", "11,33,32"]))

@@ -2,7 +2,6 @@
 
 import json
 import re
-import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +23,8 @@ from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyErro
 from nervetower.words import Address, Word, enumerate_words, word_from_string
 from support import segment_cover, unpruned
 from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certificates
-from support.complexes import block_subcomplex, euler_characteristic, simplex_word_sets
+from support.complexes import (block_subcomplex, edge_sets, euler_characteristic,
+                               simplex_word_sets)
 from support.full_tower import (full_truncation_map, labels, reference_tower,
                                 unionfind_components)
 from support.pu_nerve import capped, pu_nerve, truncate
@@ -151,11 +151,11 @@ class TestBuildNerve:
                                                      cert_period_max=1,
                                                      cert_preperiod_max=0))
         assert [s for s, _ in starved.uncertain] == [(0, 1)]  # the cells 1 and 2
-        assert starved.edge_sets() == set()
+        assert edge_sets(starved) == set()
 
         resolved = build_nerve(spec, 1)
         assert resolved.uncertain == ()
-        assert resolved.edge_sets() == set()
+        assert edge_sets(resolved) == set()
 
 
 def hand_built(level, simplices, dim_cap):
@@ -246,7 +246,7 @@ class TestBlocks:
         for j in (1, 2, 3):
             block = block_subcomplex(n2, Word((j,), 3))
             assert (block.level, block.m) == (n1.level, n1.m)
-            assert block.edge_sets() == n1.edge_sets()
+            assert edge_sets(block) == edge_sets(n1)
 
     def test_pentagasket_blocks(self, bundled):
         n2 = build_nerve(bundled("pentagasket").spec, 2)
@@ -268,8 +268,8 @@ class TestDerivedSystems:
         words = [W(t) for t in ("11", "13", "22", "23", "31", "32", "33")]
         sub = build_iterate_or_subsystem(gasket, words, name="sub7")
         assert sub.m == 7
-        fresh = build_nerve(sub, 1).edge_sets()
-        stored = build_nerve(bundled("gasket-sub7").spec, 1).edge_sets()
+        fresh = edge_sets(build_nerve(sub, 1))
+        stored = edge_sets(build_nerve(bundled("gasket-sub7").spec, 1))
         assert fresh == stored
         # edge_sets holds 0-based vertex indices; symbols are index + 1
         assert fresh == {frozenset(e) for e in
@@ -805,6 +805,16 @@ def perturbed(spec, position, draw):
                       SymbolicPUBackend(spec.m, backend.n1, pairs))
 
 
+def split_late_spec():
+    """A triangle whose vertex 1 meets vertex 2 at 1112(1)^inf and vertex 3 at
+    (1)^inf; every other vertex uses one address for both its pairs."""
+    m = 3
+    ones = Address(Word((), m), Word((1,), m))
+    pairs = {pair: ones for pair in [(1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]}
+    pairs[(1, 2)] = Address(Word((1, 1, 1, 2), m), Word((1,), m))
+    return SystemSpec("split-late", "forward", m, SymbolicPUBackend(m, [(1, 2, 3)], pairs))
+
+
 def assert_matches_word_sets(spec, depth, dim_caps):
     reference = pu_nerve(spec, depth)
     for dim_cap in dim_caps:
@@ -839,33 +849,54 @@ class TestAgainstWordSets:
             assert str(got.value) == str(expected.value)
 
     @settings(max_examples=40, deadline=None)
-    @given(symbolic_systems(), st.integers(min_value=1, max_value=6), st.data())
-    def test_postunbranched_check_raises_the_depth_by_depth_error(self, spec, depth, data):
+    @given(symbolic_systems(), st.data())
+    def test_postunbranched_check_raises_the_depth_by_depth_error(self, spec, data):
         """The symbolic postunbranched check lifts once, at the shallowest
-        ambiguous depth, and raises what lifting every depth up to its own
-        raises first (or nothing)."""
+        ambiguous depth, and raises what lifting every depth raises first (or
+        nothing).  Addresses of preperiod at most Q and period at most P
+        that agree on their first Q + 2P symbols are equal (Fine and Wilf),
+        so lifting to depth Q + 2P + 1 meets every split."""
         if data.draw(st.booleans()):
             spec = perturbed(spec, data.draw(st.integers(min_value=0, max_value=5)), data.draw)
+        addresses = spec.backend.addresses.values()
+        deepest = (max(len(a.preperiod) for a in addresses)
+                   + 2 * max(len(a.period) for a in addresses) + 1)
         expected = None
         try:
-            for k in range(1, depth + 1):
+            for k in range(1, deepest + 1):
                 oracles.generate_pu_nerve(spec, k)
         except AddressConsistencyError as exc:
             expected = str(exc)
         try:
-            report = check_postunbranched(spec, depth)
+            report = check_postunbranched(spec)
         except AddressConsistencyError as exc:
             assert str(exc) == expected
         else:
             assert expected is None
             assert (report.status, report.mechanism) == ("postunbranched", "by-construction")
 
-    def test_deep_postunbranched_check_lifts_no_level(self):
-        """Lifting every depth up to 3000 took 47.6 s on the pentagasket."""
+    def test_deep_split_is_refused(self):
+        """Vertex 1's addresses toward 2 and 3 agree on their first t = 3
+        symbols, so its lift is ambiguous from depth t + 2 = 5 on: the check
+        raises the error `build_nerve` raises there.  A check that only
+        looked to depth 4 certified this spec."""
+        spec = split_late_spec()
+        build_nerve(spec, 4)
+        with pytest.raises(AddressConsistencyError) as nerve_error:
+            build_nerve(spec, 5)
+        with pytest.raises(AddressConsistencyError) as check_error:
+            check_postunbranched(spec)
+        assert str(check_error.value) == str(nerve_error.value) == \
+            "simplex (1, 2, 3): vertex 1 lifts ambiguously at depth 4: 1111, 1112"
+
+    def test_consistent_postunbranched_check_lifts_no_level(self, monkeypatch):
+        """A spec whose addresses never split is certified without lifting any
+        level (lifting every depth up to 3000 took 47.6 s on the pentagasket)."""
         spec = cli.load_bundled("pentagasket").spec
-        start = time.perf_counter()
-        assert check_postunbranched(spec, 3000).status == "postunbranched"
-        assert time.perf_counter() - start < 2
+        lifted = []
+        monkeypatch.setattr(oracles, "generate_pu_nerve", lambda *args: lifted.append(args))
+        assert check_postunbranched(spec).status == "postunbranched"
+        assert lifted == []
 
     @pytest.mark.parametrize("name", ["pentagasket", "simplex-boundary-1",
                                       "simplex-boundary-2", "simplex-boundary-3",

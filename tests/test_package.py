@@ -23,8 +23,8 @@ def test_star_import():
 
 
 def test_readers_only_the_tests_use_are_not_exported():
-    """block_subcomplex, the Euler characteristic and the word sets of a
-    level live in tests/support/complexes.py, `truncate` in
+    """block_subcomplex, the Euler characteristic, the edge sets and the word
+    sets of a level live in tests/support/complexes.py, `truncate` in
     tests/support/pu_nerve.py, the per-vertex component labels in
     tests/support/full_tower.py and `scaling`, `limit_point` and
     `intersection_cycle` in tests/support/points.py; the other names are
@@ -34,7 +34,7 @@ def test_readers_only_the_tests_use_are_not_exported():
     assert not hasattr(nervetower.nerve, "block_subcomplex")
     for name in ("concat", "constant_address", "reverse", "truncate"):
         assert not hasattr(nervetower.words, name)
-    for name in ("euler_characteristic", "simplex_word_sets"):
+    for name in ("edge_sets", "euler_characteristic", "simplex_word_sets"):
         assert not hasattr(nervetower.SimplicialComplex, name)
     assert not hasattr(nervetower.ComponentsLevel, "labels")
     assert not hasattr(nervetower.PUReport, "pair_status")

@@ -205,14 +205,14 @@ class TestValueClasses:
             hash(report)
         assert pickle.loads(pickle.dumps(report)) == report
         # positional, keyword and mixed calls bind to the same fields
-        full = PairReport((1, 2), "ok", (), None, None, "checked", False)
+        full = PairReport((1, 2), "ok", (), None, "checked", False)
         assert full == report == PairReport(status="ok", detail="checked", pair=(1, 2))
         assert full == PairReport((1, 2), "ok", (), singular=False, detail="checked")
         assert SpecFlags() == SpecFlags(False, False, None) == SpecFlags(pivot=None)
         for args, kwargs in [(((1, 2),), {}),                      # missing
                              (((1, 2), "ok"), {"depth": 3}),         # unknown
                              (((1, 2), "ok"), {"pair": (1, 2)}),     # repeated
-                             (((1, 2), "ok", (), None, None, "", False, 0), {})]:  # surplus
+                             (((1, 2), "ok", (), None, "", False, 0), {})]:  # surplus
             with pytest.raises(TypeError):
                 PairReport(*args, **kwargs)
         # a type among the defaults is a new empty value for each record
