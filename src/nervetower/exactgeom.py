@@ -30,7 +30,7 @@ on one line meet in the coordinate of that line, without clipping.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -520,27 +520,6 @@ def common_region(polys: Sequence[ConvexPolygon]) -> list[Triple]:
 def common_point_exists(polys: Sequence[ConvexPolygon]) -> bool:
     """Exact emptiness test for the intersection of convex polygons."""
     return bool(common_region(polys))
-
-
-def segment_covered(segment: ConvexPolygon, pieces: Sequence[ConvexPolygon]) -> bool:
-    """Whether segments and points that lie in `segment` cover it.
-
-    An interval sweep along the line: pieces in _precedes order of their
-    first ends, a point being an interval of length zero.  The reach starts
-    at the segment's first end; a piece that starts past the reach leaves a
-    gap, and otherwise its far end extends the reach.  Exact, on the integer
-    triples of the ends.
-    """
-    start, end, _ = segment._span
-    spans = sorted((piece._span for piece in pieces),
-                   key=cmp_to_key(lambda p, q: -1 if _precedes(p[0], q[0]) else int(p[0] != q[0])))
-    reach = start
-    for lo, hi, _ in spans:
-        if _precedes(reach, lo):
-            return False
-        if _precedes(reach, hi):
-            reach = hi
-    return reach == end
 
 
 def check_envelope(maps: Sequence[RationalAffineMap], envelope: ConvexPolygon) -> bool:

@@ -229,10 +229,11 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
       uncertain pairs that cross blocks (and, without block copies, of every
       edge and single vertex) are queried, and no tuple inside one block.
       Higher simplices grow as cliques over verified simplices.
-    * Envelope answers.  On a spec that passes `oracles.envelope_exact`,
-      every cell is its envelope, a segment or a point on one line.  A pair
-      is answered by its envelope meet, and every larger candidate holds
-      (Helly), so the oracle is asked nothing and no level is uncertain.
+    * Interval sweeps.  On a spec that passes `oracles.envelope_exact`,
+      every cell is its envelope, an interval or a point on one line, and
+      each level's crossings come from one sweep over its interval ends
+      (`_swept_level`): no envelope meet, candidate pair or clique search,
+      no oracle query, and no uncertain tuple.
     * One-point parent meets.  When the cell maps are injective and the
       envelopes of a parent pair (a, b) meet in one point p, only the
       children a x with f_a^-1(p) in env(x) and b y with f_b^-1(p) in env(y)
@@ -259,6 +260,8 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
             for o in range(0, spec.m ** level, spec.m ** prev.level) for s, note in prev.uncertain]
         if symbolic:
             added, complete = _lifted_level(spec, level, dim_cap)
+        elif oracles.envelope_exact(spec):
+            added, complete = _swept_level(spec, level, copies, dim_cap)
         else:
             pairs = _candidate_pairs(spec, prev, copies) if prev else combinations(range(spec.m), 2)
             added, complete = _grow_level(spec, level, pairs, source, uncertain, dim_cap, budget)
@@ -289,6 +292,47 @@ def _lifted_level(spec: SystemSpec, level: int,
             added.setdefault(len(lift) - 1, []).append(lift)
     return ({dim: tuple(sorted(sims)) for dim, sims in sorted(added.items())},
             all(len(lift) - 1 <= dim_cap for lift in lifts))
+
+
+def _swept_level(spec: SystemSpec, level: int, copies: bool,
+                 dim_cap: int) -> tuple[dict[int, Simplices], bool]:
+    """The simplices of an envelope-exact level up to dim_cap that cross its
+    blocks (all of them, without block `copies`), and whether the level is
+    complete, from one sweep over its interval ends (`oracles.interval_ends`).
+
+    Licence: every cell is its envelope, a closed interval of the envelope's
+    line (`oracles.envelope_exact`), and intervals that meet pairwise share a
+    point (Helly 1923), the largest of their left ends.  Sweeping the
+    vertices by (lo, index), the active list A_v holds the earlier u with
+    hi_u >= lo_v, so the simplices whose last-starting vertex is v are v
+    with each S in A_v of at most dim_cap vertices, each listed once (the
+    interval-graph sweep; Golumbic, Algorithmic Graph Theory and Perfect
+    Graphs, 1980).  With copies (every cell map injective), block j is the
+    injective phi_j of the level below, so the tuples inside a block are the
+    copies of its simplices, and only those where S holds a vertex off v's
+    block are kept; without, each vertex is a block of its own.  The level
+    is complete when no A_v holds more than dim_cap vertices, which counts
+    the tuples inside blocks too.
+    """
+    ends = oracles.interval_ends(spec, level)
+    block = spec.m ** (level - 1) if copies else 1
+    found: dict[int, list[tuple[int, ...]]] = {dim: [] for dim in range(1, dim_cap + 1)}
+    widest = 0
+    active: list[int] = []
+    for v in sorted(range(len(ends)), key=lambda v: ends[v][0]):
+        lo = ends[v][0]
+        active = [u for u in active if ends[u][1] >= lo]
+        off = [u for u in active if u // block != v // block]
+        inside = [u for u in active if u // block == v // block]
+        widest = max(widest, len(active))
+        if off:
+            for dim in range(1, min(dim_cap, len(active)) + 1):
+                for k in range(max(1, dim - len(inside)), min(dim, len(off)) + 1):
+                    found[dim] += [tuple(sorted((v,) + far + near))
+                                   for far in combinations(off, k)
+                                   for near in combinations(inside, dim - k)]
+        active.append(v)
+    return {dim: tuple(sorted(sims)) for dim, sims in found.items() if sims}, widest <= dim_cap
 
 
 def _candidate_pairs(spec: SystemSpec, prev: SimplicialComplex,
@@ -334,33 +378,20 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
     source.  The level is complete when no clique extends past dim_cap: none
     that crosses, and none inside a block, which the source's flag tells.
 
-    On a spec that passes `oracles.envelope_exact` no tuple is queried or
-    uncertain.  A pair holds exactly when its envelope meet
-    (`oracles._envelope_meet`) is nonempty, since each cell is its envelope.
-    A larger candidate always holds: its vertices are pairwise joined by
-    found or block-copied edges, and segments on a line that meet pairwise
-    share a point (Helly 1923, Helly number 2 on a line).
-
     No pass closes the level under faces.  The oracle is monotone (fewer
     words only enlarge the envelope meet and the shared certified points), so
-    it certifies every face of a certified candidate; the envelope answers
-    are monotone too, as every face of a held candidate holds.  A face
-    inside a block copies a source tuple that is answered alike; any other
-    face was a candidate itself: its prefix is a face of a verified prefix,
-    and its other vertices are common neighbours of its ends.
+    it certifies every face of a certified candidate.  A face inside a block
+    copies a source tuple that is answered alike; any other face was a
+    candidate itself: its prefix is a face of a verified prefix, and its
+    other vertices are common neighbours of its ends.
     """
     word = cache(partial(indexed_word, spec.m, level))
 
-    if oracles.envelope_exact(spec):
-        def holds(candidate: tuple[int, ...]) -> bool:
-            return len(candidate) > 2 or bool(
-                oracles._envelope_meet(spec, tuple(map(word, candidate))))
-    else:
-        def holds(candidate: tuple[int, ...]) -> bool:
-            verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
-            if verdict.kind == "unknown":
-                uncertain.append((candidate, verdict.note))
-            return verdict.kind == "intersect"
+    def holds(candidate: tuple[int, ...]) -> bool:
+        verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
+        if verdict.kind == "unknown":
+            uncertain.append((candidate, verdict.note))
+        return verdict.kind == "intersect"
 
     found: dict[int, set[tuple[int, ...]]] = {1: {pair for pair in pairs if holds(pair)}}
     # the queried edges over the copies of `source`: the level's neighbours,

@@ -26,7 +26,7 @@ its vertex indices (`index_of`) form a simplex of `nerve.build_nerve(spec, k)`.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
 
 from .exactgeom import (
@@ -38,7 +38,6 @@ from .exactgeom import (
     common_region,
     compose,
     map_polygon,
-    segment_covered,
 )
 from .words import Address, Word, _Frozen, _normalize, indexed_word, symbols_index
 
@@ -553,26 +552,74 @@ def envelope_exact(spec: SystemSpec) -> bool:
     per spec, in exact arithmetic, and kept on the spec.
 
     Licence: the spec is geometric, its envelope E is a segment (two
-    vertices), and the depth-1 envelopes f_i(E) cover E
-    (`exactgeom.segment_covered`; a singular map's point image counts as an
-    interval of length zero).  `check_envelope` gives f_i(E) in E and
-    contraction, so E is the union of the f_i(E), and E is the attractor K
-    (Hutchinson, Indiana Univ. Math. J. 1981).  Then every cell f_w(K) is
-    f_w(E), the envelope of w.  Envelopes on one line are segments or points,
-    and on a line segments that meet pairwise share a point (Helly 1923), so
-    a tuple of cells meets exactly when each of its pairs does.
+    vertices), and the depth-1 intervals of `interval_ends` cover it (a
+    singular map's point image is an interval of length zero).
+    `check_envelope` gives f_i(E) in E and contraction, so E is the union of
+    the f_i(E), and E is the attractor K (Hutchinson, Indiana Univ. Math. J.
+    1981).  Then every cell f_w(K) is f_w(E), the envelope of w and the
+    interval `interval_ends` gives.  On a line, intervals that meet pairwise
+    share a point (Helly 1923), so a tuple of cells meets exactly when each
+    of its pairs does.
 
-    The nerve generator reads it, and so does `homology.tower_analysis`,
-    which then takes its Betti numbers and lambdas from the nerve theorem;
-    `cells_intersect` and `certificate_points` do not, so their verdicts and
-    certificates are the same on every spec.
+    The nerve generator reads it and then sweeps the interval ends, and so
+    does `homology.tower_analysis`, which then takes its Betti numbers and
+    lambdas from the nerve theorem; `cells_intersect` and
+    `certificate_points` do not, so their verdicts and certificates are the
+    same on every spec.
     """
     got = spec._cache.get("envelope_exact")
     if got is None:
-        got = spec._cache["envelope_exact"] = (
-            spec.is_geometric and len(spec.backend.envelope.vertices) == 2
-            and segment_covered(spec.backend.envelope, _symbol_envelopes(spec)))
+        got = spec.is_geometric and len(spec.backend.envelope.vertices) == 2
+        if got:
+            reach = 0
+            for lo, hi in sorted(interval_ends(spec, 1)):
+                if lo > reach:
+                    break
+                reach = max(reach, hi)
+            got = reach == _line_maps(spec)[1]
+        spec._cache["envelope_exact"] = got
     return got
+
+
+def _line_maps(spec: SystemSpec) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The rows (a_i, b_i) and the denominator D, all integers, of the cell
+    maps on a segment envelope [P, Q]: c_i(P + t (Q - P)) = P + phi_i(t)
+    (Q - P) with phi_i(t) = (a_i t + b_i) / D.  c_i sends [P, Q] into itself
+    (`check_envelope`), so phi_i(0) and phi_i(1) are read off c_i(P) and
+    c_i(Q) in a coordinate in which Q - P is not zero.  a_i < 0 reverses
+    the segment, and a_i = 0 is a singular c_i.  Kept on the spec."""
+    got = spec._cache.get("line_maps")
+    if got is None:
+        p, q = spec.backend.envelope.vertices
+        axis = 0 if p.x != q.x else 1
+        start, span = p.as_pair()[axis], q.as_pair()[axis] - p.as_pair()[axis]
+        lines = []
+        for f in spec.cell_maps:
+            zero, one = ((f(v).as_pair()[axis] - start) / span for v in (p, q))
+            lines.append((one - zero, zero))
+        den = lcm(*(c.denominator for line in lines for c in line))
+        got = spec._cache["line_maps"] = (
+            tuple((int(a * den), int(b * den)) for a, b in lines), den)
+    return got
+
+
+def interval_ends(spec: SystemSpec, level: int) -> list[tuple[int, int]]:
+    """The depth-`level` cells of a spec with a segment envelope as intervals
+    (lo, hi) of the parameter t of `_line_maps`, integers over D^level, in
+    vertex index order.  Block j is phi_j of the level below, since the cell
+    of j w is c_j of the cell of w, so each end is one multiply and one add:
+    phi_j(n / D^k) = (a_j n + b_j D^k) / D^(k+1).  No word map, envelope or
+    clip is built.  Depth 0 is [0, 1].  Kept on the spec per level."""
+    rows, den = _line_maps(spec)
+    levels = spec._cache.setdefault("interval_ends", [[(0, 1)]])
+    while len(levels) <= level:
+        shift, below, ends = den ** (len(levels) - 1), levels[-1], []
+        for a, b in rows:
+            b *= shift
+            ends += [(a * hi + b, a * lo + b) if a < 0 else (a * lo + b, a * hi + b)
+                     for lo, hi in below]
+        levels.append(ends)
+    return levels[level]
 
 
 def touching_children(spec: SystemSpec, pair: tuple[Word, Word]) -> Optional[list[list[int]]]:

@@ -48,8 +48,16 @@
 * `unpruned`: all m^2 children of every parent pair as nerve candidates,
   and the point walk that tests each word's own envelope and pulls the point
   back through each whole word map; check the one-point pruning of
-  `nerve._candidate_pairs` and the pull-back walk behind
+  `nerve._candidate_pairs` (with `oracles.envelope_exact` patched off, so
+  that licensed systems reach it too) and the pull-back walk behind
   `oracles.cells_containing_point`.
+* `segment_cover`: the interval-cover licence in `Fraction`s, each cell
+  map's image read as a parameter interval of the envelope segment; checks
+  `oracles.envelope_exact` and the integer depth-1 ends it reads from
+  `oracles.interval_ends`.  The interval sweep `nerve._swept_level` has no
+  module here: its reference is the oracle generator itself, run with
+  `oracles.envelope_exact` patched off (`_licensed_and_queried` in
+  `tests/test_nerve.py`), compared level by level at dim caps 1, 2 and 3.
 * `pu_walk`: the postunbranched check asked at every depth 1..d; checks
   the orbit walk of `classify.check_postunbranched`, as a whole `PUReport`,
   at the depth `pu_walk.every_depth(budget)` where it decides every depth.

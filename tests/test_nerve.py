@@ -307,14 +307,17 @@ def fresh(spec):
 
 def assert_matches_unpruned(spec, depth, dim_cap, budget):
     """Levels 1..depth built from candidates pruned at one-point parent meets
-    equal those built from all m^2 children of every parent pair."""
+    equal those built from all m^2 children of every parent pair.  The
+    envelope-exact licence is patched off, so that a licensed spec is built
+    from its candidate pairs too rather than by the interval sweep."""
     def levels(system):
         return [(c.added, c.uncertain, c.complete)
                 for c in (build_nerve(system, k, dim_cap, budget) for k in range(1, depth + 1))]
 
-    pruned = levels(fresh(spec))
-    with patch.object(nerve, "_candidate_pairs", unpruned.candidate_pairs):
-        assert levels(fresh(spec)) == pruned
+    with patch.object(oracles, "envelope_exact", lambda spec: False):
+        pruned = levels(fresh(spec))
+        with patch.object(nerve, "_candidate_pairs", unpruned.candidate_pairs):
+            assert levels(fresh(spec)) == pruned
 
 
 class TestOnePointPruning:
@@ -628,7 +631,8 @@ def _q(a, e):
 
 # Segment systems: a singular middle map whose point image sits inside the
 # cover, a backward one, two halves that touch, an orientation-reversing pair
-# on a slanted segment, and two with a gap (one closed only by a point).
+# on a slanted segment, three maps on a vertical segment (the middle one
+# reversing it), and two with a gap (one closed only by a point).
 SEGMENT_SPECS = {
     "singular": lambda: _segment_spec("singular", [_q("1/2", 0), (0, 0, 0, 0, "1/2", 0),
                                                    _q("1/2", "1/2")]),
@@ -638,11 +642,15 @@ SEGMENT_SPECS = {
     "slanted": lambda: _segment_spec("slanted", [("-3/5", 0, 0, "-3/5", "3/5", "6/5"),
                                                  ("3/5", 0, 0, "3/5", "2/5", "4/5")],
                                      envelope=((0, 0), (1, 2))),
+    "vertical": lambda: _segment_spec("vertical", [("1/2", 0, 0, "1/2", 0, 0),
+                                                   ("1/2", 0, 0, "-1/2", 0, "3/4"),
+                                                   ("1/2", 0, 0, "1/2", 0, "1/2")],
+                                      envelope=((0, 0), (0, 1))),
     "gap": lambda: _segment_spec("gap", [_q("1/3", 0), _q("1/4", "1/4"), _q("1/3", "2/3")]),
     "point-in-gap": lambda: _segment_spec("point-in-gap", [_q("1/3", 0), (0, 0, 0, 0, "1/2", 0),
                                                            _q("1/3", "2/3")]),
 }
-LICENSED_SEGMENTS = ["singular", "backward", "halves", "slanted"]
+LICENSED_SEGMENTS = ["singular", "backward", "halves", "slanted", "vertical"]
 
 
 @st.composite
@@ -667,9 +675,9 @@ def _fresh(spec):
     return SystemSpec(spec.name, spec.orientation, spec.m, spec.backend)
 
 
-def _licensed_and_queried(spec, depth, budget, dim_cap=3):
-    """The levels the envelope answers build, and those the oracle builds
-    with the licence patched off, each on a fresh spec."""
+def _licensed_and_queried(spec, depth, budget, dim_cap):
+    """The levels the interval sweep builds, and those the oracle builds with
+    the licence patched off (the reference), each on a fresh spec."""
     licensed = nerve._levels(_fresh(spec), depth, dim_cap, budget)
     with patch.object(oracles, "envelope_exact", lambda spec: False):
         queried = nerve._levels(_fresh(spec), depth, dim_cap, budget)
@@ -680,11 +688,12 @@ def _simplex_set(complex_):
     return {s for dim, sims in complex_.simplices.items() if dim for s in sims}
 
 
-def assert_agrees_with_the_oracle(spec, depth, budget):
+def assert_agrees_with_the_oracle(spec, depth, budget, dim_cap):
     """Licensed levels are never uncertain.  Where the oracle's level is not
-    either, the two are equal; where it is, the licensed level holds all of
-    it, and each simplex it adds is or contains one of its uncertain tuples."""
-    licensed, queried = _licensed_and_queried(spec, depth, budget)
+    either, the two are equal, `complete` flag included; where it is, the
+    licensed level holds all of it, and each simplex it adds is or contains
+    one of its uncertain tuples."""
+    licensed, queried = _licensed_and_queried(spec, depth, budget, dim_cap)
     for new, old in zip(licensed, queried, strict=True):
         assert new.uncertain == ()
         if not old.uncertain:
@@ -696,9 +705,13 @@ def assert_agrees_with_the_oracle(spec, depth, budget):
             assert any(u <= set(s) for u in held)
 
 
+DIM_CAPS = [1, 2, 3]
+
+
 class TestEnvelopeExact:
     """Segment envelopes that the depth-1 envelopes cover: each cell is its
-    envelope, pairs are envelope meets and cliques are simplices."""
+    envelope, and each level is swept from its interval ends.  The sweep
+    decides `complete` by counting, so every check runs at each dim cap."""
 
     @settings(max_examples=30, deadline=None)
     @given(derived_systems())
@@ -717,24 +730,55 @@ class TestEnvelopeExact:
         assert oracles.envelope_exact(spec) == segment_cover.envelope_covered(spec) == \
             (name in LICENSED_SEGMENTS)
 
+    @pytest.mark.parametrize("name", LICENSED_SEGMENTS + ["interval-overlap"])
+    def test_interval_ends_are_the_cells(self, name):
+        """Integer ends over D^k, in vertex index order, against each word's
+        whole map applied in Fractions."""
+        spec = SEGMENT_SPECS[name]() if name in SEGMENT_SPECS else \
+            cli.load_bundled(name).spec
+        den = oracles._line_maps(spec)[1]
+        for k in range(4):
+            ends = oracles.interval_ends(spec, k)
+            assert [(Fraction(lo, den ** k), Fraction(hi, den ** k)) for lo, hi in ends] == \
+                [segment_cover.cell_interval(spec, w.symbols) for w in enumerate_words(spec.m, k)]
+
     @settings(max_examples=15, deadline=None)
     @given(covering_systems(), st.sampled_from([Budget(), STARVED]))
     def test_covering_systems_agree_with_the_oracle(self, spec, budget):
         assert oracles.envelope_exact(spec)
-        assert_agrees_with_the_oracle(spec, 3 if spec.m <= 5 else 2, budget)
+        for dim_cap in DIM_CAPS:
+            assert_agrees_with_the_oracle(spec, 3 if spec.m <= 5 else 2, budget, dim_cap)
 
     @pytest.mark.parametrize("name", LICENSED_SEGMENTS)
     @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
-    def test_segments_agree_with_the_oracle(self, name, budget):
-        assert_agrees_with_the_oracle(SEGMENT_SPECS[name](), 3, budget)
+    @pytest.mark.parametrize("dim_cap", DIM_CAPS)
+    def test_segments_agree_with_the_oracle(self, name, budget, dim_cap):
+        assert_agrees_with_the_oracle(SEGMENT_SPECS[name](), 3, budget, dim_cap)
 
     @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
-    def test_interval_overlap_equals_the_oracle(self, budget):
+    @pytest.mark.parametrize("dim_cap", DIM_CAPS)
+    def test_interval_overlap_equals_the_oracle(self, budget, dim_cap):
         licensed, queried = _licensed_and_queried(cli.load_bundled("interval-overlap").spec,
-                                                  4, budget)
-        assert [c.uncertain for c in queried] == [()] * 4
-        assert [(c.simplices, c.complete) for c in licensed] == \
-            [(c.simplices, c.complete) for c in queried]
+                                                  5, budget, dim_cap)
+        assert [c.uncertain for c in queried] == [()] * 5
+        assert [(c.added, c.complete, c.block_source is None) for c in licensed] == \
+            [(c.added, c.complete, c.block_source is None) for c in queried]
+
+    def test_interval_overlap_tower_clips_nothing(self, monkeypatch):
+        """A licensed tower reads its interval ends only: no envelope, no
+        envelope meet, no one-point pruning and no candidate pair."""
+        calls = []
+        for module, name in [(oracles, "_envelope_meet"), (oracles, "cell_envelope"),
+                             (oracles, "touching_children"), (nerve, "_candidate_pairs")]:
+            original = getattr(module, name)
+
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, name, counting)
+        tower = tower_complexes(_fresh(cli.load_bundled("interval-overlap").spec), 5, dim_cap=2)
+        assert tower.complex_at(5).simplex_counts() == {0: 243, 1: 2599, 2: 14425}
+        assert calls == []
 
     @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
     def test_interval_overlap_asks_the_oracle_nothing(self, budget, monkeypatch):
@@ -750,7 +794,7 @@ class TestEnvelopeExact:
         """On the slanted system, whose first map reverses the segment, no
         in-budget point certifies the depth-2 contacts 11 12, 11 21 and 21 22:
         the oracle leaves them uncertain, and the envelopes answer them."""
-        licensed, queried = _licensed_and_queried(SEGMENT_SPECS["slanted"](), 2, Budget())
+        licensed, queried = _licensed_and_queried(SEGMENT_SPECS["slanted"](), 2, Budget(), 3)
         held = ((0, 1), (0, 2), (2, 3))
         assert queried[1].uncertain == tuple((s, "budget exhausted") for s in held)
         assert queried[1].simplex_counts() == {0: 4}
