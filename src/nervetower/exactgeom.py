@@ -23,8 +23,7 @@ floating-point predicate can witness.
 
 Degenerate convex polygons are first-class: a segment (two vertices) and a
 single point (one vertex) occur naturally as envelopes of systems living on a
-line, and as intersections of nondegenerate polygons.  Segments and points
-on one line meet in the coordinate of that line, without clipping.
+line, and as intersections of nondegenerate polygons.
 """
 
 from __future__ import annotations
@@ -352,24 +351,6 @@ class ConvexPolygon(_Frozen):
         n = len(v)
         return tuple(_line(v[i], v[(i + 1) % n]) for i in range(n))
 
-    @cached_property
-    def _span(self) -> tuple[Triple, Triple, Triple | None] | None:
-        """(lo, hi, row) for a segment or a point: its ends in _precedes order,
-        and the primitive row of the line lo -> hi (None for a point).  Rows
-        of segments on one line are equal.  None for a polygon of three or
-        more vertices."""
-        v = self.vertices
-        if len(v) > 2:
-            return None
-        lo, hi = v[0]._t, v[-1]._t
-        if lo == hi:
-            return (lo, hi, None)
-        if _precedes(hi, lo):
-            lo, hi = hi, lo
-        a, b, c = _line(lo, hi)
-        g = gcd(a, b, c)
-        return (lo, hi, (a // g, b // g, c // g))
-
     def contains_point(self, p: Point2) -> bool:
         x, y, z = p.homogeneous()
         for a, b, c in self._rows:
@@ -450,66 +431,11 @@ def _region(polys: Sequence[ConvexPolygon]) -> list[Triple]:
     return region
 
 
-def _collinear_region(polys: Sequence[ConvexPolygon]) -> list[Triple] | None:
-    """_region(polys) when every polygon is a segment or a point on one line,
-    else None.
-
-    On a line, the (x, y) order of _precedes is the order along the line, so
-    closed segments [s_i, e_i] meet exactly in [max s_i, min e_i], and not at
-    all when that end precedes that start.  Segments lie on one line exactly
-    when their primitive rows (ConvexPolygon._span) are equal.  The clip
-    keeps the direction of the first polygon's stored vertices, so a first
-    segment stored from its later end gets its meet from the later end too.
-    """
-    line = start = end = None
-    points = []
-    for poly in polys:
-        span = poly._span
-        if span is None:
-            return None
-        lo, hi, row = span
-        if row is None:
-            points.append(lo)
-        elif line is None:
-            line = row
-        elif row != line:
-            return None
-        if start is None:
-            start, end = lo, hi
-            forward = poly.vertices[0]._t == lo
-        else:
-            if _precedes(start, lo):
-                start = lo
-            if _precedes(hi, end):
-                end = hi
-    if start is None:
-        return None
-    if line is None and len(set(points)) > 2:  # points only: the line through two
-        line = _line(*list(dict.fromkeys(points))[:2])
-    if line is not None:
-        a, b, c = line
-        if any(a * x + b * y + c * z for x, y, z in points):
-            return None
-    if _precedes(end, start):
-        return []
-    if start == end:
-        return [start]
-    return [start, end] if forward else [end, start]
-
-
 def common_region(polys: Sequence[ConvexPolygon]) -> list[Triple]:
     """The common intersection of convex polygons as a cycle of normalized
-    triples, [] when it is empty.
-
-    Segments and points on one line, the envelopes of a system on an
-    interval, meet in the coordinate of their line (_collinear_region), which
-    also decides emptiness.  Anything else is tested on pairwise bounding
-    boxes, then clipped (_region).  Both ways give the same list, element for
-    element.
+    triples, [] when it is empty: pairwise bounding boxes first, then the
+    clip of the first polygon by the others' half-planes (_region).
     """
-    region = _collinear_region(polys)
-    if region is not None:
-        return region
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             if not bboxes_overlap(polys[i], polys[j]):

@@ -33,6 +33,7 @@ from .exactgeom import (
     ConvexPolygon,
     Point2,
     RationalAffineMap,
+    _normalized,
     check_envelope,
     common_point_exists,
     common_region,
@@ -401,7 +402,7 @@ def _common_keys(spec: SystemSpec, ws: Sequence[Word], budget: Budget,
     """The in-budget certified points shared by every listed cell.
 
     `region`, when given, is the meet of the cells' envelopes
-    (`exactgeom.common_region`).  Tail points are limit points, so they lie in
+    (`_envelope_meet`).  Tail points are limit points, so they lie in
     the envelope, and w maps them into w's envelope: every common certified
     point lies in the meet.  An empty meet has none.  When the meet is one
     point p and every word's map is injective, p has at most one preimage
@@ -419,17 +420,21 @@ def _common_keys(spec: SystemSpec, ws: Sequence[Word], budget: Budget,
 
 
 def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointKey]]:
-    """The meet of the cell envelopes of two or more words
-    (`exactgeom.common_region`), else None.
+    """The meet of the cell envelopes of two or more words, listed as
+    `exactgeom.common_region` clips it, else None.
 
-    The meet of one-symbol words is clipped once per system and kept on the
-    spec under its sorted symbols, so the certificates, N_1 and the depth-2
-    candidates share it: at most sum_r C(m, r) entries.  Licence: the meet,
-    as a set, does not depend on the order of its polygons, and no reader
-    takes the vertex order of a meet of two or more vertices.
-    `cells_intersect` and `_common_keys` read emptiness, length one and
-    region[0], `touching_children` reads length one, `certificate_points`
-    sorts and the singleton refinement compares sets.
+    A spec whose envelope is a segment reads the meet off the words' integer
+    intervals (`_segment_meet`), with no envelope built and no clip.
+
+    On a polygon envelope, the meet of one-symbol words is clipped once per
+    system and kept on the spec under its sorted symbols, so the
+    certificates, N_1 and the depth-2 candidates share it: at most
+    sum_r C(m, r) entries.  Licence: the meet, as a set, does not depend on
+    the order of its polygons, and no reader takes the vertex order of a
+    meet of two or more vertices.  `cells_intersect` and `_common_keys` read
+    emptiness, length one and region[0], `touching_children` reads length
+    one, `certificate_points` sorts and the singleton refinement compares
+    sets.
 
     A pair of longer words u, v with distinct first symbols a, b, on a spec
     whose cell maps are injective, is answered from the kept meet of a and b
@@ -440,11 +445,14 @@ def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointK
     pair's meet is {p} when p lies in both envelopes and empty when not.  An
     injective f_w has env(w) = f_w(E), which holds p exactly when f_w^-1(p)
     lies in E.  The answer is the clip's list, [p] or [].
-    Segment and polygon meets, equal first symbols, tuples of three or more
-    longer words and singular maps are clipped on every call.
+    Depth-1 meets of two or more vertices, equal first symbols, tuples of
+    three or more longer words and singular maps are clipped on every call.
     """
     if len(ws) < 2:
         return None
+    got = _segment_meet(spec, ws)
+    if got is not None:
+        return got
     if len(ws[0].symbols) == 1 and all(len(w.symbols) == 1 for w in ws):
         return _symbol_meet(spec, tuple(sorted(w.symbols[0] for w in ws)))
     if len(ws) == 2 and spec.injective:
@@ -458,6 +466,58 @@ def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointK
                 return got if all(holds(Point2._of(word_map(spec, w).preimage(got[0])))
                                   for w in ws) else []
     return common_region([cell_envelope(spec, w) for w in ws])
+
+
+def _segment_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointKey]]:
+    """The meet of the cell envelopes of equal-length words on a spec whose
+    envelope is a segment [P, Q], as `exactgeom.common_region` lists it, else
+    None.
+
+    Each envelope is the interval `_word_interval` gives, so they meet in
+    [max lo, min hi], empty when that end lies below that start, and its
+    ends over D^k are turned into normalized triples.  The clip lists the
+    meet from the first polygon's first vertex, and every cell envelope
+    starts at its least vertex in (x, y) order (`map_polygon`), so the ends
+    come in (x, y) order: the order of t when Q - P is positive in it.
+    """
+    vertices = spec.backend.envelope.vertices
+    if len(vertices) != 2:
+        return None
+    lo, hi = _word_interval(spec, ws[0].symbols)
+    for w in ws[1:]:
+        start, end = _word_interval(spec, w.symbols)
+        lo, hi = max(lo, start), min(hi, end)
+    if lo > hi:
+        return []
+    (px, py, pz), (qx, qy, qz) = (v.homogeneous() for v in vertices)
+    n = _line_maps(spec)[1] ** len(ws[0].symbols)
+    dx, dy = qx * pz - px * qz, qy * pz - py * qz
+    x0, y0, z0 = px * qz * n, py * qz * n, pz * qz * n
+    return [_normalized(x0 + t * dx, y0 + t * dy, z0)
+            for t in ((lo,) if lo == hi else (lo, hi) if (dx, dy) > (0, 0) else (hi, lo))]
+
+
+def _word_interval(spec: SystemSpec, symbols: tuple[int, ...]) -> tuple[int, int]:
+    """The cell of a word w of length k on a segment envelope as an interval
+    (lo, hi) of the parameter t of `_line_maps`, integers over D^k.
+
+    Every cell map keeps the line of [P, Q] (`_line_maps`), so w's map
+    sends P + t (Q - P) to P + phi_w(t) (Q - P) with phi_w(t) =
+    (A_w t + B_w) / D^k, and w's envelope, the segment (or point) from the
+    image of P to that of Q, has the ends B_w and A_w + B_w.
+    phi_{w j} = phi_w o phi_j gives (A_{w j}, B_{w j}) = (A_w a_j,
+    A_w b_j + B_w D) from w's row, which is kept on the spec per word."""
+    kept = spec._cache.get("word_lines")
+    if kept is None:
+        kept = spec._cache["word_lines"] = {(): (1, 0)}
+    got = kept.get(symbols)
+    if got is None:
+        _word_interval(spec, symbols[:-1])
+        (a, b), (rows, den) = kept[symbols[:-1]], _line_maps(spec)
+        aj, bj = rows[symbols[-1] - 1]
+        got = kept[symbols] = (a * aj, a * bj + b * den)
+    a, b = got
+    return (a + b, b) if a < 0 else (b, a + b)
 
 
 def _symbol_meet(spec: SystemSpec, key: tuple[int, ...]) -> list[PointKey]:
@@ -521,13 +581,16 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
 def _refine(spec: SystemSpec, alive: list[tuple[Word, ...]]) -> Optional[list[tuple[Word, ...]]]:
     """One refinement step: every child tuple of an alive tuple (each word
     extended by one symbol) whose cell envelopes meet, or None once more than
-    _ALIVE_CAP children survive."""
-    symbols = range(1, spec.m + 1)
-    frontier: list[tuple[Word, ...]] = []
+    _ALIVE_CAP children survive.  A segment spec reads the meet off the
+    children's intervals (`_segment_meet`); any other tests the envelopes."""
+    m, frontier = spec.m, []
     for tup in alive:
-        for ext in product(symbols, repeat=len(tup)):
-            child = tuple(w.extended(j) for w, j in zip(tup, ext))
-            if common_point_exists([cell_envelope(spec, w) for w in child]):
+        for child in product(*([Word._of(w.symbols + (j,), m) for j in range(1, m + 1)]
+                               for w in tup)):
+            meet = _segment_meet(spec, child)
+            if meet is None:
+                meet = common_point_exists([cell_envelope(spec, w) for w in child])
+            if meet:
                 frontier.append(child)
                 if len(frontier) > _ALIVE_CAP:
                     return None
@@ -628,7 +691,8 @@ def touching_children(spec: SystemSpec, pair: tuple[Word, Word]) -> Optional[lis
     envelope that holds p, else None: env(w j) = f_w(env(j)), so these are
     the j with f_w^-1(p) in env(j).  No child envelope is built, and no clip:
     a pair of longer words with distinct first symbols reads its meet from
-    the kept depth-1 meet of those symbols (`_envelope_meet`)."""
+    the kept depth-1 meet of those symbols, and a segment spec from integer
+    intervals (`_envelope_meet`)."""
     if not spec.injective:
         return None
     region = _envelope_meet(spec, pair)

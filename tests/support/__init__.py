@@ -40,8 +40,10 @@
   half-plane containment, convexity, bounding boxes, clipping, re-hulled
   envelope images) and certificate points as sets of `Fraction` points;
   checks equality, hashing and printing of the integer-valued `Point2` and
-  `RationalAffineMap`, the integer kernel of `exactgeom`, the integer-triple
-  point sets of `oracles._word_points`, and `oracles.certificate_points`.
+  `RationalAffineMap`, the integer kernel of `exactgeom` (whose
+  `common_region` clips every meet, segments included), the integer-triple
+  point sets of `oracles._word_points`, and `oracles.certificate_points`,
+  whose segment meets come from integer intervals.
 * `certificate_sets`: common certified points as the intersection of every
   word's whole point set; checks the one-point pull-back of
   `oracles._common_keys` and `oracles.certificate_points`.
@@ -54,9 +56,16 @@
 * `segment_cover`: the interval-cover licence in `Fraction`s, each cell
   map's image read as a parameter interval of the envelope segment; checks
   `oracles.envelope_exact` and the integer depth-1 ends it reads from
-  `oracles.interval_ends`.  The interval sweep `nerve._swept_level` has no
-  module here: its reference is the oracle generator itself, run with
-  `oracles.envelope_exact` patched off (`_licensed_and_queried` in
+  `oracles.interval_ends`.  `collinear_region` meets segments and points on
+  one line in the line's coordinate, read off the polygons' vertices
+  (`span`), and `envelope_meet` applies it to the cell envelopes of a
+  segment spec; they check the integer interval meets of
+  `oracles._segment_meet`, and through them `_envelope_meet`, `_refine`
+  and `cells_intersect`, against the clip.  The interval sweep
+  `nerve._swept_level` has no module here: its reference is the oracle
+  generator itself, run with `oracles.envelope_exact` patched off and
+  `oracles._segment_meet` patched to `envelope_meet`, so that it reads
+  nothing of `oracles._line_maps` (`_licensed_and_queried` in
   `tests/test_nerve.py`), compared level by level at dim caps 1, 2 and 3.
 * `pu_walk`: the postunbranched check asked at every depth 1..d; checks
   the orbit walk of `classify.check_postunbranched`, as a whole `PUReport`,

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nervetower import FrozenInstanceError
-from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _collinear_region,
-                                  _region, bboxes_overlap, check_envelope,
+from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _region,
+                                  bboxes_overlap, check_envelope,
                                   common_point_exists, common_region, compose,
                                   map_polygon, rational)
 from support import fraction_geometry
 from support.fraction_geometry import cross
 from support.points import intersection_cycle, scaling
+from support.segment_cover import collinear_region
 
 
 def P(x, y):
@@ -433,19 +434,22 @@ def _segments_on_one_line(polys) -> bool:
 
 
 class TestCollinearMeet:
-    """Segments on one line meet in the coordinate of that line, and the
-    meet is the list the clip gives, element for element and in order."""
+    """Segments on one line meet in the coordinate of that line
+    (`support.segment_cover.collinear_region`, the reference for the
+    interval meets of segment specs), and the meet is the list the clip
+    gives, element for element and in order."""
 
     @settings(max_examples=300)
     @given(collinear_polygons())
     def test_collinear_meet_is_the_clip(self, polys):
-        assert _collinear_region(polys) is not None
-        assert common_region(polys) == _region(polys)
+        assert collinear_region(polys) == common_region(polys) == _region(polys)
 
     @settings(max_examples=300)
     @given(mixed_polygons())
     def test_only_collinear_segments_take_the_line(self, polys):
-        assert (_collinear_region(polys) is not None) == _segments_on_one_line(polys)
+        region = collinear_region(polys)
+        assert (region is not None) == _segments_on_one_line(polys)
+        assert region in (None, common_region(polys))
         assert common_region(polys) == _region(polys)
 
     def test_reversed_first_segment_keeps_its_direction(self):

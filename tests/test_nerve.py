@@ -632,7 +632,8 @@ def _q(a, e):
 # Segment systems: a singular middle map whose point image sits inside the
 # cover, a backward one, two halves that touch, an orientation-reversing pair
 # on a slanted segment, three maps on a vertical segment (the middle one
-# reversing it), and two with a gap (one closed only by a point).
+# reversing it), and three with a gap (one closed only by a point, and one
+# on a vertical segment whose middle map reverses it).
 SEGMENT_SPECS = {
     "singular": lambda: _segment_spec("singular", [_q("1/2", 0), (0, 0, 0, 0, "1/2", 0),
                                                    _q("1/2", "1/2")]),
@@ -649,6 +650,10 @@ SEGMENT_SPECS = {
     "gap": lambda: _segment_spec("gap", [_q("1/3", 0), _q("1/4", "1/4"), _q("1/3", "2/3")]),
     "point-in-gap": lambda: _segment_spec("point-in-gap", [_q("1/3", 0), (0, 0, 0, 0, "1/2", 0),
                                                            _q("1/3", "2/3")]),
+    "gap3": lambda: _segment_spec("gap3", [("1/2", 0, 0, "1/2", 0, 0),
+                                           ("1/4", 0, 0, "-1/4", 0, 1),
+                                           ("1/4", 0, 0, "1/4", 0, "5/8")],
+                                  envelope=((0, 0), (0, 1))),
 }
 LICENSED_SEGMENTS = ["singular", "backward", "halves", "slanted", "vertical"]
 
@@ -677,9 +682,13 @@ def _fresh(spec):
 
 def _licensed_and_queried(spec, depth, budget, dim_cap):
     """The levels the interval sweep builds, and those the oracle builds with
-    the licence patched off (the reference), each on a fresh spec."""
+    the licence patched off (the reference), each on a fresh spec.  The
+    reference also meets segment envelopes by the collinear reference
+    (`segment_cover.envelope_meet`), not by the oracle's integer intervals,
+    so that it does not read `oracles._line_maps`, which the sweep reads."""
     licensed = nerve._levels(_fresh(spec), depth, dim_cap, budget)
-    with patch.object(oracles, "envelope_exact", lambda spec: False):
+    with patch.object(oracles, "envelope_exact", lambda spec: False), \
+            patch.object(oracles, "_segment_meet", segment_cover.envelope_meet):
         queried = nerve._levels(_fresh(spec), depth, dim_cap, budget)
     return licensed, queried
 
@@ -779,6 +788,26 @@ class TestEnvelopeExact:
         tower = tower_complexes(_fresh(cli.load_bundled("interval-overlap").spec), 5, dim_cap=2)
         assert tower.complex_at(5).simplex_counts() == {0: 243, 1: 2599, 2: 14425}
         assert calls == []
+
+    def test_gapped_segment_tower_clips_nothing(self, monkeypatch):
+        """An unlicensed segment tower meets its cells from their integer
+        intervals: no clip, no emptiness test on envelopes, and an envelope
+        only for each one-symbol word (the depth-1 envelopes that one-point
+        pull-backs test).  Meeting them as polygons made 203,237
+        `common_point_exists` and 56 `common_region` calls here."""
+        loaded = cli.load_spec_text(json.dumps(cli.spec_to_doc(SEGMENT_SPECS["gap3"]())))
+        calls = Counter()
+        for module, name in [(oracles, "common_region"), (oracles, "common_point_exists")]:
+            original = getattr(module, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(cli, "resolve_spec", lambda ref: loaded)
+        assert cli.main(["tower", "gap3", "--max-depth", "3"]) == 3
+        assert calls == Counter()
+        assert sorted(loaded.spec._cache["cell_envelope"]) == [(1,), (2,), (3,)]
 
     @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
     def test_interval_overlap_asks_the_oracle_nothing(self, budget, monkeypatch):

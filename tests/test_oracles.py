@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from nervetower import cli, oracles
 from nervetower.classify import check_postunbranched
-from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _collinear_region,
-                                  _region, common_point_exists, common_region, compose)
+from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _region,
+                                  common_point_exists, common_region, compose)
 from nervetower.nerve import (build_iterate_or_subsystem, build_nerve,
                               iterate_system, tower_complexes)
 from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
@@ -20,12 +20,13 @@ from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
                                 certificate_points, generate_pu_nerve,
                                 point_in_cell, word_map)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
-from support import certificate_sets, fraction_geometry, tail_names, unpruned
+from support import certificate_sets, fraction_geometry, segment_cover, tail_names, unpruned
 from support.complexes import simplex_word_sets
 from support.finite_oracle import finite_cycle_system, finite_trivial_system
 from support.points import limit_point
+from support.segment_cover import collinear_region
 from test_classify import derived_systems
-from test_nerve import singular_spec
+from test_nerve import SEGMENT_SPECS, STARVED, _fresh, singular_spec
 
 
 def P(x, y):
@@ -190,11 +191,12 @@ def test_word_points_match_the_fraction_reference(spec, period, preperiod, data)
         assert (kind == "intersect") == bool(expected), (u, v, kind)
 
 
-def _draw_cells(spec, data) -> tuple[Word, ...]:
-    """A pair or triple of distinct words at depth 1-3.  Half the tuples are
-    drawn among words whose envelopes meet the first word's, where meets of
-    one point or a segment occur."""
-    k = data.draw(st.integers(min_value=1, max_value=3))
+def _draw_cells(spec, data, k=None) -> tuple[Word, ...]:
+    """A pair or triple of distinct words at depth k, drawn from 1-3 when not
+    given.  Half the tuples are drawn among words whose envelopes meet the
+    first word's, where meets of one point or a segment occur."""
+    if k is None:
+        k = data.draw(st.integers(min_value=1, max_value=3))
     words = enumerate_words(spec.m, k)
     u = data.draw(st.sampled_from(words))
     near = [v for v in words if v != u and common_point_exists(
@@ -225,12 +227,18 @@ def test_one_point_meets_match_the_per_word_sets(spec, budget, data):
 def test_envelope_meets_match_the_clip(spec, data):
     """The envelope meet is the clip's list, element for element: on
     interval-overlap's systems, whose envelopes are segments on one line,
-    it is taken in the line's coordinate, and on the gasket's by the clip."""
+    it is read off the words' integer intervals, and on the gasket's it is
+    the clip, or the kept depth-1 meet as a set."""
     segments = len(spec.backend.envelope.vertices) == 2
     for _ in range(4):
-        polys = [cell_envelope(spec, w) for w in _draw_cells(spec, data)]
-        assert (_collinear_region(polys) is not None) == segments
+        ws = _draw_cells(spec, data)
+        polys = [cell_envelope(spec, w) for w in ws]
+        assert (collinear_region(polys) is not None) == segments
         assert common_region(polys) == _region(polys)
+        if segments or len(ws[0]) > 1:
+            assert _envelope_meet(spec, ws) == common_region(polys)
+        else:
+            assert set(_envelope_meet(spec, ws)) == set(common_region(polys))
 
 
 @settings(max_examples=20, deadline=None)
@@ -274,9 +282,11 @@ def test_snowflake_tower_clips_each_depth1_meet_once(monkeypatch):
 
 def _assert_deep_meets_match_the_clip(spec, words):
     """Every pair of `words` (equal-length, at depth 2 or more) meets as the
-    clip of its envelopes, element for element, and is clipped exactly when
-    the maps are singular, the first symbols are equal, or the first
-    symbols' envelopes meet in more than one point."""
+    clip of its envelopes, element for element.  On a segment envelope no
+    pair is clipped; on a polygon one, a pair is clipped exactly when the
+    maps are singular, the first symbols are equal, or the first symbols'
+    envelopes meet in more than one point."""
+    segment = len(spec.backend.envelope.vertices) == 2
     depth1 = {(a, b): _envelope_meet(spec, [Word((a,), spec.m), Word((b,), spec.m)])
               for a, b in combinations(range(1, spec.m + 1), 2)}
     clips = 0
@@ -295,7 +305,7 @@ def _assert_deep_meets_match_the_clip(spec, words):
             assert _envelope_meet(spec, (u, v)) == expected, (u, v)
             a, b = sorted((u.symbols[0], v.symbols[0]))
             pulled_back = spec.injective and a != b and len(depth1[(a, b)]) <= 1
-            assert clips == (0 if pulled_back else 1), (u, v)
+            assert clips == (0 if segment or pulled_back else 1), (u, v)
 
 
 @pytest.mark.parametrize("name", ["five-map-funnel", "gasket", "gasket-sub-mixed",
@@ -330,6 +340,65 @@ def test_singular_deep_envelope_meets_are_clipped():
     assert not spec.injective
     for k in (2, 3):
         _assert_deep_meets_match_the_clip(spec, enumerate_words(spec.m, k))
+
+
+def _frontiers(spec, ws, budget, step):
+    """The refinement frontiers of one tuple under the refinement `step`,
+    round by round, as `cells_intersect` would walk them: up to
+    `budget.refine_depth` rounds, and at most three, stopping after an
+    empty frontier or the cap (None)."""
+    alive, frontiers = [tuple(ws)], []
+    for _ in range(min(budget.refine_depth, 3)):
+        alive = step(spec, alive)
+        frontiers.append(alive)
+        if not alive:
+            break
+    return frontiers
+
+
+def _assert_segment_meets_match_the_polygon_reference(spec, budget, data):
+    """At each depth 1-3, on drawn pairs and triples: the integer interval
+    meet is the clip of the cell envelopes and the meet the collinear
+    reference takes in the line's coordinate, element for element; the
+    refinement frontiers are those of refining on the envelopes; and with
+    `_segment_meet` and `_refine` patched to those references, on a fresh
+    spec, the verdict's kind, depth and note are the same."""
+    reference = _fresh(spec)
+    for k in (1, 2, 3):
+        for _ in range(2):
+            ws = _draw_cells(spec, data, k)
+            polys = [cell_envelope(spec, w) for w in ws]
+            assert _envelope_meet(spec, ws) == common_region(polys) == collinear_region(polys)
+            assert _frontiers(spec, ws, budget, oracles._refine) == \
+                _frontiers(reference, ws, budget, segment_cover.refine), ws
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracles, "_segment_meet", segment_cover.envelope_meet)
+                patch.setattr(oracles, "_refine", segment_cover.refine)
+                expected = cells_intersect(reference, ws, budget)
+            got = cells_intersect(spec, ws, budget)
+            assert (got.kind, got.depth, got.note) == \
+                (expected.kind, expected.depth, expected.note), ws
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_SPECS))
+@pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_segment_meets_match_the_polygon_reference(name, budget, data):
+    _assert_segment_meets_match_the_polygon_reference(SEGMENT_SPECS[name](), budget, data)
+
+
+def _gapped_segment(spec) -> bool:
+    return len(spec.backend.envelope.vertices) == 2 and not oracles.envelope_exact(spec)
+
+
+@settings(max_examples=10, deadline=None)
+@given(derived_systems().filter(_gapped_segment), st.sampled_from([Budget(), STARVED]),
+       st.data())
+def test_gapped_derived_segment_meets_match_the_polygon_reference(spec, budget, data):
+    """The same on the interval-overlap subsystems whose depth-1 intervals
+    leave a gap, so that the nerve generator queries the oracle."""
+    _assert_segment_meets_match_the_polygon_reference(spec, budget, data)
 
 
 @pytest.mark.parametrize("name,depth", [("snowflake", 4), ("gasket", 6)])
