@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Literal, Optional
 
 from . import oracles
-from .components import components as nerve_components, stationary_bound
+from .components import stationary_bound
 # common_point_exists is unused here; the tracer self-test in perfbench/tests patches it
 from .exactgeom import Point2, common_point_exists  # noqa: F401
 from .homology import BettiTable
@@ -283,7 +283,7 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
 
     conditions: dict[str, ConditionResult] = {}
 
-    count = nerve_components(n1).count
+    count = n1.components.count
     conditions["base-connected"] = ConditionResult(
         count == 1, f"depth-1 nerve has {count} component(s)")
 

@@ -92,19 +92,18 @@ class ComponentsLevel(_Frozen):
         return label
 
 
-def components(complex_: SimplicialComplex,
-               below: Optional[ComponentsLevel] = None) -> ComponentsLevel:
+def components(complex_: SimplicialComplex) -> ComponentsLevel:
     """The components of each block (the words sharing a first symbol), then
     one union-find over those that unites only the edges crossing blocks.
 
-    Without `below`, a union-find over every edge inside a block finds the
-    components of each block.  `below` must be the components of the
-    complex's block source, whose edges are copied into every block: the
-    components of block j are then j.c for the components c of `below`, and
-    the least vertex of j.c is (j - 1) m^(level - 1) plus that of c.  Only
-    the crossing edges the complex adds are then read, and the work is
-    linear in the number of components, not of vertices.
+    A level without a block source finds the components of each block by a
+    union-find over every edge inside one.  A level with one copies its
+    source's edges into every block (`nerve.SimplicialComplex`), so the
+    components of block j are j.c for the components c the source keeps,
+    and the least vertex of j.c is (j - 1) m^(level - 1) plus that of c.  Only the crossing edges the complex adds are then read,
+    and the work is linear in the number of components, not of vertices.
     """
+    below = None if complex_.block_source is None else complex_.block_source.components
     m = complex_.m
     n = m ** complex_.level
     block = n // m

@@ -448,16 +448,17 @@ def _reduced_table(tower: TowerData, fieldkind: FieldKind, exact_dims: tuple[int
         ranks = {0: 0, 1: counts[0] - level.count}
         if k == 1:
             ranks[2] = len(base_d2)
-        copied = k > 1 and c.block_source is complexes[k - 2]
         for r in exact_dims:
             n_r = counts.get(r, 0)
             if r + 1 not in ranks and n_r:
-                if copied and not c.added.get(r + 1):
+                if c.block_source is not None and not c.added.get(r + 1):
                     # Licence: every (r+1)-simplex of this copy-built level is
-                    # a copy j.s of one of N_{k-1}, whose faces are the copies
-                    # j.f of its faces.  In the bases ordered by block, d_{r+1}
-                    # is then block diagonal with m blocks equal to d_{r+1} of
-                    # N_{k-1}, and the crossing r-simplices add only zero rows.
+                    # a copy j.s of one of its block source, the tower's
+                    # N_{k-1} (`SimplicialComplex`), whose faces are the
+                    # copies j.f of its faces.  In the bases ordered by block,
+                    # d_{r+1} is then block diagonal with m blocks equal to
+                    # d_{r+1} of N_{k-1}, and the crossing r-simplices add
+                    # only zero rows.
                     ranks[r + 1] = c.m * below.get(r + 1, 0)
                 else:
                     ranks[r + 1] = len(_boundaries(c, r + 1, char))

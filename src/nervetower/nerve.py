@@ -63,18 +63,19 @@ class SimplicialComplex(_Frozen):
     crosses blocks when s[0] and s[-1] lie in different ones.
 
     block_source is the level before when the generator built this level as
-    its m block copies j.N plus crossing simplices, and None otherwise.  Such a
-    copy-built level (symbolic levels from depth 2, and geometric ones whose
-    cell maps are all nonsingular) has no uncertain tuples: the simplices
-    inside block j are exactly the copies j.s of block_source's simplices, and
-    `added` holds exactly the simplices that cross blocks.  Depth 1, table
-    levels, levels under singular cell maps, levels with uncertain tuples and
-    levels a truncation sweep built store every simplex in `added`.
+    its m block copies j.N plus crossing simplices, and None otherwise.  This
+    is the block-copy licence every reader takes: a level with a block source
+    has no uncertain tuples, its simplices inside block j are exactly the
+    copies j.s of its source's, `added` holds exactly the ones that cross
+    blocks, and its source has no uncertain tuples and is depth 1 or has a
+    block source itself.  Depth 1, table levels, levels under singular cell
+    maps, levels with uncertain tuples and levels a truncation sweep built
+    store every simplex in `added`.
 
     Readers take what they need: `simplex_counts` follows E_k = m E_{k-1} +
-    c_k, membership and `neighbours` go down the block sources, and
-    `simplices_of` / `simplices` expand the copies for a reader that needs
-    every simplex (reports, `homology.betti`, the full truncation pass).
+    c_k, membership, `neighbours` and `components` go down the block
+    sources, and `simplices_of` / `simplices` expand the copies for a reader
+    that needs every simplex (reports, `homology.betti`).
     """
 
     _fields = ("level", "m", "added", "dim_cap", "complete", "uncertain", "block_source")
@@ -179,6 +180,12 @@ class SimplicialComplex(_Frozen):
         block = self.m ** (self.level - 1)
         first = v - v % block
         return own.union(first + u for u in self.block_source.neighbours(v - first))
+
+    @cached_property
+    def components(self) -> ComponentsLevel:
+        """The components of the 1-skeleton (`components.components`), found
+        once per level."""
+        return components(self)
 
 
 def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
@@ -431,84 +438,75 @@ def _truncate(simplex: tuple[int, ...], ratio: int) -> tuple[int, ...]:
     return tuple(sorted({v // ratio for v in simplex}))
 
 
-def _copy_built_pair(long: SimplicialComplex, short: SimplicialComplex) -> bool:
-    """Whether `long` is the m block copies of `short` plus crossing simplices,
-    `short` is depth 1 or copies of the level below it, and neither has
-    uncertain tuples."""
-    return (long.block_source is short and (short.level == 1 or short.block_source is not None)
-            and not long.uncertain and not short.uncertain)
-
-
 def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> SimplicialComplex:
     """Check the drop-last-symbols map v -> v // m^d from `long` onto
-    `short`, in one pass over the simplices of `long`, and return its
+    `short`, in one pass over the simplices `long` stores, and return its
     target level.  Neither level is changed.
 
     Vertices map onto vertices, so only simplices of dimension >= 1 are
-    read.  Simpliciality is a soundness requirement.  An image missing from
-    `short` raises, unless `short` has uncertain tuples: then the simplex
-    above the image certifies it (cells only grow under truncation).  The
-    target is then a new level: `short` with the images added and the
+    read, and each image is looked up in `short` (`in`, down its block
+    sources).  Simpliciality is a soundness requirement.  An image missing
+    from `short` raises, unless `short` has uncertain tuples: then the
+    simplex above the image certifies it (cells only grow under truncation).
+    The target is then a new level: `short` with the images added and the
     uncertain entries they resolve dropped.  The faces of an image are the
     images of faces of that simplex, so the same pass adds them.  Otherwise
     the target is `short` itself.  A level without uncertain tuples is exact
     up to its cap, and table levels are checked to form a tower when the
     backend is built, so neither gains anything.  Surjectivity holds for
-    true nerves and is checked whenever both levels are free of uncertain
-    tuples.
+    true nerves and is checked, by counting distinct images, whenever both
+    levels are free of uncertain tuples.
 
-    Copy-built pairs check only the simplices that cross blocks, which is
-    what each level stores in `added`.  When `long` is depth k+1 built as
-    the block copies of `short` (its `block_source`) and neither has
-    uncertain tuples, a simplex inside block j of `long` is j.s for a simplex
-    s of `short`.  At k = 1 its image is the vertex j.  At k >= 2, when
-    `short` is built as copies of depth k-1, the image is j.t(s), where t
-    truncates depth k onto depth k-1.  `tower_complexes` checks t as the
-    next pair of the same call (a lone call relies on the generator's own
-    pair below), so t(s) lies in depth k-1 and j.t(s) in block j of `short`,
-    its copy j.N_{k-1}; and t onto depth k-1 covers it, so every simplex
-    inside a block of `short` is an image.  A crossing simplex maps into the
-    blocks of its own first symbols, so its image crosses too.  The images
-    of `long`'s crossing simplices must therefore lie among `short`'s
-    crossing simplices (every simplex of depth 1) and cover them.  Table
-    levels, singular cell maps, levels with uncertain tuples (the
-    certificate sweep) and non-consecutive depths take the full pass.
+    When `long` copies `short` (the block-copy licence of SimplicialComplex)
+    it stores only its crossing simplices.  A simplex inside block j of
+    `long` is j.s for a simplex s of `short`.  At depth k = 1 its image is
+    the vertex j.  At k >= 2 `short` copies depth k-1, and the image is
+    j.t(s), where t truncates depth k onto depth k-1.  `tower_complexes`
+    checks t as the next pair of the same call (a lone call relies on the
+    generator's own pair below), so t(s) lies in depth k-1 and j.t(s) in
+    block j of `short`, its copy j.N_{k-1}; and t onto depth k-1 covers it,
+    so every simplex inside a block of `short` is an image.  A crossing
+    simplex maps into the blocks of its own first symbols, so its image
+    crosses too.  The images must therefore cover the crossing simplices
+    `short` stores.  Any other `long` stores every simplex (one that copies
+    a level other than `short` is expanded), and the images must cover
+    every simplex of `short`.
     """
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
     ratio = long.m ** (long.level - short.level)
-    if _copy_built_pair(long, short):
-        sources, targets = long.added, short.added
-    else:
-        sources, targets = ({dim: c.simplices_of(dim) for dim in c.simplex_counts() if dim}
-                            for c in (long, short))
-    target = {dim: set(sims) for dim, sims in targets.items() if dim}
-    images: dict[int, set[tuple[int, ...]]] = {dim: set() for dim in range(short.dim_cap + 1)}
-    swept = False
-    for sims in sources.values():
+    copied = long.block_source is short
+    sources = long.added if copied or long.block_source is None else long.simplices
+    images: dict[int, set[tuple[int, ...]]] = {}
+    missing: set[tuple[int, ...]] = set()
+    for sims in (sims for dim, sims in sources.items() if dim):
         for s in sims:
             image = _truncate(s, ratio)
             dim = len(image) - 1
+            if image in images.setdefault(dim, set()):
+                continue
             if dim > short.dim_cap:
                 raise ConsistencyError("target complex capped below an image simplex")
-            if dim and image not in target.get(dim, ()):
+            if dim and image not in short:
                 if not short.uncertain:
                     raise ConsistencyError(
                         f"truncation is not simplicial: {s} maps outside depth {short.level}"
                     )
-                target.setdefault(dim, set()).add(image)
-                swept = True
+                missing.add(image)
             images[dim].add(image)
-    if swept:
+    if missing:
+        target = {dim: set(sims) for dim, sims in short.added.items() if dim}
+        for image in missing:
+            target.setdefault(len(image) - 1, set()).add(image)
         short = short.replace(
             added={dim: tuple(sorted(sims)) for dim, sims in sorted(target.items()) if sims},
-            uncertain=tuple(entry for entry in short.uncertain
-                            if entry[0] not in target.get(len(entry[0]) - 1, ())),
-            block_source=None)
-    if not long.uncertain and not short.uncertain and \
-            not all(sims <= images.get(dim, set()) for dim, sims in target.items()):
-        raise ConsistencyError(
-            f"truncation from depth {long.level} misses simplices of depth {short.level}")
+            uncertain=tuple(entry for entry in short.uncertain if entry[0] not in missing))
+    if not long.uncertain and not short.uncertain:
+        counts = ({dim: len(sims) for dim, sims in short.added.items()} if copied
+                  else short.simplex_counts())
+        if any(len(images.get(dim, ())) != n for dim, n in counts.items() if dim):
+            raise ConsistencyError(
+                f"truncation from depth {long.level} misses simplices of depth {short.level}")
     return short
 
 
@@ -537,17 +535,13 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
     each level is replaced by the target it returns, so certificates swept
     into a level reach the level below it too.  The levels `build_nerve`
     returns are left as they are.  No map is kept: truncation is v // m on
-    vertex indices.  The components of a level that copies the tower's level
-    below come from that level's components.
+    vertex indices.  Each level's components are its own (`components`), so
+    a level that copies the level below starts from that level's.
     """
     complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
         complexes[k - 1] = truncation_map(complexes[k], complexes[k - 1])
-    levels: list[ComponentsLevel] = []
-    for k, complex_ in enumerate(complexes):
-        copied = k and complex_.block_source is complexes[k - 1]
-        levels.append(components(complex_, levels[-1] if copied else None))
-    return TowerData(spec, dim_cap, complexes, levels)
+    return TowerData(spec, dim_cap, complexes, [c.components for c in complexes])
 
 
 def build_iterate_or_subsystem(spec: SystemSpec, generator_words: Sequence[Word],

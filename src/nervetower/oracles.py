@@ -398,17 +398,17 @@ def _word_points(spec: SystemSpec, w: Word, budget: Budget) -> frozenset[PointKe
 
 
 def _common_keys(spec: SystemSpec, ws: Sequence[Word], budget: Budget,
-                 region: Optional[list[PointKey]] = None) -> frozenset[PointKey]:
+                 region: Optional[list[PointKey]]) -> frozenset[PointKey]:
     """The in-budget certified points shared by every listed cell.
 
-    `region`, when given, is the meet of the cells' envelopes
-    (`_envelope_meet`).  Tail points are limit points, so they lie in
-    the envelope, and w maps them into w's envelope: every common certified
-    point lies in the meet.  An empty meet has none.  When the meet is one
-    point p and every word's map is injective, p has at most one preimage
-    under w, so p is certified for w exactly when w^-1(p) is a tail point:
-    one lookup per word instead of mapping the whole tail table.  Larger
-    meets and singular maps intersect the per-word point sets.
+    `region` is the meet of the cells' envelopes (`_envelope_meet`), None
+    for a single word, which has no meet.  Tail points are limit points, so
+    they lie in the envelope, and w maps them into w's envelope: every
+    common certified point lies in the meet.  An empty meet has none.  When
+    the meet is one point p and every word's map is injective, p has at most
+    one preimage under w, so p is certified for w exactly when w^-1(p) is a
+    tail point: one lookup per word instead of mapping the whole tail table.
+    Larger meets and singular maps intersect the per-word point sets.
     """
     if region == []:
         return frozenset()

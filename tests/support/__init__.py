@@ -6,10 +6,11 @@
   `nerve._levels` on geometric systems and the sweep that
   `nerve.truncation_map` makes into levels with uncertain tuples.
 * `full_tower`: the truncation pass over every simplex, the union-find
-  over every edge and the parent map read off every vertex; check the
-  crossing-only pass of `nerve.truncation_map`, the block-aware
-  `components.components` and the per-component parents of
-  `components.dim0_facts` on copy-built levels.  `reference_numbers`
+  over every edge and the parent map read off every vertex; check
+  `nerve.truncation_map`, which reads only what each level stores, the
+  block-aware `components.components` and the per-component parents of
+  `components.dim0_facts`, which a level with a block source takes from
+  the block-copy licence of `nerve.SimplicialComplex`.  `reference_numbers`
   reduces the expanded boundaries of every level, against the counts and
   rank recurrences of `homology.tower_analysis`.  `truncation` writes
   v -> v // m^d as the `nerve.SimplicialMap` that `homology.induced_rank`

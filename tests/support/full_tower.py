@@ -1,11 +1,12 @@
 """The full truncation pass, the all-edges union-find and the per-vertex
-parent map: the references that the copy-built paths of
-`nerve.truncation_map`, `components.components` and `components.dim0_facts`
-are checked against.
+parent map: the references that `nerve.truncation_map` and the copy-built
+paths of `components.components` and `components.dim0_facts` are checked
+against.
 
-They look at every simplex and every vertex of a level, without using that a
-copy-built level is m block copies of the level before plus the simplices
-that cross blocks.
+They look at every simplex and every vertex of a level, without using the
+block-copy licence of `nerve.SimplicialComplex`: that a level with a block
+source is m block copies of the level before plus the simplices that cross
+blocks.
 `truncation` writes the same map v -> v // m^d as the `SimplicialMap` that
 `homology.induced_rank` takes.
 """

@@ -59,7 +59,9 @@ class TestComponents:
 
 
 class TestParentLinks:
-    def test_components_computed_once_per_nerve(self, gasket, monkeypatch):
+    def test_components_computed_once_per_nerve(self, monkeypatch):
+        """On a fresh spec, whose levels have not found their components yet."""
+        gasket = cli.load_bundled("gasket").spec
         made = []
 
         class Counting(components_module.ComponentsLevel):

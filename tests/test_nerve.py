@@ -19,7 +19,7 @@ from nervetower.nerve import (SimplicialComplex, TowerData, build_nerve,
                               tower_complexes, truncation_map)
 from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyError,
                                 GeometricBackend, SpecError, SymbolicPUBackend,
-                                SystemSpec)
+                                SystemSpec, TableBackend)
 from nervetower.words import Address, Word, enumerate_words, word_from_string
 from support import segment_cover, unpruned
 from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certificates
@@ -212,6 +212,15 @@ class TestTruncation:
         long, short = tower.complex_at(3), tower.complex_at(1)
         assert truncation_map(long, short) is short
         assert all(v // 9 == short.index_of(truncate(long.word(v), 1)) for v in range(27))
+
+    @pytest.mark.parametrize("name", ["gasket", "pentagasket"])
+    def test_lone_calls_across_depths(self, name):
+        """A copy-built level onto one it does not copy: every simplex of the
+        deeper level is read, and every simplex of the shallower one, copies
+        too, must be an image."""
+        complexes = tower_complexes(cli.load_bundled(name).spec, 4).complexes
+        for short, long in combinations(complexes, 2):
+            assert truncation_map(long, short) is short is full_truncation_map(long, short)
 
     def test_symbolic_tower(self, bundled):
         tower = tower_complexes(bundled("pentagasket").spec, 3)
@@ -1026,8 +1035,7 @@ def assert_fast_paths_match_references(spec, depth, dim_cap=2, budget=Budget()):
             assert lambda_ranks(fast, FieldKind(char), base_d2) == \
                 lambda_ranks(reference, FieldKind(char), base_d2)
     fresh = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
-    return [long.level for long, short in zip(fresh[1:], fresh)
-            if nerve._copy_built_pair(long, short)]
+    return [long.level for long, short in zip(fresh[1:], fresh) if long.block_source is short]
 
 
 def gasket_subsystem(words):
@@ -1141,6 +1149,87 @@ class TestCopyBuiltFastPaths:
                 [(c.count, labels(c)) for c in map(unionfind_components, injected)]
 
 
+GENERATED_SYSTEMS = [name for name in cli.bundled_names()
+                     if not isinstance(cli.load_bundled(name).spec.backend, TableBackend)]
+
+
+def assert_block_sources_are_licensed(spec, depth, dim_cap, budget):
+    """The block-copy licence of `SimplicialComplex`: a level with a block
+    source has no uncertain tuples and copies the level before it, which has
+    none either and is depth 1 or copy-built; in `tower_complexes` that is
+    the tower's level below it."""
+    levels = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    assert levels[0].block_source is None
+    for below, level in zip(levels, levels[1:]):
+        if level.block_source is not None:
+            assert level.block_source is below and not level.uncertain
+            assert not below.uncertain and (below.level == 1 or below.block_source is not None)
+    tower = tower_complexes(spec, depth, dim_cap, budget)
+    for below, level in zip(tower.complexes, tower.complexes[1:]):
+        assert level.block_source is None or level.block_source is below
+
+
+class TestBlockCopyLicence:
+    @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
+    @pytest.mark.parametrize("name", GENERATED_SYSTEMS)
+    def test_bundled_systems(self, name, budget):
+        assert_block_sources_are_licensed(cli.load_bundled(name).spec, 3, 2, budget)
+
+    @settings(max_examples=15, deadline=None)
+    @given(derived_systems(), st.sampled_from([Budget(), STARVED]))
+    def test_derived_systems(self, spec, budget):
+        assert_block_sources_are_licensed(spec, 3, 2, budget)
+
+
+def simplices_read_by_truncation(monkeypatch, spec, depth, budget=Budget()):
+    """The depths of the levels `truncation_map` calls `simplices_of` on
+    while `tower_complexes` builds the tower."""
+    asked, inside = [], []
+    truncate, simplices_of = nerve.truncation_map, SimplicialComplex.simplices_of
+
+    def tracked(long, short):
+        inside.append(True)
+        try:
+            return truncate(long, short)
+        finally:
+            inside.pop()
+
+    def counting(self, dim):
+        if inside:
+            asked.append(self.level)
+        return simplices_of(self, dim)
+
+    monkeypatch.setattr(nerve, "truncation_map", tracked)
+    monkeypatch.setattr(SimplicialComplex, "simplices_of", counting)
+    tower_complexes(spec, depth, budget=budget)
+    return asked
+
+
+# the golden towers' shapes: table levels, singular cell maps, the starved
+# derived spec whose certificates sweep into depths 1 and 2, and copy-built
+# symbolic, polygon and segment towers
+TRUNCATED_TOWERS = {
+    "finite-cycle": (lambda: cli.load_bundled("finite-cycle").spec, 2, Budget()),
+    "banded-annuli": (lambda: cli.load_bundled("banded-annuli").spec, 2, Budget()),
+    "singular": (singular_spec, 3, Budget()),
+    "derived-starved": (lambda: build_iterate_or_subsystem(
+        cli.load_bundled("interval-overlap").spec, [W("11"), W("33"), W("32")]), 3, STARVED),
+    "pentagasket": (lambda: cli.load_bundled("pentagasket").spec, 4, Budget()),
+    "gasket": (lambda: cli.load_bundled("gasket").spec, 4, Budget()),
+    "snowflake": (lambda: cli.load_bundled("snowflake").spec, 3, Budget()),
+    "interval-overlap": (lambda: cli.load_bundled("interval-overlap").spec, 3, Budget()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATED_TOWERS))
+def test_truncation_expands_no_level(monkeypatch, name):
+    """Each pair of a tower is checked from what its levels store: the
+    crossing simplices of a copy-built level, every simplex of any other,
+    and membership in the shallower level through its block sources."""
+    make, depth, budget = TRUNCATED_TOWERS[name]
+    assert simplices_read_by_truncation(monkeypatch, make(), depth, budget) == []
+
+
 def copy_built_pentagasket(drop_image_of=None, add_crossing=None):
     """A fresh pentagasket spec whose cached levels 1..3 are built by hand:
     level 2 with one crossing edge dropped or added, and level 3 as the block
@@ -1185,8 +1274,9 @@ class TestCopyBuiltMutations:
 
 
     def test_swept_level_takes_the_full_pass(self):
-        """A sweep can add a simplex inside a block of the swept level, which
-        is then no copy of the level below: its truncation takes the full pass."""
+        """Hand-built levels outside the block-copy licence: a sweep adds a
+        simplex inside a block of a copy-built level, and the next pass, which
+        reads what that level adds, checks its image too."""
 
         def copy_built(prev, added, uncertain=()):
             return SimplicialComplex(prev.level + 1, 3, {1: tuple(sorted(added))}, 1, True,

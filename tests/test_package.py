@@ -94,3 +94,23 @@ def test_oracles_import_no_layer_above_them():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     assert not imported & {"nerve", "homology", "components", "classify", "cli"}
+
+
+def test_modules_use_every_name_they_import():
+    """A module of the package imports no name that it never reads (a name
+    in `__all__` is read by star imports).  The one exception is
+    `classify.common_point_exists`: perfbench's tracer rebinds every module
+    global bound to a traced function, and its tests patch that binding."""
+    unused = []
+    for path in sorted(Path(nervetower.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.stem == "__init__":
+            read.update(nervetower.__all__)
+        unused += [f"{path.stem}.{name}" for name in imported if name not in read]
+    assert unused == ["classify.common_point_exists"]
