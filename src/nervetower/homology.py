@@ -426,7 +426,8 @@ def _contractible_table(tower: TowerData, exact_dims: tuple[int, ...]):
     a_r = 0 for r > 0, over Q and over every GF(p).  A level capped at
     dim_cap keeps H_r for every exact r, as its (r+1)-skeleton is whole.
     lambda_k is the rank of a map out of H^1(N_1) = 0.  Each level's
-    union-find count is checked to be 1.
+    component count is checked to be 1: `components.components` reads it
+    off the sweep's coverage, with no union-find.
     """
     if any(level.count != 1 for level in tower.components):
         raise ConsistencyError("an envelope-exact nerve must be connected")
@@ -451,7 +452,8 @@ def _reduced_table(tower: TowerData, fieldkind: FieldKind, exact_dims: tuple[int
         for r in exact_dims:
             n_r = counts.get(r, 0)
             if r + 1 not in ranks and n_r:
-                if c.block_source is not None and not c.added.get(r + 1):
+                crossing = c.cover.counts if c.cover else c.added
+                if c.block_source is not None and not crossing.get(r + 1):
                     # Licence: every (r+1)-simplex of this copy-built level is
                     # a copy j.s of one of its block source, the tower's
                     # N_{k-1} (`SimplicialComplex`), whose faces are the

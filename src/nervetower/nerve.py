@@ -10,7 +10,8 @@ stores only that level (its block source) and the simplices that cross
 blocks.  Those are a constant handful per level on postunbranched systems, so
 counts, truncation checks, components and the block-diagonal boundary ranks
 read only what each level adds; the full simplex lists are expanded only for
-a reader that needs every simplex.
+a reader that needs every simplex; a level swept from interval ends only
+counts its simplices above dimension 1 until they are read.
 
 Oracle answers of Unknown do not abort construction: the affected tuples are
 excluded from the complex and recorded in its `uncertain` log, so downstream
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from functools import cache, cached_property, partial
 from itertools import combinations, groupby
-from typing import Iterable, Optional, Sequence
+from math import comb
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import oracles
 from .components import ComponentsLevel, components
@@ -38,6 +40,19 @@ from .oracles import (
 from .words import Word, _Frozen, _Record, enumerate_words, indexed_word, word_index
 
 Simplices = tuple[tuple[int, ...], ...]
+
+
+class IntervalCover(_Frozen):
+    """What the sweep of an envelope-exact level found (`_swept_level`): its
+    cells as integer intervals over den^level (`oracles.interval_ends`), its
+    crossing simplices counted by dimension from 2, and whether the
+    intervals leave no gap."""
+
+    __slots__ = _fields = ("ends", "den", "counts", "connected")
+    ends: Sequence[tuple[int, int]]
+    den: int
+    counts: dict[int, int]
+    connected: bool
 
 
 class SimplicialComplex(_Frozen):
@@ -70,16 +85,23 @@ class SimplicialComplex(_Frozen):
     blocks, and its source has no uncertain tuples and is depth 1 or has a
     block source itself.  Depth 1, table levels, levels under singular cell
     maps, levels with uncertain tuples and levels a truncation sweep built
-    store every simplex in `added`.
+    store every simplex in `added` (up to the cover below).
+
+    cover is set on a level swept from interval ends (`_swept_level`): the
+    nerve of its intervals up to dim_cap, where a tuple is a simplex when its
+    intervals share a point, max lo <= min hi (Helly 1923).  Its `added`
+    lists only edges, and the cover counts the simplices above dimension 1.
 
     Readers take what they need: `simplex_counts` follows E_k = m E_{k-1} +
     c_k, membership, `neighbours` and `components` go down the block
-    sources, and `simplices_of` / `simplices` expand the copies for a reader
-    that needs every simplex (reports, `homology.betti`).
+    sources (membership stops at a cover), and `simplices_of` / `simplices`
+    expand the copies, or sweep the cover's ends, for a reader that needs
+    every simplex (reports, `homology.betti`).
     """
 
-    _fields = ("level", "m", "added", "dim_cap", "complete", "uncertain", "block_source")
-    _defaults = {"uncertain": (), "block_source": None}
+    _fields = ("level", "m", "added", "dim_cap", "complete", "uncertain", "block_source",
+               "cover")
+    _defaults = {"uncertain": (), "block_source": None, "cover": None}
     __slots__ = _fields + ("__dict__",)  # the __dict__ holds the cached_property values
     level: int
     m: int
@@ -88,15 +110,16 @@ class SimplicialComplex(_Frozen):
     complete: bool
     uncertain: tuple[tuple[tuple[int, ...], str], ...]
     block_source: Optional[SimplicialComplex]
+    cover: Optional[IntervalCover]
 
     def replace(self, **changes) -> SimplicialComplex:
         """This complex with the named fields changed, built anew."""
         return SimplicialComplex(**{**dict(zip(self._fields, self._astuple())), **changes})
 
     def __repr__(self) -> str:
-        # The block source is left out: it is the whole chain of levels below.
+        # The block source (every level below) and the cover are left out.
         return ("SimplicialComplex(" + ", ".join(f"{name}={getattr(self, name)!r}"
-                                                 for name in self._fields[:-1]) + ")")
+                                                 for name in self._fields[:-2]) + ")")
 
     @cached_property
     def _expanded(self) -> dict[int, Simplices]:
@@ -115,28 +138,36 @@ class SimplicialComplex(_Frozen):
         counts = {0: self.m ** self.level}
         if self.block_source is not None:
             counts.update((dim, self.m * n) for dim, n in self.block_source._counts.items() if dim)
-        for dim, sims in self.added.items():
-            if dim and sims:
-                counts[dim] = counts.get(dim, 0) + len(sims)
+        added = {dim: len(sims) for dim, sims in self.added.items() if dim and sims}
+        for dim, n in {**added, **(self.cover.counts if self.cover else {})}.items():
+            counts[dim] = counts.get(dim, 0) + n
         return dict(sorted(counts.items()))
 
     def simplex_counts(self) -> dict[int, int]:
         """The number of simplices of each nonempty dimension, m times those of
-        the block source plus the ones added, without expanding any."""
+        the block source plus those added or counted, without expanding any."""
         return dict(self._counts)
 
     def simplices_of(self, dim: int) -> Simplices:
         """The sorted simplices of one dimension, expanded from the block
-        source on a copy-built level (and kept); vertices are built here."""
+        source on a copy-built level, or swept from the cover's ends above
+        dimension 1 (and kept); vertices are built here."""
         if dim == 0:
             return tuple((v,) for v in range(self.m ** self.level))
-        if self.block_source is None:
+        swept = self.cover is not None and dim > 1
+        if self.block_source is None and not swept:
             return self.added.get(dim, ())
         if dim not in self._expanded:
-            block = self.m ** (self.level - 1)
-            copies = [tuple(o + v for v in s) for o in range(0, self.m * block, block)
-                      for s in self.block_source.simplices_of(dim)]
-            self._expanded[dim] = tuple(sorted(copies + list(self.added.get(dim, ()))))
+            if swept:
+                # one block per vertex: every simplex, each listed once
+                listed = [tuple(sorted(s + (v,))) for v, active, _ in _sweep(self.cover.ends, 1)
+                          for s in combinations(active, dim)] if dim <= self.dim_cap else []
+            else:
+                block = self.m ** (self.level - 1)
+                listed = [tuple(o + v for v in s) for o in range(0, self.m * block, block)
+                          for s in self.block_source.simplices_of(dim)]
+                listed += self.added.get(dim, ())
+            self._expanded[dim] = tuple(sorted(listed))
         return self._expanded[dim]
 
     @property
@@ -150,18 +181,24 @@ class SimplicialComplex(_Frozen):
 
     def __contains__(self, simplex: tuple[int, ...]) -> bool:
         """Whether a sorted tuple of vertex indices is a simplex: one inside a
-        block is looked up as the block source's simplex it copies."""
+        block is looked up as the block source's simplex it copies, and a
+        level with a cover tests whether the intervals share a point."""
         if len(simplex) == 1:
             return 0 <= simplex[0] < self.m ** self.level
         level = self
-        while level.block_source is not None:
+        while level.cover is None and level.block_source is not None:
             block = level.m ** (level.level - 1)
             first = simplex[0] - simplex[0] % block
             if simplex[-1] >= first + block:
                 break
             simplex = tuple(v - first for v in simplex)
             level = level.block_source
-        return simplex in level._added_set
+        if level.cover is None:
+            return simplex in level._added_set
+        ends = level.cover.ends
+        return (list(simplex) == sorted(set(simplex)) and len(simplex) <= level.dim_cap + 1
+                and 0 <= simplex[0] and simplex[-1] < len(ends)
+                and max(ends[v][0] for v in simplex) <= min(ends[v][1] for v in simplex))
 
     @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:
@@ -238,9 +275,10 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
       Higher simplices grow as cliques over verified simplices.
     * Interval sweeps.  On a spec that passes `oracles.envelope_exact`,
       every cell is its envelope, an interval or a point on one line, and
-      each level's crossings come from one sweep over its interval ends
-      (`_swept_level`): no envelope meet, candidate pair or clique search,
-      no oracle query, and no uncertain tuple.
+      each level's crossing edges and crossing counts come from one sweep
+      over its interval ends (`_swept_level`): no envelope meet, candidate
+      pair or clique search, no oracle query, no uncertain tuple, and no
+      list above dimension 1.
     * One-point parent meets.  When the cell maps are injective and the
       envelopes of a parent pair (a, b) meet in one point p, only the
       children a x with f_a^-1(p) in env(x) and b y with f_b^-1(p) in env(y)
@@ -265,16 +303,17 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
         uncertain = [] if source is None else [
             (tuple(o + v for v in s), note)
             for o in range(0, spec.m ** level, spec.m ** prev.level) for s, note in prev.uncertain]
+        cover = None
         if symbolic:
             added, complete = _lifted_level(spec, level, dim_cap)
         elif oracles.envelope_exact(spec):
-            added, complete = _swept_level(spec, level, copies, dim_cap)
+            added, complete, cover = _swept_level(spec, level, copies, dim_cap)
         else:
             pairs = _candidate_pairs(spec, prev, copies) if prev else combinations(range(spec.m), 2)
             added, complete = _grow_level(spec, level, pairs, source, uncertain, dim_cap, budget)
         uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
         built = SimplicialComplex(level, spec.m, added, dim_cap, complete, tuple(uncertain),
-                                  source)
+                                  source, cover)
         if uncertain and source is not None:
             built = built.replace(added={dim: built.simplices_of(dim)
                                          for dim in built.simplex_counts() if dim},
@@ -302,44 +341,52 @@ def _lifted_level(spec: SystemSpec, level: int,
 
 
 def _swept_level(spec: SystemSpec, level: int, copies: bool,
-                 dim_cap: int) -> tuple[dict[int, Simplices], bool]:
-    """The simplices of an envelope-exact level up to dim_cap that cross its
-    blocks (all of them, without block `copies`), and whether the level is
-    complete, from one sweep over its interval ends (`oracles.interval_ends`).
+                 dim_cap: int) -> tuple[dict[int, Simplices], bool, IntervalCover]:
+    """The edges of an envelope-exact level that cross its blocks (all of
+    them, without block `copies`), whether the level is complete, and its
+    cover, from one sweep over its interval ends (`oracles.interval_ends`).
 
     Licence: every cell is its envelope, a closed interval of the envelope's
     line (`oracles.envelope_exact`), and intervals that meet pairwise share a
     point (Helly 1923), the largest of their left ends.  Sweeping the
     vertices by (lo, index), the active list A_v holds the earlier u with
     hi_u >= lo_v, so the simplices whose last-starting vertex is v are v
-    with each S in A_v of at most dim_cap vertices, each listed once (the
+    with each S in A_v of at most dim_cap vertices, each found once (the
     interval-graph sweep; Golumbic, Algorithmic Graph Theory and Perfect
     Graphs, 1980).  With copies (every cell map injective), block j is the
     injective phi_j of the level below, so the tuples inside a block are the
-    copies of its simplices, and only those where S holds a vertex off v's
-    block are kept; without, each vertex is a block of its own.  The level
-    is complete when no A_v holds more than dim_cap vertices, which counts
-    the tuples inside blocks too.
+    copies of its simplices, and C(|A_v|, d) - C(|inside_v|, d) of dimension
+    d cross, where S holds a vertex off v's block; without, each vertex is a
+    block of its own.  The level is complete when no A_v holds more than
+    dim_cap vertices, and has no gap when only the first A_v is empty.
     """
     ends = oracles.interval_ends(spec, level)
     block = spec.m ** (level - 1) if copies else 1
-    found: dict[int, list[tuple[int, ...]]] = {dim: [] for dim in range(1, dim_cap + 1)}
-    widest = 0
+    edges: list[tuple[int, int]] = []
+    counts = dict.fromkeys(range(2, dim_cap + 1), 0)
+    widest = starts = 0
+    for v, off, inside in _sweep(ends, block):
+        active = len(off) + len(inside)
+        widest, starts = max(widest, active), starts + (not active)
+        edges += [(u, v) if u < v else (v, u) for u in off]
+        for dim in counts:
+            counts[dim] += comb(active, dim) - comb(len(inside), dim)
+    cover = IntervalCover(ends, oracles._line_maps(spec)[1],
+                          {dim: n for dim, n in counts.items() if n}, starts == 1)
+    return {1: tuple(sorted(edges))} if edges else {}, widest <= dim_cap, cover
+
+
+def _sweep(ends: Sequence[tuple[int, int]], block: int) -> Iterator[tuple[int, list, list]]:
+    """Each vertex v in order of (lo, index), with its active list A_v (the
+    earlier vertices whose intervals reach lo_v) split into the vertices off
+    v's block and those inside it."""
     active: list[int] = []
     for v in sorted(range(len(ends)), key=lambda v: ends[v][0]):
         lo = ends[v][0]
         active = [u for u in active if ends[u][1] >= lo]
-        off = [u for u in active if u // block != v // block]
-        inside = [u for u in active if u // block == v // block]
-        widest = max(widest, len(active))
-        if off:
-            for dim in range(1, min(dim_cap, len(active)) + 1):
-                for k in range(max(1, dim - len(inside)), min(dim, len(off)) + 1):
-                    found[dim] += [tuple(sorted((v,) + far + near))
-                                   for far in combinations(off, k)
-                                   for near in combinations(inside, dim - k)]
+        yield (v, [u for u in active if u // block != v // block],
+               [u for u in active if u // block == v // block])
         active.append(v)
-    return {dim: tuple(sorted(sims)) for dim, sims in found.items() if sims}, widest <= dim_cap
 
 
 def _candidate_pairs(spec: SystemSpec, prev: SimplicialComplex,
@@ -471,12 +518,29 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
     `short` stores.  Any other `long` stores every simplex (one that copies
     a level other than `short` is expanded), and the images must cover
     every simplex of `short`.
+
+    When both levels have a cover and one dim_cap (the nesting licence),
+    each interval of `long` must lie in its parent's, scaled by den^d:
+    m^level comparisons, and no simplex read.  A point common to some cells
+    lies in their parents, so the map is simplicial; each cell is the union
+    of its children's (`oracles.envelope_exact`), so a point common to some
+    cells of `short` lies in a child of each, and the map is surjective.  A
+    level with a cover lists edges only, so against any other level, or one
+    capped otherwise, it is read whole.
     """
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
     ratio = long.m ** (long.level - short.level)
-    copied = long.block_source is short
-    sources = long.added if copied or long.block_source is None else long.simplices
+    if long.cover and short.cover and long.dim_cap == short.dim_cap:
+        scale = long.cover.den ** (long.level - short.level)
+        parents = short.cover.ends
+        for v, (lo, hi) in enumerate(long.cover.ends):
+            if lo < parents[v // ratio][0] * scale or hi > parents[v // ratio][1] * scale:
+                raise ConsistencyError(f"truncation is not simplicial: the cell of vertex {v} "
+                                       f"of depth {long.level} leaves its parent's")
+        return short
+    copied = long.block_source is short and not long.cover and not short.cover
+    sources = long.added if copied or not (long.block_source or long.cover) else long.simplices
     images: dict[int, set[tuple[int, ...]]] = {}
     missing: set[tuple[int, ...]] = set()
     for sims in (sims for dim, sims in sources.items() if dim):

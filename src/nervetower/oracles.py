@@ -581,15 +581,17 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
 def _refine(spec: SystemSpec, alive: list[tuple[Word, ...]]) -> Optional[list[tuple[Word, ...]]]:
     """One refinement step: every child tuple of an alive tuple (each word
     extended by one symbol) whose cell envelopes meet, or None once more than
-    _ALIVE_CAP children survive.  A segment spec reads the meet off the
-    children's intervals (`_segment_meet`); any other tests the envelopes."""
+    _ALIVE_CAP children survive.  On a segment spec the children's
+    envelopes are their integer intervals (`_word_interval`), which meet
+    when max lo <= min hi; any other spec tests the envelopes."""
     m, frontier = spec.m, []
+    segment = len(spec.backend.envelope.vertices) == 2
     for tup in alive:
-        for child in product(*([Word._of(w.symbols + (j,), m) for j in range(1, m + 1)]
-                               for w in tup)):
-            meet = _segment_meet(spec, child)
-            if meet is None:
-                meet = common_point_exists([cell_envelope(spec, w) for w in child])
+        kids = [[Word._of(w.symbols + (j,), m) for j in range(1, m + 1)] for w in tup]
+        spans = [[_word_interval(spec, w.symbols) for w in ws] for ws in kids] if segment else kids
+        for child, ends in zip(product(*kids), product(*spans)):
+            meet = (max(lo for lo, _ in ends) <= min(hi for _, hi in ends) if segment
+                    else common_point_exists([cell_envelope(spec, w) for w in child]))
             if meet:
                 frontier.append(child)
                 if len(frontier) > _ALIVE_CAP:

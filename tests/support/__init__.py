@@ -7,10 +7,12 @@
   `nerve.truncation_map` makes into levels with uncertain tuples.
 * `full_tower`: the truncation pass over every simplex, the union-find
   over every edge and the parent map read off every vertex; check
-  `nerve.truncation_map`, which reads only what each level stores, the
-  block-aware `components.components` and the per-component parents of
-  `components.dim0_facts`, which a level with a block source takes from
-  the block-copy licence of `nerve.SimplicialComplex`.  `reference_numbers`
+  `nerve.truncation_map`, which reads only what each level stores (and
+  only the nesting of the intervals on a pair of levels with covers), the
+  block-aware and coverage paths of `components.components` and the
+  per-component parents of `components.dim0_facts`, which a level with a
+  block source takes from the block-copy licence of
+  `nerve.SimplicialComplex`.  `reference_numbers`
   reduces the expanded boundaries of every level, against the counts and
   rank recurrences of `homology.tower_analysis`.  `truncation` writes
   v -> v // m^d as the `nerve.SimplicialMap` that `homology.induced_rank`
@@ -61,13 +63,18 @@
   one line in the line's coordinate, read off the polygons' vertices
   (`span`), and `envelope_meet` applies it to the cell envelopes of a
   segment spec; they check the integer interval meets of
-  `oracles._segment_meet`, and through them `_envelope_meet`, `_refine`
-  and `cells_intersect`, against the clip.  The interval sweep
-  `nerve._swept_level` has no module here: its reference is the oracle
-  generator itself, run with `oracles.envelope_exact` patched off and
-  `oracles._segment_meet` patched to `envelope_meet`, so that it reads
-  nothing of `oracles._line_maps` (`_licensed_and_queried` in
-  `tests/test_nerve.py`), compared level by level at dim caps 1, 2 and 3.
+  `oracles._segment_meet`, and through it `_envelope_meet` and
+  `cells_intersect`, against the clip; `refine` refines on the envelopes,
+  against the integer interval test of `oracles._refine`.  The interval
+  sweep `nerve._swept_level` has no module here: its reference is the
+  oracle generator itself, run with `oracles.envelope_exact` patched off,
+  `oracles._segment_meet` patched to `envelope_meet` and `oracles._refine`
+  to `refine`, so that it reads nothing of `oracles._line_maps`
+  (`_licensed_and_queried` in `tests/test_nerve.py`, which refuses any
+  read).  Level by level at dim caps 1, 2 and 3, a level with a cover
+  must give the reference's counts, its simplices of every dimension
+  (listed by the sweep above dimension 1) and its answer to `in`, and its
+  components by coverage must be those of `full_tower`'s union-find.
 * `pu_walk`: the postunbranched check asked at every depth 1..d; checks
   the orbit walk of `classify.check_postunbranched`, as a whole `PUReport`,
   at the depth `pu_walk.every_depth(budget)` where it decides every depth.

@@ -6,7 +6,9 @@ against.
 They look at every simplex and every vertex of a level, without using the
 block-copy licence of `nerve.SimplicialComplex`: that a level with a block
 source is m block copies of the level before plus the simplices that cross
-blocks.
+blocks.  Nor do they use a level's cover: on a level swept from interval
+ends they read the simplices its sweep lists, not the nesting of its
+intervals or their coverage.
 `truncation` writes the same map v -> v // m^d as the `SimplicialMap` that
 `homology.induced_rank` takes.
 """

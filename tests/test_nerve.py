@@ -1,10 +1,12 @@
 """Nerve construction, truncation maps, towers, block and derived systems."""
 
+import importlib
 import json
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 from unittest.mock import patch
 
 import pytest
@@ -12,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from nervetower import FrozenInstanceError, cli, homology, nerve, oracles
 from nervetower.classify import check_postunbranched
+from nervetower.components import dim0_facts
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
 from nervetower.homology import FieldKind, betti_exact, lambda_ranks
-from nervetower.nerve import (SimplicialComplex, TowerData, build_nerve,
+from nervetower.nerve import (IntervalCover, SimplicialComplex, TowerData, build_nerve,
                               build_iterate_or_subsystem, iterate_system,
                               tower_complexes, truncation_map)
 from nervetower.oracles import (AddressConsistencyError, Budget, ConsistencyError,
@@ -26,9 +29,11 @@ from support.allpairs_nerve import allpairs_nerve, allpairs_tower, sweep_certifi
 from support.complexes import (block_subcomplex, edge_sets, euler_characteristic,
                                simplex_word_sets)
 from support.full_tower import (full_truncation_map, labels, reference_tower,
-                                unionfind_components)
+                                unionfind_components, vertex_parents)
 from support.pu_nerve import capped, pu_nerve, truncate
 from test_classify import derived_systems
+
+components_module = importlib.import_module("nervetower.components")
 
 
 def P(x, y):
@@ -689,15 +694,22 @@ def _fresh(spec):
     return SystemSpec(spec.name, spec.orientation, spec.m, spec.backend)
 
 
+def _unread(spec):
+    raise AssertionError("the reference read the integer line maps")
+
+
 def _licensed_and_queried(spec, depth, budget, dim_cap):
     """The levels the interval sweep builds, and those the oracle builds with
     the licence patched off (the reference), each on a fresh spec.  The
-    reference also meets segment envelopes by the collinear reference
-    (`segment_cover.envelope_meet`), not by the oracle's integer intervals,
-    so that it does not read `oracles._line_maps`, which the sweep reads."""
+    reference also meets and refines segment envelopes by the collinear
+    references (`segment_cover.envelope_meet` and `segment_cover.refine`),
+    not by the oracle's integer intervals, so that it does not read
+    `oracles._line_maps`, which the sweep reads."""
     licensed = nerve._levels(_fresh(spec), depth, dim_cap, budget)
     with patch.object(oracles, "envelope_exact", lambda spec: False), \
-            patch.object(oracles, "_segment_meet", segment_cover.envelope_meet):
+            patch.object(oracles, "_segment_meet", segment_cover.envelope_meet), \
+            patch.object(oracles, "_refine", segment_cover.refine), \
+            patch.object(oracles, "_line_maps", _unread):
         queried = nerve._levels(_fresh(spec), depth, dim_cap, budget)
     return licensed, queried
 
@@ -716,11 +728,56 @@ def assert_agrees_with_the_oracle(spec, depth, budget, dim_cap):
         assert new.uncertain == ()
         if not old.uncertain:
             assert (new.simplices, new.complete) == (old.simplices, old.complete)
+            assert_lists_and_answers_as(new, old)
             continue
         held = [set(s) for s, _note in old.uncertain]
         assert _simplex_set(old) <= _simplex_set(new)
         for s in _simplex_set(new) - _simplex_set(old):
             assert any(u <= set(s) for u in held)
+
+
+def assert_lists_and_answers_as(new, old):
+    """A level with a cover against the oracle's level: the same counts, the
+    same simplices of each dimension up to one past the cap, and the same
+    answer to `in` on each of them and on tuples that are not all simplices:
+    about 100 sorted tuples of each size, each listed simplex reversed, and
+    a tuple that runs past the last vertex."""
+    assert new.cover is not None and old.cover is None
+    assert new.simplex_counts() == old.simplex_counts()
+    n = new.m ** new.level
+    for dim in range(new.dim_cap + 2):
+        listed = new.simplices_of(dim)
+        assert listed == old.simplices_of(dim)
+        sample = islice(combinations(range(n), dim + 1), 0, None,
+                        max(1, comb(n, dim + 1) // 100))
+        tried = [*listed, *sample, *(s[::-1] for s in listed if dim),
+                 tuple(range(n - dim, n + 1))]
+        assert [s in new for s in tried] == [s in old for s in tried]
+
+
+def assert_components_match_the_union_find(spec, depth, dim_cap, budget):
+    """The components of a tower whose levels have covers, with no
+    union-find built, against the union-find over every edge
+    (`full_tower.unionfind_components`): count, representatives and the
+    label of every vertex, and the parents `dim0_facts` reads off one
+    vertex per component against those of every vertex."""
+    built = []
+
+    class Counted(components_module.UnionFind):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    with patch.object(components_module, "UnionFind", Counted):
+        tower = tower_complexes(_fresh(spec), depth, dim_cap, budget)
+        levels = [c.components for c in tower.complexes]
+    assert built == [] and all(c.cover is not None for c in tower.complexes)
+    reference = [unionfind_components(c) for c in tower.complexes]
+    assert [(lv.count, lv.representatives, labels(lv)) for lv in levels] == \
+        [(lv.count, lv.representatives, labels(lv)) for lv in reference]
+    facts = dim0_facts(tower, assert_injective=False, postunbranched=None, n1_betti=None)
+    assert facts.parents == [vertex_parents(deep, shallow, spec.m)
+                             for deep, shallow in zip(reference[1:], reference)]
 
 
 DIM_CAPS = [1, 2, 3]
@@ -773,14 +830,25 @@ class TestEnvelopeExact:
     def test_segments_agree_with_the_oracle(self, name, budget, dim_cap):
         assert_agrees_with_the_oracle(SEGMENT_SPECS[name](), 3, budget, dim_cap)
 
+    @settings(max_examples=15, deadline=None)
+    @given(covering_systems(), st.sampled_from(DIM_CAPS))
+    def test_covering_systems_have_the_union_find_components(self, spec, dim_cap):
+        assert_components_match_the_union_find(spec, 3 if spec.m <= 5 else 2, dim_cap, Budget())
+
+    @pytest.mark.parametrize("name", LICENSED_SEGMENTS)
+    @pytest.mark.parametrize("dim_cap", DIM_CAPS)
+    def test_segments_have_the_union_find_components(self, name, dim_cap):
+        assert_components_match_the_union_find(SEGMENT_SPECS[name](), 4, dim_cap, Budget())
+
     @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
     @pytest.mark.parametrize("dim_cap", DIM_CAPS)
     def test_interval_overlap_equals_the_oracle(self, budget, dim_cap):
         licensed, queried = _licensed_and_queried(cli.load_bundled("interval-overlap").spec,
                                                   5, budget, dim_cap)
         assert [c.uncertain for c in queried] == [()] * 5
-        assert [(c.added, c.complete, c.block_source is None) for c in licensed] == \
-            [(c.added, c.complete, c.block_source is None) for c in queried]
+        assert [(c.simplices, c.added.get(1), c.complete, c.block_source is None)
+                for c in licensed] == \
+            [(c.simplices, c.added.get(1), c.complete, c.block_source is None) for c in queried]
 
     def test_interval_overlap_tower_clips_nothing(self, monkeypatch):
         """A licensed tower reads its interval ends only: no envelope, no
@@ -838,6 +906,47 @@ class TestEnvelopeExact:
         assert queried[1].simplex_counts() == {0: 4}
         assert licensed[1].simplices_of(1) == held
         assert licensed[1].uncertain == ()
+
+
+class TestNestingLicence:
+    """A pair of levels with covers is truncated by the nesting of their
+    intervals, with no simplex read."""
+
+    def levels(self, depth):
+        spec = cli.load_bundled("interval-overlap").spec
+        return spec, [build_nerve(spec, k, 2) for k in range(1, depth + 1)]
+
+    def test_lone_calls_across_depths_match_the_full_pass(self):
+        _spec, levels = self.levels(4)
+        for long, short in combinations(reversed(levels), 2):
+            assert truncation_map(long, short) is short is full_truncation_map(long, short)
+
+    @pytest.mark.parametrize("caps", [(1, 2), (2, 3), (3, 2)])
+    def test_levels_capped_otherwise_match_the_full_pass(self, caps):
+        """A deeper level capped below its target misses the target's top
+        simplices, and one capped above it has images the target lacks."""
+        spec = cli.load_bundled("interval-overlap").spec
+        long, short = build_nerve(spec, 3, caps[0]), build_nerve(spec, 2, caps[1])
+        expected = outcome(lambda: full_truncation_map(long, short))
+        assert expected is not None
+        assert outcome(lambda: truncation_map(long, short)) == expected
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["lo", "hi"])
+    def test_a_child_that_leaves_its_parent_is_not_simplicial(self, side):
+        """Vertex 4 (word 22) starts one step before its parent, word 2, or
+        ends one step after it."""
+        spec, (n1, n2) = self.levels(2)
+        den, ends = n2.cover.den, list(n2.cover.ends)
+        end = list(ends[4])
+        end[side] = n1.cover.ends[1][side] * den + (1 if side else -1)
+        ends[4] = tuple(end)
+        moved = n2.replace(cover=IntervalCover(ends, den, n2.cover.counts, n2.cover.connected))
+        message = re.escape("truncation is not simplicial: the cell of vertex 4 of depth 2")
+        with pytest.raises(ConsistencyError, match=message):
+            truncation_map(moved, n1)
+        spec._cache[("nerve_levels", 2, Budget())] = [n1, moved]
+        with pytest.raises(ConsistencyError, match=message):
+            tower_complexes(spec, 2, 2)
 
 
 def addresses(m):
@@ -1071,6 +1180,28 @@ def mutated_levels(levels, k, mutated):
     return out
 
 
+def without_covers(levels):
+    """The levels with their covers taken off: each stores its simplices of
+    every dimension, the crossing ones under a block source, as the oracle
+    generator stores them.  A level with a cover lists nothing above
+    dimension 1 and is truncated by the nesting of its intervals, so a
+    mutation of what it stores is made on these; `TestNestingLicence`
+    mutates the intervals."""
+    out = []
+    for level in levels:
+        if level.cover is None:
+            out.append(level)
+            continue
+        block = level.m ** (level.level - 1)
+        added = {dim: tuple(s for s in level.simplices_of(dim)
+                            if level.block_source is None or s[0] // block != s[-1] // block)
+                 for dim in level.simplex_counts() if dim}
+        out.append(level.replace(added={dim: sims for dim, sims in added.items() if sims},
+                                 cover=None,
+                                 block_source=out[-1] if level.block_source else None))
+    return out
+
+
 def outcome(check):
     try:
         check()
@@ -1122,7 +1253,8 @@ class TestCopyBuiltFastPaths:
         pair again in the copies of every deeper one."""
         make, depth = COPY_BUILT_SYSTEMS[name]
         spec, dim_cap, budget = make(), 2, Budget()
-        levels = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+        levels = without_covers([build_nerve(spec, k, dim_cap, budget)
+                                 for k in range(1, depth + 1)])
         k = data.draw(st.integers(min_value=1, max_value=depth - 1))
         level = levels[k - 1]
         block = spec.m ** (k - 1)

@@ -4,16 +4,20 @@ guards on what a deep symbolic tower reads.  Envelope-exact towers take
 their numbers from the nerve theorem; they are checked against the same
 reference, and guarded to reduce no boundary."""
 
+import importlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nervetower import cli, homology, oracles
-from nervetower.components import ComponentsLevel, dim0_facts
+from nervetower import cli, homology, nerve, oracles
+from nervetower.components import ComponentsLevel, component_tower, dim0_facts
 from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import SimplicialComplex, tower_complexes
 from nervetower.oracles import Budget, ConsistencyError
-from support.full_tower import labels, reference_numbers, reference_tower
+from support.full_tower import (labels, reference_numbers, reference_tower,
+                                unionfind_components)
 from test_acceptance import SUITE_DEPTHS, SUITE_DIM_CAPS
 from test_classify import derived_systems
 from test_nerve import LICENSED_SEGMENTS, SEGMENT_SPECS, covering_systems
@@ -117,6 +121,51 @@ def test_interval_overlap_depth6_reduces_no_boundary(monkeypatch, tmp_path):
     assert (reductions, expanded) == ([], [])
 
 
+@pytest.mark.parametrize("dim_cap", [2, 3])
+def test_interval_overlap_depth6_maps_no_image(monkeypatch, dim_cap):
+    """A licensed tower stays implicit through `tower_complexes`,
+    `tower_analysis` and `component_tower`: truncation checks the nesting
+    of the intervals and forms no image, the components come from the
+    sweep's coverage with no union-find, and no level lists a simplex above
+    dimension 1 (listing them, the levels stored 74,260 crossing triangles
+    at dim cap 2, and truncation formed 79,724 images)."""
+    components_module = importlib.import_module("nervetower.components")
+    images, finds, listed = [], [], []
+    truncate, union_find = nerve._truncate, components_module.UnionFind
+    simplices_of = SimplicialComplex.simplices_of
+
+    def recording(self, dim):
+        if dim > 1:
+            listed.append((self.level, dim))
+        return simplices_of(self, dim)
+
+    monkeypatch.setattr(nerve, "_truncate", lambda s, ratio: images.append(s) or truncate(s, ratio))
+    monkeypatch.setattr(components_module, "UnionFind", lambda n: finds.append(n) or union_find(n))
+    monkeypatch.setattr(SimplicialComplex, "simplices_of", recording)
+    tower = tower_complexes(cli.load_bundled("interval-overlap").spec, 6, dim_cap)
+    table = tower_analysis(tower, FieldKind(0))
+    assert component_tower(tower, table.facts).counts == [1] * 6
+    assert (images, finds, listed) == ([], [], [])
+    assert [max(c.added) for c in tower.complexes] == [1] * 6
+
+
+def test_interval_overlap_depth8_in_little_memory(capsys):
+    """`tower interval-overlap --max-depth 8` in-process, traced: its levels
+    hold their edges and counts only, and the traced peak stays under
+    40 MiB (listing every triangle, the run peaked at 411 MiB resident)."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        assert cli.main(["tower", "interval-overlap", "--max-depth", "8"]) == cli.EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert capsys.readouterr().out.splitlines()[-1] == "8,1,0,,0,1"
+    assert peak < 40 * 2 ** 20
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_a_licensed_tower_in_two_components_is_inconsistent(depth):
     """The nerve theorem makes every envelope-exact nerve connected, so a
@@ -125,6 +174,21 @@ def test_a_licensed_tower_in_two_components_is_inconsistent(depth):
     tower = tower_complexes(cli.load_bundled("interval-overlap").spec, 2, 2)
     level = tower.components[depth - 1]
     tower.components[depth - 1] = ComponentsLevel(2, *level._astuple()[1:])
+    with pytest.raises(ConsistencyError, match="envelope-exact nerve must be connected"):
+        tower_analysis(tower, FieldKind(0))
+
+
+def test_a_swept_gap_is_left_to_the_union_find(monkeypatch):
+    """Forced through the sweep, the gap spec's depth-1 intervals leave
+    (1/2, 2/3) uncovered: the sweep records the gap, no level is taken as
+    one component by coverage, the union-find finds what it finds on every
+    edge, and the nerve-theorem table refuses the tower."""
+    monkeypatch.setattr(oracles, "envelope_exact", lambda spec: True)
+    monkeypatch.setattr(homology, "envelope_exact", lambda spec: True)
+    tower = tower_complexes(SEGMENT_SPECS["gap"](), 3, 2)
+    assert [c.cover.connected for c in tower.complexes] == [False] * 3
+    assert [lv.count for lv in tower.components] == [2, 5, 13] == \
+        [unionfind_components(c).count for c in tower.complexes]
     with pytest.raises(ConsistencyError, match="envelope-exact nerve must be connected"):
         tower_analysis(tower, FieldKind(0))
 
