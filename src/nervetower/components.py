@@ -15,7 +15,7 @@ A level built as block copies of the level below takes its components from
 that level's and the union along its crossing edges, in work linear in the
 number of components; vertex labels are read down that chain on demand, and
 the parent links take one lookup per component.  A level swept from interval
-ends that leave no gap is one component by coverage, with no union-find.
+ends is one component by coverage, with no union-find.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class ComponentsLevel(_Frozen):
     the words sharing one): the least vertex of each end's component within
     its block, in the edge's order.
 
-    A level found by a pass over every edge has `below` None and ids[v] the
-    component of vertex v.  A level found from the components `below` of its
+    A level found by a pass over every edge, or by coverage, has `below`
+    None and ids[v] the component of vertex v.  A level found from the components `below` of its
     block source has, for block j (from 0) and component c of `below`,
     ids[j below.count + c] the component holding j.c; `block` is the number
     of words in a block.  `label` reads the component of a vertex off
@@ -101,24 +101,27 @@ def components(complex_: SimplicialComplex) -> ComponentsLevel:
     union-find over every edge inside one.  A level with one copies its
     source's edges into every block (`nerve.SimplicialComplex`), so the
     components of block j are j.c for the components c the source keeps,
-    and the least vertex of j.c is (j - 1) m^(level - 1) plus that of c.  Only the crossing edges the complex adds are then read,
-    and the work is linear in the number of components, not of vertices.
+    and the least vertex of j.c is (j - 1) m^(level - 1) plus that of c.
+    Only the crossing edges the complex adds are then read, and the work is
+    linear in the number of components, not of vertices.
 
-    A level with a cover whose intervals leave no gap is one component, with
-    no union-find: an interval graph is connected when the union of its
-    intervals is.  So is each block, the image under phi_j of the level
-    below (`oracles.interval_ends`), whose union is the envelope.
+    A level with a cover is one component, with no union-find: its
+    intervals leave no gap (`nerve._swept_level` refuses a level with one),
+    and an interval graph is connected when the union of its intervals is.
+    So is each block, the image under phi_j of the level below
+    (`oracles.interval_ends`), whose union is the envelope; each edge
+    between blocks j and k, of those the cover tallies, is the pair of
+    their first vertices.
     """
-    below = None if complex_.block_source is None else complex_.block_source.components
     m = complex_.m
     n = m ** complex_.level
     block = n // m
-    if complex_.cover and complex_.cover.connected and (below is None or below.count == 1):
+    if complex_.cover:
         # one tuple per pair of blocks, shared by the edges between them
-        pairs = {(j, k): (j * block, k * block) for j in range(m) for k in range(j + 1, m)}
-        crossing = tuple(pairs[a // block, b // block] for a, b in complex_.added.get(1, ())
-                         if a // block != b // block)
-        return ComponentsLevel(1, (0,), crossing, (0,) * (m if below else n), block, below)
+        crossing = tuple(pair for (j, k), count in complex_.cover.crossing.items()
+                         for pair in [(j * block, k * block)] * count)
+        return ComponentsLevel(1, (0,), crossing, (0,) * n, block)
+    below = None if complex_.block_source is None else complex_.block_source.components
     # within(v) is the component of v within its block; they are numbered in
     # order of their least vertices, least[x]
     if below is None:

@@ -427,7 +427,8 @@ def _contractible_table(tower: TowerData, exact_dims: tuple[int, ...]):
     dim_cap keeps H_r for every exact r, as its (r+1)-skeleton is whole.
     lambda_k is the rank of a map out of H^1(N_1) = 0.  Each level's
     component count is checked to be 1: `components.components` reads it
-    off the sweep's coverage, with no union-find.
+    off the coverage that `nerve._swept_level` keeps as an invariant, with
+    no union-find, so only a tower built otherwise can fail the check.
     """
     if any(level.count != 1 for level in tower.components):
         raise ConsistencyError("an envelope-exact nerve must be connected")
@@ -452,8 +453,7 @@ def _reduced_table(tower: TowerData, fieldkind: FieldKind, exact_dims: tuple[int
         for r in exact_dims:
             n_r = counts.get(r, 0)
             if r + 1 not in ranks and n_r:
-                crossing = c.cover.counts if c.cover else c.added
-                if c.block_source is not None and not crossing.get(r + 1):
+                if c.block_source is not None and not c.added.get(r + 1):
                     # Licence: every (r+1)-simplex of this copy-built level is
                     # a copy j.s of one of its block source, the tower's
                     # N_{k-1} (`SimplicialComplex`), whose faces are the

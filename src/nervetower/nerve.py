@@ -10,8 +10,9 @@ stores only that level (its block source) and the simplices that cross
 blocks.  Those are a constant handful per level on postunbranched systems, so
 counts, truncation checks, components and the block-diagonal boundary ranks
 read only what each level adds; the full simplex lists are expanded only for
-a reader that needs every simplex; a level swept from interval ends only
-counts its simplices above dimension 1 until they are read.
+a reader that needs every simplex.  A level swept from interval ends stands
+alone: it stores its intervals and counts, and lists no simplex until one is
+read.
 
 Oracle answers of Unknown do not abort construction: the affected tuples are
 excluded from the complex and recorded in its `uncertain` log, so downstream
@@ -45,14 +46,15 @@ Simplices = tuple[tuple[int, ...], ...]
 class IntervalCover(_Frozen):
     """What the sweep of an envelope-exact level found (`_swept_level`): its
     cells as integer intervals over den^level (`oracles.interval_ends`), its
-    crossing simplices counted by dimension from 2, and whether the
-    intervals leave no gap."""
+    simplices counted by dimension from 1, and the number of edges between
+    each pair of blocks (j, k), j < k, from 0.  Its intervals leave no gap:
+    the sweep refuses a level that has one."""
 
-    __slots__ = _fields = ("ends", "den", "counts", "connected")
+    __slots__ = _fields = ("ends", "den", "counts", "crossing")
     ends: Sequence[tuple[int, int]]
     den: int
     counts: dict[int, int]
-    connected: bool
+    crossing: dict[tuple[int, int], int]
 
 
 class SimplicialComplex(_Frozen):
@@ -85,18 +87,19 @@ class SimplicialComplex(_Frozen):
     blocks, and its source has no uncertain tuples and is depth 1 or has a
     block source itself.  Depth 1, table levels, levels under singular cell
     maps, levels with uncertain tuples and levels a truncation sweep built
-    store every simplex in `added` (up to the cover below).
+    store every simplex in `added`.
 
-    cover is set on a level swept from interval ends (`_swept_level`): the
-    nerve of its intervals up to dim_cap, where a tuple is a simplex when its
-    intervals share a point, max lo <= min hi (Helly 1923).  Its `added`
-    lists only edges, and the cover counts the simplices above dimension 1.
+    cover is set on a level swept from interval ends (`_swept_level`), which
+    stands alone: no block source, `added` empty and nothing uncertain.  It
+    is the nerve of its intervals up to dim_cap, where a tuple is a simplex
+    when its intervals share a point, max lo <= min hi (Helly 1923); the
+    cover counts its simplices, and its intervals leave no gap.
 
     Readers take what they need: `simplex_counts` follows E_k = m E_{k-1} +
-    c_k, membership, `neighbours` and `components` go down the block
-    sources (membership stops at a cover), and `simplices_of` / `simplices`
-    expand the copies, or sweep the cover's ends, for a reader that needs
-    every simplex (reports, `homology.betti`).
+    c_k or reads the cover's counts, membership, `neighbours` and
+    `components` go down the block sources, and `simplices_of` /
+    `simplices` expand the copies, or sweep the cover's ends, for a reader
+    that needs every simplex (reports, `homology.betti`).
     """
 
     _fields = ("level", "m", "added", "dim_cap", "complete", "uncertain", "block_source",
@@ -139,28 +142,28 @@ class SimplicialComplex(_Frozen):
         if self.block_source is not None:
             counts.update((dim, self.m * n) for dim, n in self.block_source._counts.items() if dim)
         added = {dim: len(sims) for dim, sims in self.added.items() if dim and sims}
-        for dim, n in {**added, **(self.cover.counts if self.cover else {})}.items():
+        for dim, n in (self.cover.counts if self.cover else added).items():
             counts[dim] = counts.get(dim, 0) + n
         return dict(sorted(counts.items()))
 
     def simplex_counts(self) -> dict[int, int]:
         """The number of simplices of each nonempty dimension, m times those of
-        the block source plus those added or counted, without expanding any."""
+        the block source plus those added, or those the cover counted, without
+        expanding any."""
         return dict(self._counts)
 
     def simplices_of(self, dim: int) -> Simplices:
         """The sorted simplices of one dimension, expanded from the block
-        source on a copy-built level, or swept from the cover's ends above
-        dimension 1 (and kept); vertices are built here."""
+        source on a copy-built level, or swept from the cover's ends (and
+        kept); vertices are built here."""
         if dim == 0:
             return tuple((v,) for v in range(self.m ** self.level))
-        swept = self.cover is not None and dim > 1
-        if self.block_source is None and not swept:
+        if self.block_source is None and self.cover is None:
             return self.added.get(dim, ())
         if dim not in self._expanded:
-            if swept:
-                # one block per vertex: every simplex, each listed once
-                listed = [tuple(sorted(s + (v,))) for v, active, _ in _sweep(self.cover.ends, 1)
+            if self.cover is not None:
+                # every simplex, listed once: under its last-starting vertex
+                listed = [tuple(sorted(s + (v,))) for v, active in _sweep(self.cover.ends)
                           for s in combinations(active, dim)] if dim <= self.dim_cap else []
             else:
                 block = self.m ** (self.level - 1)
@@ -186,7 +189,7 @@ class SimplicialComplex(_Frozen):
         if len(simplex) == 1:
             return 0 <= simplex[0] < self.m ** self.level
         level = self
-        while level.cover is None and level.block_source is not None:
+        while level.block_source is not None:
             block = level.m ** (level.level - 1)
             first = simplex[0] - simplex[0] % block
             if simplex[-1] >= first + block:
@@ -203,7 +206,7 @@ class SimplicialComplex(_Frozen):
     @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:
         near: dict[int, set[int]] = {}
-        for a, b in self.added.get(1, ()):
+        for a, b in self.simplices_of(1) if self.block_source is None else self.added.get(1, ()):
             near.setdefault(a, set()).add(b)
             near.setdefault(b, set()).add(a)
         return {v: frozenset(us) for v, us in near.items()}
@@ -257,7 +260,7 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
     to level and cached on the spec.
 
     Depth k+1 is the m block copies j.N_k plus the simplices that cross
-    blocks, which only the backend can tell.
+    blocks, which only the backend can tell; a swept level stands alone.
 
     * Block copies.  For a symbolic system the cells of j.w are the images of
       those of w under one cell map.  For a geometric one, when every cell map
@@ -275,10 +278,9 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
       Higher simplices grow as cliques over verified simplices.
     * Interval sweeps.  On a spec that passes `oracles.envelope_exact`,
       every cell is its envelope, an interval or a point on one line, and
-      each level's crossing edges and crossing counts come from one sweep
-      over its interval ends (`_swept_level`): no envelope meet, candidate
-      pair or clique search, no oracle query, no uncertain tuple, and no
-      list above dimension 1.
+      each level is one sweep over its interval ends (`_swept_level`),
+      standing alone: no block copies, envelope meet, candidate pair or
+      clique search, no oracle query, no uncertain tuple, and no list.
     * One-point parent meets.  When the cell maps are injective and the
       envelopes of a parent pair (a, b) meet in one point p, only the
       children a x with f_a^-1(p) in env(x) and b y with f_b^-1(p) in env(y)
@@ -297,23 +299,23 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
     symbolic = isinstance(spec.backend, SymbolicPUBackend)
     copies = symbolic or spec.injective
     while len(levels) < depth:
-        prev = levels[-1] if levels else None
         level = len(levels) + 1
+        if oracles.envelope_exact(spec):
+            levels.append(_swept_level(spec, level, dim_cap))
+            continue
+        prev = levels[-1] if levels else None
         source = prev if copies else None
         uncertain = [] if source is None else [
             (tuple(o + v for v in s), note)
             for o in range(0, spec.m ** level, spec.m ** prev.level) for s, note in prev.uncertain]
-        cover = None
         if symbolic:
             added, complete = _lifted_level(spec, level, dim_cap)
-        elif oracles.envelope_exact(spec):
-            added, complete, cover = _swept_level(spec, level, copies, dim_cap)
         else:
             pairs = _candidate_pairs(spec, prev, copies) if prev else combinations(range(spec.m), 2)
             added, complete = _grow_level(spec, level, pairs, source, uncertain, dim_cap, budget)
         uncertain.sort(key=lambda entry: (len(entry[0]), entry[0]))
         built = SimplicialComplex(level, spec.m, added, dim_cap, complete, tuple(uncertain),
-                                  source, cover)
+                                  source)
         if uncertain and source is not None:
             built = built.replace(added={dim: built.simplices_of(dim)
                                          for dim in built.simplex_counts() if dim},
@@ -340,11 +342,11 @@ def _lifted_level(spec: SystemSpec, level: int,
             all(len(lift) - 1 <= dim_cap for lift in lifts))
 
 
-def _swept_level(spec: SystemSpec, level: int, copies: bool,
-                 dim_cap: int) -> tuple[dict[int, Simplices], bool, IntervalCover]:
-    """The edges of an envelope-exact level that cross its blocks (all of
-    them, without block `copies`), whether the level is complete, and its
-    cover, from one sweep over its interval ends (`oracles.interval_ends`).
+def _swept_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComplex:
+    """An envelope-exact level from one sweep over its interval ends
+    (`oracles.interval_ends`), standing alone: no block source, nothing in
+    `added`, and a cover that counts its simplices of each dimension up to
+    dim_cap and its edges between each pair of blocks.
 
     Licence: every cell is its envelope, a closed interval of the envelope's
     line (`oracles.envelope_exact`), and intervals that meet pairwise share a
@@ -353,39 +355,45 @@ def _swept_level(spec: SystemSpec, level: int, copies: bool,
     hi_u >= lo_v, so the simplices whose last-starting vertex is v are v
     with each S in A_v of at most dim_cap vertices, each found once (the
     interval-graph sweep; Golumbic, Algorithmic Graph Theory and Perfect
-    Graphs, 1980).  With copies (every cell map injective), block j is the
-    injective phi_j of the level below, so the tuples inside a block are the
-    copies of its simplices, and C(|A_v|, d) - C(|inside_v|, d) of dimension
-    d cross, where S holds a vertex off v's block; without, each vertex is a
-    block of its own.  The level is complete when no A_v holds more than
-    dim_cap vertices, and has no gap when only the first A_v is empty.
+    Graphs, 1980): C(|A_v|, d) of dimension d, and one edge u v for each u
+    in A_v.  The level is complete when the sweep counts no simplex of
+    dimension dim_cap + 1.
+
+    Coverage is an invariant, not a flag.  The depth-1 intervals cover
+    [0, D] (the licence), and block j of depth k is phi_j of depth k - 1,
+    whose union is E, so the intervals of every level leave no gap.  An
+    empty A_v past the first vertex is a gap, and raises ConsistencyError.
     """
     ends = oracles.interval_ends(spec, level)
-    block = spec.m ** (level - 1) if copies else 1
-    edges: list[tuple[int, int]] = []
-    counts = dict.fromkeys(range(2, dim_cap + 1), 0)
-    widest = starts = 0
-    for v, off, inside in _sweep(ends, block):
-        active = len(off) + len(inside)
-        widest, starts = max(widest, active), starts + (not active)
-        edges += [(u, v) if u < v else (v, u) for u in off]
+    m, block = spec.m, spec.m ** (level - 1)
+    counts = dict.fromkeys(range(1, dim_cap + 2), 0)
+    # tally[j][k]: the edges from a vertex of block j to an earlier-starting one of block k
+    tally = [[0] * m for _ in range(m)]
+    for i, (v, active) in enumerate(_sweep(ends)):
+        if i and not active:
+            raise ConsistencyError(f"the depth-{level} intervals of the envelope-exact system "
+                                   f"{spec.name!r} leave a gap before vertex {v}")
         for dim in counts:
-            counts[dim] += comb(active, dim) - comb(len(inside), dim)
+            counts[dim] += comb(len(active), dim)
+        row = tally[v // block]
+        for u in active:
+            row[u // block] += 1
+    crossing = {(j, k): tally[j][k] + tally[k][j] for j in range(m) for k in range(j + 1, m)
+                if tally[j][k] + tally[k][j]}
     cover = IntervalCover(ends, oracles._line_maps(spec)[1],
-                          {dim: n for dim, n in counts.items() if n}, starts == 1)
-    return {1: tuple(sorted(edges))} if edges else {}, widest <= dim_cap, cover
+                          {dim: n for dim, n in counts.items() if n and dim <= dim_cap}, crossing)
+    return SimplicialComplex(level, m, {}, dim_cap, not counts[dim_cap + 1], cover=cover)
 
 
-def _sweep(ends: Sequence[tuple[int, int]], block: int) -> Iterator[tuple[int, list, list]]:
-    """Each vertex v in order of (lo, index), with its active list A_v (the
-    earlier vertices whose intervals reach lo_v) split into the vertices off
-    v's block and those inside it."""
+def _sweep(ends: Sequence[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
+    """Each vertex v in order of (lo, index), with its active list A_v: the
+    earlier vertices whose intervals reach lo_v.  A_v is read before the
+    next vertex, which adds v to it."""
     active: list[int] = []
     for v in sorted(range(len(ends)), key=lambda v: ends[v][0]):
         lo = ends[v][0]
         active = [u for u in active if ends[u][1] >= lo]
-        yield (v, [u for u in active if u // block != v // block],
-               [u for u in active if u // block == v // block])
+        yield v, active
         active.append(v)
 
 
@@ -525,8 +533,8 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
     lies in their parents, so the map is simplicial; each cell is the union
     of its children's (`oracles.envelope_exact`), so a point common to some
     cells of `short` lies in a child of each, and the map is surjective.  A
-    level with a cover lists edges only, so against any other level, or one
-    capped otherwise, it is read whole.
+    level with a cover stores no simplex, so against any other level, or one
+    capped otherwise, it is read whole (its sweep lists every simplex).
     """
     if long.m != short.m or long.level <= short.level:
         raise SpecError("truncation needs two depths of one system, deeper first")
@@ -539,7 +547,7 @@ def truncation_map(long: SimplicialComplex, short: SimplicialComplex) -> Simplic
                 raise ConsistencyError(f"truncation is not simplicial: the cell of vertex {v} "
                                        f"of depth {long.level} leaves its parent's")
         return short
-    copied = long.block_source is short and not long.cover and not short.cover
+    copied = long.block_source is short
     sources = long.added if copied or not (long.block_source or long.cover) else long.simplices
     images: dict[int, set[tuple[int, ...]]] = {}
     missing: set[tuple[int, ...]] = set()

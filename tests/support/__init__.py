@@ -73,8 +73,9 @@
   (`_licensed_and_queried` in `tests/test_nerve.py`, which refuses any
   read).  Level by level at dim caps 1, 2 and 3, a level with a cover
   must give the reference's counts, its simplices of every dimension
-  (listed by the sweep above dimension 1) and its answer to `in`, and its
-  components by coverage must be those of `full_tower`'s union-find.
+  (listed by the sweep) and its answer to `in`, and its components by
+  coverage, with its crossing edges as pairs of blocks, must be those of
+  `full_tower`'s union-find.
 * `pu_walk`: the postunbranched check asked at every depth 1..d; checks
   the orbit walk of `classify.check_postunbranched`, as a whole `PUReport`,
   at the depth `pu_walk.every_depth(budget)` where it decides every depth.

@@ -738,13 +738,15 @@ def assert_agrees_with_the_oracle(spec, depth, budget, dim_cap):
 
 def assert_lists_and_answers_as(new, old):
     """A level with a cover against the oracle's level: the same counts, the
-    same simplices of each dimension up to one past the cap, and the same
-    answer to `in` on each of them and on tuples that are not all simplices:
-    about 100 sorted tuples of each size, each listed simplex reversed, and
-    a tuple that runs past the last vertex."""
+    same neighbours of each vertex, the same simplices of each dimension up
+    to one past the cap, and the same answer to `in` on each of them and on
+    tuples that are not all simplices: about 100 sorted tuples of each size,
+    each listed simplex reversed, and a tuple that runs past the last
+    vertex."""
     assert new.cover is not None and old.cover is None
     assert new.simplex_counts() == old.simplex_counts()
     n = new.m ** new.level
+    assert [new.neighbours(v) for v in range(n)] == [old.neighbours(v) for v in range(n)]
     for dim in range(new.dim_cap + 2):
         listed = new.simplices_of(dim)
         assert listed == old.simplices_of(dim)
@@ -758,9 +760,10 @@ def assert_lists_and_answers_as(new, old):
 def assert_components_match_the_union_find(spec, depth, dim_cap, budget):
     """The components of a tower whose levels have covers, with no
     union-find built, against the union-find over every edge
-    (`full_tower.unionfind_components`): count, representatives and the
-    label of every vertex, and the parents `dim0_facts` reads off one
-    vertex per component against those of every vertex."""
+    (`full_tower.unionfind_components`): count, representatives, the label
+    of every vertex and the crossing edges as a multiset of pairs of
+    blocks, and the parents `dim0_facts` reads off one vertex per component
+    against those of every vertex."""
     built = []
 
     class Counted(components_module.UnionFind):
@@ -771,13 +774,29 @@ def assert_components_match_the_union_find(spec, depth, dim_cap, budget):
     with patch.object(components_module, "UnionFind", Counted):
         tower = tower_complexes(_fresh(spec), depth, dim_cap, budget)
         levels = [c.components for c in tower.complexes]
-    assert built == [] and all(c.cover is not None for c in tower.complexes)
+    assert built == []
+    assert_stand_alone(tower.complexes)
     reference = [unionfind_components(c) for c in tower.complexes]
     assert [(lv.count, lv.representatives, labels(lv)) for lv in levels] == \
         [(lv.count, lv.representatives, labels(lv)) for lv in reference]
+    assert [block_pairs(lv) for lv in levels] == [block_pairs(lv) for lv in reference]
     facts = dim0_facts(tower, assert_injective=False, postunbranched=None, n1_betti=None)
     assert facts.parents == [vertex_parents(deep, shallow, spec.m)
                              for deep, shallow in zip(reference[1:], reference)]
+
+
+def block_pairs(level):
+    """The crossing edges of a `ComponentsLevel` as the sorted pairs of
+    blocks their ends lie in."""
+    return sorted((a // level.block, b // level.block) for a, b in level.crossing)
+
+
+def assert_stand_alone(levels):
+    """Each level has a cover and nothing else: no block source, no stored
+    simplex and no uncertain tuple."""
+    assert all(c.cover is not None for c in levels)
+    assert [(c.added, c.block_source, c.uncertain) for c in levels] == \
+        [({}, None, ())] * len(levels)
 
 
 DIM_CAPS = [1, 2, 3]
@@ -843,12 +862,20 @@ class TestEnvelopeExact:
     @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
     @pytest.mark.parametrize("dim_cap", DIM_CAPS)
     def test_interval_overlap_equals_the_oracle(self, budget, dim_cap):
+        """Every level equal to the oracle's, with its edges between each
+        pair of blocks tallied by its cover, and standing alone where the
+        oracle's copy the level below."""
         licensed, queried = _licensed_and_queried(cli.load_bundled("interval-overlap").spec,
                                                   5, budget, dim_cap)
         assert [c.uncertain for c in queried] == [()] * 5
-        assert [(c.simplices, c.added.get(1), c.complete, c.block_source is None)
-                for c in licensed] == \
-            [(c.simplices, c.added.get(1), c.complete, c.block_source is None) for c in queried]
+        assert [c.block_source is None for c in queried] == [True] + [False] * 4
+        assert_stand_alone(licensed)
+        assert [(c.simplices, c.complete) for c in licensed] == \
+            [(c.simplices, c.complete) for c in queried]
+        for new, old in zip(licensed, queried):
+            block = old.m ** (old.level - 1)
+            assert new.cover.crossing == Counter((a // block, b // block) for a, b
+                                                 in old.simplices_of(1) if a // block != b // block)
 
     def test_interval_overlap_tower_clips_nothing(self, monkeypatch):
         """A licensed tower reads its interval ends only: no envelope, no
@@ -936,11 +963,12 @@ class TestNestingLicence:
         """Vertex 4 (word 22) starts one step before its parent, word 2, or
         ends one step after it."""
         spec, (n1, n2) = self.levels(2)
+        assert_stand_alone([n1, n2])
         den, ends = n2.cover.den, list(n2.cover.ends)
         end = list(ends[4])
         end[side] = n1.cover.ends[1][side] * den + (1 if side else -1)
         ends[4] = tuple(end)
-        moved = n2.replace(cover=IntervalCover(ends, den, n2.cover.counts, n2.cover.connected))
+        moved = n2.replace(cover=IntervalCover(ends, *n2.cover._astuple()[1:]))
         message = re.escape("truncation is not simplicial: the cell of vertex 4 of depth 2")
         with pytest.raises(ConsistencyError, match=message):
             truncation_map(moved, n1)
@@ -1151,6 +1179,14 @@ def gasket_subsystem(words):
     return build_iterate_or_subsystem(cli.load_bundled("gasket").spec, words)
 
 
+def unlicensed(spec):
+    """The spec with `oracles.envelope_exact` answered False on it (the
+    answer it keeps), so that the oracle builds its levels as block copies
+    where the licence would sweep each one alone."""
+    spec._cache["envelope_exact"] = False
+    return spec
+
+
 # fresh specs, so that levels injected into one spec's cache reach no other test
 COPY_BUILT_SYSTEMS = {
     "pentagasket": (lambda: cli.load_bundled("pentagasket").spec, 4),
@@ -1158,7 +1194,8 @@ COPY_BUILT_SYSTEMS = {
     "gasket": (lambda: cli.load_bundled("gasket").spec, 4),
     "snowflake": (lambda: cli.load_bundled("snowflake").spec, 3),
     "two-map-split": (lambda: cli.load_bundled("two-map-split").spec, 5),
-    "interval-overlap": (lambda: cli.load_bundled("interval-overlap").spec, 3),
+    "interval-overlap-unlicensed": (lambda: unlicensed(cli.load_bundled("interval-overlap").spec),
+                                    3),
     "gasket-iterate-2": (lambda: iterate_system(cli.load_bundled("gasket").spec, 2), 3),
     "gasket-sub": (lambda: gasket_subsystem([W("11"), W("12"), W("21"), W("33")]), 4),
 }
@@ -1177,28 +1214,6 @@ def mutated_levels(levels, k, mutated):
     for level in levels[k:]:
         assert level.block_source is not None
         out.append(level.replace(block_source=out[-1]))
-    return out
-
-
-def without_covers(levels):
-    """The levels with their covers taken off: each stores its simplices of
-    every dimension, the crossing ones under a block source, as the oracle
-    generator stores them.  A level with a cover lists nothing above
-    dimension 1 and is truncated by the nesting of its intervals, so a
-    mutation of what it stores is made on these; `TestNestingLicence`
-    mutates the intervals."""
-    out = []
-    for level in levels:
-        if level.cover is None:
-            out.append(level)
-            continue
-        block = level.m ** (level.level - 1)
-        added = {dim: tuple(s for s in level.simplices_of(dim)
-                            if level.block_source is None or s[0] // block != s[-1] // block)
-                 for dim in level.simplex_counts() if dim}
-        out.append(level.replace(added={dim: sims for dim, sims in added.items() if sims},
-                                 cover=None,
-                                 block_source=out[-1] if level.block_source else None))
     return out
 
 
@@ -1253,8 +1268,8 @@ class TestCopyBuiltFastPaths:
         pair again in the copies of every deeper one."""
         make, depth = COPY_BUILT_SYSTEMS[name]
         spec, dim_cap, budget = make(), 2, Budget()
-        levels = without_covers([build_nerve(spec, k, dim_cap, budget)
-                                 for k in range(1, depth + 1)])
+        levels = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+        assert [c.cover for c in levels] == [None] * depth  # the mutation reaches every level
         k = data.draw(st.integers(min_value=1, max_value=depth - 1))
         level = levels[k - 1]
         block = spec.m ** (k - 1)
@@ -1289,13 +1304,17 @@ def assert_block_sources_are_licensed(spec, depth, dim_cap, budget):
     """The block-copy licence of `SimplicialComplex`: a level with a block
     source has no uncertain tuples and copies the level before it, which has
     none either and is depth 1 or copy-built; in `tower_complexes` that is
-    the tower's level below it."""
+    the tower's level below it.  A level with a cover has neither a block
+    source nor stored simplices."""
     levels = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     assert levels[0].block_source is None
     for below, level in zip(levels, levels[1:]):
         if level.block_source is not None:
             assert level.block_source is below and not level.uncertain
             assert not below.uncertain and (below.level == 1 or below.block_source is not None)
+    for level in levels:
+        assert level.cover is None or \
+            (level.block_source, level.added, level.uncertain) == (None, {}, ())
     tower = tower_complexes(spec, depth, dim_cap, budget)
     for below, level in zip(tower.complexes, tower.complexes[1:]):
         assert level.block_source is None or level.block_source is below

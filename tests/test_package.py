@@ -114,3 +114,17 @@ def test_modules_use_every_name_they_import():
             read.update(nervetower.__all__)
         unused += [f"{path.stem}.{name}" for name in imported if name not in read]
     assert unused == ["classify.common_point_exists"]
+
+
+def test_only_the_nerve_reads_interval_ends():
+    """The integer interval ends of a swept level (`nerve.IntervalCover`)
+    are built and read in `nerve` alone: the other modules read a level's
+    counts, simplices and components, never the interval format."""
+    readers = set()
+    for path in sorted(Path(nervetower.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("ends", "IntervalCover")
+                    or isinstance(node, ast.Name) and node.id == "IntervalCover"
+                    or isinstance(node, ast.alias) and node.name == "IntervalCover"):
+                readers.add(path.stem)
+    assert readers == {"nerve"}

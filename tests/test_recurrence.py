@@ -5,6 +5,7 @@ their numbers from the nerve theorem; they are checked against the same
 reference, and guarded to reduce no boundary."""
 
 import importlib
+import re
 import tracemalloc
 
 import pytest
@@ -16,8 +17,7 @@ from nervetower.components import ComponentsLevel, component_tower, dim0_facts
 from nervetower.homology import FieldKind, tower_analysis
 from nervetower.nerve import SimplicialComplex, tower_complexes
 from nervetower.oracles import Budget, ConsistencyError
-from support.full_tower import (labels, reference_numbers, reference_tower,
-                                unionfind_components)
+from support.full_tower import labels, reference_numbers, reference_tower
 from test_acceptance import SUITE_DEPTHS, SUITE_DIM_CAPS
 from test_classify import derived_systems
 from test_nerve import LICENSED_SEGMENTS, SEGMENT_SPECS, covering_systems
@@ -126,9 +126,10 @@ def test_interval_overlap_depth6_maps_no_image(monkeypatch, dim_cap):
     """A licensed tower stays implicit through `tower_complexes`,
     `tower_analysis` and `component_tower`: truncation checks the nesting
     of the intervals and forms no image, the components come from the
-    sweep's coverage with no union-find, and no level lists a simplex above
-    dimension 1 (listing them, the levels stored 74,260 crossing triangles
-    at dim cap 2, and truncation formed 79,724 images)."""
+    sweep's coverage with no union-find, and every level stands alone, with
+    no block source and no stored simplex (listing them, the levels stored
+    74,260 crossing triangles at dim cap 2, and truncation formed 79,724
+    images; storing the crossing edges, 5,468 of them)."""
     components_module = importlib.import_module("nervetower.components")
     images, finds, listed = [], [], []
     truncate, union_find = nerve._truncate, components_module.UnionFind
@@ -146,24 +147,43 @@ def test_interval_overlap_depth6_maps_no_image(monkeypatch, dim_cap):
     table = tower_analysis(tower, FieldKind(0))
     assert component_tower(tower, table.facts).counts == [1] * 6
     assert (images, finds, listed) == ([], [], [])
-    assert [max(c.added) for c in tower.complexes] == [1] * 6
+    assert [(c.added, c.block_source, c.uncertain) for c in tower.complexes] == \
+        [({}, None, ())] * 6
+    assert [len(lv.crossing) for lv in tower.components] == \
+        [sum(c.cover.crossing.values()) for c in tower.complexes]
 
 
-def test_interval_overlap_depth8_in_little_memory(capsys):
-    """`tower interval-overlap --max-depth 8` in-process, traced: its levels
-    hold their edges and counts only, and the traced peak stays under
-    40 MiB (listing every triangle, the run peaked at 411 MiB resident)."""
+def traced_interval_overlap_tower(capsys, depth):
+    """The last CSV row and the traced peak of `tower interval-overlap
+    --max-depth depth`, run in-process under `tracemalloc`."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        assert cli.main(["tower", "interval-overlap", "--max-depth", "8"]) == cli.EXIT_OK
+        assert cli.main(["tower", "interval-overlap", "--max-depth", str(depth)]) == cli.EXIT_OK
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert capsys.readouterr().out.splitlines()[-1] == "8,1,0,,0,1"
+    return capsys.readouterr().out.splitlines()[-1], peak
+
+
+def test_interval_overlap_depth8_in_little_memory(capsys):
+    """`tower interval-overlap --max-depth 8` in-process, traced: its levels
+    hold their intervals and counts only, and the traced peak stays under
+    40 MiB (listing every triangle, the run peaked at 411 MiB resident)."""
+    row, peak = traced_interval_overlap_tower(capsys, 8)
+    assert row == "8,1,0,,0,1"
     assert peak < 40 * 2 ** 20
+
+
+def test_interval_overlap_depth9_in_little_memory(capsys):
+    """`tower interval-overlap --max-depth 9` in-process, traced: no level
+    stores an edge, so the traced peak stays under 20 MiB (storing the
+    crossing edges of each level, it was 42.1 MiB)."""
+    row, peak = traced_interval_overlap_tower(capsys, 9)
+    assert row == "9,1,0,,0,1"
+    assert peak < 20 * 2 ** 20
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -178,19 +198,18 @@ def test_a_licensed_tower_in_two_components_is_inconsistent(depth):
         tower_analysis(tower, FieldKind(0))
 
 
-def test_a_swept_gap_is_left_to_the_union_find(monkeypatch):
-    """Forced through the sweep, the gap spec's depth-1 intervals leave
-    (1/2, 2/3) uncovered: the sweep records the gap, no level is taken as
-    one component by coverage, the union-find finds what it finds on every
-    edge, and the nerve-theorem table refuses the tower."""
+def test_a_swept_gap_is_inconsistent(monkeypatch):
+    """Forced through the sweep, the gap spec's depth-1 intervals [0, 4],
+    [3, 6] and [8, 12] over 12 leave (1/2, 2/3) uncovered: the sweep refuses
+    the first level, before any level is taken as one component by
+    coverage."""
     monkeypatch.setattr(oracles, "envelope_exact", lambda spec: True)
-    monkeypatch.setattr(homology, "envelope_exact", lambda spec: True)
-    tower = tower_complexes(SEGMENT_SPECS["gap"](), 3, 2)
-    assert [c.cover.connected for c in tower.complexes] == [False] * 3
-    assert [lv.count for lv in tower.components] == [2, 5, 13] == \
-        [unionfind_components(c).count for c in tower.complexes]
-    with pytest.raises(ConsistencyError, match="envelope-exact nerve must be connected"):
-        tower_analysis(tower, FieldKind(0))
+    spec = SEGMENT_SPECS["gap"]()
+    assert oracles.interval_ends(spec, 1) == [(0, 4), (3, 6), (8, 12)]
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "the depth-1 intervals of the envelope-exact system 'gap' leave a gap before "
+            "vertex 2")):
+        tower_complexes(spec, 3, 2)
 
 
 @pytest.mark.parametrize("name,depth", [("pentagasket", 6), ("two-map-split", 6)])
