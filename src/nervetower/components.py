@@ -13,9 +13,11 @@ the hypothesis gate above.
 
 A level built as block copies of the level below takes its components from
 that level's and the union along its crossing edges, in work linear in the
-number of components; vertex labels are read down that chain on demand, and
-the parent links take one lookup per component.  A level swept from interval
-ends is one component by coverage, with no union-find.
+number of components, and lists each pair of components they join once;
+vertex labels are read down that chain on demand, and the parent links take
+one lookup per component.  A level swept from interval ends is one
+component by coverage, with no union-find, and the pairs of blocks its
+edges join are N_1's edges.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ class ComponentsLevel(_Frozen):
 
     Components are numbered 0..count-1 in order of their least vertex (its
     lexicographically least word), which representatives holds.  crossing
-    has one pair per edge whose ends have different first symbols (a block is
-    the words sharing one): the least vertex of each end's component within
-    its block, in the edge's order.
+    lists the distinct pairs of components within blocks (a block is the
+    words sharing a first symbol) that an edge between two blocks joins,
+    each pair once and in order of the first such edge: the least vertex of
+    each end's component within its block, in the edge's order.
 
     A level found by a pass over every edge, or by coverage, has `below`
     None and ids[v] the component of vertex v.  A level found from the components `below` of its
@@ -95,7 +98,9 @@ class ComponentsLevel(_Frozen):
 
 def components(complex_: SimplicialComplex) -> ComponentsLevel:
     """The components of each block (the words sharing a first symbol), then
-    one union-find over those that unites only the edges crossing blocks.
+    one union-find over those that unites only the edges crossing blocks,
+    and the pairs of those components that the edges join, each listed once:
+    a repeated pair unites nothing more.
 
     A level without a block source finds the components of each block by a
     union-find over every edge inside one.  A level with one copies its
@@ -109,17 +114,15 @@ def components(complex_: SimplicialComplex) -> ComponentsLevel:
     intervals leave no gap (`nerve._swept_level` refuses a level with one),
     and an interval graph is connected when the union of its intervals is.
     So is each block, the image under phi_j of the level below
-    (`oracles.interval_ends`), whose union is the envelope; each edge
-    between blocks j and k, of those the cover tallies, is the pair of
-    their first vertices.
+    (`oracles.interval_ends`), whose union is the envelope; the pairs of
+    blocks j and k that an edge joins are the cover's, N_1's edges, and
+    each is the pair of their first vertices.
     """
     m = complex_.m
     n = m ** complex_.level
     block = n // m
     if complex_.cover:
-        # one tuple per pair of blocks, shared by the edges between them
-        crossing = tuple(pair for (j, k), count in complex_.cover.crossing.items()
-                         for pair in [(j * block, k * block)] * count)
+        crossing = tuple((j * block, k * block) for j, k in complex_.cover.crossing)
         return ComponentsLevel(1, (0,), crossing, (0,) * n, block)
     below = None if complex_.block_source is None else complex_.block_source.components
     # within(v) is the component of v within its block; they are numbered in
@@ -149,11 +152,11 @@ def components(complex_: SimplicialComplex) -> ComponentsLevel:
         def within(v: int) -> int:
             return v // block * below.count + below.label(v % block)
     uf = UnionFind(len(least))
-    crossing = []
+    crossing = {}  # the pairs of components within blocks, each once, in order
     for a, b in edges:
         x, y = within(a), within(b)
         uf.union(x, y)
-        crossing.append((least[x], least[y]))
+        crossing[least[x], least[y]] = None
     ids: dict[int, int] = {}
     component = [ids.setdefault(uf.find(x), len(ids)) for x in range(len(least))]
     first: dict[int, int] = {}  # component -> its least vertex

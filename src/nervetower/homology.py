@@ -10,15 +10,17 @@ mapping cone (`induced_rank`).
 The tower analysis keeps each level's boundary ranks while it fills that
 level's Betti numbers, so it reduces each boundary once, and it reduces no
 d_1 at all.  One union-find pass per level (`components.components`) gives
-the components of N_k, hence rank d_1 = m^k - a_0, and the edges that cross
-blocks.  A level built as m block copies of the level below with no
-crossing (r+1)-simplex takes rank d_{r+1} as m times the rank below, so a
-postunbranched tower without crossing triangles reduces only N_1's d_2; the
-simplex counts come from the levels' recurrence, not from their lists.
-The tower's lambda numbers, the ranks of H^1(N_1) -> H^1(N_k), come
-from those few edges (`lambda_ranks`): over a field a 1-cochain is a
-coboundary iff its residuals on the edges outside a spanning forest vanish,
-and the pulled-back cocycles of N_1 vanish inside every block.  N_1's reduced
+the components of N_k, hence rank d_1 = m^k - a_0, and the pairs of
+components within blocks that the edges crossing blocks join, each listed
+once (on a level swept from interval ends, N_1's edges).  A level built as
+m block copies of the level below with no crossing (r+1)-simplex takes rank
+d_{r+1} as m times the rank below, so a postunbranched tower without
+crossing triangles reduces only N_1's d_2; the simplex counts come from the
+levels' recurrence, not from their lists.  The tower's lambda numbers, the
+ranks of H^1(N_1) -> H^1(N_k), come from those few pairs (`lambda_ranks`):
+over a field a 1-cochain is a coboundary iff its residuals on the edges
+outside a spanning forest vanish, the pulled-back cocycles of N_1 vanish
+inside every block, and a repeated pair's residual is 0.  N_1's reduced
 d_2 gives both those cocycles and the Betti numbers of depth 1.
 A tower that passes `oracles.envelope_exact` reduces no boundary: each of its
 nerves is contractible by the nerve theorem (`_contractible_table`), so
@@ -291,7 +293,10 @@ def lambda_ranks(tower: TowerData, fieldkind: FieldKind,
     the potential is constant on each of them and every residual inside a
     block is 0.  Only the crossing edges that `components` left on the level
     remain, with potentials that are vectors over the cocycle basis, kept by
-    a weighted union-find on those components.
+    a weighted union-find on those components.  Edges that join the same two
+    components within blocks also join the same two blocks, so they carry
+    one pulled-back value: once the first has united its ends, the residual
+    of each other is 0.  So `components` lists each such pair once.
     """
     char = fieldkind.char
     base = tower.complex_at(1)

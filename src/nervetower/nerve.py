@@ -11,8 +11,9 @@ blocks.  Those are a constant handful per level on postunbranched systems, so
 counts, truncation checks, components and the block-diagonal boundary ranks
 read only what each level adds; the full simplex lists are expanded only for
 a reader that needs every simplex.  A level swept from interval ends stands
-alone: it stores its intervals and counts, and lists no simplex until one is
-read.
+alone: it stores its intervals, its counts and the pairs of blocks an edge
+joins, which are N_1's edges at every depth, and lists no simplex until one
+is read.
 
 Oracle answers of Unknown do not abort construction: the affected tuples are
 excluded from the complex and recorded in its `uncertain` log, so downstream
@@ -46,15 +47,15 @@ Simplices = tuple[tuple[int, ...], ...]
 class IntervalCover(_Frozen):
     """What the sweep of an envelope-exact level found (`_swept_level`): its
     cells as integer intervals over den^level (`oracles.interval_ends`), its
-    simplices counted by dimension from 1, and the number of edges between
-    each pair of blocks (j, k), j < k, from 0.  Its intervals leave no gap:
-    the sweep refuses a level that has one."""
+    simplices counted by dimension from 1, and the pairs of blocks (j, k),
+    j < k, from 0, that an edge joins, each listed once: N_1's edges.  Its
+    intervals leave no gap: the sweep refuses a level that has one."""
 
     __slots__ = _fields = ("ends", "den", "counts", "crossing")
     ends: Sequence[tuple[int, int]]
     den: int
     counts: dict[int, int]
-    crossing: dict[tuple[int, int], int]
+    crossing: tuple[tuple[int, int], ...]
 
 
 class SimplicialComplex(_Frozen):
@@ -346,7 +347,7 @@ def _swept_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComple
     """An envelope-exact level from one sweep over its interval ends
     (`oracles.interval_ends`), standing alone: no block source, nothing in
     `added`, and a cover that counts its simplices of each dimension up to
-    dim_cap and its edges between each pair of blocks.
+    dim_cap and lists the pairs of blocks an edge joins, once each.
 
     Licence: every cell is its envelope, a closed interval of the envelope's
     line (`oracles.envelope_exact`), and intervals that meet pairwise share a
@@ -363,26 +364,26 @@ def _swept_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComple
     [0, D] (the licence), and block j of depth k is phi_j of depth k - 1,
     whose union is E, so the intervals of every level leave no gap.  An
     empty A_v past the first vertex is a gap, and raises ConsistencyError.
+    For the same reason the union of block j is phi_j(E), the depth-1
+    interval j, so blocks j and k hold two intervals that meet exactly when
+    the depth-1 intervals j and k meet: the block pairs an edge joins are
+    N_1's edges at every depth, read off the depth-1 ends in O(m^2), with no
+    edge counted.
     """
     ends = oracles.interval_ends(spec, level)
-    m, block = spec.m, spec.m ** (level - 1)
     counts = dict.fromkeys(range(1, dim_cap + 2), 0)
-    # tally[j][k]: the edges from a vertex of block j to an earlier-starting one of block k
-    tally = [[0] * m for _ in range(m)]
     for i, (v, active) in enumerate(_sweep(ends)):
         if i and not active:
             raise ConsistencyError(f"the depth-{level} intervals of the envelope-exact system "
                                    f"{spec.name!r} leave a gap before vertex {v}")
         for dim in counts:
             counts[dim] += comb(len(active), dim)
-        row = tally[v // block]
-        for u in active:
-            row[u // block] += 1
-    crossing = {(j, k): tally[j][k] + tally[k][j] for j in range(m) for k in range(j + 1, m)
-                if tally[j][k] + tally[k][j]}
+    base = oracles.interval_ends(spec, 1)
+    crossing = tuple((j, k) for j, k in combinations(range(spec.m), 2)
+                     if base[k][0] <= base[j][1] and base[j][0] <= base[k][1])
     cover = IntervalCover(ends, oracles._line_maps(spec)[1],
                           {dim: n for dim, n in counts.items() if n and dim <= dim_cap}, crossing)
-    return SimplicialComplex(level, m, {}, dim_cap, not counts[dim_cap + 1], cover=cover)
+    return SimplicialComplex(level, spec.m, {}, dim_cap, not counts[dim_cap + 1], cover=cover)
 
 
 def _sweep(ends: Sequence[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:

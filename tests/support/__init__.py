@@ -74,8 +74,9 @@
   read).  Level by level at dim caps 1, 2 and 3, a level with a cover
   must give the reference's counts, its simplices of every dimension
   (listed by the sweep) and its answer to `in`, and its components by
-  coverage, with its crossing edges as pairs of blocks, must be those of
-  `full_tower`'s union-find.
+  coverage must be those of `full_tower`'s union-find, with its crossing
+  pairs, as pairs of blocks each listed once, the distinct ones of the
+  union-find's crossing edges.
 * `pu_walk`: the postunbranched check asked at every depth 1..d; checks
   the orbit walk of `classify.check_postunbranched`, as a whole `PUReport`,
   at the depth `pu_walk.every_depth(budget)` where it decides every depth.

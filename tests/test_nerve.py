@@ -761,9 +761,10 @@ def assert_components_match_the_union_find(spec, depth, dim_cap, budget):
     """The components of a tower whose levels have covers, with no
     union-find built, against the union-find over every edge
     (`full_tower.unionfind_components`): count, representatives, the label
-    of every vertex and the crossing edges as a multiset of pairs of
-    blocks, and the parents `dim0_facts` reads off one vertex per component
-    against those of every vertex."""
+    of every vertex and the crossing pairs as pairs of blocks, each listed
+    once and together the distinct pairs of the reference's crossing edges,
+    and the parents `dim0_facts` reads off one vertex per component against
+    those of every vertex."""
     built = []
 
     class Counted(components_module.UnionFind):
@@ -779,14 +780,16 @@ def assert_components_match_the_union_find(spec, depth, dim_cap, budget):
     reference = [unionfind_components(c) for c in tower.complexes]
     assert [(lv.count, lv.representatives, labels(lv)) for lv in levels] == \
         [(lv.count, lv.representatives, labels(lv)) for lv in reference]
-    assert [block_pairs(lv) for lv in levels] == [block_pairs(lv) for lv in reference]
+    assert [len(set(lv.crossing)) for lv in levels] == [len(lv.crossing) for lv in levels]
+    assert [block_pairs(lv) for lv in levels] == \
+        [sorted(set(block_pairs(lv))) for lv in reference]
     facts = dim0_facts(tower, assert_injective=False, postunbranched=None, n1_betti=None)
     assert facts.parents == [vertex_parents(deep, shallow, spec.m)
                              for deep, shallow in zip(reference[1:], reference)]
 
 
 def block_pairs(level):
-    """The crossing edges of a `ComponentsLevel` as the sorted pairs of
+    """The crossing pairs of a `ComponentsLevel` as the sorted pairs of
     blocks their ends lie in."""
     return sorted((a // level.block, b // level.block) for a, b in level.crossing)
 
@@ -862,9 +865,10 @@ class TestEnvelopeExact:
     @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
     @pytest.mark.parametrize("dim_cap", DIM_CAPS)
     def test_interval_overlap_equals_the_oracle(self, budget, dim_cap):
-        """Every level equal to the oracle's, with its edges between each
-        pair of blocks tallied by its cover, and standing alone where the
-        oracle's copy the level below."""
+        """Every level equal to the oracle's, with the pairs of blocks that
+        its edges join listed once by its cover, as the distinct block pairs
+        of the oracle's crossing edges and as N_1's edges, and standing alone
+        where the oracle's copy the level below."""
         licensed, queried = _licensed_and_queried(cli.load_bundled("interval-overlap").spec,
                                                   5, budget, dim_cap)
         assert [c.uncertain for c in queried] == [()] * 5
@@ -872,10 +876,12 @@ class TestEnvelopeExact:
         assert_stand_alone(licensed)
         assert [(c.simplices, c.complete) for c in licensed] == \
             [(c.simplices, c.complete) for c in queried]
+        base_edges = queried[0].simplices_of(1)
         for new, old in zip(licensed, queried):
             block = old.m ** (old.level - 1)
-            assert new.cover.crossing == Counter((a // block, b // block) for a, b
-                                                 in old.simplices_of(1) if a // block != b // block)
+            assert new.cover.crossing == base_edges == tuple(sorted(
+                {(a // block, b // block) for a, b in old.simplices_of(1)
+                 if a // block != b // block}))
 
     def test_interval_overlap_tower_clips_nothing(self, monkeypatch):
         """A licensed tower reads its interval ends only: no envelope, no
@@ -1165,7 +1171,7 @@ def assert_fast_paths_match_references(spec, depth, dim_cap=2, budget=Budget()):
     for got, want in zip(fast.components, reference.components):
         assert (got.count, labels(got), got.representatives) == \
             (want.count, labels(want), want.representatives)
-        assert len(got.crossing) == len(want.crossing)
+        assert len(got.crossing) == len(set(got.crossing)) == len(set(want.crossing))
     if depth >= 2 and betti_exact(fast.complex_at(1), 1):
         for char in (0, 2):
             base_d2 = homology._boundaries(fast.complex_at(1), 2, char)
@@ -1334,7 +1340,7 @@ class TestBlockCopyLicence:
 
 def simplices_read_by_truncation(monkeypatch, spec, depth, budget=Budget()):
     """The depths of the levels `truncation_map` calls `simplices_of` on
-    while `tower_complexes` builds the tower."""
+    while `tower_complexes` builds the tower, and the tower."""
     asked, inside = [], []
     truncate, simplices_of = nerve.truncation_map, SimplicialComplex.simplices_of
 
@@ -1352,8 +1358,8 @@ def simplices_read_by_truncation(monkeypatch, spec, depth, budget=Budget()):
 
     monkeypatch.setattr(nerve, "truncation_map", tracked)
     monkeypatch.setattr(SimplicialComplex, "simplices_of", counting)
-    tower_complexes(spec, depth, budget=budget)
-    return asked
+    tower = tower_complexes(spec, depth, budget=budget)
+    return asked, tower
 
 
 # the golden towers' shapes: table levels, singular cell maps, the starved
@@ -1376,9 +1382,13 @@ TRUNCATED_TOWERS = {
 def test_truncation_expands_no_level(monkeypatch, name):
     """Each pair of a tower is checked from what its levels store: the
     crossing simplices of a copy-built level, every simplex of any other,
-    and membership in the shallower level through its block sources."""
+    and membership in the shallower level through its block sources.  No
+    level's components list a crossing pair twice."""
     make, depth, budget = TRUNCATED_TOWERS[name]
-    assert simplices_read_by_truncation(monkeypatch, make(), depth, budget) == []
+    asked, tower = simplices_read_by_truncation(monkeypatch, make(), depth, budget)
+    assert asked == []
+    assert [len(set(lv.crossing)) for lv in tower.components] == \
+        [len(lv.crossing) for lv in tower.components]
 
 
 def copy_built_pentagasket(drop_image_of=None, add_crossing=None):

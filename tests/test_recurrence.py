@@ -129,7 +129,9 @@ def test_interval_overlap_depth6_maps_no_image(monkeypatch, dim_cap):
     sweep's coverage with no union-find, and every level stands alone, with
     no block source and no stored simplex (listing them, the levels stored
     74,260 crossing triangles at dim cap 2, and truncation formed 79,724
-    images; storing the crossing edges, 5,468 of them)."""
+    images; storing the crossing edges, 5,468 of them).  Each level's
+    crossing pairs are its cover's pairs of blocks, N_1's edges, at the
+    blocks' first vertices."""
     components_module = importlib.import_module("nervetower.components")
     images, finds, listed = [], [], []
     truncate, union_find = nerve._truncate, components_module.UnionFind
@@ -149,8 +151,11 @@ def test_interval_overlap_depth6_maps_no_image(monkeypatch, dim_cap):
     assert (images, finds, listed) == ([], [], [])
     assert [(c.added, c.block_source, c.uncertain) for c in tower.complexes] == \
         [({}, None, ())] * 6
+    assert [lv.crossing for lv in tower.components] == \
+        [tuple((j * lv.block, k * lv.block) for j, k in c.cover.crossing)
+         for lv, c in zip(tower.components, tower.complexes)]
     assert [len(lv.crossing) for lv in tower.components] == \
-        [sum(c.cover.crossing.values()) for c in tower.complexes]
+        [tower.complex_at(1).simplex_counts()[1]] * 6
 
 
 def traced_interval_overlap_tower(capsys, depth):
@@ -179,11 +184,12 @@ def test_interval_overlap_depth8_in_little_memory(capsys):
 
 def test_interval_overlap_depth9_in_little_memory(capsys):
     """`tower interval-overlap --max-depth 9` in-process, traced: no level
-    stores an edge, so the traced peak stays under 20 MiB (storing the
-    crossing edges of each level, it was 42.1 MiB)."""
+    stores an edge, nor lists one pair of blocks per edge, so the traced
+    peak stays under 7 MiB (storing the crossing edges of each level, it
+    was 42.1 MiB; listing a pair of blocks per crossing edge, 9.7 MiB)."""
     row, peak = traced_interval_overlap_tower(capsys, 9)
     assert row == "9,1,0,,0,1"
-    assert peak < 20 * 2 ** 20
+    assert peak < 7 * 2 ** 20
 
 
 @pytest.mark.parametrize("depth", [1, 2])
