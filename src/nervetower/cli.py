@@ -667,56 +667,91 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="longest address preperiod tried for certificates")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nervetower",
-        description="nerve towers and interaction (co)homology of self-similar systems")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_nerve(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--depth", type=_positive_int, required=True, help="word length k")
+    parser.add_argument("--out-json", help="write the simplex list here (default stdout)")
+    parser.add_argument("--out-dot", help="write the 1-skeleton in DOT form here")
 
-    p = sub.add_parser("list", help="list the bundled systems")
-    p.set_defaults(func=cmd_list)
 
-    p = sub.add_parser("nerve", help="build one nerve and export JSON/DOT")
-    _add_common(p)
-    p.add_argument("--depth", type=_positive_int, required=True, help="word length k")
-    p.add_argument("--out-json", help="write the simplex list here (default stdout)")
-    p.add_argument("--out-dot", help="write the 1-skeleton in DOT form here")
-    p.set_defaults(func=cmd_nerve)
+def _add_tower(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--max-depth", type=_positive_int, required=True,
+                        help="deepest level K")
+    parser.add_argument("--field", default="q",
+                        help="q, or gfP for a prime P < 10^24 (default q)")
+    parser.add_argument("--out-csv", help="write the CSV table here (default stdout)")
+    parser.add_argument("--out-report", help="write the JSON verdict report here")
 
-    p = sub.add_parser("tower", help="Betti table, lambda ranks, components, verdicts")
-    _add_common(p)
-    p.add_argument("--max-depth", type=_positive_int, required=True, help="deepest level K")
-    p.add_argument("--field", default="q", help="q, or gfP for a prime P < 10^24 (default q)")
-    p.add_argument("--out-csv", help="write the CSV table here (default stdout)")
-    p.add_argument("--out-report", help="write the JSON verdict report here")
-    p.set_defaults(func=cmd_tower)
 
-    p = sub.add_parser("classify", help="overlap certificates, decided at every depth,"
-                                        " and recurrence replay")
-    _add_common(p)
-    p.add_argument("--max-depth", type=_positive_int,
-                   help="tower depth for the recurrence replay (default 3, or the"
-                        " deepest depth a table system stores, if less)")
-    p.add_argument("--field", default="q", help="q, or gfP for a prime P < 10^24 (default q)")
-    p.add_argument("--pivot", type=int, help="symbol for the rank-growth conditions")
-    p.add_argument("--out-report", help="write the JSON bundle here")
-    p.set_defaults(func=cmd_classify)
+def _add_classify(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--max-depth", type=_positive_int,
+                        help="tower depth for the recurrence replay (default 3, or the"
+                             " deepest depth a table system stores, if less)")
+    parser.add_argument("--field", default="q",
+                        help="q, or gfP for a prime P < 10^24 (default q)")
+    parser.add_argument("--pivot", type=int, help="symbol for the rank-growth conditions")
+    parser.add_argument("--out-report", help="write the JSON bundle here")
 
-    p = sub.add_parser("derive", help="write the spec of an iterate or a subsystem")
-    _add_spec(p)
-    group = p.add_mutually_exclusive_group(required=True)
+
+def _add_derive(parser: argparse.ArgumentParser) -> None:
+    _add_spec(parser)
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--iterate", type=_positive_int,
                        help="replace generators by all n-fold words")
     group.add_argument("--subsystem", help="comma-separated generator words, e.g. \"11,13\"")
-    p.add_argument("--name", help="name for the derived system")
-    p.add_argument("--out", help="write the derived spec here (default stdout)")
-    p.set_defaults(func=cmd_derive)
+    parser.add_argument("--name", help="name for the derived system")
+    parser.add_argument("--out", help="write the derived spec here (default stdout)")
 
+
+# Each subcommand: its help line, the function that adds its arguments, and
+# its handler, in the order `--help` lists them.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None],
+                           Callable[[argparse.Namespace], int]]] = {
+    "list": ("list the bundled systems", lambda parser: None, cmd_list),
+    "nerve": ("build one nerve and export JSON/DOT", _add_nerve, cmd_nerve),
+    "tower": ("Betti table, lambda ranks, components, verdicts", _add_tower, cmd_tower),
+    "classify": ("overlap certificates, decided at every depth, and recurrence replay",
+                 _add_classify, cmd_classify),
+    "derive": ("write the spec of an iterate or a subsystem", _add_derive, cmd_derive),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser: every subcommand, or only `command`.
+
+    Building all five subparsers takes about half of `main`'s time on a
+    small system, so `main` builds only the subparser that its first
+    argument names.  That parser reads the same arguments the same way.  Its top-level usage
+    line, printed on an "unrecognized arguments" error, still lists every
+    subcommand, because the subparsers' metavar is pinned to that list.  The
+    full parser leaves the metavar unset: argparse names the subcommand
+    argument by its metavar, and the errors of a missing or unknown command
+    read "argument command"."""
+    parser = argparse.ArgumentParser(
+        prog="nervetower",
+        description="nerve towers and interaction (co)homology of self-similar systems")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command line (default `sys.argv[1:]`) and return its exit code.
+
+    A line that starts with a subcommand is parsed by the parser of that
+    subcommand alone (see `build_parser`); help, a missing command and an
+    unknown one go to the full parser, which lists every subcommand.  Both
+    give the same output, byte for byte."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

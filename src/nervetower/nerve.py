@@ -22,6 +22,7 @@ reports can say exactly which conclusions are conditional.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cache, cached_property, partial
 from itertools import combinations, groupby
 from math import comb
@@ -389,13 +390,22 @@ def _swept_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComple
 def _sweep(ends: Sequence[tuple[int, int]]) -> Iterator[tuple[int, list[int]]]:
     """Each vertex v in order of (lo, index), with its active list A_v: the
     earlier vertices whose intervals reach lo_v.  A_v is read before the
-    next vertex, which adds v to it."""
+    next vertex, which changes it in place.
+
+    A_v is kept ordered by hi, so the intervals that end before lo_v are a
+    prefix, found by bisection and cut off: each vertex costs two bisections
+    and two list moves, not a pass over A_v in Python.  A vertex cut off stays off, since
+    the later lo are no smaller."""
     active: list[int] = []
+    his: list[int] = []
     for v in sorted(range(len(ends)), key=lambda v: ends[v][0]):
-        lo = ends[v][0]
-        active = [u for u in active if ends[u][1] >= lo]
+        lo, hi = ends[v]
+        cut = bisect_left(his, lo)
+        del active[:cut], his[:cut]
         yield v, active
-        active.append(v)
+        at = bisect_right(his, hi)
+        active.insert(at, v)
+        his.insert(at, hi)
 
 
 def _candidate_pairs(spec: SystemSpec, prev: SimplicialComplex,

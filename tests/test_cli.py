@@ -1,5 +1,6 @@
 """Command line: parsing, exit codes, deterministic exports, derive round-trips."""
 
+import argparse
 import json
 import os
 import re
@@ -464,13 +465,88 @@ def readme_command_lines() -> list[str]:
             if line.strip().startswith("nervetower ")]
 
 
+COMMANDS = ["list", "nerve", "tower", "classify", "derive"]
+
+
 def test_readme_command_lines_parse():
-    """Each example parses: an option renamed or removed fails here."""
+    """Each example parses, through the full parser and through the one that
+    `main` builds for its command, to the same namespace: an option renamed
+    or removed fails here."""
     lines = readme_command_lines()
-    assert {line.split()[1] for line in lines} == {"list", "nerve", "tower", "classify",
-                                                   "derive"}
+    assert {line.split()[1] for line in lines} == set(COMMANDS)
     for line in lines:
-        cli.build_parser().parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+USAGE_ERRORS = [[], ["bogus"], ["tower"], ["tower", "gasket", "--max-depth", "0"],
+                ["tower", "gasket", "--max-depth", "2", "extra"],
+                ["classify", "gasket", "--bogus"]]
+
+
+def _outcome(run, capsys) -> tuple:
+    """The exit status, stdout and stderr of `run()`, with argparse's exits
+    caught."""
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _written(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestOneCommandParser:
+    """`main` builds only the subparser its first argument names; it must
+    answer every line as the parser of all five commands does."""
+
+    @pytest.mark.parametrize("via", ["argv", "sys.argv"])
+    @pytest.mark.parametrize("argv", [shlex.split(line)[1:] for line in readme_command_lines()]
+                             + [["--help"]] + [[name, "--help"] for name in COMMANDS]
+                             + USAGE_ERRORS, ids=shlex.join)
+    def test_same_output_as_the_full_parser(self, argv, via, tmp_path, monkeypatch, capsys):
+        """The same stdout, stderr, exit status and written files, whether
+        the command line is passed in or read from `sys.argv` as the console
+        script does."""
+        monkeypatch.setattr(sys, "argv", ["nervetower", *argv])
+        outcomes = []
+        for build in ("one", "full"):
+            workdir = tmp_path / build
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            with monkeypatch.context() as patched:
+                if build == "full":
+                    full = cli.build_parser
+                    patched.setattr(cli, "build_parser", lambda command=None: full())
+                outcome = _outcome(lambda: main(argv) if via == "argv" else main(), capsys)
+            outcomes.append((outcome, _written(workdir)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_usage_errors_keep_their_text(self, capsys):
+        usage = "usage: nervetower [-h] {list,nerve,tower,classify,derive} ...\n"
+        assert _outcome(lambda: main(["bogus"]), capsys) == (2, "", usage + (
+            "nervetower: error: argument command: invalid choice: 'bogus' (choose from"
+            " 'list', 'nerve', 'tower', 'classify', 'derive')\n"))
+        assert _outcome(lambda: main([]), capsys) == (2, "", usage + (
+            "nervetower: error: the following arguments are required: command\n"))
+        assert _outcome(lambda: main(["list", "extra"]), capsys) == (2, "", usage + (
+            "nervetower: error: unrecognized arguments: extra\n"))
+
+    def test_a_command_builds_two_parsers(self, tmp_path, monkeypatch):
+        """The top-level parser and the tower subparser, not all six."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["tower", "pentagasket", "--max-depth", "2",
+                     "--out-csv", str(tmp_path / "t.csv")]) == EXIT_OK
+        assert built == ["nervetower", "nervetower tower"]
 
 
 class TestNerveCommand:

@@ -846,6 +846,26 @@ class TestEnvelopeExact:
         for dim_cap in DIM_CAPS:
             assert_agrees_with_the_oracle(spec, 3 if spec.m <= 5 else 2, budget, dim_cap)
 
+    @settings(max_examples=15, deadline=None)
+    @given(covering_systems(), st.integers(1, 8))
+    def test_complete_covering_levels_are_contractible(self, spec, dim_cap):
+        """Euler characteristic 1 over `simplex_counts` (n_0 included) on
+        every complete level: the cells are intervals covering the envelope,
+        so N_k is homotopy equivalent to an interval (the nerve theorem)."""
+        for complex_ in nerve._levels(_fresh(spec), 3 if spec.m <= 5 else 2, dim_cap, Budget()):
+            if complex_.complete:
+                assert euler_characteristic(complex_) == 1
+
+    def test_interval_overlap_levels_are_contractible(self):
+        """Depths 1, 2 and 3 are complete at dim caps 2, 4 and 7, and no
+        sooner."""
+        spec = cli.load_bundled("interval-overlap").spec
+        for depth, dim_cap in [(1, 2), (2, 4), (3, 7)]:
+            below, level = (nerve._levels(_fresh(spec), depth, cap, Budget())[-1]
+                            for cap in (dim_cap - 1, dim_cap))
+            assert not below.complete and level.complete
+            assert euler_characteristic(level) == 1
+
     @pytest.mark.parametrize("name", LICENSED_SEGMENTS)
     @pytest.mark.parametrize("budget", [Budget(), STARVED], ids=["default", "starved"])
     @pytest.mark.parametrize("dim_cap", DIM_CAPS)
