@@ -2,10 +2,11 @@
 
 Every bundled system's tower CSV and JSON report, the classify report of a
 few systems that exercise each checker, the nerve JSON and DOT export of
-four systems, a derived system's spec with its tower and nerve under a
-starved budget (the uncertain path), and interval-overlap's nerve at dim cap
-3, its starved tower, its second iterate's spec and tower, and its tower
-over GF(2), at dim cap 1 and at depth 1 are compared against fixtures in
+four systems, the carpet's tower from a spec kept there, a derived system's
+spec with its tower and nerve under a starved budget (the uncertain path),
+and interval-overlap's nerve at dim cap 3, its starved tower, its second
+iterate's spec and tower, and its tower over GF(2), at dim cap 1 and at
+depth 1 are compared against fixtures in
 tests/golden/.  A refactor that is meant to keep the command-line output must leave every fixture untouched;
 an intended output change regenerates them with
 
@@ -33,9 +34,17 @@ CLASSIFY_DEPTHS = {"gasket": 3, "banded-annuli": 2, "gasket-sub-mixed": 3, "inte
 # gasket and snowflake also pin the oracle's certified touching points there,
 # and interval-overlap, whose crossings grow with depth, its segment meets;
 # snowflake's depth 4 pins the crossing pairs of one-point meets one level further;
-# snowflake's depth 6 and gasket's depth 11 pin the counts of deep one-point meets
+# snowflake's depth 6 and gasket's depth 11 pin the counts of deep one-point meets;
+# gasket-sub7, gasket-sub-mixed, five-map-funnel and two-map-split pin them on
+# every other certified postunbranched geometric system, as deep as each runs
 DEEP_TOWERS = [("pentagasket", 6), ("gasket", 6), ("gasket", 11), ("snowflake", 3),
-               ("snowflake", 4), ("snowflake", 6), ("interval-overlap", 5)]
+               ("snowflake", 4), ("snowflake", 6), ("interval-overlap", 5),
+               ("gasket-sub7", 5), ("gasket-sub-mixed", 5), ("five-map-funnel", 7),
+               ("two-map-split", 10)]
+# The carpet (8 maps of ratio 1/3 on the unit square, the centre left out) is
+# not postunbranched and its overlaps are segments: its tower pins the oracle
+# generator with its one-point pruning.  Its spec is an input, not an output.
+CARPET_SPEC = GOLDEN / "spec-carpet.json"
 # one geometric system per oracle path, one symbolic and one table system;
 # snowflake's depth 3 pins the exact crossing edges of depth-2 one-point meets
 NERVE_DEPTHS = [("gasket", 3), ("snowflake", 2), ("snowflake", 3), ("pentagasket", 3),
@@ -77,6 +86,7 @@ def _cases() -> list[tuple[str, list[str]]]:
                   ["tower", str(DERIVED_SPEC), "--max-depth", "3"] + STARVED))
     cases.append((f"nerve-{DERIVED}-starved-k2",
                   ["nerve", str(DERIVED_SPEC), "--depth", "2"] + STARVED))
+    cases.append(("tower-carpet-k3", ["tower", str(CARPET_SPEC), "--max-depth", "3"]))
     name, depth, cap = INTERVAL_NERVE
     cases.append((f"nerve-{name}-k{depth}-cap{cap}",
                   ["nerve", name, "--depth", str(depth), "--dim-cap", str(cap)]))
@@ -120,14 +130,16 @@ def test_output_matches_golden(case, argv, tmp_path):
 
 def test_every_fixture_belongs_to_a_case():
     cases = {c for c, _ in _cases()}
-    stray = [p.name for p in GOLDEN.iterdir() if p.name.rsplit(".", 1)[0] not in cases]
+    stray = [p.name for p in GOLDEN.iterdir()
+             if p.name.rsplit(".", 1)[0] not in cases and p != CARPET_SPEC]
     assert stray == []
 
 
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.iterdir():
-        old.unlink()
+        if old != CARPET_SPEC:
+            old.unlink()
     for case, argv in _cases():
         for fname, text in _run(argv, GOLDEN, case).items():
             (GOLDEN / fname).write_text(text, encoding="utf-8")
