@@ -253,6 +253,16 @@ def _singleton_status(spec: SystemSpec, i: int, j: int,
     return "unknown", ()
 
 
+def certified_addresses(pu: Optional[PUReport],
+                        singleton: Optional[SingletonReport]) -> Optional[oracles.Addresses]:
+    """The overlap addresses when the orbit walk and the singleton check
+    certified every pair, half the licence of `oracles.generate_pu_nerve`
+    on a geometric system; None otherwise."""
+    if pu is None or pu.mechanism != "orbit-walk" or not (singleton and singleton.all_small):
+        return None
+    return {pair: r.address for pair, r in pu.pairs.items() if r.address}
+
+
 class ConditionResult(_Record):
     __slots__ = _fields = ("ok", "witness")
     _defaults = {"witness": ""}

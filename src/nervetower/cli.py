@@ -478,7 +478,8 @@ def _analysed_tower(loaded: LoadedSpec, args: argparse.Namespace,
         singleton = classify_mod.check_singleton_overlaps(spec, budget)
     if loaded.flags.pivot is not None:
         pivot = classify_mod.check_h1_infinite_conditions(spec, loaded.flags.pivot, budget)
-    tower = tower_complexes(spec, depth, dim_cap=args.dim_cap, budget=budget)
+    tower = tower_complexes(spec, depth, args.dim_cap, budget,
+                            classify_mod.certified_addresses(pu, singleton))
     table = tower_analysis(tower, fieldkind,
                            postunbranched=None if pu is None or pu.status == "unknown"
                            else pu.status == "postunbranched",

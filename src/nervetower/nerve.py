@@ -7,7 +7,9 @@ depth k, v -> v // m on vertex indices; a tower checks each one as it is built.
 
 A level the generator builds as the m block copies j.N_k of the level below
 stores only that level (its block source) and the simplices that cross
-blocks.  Those are a constant handful per level on postunbranched systems, so
+blocks.  On a postunbranched system those are the lifts of N_1's simplices
+along the overlap addresses (`oracles.generate_pu_nerve`, one routine for
+symbolic and certified geometric systems), a constant handful per level, so
 counts, truncation checks, components and the block-diagonal boundary ranks
 read only what each level adds; the full simplex lists are expanded only for
 a reader that needs every simplex.  A level swept from interval ends stands
@@ -32,6 +34,7 @@ from . import oracles
 from .components import ComponentsLevel, components
 from .exactgeom import compose
 from .oracles import (
+    Addresses,
     Budget,
     ConsistencyError,
     GeometricBackend,
@@ -230,9 +233,11 @@ class SimplicialComplex(_Frozen):
         return components(self)
 
 
-def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
-                budget: Budget = Budget()) -> SimplicialComplex:
-    """The depth-`level` nerve, with simplices enumerated up to dimension dim_cap."""
+def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3, budget: Budget = Budget(),
+                addresses: Optional[Addresses] = None) -> SimplicialComplex:
+    """The depth-`level` nerve, with simplices enumerated up to dimension
+    dim_cap; a geometric system's certified overlap addresses, when given,
+    license lifting its levels past depth 1 (`_levels`)."""
     if level < 1:
         raise SpecError("nerve depth must be at least 1")
     if dim_cap < 1:
@@ -244,7 +249,7 @@ def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
         if key not in spec._cache:
             spec._cache[key] = _table_level(spec, level, dim_cap)
         return spec._cache[key]
-    return _levels(spec, level, dim_cap, budget)[level - 1]
+    return _levels(spec, level, dim_cap, budget, addresses)[level - 1]
 
 
 def _table_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComplex:
@@ -256,8 +261,8 @@ def _table_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComple
     return SimplicialComplex(level, spec.m, added, dim_cap, len(kept) == len(stored))
 
 
-def _levels(spec: SystemSpec, depth: int, dim_cap: int,
-            budget: Budget) -> list[SimplicialComplex]:
+def _levels(spec: SystemSpec, depth: int, dim_cap: int, budget: Budget,
+            addresses: Optional[Addresses] = None) -> list[SimplicialComplex]:
     """Nerves at depths 1..depth as the backend answers them, generated level
     to level and cached on the spec.
 
@@ -269,15 +274,17 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
       is injective, c_j maps the envelopes, refinement frontiers and
       certificate points of a tuple w one-to-one onto those of j.w, so the
       oracle answers j.w as it answered w, with the same note.
-    * Symbolic crossings are the lifts of the depth-1 simplices
-      (`oracles.generate_pu_nerve`).
-    * Geometric crossings.  Depth 1 queries every pair.  Cells nest, so a pair
-      can meet only if its truncation does, and the child of a pair certified
-      disjoint is certified disjoint too: its envelopes and refinement
-      frontiers lie inside the parent's.  Only children of depth-k edges and
-      uncertain pairs that cross blocks (and, without block copies, of every
-      edge and single vertex) are queried, and no tuple inside one block.
-      Higher simplices grow as cliques over verified simplices.
+    * Lifted crossings are the lifts of N_1's simplices, with no oracle
+      query (`oracles.generate_pu_nerve`, which states the licence): on a
+      symbolic system, and past depth 1 on a geometric one given addresses
+      (`classify.certified_addresses`) under the rest of that licence.
+    * Oracle crossings, on any other geometric level.  Depth 1 queries every
+      pair.  Cells nest, so a pair can meet only if its truncation does, and
+      the child of a pair certified disjoint is certified disjoint too: its
+      envelopes and refinement frontiers lie inside the parent's.  Only
+      children of depth-k edges and uncertain pairs that cross blocks (and,
+      without block copies, of every edge and single vertex) are queried, and
+      no tuple inside one block.  Higher simplices grow as cliques.
     * Interval sweeps.  On a spec that passes `oracles.envelope_exact`,
       every cell is its envelope, an interval or a point on one line, and
       each level is one sweep over its interval ends (`_swept_level`),
@@ -310,8 +317,14 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
         uncertain = [] if source is None else [
             (tuple(o + v for v in s), note)
             for o in range(0, spec.m ** level, spec.m ** prev.level) for s, note in prev.uncertain]
-        if symbolic:
-            added, complete = _lifted_level(spec, level, dim_cap)
+        if symbolic or (addresses is not None and copies and level > 1
+                        and not levels[0].uncertain):
+            n1 = None if symbolic else [tuple(v + 1 for v in s) for dim, sims in
+                                        levels[0].added.items() if dim for s in sims]
+            lifts = oracles.generate_pu_nerve(spec, level, n1, addresses)
+            added = {dim: tuple(s for s in lifts if len(s) == dim + 1)
+                     for dim in sorted({len(s) - 1 for s in lifts}) if dim <= dim_cap}
+            complete = all(len(s) <= dim_cap + 1 for s in lifts) and (prev is None or prev.complete)
         else:
             pairs = _candidate_pairs(spec, prev, copies) if prev else combinations(range(spec.m), 2)
             added, complete = _grow_level(spec, level, pairs, source, uncertain, dim_cap, budget)
@@ -324,24 +337,6 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
                                   block_source=None)
         levels.append(built)
     return levels
-
-
-def _lifted_level(spec: SystemSpec, level: int,
-                  dim_cap: int) -> tuple[dict[int, Simplices], bool]:
-    """The lifts of a symbolic level up to dim_cap, which are the simplices
-    crossing its blocks (all of N_1 at depth 1), and whether the level is
-    complete.
-
-    N_1 is closed under faces and the lift of a face is the face of the lift,
-    so the lifts, and with them the level, are closed under faces too.
-    """
-    lifts = oracles.generate_pu_nerve(spec, level)
-    added: dict[int, list[tuple[int, ...]]] = {}
-    for lift in lifts:
-        if len(lift) - 1 <= dim_cap:
-            added.setdefault(len(lift) - 1, []).append(lift)
-    return ({dim: tuple(sorted(sims)) for dim, sims in sorted(added.items())},
-            all(len(lift) - 1 <= dim_cap for lift in lifts))
 
 
 def _swept_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComplex:
@@ -358,8 +353,8 @@ def _swept_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComple
     with each S in A_v of at most dim_cap vertices, each found once (the
     interval-graph sweep; Golumbic, Algorithmic Graph Theory and Perfect
     Graphs, 1980): C(|A_v|, d) of dimension d, and one edge u v for each u
-    in A_v.  The level is complete when the sweep counts no simplex of
-    dimension dim_cap + 1.
+    in A_v, counted as one C per distinct size |A_v|.  The level is complete
+    when the sweep counts no simplex of dimension dim_cap + 1.
 
     Coverage is an invariant, not a flag.  The depth-1 intervals cover
     [0, D] (the licence), and block j of depth k is phi_j of depth k - 1,
@@ -372,13 +367,14 @@ def _swept_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComple
     edge counted.
     """
     ends = oracles.interval_ends(spec, level)
-    counts = dict.fromkeys(range(1, dim_cap + 2), 0)
+    sizes: dict[int, int] = {}  # |A_v| -> how many v
     for i, (v, active) in enumerate(_sweep(ends)):
         if i and not active:
             raise ConsistencyError(f"the depth-{level} intervals of the envelope-exact system "
                                    f"{spec.name!r} leave a gap before vertex {v}")
-        for dim in counts:
-            counts[dim] += comb(len(active), dim)
+        sizes[len(active)] = sizes.get(len(active), 0) + 1
+    counts = {dim: sum(n * comb(size, dim) for size, n in sizes.items())
+              for dim in range(1, dim_cap + 2)}
     base = oracles.interval_ends(spec, 1)
     crossing = tuple((j, k) for j, k in combinations(range(spec.m), 2)
                      if base[k][0] <= base[j][1] and base[j][0] <= base[k][1])
@@ -610,8 +606,8 @@ class TowerData(_Record):
         return self.complexes[level - 1]
 
 
-def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
-                    budget: Budget = Budget()) -> TowerData:
+def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3, budget: Budget = Budget(),
+                    addresses: Optional[Addresses] = None) -> TowerData:
     """Build nerves for depths 1..depth and check the truncations between them.
 
     One `truncation_map` per pair of consecutive depths, deepest pair first;
@@ -621,7 +617,7 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
     vertex indices.  Each level's components are its own (`components`), so
     a level that copies the level below starts from that level's.
     """
-    complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
+    complexes = [build_nerve(spec, k, dim_cap, budget, addresses) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
         complexes[k - 1] = truncation_map(complexes[k], complexes[k - 1])
     return TowerData(spec, dim_cap, complexes, [c.components for c in complexes])

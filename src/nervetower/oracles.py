@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Literal, Mapping, Optional, Sequence, Union
 
 from .exactgeom import (
     ConvexPolygon,
@@ -250,6 +250,7 @@ class SymbolicPUBackend:
 
 
 Backend = Union[GeometricBackend, TableBackend, SymbolicPUBackend]
+Addresses = Mapping[tuple[int, int], Address]  # one overlap address per touching ordered pair
 
 
 class SystemSpec:
@@ -795,28 +796,39 @@ def cells_containing_point(spec: SystemSpec, point: Point2, depth: int,
     return yes, undecided
 
 
-def generate_pu_nerve(spec: SystemSpec, k: int) -> tuple[tuple[int, ...], ...]:
-    """The depth-k simplices of a symbolic system that cross blocks, as sorted
-    tuples of indices into the lexicographic depth-k words.
+def generate_pu_nerve(spec: SystemSpec, k: int, n1: Optional[Iterable[Collection[int]]] = None,
+                      addresses: Optional[Addresses] = None) -> tuple[tuple[int, ...], ...]:
+    """The depth-k simplices that cross blocks, as sorted tuples of indices
+    into the lexicographic depth-k words: the lifts of the simplices n1 of
+    N_1 (in symbols; by default a symbolic system's stored ones) of
+    dimension >= 1, all of N_1 at k = 1, closed under faces as N_1 is.
+    Vertex i goes to i followed by the first k - 1 symbols of its overlap
+    address a_ij with the other vertices j.
 
-    They are the lifts of the depth-1 simplices of dimension >= 1 (at k = 1,
-    N_1 itself): vertex i goes to i followed by the first k - 1 symbols of its
-    overlap address with the other vertices.  A vertex whose addresses differ
-    there raises AddressConsistencyError; callers go depth by depth, so the
-    error names the shallowest ambiguous depth.
+    Licence: the symbolic backend assumes it.  A geometric system holds it
+    when its cell maps are injective, `check_postunbranched` certified one
+    address a_ij per touching ordered pair by orbit-walk, the overlap of
+    cells i and j is one point p_ij (`check_singleton_overlaps`, all_small)
+    and N_1 has no uncertain tuple.  Then p_ij lies in exactly one depth-k
+    cell of block i, i a_ij[:k-1], since f_i^-1(p_ij) lies in the cells on
+    its address only, and cells of different blocks meet at such points
+    only.  So a tuple crossing blocks shares a point exactly when it is the
+    lift of a simplex S of N_1, whose p_ij are all one point.
+
+    A vertex whose addresses differ there raises AddressConsistencyError, at
+    the shallowest ambiguous depth for callers that go depth by depth.
     """
-    backend = spec.backend
-    if not isinstance(backend, SymbolicPUBackend):
-        raise SpecError(f"system {spec.name!r} is not symbolic")
+    if n1 is None:
+        if not isinstance(spec.backend, SymbolicPUBackend):
+            raise SpecError(f"system {spec.name!r} is not symbolic")
+        n1, addresses = spec.backend.n1, spec.backend.addresses
     if k < 1:
         raise SpecError("depth must be at least 1")
     lifts = []
-    for s in backend.n1:
-        if len(s) < 2:
-            continue
+    for s in (s for s in n1 if len(s) > 1):
         lift = []
         for i in sorted(s):
-            prefixes = {tuple(backend.addresses[(i, j)].symbol_at(t) for t in range(k - 1))
+            prefixes = {tuple(addresses[(i, j)].symbol_at(t) for t in range(k - 1))
                         for j in s if j != i}
             if len(prefixes) > 1:
                 raise AddressConsistencyError(s, i, k - 1,

@@ -231,6 +231,50 @@ def test_orbit_walk_matches_the_depth_walk(spec, budget):
     _assert_orbit_walk_matches_the_depth_walk(spec, budget)
 
 
+LIFT_BUDGETS = [Budget(), Budget(refine_depth=2, cert_period_max=1, cert_preperiod_max=0)]
+
+
+def _assert_lifted_levels_are_the_oracles(spec, budget, depth, dim_cap, monkeypatch):
+    """Where the lift's licence holds (certified addresses, injective cell
+    maps, an exact N_1), tower_complexes given the addresses lifts every
+    level past depth 1 and builds the levels the oracle builds with the
+    addresses withheld; where it fails, it lifts none and builds the
+    oracle's levels."""
+    addresses = classify.certified_addresses(check_postunbranched(spec, budget),
+                                             check_singleton_overlaps(spec, budget))
+    oracle = tower_complexes(_fresh(spec), depth, dim_cap, budget)
+    lifted = []
+    original = oracles.generate_pu_nerve
+    monkeypatch.setattr(oracles, "generate_pu_nerve",
+                        lambda spec, k, *rest: lifted.append(k) or original(spec, k, *rest))
+    given = tower_complexes(_fresh(spec), depth, dim_cap, budget, addresses)
+    monkeypatch.undo()
+    licensed = (addresses is not None and spec.injective and not oracles.envelope_exact(spec)
+                and not oracle.complex_at(1).uncertain)
+    assert lifted == (list(range(2, depth + 1)) if licensed else [])
+    assert [(c.added, c.uncertain, c.complete, c.block_source is not None)
+            for c in given.complexes] == \
+        [(c.added, c.uncertain, c.complete, c.block_source is not None)
+         for c in oracle.complexes]
+    return licensed
+
+
+@settings(max_examples=25, deadline=None)
+@given(derived_systems(), st.sampled_from(LIFT_BUDGETS), st.integers(1, 3), st.data())
+def test_lifted_levels_match_the_oracle_on_derived_systems(spec, budget, dim_cap, data):
+    depth = data.draw(st.integers(2, 4 if spec.m <= 3 else 3))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_lifted_levels_are_the_oracles(spec, budget, depth, dim_cap, monkeypatch)
+
+
+@pytest.mark.parametrize("budget", LIFT_BUDGETS, ids=["default", "starved"])
+def test_lifted_levels_match_the_oracle_on_the_gasket_iterate(gasket, budget, monkeypatch):
+    """The gasket's second iterate (`derive --iterate 2`): nine maps, whose
+    touching pairs include the images of the gasket's own corners."""
+    assert _assert_lifted_levels_are_the_oracles(iterate_system(gasket, 2), budget, 3, 2,
+                                                 monkeypatch)
+
+
 GEOMETRIC = [name for name in cli.bundled_names() if cli.load_bundled(name).spec.is_geometric]
 
 

@@ -12,7 +12,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import FrozenInstanceError, cli, homology, nerve, oracles
+from nervetower import FrozenInstanceError, classify, cli, homology, nerve, oracles
 from nervetower.classify import check_postunbranched
 from nervetower.components import dim0_facts
 from nervetower.exactgeom import ConvexPolygon, Point2, RationalAffineMap
@@ -1148,6 +1148,33 @@ class TestAgainstWordSets:
                                       "simplex-boundary-4"])
     def test_bundled_symbolic_systems(self, name):
         assert_matches_word_sets(cli.load_bundled(name).spec, 5, (1, 2, 3))
+
+
+@pytest.mark.parametrize("name,depth", [("gasket", 6), ("snowflake", 3)])
+def test_licensed_geometric_tower_queries_depth_1_only(name, depth, monkeypatch):
+    """Given its certified addresses, a postunbranched geometric tower asks
+    the oracle about depth-1 cells only: every deeper level is the block
+    copies plus the lifts, through the routine that lifts symbolic levels.
+    Withheld, the oracle is asked past depth 1, and no level is lifted."""
+    spec = cli.load_bundled(name).spec
+    addresses = classify.certified_addresses(check_postunbranched(spec),
+                                             classify.check_singleton_overlaps(spec))
+    queried, lifted = [], []
+    intersect, lift = oracles.cells_intersect, oracles.generate_pu_nerve
+    monkeypatch.setattr(oracles, "cells_intersect",
+                        lambda spec, ws, *rest: queried.append(len(ws[0])) or
+                        intersect(spec, ws, *rest))
+    monkeypatch.setattr(oracles, "generate_pu_nerve", lambda spec, k, *rest:
+                        lifted.append((spec.name, k)) or lift(spec, k, *rest))
+    tower = tower_complexes(_fresh(spec), depth, addresses=addresses)
+    assert queried and set(queried) == {1}
+    assert lifted == [(name, k) for k in range(2, depth + 1)]
+    tower_complexes(_fresh(cli.load_bundled("pentagasket").spec), 2)
+    assert lifted[depth - 1:] == [("pentagasket", 1), ("pentagasket", 2)]
+    queried.clear()
+    withheld = tower_complexes(_fresh(spec), depth)
+    assert max(queried) == depth and len(lifted) == depth + 1
+    assert [_nerve_data(c) for c in withheld.complexes] == [_nerve_data(c) for c in tower.complexes]
 
 
 def test_pentagasket_depth6_word_constructions(monkeypatch):
