@@ -319,8 +319,8 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int, budget: Budget,
             for o in range(0, spec.m ** level, spec.m ** prev.level) for s, note in prev.uncertain]
         if symbolic or (addresses is not None and copies and level > 1
                         and not levels[0].uncertain):
-            n1 = None if symbolic else [tuple(v + 1 for v in s) for dim, sims in
-                                        levels[0].added.items() if dim for s in sims]
+            n1 = None if symbolic else [tuple(v + 1 for v in s)
+                                        for sims in levels[0].added.values() for s in sims]
             lifts = oracles.generate_pu_nerve(spec, level, n1, addresses)
             added = {dim: tuple(s for s in lifts if len(s) == dim + 1)
                      for dim in sorted({len(s) - 1 for s in lifts}) if dim <= dim_cap}

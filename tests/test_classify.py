@@ -247,13 +247,13 @@ def _assert_lifted_levels_are_the_oracles(spec, budget, depth, dim_cap, monkeypa
     original = oracles.generate_pu_nerve
     monkeypatch.setattr(oracles, "generate_pu_nerve",
                         lambda spec, k, *rest: lifted.append(k) or original(spec, k, *rest))
-    given = tower_complexes(_fresh(spec), depth, dim_cap, budget, addresses)
+    tower = tower_complexes(_fresh(spec), depth, dim_cap, budget, addresses)
     monkeypatch.undo()
     licensed = (addresses is not None and spec.injective and not oracles.envelope_exact(spec)
                 and not oracle.complex_at(1).uncertain)
     assert lifted == (list(range(2, depth + 1)) if licensed else [])
     assert [(c.added, c.uncertain, c.complete, c.block_source is not None)
-            for c in given.complexes] == \
+            for c in tower.complexes] == \
         [(c.added, c.uncertain, c.complete, c.block_source is not None)
          for c in oracle.complexes]
     return licensed
