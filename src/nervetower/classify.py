@@ -21,14 +21,12 @@ the report says so.
 
 from __future__ import annotations
 
-from typing import Literal, Optional
+from typing import TYPE_CHECKING, Callable, Literal, Optional
 
-from . import oracles
+from . import nerve, oracles  # nerve imports lift_addresses: read build_nerve when called
 from .components import stationary_bound
 # common_point_exists is unused here; the tracer self-test in perfbench/tests patches it
 from .exactgeom import Point2, common_point_exists  # noqa: F401
-from .homology import BettiTable
-from .nerve import build_nerve
 from .oracles import (
     Budget,
     ConsistencyError,
@@ -39,6 +37,22 @@ from .oracles import (
     certificate_points,
 )
 from .words import Address, Word, _Record
+
+if TYPE_CHECKING:  # homology builds on nerve, which builds on this module
+    from .homology import BettiTable
+
+
+def _kept(check: Callable) -> Callable:
+    """`check` run once per spec and budget, its report kept on the spec (not
+    `functools.wraps`: a `__wrapped__` marks a traced function)."""
+    def kept(spec: SystemSpec, budget: Budget = Budget()):
+        key = (check.__name__, budget)
+        if key not in spec._cache:
+            spec._cache[key] = check(spec, budget)
+        return spec._cache[key]
+    kept.__name__, kept.__qualname__, kept.__doc__ = check.__name__, check.__name__, check.__doc__
+    return kept
+
 
 PairStatus = Literal["ok", "empty", "violated", "unknown"]
 
@@ -64,6 +78,7 @@ class PUReport(_Record):
     witness: str
 
 
+@_kept
 def check_postunbranched(spec: SystemSpec, budget: Budget = Budget()) -> PUReport:
     """Certify or refute the unique-address property of every overlap, at every depth.
 
@@ -202,6 +217,7 @@ class SingletonReport(_Record):
     witnesses: dict[tuple[int, int], tuple[Point2, Point2]]
 
 
+@_kept
 def check_singleton_overlaps(spec: SystemSpec, budget: Budget = Budget()) -> SingletonReport:
     """Certify that each pairwise overlap of depth-1 cells is empty or one point.
 
@@ -253,12 +269,12 @@ def _singleton_status(spec: SystemSpec, i: int, j: int,
     return "unknown", ()
 
 
-def certified_addresses(pu: Optional[PUReport],
-                        singleton: Optional[SingletonReport]) -> Optional[oracles.Addresses]:
-    """The overlap addresses when the orbit walk and the singleton check
-    certified every pair, half the licence of `oracles.generate_pu_nerve`
-    on a geometric system; None otherwise."""
-    if pu is None or pu.mechanism != "orbit-walk" or not (singleton and singleton.all_small):
+def lift_addresses(spec: SystemSpec, budget: Budget) -> Optional[oracles.Addresses]:
+    """A geometric system's overlap addresses when the orbit walk and the
+    singleton check certified every pair, half the licence of
+    `oracles.generate_pu_nerve`; None otherwise.  `nerve._levels` asks."""
+    pu = check_postunbranched(spec, budget)
+    if pu.mechanism != "orbit-walk" or not check_singleton_overlaps(spec, budget).all_small:
         return None
     return {pair: r.address for pair, r in pu.pairs.items() if r.address}
 
@@ -287,48 +303,31 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
                                  budget: Budget = Budget()) -> PivotReport:
     if not 1 <= pivot <= spec.m:
         raise SpecError(f"pivot {pivot} outside 1..{spec.m}")
-    n1 = build_nerve(spec, 1, dim_cap=2, budget=budget)
-    n2 = build_nerve(spec, 2, dim_cap=2, budget=budget)
+    n1 = nerve.build_nerve(spec, 1, dim_cap=2, budget=budget)
+    n2 = nerve.build_nerve(spec, 2, dim_cap=2, budget=budget)
     conditional = bool(n1.uncertain or n2.uncertain)
-
-    conditions: dict[str, ConditionResult] = {}
-
     count = n1.components.count
-    conditions["base-connected"] = ConditionResult(
-        count == 1, f"depth-1 nerve has {count} component(s)")
-
     pp = n2.index_of(Word((pivot, pivot), spec.m))
     offender = next((str(w) for edge in n2.simplices_of(1) if pp in edge
                      for w in map(n2.word, edge) if w.symbols[0] != pivot), "")
-    conditions["pivot-block-isolated"] = ConditionResult(
-        offender == "",
-        f"cell {pivot}{pivot} touches cell {offender}" if offender
-        else f"cell {pivot}{pivot} touches only cells inside block {pivot}")
-
-    cycle_witness = ""
-    for j2 in range(1, spec.m + 1):
-        for j3 in range(1, spec.m + 1):
-            if len({pivot, j2, j3}) != 3:
-                continue
-            if all(tuple(sorted((a - 1, b - 1))) in n1
-                   for a, b in ((pivot, j2), (j2, j3), (j3, pivot))):
-                cycle_witness = f"{pivot}-{j2}-{j3}-{pivot}"
-                break
-        if cycle_witness:
-            break
-    conditions["pivot-cycle"] = ConditionResult(
-        cycle_witness != "",
-        f"cycle {cycle_witness}" if cycle_witness else "no 3-cycle through the pivot")
-
-    triangle = ""
-    for s in n1.simplices_of(2):
-        if pivot - 1 in s:
-            triangle = "{" + ",".join(str(v + 1) for v in s) + "}"
-            break
-    conditions["pivot-triangle-free"] = ConditionResult(
-        triangle == "",
-        f"2-simplex {triangle} contains the pivot" if triangle
-        else "no depth-1 2-simplex contains the pivot")
+    symbols = range(1, spec.m + 1)
+    cycle = next((f"{pivot}-{j2}-{j3}-{pivot}" for j2 in symbols for j3 in symbols
+                  if len({pivot, j2, j3}) == 3
+                  and all(tuple(sorted((a - 1, b - 1))) in n1
+                          for a, b in ((pivot, j2), (j2, j3), (j3, pivot)))), "")
+    triangle = next(("{" + ",".join(str(v + 1) for v in s) + "}"
+                     for s in n1.simplices_of(2) if pivot - 1 in s), "")
+    conditions = {
+        "base-connected": ConditionResult(count == 1, f"depth-1 nerve has {count} component(s)"),
+        "pivot-block-isolated": ConditionResult(
+            not offender, f"cell {pivot}{pivot} touches cell {offender}" if offender
+            else f"cell {pivot}{pivot} touches only cells inside block {pivot}"),
+        "pivot-cycle": ConditionResult(
+            bool(cycle), f"cycle {cycle}" if cycle else "no 3-cycle through the pivot"),
+        "pivot-triangle-free": ConditionResult(
+            not triangle, f"2-simplex {triangle} contains the pivot" if triangle
+            else "no depth-1 2-simplex contains the pivot"),
+    }
 
     conclusion = all(c.ok for c in conditions.values()) and not conditional
     detail = ("all four conditions hold: the limit's first cohomology has infinite rank "

@@ -8,14 +8,14 @@ depth k, v -> v // m on vertex indices; a tower checks each one as it is built.
 A level the generator builds as the m block copies j.N_k of the level below
 stores only that level (its block source) and the simplices that cross
 blocks.  On a postunbranched system those are the lifts of N_1's simplices
-along the overlap addresses (`oracles.generate_pu_nerve`, one routine for
-symbolic and certified geometric systems), a constant handful per level, so
-counts, truncation checks, components and the block-diagonal boundary ranks
-read only what each level adds; the full simplex lists are expanded only for
-a reader that needs every simplex.  A level swept from interval ends stands
-alone: it stores its intervals, its counts and the pairs of blocks an edge
-joins, which are N_1's edges at every depth, and lists no simplex until one
-is read.
+along the overlap addresses (`oracles.generate_pu_nerve`, for symbolic and
+certified geometric systems alike, whoever asks for the level), a constant
+handful per level, so counts, truncation checks, components and the
+block-diagonal boundary ranks read only what each level adds; the full
+simplex lists are expanded only for a reader that needs every simplex.  A
+level swept from interval ends stands alone: it stores its intervals, its
+counts and the pairs of blocks an edge joins, which are N_1's edges at every
+depth, and lists no simplex until one is read.
 
 Oracle answers of Unknown do not abort construction: the affected tuples are
 excluded from the complex and recorded in its `uncertain` log, so downstream
@@ -31,10 +31,10 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import oracles
+from .classify import lift_addresses
 from .components import ComponentsLevel, components
 from .exactgeom import compose
 from .oracles import (
-    Addresses,
     Budget,
     ConsistencyError,
     GeometricBackend,
@@ -233,11 +233,10 @@ class SimplicialComplex(_Frozen):
         return components(self)
 
 
-def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3, budget: Budget = Budget(),
-                addresses: Optional[Addresses] = None) -> SimplicialComplex:
+def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3,
+                budget: Budget = Budget()) -> SimplicialComplex:
     """The depth-`level` nerve, with simplices enumerated up to dimension
-    dim_cap; a geometric system's certified overlap addresses, when given,
-    license lifting its levels past depth 1 (`_levels`)."""
+    dim_cap (`_levels`)."""
     if level < 1:
         raise SpecError("nerve depth must be at least 1")
     if dim_cap < 1:
@@ -249,7 +248,7 @@ def build_nerve(spec: SystemSpec, level: int, dim_cap: int = 3, budget: Budget =
         if key not in spec._cache:
             spec._cache[key] = _table_level(spec, level, dim_cap)
         return spec._cache[key]
-    return _levels(spec, level, dim_cap, budget, addresses)[level - 1]
+    return _levels(spec, level, dim_cap, budget)[level - 1]
 
 
 def _table_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComplex:
@@ -261,8 +260,8 @@ def _table_level(spec: SystemSpec, level: int, dim_cap: int) -> SimplicialComple
     return SimplicialComplex(level, spec.m, added, dim_cap, len(kept) == len(stored))
 
 
-def _levels(spec: SystemSpec, depth: int, dim_cap: int, budget: Budget,
-            addresses: Optional[Addresses] = None) -> list[SimplicialComplex]:
+def _levels(spec: SystemSpec, depth: int, dim_cap: int,
+            budget: Budget) -> list[SimplicialComplex]:
     """Nerves at depths 1..depth as the backend answers them, generated level
     to level and cached on the spec.
 
@@ -276,8 +275,8 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int, budget: Budget,
       oracle answers j.w as it answered w, with the same note.
     * Lifted crossings are the lifts of N_1's simplices, with no oracle
       query (`oracles.generate_pu_nerve`, which states the licence): on a
-      symbolic system, and past depth 1 on a geometric one given addresses
-      (`classify.certified_addresses`) under the rest of that licence.
+      symbolic system, and past depth 1 on an injective geometric one with
+      an exact N_1 whose addresses `classify.lift_addresses` certifies.
     * Oracle crossings, on any other geometric level.  Depth 1 queries every
       pair.  Cells nest, so a pair can meet only if its truncation does, and
       the child of a pair certified disjoint is certified disjoint too: its
@@ -317,8 +316,9 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int, budget: Budget,
         uncertain = [] if source is None else [
             (tuple(o + v for v in s), note)
             for o in range(0, spec.m ** level, spec.m ** prev.level) for s, note in prev.uncertain]
-        if symbolic or (addresses is not None and copies and level > 1
-                        and not levels[0].uncertain):
+        addresses = None if symbolic or not copies or level == 1 or levels[0].uncertain \
+            else lift_addresses(spec, budget)
+        if symbolic or addresses is not None:
             n1 = None if symbolic else [tuple(v + 1 for v in s)
                                         for sims in levels[0].added.values() for s in sims]
             lifts = oracles.generate_pu_nerve(spec, level, n1, addresses)
@@ -606,8 +606,8 @@ class TowerData(_Record):
         return self.complexes[level - 1]
 
 
-def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3, budget: Budget = Budget(),
-                    addresses: Optional[Addresses] = None) -> TowerData:
+def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3,
+                    budget: Budget = Budget()) -> TowerData:
     """Build nerves for depths 1..depth and check the truncations between them.
 
     One `truncation_map` per pair of consecutive depths, deepest pair first;
@@ -617,7 +617,7 @@ def tower_complexes(spec: SystemSpec, depth: int, dim_cap: int = 3, budget: Budg
     vertex indices.  Each level's components are its own (`components`), so
     a level that copies the level below starts from that level's.
     """
-    complexes = [build_nerve(spec, k, dim_cap, budget, addresses) for k in range(1, depth + 1)]
+    complexes = [build_nerve(spec, k, dim_cap, budget) for k in range(1, depth + 1)]
     for k in range(len(complexes) - 1, 0, -1):
         complexes[k - 1] = truncation_map(complexes[k], complexes[k - 1])
     return TowerData(spec, dim_cap, complexes, [c.components for c in complexes])

@@ -534,11 +534,13 @@ def _symbol_meet(spec: SystemSpec, key: tuple[int, ...]) -> list[PointKey]:
 
 def certificate_points(spec: SystemSpec, ws: Sequence[Word], budget: Budget) -> list[Point2]:
     """All in-budget points certified to lie in every listed cell, sorted by
-    Point2.as_pair.  On a geometric system the list is nonempty exactly when
-    `cells_intersect` answers intersect: a common point is the only
-    intersection certificate that backend has."""
-    keys = _common_keys(spec, ws, budget, _envelope_meet(spec, ws))
-    return sorted(map(Point2.from_homogeneous, keys), key=Point2.as_pair)
+    (x, y) as integers over their common denominator.  On a geometric system
+    the list is nonempty exactly when `cells_intersect` answers intersect: a
+    common point is the only intersection certificate that backend has."""
+    keys = [_normalized(*key) for key in _common_keys(spec, ws, budget, _envelope_meet(spec, ws))]
+    den = lcm(*(z for _x, _y, z in keys))
+    keys.sort(key=lambda t: (t[0] * den // t[2], t[1] * den // t[2]))
+    return list(map(Point2._of, keys))
 
 
 def _validate_query(spec: SystemSpec, ws: Sequence[Word]) -> tuple[Word, ...]:
@@ -809,11 +811,13 @@ def generate_pu_nerve(spec: SystemSpec, k: int, n1: Optional[Iterable[Collection
     when its cell maps are injective, `check_postunbranched` certified one
     address a_ij per touching ordered pair by orbit-walk, the overlap of
     cells i and j is one point p_ij (`check_singleton_overlaps`, all_small)
-    and N_1 has no uncertain tuple.  Then p_ij lies in exactly one depth-k
-    cell of block i, i a_ij[:k-1], since f_i^-1(p_ij) lies in the cells on
-    its address only, and cells of different blocks meet at such points
-    only.  So a tuple crossing blocks shares a point exactly when it is the
-    lift of a simplex S of N_1, whose p_ij are all one point.
+    and N_1 has no uncertain tuple; `nerve._levels` lifts exactly then, with
+    the addresses `classify.lift_addresses` reads off those two reports.
+    Then p_ij lies in exactly one depth-k cell of block i, i a_ij[:k-1],
+    since f_i^-1(p_ij) lies in the cells on its address only, and cells of
+    different blocks meet at such points only.  So a tuple crossing blocks
+    shares a point exactly when it is the lift of a simplex S of N_1, whose
+    p_ij are all one point.
 
     A vertex whose addresses differ there raises AddressConsistencyError, at
     the shallowest ambiguous depth for callers that go depth by depth.

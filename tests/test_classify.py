@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nervetower import classify, cli, oracles
+from nervetower import classify, cli, nerve, oracles
 from nervetower.classify import (PairReport, PUReport, check_h1_infinite_conditions,
                                  check_postunbranched,
                                  check_singleton_overlaps, verify_puthm)
@@ -85,20 +85,30 @@ class TestPostunbranched:
         assert "depth" not in PUReport._fields
         assert "prefix" not in PairReport._fields
 
+    def test_reports_are_kept_per_spec_and_budget(self, gasket):
+        """Each check runs once per spec and budget: a second call returns
+        the kept report, another budget or a fresh spec runs it anew."""
+        spec = _fresh(gasket)
+        for check in (check_postunbranched, check_singleton_overlaps):
+            assert check(spec) is check(spec, Budget())
+            assert check(spec, STARVED) is not check(spec)
+            assert check(_fresh(gasket)) is not check(spec) and check(_fresh(gasket)) == check(spec)
+
     def test_distinct_addresses_violate(self, gasket, monkeypatch):
         """Two overlap points whose walks both pass but whose addresses differ
         lie in distinct cells from the first symbol where the addresses
         differ: the pair is violated, and the detail names both addresses.
         The gasket's cells 1 and 2 meet in one point, (1/2, 0), so the pair
         is handed a second one, cell 1's corner (0, 1/2), which pulls back
-        to the corner (0, 1) with address (3)^inf."""
+        to the corner (0, 1) with address (3)^inf.  The report is kept on
+        the spec, so the patched one is a fresh copy of the gasket."""
         real = classify.certificate_points
 
         def two_points(spec, words, budget):
             got = real(spec, words, budget)
             return got + [P(0, "1/2")] if [w.symbols for w in words] == [(1,), (2,)] else got
         monkeypatch.setattr(classify, "certificate_points", two_points)
-        rep = check_postunbranched(gasket)
+        rep = check_postunbranched(_fresh(gasket))
         assert (rep.status, rep.mechanism) == ("not-postunbranched", "branching-witness")
         assert rep.pairs[(1, 2)].status == "violated"
         assert rep.witness == "pair (1,2): overlap points pull back to distinct addresses " \
@@ -236,18 +246,20 @@ LIFT_BUDGETS = [Budget(), Budget(refine_depth=2, cert_period_max=1, cert_preperi
 
 def _assert_lifted_levels_are_the_oracles(spec, budget, depth, dim_cap, monkeypatch):
     """Where the lift's licence holds (certified addresses, injective cell
-    maps, an exact N_1), tower_complexes given the addresses lifts every
-    level past depth 1 and builds the levels the oracle builds with the
-    addresses withheld; where it fails, it lifts none and builds the
-    oracle's levels."""
-    addresses = classify.certified_addresses(check_postunbranched(spec, budget),
-                                             check_singleton_overlaps(spec, budget))
-    oracle = tower_complexes(_fresh(spec), depth, dim_cap, budget)
+    maps, an exact N_1), tower_complexes lifts every level past depth 1 and
+    builds the levels the oracle builds, on a fresh spec, with
+    `lift_addresses` patched to None; where it fails, it lifts none and
+    builds the oracle's levels."""
+    addresses = classify.lift_addresses(spec, budget)
     lifted = []
     original = oracles.generate_pu_nerve
     monkeypatch.setattr(oracles, "generate_pu_nerve",
                         lambda spec, k, *rest: lifted.append(k) or original(spec, k, *rest))
-    tower = tower_complexes(_fresh(spec), depth, dim_cap, budget, addresses)
+    with monkeypatch.context() as withheld:
+        withheld.setattr(nerve, "lift_addresses", lambda spec, budget: None)
+        oracle = tower_complexes(_fresh(spec), depth, dim_cap, budget)
+    assert lifted == []
+    tower = tower_complexes(_fresh(spec), depth, dim_cap, budget)
     monkeypatch.undo()
     licensed = (addresses is not None and spec.injective and not oracles.envelope_exact(spec)
                 and not oracle.complex_at(1).uncertain)

@@ -1,6 +1,7 @@
 """Command line: parsing, exit codes, deterministic exports, derive round-trips."""
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -13,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from nervetower import cli
+from nervetower import cli, oracles
 from nervetower.cli import (EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_UNCERTAIN,
                             bundled_names, load_bundled, load_spec_text,
                             main, parse_spec, spec_to_doc)
+from nervetower.nerve import build_nerve
 from nervetower.oracles import SpecError
 
 GASKET_DOC = {
@@ -477,6 +479,46 @@ def test_readme_command_lines_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_readme_library_block_gives_its_commented_results():
+    """The README's Library block runs as written, and each line that ends
+    in a comment evaluates to the value the comment gives."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    results = [re.fullmatch(r"([^#\s].*?)\s+# (.+)", line) for line in block.splitlines()]
+    results = [(m[1], m[2]) for m in results if m]
+    assert len(results) == 3
+    for expression, value in results:
+        assert eval(expression, namespace) == ast.literal_eval(value), expression
+
+
+ENTRY_POINTS = [["tower", "--max-depth", "4", "--dim-cap", "1"],
+                ["tower", "--max-depth", "4", "--dim-cap", "2"],
+                ["classify", "--max-depth", "4"], ["nerve", "--depth", "4"], ["build_nerve"]]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=" ".join)
+@pytest.mark.parametrize("name", ["gasket", "snowflake"])
+def test_licensed_systems_query_depth_1_only_from_every_entry_point(name, entry, monkeypatch,
+                                                                    capsys, tmp_path):
+    """A certified postunbranched geometric system is lifted past depth 1
+    whoever builds it, since `nerve._levels` alone decides: `tower` at both
+    dim caps, `classify`, `nerve` and a bare `build_nerve` ask the oracle
+    about depth-1 cells only.  The gasket's pivot flag makes `tower` and
+    `classify` build N_2 in the pivot check too, before the tower."""
+    queried = []
+    intersect = oracles.cells_intersect
+    monkeypatch.setattr(oracles, "cells_intersect", lambda spec, ws, *rest:
+                        queried.append(len(ws[0])) or intersect(spec, ws, *rest))
+    if entry == ["build_nerve"]:
+        build_nerve(load_bundled(name).spec, 4)
+    else:
+        out = ["--out-json", str(tmp_path / "n.json")] if entry[0] == "nerve" else []
+        assert main([entry[0], name, *entry[1:], *out]) == EXIT_OK
+    assert queried and set(queried) == {1}
 
 
 USAGE_ERRORS = [[], ["bogus"], ["tower"], ["tower", "gasket", "--max-depth", "0"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nervetower import cli, oracles
-from nervetower.classify import check_postunbranched
+from nervetower.classify import check_postunbranched, check_singleton_overlaps, lift_addresses
 from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _region,
                                   common_point_exists, common_region, compose)
 from nervetower.nerve import (build_iterate_or_subsystem, build_nerve,
@@ -461,8 +461,10 @@ def test_one_point_meets_build_no_word_point_sets(name, depth):
 
 def test_snowflake_nerve_builds_no_fraction(monkeypatch):
     """Points and maps are integer values and predicates read only those:
-    building the depth-3 snowflake nerve constructs no Fraction."""
-    spec = cli.load_bundled("snowflake").spec
+    building the depth-3 snowflake nerve, which certifies the overlaps to
+    lift it, constructs no Fraction, and nor do the two overlap checks run
+    on a fresh copy (sorting certified points by Point2.as_pair made 72)."""
+    spec, fresh = cli.load_bundled("snowflake").spec, cli.load_bundled("snowflake").spec
     calls = 0
     new = Fraction.__new__
 
@@ -473,8 +475,11 @@ def test_snowflake_nerve_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     build_nerve(spec, 3)
+    check_postunbranched(fresh)
+    check_singleton_overlaps(fresh)
     monkeypatch.undo()
     assert calls == 0
+    assert lift_addresses(spec, Budget()) is not None
 
 
 def test_snowflake_certificate_map_calls(monkeypatch):
