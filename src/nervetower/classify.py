@@ -306,28 +306,45 @@ def check_h1_infinite_conditions(spec: SystemSpec, pivot: int,
     n1 = nerve.build_nerve(spec, 1, dim_cap=2, budget=budget)
     n2 = nerve.build_nerve(spec, 2, dim_cap=2, budget=budget)
     conditional = bool(n1.uncertain or n2.uncertain)
+
+    conditions: dict[str, ConditionResult] = {}
+
     count = n1.components.count
+    conditions["base-connected"] = ConditionResult(
+        count == 1, f"depth-1 nerve has {count} component(s)")
+
     pp = n2.index_of(Word((pivot, pivot), spec.m))
     offender = next((str(w) for edge in n2.simplices_of(1) if pp in edge
                      for w in map(n2.word, edge) if w.symbols[0] != pivot), "")
-    symbols = range(1, spec.m + 1)
-    cycle = next((f"{pivot}-{j2}-{j3}-{pivot}" for j2 in symbols for j3 in symbols
-                  if len({pivot, j2, j3}) == 3
-                  and all(tuple(sorted((a - 1, b - 1))) in n1
-                          for a, b in ((pivot, j2), (j2, j3), (j3, pivot)))), "")
-    triangle = next(("{" + ",".join(str(v + 1) for v in s) + "}"
-                     for s in n1.simplices_of(2) if pivot - 1 in s), "")
-    conditions = {
-        "base-connected": ConditionResult(count == 1, f"depth-1 nerve has {count} component(s)"),
-        "pivot-block-isolated": ConditionResult(
-            not offender, f"cell {pivot}{pivot} touches cell {offender}" if offender
-            else f"cell {pivot}{pivot} touches only cells inside block {pivot}"),
-        "pivot-cycle": ConditionResult(
-            bool(cycle), f"cycle {cycle}" if cycle else "no 3-cycle through the pivot"),
-        "pivot-triangle-free": ConditionResult(
-            not triangle, f"2-simplex {triangle} contains the pivot" if triangle
-            else "no depth-1 2-simplex contains the pivot"),
-    }
+    conditions["pivot-block-isolated"] = ConditionResult(
+        offender == "",
+        f"cell {pivot}{pivot} touches cell {offender}" if offender
+        else f"cell {pivot}{pivot} touches only cells inside block {pivot}")
+
+    cycle_witness = ""
+    for j2 in range(1, spec.m + 1):
+        for j3 in range(1, spec.m + 1):
+            if len({pivot, j2, j3}) != 3:
+                continue
+            if all(tuple(sorted((a - 1, b - 1))) in n1
+                   for a, b in ((pivot, j2), (j2, j3), (j3, pivot))):
+                cycle_witness = f"{pivot}-{j2}-{j3}-{pivot}"
+                break
+        if cycle_witness:
+            break
+    conditions["pivot-cycle"] = ConditionResult(
+        cycle_witness != "",
+        f"cycle {cycle_witness}" if cycle_witness else "no 3-cycle through the pivot")
+
+    triangle = ""
+    for s in n1.simplices_of(2):
+        if pivot - 1 in s:
+            triangle = "{" + ",".join(str(v + 1) for v in s) + "}"
+            break
+    conditions["pivot-triangle-free"] = ConditionResult(
+        triangle == "",
+        f"2-simplex {triangle} contains the pivot" if triangle
+        else "no depth-1 2-simplex contains the pivot")
 
     conclusion = all(c.ok for c in conditions.values()) and not conditional
     detail = ("all four conditions hold: the limit's first cohomology has infinite rank "

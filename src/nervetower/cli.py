@@ -471,11 +471,13 @@ def _analysed_tower(loaded: LoadedSpec, args: argparse.Namespace,
     spec = loaded.spec
     budget = _budget(args)
     fieldkind = FieldKind.parse(args.field)
-    pu = classify_mod.check_postunbranched(spec, budget) \
-        if spec.is_geometric or isinstance(spec.backend, SymbolicPUBackend) else None
-    singleton = classify_mod.check_singleton_overlaps(spec, budget) if spec.is_geometric else None
-    pivot = None if loaded.flags.pivot is None else \
-        classify_mod.check_h1_infinite_conditions(spec, loaded.flags.pivot, budget)
+    pu = singleton = pivot = None
+    if isinstance(spec.backend, SymbolicPUBackend) or spec.is_geometric:
+        pu = classify_mod.check_postunbranched(spec, budget)
+    if spec.is_geometric:
+        singleton = classify_mod.check_singleton_overlaps(spec, budget)
+    if loaded.flags.pivot is not None:
+        pivot = classify_mod.check_h1_infinite_conditions(spec, loaded.flags.pivot, budget)
     tower = tower_complexes(spec, depth, args.dim_cap, budget)
     table = tower_analysis(tower, fieldkind,
                            postunbranched=None if pu is None or pu.status == "unknown"

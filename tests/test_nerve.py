@@ -704,9 +704,11 @@ def _licensed_and_queried(spec, depth, budget, dim_cap):
     reference also meets and refines segment envelopes by the collinear
     references (`segment_cover.envelope_meet` and `segment_cover.refine`),
     not by the oracle's integer intervals, so that it does not read
-    `oracles._line_maps`, which the sweep reads."""
+    `oracles._line_maps`, which the sweep reads.  The certified lift is
+    patched off too, so that the oracle builds every level of the reference."""
     licensed = nerve._levels(_fresh(spec), depth, dim_cap, budget)
     with patch.object(oracles, "envelope_exact", lambda spec: False), \
+            patch.object(nerve, "lift_addresses", lambda spec, budget: None), \
             patch.object(oracles, "_segment_meet", segment_cover.envelope_meet), \
             patch.object(oracles, "_refine", segment_cover.refine), \
             patch.object(oracles, "_line_maps", _unread):
