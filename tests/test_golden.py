@@ -2,12 +2,13 @@
 
 Every bundled system's tower CSV and JSON report, the classify report of a
 few systems that exercise each checker, the nerve JSON and DOT export of
-four systems, the carpet's tower from a spec kept there, a derived system's
-spec with its tower and nerve under a starved budget (the uncertain path),
-and interval-overlap's nerve at dim cap 3, its starved tower, its second
-iterate's spec and tower, and its tower over GF(2), at dim cap 1 and at
-depth 1 are compared against fixtures in
-tests/golden/.  A refactor that is meant to keep the command-line output must leave every fixture untouched;
+four systems, the carpet's towers at depths 3 and 4 from a spec kept there,
+a derived system's spec with its tower and nerve under a starved budget (the
+uncertain path), and interval-overlap's nerve at dim cap 3, its starved
+tower, its second iterate's spec and tower, and its tower over GF(2), at dim
+cap 1 and at depth 1 are compared against fixtures in tests/golden/.  A
+refactor that is meant to keep the command-line output must leave every
+fixture untouched;
 an intended output change regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -42,9 +43,11 @@ DEEP_TOWERS = [("pentagasket", 6), ("gasket", 6), ("gasket", 11), ("snowflake", 
                ("gasket-sub7", 5), ("gasket-sub-mixed", 5), ("five-map-funnel", 7),
                ("two-map-split", 10)]
 # The carpet (8 maps of ratio 1/3 on the unit square, the centre left out) is
-# not postunbranched and its overlaps are segments: its tower pins the oracle
-# generator with its one-point pruning.  Its spec is an input, not an output.
+# not postunbranched and its overlaps are segments: its towers pin the oracle
+# generator with its one-point pruning, and depth 4 the deep one-point meets
+# (20 of them past depth 1).  Its spec is an input, not an output.
 CARPET_SPEC = GOLDEN / "spec-carpet.json"
+CARPET_DEPTHS = [3, 4]
 # one geometric system per oracle path, one symbolic and one table system;
 # snowflake's depth 3 pins the exact crossing edges of depth-2 one-point meets
 NERVE_DEPTHS = [("gasket", 3), ("snowflake", 2), ("snowflake", 3), ("pentagasket", 3),
@@ -86,7 +89,8 @@ def _cases() -> list[tuple[str, list[str]]]:
                   ["tower", str(DERIVED_SPEC), "--max-depth", "3"] + STARVED))
     cases.append((f"nerve-{DERIVED}-starved-k2",
                   ["nerve", str(DERIVED_SPEC), "--depth", "2"] + STARVED))
-    cases.append(("tower-carpet-k3", ["tower", str(CARPET_SPEC), "--max-depth", "3"]))
+    cases.extend((f"tower-carpet-k{depth}", ["tower", str(CARPET_SPEC), "--max-depth", str(depth)])
+                 for depth in CARPET_DEPTHS)
     name, depth, cap = INTERVAL_NERVE
     cases.append((f"nerve-{name}-k{depth}-cap{cap}",
                   ["nerve", name, "--depth", str(depth), "--dim-cap", str(cap)]))
