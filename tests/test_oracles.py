@@ -283,12 +283,8 @@ def test_snowflake_tower_clips_each_depth1_meet_once(monkeypatch):
 def _assert_deep_meets_match_the_clip(spec, words):
     """Every pair of `words` (equal-length, at depth 2 or more) meets as the
     clip of its envelopes, element for element.  On a segment envelope no
-    pair is clipped; on a polygon one, a pair is clipped exactly when the
-    maps are singular, the first symbols are equal, or the first symbols'
-    envelopes meet in more than one point."""
+    pair is clipped; on a polygon one, each pair is clipped once."""
     segment = len(spec.backend.envelope.vertices) == 2
-    depth1 = {(a, b): _envelope_meet(spec, [Word((a,), spec.m), Word((b,), spec.m)])
-              for a, b in combinations(range(1, spec.m + 1), 2)}
     clips = 0
     original = oracles.common_region
 
@@ -303,9 +299,7 @@ def _assert_deep_meets_match_the_clip(spec, words):
             expected = original([cell_envelope(spec, u), cell_envelope(spec, v)])
             clips = 0
             assert _envelope_meet(spec, (u, v)) == expected, (u, v)
-            a, b = sorted((u.symbols[0], v.symbols[0]))
-            pulled_back = spec.injective and a != b and len(depth1[(a, b)]) <= 1
-            assert clips == (0 if segment or pulled_back else 1), (u, v)
+            assert clips == (0 if segment else 1), (u, v)
 
 
 @pytest.mark.parametrize("name", ["five-map-funnel", "gasket", "gasket-sub-mixed",
@@ -313,8 +307,8 @@ def _assert_deep_meets_match_the_clip(spec, words):
                                   "two-map-split"])
 def test_deep_envelope_meets_match_the_clip(name):
     """Every pair of words at depths 2 and 3 of each bundled geometric
-    system: one-point and empty depth-1 meets answer deep pairs with distinct
-    first symbols by pulling the point back, and match the clip."""
+    system meets as the clip, with one clip per pair on a polygon envelope
+    and none on a segment."""
     spec = cli.load_bundled(name).spec
     for k in (2, 3):
         _assert_deep_meets_match_the_clip(spec, enumerate_words(spec.m, k))
@@ -403,10 +397,9 @@ def test_gapped_derived_segment_meets_match_the_polygon_reference(spec, budget, 
 
 @pytest.mark.parametrize("name,depth", [("snowflake", 4), ("gasket", 6)])
 def test_one_point_towers_build_no_deep_envelope(monkeypatch, name, depth):
-    """Every crossing of these towers descends from a one-point depth-1
-    meet, so no envelope of a word of length 2 or more is built.  Clipping
-    every deep meet built 72 of them on the snowflake tower and 30 on the
-    gasket's."""
+    """These towers are certified postunbranched, so every level past depth
+    1 is lifted from N_1 with no oracle query, and no envelope of a word of
+    length 2 or more is built."""
     loaded = cli.load_bundled(name)
     monkeypatch.setattr(cli, "resolve_spec", lambda ref: loaded)
     assert cli.main(["tower", name, "--max-depth", str(depth)]) == 0
