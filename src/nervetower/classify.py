@@ -154,18 +154,32 @@ def _split_index(addresses: list[Address]) -> Optional[int]:
     return t
 
 
+@_kept
+def _overlaps(spec: SystemSpec, budget: Budget
+              ) -> dict[tuple[int, int], tuple[oracles.Verdict, tuple[Point2, ...]]]:
+    """Each depth-1 pair i < j's verdict and certified points (none unless it
+    intersects), asked once for both checks and both orders of the pair: the
+    meet, its certificates and the refinement do not depend on that order."""
+    m, table = spec.m, {}
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            ws = (Word((i,), m), Word((j,), m))
+            verdict = oracles.cells_intersect(spec, ws, budget)
+            table[(i, j)] = verdict, tuple(
+                certificate_points(spec, ws, budget) if verdict.kind == "intersect" else ())
+    return table
+
+
 def _check_pair(spec: SystemSpec, i: int, j: int, budget: Budget) -> PairReport:
     m = spec.m
-    wi, wj = Word((i,), m), Word((j,), m)
-    verdict = oracles.cells_intersect(spec, (wi, wj), budget)
+    verdict, points = _overlaps(spec, budget)[min(i, j), max(i, j)]
     if verdict.kind == "disjoint":
         return PairReport((i, j), "empty")
     if verdict.kind == "unknown":
         return PairReport((i, j), "unknown", detail=verdict.note)
 
-    points = tuple(certificate_points(spec, (wi, wj), budget))
     try:
-        pull = oracles.word_map(spec, wi).inverse()
+        pull = oracles.word_map(spec, Word((i,), m)).inverse()
     except ValueError:
         return PairReport((i, j), "unknown", points, singular=True,
                           detail=f"cell map {i} is singular: overlap points cannot be "
@@ -243,8 +257,7 @@ def check_singleton_overlaps(spec: SystemSpec, budget: Budget = Budget()) -> Sin
 def _singleton_status(spec: SystemSpec, i: int, j: int,
                       budget: Budget) -> tuple[SingletonStatus, tuple[Point2, ...]]:
     """The pair's status, with its two witness points when it is `several`."""
-    wi, wj = Word((i,), spec.m), Word((j,), spec.m)
-    verdict = oracles.cells_intersect(spec, (wi, wj), budget)
+    verdict, points = _overlaps(spec, budget)[(i, j)]
     if verdict.kind == "disjoint":
         return "empty", ()
     if verdict.kind == "unknown":
@@ -255,11 +268,10 @@ def _singleton_status(spec: SystemSpec, i: int, j: int,
     # depth, so that pair's envelopes meet and it stays alive.  With two
     # distinct points, one differs from points[0], and its region never
     # equals {points[0]}: the refinement below could never answer singleton.
-    points = certificate_points(spec, (wi, wj), budget)
     if len(points) >= 2:
-        return "several", tuple(points[:2])
+        return "several", points[:2]
     only = {points[0].homogeneous()}
-    alive = [(wi, wj)]
+    alive = [(Word((i,), spec.m), Word((j,), spec.m))]
     for _ in range(budget.refine_depth + 1):
         if all(set(oracles._envelope_meet(spec, pair)) == only for pair in alive):
             return "singleton", ()

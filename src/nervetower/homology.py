@@ -377,10 +377,11 @@ def tower_analysis(tower: TowerData, fieldkind: FieldKind, *,
                    pivot_conditions: Optional[bool] = None) -> BettiTable:
     """Betti table and limit verdicts for the depths of `tower` over one field.
 
-    The tower is the one source of the system, the depth, the dim cap and
-    the budget.  The optional certification flags come from the classify
-    layer (None = not certified) and gate which verdict mechanisms may fire;
-    assert_injective carries the spec file's assertion of that name.
+    The tower is the one source of the system, the depth and the dim cap;
+    it holds no budget, since only building its levels reads one.  The
+    optional certification flags come from the classify layer (None = not
+    certified) and gate which verdict mechanisms may fire; assert_injective
+    carries the spec file's assertion of that name.
     """
     spec, depth, dim_cap, complexes = tower.spec, tower.depth, tower.dim_cap, tower.complexes
     if depth < 1:

@@ -94,25 +94,27 @@ class TestPostunbranched:
             assert check(spec, STARVED) is not check(spec)
             assert check(_fresh(gasket)) is not check(spec) and check(_fresh(gasket)) == check(spec)
 
-    def test_distinct_addresses_violate(self, gasket, monkeypatch):
+    def test_distinct_addresses_violate(self):
         """Two overlap points whose walks both pass but whose addresses differ
         lie in distinct cells from the first symbol where the addresses
         differ: the pair is violated, and the detail names both addresses.
-        The gasket's cells 1 and 2 meet in one point, (1/2, 0), so the pair
-        is handed a second one, cell 1's corner (0, 1/2), which pulls back
-        to the corner (0, 1) with address (3)^inf.  The report is kept on
-        the spec, so the patched one is a fresh copy of the gasket."""
-        real = classify.certificate_points
-
-        def two_points(spec, words, budget):
-            got = real(spec, words, budget)
-            return got + [P(0, "1/2")] if [w.symbols for w in words] == [(1,), (2,)] else got
-        monkeypatch.setattr(classify, "certificate_points", two_points)
-        rep = check_postunbranched(_fresh(gasket))
+        On the segment [0, 1], cell 2 = [1/4, 3/8] fills the gap that cell
+        1 = [0, 1/2] copies from the gap (1/2, 3/4) before cell 3 = [3/4, 1],
+        so cells 1 and 2 meet in its two ends.  Through f_1 these pull back
+        to 1/2 = f_1(1) and 3/4 = f_3(0), with addresses 1(3)^inf and
+        3(1)^inf, and each lies in one cell at every depth."""
+        half, eighth, quarter = Fraction(1, 2), Fraction(1, 8), Fraction(1, 4)
+        maps = (RationalAffineMap(half, 0, 0, half, 0, 0),
+                RationalAffineMap(eighth, 0, 0, eighth, quarter, 0),
+                RationalAffineMap(quarter, 0, 0, quarter, 3 * quarter, 0))
+        envelope = ConvexPolygon.hull([P(0, 0), P(1, 0)])
+        spec = SystemSpec("two-touch", "forward", 3, GeometricBackend(maps, envelope))
+        rep = check_postunbranched(spec)
         assert (rep.status, rep.mechanism) == ("not-postunbranched", "branching-witness")
-        assert rep.pairs[(1, 2)].status == "violated"
+        assert rep.pairs[(1, 2)].points == (P("1/4", 0), P("3/8", 0))
+        assert (rep.pairs[(1, 2)].status, rep.pairs[(2, 1)].status) == ("violated", "violated")
         assert rep.witness == "pair (1,2): overlap points pull back to distinct addresses " \
-                              "(2)^inf and (3)^inf"
+                              "1(3)^inf and 3(1)^inf"
 
 
 class TestSingletonOverlaps:

@@ -521,6 +521,27 @@ def test_licensed_systems_query_depth_1_only_from_every_entry_point(name, entry,
     assert queried and set(queried) == {1}
 
 
+@pytest.mark.parametrize("entry", [["tower", "--max-depth", "3"], ["classify"],
+                                   ["nerve", "--depth", "3"]], ids=" ".join)
+def test_snowflake_asks_each_depth1_pair_at_most_twice(entry, monkeypatch, tmp_path):
+    """At the default dim cap each of snowflake's 21 depth-1 pairs is asked
+    once for the overlap table that both checks read, in either order, and
+    once for N_1.  With each check asking for itself it was four times."""
+    asked: dict[tuple, int] = {}
+    intersect = oracles.cells_intersect
+
+    def counting(spec, ws, *rest):
+        key = tuple(sorted(w.symbols for w in ws))
+        asked[key] = asked.get(key, 0) + 1
+        return intersect(spec, ws, *rest)
+
+    monkeypatch.setattr(oracles, "cells_intersect", counting)
+    out = ["--out-json", str(tmp_path / "n.json")] if entry[0] == "nerve" else []
+    assert main([entry[0], "snowflake", *entry[1:], *out]) == EXIT_OK
+    pairs = [n for key, n in asked.items() if len(key) == 2 and len(key[0]) == 1]
+    assert len(pairs) == 21 and max(pairs) == 2
+
+
 USAGE_ERRORS = [[], ["bogus"], ["tower"], ["tower", "gasket", "--max-depth", "0"],
                 ["tower", "gasket", "--max-depth", "2", "extra"],
                 ["classify", "gasket", "--bogus"]]
