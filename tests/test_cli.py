@@ -508,38 +508,24 @@ def test_licensed_systems_query_depth_1_only_from_every_entry_point(name, entry,
     whoever builds it, since `nerve._levels` alone decides: `tower` at both
     dim caps, `classify`, `nerve` and a bare `build_nerve` ask the oracle
     about depth-1 cells only.  The gasket's pivot flag makes `tower` and
-    `classify` build N_2 in the pivot check too, before the tower."""
+    `classify` build N_2 in the pivot check too, before the tower.  At the
+    default dim cap each depth-1 pair is asked twice: once for the overlap
+    table that both checks read, in either order, and once for N_1 (each
+    check asking for itself made that four).  A tower at dim cap 1 builds
+    another N_1 for the pivot check's cap."""
     queried = []
     intersect = oracles.cells_intersect
     monkeypatch.setattr(oracles, "cells_intersect", lambda spec, ws, *rest:
-                        queried.append(len(ws[0])) or intersect(spec, ws, *rest))
+                        queried.append(tuple(sorted(w.symbols for w in ws)))
+                        or intersect(spec, ws, *rest))
     if entry == ["build_nerve"]:
         build_nerve(load_bundled(name).spec, 4)
     else:
         out = ["--out-json", str(tmp_path / "n.json")] if entry[0] == "nerve" else []
         assert main([entry[0], name, *entry[1:], *out]) == EXIT_OK
-    assert queried and set(queried) == {1}
-
-
-@pytest.mark.parametrize("entry", [["tower", "--max-depth", "3"], ["classify"],
-                                   ["nerve", "--depth", "3"]], ids=" ".join)
-def test_snowflake_asks_each_depth1_pair_at_most_twice(entry, monkeypatch, tmp_path):
-    """At the default dim cap each of snowflake's 21 depth-1 pairs is asked
-    once for the overlap table that both checks read, in either order, and
-    once for N_1.  With each check asking for itself it was four times."""
-    asked: dict[tuple, int] = {}
-    intersect = oracles.cells_intersect
-
-    def counting(spec, ws, *rest):
-        key = tuple(sorted(w.symbols for w in ws))
-        asked[key] = asked.get(key, 0) + 1
-        return intersect(spec, ws, *rest)
-
-    monkeypatch.setattr(oracles, "cells_intersect", counting)
-    out = ["--out-json", str(tmp_path / "n.json")] if entry[0] == "nerve" else []
-    assert main([entry[0], "snowflake", *entry[1:], *out]) == EXIT_OK
-    pairs = [n for key, n in asked.items() if len(key) == 2 and len(key[0]) == 1]
-    assert len(pairs) == 21 and max(pairs) == 2
+    assert queried and {len(key[0]) for key in queried} == {1}
+    pairs = [key for key in queried if len(key) == 2]
+    assert max(map(pairs.count, pairs)) == (3 if entry[-1] == "1" and name == "gasket" else 2)
 
 
 USAGE_ERRORS = [[], ["bogus"], ["tower"], ["tower", "gasket", "--max-depth", "0"],
