@@ -34,7 +34,6 @@ from .oracles import (
     SymbolicPUBackend,
     SystemSpec,
     cells_containing_point,
-    certificate_points,
 )
 from .words import Address, Word, _Record
 
@@ -154,25 +153,9 @@ def _split_index(addresses: list[Address]) -> Optional[int]:
     return t
 
 
-@_kept
-def _overlaps(spec: SystemSpec, budget: Budget
-              ) -> dict[tuple[int, int], tuple[oracles.Verdict, tuple[Point2, ...]]]:
-    """Each depth-1 pair i < j's verdict and certified points (none unless it
-    intersects), asked once for both checks and both orders of the pair: the
-    meet, its certificates and the refinement do not depend on that order."""
-    m, table = spec.m, {}
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            ws = (Word((i,), m), Word((j,), m))
-            verdict = oracles.cells_intersect(spec, ws, budget)
-            table[(i, j)] = verdict, tuple(
-                certificate_points(spec, ws, budget) if verdict.kind == "intersect" else ())
-    return table
-
-
 def _check_pair(spec: SystemSpec, i: int, j: int, budget: Budget) -> PairReport:
     m = spec.m
-    verdict, points = _overlaps(spec, budget)[min(i, j), max(i, j)]
+    verdict, points = oracles._overlaps(spec, budget)[min(i, j), max(i, j)]
     if verdict.kind == "disjoint":
         return PairReport((i, j), "empty")
     if verdict.kind == "unknown":
@@ -195,11 +178,11 @@ def _check_pair(spec: SystemSpec, i: int, j: int, budget: Budget) -> PairReport:
         orbit = name[0] + name[1]
         for t in range(len(orbit)):
             containing, undecided = cells_containing_point(spec, Point2._of(q), 1, budget)
-            cells = [str(Word._of(orbit[:t] + u.symbols, m)) for u in undecided or containing]
-            if undecided:
-                return PairReport((i, j), "unknown", points,
-                                  detail=f"membership undecided for cells {cells}")
-            if len(containing) > 1:
+            if undecided or len(containing) > 1:
+                cells = [str(Word._of(orbit[:t] + u.symbols, m)) for u in undecided or containing]
+                if undecided:
+                    return PairReport((i, j), "unknown", points,
+                                      detail=f"membership undecided for cells {cells}")
                 return PairReport((i, j), "violated", points,
                                   detail=f"point ({p.x}, {p.y}) pulls back into depth-{t + 1} "
                                          f"cells {', '.join(cells)}")
@@ -257,7 +240,7 @@ def check_singleton_overlaps(spec: SystemSpec, budget: Budget = Budget()) -> Sin
 def _singleton_status(spec: SystemSpec, i: int, j: int,
                       budget: Budget) -> tuple[SingletonStatus, tuple[Point2, ...]]:
     """The pair's status, with its two witness points when it is `several`."""
-    verdict, points = _overlaps(spec, budget)[(i, j)]
+    verdict, points = oracles._overlaps(spec, budget)[(i, j)]
     if verdict.kind == "disjoint":
         return "empty", ()
     if verdict.kind == "unknown":

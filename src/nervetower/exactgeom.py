@@ -235,12 +235,7 @@ class RationalAffineMap(_Frozen):
         return s11 + s22 < 2 * one and (s11 - one) * (s22 - one) - s12 * s12 > 0
 
     def fixed_point(self) -> Point2:
-        # Cramer's rule for (I - M) p = t, every entry scaled by den.
-        a, b, c, d, e, f, den = self._row
-        det = (den - a) * (den - d) - b * c
-        if det == 0:
-            raise ValueError("map has no unique fixed point (I - M is singular)")
-        return Point2.from_homogeneous(((den - d) * e + b * f, c * e + (den - a) * f, det))
+        return Point2.from_homogeneous(_fixed_triple(self._row))
 
     def inverse(self) -> "RationalAffineMap":
         # M^-1 = den / (a d - b c) [[d, -b], [-c, a]] and t' = -M^-1 t.
@@ -254,11 +249,26 @@ class RationalAffineMap(_Frozen):
 
 def compose(outer: RationalAffineMap, inner: RationalAffineMap) -> RationalAffineMap:
     """The map p |-> outer(inner(p))."""
-    a, b, c, d, e, f, n = outer._row
-    p, q, r, s, t, u, k = inner._row
-    return RationalAffineMap._from_row(
-        a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
-        a * t + b * u + e * k, c * t + d * u + f * k, n * k)
+    return RationalAffineMap._from_row(*_row_product(outer._row, inner._row))
+
+
+def _row_product(outer: Row, inner: Row) -> Row:
+    """The row of p |-> outer(inner(p)), over the product of the two
+    denominators and not reduced."""
+    a, b, c, d, e, f, n = outer
+    p, q, r, s, t, u, k = inner
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s,
+            a * t + b * u + e * k, c * t + d * u + f * k, n * k)
+
+
+def _fixed_triple(row: Row) -> Triple:
+    """The fixed point of a row's map as a triple, not normalized: Cramer's
+    rule for (I - M) p = t, every entry scaled by den."""
+    a, b, c, d, e, f, den = row
+    det = (den - a) * (den - d) - b * c
+    if det == 0:
+        raise ValueError("map has no unique fixed point (I - M is singular)")
+    return ((den - d) * e + b * f, c * e + (den - a) * f, det)
 
 
 class ConvexPolygon(_Frozen):

@@ -277,10 +277,15 @@ def _levels(spec: SystemSpec, depth: int, dim_cap: int,
       query (`oracles.generate_pu_nerve`, which states the licence): on a
       symbolic system, and past depth 1 on an injective geometric one with
       an exact N_1 whose addresses `classify.lift_addresses` certifies.
-    * Oracle crossings, on any other geometric level.  Depth 1 queries every
-      pair.  Cells nest, so a pair can meet only if its truncation does, and
-      the child of a pair certified disjoint is certified disjoint too: its
-      envelopes and refinement frontiers lie inside the parent's.  Only
+    * Oracle crossings, on any other geometric level.  Depth 1 reads every
+      pair's verdict, with its note, from the kept pair table
+      (`oracles._overlaps`) that the overlap checks read too, so no pair is
+      asked twice at any dim cap, and queries only its larger tuples, whose
+      meets come from kept pair meets where they can
+      (`oracles._envelope_meet`).  Cells nest, so a pair can meet only if
+      its truncation does, and the child of a pair certified disjoint is
+      certified disjoint too: its envelopes and refinement frontiers lie
+      inside the parent's.  Only
       children of depth-k edges and uncertain pairs that cross blocks (and,
       without block copies, of every edge and single vertex) are queried, and
       no tuple inside one block.  Higher simplices grow as cliques.
@@ -437,7 +442,8 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
     to the block copies of `source` (every simplex when there is none) and
     whether the level is complete, and add the undecided tuples to
     `uncertain`.  Tuples inside one block are not queried: the copies and
-    the `uncertain` entries passed in already hold their answers.
+    the `uncertain` entries passed in already hold their answers.  Depth-1
+    pairs are read from the kept pair table (`_levels`).
 
     A candidate d-simplex is a verified (d-1)-simplex t[:-1] extended by a
     common neighbour t[-1] above it.  With block copies the candidates that
@@ -455,9 +461,13 @@ def _grow_level(spec: SystemSpec, level: int, pairs: Iterable[tuple[int, int]],
     other vertices are common neighbours of its ends.
     """
     word = cache(partial(indexed_word, spec.m, level))
+    known = {(i - 1, j - 1): verdict for (i, j), (verdict, _points)
+             in oracles._overlaps(spec, budget).items()} if level == 1 else {}
 
     def holds(candidate: tuple[int, ...]) -> bool:
-        verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
+        verdict = known.get(candidate)
+        if verdict is None:
+            verdict = oracles.cells_intersect(spec, tuple(map(word, candidate)), budget)
         if verdict.kind == "unknown":
             uncertain.append((candidate, verdict.note))
         return verdict.kind == "intersect"

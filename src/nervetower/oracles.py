@@ -33,7 +33,9 @@ from .exactgeom import (
     ConvexPolygon,
     Point2,
     RationalAffineMap,
+    _fixed_triple,
     _normalized,
+    _row_product,
     check_envelope,
     common_point_exists,
     common_region,
@@ -350,26 +352,35 @@ def _tail_table(spec: SystemSpec, budget: Budget) -> dict[PointKey, TailName]:
     lexicographic) every in-budget address is preceded by its normalized
     form, which is in budget too.  The keys, their insertion order and their
     names are those of walking every pair and keeping each normalized class
-    at its first visit.  Each cycle's fixed point and each head's map are
-    found once.  The table is shared by every query under the same budget.
+    at its first visit.  The table is shared by every query under the same
+    budget.
+
+    Every map is an integer row (`exactgeom.Row`), composed word by word
+    and never reduced: no RationalAffineMap is built and no word_map entry
+    is kept.  Each cycle's fixed point is Cramer's rule on its row, left
+    unnormalized (the cycle's map contracts, so I - M is invertible), and
+    each head maps it with one gcd per point.
     """
     key = ("tails", budget.cert_preperiod_max, budget.cert_period_max)
     got = spec._cache.get(key)
     if got is not None:
         return got
-    m = spec.m
-    symbols = range(1, m + 1)
-    cycles = [(c, word_map(spec, Word._of(c, m)).fixed_point().homogeneous())
-              for length in range(1, budget.cert_period_max + 1)
+    symbols = range(1, spec.m + 1)
+    cells = [f.over_common_denominator() for f in spec.cell_maps]
+    rows = {(): (1, 0, 0, 1, 0, 0, 1)}
+    for length in range(1, max(budget.cert_period_max, budget.cert_preperiod_max) + 1):
+        for word in product(symbols, repeat=length):
+            rows[word] = _row_product(rows[word[:-1]], cells[word[-1] - 1])
+    cycles = [(c, _fixed_triple(rows[c])) for length in range(1, budget.cert_period_max + 1)
               for c in product(symbols, repeat=length) if _normalize((), c) == ((), c)]
     table: dict[PointKey, TailName] = {}
     for length in range(budget.cert_preperiod_max + 1):
         for head in product(symbols, repeat=length):
-            apply = word_map(spec, Word._of(head, m)).apply
-            for cycle, q in cycles:
+            a, b, c, d, e, f, n = rows[head]
+            for cycle, (x, y, z) in cycles:
                 if head and head[-1] == cycle[-1]:
                     continue
-                point = apply(q)
+                point = _normalized(a * x + b * y + e * z, c * x + d * y + f * z, n * z)
                 if point not in table:
                     table[point] = (head, cycle)
     spec._cache[key] = table
@@ -427,15 +438,19 @@ def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointK
     A spec whose envelope is a segment reads the meet off the words' integer
     intervals (`_segment_meet`), with no envelope built and no clip.
 
-    On a polygon envelope, the meet of one-symbol words is clipped once per
-    system and kept on the spec under its sorted symbols, so the
-    certificates, N_1 and the depth-2 candidates share it: at most
-    sum_r C(m, r) entries.  Licence: the meet, as a set, does not depend on
-    the order of its polygons, and no reader takes the vertex order of a
-    meet of two or more vertices.  `cells_intersect` and `_common_keys` read
-    emptiness, length one and region[0], `touching_children` reads length
-    one, `certificate_points` sorts and the singleton refinement compares
-    sets.  Every other meet is clipped on every call.
+    On a polygon envelope, the meet of one-symbol words is found once per
+    system and kept on the spec under its sorted symbols (`_symbol_meet`),
+    so the certificates, N_1 and the depth-2 candidates share it: at most
+    sum_r C(m, r) entries.  A pair is clipped.  The meet of r >= 3 symbols
+    is the kept meet of the first r - 1 intersected with the last envelope:
+    when that meet is empty or one point, the answer is it, kept or dropped
+    by one `contains_point`, and a larger one is clipped.  Licence: the
+    meet, as a set, does not depend on the order of its polygons or on how
+    they are grouped, and no reader takes the vertex order of a meet of two
+    or more vertices.  `cells_intersect` and `_common_keys` read emptiness,
+    length one and region[0], `touching_children` reads length one,
+    `certificate_points` sorts and the singleton refinement compares sets.
+    Every other meet is clipped on every call.
     """
     if len(ws) < 2:
         return None
@@ -443,12 +458,20 @@ def _envelope_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointK
     if got is not None:
         return got
     if all(len(w.symbols) == 1 for w in ws):
-        key = tuple(sorted(w.symbols[0] for w in ws))
-        kept = spec._cache.setdefault("symbol_meets", {})
-        if key not in kept:
-            kept[key] = common_region([_symbol_envelopes(spec)[j - 1] for j in key])
-        return kept[key]
+        return _symbol_meet(spec, tuple(sorted(w.symbols[0] for w in ws)))
     return common_region([cell_envelope(spec, w) for w in ws])
+
+
+def _symbol_meet(spec: SystemSpec, key: tuple[int, ...]) -> list[PointKey]:
+    """The kept meet of the depth-1 envelopes of the sorted symbols `key`."""
+    kept = spec._cache.setdefault("symbol_meets", {})
+    if key not in kept:
+        envelopes = _symbol_envelopes(spec)
+        below = _symbol_meet(spec, key[:-1]) if len(key) > 2 else ()
+        kept[key] = ([p for p in below if envelopes[key[-1] - 1].contains_point(Point2._of(p))]
+                     if len(key) > 2 and len(below) < 2
+                     else common_region([envelopes[j - 1] for j in key]))
+    return kept[key]
 
 
 def _segment_meet(spec: SystemSpec, ws: Sequence[Word]) -> Optional[list[PointKey]]:
@@ -550,6 +573,26 @@ def cells_intersect(spec: SystemSpec, ws: Sequence[Word], budget: Budget = Budge
         if not alive:
             return Verdict.disjoint(depth)
     return Verdict.unknown("budget exhausted")
+
+
+def _overlaps(spec: SystemSpec, budget: Budget
+              ) -> dict[tuple[int, int], tuple[Verdict, tuple[Point2, ...]]]:
+    """Each depth-1 pair i < j's verdict and certified points (none unless it
+    intersects), asked once per spec and budget and kept on the spec: both
+    overlap checks read it in either order of the pair, and N_1 takes its
+    edges from it at every dim cap.  The meet, its certificates and the
+    refinement do not depend on the order of the pair."""
+    key = ("overlaps", budget)
+    got = spec._cache.get(key)
+    if got is None:
+        m, got = spec.m, {}
+        for i, j in combinations(range(1, m + 1), 2):
+            ws = (Word((i,), m), Word((j,), m))
+            verdict = cells_intersect(spec, ws, budget)
+            got[(i, j)] = verdict, tuple(
+                certificate_points(spec, ws, budget) if verdict.kind == "intersect" else ())
+        spec._cache[key] = got
+    return got
 
 
 def _refine(spec: SystemSpec, alive: list[tuple[Word, ...]]) -> Optional[list[tuple[Word, ...]]]:

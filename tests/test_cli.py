@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -508,11 +509,11 @@ def test_licensed_systems_query_depth_1_only_from_every_entry_point(name, entry,
     whoever builds it, since `nerve._levels` alone decides: `tower` at both
     dim caps, `classify`, `nerve` and a bare `build_nerve` ask the oracle
     about depth-1 cells only.  The gasket's pivot flag makes `tower` and
-    `classify` build N_2 in the pivot check too, before the tower.  At the
-    default dim cap each depth-1 pair is asked twice: once for the overlap
-    table that both checks read, in either order, and once for N_1 (each
-    check asking for itself made that four).  A tower at dim cap 1 builds
-    another N_1 for the pivot check's cap."""
+    `classify` build N_2 in the pivot check too, before the tower.  Each
+    depth-1 pair is asked exactly once, at either dim cap: for the kept
+    overlap table that both checks read, in either order, and that N_1
+    reads at every cap (each check asking for itself, and N_1 asking again
+    once per cap, made that up to four)."""
     queried = []
     intersect = oracles.cells_intersect
     monkeypatch.setattr(oracles, "cells_intersect", lambda spec, ws, *rest:
@@ -525,7 +526,8 @@ def test_licensed_systems_query_depth_1_only_from_every_entry_point(name, entry,
         assert main([entry[0], name, *entry[1:], *out]) == EXIT_OK
     assert queried and {len(key[0]) for key in queried} == {1}
     pairs = [key for key in queried if len(key) == 2]
-    assert max(map(pairs.count, pairs)) == (3 if entry[-1] == "1" and name == "gasket" else 2)
+    m = load_bundled(name).spec.m
+    assert sorted(pairs) == [((i,), (j,)) for i, j in combinations(range(1, m + 1), 2)]
 
 
 USAGE_ERRORS = [[], ["bogus"], ["tower"], ["tower", "gasket", "--max-depth", "0"],

@@ -12,7 +12,7 @@ from nervetower.exactgeom import (ConvexPolygon, Point2, RationalAffineMap, _reg
                                   common_point_exists, common_region, compose)
 from nervetower.nerve import (build_iterate_or_subsystem, build_nerve,
                               iterate_system, tower_complexes)
-from nervetower.oracles import (AddressConsistencyError, Budget, SpecError,
+from nervetower.oracles import (AddressConsistencyError, Budget, GeometricBackend, SpecError,
                                 SymbolicPUBackend, SystemSpec, TableBackend,
                                 Verdict, _common_keys, _envelope_meet, _tail_table,
                                 _word_points, cell_envelope,
@@ -26,6 +26,7 @@ from support.finite_oracle import finite_cycle_system, finite_trivial_system
 from support.points import limit_point
 from support.segment_cover import collinear_region
 from test_classify import derived_systems
+from test_golden import CARPET_SPEC
 from test_nerve import SEGMENT_SPECS, STARVED, _fresh, singular_spec
 
 
@@ -38,6 +39,29 @@ def W(text, m=3):
 
 
 TINY = Budget(refine_depth=1, cert_period_max=1, cert_preperiod_max=0)
+
+
+def turning_spec():
+    """Four maps of the unit square whose linear parts are not diagonal: a
+    reflection in the diagonal, quarter and half turns, and a turn by the
+    angle whose cosine is 3/5, so composed rows mix x and y."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    maps = (RationalAffineMap(0, half, half, 0, 0, 0),
+            RationalAffineMap(0, -half, half, 0, 1, 0),
+            RationalAffineMap(-third, 0, 0, -third, 1, 1),
+            RationalAffineMap(Fraction(3, 10), Fraction(-2, 5), Fraction(2, 5), Fraction(3, 10),
+                              Fraction(2, 5), 0))
+    envelope = ConvexPolygon.hull([P(0, 0), P(1, 0), P(1, 1), P(0, 1)])
+    return SystemSpec("turning", "forward", 4, GeometricBackend(maps, envelope))
+
+
+# the bundled systems past the gasket and interval-overlap, the carpet, and
+# the turning spec, each loaded fresh
+NAMED_SPECS = {**{name: (lambda name=name: cli.load_bundled(name).spec)
+                  for name in ("snowflake", "gasket-sub7", "gasket-sub-mixed",
+                               "five-map-funnel", "two-map-split")},
+               "carpet": lambda: cli.resolve_spec(str(CARPET_SPEC)).spec,
+               "turning": turning_spec}
 
 
 class TestVerdict:
@@ -257,11 +281,34 @@ def test_depth1_meets_are_kept_whatever_the_order(spec):
                 assert (len(got) == 1) == (len(fresh) == 1)
 
 
+def _assert_symbol_tuples_meet_as_the_clip(spec):
+    """Every tuple of 3..m one-symbol words meets, as a set of triples, as
+    the clip of its envelopes.  The largest tuples are asked first, on a
+    fresh spec, so their meets are derived from meets not yet kept."""
+    envelopes = [cell_envelope(spec, Word((j,), spec.m)) for j in range(1, spec.m + 1)]
+    for size in range(spec.m, 2, -1):
+        for symbols in combinations(range(1, spec.m + 1), size):
+            got = _envelope_meet(spec, [Word((j,), spec.m) for j in reversed(symbols)])
+            assert set(got) == set(common_region([envelopes[j - 1] for j in symbols])), symbols
+
+
+@pytest.mark.parametrize("name", ["snowflake", "five-map-funnel", "carpet", "turning"])
+def test_symbol_tuples_meet_as_the_clip(name):
+    _assert_symbol_tuples_meet_as_the_clip(NAMED_SPECS[name]())
+
+
+@settings(max_examples=20, deadline=None)
+@given(derived_systems())
+def test_derived_symbol_tuples_meet_as_the_clip(spec):
+    _assert_symbol_tuples_meet_as_the_clip(spec)
+
+
 def test_snowflake_tower_clips_each_depth1_meet_once(monkeypatch):
     """tower snowflake --max-depth 3 asks the meet of the same depth-1 pairs
     from the postunbranched and singleton checks, N_1 and the depth-2
-    candidates: it clipped 27 distinct tuples 138 times, and now clips each
-    once."""
+    candidates: it clipped 27 distinct tuples 138 times.  Now it clips each
+    of the 21 pairs once, and the 6 triples of N_1 are answered from the
+    kept meet of a pair, empty or one point, with no clip."""
     loaded = cli.load_bundled("snowflake")
     spec = loaded.spec
     symbol_of = {id(cell_envelope(spec, Word((j,), spec.m))): j for j in range(1, spec.m + 1)}
@@ -277,7 +324,8 @@ def test_snowflake_tower_clips_each_depth1_meet_once(monkeypatch):
     monkeypatch.setattr(oracles, "common_region", counting)
     monkeypatch.setattr(cli, "resolve_spec", lambda ref: loaded)
     assert cli.main(["tower", "snowflake", "--max-depth", "3"]) == 0
-    assert len(clips) == 27 and max(clips.values()) == 1
+    assert len(clips) == 21 and max(clips.values()) == 1
+    assert {len(key) for key in clips} == {2}
 
 
 def _assert_deep_meets_match_the_clip(spec, words):
@@ -414,7 +462,20 @@ def test_tail_table_matches_the_normalizing_reference(spec, preperiod, period):
     """Enumerating only normalized pairs gives the table that normalizing
     every address and skipping the pairs seen gives: the same keys in the
     same order, each named by the same address."""
-    budget = Budget(cert_period_max=period, cert_preperiod_max=preperiod)
+    _assert_tail_table_matches_the_reference(
+        spec, Budget(cert_period_max=period, cert_preperiod_max=preperiod))
+
+
+@pytest.mark.parametrize("budget", [Budget(), Budget(cert_period_max=3, cert_preperiod_max=2)],
+                         ids=["default", "preperiod-2-period-3"])
+@pytest.mark.parametrize("name", NAMED_SPECS)
+def test_named_tail_tables_match_the_normalizing_reference(name, budget):
+    """The same on the bundled systems of other shapes, the carpet's eight
+    maps, and a system whose composed rows rotate and reflect."""
+    _assert_tail_table_matches_the_reference(NAMED_SPECS[name](), budget)
+
+
+def _assert_tail_table_matches_the_reference(spec, budget):
     table = _tail_table(spec, budget)
     expected = tail_names.tail_table(spec, budget)
     assert list(table) == list(expected)
